@@ -64,24 +64,6 @@ def _stencil_deriv(rows, h):
     return d
 
 
-def _deriv_at(vals, idx, h):
-    """Derivative at one index of a 1-d sampled sequence of points."""
-    n = len(vals)
-    if idx == 0:
-        return (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    if idx == n - 1:
-        return (3.0 * vals[n - 1] - 4.0 * vals[n - 2] + vals[n - 3]) / (2.0 * h)
-    return (vals[idx + 1] - vals[idx - 1]) / (2.0 * h)
-
-
-def _stencil_deps(n, a):
-    if a == 0:
-        return (0, 1, 2)
-    if a == n - 1:
-        return (n - 3, n - 2, n - 1)
-    return (a - 1, a + 1)
-
-
 def _trapz_weights(nodes):
     w = np.empty(nodes.size)
     h = nodes[1] - nodes[0]
@@ -367,16 +349,13 @@ def _radial_lambda_integral(pair, curve, i):
     rs = curve.radii[i]
     vals = curve.values[i]
     h = rs[1] - rs[0]
-    if curve.signed:
-        lam = np.array([pair.lam(vals[j], _deriv_at(vals, j, h)) for j in range(rs.size)])
-        return _trapz(rs, lam)
-    # variant 1: prepend the center anchor at r = 0
-    ext_r = np.concatenate([[0.0], rs])
-    ext_v = np.concatenate([[curve.center], vals])
-    lam = np.array(
-        [pair.lam(ext_v[j], _deriv_at(ext_v, j, h)) for j in range(ext_r.size)]
-    )
-    return _trapz(ext_r, lam)
+    if not curve.signed:
+        # variant 1: prepend the center anchor at r = 0
+        rs = np.concatenate([[0.0], rs])
+        vals = np.concatenate([[curve.center], vals])
+    vel = _stencil_deriv(vals, h)
+    lam = np.array([pair.lam(vals[j], vel[j]) for j in range(rs.size)])
+    return _trapz(rs, lam)
 
 
 def _radial_h_integral(pair, curve, i, parts):

@@ -16,7 +16,7 @@ curvature-versus-Nijenhuis report exposes numerically.
 import numpy as np
 
 from .errors import SingularMetricError
-from .fields import Field, FdConfig, MatrixField, partial_jet
+from .fields import Field, FdConfig, MatrixField, holomorphy_residual, jet
 from .tensors import nijenhuis
 from .util import as_point, max_abs
 
@@ -59,9 +59,8 @@ def diagonal_metric(entries):
 def christoffel(g, x):
     """Gamma^i_{kl} = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})."""
     x = as_point(x)
-    n = x.size
     ginv = g.inverse(x)
-    dg = np.stack([partial_jet(g, x, k) for k in range(n)])  # dg[k, m, l]
+    dg = jet(g, x)  # dg[k, m, l]
     term = np.einsum("kml->mkl", dg) + np.einsum("lmk->mkl", dg) - np.einsum("mkl->mkl", dg)
     return 0.5 * np.einsum("im,mkl->ikl", ginv, term)
 
@@ -69,9 +68,8 @@ def christoffel(g, x):
 def riemann_curvature(g, x):
     """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma Gamma terms."""
     x = as_point(x)
-    n = x.size
     gamma_field = Field(lambda p: christoffel(g, p), fd=g.fd)
-    dGamma = np.stack([partial_jet(gamma_field, x, k) for k in range(n)])  # [k, i, a, b]
+    dGamma = jet(gamma_field, x)  # [k, i, a, b]
     G = christoffel(g, x)
     R = (
         np.einsum("kilj->ijkl", dGamma)
@@ -106,7 +104,7 @@ def j_tangent(g, base, fiber):
 def _dG_blocks(g, base, fiber):
     """Differential of G(x, v) = (x, g(x) v): [[I, 0], [B, g]] with B = (dg . v)."""
     n = base.size
-    dg = np.stack([partial_jet(g, base, k) for k in range(n)])  # dg[k, j, l]
+    dg = jet(g, base)  # dg[k, j, l]
     B = np.einsum("kjl,l->jk", dg, fiber)
     gm = np.asarray(g(base), dtype=float)
     top = np.hstack([np.eye(n), np.zeros((n, n))])
@@ -182,19 +180,6 @@ def flatness_vs_integrability(g, points):
 # ---------------------------------------------------------------------------
 
 
-def _holomorphy_residual_entry(h_entry, z_samples, step=1e-5):
-    worst = 0.0
-    for z in z_samples:
-        z = np.asarray(z, dtype=complex)
-        for j in range(z.size):
-            e = np.zeros(z.size, dtype=complex)
-            e[j] = 1.0
-            dx = (h_entry(z + step * e) - h_entry(z - step * e)) / (2.0 * step)
-            dy = (h_entry(z + 1j * step * e) - h_entry(z - 1j * step * e)) / (2.0 * step)
-            worst = max(worst, abs(0.5 * (dx + 1j * dy)))
-    return worst
-
-
 def holo_metric_parts(h_entries, fd=None):
     """Real metrics h_R, h_I of h = sum h_ij dz_i x dz_j on R^{2n} (x, y blocks).
 
@@ -239,9 +224,7 @@ def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
     pts = np.asarray(grid, dtype=float)
     n = pts.shape[1] // 2
     z_samples = [p[:n] + 1j * p[n:] for p in pts[: min(6, len(pts))]]
-    res = max(
-        _holomorphy_residual_entry(fns[i][j], z_samples) for i in range(n) for j in range(n)
-    )
+    res = max(holomorphy_residual(fns[i][j], z_samples) for i in range(n) for j in range(n))
     if res > holo_tol:
         raise SingularMetricError(
             f"metric entries fail the Cauchy-Riemann validation (residual {res:.3e})"

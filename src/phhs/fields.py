@@ -1,9 +1,11 @@
 """Evaluable tensor fields on a coordinate patch with finite-difference jets.
 
 Every field wraps a plain callable ``point -> value`` together with an
-:class:`FdConfig` that fixes how its derivatives are approximated.  All
-derivative-taking operations in the package route through
-:func:`partial_jet`, so a single stencil convention applies everywhere.
+:class:`FdConfig` that fixes how its derivatives are approximated.  This is
+the only module that knows the central-difference stencil: real axis
+partials (:func:`partial_jet`, stacked by :func:`jet`) and derivatives of
+holomorphic callables along complex directions (:func:`complex_gradient`,
+:func:`holomorphy_residual`) all go through :func:`_central_difference`.
 """
 
 from dataclasses import dataclass
@@ -60,7 +62,7 @@ class ScalarField(Field):
         p = as_point(p)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=float)
-        return np.array([partial_jet(self, p, a) for a in range(p.size)])
+        return jet(self, p)
 
 
 class VectorField(Field):
@@ -83,27 +85,65 @@ class TwoFormField(Field):
         return float(np.max(np.abs(W + W.T)))
 
 
-def partial_jet(field, p, axis):
-    """Central finite-difference partial derivative of a field along one axis.
+def _central_difference(f, p, e, h, order):
+    """Derivative of f at p along the direction e by the central stencil of spacing h.
 
     Order 2 uses (f(p+h) - f(p-h)) / 2h; order 4 the five-point stencil
-    (-f(p+2h) + 8 f(p+h) - 8 f(p-h) + f(p-2h)) / 12h.  Works for scalar,
-    vector and matrix valued fields alike.
+    (-f(p+2h) + 8 f(p+h) - 8 f(p-h) + f(p-2h)) / 12h.  Works for real or
+    complex points and directions, and for scalar, vector and matrix values.
     """
+    if order == 2:
+        return (f(p + h * e) - f(p - h * e)) / (2.0 * h)
+    f1 = f(p + h * e)
+    f2 = f(p + 2.0 * h * e)
+    b1 = f(p - h * e)
+    b2 = f(p - 2.0 * h * e)
+    # paired differences so that symmetric evaluations cancel exactly
+    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
+
+
+def partial_jet(field, p, axis):
+    """Partial derivative of a field along one axis by its ``fd`` stencil."""
     p = as_point(p)
     if not 0 <= axis < p.size:
         raise ValueError(f"axis {axis} out of range for a point of dimension {p.size}")
-    h = field.fd.spacing(p)
     e = np.zeros_like(p)
     e[axis] = 1.0
-    if field.fd.order == 2:
-        return (np.asarray(field(p + h * e)) - np.asarray(field(p - h * e))) / (2.0 * h)
-    f1 = np.asarray(field(p + h * e))
-    f2 = np.asarray(field(p + 2.0 * h * e))
-    b1 = np.asarray(field(p - h * e))
-    b2 = np.asarray(field(p - 2.0 * h * e))
-    # paired differences so that symmetric evaluations cancel exactly
-    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
+    return _central_difference(lambda q: np.asarray(field(q)), p, e, field.fd.spacing(p), field.fd.order)
+
+
+def jet(field, p):
+    """All axis partials of a field at p, stacked: ``out[a] = d_a field(p)``."""
+    p = as_point(p)
+    return np.stack([partial_jet(field, p, a) for a in range(p.size)])
+
+
+# derivatives of callables on C^m use the default spacing and order
+_COMPLEX_FD = FdConfig()
+
+
+def _complex_partials(H, z, unit):
+    """Derivatives of a callable on C^m at z along unit * e_j, slot by slot."""
+    h = _COMPLEX_FD.spacing(z)
+    return np.array(
+        [_central_difference(H, z, unit * e, h, _COMPLEX_FD.order) for e in np.eye(z.size, dtype=complex)],
+        dtype=complex,
+    )
+
+
+def complex_gradient(H, z):
+    """dH/dz_j of a holomorphic callable on C^m, slot by slot."""
+    return _complex_partials(H, np.asarray(z, dtype=complex), 1.0)
+
+
+def holomorphy_residual(H, samples):
+    """Max Cauchy-Riemann defect |dH/d(conj z_j)| of a callable over complex sample points."""
+    worst = 0.0
+    for z in samples:
+        z = np.asarray(z, dtype=complex)
+        dbar = 0.5 * (_complex_partials(H, z, 1.0) + 1j * _complex_partials(H, z, 1j))
+        worst = max(worst, float(np.max(np.abs(dbar))))
+    return worst
 
 
 def constant_matrix_field(M, fd=None, name=None):

@@ -2,12 +2,16 @@
 
 All integration is fixed-step classical Runge-Kutta 4: determinism is worth
 more than adaptivity for golden-value work, and the step budget guards the
-singular loci.  Time-plane conventions: a bi-time grid node t + i s is reached
-by flowing X for t and then J X for s from the anchor; paths in the complex
-time plane are polylines integrated segment by segment.
+singular loci.  :func:`rk4_step` is the only place the RK4 stage formula is
+written; every flow in the package, the period measurement of
+:mod:`phhs.morse` included, advances through it.
+
+Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
+for t and then J X for s from the anchor; paths in the complex time plane
+are polylines integrated segment by segment.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +25,6 @@ BLOWUP = 1e8
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 1e-3
-    scheme: str = "rk4"
     max_step_count: int = 5_000_000
     richardson: bool = False
 
@@ -30,8 +33,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.max_step_count <= 0:
             raise ValueError("max_step_count must be positive")
-        if self.scheme != "rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def _check_state(y):
@@ -39,15 +40,20 @@ def _check_state(y):
         raise NonFiniteStateError("flow state overflowed; a singular locus was hit")
 
 
+def rk4_step(V, y, h):
+    """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h."""
+    k1 = np.asarray(V(y), dtype=float)
+    k2 = np.asarray(V(y + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(V(y + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(V(y + h * k3), dtype=float)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(V, x0, t, n_steps):
     y = np.array(x0, dtype=float)
     h = t / n_steps
     for _ in range(n_steps):
-        k1 = np.asarray(V(y), dtype=float)
-        k2 = np.asarray(V(y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(V(y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(V(y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(V, y, h)
         _check_state(y)
     return y
 
@@ -61,6 +67,12 @@ def _steps_for(t, cfg):
     return n
 
 
+def _coarse_fine(V, x0, t, cfg):
+    """Endpoints with the configured step and with the step halved."""
+    n = _steps_for(t, cfg)
+    return _rk4(V, x0, t, n), _rk4(V, x0, t, 2 * n)
+
+
 def flow(V, x0, t, cfg=FlowConfig()):
     """Endpoint of the time-t flow of V from x0 (fixed-step RK4).
 
@@ -70,11 +82,9 @@ def flow(V, x0, t, cfg=FlowConfig()):
     x0 = as_point(x0)
     if t == 0.0:
         return np.array(x0)
-    n = _steps_for(t, cfg)
     if not cfg.richardson:
-        return _rk4(V, x0, t, n)
-    coarse = _rk4(V, x0, t, n)
-    fine = _rk4(V, x0, t, 2 * n)
+        return _rk4(V, x0, t, _steps_for(t, cfg))
+    coarse, fine = _coarse_fine(V, x0, t, cfg)
     return fine + (fine - coarse) / 15.0
 
 
@@ -83,11 +93,8 @@ def flow_error_estimate(V, x0, t, cfg=FlowConfig()):
     x0 = as_point(x0)
     if t == 0.0:
         return np.array(x0), 0.0
-    n = _steps_for(t, cfg)
-    coarse = _rk4(V, x0, t, n)
-    fine = _rk4(V, x0, t, 2 * n)
-    err = float(np.max(np.abs(fine - coarse))) / 15.0
-    return fine, err
+    coarse, fine = _coarse_fine(V, x0, t, cfg)
+    return fine, float(np.max(np.abs(fine - coarse))) / 15.0
 
 
 def _flow_through_nodes(V, x0, offsets, cfg):
@@ -232,12 +239,7 @@ def continue_along_path(fields, x0, path, cfg=FlowConfig()):
         dz = z_b - z_a
         if dz == 0:
             raise ValueError("consecutive path nodes must be distinct")
-        seg_cfg = FlowConfig(
-            dt=cfg.dt / max(abs(dz), 1e-300),
-            scheme=cfg.scheme,
-            max_step_count=cfg.max_step_count,
-            richardson=cfg.richardson,
-        )
+        seg_cfg = replace(cfg, dt=cfg.dt / max(abs(dz), 1e-300))
         y = flow(_combo_field(fields, dz.real, dz.imag), y, 1.0, seg_cfg)
     return y
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -27,7 +27,7 @@ from .tensors import (
     lie_derivative_matrix,
     nijenhuis,
 )
-from .util import as_point, max_abs, seeded_points, thread_count
+from .util import as_point, max_abs, seeded_points
 
 
 @dataclass
@@ -296,11 +296,7 @@ def assemble_phhs(
 
 def _covector_exterior_derivative(lam, p):
     """(d lam)_{ab} = d_a lam_b - d_b lam_a via the field's stencil."""
-    from .fields import partial_jet
-
-    p = as_point(p)
-    n = p.size
-    D = np.stack([partial_jet(lam, p, a) for a in range(n)])
+    D = jet(lam, p)
     return D - D.T
 
 
@@ -337,14 +333,7 @@ def integrability_report(model, grid, threshold=1e-3):
     def one(p):
         return max_abs(nijenhuis(model.J, p)), max_abs(exterior_derivative_2form(omega_I, p))
 
-    workers = thread_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, pts))
-    else:
-        results = [one(p) for p in pts]
+    results = [one(p) for p in pts]
     n_norms = np.array([r[0] for r in results])
     d_norms = np.array([r[1] for r in results])
     return IntegrabilityReport(pts, n_norms, d_norms, threshold)

@@ -26,13 +26,14 @@ from .errors import (
 from .expressions import parse_expression
 from .fields import (
     CovectorField,
-    FdConfig,
     MatrixField,
     ScalarField,
     TwoFormField,
     VectorField,
+    complex_gradient,
     constant_matrix_field,
     constant_two_form_field,
+    holomorphy_residual,
 )
 from .hamiltonian import PhhsModel, PhsmData
 from .util import (
@@ -45,8 +46,6 @@ from .util import (
     standard_omega_matrix,
     to_complex,
 )
-
-_CFD_STEP = 1e-5
 
 
 def _complex_env(z):
@@ -107,7 +106,12 @@ def _as_complex_hamiltonian(H, m):
 
 
 def _as_real_scalar(f, what="field"):
-    """Normalize a real scalar field given as expression text or callable."""
+    """Normalize a real scalar field given as expression text or callable.
+
+    For expression text the gradient on C^2 points (x1, x2, y1, y2) comes
+    from symbolic partials derived once here; it is None for callables and
+    for expressions without a symbolic derivative.
+    """
     if callable(f):
         return f, None
     expr = parse_expression(f)
@@ -118,55 +122,16 @@ def _as_real_scalar(f, what="field"):
             raise ValueError(f"{what} expression {f!r} is not real-valued")
         return float(complex(v).real)
 
-    def grad(p):
-        env = _real_env(p)
-        p = as_point(p)
-        m = p.size // 2
-        out = np.empty(p.size)
-        for j in range(m):
-            out[j] = float(complex(expr.diff(f"x{j + 1}").evaluate(env)).real)
-            out[m + j] = float(complex(expr.diff(f"y{j + 1}").evaluate(env)).real)
-        return out
-
     try:
-        for j in range(1, 3):
-            expr.diff(f"x{j}")
+        partials = [expr.diff(name) for name in ("x1", "x2", "y1", "y2")]
     except ValueError:
         return fn, None
+
+    def grad(p):
+        env = _real_env(p)
+        return np.array([float(complex(d.evaluate(env)).real) for d in partials])
+
     return fn, grad
-
-
-def complex_gradient(H, z, step=_CFD_STEP):
-    """Order-4 central differences of a holomorphic callable, slot by slot."""
-    z = np.asarray(z, dtype=complex)
-    h = step * max(1.0, float(np.linalg.norm(z)))
-    out = np.empty(z.size, dtype=complex)
-    for j in range(z.size):
-        e = np.zeros(z.size, dtype=complex)
-        e[j] = 1.0
-        out[j] = (-H(z + 2 * h * e) + 8 * H(z + h * e) - 8 * H(z - h * e) + H(z - 2 * h * e)) / (
-            12.0 * h
-        )
-    return out
-
-
-def holomorphy_residual(H, samples):
-    """Max Cauchy-Riemann defect dH/d(conj z) over complex sample points."""
-    worst = 0.0
-    for z in samples:
-        z = np.asarray(z, dtype=complex)
-        h = _CFD_STEP * max(1.0, float(np.linalg.norm(z)))
-        for j in range(z.size):
-            e = np.zeros(z.size, dtype=complex)
-            e[j] = 1.0
-            dx = (-H(z + 2 * h * e) + 8 * H(z + h * e) - 8 * H(z - h * e) + H(z - 2 * h * e)) / (
-                12.0 * h
-            )
-            dy = (
-                -H(z + 2j * h * e) + 8 * H(z + 1j * h * e) - 8 * H(z - 1j * h * e) + H(z - 2j * h * e)
-            ) / (12.0 * h)
-            worst = max(worst, abs(0.5 * (dx + 1j * dy)))
-    return worst
 
 
 def _realify_holomorphic_field(V):
@@ -515,7 +480,8 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     J_std = standard_j_matrix(2)
 
     def j_g(p):
-        return i_g_matrix(f_fn(p), h_fn(p)) @ J_std @ i_g_matrix(f_fn(p), h_fn(p))
+        I = i_g_matrix(f_fn(p), h_fn(p))
+        return I @ J_std @ I
 
     W = standard_omega_matrix(1)
     W_inv = np.linalg.inv(W)

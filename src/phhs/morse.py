@@ -13,6 +13,9 @@ chart
 
 makes every nearby orbit exactly T-periodic, and the symplectic area of the
 sublevel set {psi_L(x^2+y^2) <= E} equals T E.
+
+Orbit periods are measured with :func:`phhs.flows.rk4_step`, the package's
+one RK4 step; this module only adds the angle-crossing event on top of it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError
-from .flows import FlowConfig
+from .flows import FlowConfig, rk4_step
 
 
 @dataclass
@@ -57,21 +60,20 @@ def _period_interpolant(sys, degree=48):
     return sys._interp
 
 
-def rescaling_chart(sys, s, n_gauss=64, fast=True):
+def rescaling_chart(sys, s, n_gauss=64):
     """psi_L(s), computed through the substitution s' = u^2 on each side.
 
     The substitution removes the square-root kink at s = 0, so fixed
     Gauss-Legendre quadrature converges at machine precision for smooth v:
     int_0^s T_hat(sqrt(s')) ds' = 2 int_0^{sqrt(s)} T_hat(u) u du.
 
-    With ``fast`` the period values come from the spectral interpolant of
-    T_hat (machine accurate for smooth v); otherwise each node re-runs the
-    angular quadrature directly.
+    The period values come from the spectral interpolant of T_hat (machine
+    accurate for smooth v).
     """
     s = float(s)
     if s == 0.0:
         return 0.0
-    period = _period_interpolant(sys) if fast else (lambda r: period_function(sys, float(r)))
+    period = _period_interpolant(sys)
     sign = 1.0 if s > 0 else -1.0
     u_max = np.sqrt(abs(s))
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
@@ -109,8 +111,8 @@ def hamiltonian_flow_field(sys, rescale=True):
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     """Measured period of the orbit started at (r0, 0).
 
-    Integrates with fixed-step RK4, unwraps the polar angle and locates the
-    first full turn by linear interpolation between steps.
+    Steps with :func:`phhs.flows.rk4_step`, unwraps the polar angle and
+    locates the first full turn by linear interpolation between steps.
     """
     X = hamiltonian_flow_field(sys, rescale=rescale)
     y = np.array([r0, 0.0])
@@ -119,11 +121,7 @@ def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     prev_angle = 0.0
     t = 0.0
     for _ in range(cfg.max_step_count):
-        k1 = X(y)
-        k2 = X(y + 0.5 * h * k1)
-        k3 = X(y + 0.5 * h * k2)
-        k4 = X(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(X, y, h)
         t += h
         angle = np.arctan2(y[1], y[0])
         delta = angle - prev_angle
@@ -143,19 +141,15 @@ def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
 def area_law_check(sys, E, n_phi=256, n_r=400):
     """(area, T*E, residual) for the sublevel set of the rescaled Hamiltonian.
 
-    The sublevel radius per angle is found by scalar root finding on
-    psi_L(r^2) - E and the symplectic area by polar quadrature of v r dr dphi.
+    The sublevel set is a disk, since psi_L(r^2) does not depend on the
+    angle: its radius comes from one scalar root find on psi_L(r^2) - E, and
+    the symplectic area from polar quadrature of v r dr dphi.
     """
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
-
-    def radius(_phi):
-        f = lambda r: rescaling_chart(sys, r * r, fast=True) - E  # noqa: E731
-        return brentq(f, 1e-12, sys.rmax, xtol=1e-13)
-
+    rE = brentq(lambda r: rescaling_chart(sys, r * r) - E, 1e-12, sys.rmax, xtol=1e-13)
+    rs = np.linspace(0.0, rE, n_r + 1)
     ring = np.empty(phis.size)
     for i, phi in enumerate(phis):
-        rE = radius(phi)
-        rs = np.linspace(0.0, rE, n_r + 1)
         vals = np.array([sys.conformal(r * np.cos(phi), r * np.sin(phi)) * r for r in rs])
         ring[i] = np.trapezoid(vals, rs)
     area = float(np.trapezoid(ring, phis))

@@ -11,7 +11,7 @@ Index conventions (everything 0-based, points of dimension n = 2m):
 
 import numpy as np
 
-from .fields import partial_jet
+from .fields import jet
 from .util import as_point, max_abs
 
 
@@ -21,9 +21,7 @@ def exterior_derivative_2form(omega, p):
     (dw)_{abc} = d_a w_{bc} - d_b w_{ac} + d_c w_{ab}, with every partial
     taken by the field's finite-difference stencil.
     """
-    p = as_point(p)
-    n = p.size
-    D = np.stack([partial_jet(omega, p, a) for a in range(n)])  # D[a, b, c] = d_a w_{bc}
+    D = jet(omega, p)  # D[a, b, c] = d_a w_{bc}
     return D - np.transpose(D, (1, 0, 2)) + np.transpose(D, (1, 2, 0))
 
 
@@ -41,22 +39,20 @@ def two_form_components(T):
 def lie_bracket(V, W, p):
     """[V, W]^a = V^b d_b W^a - W^b d_b V^a at p."""
     p = as_point(p)
-    n = p.size
     v = np.asarray(V(p), dtype=float)
     w = np.asarray(W(p), dtype=float)
-    dW = np.stack([partial_jet(W, p, b) for b in range(n)])  # dW[b, a] = d_b W^a
-    dV = np.stack([partial_jet(V, p, b) for b in range(n)])
+    dW = jet(W, p)  # dW[b, a] = d_b W^a
+    dV = jet(V, p)
     return v @ dW - w @ dV
 
 
 def lie_derivative_matrix(V, J, p):
     """(L_V J)^a_b = V^c d_c J^a_b - J^c_b d_c V^a + J^a_c d_b V^c at p."""
     p = as_point(p)
-    n = p.size
     v = np.asarray(V(p), dtype=float)
     Jm = np.asarray(J(p), dtype=float)
-    dJ = np.stack([partial_jet(J, p, c) for c in range(n)])  # dJ[c, a, b]
-    dV = np.stack([partial_jet(V, p, c) for c in range(n)])  # dV[c, a] = d_c V^a
+    dJ = jet(J, p)  # dJ[c, a, b]
+    dV = jet(V, p)  # dV[c, a] = d_c V^a
     t1 = np.einsum("c,cab->ab", v, dJ)
     t2 = np.einsum("cb,ca->ab", Jm, dV)
     t3 = np.einsum("ac,bc->ab", Jm, dV)
@@ -72,9 +68,8 @@ def nijenhuis(J, p):
         N^c_{ab} = J^d_a d_d J^c_b - J^d_b d_d J^c_a - J^c_d (d_a J^d_b - d_b J^d_a)
     """
     p = as_point(p)
-    n = p.size
     Jm = np.asarray(J(p), dtype=float)
-    dJ = np.stack([partial_jet(J, p, d) for d in range(n)])  # dJ[d, c, b]
+    dJ = jet(J, p)  # dJ[d, c, b]
     t1 = np.einsum("da,dcb->cab", Jm, dJ)
     t2 = np.transpose(t1, (0, 2, 1))
     curl = dJ - np.transpose(dJ, (2, 1, 0))  # curl[a, d, b] = d_a J^d_b - d_b J^d_a

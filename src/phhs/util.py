@@ -82,13 +82,3 @@ def seeded_points(seed, count, dim, scale=0.5, center=None):
         pts = pts + np.asarray(center, dtype=float)
     return pts
 
-
-def thread_count():
-    """Parallelism cap from the PHHS_THREADS environment variable (>= 1)."""
-    import os
-
-    try:
-        n = int(os.environ.get("PHHS_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phhs import morse
 from phhs.errors import NoReturnError
 from phhs.flows import FlowConfig
 from phhs.morse import (
@@ -94,6 +95,20 @@ def test_area_law(quad_system):
         # a deliberately wrong period shows up as |dT| * E
         wrong = abs(area - (np.pi + 0.1) * E)
         assert wrong == pytest.approx(0.1 * E, abs=1e-3)
+
+
+def test_area_law_finds_the_sublevel_radius_once(quad_system, monkeypatch):
+    # psi_L(r^2) is radial, so one root find per energy needs a few dozen charts, not one per angle
+    calls = []
+    chart = morse.rescaling_chart
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chart(*args, **kwargs)
+
+    monkeypatch.setattr(morse, "rescaling_chart", counting)
+    area_law_check(quad_system, 0.1)
+    assert 0 < len(calls) < 100
 
 
 def test_disk_area_exact_for_unit_factor():
