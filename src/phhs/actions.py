@@ -64,14 +64,6 @@ def _stencil_deriv(rows, h):
     return d
 
 
-def _trapz_weights(nodes):
-    w = np.empty(nodes.size)
-    h = nodes[1] - nodes[0]
-    w[:] = h
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
 # ---------------------------------------------------------------------------
 # primitive pairing
 # ---------------------------------------------------------------------------
@@ -100,11 +92,6 @@ class _Pairing:
             return float(lam @ np.asarray(v, dtype=float))
         Jv = np.asarray(self.J(p), dtype=float) @ np.asarray(v, dtype=float)
         return complex(lam @ np.asarray(v, dtype=float), -float(lam @ Jv))
-
-    def lam_complex_arg(self, p, v_complex):
-        """Lambda_R extended complex-linearly to a complexified velocity."""
-        lam = np.asarray(self.lambda_R(p), dtype=float)
-        return complex(lam @ np.asarray(v_complex, dtype=complex))
 
     def hamiltonian(self, p, parts="both"):
         h_r = float(self.fields.model.H_R(p))

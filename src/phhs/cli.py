@@ -20,12 +20,14 @@ Verbs and their specific keys:
     morse-period       v (expression in x1, y1), T, radii, energies,
                        tolerance_period, tolerance_area
     connection-check   metric {"kind": "euclidean" | "diag", "entries": [...],
-                       "n": ...}, points (optional), holo_metric
+                       "n": ...}, points (optional, dimension 2k; "diag"
+                       entries are expressions in x1..xk), holo_metric
                        {"entries": [[...]]} (optional, expressions in z1..zn)
 
 Model names: central_problem, standard_hhs (n, H), proper_phhs (f, h, H_R),
 rotation (phi), deformation (epsilon, n, hamiltonian, bump), torus
-(generators, H optional).
+(generators, H optional).  Expressions H use z1..zm, Q1..Qn, P1..Pn (m = 2n);
+f, h, H_R and phi use x1, x2, y1, y2 and the aliases z1, z2, Q1, P1.
 
 Outputs: one or more CSV data files plus ``summary.json`` echoing the fully
 resolved configuration, all residuals and their tolerances, and a per-check
@@ -51,7 +53,7 @@ from .flows import FlowConfig, commutation_defect, continue_along_path, flow_wor
 from .hamiltonian import assemble_phhs, integrability_report
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
 from .tensors import exterior_derivative_2form
-from .util import grid_points, max_abs
+from .util import coordinate_names, grid_points, max_abs
 from . import connections as conn
 
 FMT = "%.17g"
@@ -94,6 +96,11 @@ def _require(cfg, key, verb):
     if key not in cfg:
         raise ConfigError(f"scenario for {verb!r} is missing the key {key!r}")
     return cfg[key]
+
+
+def _compiled(text, names, cast):
+    fn = parse_expression(text).compile(names)
+    return lambda p: cast(fn(p))
 
 
 def _flow_config(cfg):
@@ -365,11 +372,7 @@ def run_deform(cfg, outdir, scale):
 
 
 def run_morse_period(cfg, outdir, scale):
-    expr = parse_expression(cfg.get("v", "1"))
-
-    def v(p):
-        return float(expr.evaluate({"x1": p[0], "y1": p[1]}))
-
+    v = _compiled(cfg.get("v", "1"), coordinate_names(1, aliases=False), float)
     system = PlanarSystem(v=v, T=float(cfg.get("T", np.pi)))
     fcfg = _flow_config(cfg)
     tol_p = scale * float(cfg.get("tolerance_period", 1e-4))
@@ -398,34 +401,27 @@ def run_morse_period(cfg, outdir, scale):
     return _finish(outdir, summary, checks)
 
 
-def _metric_from_config(spec):
+def _metric_from_config(spec, n):
     kind = spec.get("kind", "euclidean")
     if kind == "euclidean":
         return conn.euclidean_metric(int(spec.get("n", 2)))
     if kind == "diag":
-        entries = []
-        for e in spec["entries"]:
-            if isinstance(e, str):
-                ex = parse_expression(e)
-                entries.append(
-                    lambda x, _ex=ex: float(
-                        _ex.evaluate({f"x{k + 1}": x[k] for k in range(len(x))})
-                    )
-                )
-            else:
-                entries.append(float(e))
+        names = coordinate_names(n, "base")
+        entries = [_compiled(e, names, float) if isinstance(e, str) else float(e) for e in spec["entries"]]
         return conn.diagonal_metric(entries)
     raise ConfigError(f"unknown metric kind {kind!r}")
 
 
 def run_connection_check(cfg, outdir, scale):
-    metric = _metric_from_config(_require(cfg, "metric", "connection-check"))
+    spec = _require(cfg, "metric", "connection-check")
     pts = cfg.get("points")
     if pts is None:
-        n = int(cfg.get("metric", {}).get("n", 2))
+        n = int(spec.get("n", 2))
         pts = grid_points(np.full(2 * n, 0.4), 0.2, 2)
     else:
         pts = np.asarray(pts, dtype=float)
+    # the metric is evaluated at the base half q of each cotangent point (q, p)
+    metric = _metric_from_config(spec, pts.shape[1] // 2)
     report = conn.flatness_vs_integrability(metric, pts)
     sig, sym = conn.pairing_signature(metric, pts[0])
     results = {
@@ -443,14 +439,10 @@ def run_connection_check(cfg, outdir, scale):
         }
     ]
     if "holo_metric" in cfg:
-        entries = [
-            [
-                (lambda z, _ex=parse_expression(e): complex(_ex.evaluate({f"z{k + 1}": z[k] for k in range(len(z))})))
-                for e in row
-            ]
-            for row in cfg["holo_metric"]["entries"]
-        ]
-        n_h = len(entries)
+        rows = cfg["holo_metric"]["entries"]
+        n_h = len(rows)
+        names = coordinate_names(n_h, "complex", aliases=False)
+        entries = [[_compiled(e, names, complex) for e in row] for row in rows]
         grid = grid_points(np.full(2 * n_h, 0.2), 0.3, 3)
         lc = conn.holo_metric_lc_check(entries, grid)
         results["lc_diff"] = lc["max_christoffel_diff"]

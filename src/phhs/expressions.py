@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluator for the field-expression language.
+"""Recursive-descent parser and compiler for the field-expression language.
 
 Grammar (standard precedence, ^ binds tightest and associates right):
 
@@ -8,15 +8,20 @@ Grammar (standard precedence, ^ binds tightest and associates right):
     power   := atom ('^' factor)?
     atom    := NUMBER | IDENT | FUNC '(' expr ')' | '(' expr ')'
 
-Functions: exp, sin, cos, sqrt, conj.  Identifiers are free names resolved
-against the evaluation environment (the field machinery provides x1..xN,
-y1..yN plus the per-model Q/P/z aliases).  ``conj`` exists so that
-anti-holomorphic inputs can be written down and rejected by the numerical
-validators; it has no symbolic derivative.
+Functions: exp, sin, cos, sqrt, conj.  Identifiers are free names.
+:meth:`Expression.compile` binds each of them to a coordinate of one input
+vector (the name tables are :func:`phhs.util.coordinate_names`) and builds a
+plain Python function of that vector, once; an identifier the binding lacks
+is an error at that point.  ``conj`` exists so that anti-holomorphic inputs
+can be written down and rejected by the numerical validators; it has no
+symbolic derivative.
 
 Parse errors carry the exact byte offset of the first byte at which no
 grammar continuation exists, plus the set of acceptable token classes.
 """
+
+import operator
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,19 +35,19 @@ FUNCTIONS = {
     "conj": np.conj,
 }
 
+# expression operator -> (Python operator in compiled source, constant folding)
+BINARY = {
+    "+": ("+", operator.add),
+    "-": ("-", operator.sub),
+    "*": ("*", operator.mul),
+    "/": ("/", operator.truediv),
+    "^": ("**", operator.pow),
+}
+
 _OPS = set("+-*/^()")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.pos})"
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(src):
@@ -171,33 +176,6 @@ class _Parser:
         )
 
 
-def _evaluate(node, env):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        name = node[1]
-        if name not in env:
-            raise ValueError(f"unknown identifier {name!r}")
-        return env[name]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
-    if kind == "call":
-        return FUNCTIONS[node[1]](_evaluate(node[2], env))
-    op, l, r = node[1], node[2], node[3]
-    a = _evaluate(l, env)
-    b = _evaluate(r, env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    return a ** b
-
-
 def _diff(node, var):
     kind = node[0]
     if kind == "num":
@@ -257,7 +235,7 @@ def _simplify(node):
         return ("call", node[1], arg)
     op, l, r = node[1], _simplify(node[2]), _simplify(node[3])
     if l[0] == "num" and r[0] == "num":
-        return ("num", _evaluate(("bin", op, l, r), {}))
+        return ("num", BINARY[op][1](l[1], r[1]))
     if op == "*":
         if (l[0] == "num" and l[1] == 0.0) or (r[0] == "num" and r[1] == 0.0):
             return ("num", 0.0)
@@ -277,38 +255,76 @@ def _simplify(node):
     return ("bin", op, l, r)
 
 
-def _variables(node, out):
-    kind = node[0]
-    if kind == "var":
-        out.add(node[1])
-    elif kind == "neg":
-        _variables(node[1], out)
-    elif kind == "call":
-        _variables(node[2], out)
-    elif kind == "bin":
-        _variables(node[2], out)
-        _variables(node[3], out)
+def _variables(node):
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_variables(child) for child in node[1:] if isinstance(child, tuple)))
+
+
+def _compile(ast, binding, label):
+    """Straight-line Python function ``_p -> value``, one local per AST node.
+
+    Nodes are emitted left operand first, each bound coordinate is read once
+    and literals enter the namespace by value: the tree's operations, one
+    for one.
+    """
+    lines, loaded = [], {}
+    namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
+
+    def emit(src):
+        lines.append(f"    _t{len(lines)} = {src}")
+        return f"_t{len(lines) - 1}"
+
+    def visit(node):
+        kind, arg = node[0], node[1]
+        if kind == "num":
+            namespace[f"_c{len(namespace)}"] = arg
+            return f"_c{len(namespace) - 1}"
+        if kind == "var":
+            if arg not in binding:
+                raise ValueError(f"unknown identifier {arg!r}")
+            if arg not in loaded:
+                c = binding[arg]
+                pair = isinstance(c, tuple)
+                loaded[arg] = emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if pair else f"_p[{c!r}]")
+            return loaded[arg]
+        if kind == "neg":
+            return emit(f"-{visit(arg)}")
+        if kind == "call":
+            return emit(f"_{arg}({visit(node[2])})")
+        return emit(f"{visit(node[2])} {BINARY[arg][0]} {visit(node[3])}")
+
+    result = visit(ast)
+    source = "\n".join(["def _fn(_p):", *lines, f"    return {result}"])
+    exec(compile(source, f"<expression {label!r}>", "exec"), namespace)
+    return namespace["_fn"]
 
 
 class Expression:
-    """A parsed expression: evaluable, differentiable, hashable by source."""
+    """A parsed expression: compilable, differentiable, hashable by source."""
 
     def __init__(self, ast, source=""):
         self.ast = ast
         self.source = source
 
-    def evaluate(self, env):
-        return _evaluate(self.ast, env)
+    def compile(self, binding):
+        """Function of one vector ``p``; ``binding`` maps identifier -> coordinate.
 
-    __call__ = evaluate
+        A coordinate is a key of ``p`` or, for a complex name over a real
+        vector, the key pair (a, b) read as ``p[a] + 1j * p[b]``.  Raises
+        ValueError for an identifier the binding lacks.
+        """
+        return _compile(self.ast, binding, self.source)
+
+    def evaluate(self, env):
+        """Value for the name -> value mapping ``env``, compiled for this call."""
+        return self.compile({name: name for name in env})(env)
 
     def diff(self, var):
         return Expression(_simplify(_diff(self.ast, var)), f"d({self.source})/d{var}")
 
     def variables(self):
-        out = set()
-        _variables(self.ast, out)
-        return out
+        return _variables(self.ast)
 
     def __add__(self, other):
         return Expression(("bin", "+", self.ast, other.ast), f"({self.source})+({other.source})")

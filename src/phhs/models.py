@@ -38,6 +38,7 @@ from .fields import (
 from .hamiltonian import PhhsModel, PhsmData
 from .util import (
     as_point,
+    coordinate_names,
     from_complex,
     max_abs,
     seeded_points,
@@ -48,88 +49,62 @@ from .util import (
 )
 
 
-def _complex_env(z):
-    """Expression environment for a complex coordinate vector (Q/P aliases)."""
-    m = z.size
-    env = {}
-    for j in range(m):
-        env[f"z{j + 1}"] = z[j]
-    n = m // 2
-    if 2 * n == m:
-        for j in range(n):
-            env[f"Q{j + 1}"] = z[j]
-            env[f"P{j + 1}"] = z[n + j]
-    return env
-
-
-def _real_env(p):
-    """Expression environment for a real point: x/y names plus z, Q, P aliases."""
-    p = as_point(p)
-    m = p.size // 2
-    env = {}
-    for j in range(m):
-        env[f"x{j + 1}"] = p[j]
-        env[f"y{j + 1}"] = p[m + j]
-    env.update(_complex_env(to_complex(p)))
-    return env
-
-
 def _as_complex_hamiltonian(H, m):
-    """Normalize a Hamiltonian given as expression text or callable on C^m."""
+    """Normalize a Hamiltonian on C^m given as expression text or callable.
+
+    The gradient of text folds the derivatives in Q/P into their z-slots.
+    """
     if callable(H):
         return H, None
     expr = parse_expression(H)
-    grads = None
+    names = coordinate_names(m, "complex")
+    value = expr.compile(names)
 
     def fn(z):
-        return complex(expr.evaluate(_complex_env(z)))
+        return complex(value(z))
 
     try:
-        grads = [expr.diff(f"z{j + 1}") for j in range(m)]
-        # Q/P aliases: fold their derivatives into the z-slots.
-        n = m // 2
-        if 2 * n == m:
-            for j in range(n):
-                grads[j] = grads[j] + expr.diff(f"Q{j + 1}")
-                grads[n + j] = grads[n + j] + expr.diff(f"P{j + 1}")
+        grads = [None] * m
+        for name, k in names.items():
+            d = expr.diff(name)
+            grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
-        grads = None
-
-    if grads is None:
         return fn, None
+    partials = [g.compile(names) for g in grads]
 
     def dfn(z):
-        env = _complex_env(z)
-        return np.array([complex(g.evaluate(env)) for g in grads])
+        return np.array([complex(d(z)) for d in partials])
 
     return fn, dfn
 
 
-def _as_real_scalar(f, what="field"):
-    """Normalize a real scalar field given as expression text or callable.
+def _as_real_scalar(f, m, what="field"):
+    """Normalize a real scalar field on C^m given as a number, text or callable.
 
-    For expression text the gradient on C^2 points (x1, x2, y1, y2) comes
-    from symbolic partials derived once here; it is None for callables and
-    for expressions without a symbolic derivative.
+    The gradient comes from the symbolic partials in x_1..x_m, y_1..y_m; it
+    is None for callables and for expressions without a symbolic derivative.
     """
     if callable(f):
         return f, None
+    if isinstance(f, (int, float)):
+        f = str(float(f))
     expr = parse_expression(f)
+    names = coordinate_names(m)
+    value = expr.compile(names)
 
     def fn(p):
-        v = expr.evaluate(_real_env(p))
-        if abs(complex(v).imag) > 1e-14 * max(1.0, abs(complex(v))):
+        v = complex(value(as_point(p)))
+        if abs(v.imag) > 1e-14 * max(1.0, abs(v)):
             raise ValueError(f"{what} expression {f!r} is not real-valued")
-        return float(complex(v).real)
+        return float(v.real)
 
     try:
-        partials = [expr.diff(name) for name in ("x1", "x2", "y1", "y2")]
+        partials = [expr.diff(name).compile(names) for name in coordinate_names(m, aliases=False)]
     except ValueError:
         return fn, None
 
     def grad(p):
-        env = _real_env(p)
-        return np.array([float(complex(d.evaluate(env)).real) for d in partials])
+        return np.array([float(complex(d(p)).real) for d in partials])
 
     return fn, grad
 
@@ -466,9 +441,9 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     h = exp(x1) has r = f/h depending on x1 only, which is exactly when
     Omega_R(J_g X, .) is exact and the twisted system is Hamiltonian.
     """
-    f_fn, _ = _as_real_scalar(f if not isinstance(f, (int, float)) else str(float(f)), "f")
-    h_fn, _ = _as_real_scalar(h if not isinstance(h, (int, float)) else str(float(h)), "h")
-    H_fn, H_grad = _as_real_scalar(H_R, "H_R")
+    f_fn, _ = _as_real_scalar(f, 2, "f")
+    h_fn, _ = _as_real_scalar(h, 2, "h")
+    H_fn, H_grad = _as_real_scalar(H_R, 2, "H_R")
 
     samples = seeded_points(13, 12, 4, scale=0.6, center=base_point)
     for fn, label in ((f_fn, "f"), (h_fn, "h")):
@@ -514,8 +489,8 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
     exactly (the Euclidean case f = h = 1 is the quaternionic triple); for
     f != h the anticommutator picks up (f - h)-sized entries.
     """
-    f_fn, _ = _as_real_scalar(f if not isinstance(f, (int, float)) else str(float(f)), "f")
-    h_fn, _ = _as_real_scalar(h if not isinstance(h, (int, float)) else str(float(h)), "h")
+    f_fn, _ = _as_real_scalar(f, 2, "f")
+    h_fn, _ = _as_real_scalar(h, 2, "h")
     if samples is None:
         samples = seeded_points(17, 10, 4, scale=0.7)
     J = standard_j_matrix(2)
@@ -537,7 +512,7 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
 
 def build_rotation_family(phi, name="rotation"):
     """Axis-rotated structure J_phi on C^2; proper whenever phi is non-constant."""
-    phi_fn, _ = _as_real_scalar(phi if not isinstance(phi, (int, float)) else str(float(phi)), "phi")
+    phi_fn, _ = _as_real_scalar(phi, 2, "phi")
 
     def j_phi(p):
         c = np.cos(phi_fn(p))
@@ -592,10 +567,7 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
     dim = 2 * m
     if f is None:
         f = radial_bump(bump_center if bump_center is not None else np.zeros(dim), bump_radius)
-    if not callable(f):
-        f_fn, _ = _as_real_scalar(f, "f")
-    else:
-        f_fn = f
+    f_fn, _ = _as_real_scalar(f, m, "f")
     eps = float(epsilon)
 
     def r_eps(p):

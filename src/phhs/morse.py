@@ -26,6 +26,12 @@ from scipy.optimize import brentq
 from .errors import NoReturnError
 from .flows import FlowConfig, rk4_step
 
+N_PHI = 256   # trapezoid intervals of the angular average and the area law
+N_R = 400     # trapezoid intervals of the radial area quadrature
+N_GAUSS = 64  # Gauss-Legendre nodes of the rescaling chart, computed once here
+DEGREE = 48   # degree of the Chebyshev interpolant of T_hat on [0, rmax]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(N_GAUSS)
+
 
 @dataclass
 class PlanarSystem:
@@ -34,33 +40,31 @@ class PlanarSystem:
     v: object
     T: float
     rmax: float = 1.2
-    n_phi: int = 256
     _interp: object = dc_field(default=None, repr=False)
 
     def conformal(self, x, y):
         return float(self.v(np.array([x, y])) if callable(self.v) else self.v)
 
 
-def period_function(sys, r, n_phi=None):
+def period_function(sys, r):
     """T_hat(r) by trapezoid quadrature of the angular average."""
-    n = n_phi or sys.n_phi
-    phis = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    phis = np.linspace(0.0, 2.0 * np.pi, N_PHI + 1)
     vals = np.array([sys.conformal(r * np.cos(p), r * np.sin(p)) for p in phis])
     return 0.5 * float(np.trapezoid(vals, phis))
 
 
-def _period_interpolant(sys, degree=48):
+def _period_interpolant(sys):
     if sys._interp is None:
         cheb = np.polynomial.chebyshev.Chebyshev.interpolate(
             lambda rr: np.array([period_function(sys, float(r)) for r in np.atleast_1d(rr)]),
-            degree,
+            DEGREE,
             domain=[0.0, sys.rmax],
         )
         sys._interp = cheb
     return sys._interp
 
 
-def rescaling_chart(sys, s, n_gauss=64):
+def rescaling_chart(sys, s):
     """psi_L(s), computed through the substitution s' = u^2 on each side.
 
     The substitution removes the square-root kink at s = 0, so fixed
@@ -76,11 +80,9 @@ def rescaling_chart(sys, s, n_gauss=64):
     period = _period_interpolant(sys)
     sign = 1.0 if s > 0 else -1.0
     u_max = np.sqrt(abs(s))
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    u = 0.5 * u_max * (nodes + 1.0)
-    w = 0.5 * u_max * weights
-    vals = np.array([float(period(uu)) * uu for uu in u])
-    return sign * 2.0 * float(np.dot(w, vals)) / sys.T
+    u = 0.5 * u_max * (_GL_NODES + 1.0)
+    w = 0.5 * u_max * _GL_WEIGHTS
+    return sign * 2.0 * float(np.dot(w, period(u) * u)) / sys.T
 
 
 def chart_derivative(sys, s):
@@ -138,16 +140,16 @@ def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     raise NoReturnError("the orbit angle did not advance a full turn within the step budget")
 
 
-def area_law_check(sys, E, n_phi=256, n_r=400):
+def area_law_check(sys, E):
     """(area, T*E, residual) for the sublevel set of the rescaled Hamiltonian.
 
     The sublevel set is a disk, since psi_L(r^2) does not depend on the
     angle: its radius comes from one scalar root find on psi_L(r^2) - E, and
     the symplectic area from polar quadrature of v r dr dphi.
     """
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    phis = np.linspace(0.0, 2.0 * np.pi, N_PHI + 1)
     rE = brentq(lambda r: rescaling_chart(sys, r * r) - E, 1e-12, sys.rmax, xtol=1e-13)
-    rs = np.linspace(0.0, rE, n_r + 1)
+    rs = np.linspace(0.0, rE, N_R + 1)
     ring = np.empty(phis.size)
     for i, phi in enumerate(phis):
         vals = np.array([sys.conformal(r * np.cos(phi), r * np.sin(phi)) * r for r in rs])

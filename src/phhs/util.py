@@ -4,6 +4,9 @@ Coordinate convention, fixed globally: a point of a patch with m complex
 dimensions is a real vector of length 2m ordered as
 
     (x_1, ..., x_m, y_1, ..., y_m),   z_j = x_j + i y_j.
+
+Naming convention, fixed with it: :func:`coordinate_names` is the one table
+of the identifiers that expression text may use for those coordinates.
 """
 
 import numpy as np
@@ -21,6 +24,33 @@ def to_complex(p):
     p = np.asarray(p, dtype=float)
     m = p.shape[-1] // 2
     return p[..., :m] + 1j * p[..., m:]
+
+
+def coordinate_names(m, layout="real", aliases=True):
+    """Identifier -> coordinate of one vector, the binding of ``Expression.compile``.
+
+    A coordinate is an index, or the index pair (x_j, y_j) of z_j over a real
+    point.  ``aliases=False`` keeps only the layout's own names:
+
+        "real"     real point of C^m: x_j, y_j; aliases z_j, and for m = 2n
+                   Q_j = z_j, P_j = z_{n+j}
+        "complex"  complex vector (z_1..z_m): z_j; aliases Q_j, P_j
+        "base"     plain real vector of R^m: x_k
+    """
+    if layout == "base":
+        return {f"x{k + 1}": k for k in range(m)}
+    if layout == "real":
+        z = [(j, m + j) for j in range(m)]
+        own = {f"x{j + 1}": j for j in range(m)} | {f"y{j + 1}": m + j for j in range(m)}
+        alias = {f"z{j + 1}": z[j] for j in range(m)}
+    else:
+        z = list(range(m))
+        own = {f"z{j + 1}": z[j] for j in range(m)}
+        alias = {}
+    n = m // 2
+    if 2 * n == m:
+        alias |= {f"Q{j + 1}": z[j] for j in range(n)} | {f"P{j + 1}": z[n + j] for j in range(n)}
+    return own | alias if aliases else own
 
 
 def from_complex(z):

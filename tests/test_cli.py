@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from phhs import models
 from phhs.cli import main
+from phhs.expressions import Expression
+from phhs.hamiltonian import assemble_phhs
 
 
 def write_config(tmp_path, name, cfg):
@@ -196,3 +199,36 @@ def test_failed_numerical_check_exits_2(tmp_path):
         },
     )
     assert main(["monodromy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_runtime_evaluation_goes_through_compiled_expressions(tmp_path, monkeypatch):
+    def no_tree_walk(self, env):
+        raise AssertionError("Expression.evaluate called at run time")
+
+    monkeypatch.setattr(Expression, "evaluate", no_tree_walk)
+    fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1"))
+    p = np.array([0.2, 0.1, -0.3, 0.4])
+    J = fields.model.J(p)
+    assert np.allclose(J @ J, -np.eye(4), atol=1e-12)
+    assert np.allclose(fields.X(p), [0.0, 0.0, 0.0, -1.0], atol=1e-12)
+    assert np.allclose(fields.JX(p), J @ fields.X(p), atol=1e-12)
+    assert np.array_equal(fields.model.H_R.gradient(p), [0.0, 0.0, -1.0, 0.0])
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {"v": "1 + x1^2", "T": np.pi, "radii": [0.5], "energies": [], "flow": {"dt": 0.002}},
+    )
+    assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "verb, scenario, name",
+    [
+        ("morse-period", {"v": "1 + x^2", "radii": [0.5], "energies": []}, "x"),
+        ("integrability-scan", {"model": {"name": "proper_phhs", "h": "exp(q1)"}}, "q1"),
+    ],
+)
+def test_unknown_identifier_exits_3_and_names_it(tmp_path, capsys, verb, scenario, name):
+    cfg = write_config(tmp_path, "cfg.json", scenario)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert f"unknown identifier {name!r}" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phhs.errors import ParseError
 from phhs.expressions import parse_expression
+from phhs.util import coordinate_names, to_complex
 
 
 def test_basic_arithmetic_and_functions():
@@ -96,3 +99,68 @@ def test_vectorized_evaluation():
     e = parse_expression("x1^2 + 1")
     out = e.evaluate({"x1": np.array([1.0, 2.0, 3.0])})
     assert np.allclose(out, [2.0, 5.0, 10.0])
+
+
+def test_compiled_function_matches_evaluate():
+    e = parse_expression("exp(2*x1) + sin(x1)*y2 - x1^3 / (1 + y1^2)")
+    p = np.array([0.4, -1.2, 0.3, 0.8])
+    fn = e.compile(coordinate_names(2))
+    env = {"x1": p[0], "x2": p[1], "y1": p[2], "y2": p[3]}
+    assert fn(p) == e.evaluate(env)
+
+
+def test_unknown_identifier_fails_at_compile_time():
+    e = parse_expression("x1 + q1")
+    with pytest.raises(ValueError, match="unknown identifier 'q1'"):
+        e.compile(coordinate_names(2))
+    # the morse conformal factor is bound to x1, y1 only
+    with pytest.raises(ValueError, match="unknown identifier 'z1'"):
+        parse_expression("z1").compile(coordinate_names(1, aliases=False))
+
+
+def test_long_expressions_compile_without_nesting_limits():
+    # straight-line code: one local per node, no nested parentheses
+    e = parse_expression(" + ".join(["x1"] * 500))
+    assert e.compile({"x1": 0})([0.5]) == pytest.approx(250.0)
+
+
+def test_literals_are_bound_by_value():
+    # 1e400 overflows to inf, which has no Python literal spelling
+    assert parse_expression("1e400 - x1").compile({"x1": 0})([1.0]) == np.inf
+
+
+def test_name_tables_of_the_three_layouts():
+    assert coordinate_names(1, aliases=False) == {"x1": 0, "y1": 1}
+    assert coordinate_names(1) == {"x1": 0, "y1": 1, "z1": (0, 1)}
+    assert coordinate_names(2, "complex") == {"z1": 0, "z2": 1, "Q1": 0, "P1": 1}
+    assert coordinate_names(2, "complex", aliases=False) == {"z1": 0, "z2": 1}
+    assert coordinate_names(3, "base") == {"x1": 0, "x2": 1, "x3": 2}
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda m: st.lists(_finite, min_size=2 * m, max_size=2 * m)))
+def test_name_table_binds_every_coordinate(coords):
+    p = np.array(coords)
+    m = p.size // 2
+    z = to_complex(p)
+    n = m // 2
+
+    def value(name, layout, vec):
+        return parse_expression(name).compile(coordinate_names(m, layout))(vec)
+
+    for j in range(m):
+        assert value(f"x{j + 1}", "real", p) == p[j]
+        assert value(f"y{j + 1}", "real", p) == p[m + j]
+        assert value(f"z{j + 1}", "real", p) == z[j]
+        assert value(f"z{j + 1}", "complex", z) == z[j]
+        assert value(f"x{j + 1}", "base", p[:m]) == p[j]
+    if 2 * n != m:
+        assert not any(k[0] in "QP" for k in coordinate_names(m))
+        return
+    for j in range(n):
+        for layout, vec in (("real", p), ("complex", z)):
+            assert value(f"Q{j + 1}", layout, vec) == z[j]
+            assert value(f"P{j + 1}", layout, vec) == z[n + j]

@@ -248,3 +248,20 @@ def test_deformation_two_pairs_with_linear_hamiltonian():
 def test_deformation_dimension_guard():
     with pytest.raises(ValueError):
         models.build_deformation(0.3, n=1, hamiltonian="linear_last")
+
+
+def test_real_scalar_gradient_spans_the_whole_patch():
+    # m = 3: partials in x1, x2, x3, y1, y2, y3, in the point's order
+    fn, grad = models._as_real_scalar("x1*y3 + x2^2 - exp(y1) + 3*x3", 3)
+    p = np.array([0.3, -0.4, 0.7, 0.2, 0.9, -1.1])
+    x1, x2, x3, y1, y2, y3 = p
+    assert fn(p) == pytest.approx(x1 * y3 + x2 ** 2 - np.exp(y1) + 3 * x3)
+    expected = [y3, 2 * x2, 3.0, -np.exp(y1), 0.0, x1]
+    assert np.allclose(grad(p), expected, rtol=0, atol=1e-15)
+
+
+def test_real_scalar_accepts_numbers():
+    fn, grad = models._as_real_scalar(2, 2)
+    p = np.array([0.3, -0.4, 0.7, 0.2])
+    assert fn(p) == 2.0
+    assert np.array_equal(grad(p), np.zeros(4))
