@@ -1,23 +1,26 @@
 """Scenario runner: ``phhs <verb> --config <path> [--out <dir>] [--tolerance-scale <k>]``.
 
-A scenario is one JSON document.  Common keys:
+A scenario is one JSON document.  Shared keys:
 
     model       : {"name": ..., ...parameters, expressions as strings}
     flow        : {"dt": 1e-3, "max_steps": 5000000}      (optional)
-    tolerances  : per-verb thresholds (optional, defaults below)
+    tolerances  : {"swap": ..., "energy": ...} thresholds (optional)
 
-Verbs and their specific keys:
+Verbs and their keys (``KEYS``; any other top-level key is a configuration
+error, so a misspelled key never falls back to its default):
 
-    integrate          x0, z0 ([re, im] or number), t_range, s_range, nt, ns
-    foliate            x0, words ([[t, s], ...] lists)
-    monodromy          x0, path ([[re, im], ...]), expect ("closed" | "negated" | null)
-    action-check       x0, z0, t_range, s_range, nt, ns, displace (optional
-                       {"node": [i, j], "coord": k, "amount": a}), ratio_min,
-                       parts ("both" | "real")
-    integrability-scan center, half_width, per_axis, threshold
+    integrate          model, flow, tolerances, x0, z0 ([re, im] or number),
+                       t_range, s_range, nt, ns
+    foliate            model, flow, tolerances, x0, words ([[t, s], ...] lists)
+    monodromy          model, flow, x0, path ([[re, im], ...]), expect
+                       ("closed" | "negated" | null), tolerance
+    action-check       model, flow, x0, z0, t_range, s_range, nt, ns, displace
+                       (optional {"node": [i, j], "coord": k, "amount": a}),
+                       ratio_min, parts ("both" | "real")
+    integrability-scan model, center, half_width, per_axis, threshold
     deform             epsilons, n, hamiltonian, bump {center, radius},
                        center, half_width, per_axis, threshold
-    morse-period       v (expression in x1, y1), T, radii, energies,
+    morse-period       v (expression in x1, y1), T, flow, radii, energies,
                        tolerance_period, tolerance_area
     connection-check   metric {"kind": "euclidean" | "diag", "entries": [...],
                        "n": ...}, points (optional, dimension 2k; "diag"
@@ -468,6 +471,19 @@ def run_connection_check(cfg, outdir, scale):
     return _finish(outdir, summary, checks)
 
 
+# the top-level scenario keys each verb reads
+_GRID = {"model", "flow", "x0", "z0", "t_range", "s_range", "nt", "ns"}
+KEYS = {
+    "integrate": _GRID | {"tolerances"},
+    "foliate": {"model", "flow", "tolerances", "x0", "words"},
+    "monodromy": {"model", "flow", "x0", "path", "expect", "tolerance"},
+    "action-check": _GRID | {"displace", "ratio_min", "parts"},
+    "integrability-scan": {"model", "center", "half_width", "per_axis", "threshold"},
+    "deform": {"epsilons", "n", "hamiltonian", "bump", "center", "half_width", "per_axis", "threshold"},
+    "morse-period": {"v", "T", "flow", "radii", "energies", "tolerance_period", "tolerance_area"},
+    "connection-check": {"metric", "points", "holo_metric"},
+}
+
 VERBS = {
     "integrate": run_integrate,
     "foliate": run_foliate,
@@ -494,6 +510,12 @@ def main(argv=None):
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("the scenario document must be a JSON object")
+        unknown = sorted(set(cfg) - KEYS[args.verb])
+        if unknown:
+            raise ConfigError(
+                f"scenario for {args.verb!r} has unknown keys {unknown}; "
+                f"it accepts {sorted(KEYS[args.verb])}"
+            )
         return VERBS[args.verb](cfg, outdir, args.tolerance_scale)
     except (ConfigError, ParseError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"phhs: configuration error: {exc}", file=sys.stderr)

@@ -38,7 +38,19 @@ class StepBudgetExceededError(PhhsError):
 
 
 class NonFiniteStateError(PhhsError):
-    """Flow coordinates overflowed or became non-finite (singular locus hit)."""
+    """Flow coordinates overflowed or became non-finite (singular locus hit).
+
+    Raised by a flow's state check, it carries where that happened: the
+    ``step`` index, the flow ``time`` reached, the stack ``row`` (None for a
+    single point) and that row's ``state``.  Raised elsewhere, these are None.
+    """
+
+    def __init__(self, message, step=None, time=None, row=None, state=None):
+        super().__init__(message)
+        self.step = step
+        self.time = time
+        self.row = row
+        self.state = state
 
 
 class NoReturnError(PhhsError):

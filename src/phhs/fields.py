@@ -1,18 +1,29 @@
 """Evaluable tensor fields on a coordinate patch with finite-difference jets.
 
 Every field wraps a plain callable ``point -> value`` together with an
-:class:`FdConfig` that fixes how its derivatives are approximated.  This is
-the only module that knows the central-difference stencil: real axis
-partials (:func:`partial_jet`, stacked by :func:`jet`) and derivatives of
-holomorphic callables along complex directions (:func:`complex_gradient`,
+:class:`FdConfig` that fixes how its derivatives are approximated.  A field
+is called on one point ``(dim,)`` or on a stack ``(N, dim)`` of points, one
+per row; on a stack it returns one value per row, stacked on the first
+axis.  The fields a flow advances -- X, J X and J of every built-in
+Hamiltonian model -- evaluate a whole stack in one numpy pass; callables that only take a point
+(user callables, finite-difference jets) are lifted to stacks by
+:func:`rowwise`.  A stack row is bit for bit the single-point value for the
+built-in models and their documented expressions.  Other expression text
+may round differently in the last bit on a stack, where numpy's array and
+scalar arithmetic differ (some real powers and complex products).
+
+This is the only module that knows the central-difference stencil: real
+axis partials (:func:`partial_jet`, stacked by :func:`jet`) and derivatives
+of holomorphic callables along complex directions (:func:`complex_gradient`,
 :func:`holomorphy_residual`) all go through :func:`_central_difference`.
+Jets are taken at one point.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import as_point
+from .util import as_point, as_points
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,21 @@ class FdConfig:
         return self.step * max(1.0, float(np.linalg.norm(p)))
 
 
+def rowwise(fn):
+    """``fn`` of one point, lifted to an ``(N, dim)`` stack by calling it row by row."""
+
+    def lifted(p):
+        p = np.asarray(p)
+        return fn(p) if p.ndim == 1 else np.array([fn(q) for q in p])
+
+    return lifted
+
+
+def matvec(M, v):
+    """``M @ v`` at a point, row by row on stacks of matrices and/or vectors."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
 class Field:
     """An evaluable map point -> value with a finite-difference config."""
 
@@ -45,7 +71,7 @@ class Field:
         self.name = name
 
     def __call__(self, p):
-        return self.fn(as_point(p))
+        return self.fn(as_points(p))
 
     def partial(self, p, axis):
         return partial_jet(self, p, axis)
@@ -59,10 +85,10 @@ class ScalarField(Field):
         self._grad = grad
 
     def gradient(self, p):
-        p = as_point(p)
+        p = as_points(p)
         if self._grad is not None:
             return np.asarray(self._grad(p), dtype=float)
-        return jet(self, p)
+        return rowwise(lambda q: jet(self, q))(p)
 
 
 class VectorField(Field):
@@ -146,11 +172,14 @@ def holomorphy_residual(H, samples):
     return worst
 
 
-def constant_matrix_field(M, fd=None, name=None):
+def _constant(M):
     M = np.asarray(M, dtype=float)
-    return MatrixField(lambda p, _M=M: _M, fd=fd, name=name)
+    return lambda p: M if p.ndim == 1 else np.broadcast_to(M, p.shape[:-1] + M.shape)
+
+
+def constant_matrix_field(M, fd=None, name=None):
+    return MatrixField(_constant(M), fd=fd, name=name)
 
 
 def constant_two_form_field(W, fd=None, name=None):
-    W = np.asarray(W, dtype=float)
-    return TwoFormField(lambda p, _W=W: _W, fd=fd, name=name)
+    return TwoFormField(_constant(W), fd=fd, name=name)

@@ -6,6 +6,12 @@ singular loci.  :func:`rk4_step` is the only place the RK4 stage formula is
 written; every flow in the package, the period measurement of
 :mod:`phhs.morse` included, advances through it.
 
+A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
+share one step schedule; the field is then evaluated on the whole stack at
+each stage.  :func:`trajectory_grid` flows all its column anchors so, and
+since every row takes exactly the steps it would take alone, each node is
+the value a flow of its own column gives.
+
 Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
 for t and then J X for s from the anchor; paths in the complex time plane
 are polylines integrated segment by segment.
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
 from .fields import VectorField
-from .util import as_point
+from .util import as_point, as_points
 
 BLOWUP = 1e8
 
@@ -35,13 +41,31 @@ class FlowConfig:
             raise ValueError("max_step_count must be positive")
 
 
-def _check_state(y):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP:
-        raise NonFiniteStateError("flow state overflowed; a singular locus was hit")
+def _check_state(y, step, h):
+    """Raise if the state after ``step`` steps of size ``h`` left the finite box.
+
+    The error names the step, the flow time reached and, for a stack, the
+    first row that left (and its state).
+    """
+    # NaN fails the comparison, so this also rejects non-finite entries
+    if np.abs(y).max() <= BLOWUP:
+        return
+    where = f"at step {step} (flow time {step * h:.17g})"
+    row = None
+    if y.ndim == 2:
+        row = int(np.flatnonzero(~(np.abs(y) <= BLOWUP).all(axis=1))[0])
+        where += f" in row {row}, state {y[row].tolist()}"
+    raise NonFiniteStateError(
+        f"flow state overflowed {where}; a singular locus was hit",
+        step=step, time=step * h, row=row, state=y[row] if row is not None else y,
+    )
 
 
 def rk4_step(V, y, h):
-    """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h."""
+    """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
+
+    ``y`` is a point or an ``(N, dim)`` stack; V must take the same shape.
+    """
     k1 = np.asarray(V(y), dtype=float)
     k2 = np.asarray(V(y + 0.5 * h * k1), dtype=float)
     k3 = np.asarray(V(y + 0.5 * h * k2), dtype=float)
@@ -52,9 +76,9 @@ def rk4_step(V, y, h):
 def _rk4(V, x0, t, n_steps):
     y = np.array(x0, dtype=float)
     h = t / n_steps
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         y = rk4_step(V, y, h)
-        _check_state(y)
+        _check_state(y, step, h)
     return y
 
 
@@ -76,10 +100,11 @@ def _coarse_fine(V, x0, t, cfg):
 def flow(V, x0, t, cfg=FlowConfig()):
     """Endpoint of the time-t flow of V from x0 (fixed-step RK4).
 
+    ``x0`` is a point or an ``(N, dim)`` stack of points flowed together.
     With ``cfg.richardson`` the endpoint is Richardson-extrapolated from the
     base and halved step sizes (one extra order, deterministic as well).
     """
-    x0 = as_point(x0)
+    x0 = as_points(x0)
     if t == 0.0:
         return np.array(x0)
     if not cfg.richardson:
@@ -90,7 +115,7 @@ def flow(V, x0, t, cfg=FlowConfig()):
 
 def flow_error_estimate(V, x0, t, cfg=FlowConfig()):
     """Flow endpoint with a Richardson error estimate from halved steps."""
-    x0 = as_point(x0)
+    x0 = as_points(x0)
     if t == 0.0:
         return np.array(x0), 0.0
     coarse, fine = _coarse_fine(V, x0, t, cfg)
@@ -153,12 +178,10 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
         raise ValueError("the anchor z0 must lie on a grid node")
 
     t_states = _flow_through_nodes(fields.X, x0, [t - t_nodes[i0] for t in t_nodes], cfg)
-    values = np.empty((nt, ns, x0.size))
-    for i, t in enumerate(t_nodes):
-        col_anchor = t_states[t - t_nodes[i0]]
-        s_states = _flow_through_nodes(fields.JX, col_anchor, [s - s_nodes[j0] for s in s_nodes], cfg)
-        for j, s in enumerate(s_nodes):
-            values[i, j] = s_states[s - s_nodes[j0]]
+    # the column anchors, one per row, flow in s together
+    anchors = np.array([t_states[t - t_nodes[i0]] for t in t_nodes])
+    s_states = _flow_through_nodes(fields.JX, anchors, [s - s_nodes[j0] for s in s_nodes], cfg)
+    values = np.stack([s_states[s - s_nodes[j0]] for s in s_nodes], axis=1)
 
     far_t = t_nodes[-1] - t_nodes[i0]
     far_s = s_nodes[-1] - s_nodes[j0]

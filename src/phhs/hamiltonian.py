@@ -9,6 +9,11 @@ Sign conventions, fixed once for the whole package:
   at the model base point, H_I(base) = 0.
 * Poisson bracket {F, G} = Omega_R(X_F, X_G); under these conventions the
   Darboux pair gives {q, p} = -1.
+
+The assembled fields take a point or an ``(N, dim)`` stack of points (see
+:mod:`phhs.fields`): J X contracts J and X row by row, so it evaluates a
+whole stack in one call whenever the model's J and X do; the generic
+pointwise solve for X is lifted to stacks row by row.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec, rowwise
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -91,7 +96,7 @@ def omega_I_from(omega_R, J):
     """Induced 2-form Omega_I = -Omega_R(J., .), pointwise -J^T W_R."""
 
     def fn(p):
-        return -np.asarray(J(p), dtype=float).T @ np.asarray(omega_R(p), dtype=float)
+        return -np.asarray(J(p), dtype=float).swapaxes(-1, -2) @ np.asarray(omega_R(p), dtype=float)
 
     return TwoFormField(fn, fd=J.fd, name="omega_I")
 
@@ -110,14 +115,15 @@ def hamiltonian_vector_field(omega, H, name="X"):
             raise SingularFormError(f"2-form solve produced non-finite values at {p}")
         return x
 
-    return VectorField(fn, fd=H.fd, name=name)
+    return VectorField(rowwise(fn), fd=H.fd, name=name)
 
 
 def pairing_covector(omega, V, name="alpha"):
     """1-form w(V, .) as a coefficient field (W^T V pointwise)."""
 
     def fn(p):
-        return np.asarray(omega(p), dtype=float).T @ np.asarray(V(p), dtype=float)
+        W = np.asarray(omega(p), dtype=float).swapaxes(-1, -2)
+        return matvec(W, np.asarray(V(p), dtype=float))
 
     return CovectorField(fn, fd=V.fd, name=name)
 
@@ -223,7 +229,7 @@ def assemble_phhs(
     X_generic = hamiltonian_vector_field(model.omega_R, model.H_R)
 
     def jx_fn(p):
-        return np.asarray(model.J(p), dtype=float) @ np.asarray(X(p), dtype=float)
+        return matvec(np.asarray(model.J(p), dtype=float), np.asarray(X(p), dtype=float))
 
     JX = VectorField(jx_fn, fd=X.fd, name="JX")
     omega_I = omega_I_from(model.omega_R, model.J)

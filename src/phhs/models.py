@@ -34,10 +34,13 @@ from .fields import (
     constant_matrix_field,
     constant_two_form_field,
     holomorphy_residual,
+    matvec,
+    rowwise,
 )
 from .hamiltonian import PhhsModel, PhsmData
 from .util import (
     as_point,
+    as_points,
     coordinate_names,
     from_complex,
     max_abs,
@@ -49,19 +52,38 @@ from .util import (
 )
 
 
+def _compiled(expr, names, cast=None):
+    """Values of ``expr`` at a point (a scalar) or at the rows of an ``(N, dim)`` stack.
+
+    A constant is evaluated once, when the function is built, passed through
+    ``cast`` and broadcast to the input's rows.
+    """
+    if expr.variables():
+        value = expr.compile(names)
+        return lambda p: value(p.T)
+    c = expr.compile({})(None)
+    c = c if cast is None else cast(c)
+    return lambda p: c if p.ndim == 1 else np.full(p.shape[:-1], c)
+
+
 def _as_complex_hamiltonian(H, m):
     """Normalize a Hamiltonian on C^m given as expression text or callable.
 
-    The gradient of text folds the derivatives in Q/P into their z-slots.
+    Returns the value and the gradient (dH/dz_j, slot by slot), both taking
+    a complex point or a stack of them.  The gradient of text folds the
+    derivatives in Q/P into their z-slots; that of a callable, or of text
+    without a symbolic derivative, is the central difference at each point.
     """
     if callable(H):
-        return H, None
+        return rowwise(H), rowwise(lambda z: complex_gradient(H, z))
     expr = parse_expression(H)
     names = coordinate_names(m, "complex")
-    value = expr.compile(names)
+    value = _compiled(expr, names, complex)
 
     def fn(z):
-        return complex(value(z))
+        z = np.asarray(z)
+        v = value(z)
+        return complex(v) if z.ndim == 1 else np.asarray(v, dtype=complex)
 
     try:
         grads = [None] * m
@@ -69,11 +91,15 @@ def _as_complex_hamiltonian(H, m):
             d = expr.diff(name)
             grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
-        return fn, None
-    partials = [g.compile(names) for g in grads]
+        return fn, rowwise(lambda z: complex_gradient(fn, z))
+    partials = [_compiled(g, names) for g in grads]
 
     def dfn(z):
-        return np.array([complex(d(z)) for d in partials])
+        z = np.asarray(z)
+        out = np.empty(z.shape, dtype=complex)
+        for k, d in enumerate(partials):
+            out[..., k] = d(z)
+        return out
 
     return fn, dfn
 
@@ -81,30 +107,56 @@ def _as_complex_hamiltonian(H, m):
 def _as_real_scalar(f, m, what="field"):
     """Normalize a real scalar field on C^m given as a number, text or callable.
 
-    The gradient comes from the symbolic partials in x_1..x_m, y_1..y_m; it
-    is None for callables and for expressions without a symbolic derivative.
+    The value and the gradient take a point (a float, a vector) or an
+    ``(N, 2m)`` stack (one value, one gradient per row).  The gradient comes
+    from the symbolic partials in x_1..x_m, y_1..y_m; it is None for
+    callables and for expressions without a symbolic derivative.  Constant
+    values and partials are evaluated once, when the field is built; every
+    other value is checked to be real.
     """
     if callable(f):
-        return f, None
+        return rowwise(f), None
     if isinstance(f, (int, float)):
         f = str(float(f))
     expr = parse_expression(f)
     names = coordinate_names(m)
-    value = expr.compile(names)
 
-    def fn(p):
-        v = complex(value(as_point(p)))
-        if abs(v.imag) > 1e-14 * max(1.0, abs(v)):
+    def real(v):
+        if v.dtype.kind == "c" and (abs(v.imag) > 1e-14 * np.maximum(1.0, abs(v))).any():
             raise ValueError(f"{what} expression {f!r} is not real-valued")
-        return float(v.real)
+        return v.real
+
+    value = _compiled(expr, names, lambda c: float(real(np.asarray(c))))
+    if expr.variables():
+
+        def fn(p):
+            p = as_points(p)
+            v = real(value(p))
+            return float(v) if p.ndim == 1 else v
+
+    else:
+
+        def fn(p):
+            return value(as_points(p))
 
     try:
-        partials = [expr.diff(name).compile(names) for name in coordinate_names(m, aliases=False)]
+        partials = [expr.diff(name) for name in coordinate_names(m, aliases=False)]
     except ValueError:
         return fn, None
+    const = np.zeros(2 * m)  # the constant partials, evaluated once
+    varying = []
+    for k, d in enumerate(partials):
+        if d.variables():
+            varying.append((k, _compiled(d, names)))
+        else:
+            const[k] = complex(d.compile({})(None)).real
 
     def grad(p):
-        return np.array([float(complex(d(p)).real) for d in partials])
+        out = np.empty(p.shape)
+        out[...] = const
+        for k, d in varying:
+            out[..., k] = np.real(d(p))
+        return out
 
     return fn, grad
 
@@ -123,22 +175,19 @@ def _standard_fields(n, H_c, dH_c):
     """X hook plus H_R/H_I fields for a holomorphic H on standard C^{2n}."""
     m = 2 * n
 
-    def dh(z):
-        return dH_c(z) if dH_c is not None else complex_gradient(H_c, z)
-
     def v_c(z):
-        g = dh(z)
-        return np.concatenate([g[n:m], -g[:n]])
+        g = dH_c(z)
+        return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
 
     X = VectorField(_realify_holomorphic_field(v_c), name="X")
 
     def grad_r(p):
-        g = dh(to_complex(p))
-        return np.concatenate([g.real, -g.imag])
+        g = dH_c(to_complex(p))
+        return np.concatenate([g.real, -g.imag], axis=-1)
 
     def grad_i(p):
-        g = dh(to_complex(p))
-        return np.concatenate([g.imag, g.real])
+        g = dH_c(to_complex(p))
+        return np.concatenate([g.imag, g.real], axis=-1)
 
     H_R = ScalarField(lambda p: H_c(to_complex(p)).real, grad=grad_r, name="H_R")
     H_I = lambda p: H_c(to_complex(p)).imag  # noqa: E731 - hook, not a field
@@ -186,16 +235,17 @@ def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
 
 
 def central_hamiltonian(z):
-    Q, P = z
+    Q, P = np.asarray(z).T
     return P * P / 2.0 - 1.0 / (8.0 * Q * Q)
 
 
 def _central_v(z):
-    Q, P = z
+    Q, P = z.T
     # below this floor the momentum derivative exceeds the flow blow-up guard
-    if abs(Q) < 1.4e-3:
+    too_close = abs(Q) < 1.4e-3
+    if too_close.any() if too_close.ndim else too_close:
         raise NonFiniteStateError("central problem evaluated too close to the Q = 0 locus")
-    return np.array([P, -1.0 / (4.0 * Q ** 3)], dtype=complex)
+    return np.array([P, -1.0 / (4.0 * Q ** 3)], dtype=complex).T
 
 
 def central_closed_form(x0):
@@ -245,7 +295,7 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
         g = complex_gradient(central_hamiltonian, to_complex(p))
         return np.concatenate([g.real, -g.imag])
 
-    H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=grad_r, name="H_R")
+    H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=rowwise(grad_r), name="H_R")
     X = VectorField(_realify_holomorphic_field(_central_v), name="X")
     model = PhhsModel(
         m=2,
@@ -329,15 +379,14 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
     n = lattice.n
     m = 2 * n
     if H is None:
-        H_c = lambda z: 0.5 * np.sum(z[n:m] ** 2)  # noqa: E731
-        dH_c = lambda z: np.concatenate([np.zeros(n, dtype=complex), z[n:m]])  # noqa: E731
+        H_c = lambda z: 0.5 * np.sum(z[..., n:m] ** 2, axis=-1)  # noqa: E731
+        dH_c = lambda z: np.concatenate([np.zeros_like(z[..., :n]), z[..., n:m]], axis=-1)  # noqa: E731
     else:
         H_c, dH_c = _as_complex_hamiltonian(H, m)
     samples = _holomorphy_samples(m, seed=5)
     q_dep = 0.0
     for z in samples:
-        g = dH_c(z) if dH_c is not None else complex_gradient(H_c, z)
-        q_dep = max(q_dep, max_abs(g[:n]))
+        q_dep = max(q_dep, max_abs(dH_c(z)[:n]))
     if q_dep > q_tol:
         raise QDependenceError(
             f"Hamiltonian varies with the position coordinates (|dH/dQ| = {q_dep:.3e}); "
@@ -347,7 +396,7 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
 
     def closed_form(x0):
         z0 = to_complex(as_point(x0))
-        vel = (dH_c(z0) if dH_c is not None else complex_gradient(H_c, z0))[n:m]
+        vel = dH_c(z0)[n:m]
 
         def gamma(z, path=None):
             z = complex(z)
@@ -424,12 +473,15 @@ def classify_torus_orbit(P0, lattice, search_radius=3, velocity=None, tol=1e-9):
 
 
 def i_g_matrix(f_val, h_val):
-    """Compatible almost complex structure of the diagonal metric (f, h)."""
-    I = np.zeros((4, 4))
-    I[1, 0] = f_val          # I(d_x1) = f d_x2
-    I[0, 1] = -1.0 / f_val   # I(d_x2) = -d_x1 / f
-    I[3, 2] = -h_val         # I(d_y1) = -h d_y2
-    I[2, 3] = 1.0 / h_val    # I(d_y2) = d_y1 / h
+    """Compatible almost complex structure of the diagonal metric (f, h).
+
+    f and h are numbers, or arrays of one shape giving a stack of matrices.
+    """
+    I = np.zeros(np.asarray(f_val).shape + (4, 4))
+    I[..., 1, 0] = f_val          # I(d_x1) = f d_x2
+    I[..., 0, 1] = -1.0 / f_val   # I(d_x2) = -d_x1 / f
+    I[..., 3, 2] = -h_val         # I(d_y1) = -h d_y2
+    I[..., 2, 3] = 1.0 / h_val    # I(d_y2) = d_y1 / h
     return I
 
 
@@ -447,7 +499,7 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
 
     samples = seeded_points(13, 12, 4, scale=0.6, center=base_point)
     for fn, label in ((f_fn, "f"), (h_fn, "h")):
-        vals = np.array([fn(p) for p in samples])
+        vals = fn(samples)
         # a sign change across samples already proves a zero in between
         if np.min(np.abs(vals)) < 1e-10 or np.min(vals) * np.max(vals) < 0:
             raise ZeroDenominatorError(f"{label} must be nowhere zero on the working domain")
@@ -463,7 +515,7 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     H_field = ScalarField(H_fn, grad=H_grad, name="H_R")
 
     def x_hook(p):
-        return W_inv @ H_field.gradient(p)
+        return matvec(W_inv, H_field.gradient(p))
 
     model = PhhsModel(
         m=2,
@@ -542,7 +594,7 @@ def radial_bump(center, radius):
     center = np.asarray(center, dtype=float)
 
     def f(p):
-        s = float(np.sum((as_point(p) - center) ** 2)) / radius ** 2
+        s = float(((as_point(p) - center) ** 2).sum()) / radius ** 2
         if s >= 1.0:
             return 0.0
         return float(np.exp(1.0 - 1.0 / (1.0 - s)))
@@ -579,15 +631,16 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
 
     def j_eps(p):
         r = r_eps(p)
-        J = np.array(J_std)
-        J[iy1, ix1] = r
-        J[iyn1, ixn1] = 1.0 / r
-        J[ix1, iy1] = -1.0 / r
-        J[ixn1, iyn1] = -r
+        J = np.empty(p.shape[:-1] + J_std.shape)
+        J[...] = J_std
+        J[..., iy1, ix1] = r
+        J[..., iyn1, ixn1] = 1.0 / r
+        J[..., ix1, iy1] = -1.0 / r
+        J[..., ixn1, iyn1] = -r
         return J
 
     if hamiltonian == "const":
-        H_R = ScalarField(lambda p: 0.0, grad=lambda p: np.zeros(dim), name="H_R")
+        H_R = ScalarField(lambda p: 0.0, grad=lambda p: np.zeros(p.shape), name="H_R")
     elif hamiltonian == "linear_last":
         if n == 1:
             raise ValueError(
@@ -596,13 +649,13 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
             )
         e = np.zeros(dim)
         e[m - 1] = 1.0  # grad of Re z_{2n} = x_{2n}
-        H_R = ScalarField(lambda p: float(p[m - 1]), grad=lambda p, _e=e: _e, name="H_R")
+        H_R = ScalarField(lambda p: float(p[m - 1]), grad=lambda p: np.broadcast_to(e, p.shape), name="H_R")
     else:
         raise ValueError("hamiltonian must be 'const' or 'linear_last'")
 
     W = standard_omega_matrix(n)
     W_inv = np.linalg.inv(W)
-    x_hook = VectorField(lambda p: W_inv @ H_R.gradient(p), name="X")
+    x_hook = VectorField(lambda p: matvec(W_inv, H_R.gradient(p)), name="X")
 
     f_field = ScalarField(f_fn, name="f")
 

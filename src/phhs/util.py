@@ -5,6 +5,10 @@ dimensions is a real vector of length 2m ordered as
 
     (x_1, ..., x_m, y_1, ..., y_m),   z_j = x_j + i y_j.
 
+Several points travel together as an ``(N, 2m)`` stack, one point per row;
+:func:`to_complex` and :func:`from_complex` act on the last axis, so they
+take either form.
+
 Naming convention, fixed with it: :func:`coordinate_names` is the one table
 of the identifiers that expression text may use for those coordinates.
 """
@@ -16,6 +20,14 @@ def as_point(p):
     q = np.asarray(p, dtype=float)
     if q.ndim != 1:
         raise ValueError(f"a point must be a 1-d coordinate vector, got shape {q.shape}")
+    return q
+
+
+def as_points(p):
+    """A point ``(dim,)`` or a stack ``(N, dim)`` of points, one per row, as a float array."""
+    q = np.asarray(p, dtype=float)
+    if q.ndim not in (1, 2):
+        raise ValueError(f"expected a point (dim,) or a stack of points (N, dim), got shape {q.shape}")
     return q
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phhs import models
-from phhs.cli import main
+from phhs.cli import KEYS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
 
@@ -232,3 +232,28 @@ def test_unknown_identifier_exits_3_and_names_it(tmp_path, capsys, verb, scenari
     cfg = write_config(tmp_path, "cfg.json", scenario)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert f"unknown identifier {name!r}" in capsys.readouterr().err
+
+
+def test_misspelled_key_exits_3_and_names_it(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {
+            "model": {"name": "standard_hhs", "n": 1, "H": "(P1^2 + Q1^2)/2"},
+            "x0": [0.4, 0.3, 0.1, -0.2],
+            "t_rnage": [0.0, 0.5],
+            "nt": 5,
+            "ns": 5,
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["action-check", "--config", cfg, "--out", str(out)]) == 3
+    assert "unknown keys ['t_rnage']" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb", sorted(KEYS))
+def test_every_verb_rejects_a_key_it_does_not_read(tmp_path, capsys, verb):
+    cfg = write_config(tmp_path, "cfg.json", {"no_such_key": 1})
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "unknown keys ['no_such_key']" in capsys.readouterr().err

@@ -265,3 +265,24 @@ def test_real_scalar_accepts_numbers():
     p = np.array([0.3, -0.4, 0.7, 0.2])
     assert fn(p) == 2.0
     assert np.array_equal(grad(p), np.zeros(4))
+
+
+def test_real_scalar_folds_constants_and_takes_stacks():
+    P = np.array([[0.3, -0.4, 0.7, 0.2], [1.0, 2.0, -3.0, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    fn, grad = models._as_real_scalar("1", 2)
+    assert fn(P[0]) == 1.0 and isinstance(fn(P[0]), float)
+    assert np.array_equal(fn(P), np.ones(3))
+    fn, grad = models._as_real_scalar("-y1", 2)
+    assert np.array_equal(grad(P), np.tile([0.0, 0.0, -1.0, 0.0], (3, 1)))
+    fn, grad = models._as_real_scalar("x1*y2 + exp(x2)", 2)
+    assert np.array_equal(fn(P), [fn(p) for p in P])
+    assert np.array_equal(grad(P), [grad(p) for p in P])
+
+
+def test_real_scalar_checks_a_constant_once_when_built():
+    # Python's (-1) ** 0.5 is complex: the constant is rejected before any evaluation
+    with pytest.raises(ValueError, match="not real-valued"):
+        models._as_real_scalar("(-1)^0.5", 2, "f")
+    fn, _ = models._as_real_scalar("sqrt(z1)", 2, "f")
+    with pytest.raises(ValueError, match="not real-valued"):
+        fn(np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]))
