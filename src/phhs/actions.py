@@ -21,7 +21,7 @@ is reconstructed from the real part alone: Lambda(v) = Lambda_R(v)
 primitive, so they only get the real-valued functionals (lambda_mode="real").
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,7 +214,7 @@ def segment_action(fields, curve, alpha=0.0, lambda_mode="complex", parts="both"
 
 
 # ---------------------------------------------------------------------------
-# parallelogram action with a locality-aware variational gradient
+# parallelogram action with a coloured variational gradient
 # ---------------------------------------------------------------------------
 
 
@@ -226,8 +226,13 @@ class ParallelogramAction:
     centered difference quotients).  This is the standard discrete variational
     scheme; unlike node-based quadrature with one-sided boundary stencils it
     leaves no boundary layer in the gradient, so sampled trajectories are
-    uniform O(h^2) critical points.  Perturbing one node touches at most four
-    cells, which the variational gradient exploits.
+    uniform O(h^2) critical points.
+
+    All cells are evaluated as one stack: one call each to Lambda_R, H_R and
+    (for ``parts="both"``) H_I on the ``(cells, dim)`` stack of midpoints.
+    Perturbing one node touches at most its four cells, and two nodes of one
+    parity class ``(i mod 2, j mod 2)`` share no cell, so the gradient
+    perturbs a whole class at once (sparse-Jacobian colouring).
     """
 
     def __init__(self, fields, parts="both"):
@@ -247,32 +252,23 @@ class ParallelogramAction:
             raise ValueError("degenerate parallelogram: alpha must not be a multiple of pi")
         return ht, hr, sina, cosa, ht * hr * sina
 
-    def _cell_integrand(self, vals, a, b, ht, hr, sina, cosa):
-        v00 = vals[a, b]
-        v10 = vals[a + 1, b]
-        v01 = vals[a, b + 1]
-        v11 = vals[a + 1, b + 1]
-        p = 0.25 * (v00 + v10 + v01 + v11)
-        dt = (v10 + v11 - v00 - v01) / (2.0 * ht)
-        dr = (v01 + v11 - v00 - v10) / (2.0 * hr)
-        ds = (dr - cosa * dt) / sina
-        lam = np.asarray(self.fields.model.lambda_R(p), dtype=float)
-        la = float(lam @ dt)
-        lb = float(lam @ ds)
-        h_r = float(self.fields.model.H_R(p))
-        if self.parts == "real":
-            return complex(la - h_r, 0.0)
-        h_i = float(self.fields.H_I(p))
-        return complex(la - h_r, -lb - h_i)
-
     def integrand_cells(self, curve):
+        """Integrand of every cell, shape ``(nt - 1, nr - 1)``, from one stack of midpoints."""
         ht, hr, sina, cosa, _ = self._geometry(curve)
-        nt, nr = curve.values.shape[0], curve.values.shape[1]
-        F = np.empty((nt - 1, nr - 1), dtype=complex)
-        for a in range(nt - 1):
-            for b in range(nr - 1):
-                F[a, b] = self._cell_integrand(curve.values, a, b, ht, hr, sina, cosa)
-        return F
+        vals = curve.values
+        v00, v10, v01, v11 = vals[:-1, :-1], vals[1:, :-1], vals[:-1, 1:], vals[1:, 1:]
+        dim = vals.shape[-1]
+        p = (0.25 * (v00 + v10 + v01 + v11)).reshape(-1, dim)
+        dt = ((v10 + v11 - v00 - v01) / (2.0 * ht)).reshape(-1, dim)
+        dr = ((v01 + v11 - v00 - v10) / (2.0 * hr)).reshape(-1, dim)
+        model = self.fields.model
+        lam = np.asarray(model.lambda_R(p), dtype=float)
+        F = np.zeros(p.shape[0], dtype=complex)
+        F.real = np.vecdot(lam, dt) - np.asarray(model.H_R(p), dtype=float)
+        if self.parts != "real":
+            ds = (dr - cosa * dt) / sina
+            F.imag = -np.vecdot(lam, ds) - np.asarray(self.fields.H_I(p), dtype=float)
+        return F.reshape(vals.shape[0] - 1, vals.shape[1] - 1)
 
     def value(self, curve):
         _, _, _, _, w_cell = self._geometry(curve)
@@ -283,12 +279,12 @@ class ParallelogramAction:
 
     def gradient(self, curve, fixed="boundary", delta=1e-5):
         """Per-node gradients of (Re, Im) of the action w.r.t. node coordinates."""
-        ht, hr, sina, cosa, w_cell = self._geometry(curve)
+        w_cell = self._geometry(curve)[-1]
         vals = np.array(curve.values)
+        probe = replace(curve, values=vals)
         nt, nr, dim = vals.shape
         F0 = self.integrand_cells(curve)
-        grad_re = np.zeros((nt, nr, dim))
-        grad_im = np.zeros((nt, nr, dim))
+        grad = np.zeros((nt, nr, dim), dtype=complex)
         free = np.ones((nt, nr), dtype=bool)
         if fixed in ("boundary", "boundary+center"):
             free[0, :] = free[-1, :] = False
@@ -296,30 +292,23 @@ class ParallelogramAction:
         elif fixed is not None:
             raise ValueError(f"unknown fixed set {fixed!r}")
 
-        for i in range(nt):
-            for j in range(nr):
-                if not free[i, j]:
-                    continue
-                cells = [
-                    (a, b)
-                    for a in (i - 1, i)
-                    for b in (j - 1, j)
-                    if 0 <= a < nt - 1 and 0 <= b < nr - 1
-                ]
-                for k in range(dim):
-                    old = vals[i, j, k]
-                    deltas = []
-                    for sign in (1.0, -1.0):
-                        vals[i, j, k] = old + sign * delta
-                        s = 0.0 + 0.0j
-                        for (a, b) in cells:
-                            s += self._cell_integrand(vals, a, b, ht, hr, sina, cosa) - F0[a, b]
-                        deltas.append(w_cell * s)
-                        vals[i, j, k] = old
-                    g = (deltas[0] - deltas[1]) / (2.0 * delta)
-                    grad_re[i, j, k] = g.real
-                    grad_im[i, j, k] = g.imag
-        return grad_re, grad_im
+        # cell changes in a ring of zeros: node (i, j) sums its cells (i-1, j-1),
+        # (i-1, j), (i, j-1), (i, j), which sit at D[i, j], D[i, j+1], D[i+1, j], D[i+1, j+1]
+        D = np.zeros((nt + 1, nr + 1), dtype=complex)
+        for ci, cj in np.ndindex(2, 2):
+            nodes = np.zeros_like(free)
+            nodes[ci::2, cj::2] = free[ci::2, cj::2]
+            for k in range(dim):
+                old = vals[nodes, k]
+                deltas = []
+                for sign in (1.0, -1.0):
+                    vals[nodes, k] = old + sign * delta
+                    D[1:-1, 1:-1] = self.integrand_cells(probe) - F0
+                    s = 0j + D[:-1, :-1] + D[:-1, 1:] + D[1:, :-1] + D[1:, 1:]
+                    deltas.append(w_cell * s[nodes])
+                vals[nodes, k] = old
+                grad[nodes, k] = (deltas[0] - deltas[1]) / (2.0 * delta)
+        return grad.real.copy(), grad.imag.copy()
 
 
 def parallelogram_action(fields, curve, parts="both"):
@@ -404,7 +393,7 @@ def disk_action_2(fields, curve, lambda_mode="complex", parts="both"):
 def variational_gradient(action, curve, fixed="boundary", delta=1e-5):
     """Finite-difference gradient of an action w.r.t. free curve nodes.
 
-    ``action`` is either a :class:`ParallelogramAction` (fast, locality-aware
+    ``action`` is either a :class:`ParallelogramAction` (fast, coloured
     path) or any callable curve -> value, differentiated naively.  Gradients
     of the real and imaginary part are returned separately as arrays shaped
     like the node layout plus a trailing coordinate axis.

@@ -15,7 +15,8 @@ error, so a misspelled key never falls back to its default):
     monodromy          model, flow, x0, path ([[re, im], ...]), expect
                        ("closed" | "negated" | null), tolerance
     action-check       model, flow, x0, z0, t_range, s_range, nt, ns, displace
-                       (optional {"node": [i, j], "coord": k, "amount": a}),
+                       (optional {"node": [i, j], "coord": k, "amount": a},
+                       0 <= i < nt, 0 <= j < ns, 0 <= k < dim),
                        ratio_min, parts ("both" | "real")
     integrability-scan model, center, half_width, per_axis, threshold
     deform             epsilons, n, hamiltonian, bump {center, radius},
@@ -266,19 +267,28 @@ def run_monodromy(cfg, outdir, scale):
 
 def run_action_check(cfg, outdir, scale):
     model = model_from_config(_require(cfg, "model", "action-check"))
-    fields = assemble_phhs(model)
     fcfg = _flow_config(cfg)
     x0 = np.asarray(_require(cfg, "x0", "action-check"), dtype=float)
     z0 = cfg.get("z0", 0.0)
     z0 = complex(z0[0], z0[1]) if isinstance(z0, list) else complex(z0)
+    nt, ns = int(cfg.get("nt", 13)), int(cfg.get("ns", 13))
+    disp = cfg.get("displace")
+    if disp:
+        i, j = (int(v) for v in disp.get("node", [nt // 2, ns // 2]))
+        k = int(disp.get("coord", 0))
+        if not (0 <= i < nt and 0 <= j < ns):
+            raise ConfigError(f"displace node [{i}, {j}] lies outside the {nt} x {ns} grid")
+        if not 0 <= k < model.dim:
+            raise ConfigError(f"displace coord {k} is outside [0, {model.dim})")
+    fields = assemble_phhs(model)
     grid = trajectory_grid(
         fields,
         x0,
         z0,
         tuple(cfg.get("t_range", [0.0, 1.0])),
         tuple(cfg.get("s_range", [0.0, 1.0])),
-        int(cfg.get("nt", 13)),
-        int(cfg.get("ns", 13)),
+        nt,
+        ns,
         fcfg,
     )
     parts = cfg.get("parts", "both")
@@ -288,10 +298,8 @@ def run_action_check(cfg, outdir, scale):
     base_norm = gradient_max_norm(action.gradient(curve), parts=parts)
     results = {"action": value, "gradient_norm": base_norm}
     checks = []
-    disp = cfg.get("displace")
     if disp:
-        i, j = disp.get("node", [grid.nt // 2, grid.ns // 2])
-        curve.values[int(i), int(j), int(disp.get("coord", 0))] += float(disp.get("amount", 0.05))
+        curve.values[i, j, k] += float(disp.get("amount", 0.05))
         disp_norm = gradient_max_norm(action.gradient(curve), parts=parts)
         ratio = disp_norm / base_norm if base_norm > 0 else float("inf")
         results["displaced_gradient_norm"] = disp_norm

@@ -5,12 +5,16 @@ Every field wraps a plain callable ``point -> value`` together with an
 is called on one point ``(dim,)`` or on a stack ``(N, dim)`` of points, one
 per row; on a stack it returns one value per row, stacked on the first
 axis.  The fields a flow advances -- X, J X and J of every built-in
-Hamiltonian model -- evaluate a whole stack in one numpy pass; callables that only take a point
-(user callables, finite-difference jets) are lifted to stacks by
-:func:`rowwise`.  A stack row is bit for bit the single-point value for the
-built-in models and their documented expressions.  Other expression text
-may round differently in the last bit on a stack, where numpy's array and
-scalar arithmetic differ (some real powers and complex products).
+Hamiltonian model -- and the ones the action and the grid monitors read --
+H_R, H_I and Lambda_R -- evaluate a whole stack in one numpy pass;
+callables that only take a point (user callables, finite-difference jets,
+the quadrature primitive H_I) are lifted to stacks by :func:`rowwise`.  A
+stack row is bit for bit the single-point value for the built-in models
+and their documented expressions, with one exception: H_R and H_I of the
+central problem, whose complex arithmetic numpy rounds differently on a
+scalar and on an array, may move by one unit in the last place.  Other
+expression text may round differently in the last bit on a stack for the
+same reason (some real powers and complex products).
 
 This is the only module that knows the central-difference stencil: real
 axis partials (:func:`partial_jet`, stacked by :func:`jet`) and derivatives
@@ -72,9 +76,6 @@ class Field:
 
     def __call__(self, p):
         return self.fn(as_points(p))
-
-    def partial(self, p, axis):
-        return partial_jet(self, p, axis)
 
 
 class ScalarField(Field):

@@ -182,15 +182,11 @@ def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_to
 
 
 def poisson_bracket(F, G, omega, p):
-    """Omega(X_F, X_G) at p, both fields from the pointwise solve."""
+    """Omega(X_F, X_G) at p, both fields from :func:`hamiltonian_vector_field`."""
     p = as_point(p)
-    W = np.asarray(omega(p), dtype=float)
-    try:
-        xf = np.linalg.solve(W, F.gradient(p))
-        xg = np.linalg.solve(W, G.gradient(p))
-    except np.linalg.LinAlgError as exc:
-        raise SingularFormError(f"2-form singular at {p}: {exc}") from exc
-    return float(xf @ W @ xg)
+    xf = hamiltonian_vector_field(omega, F)(p)
+    xg = hamiltonian_vector_field(omega, G)(p)
+    return float(xf @ np.asarray(omega(p), dtype=float) @ xg)
 
 
 def _default_samples(model, count=10, scale=0.35, seed=11):
@@ -203,7 +199,6 @@ def assemble_phhs(
     tol_exact=1e-6,
     tol_derived=1e-3,
     check_closedness=True,
-    use_hooks=True,
 ):
     """Produce X, JX, Omega_I, H_I and run the full diagnostic suite.
 
@@ -223,9 +218,7 @@ def assemble_phhs(
             f"J is not Omega_R-anticompatible on samples (residual {anti:.3e}); assembly aborted"
         )
 
-    X = model.X_hook if (use_hooks and model.X_hook is not None) else hamiltonian_vector_field(
-        model.omega_R, model.H_R
-    )
+    X = model.X_hook if model.X_hook is not None else hamiltonian_vector_field(model.omega_R, model.H_R)
     X_generic = hamiltonian_vector_field(model.omega_R, model.H_R)
 
     def jx_fn(p):
@@ -243,7 +236,7 @@ def assemble_phhs(
                 "the data do not form a pseudo-holomorphic Hamiltonian system"
             )
 
-    if use_hooks and model.H_I_hook is not None:
+    if model.H_I_hook is not None:
         H_I = ScalarField(model.H_I_hook, fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
     else:
         base = model.base_point
@@ -251,7 +244,7 @@ def assemble_phhs(
         def h_i_fn(p):
             return primitive_scalar(alpha, base, p, check_closed=False)
 
-        H_I = ScalarField(h_i_fn, fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
+        H_I = ScalarField(rowwise(h_i_fn), fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
 
     diagnostics = {
         "acs": acs,

@@ -640,7 +640,7 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
         return J
 
     if hamiltonian == "const":
-        H_R = ScalarField(lambda p: 0.0, grad=lambda p: np.zeros(p.shape), name="H_R")
+        H_R = ScalarField(lambda p: np.zeros(p.shape[:-1])[()], grad=lambda p: np.zeros(p.shape), name="H_R")
     elif hamiltonian == "linear_last":
         if n == 1:
             raise ValueError(
@@ -649,7 +649,7 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
             )
         e = np.zeros(dim)
         e[m - 1] = 1.0  # grad of Re z_{2n} = x_{2n}
-        H_R = ScalarField(lambda p: float(p[m - 1]), grad=lambda p: np.broadcast_to(e, p.shape), name="H_R")
+        H_R = ScalarField(lambda p: p.T[m - 1].copy(), grad=lambda p: np.broadcast_to(e, p.shape), name="H_R")
     else:
         raise ValueError("hamiltonian must be 'const' or 'linear_last'")
 
@@ -682,7 +682,7 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
         name=f"deformation_eps_{eps}",
         X_hook=x_hook,
-        H_I_hook=(lambda p: 0.0) if hamiltonian == "const" else (lambda p: float(p[dim - 1])),
+        H_I_hook=H_R.fn if hamiltonian == "const" else (lambda p: p.T[dim - 1].copy()),
     )
     model.extras["epsilon"] = eps
     model.extras["f"] = f_fn

@@ -100,11 +100,11 @@ def standard_omega_matrix(n):
 
 
 def standard_lambda_coeffs(n, p):
-    """Coefficients of Re(sum_j P_j dQ_j) at p, same ordering as the point."""
+    """Coefficients of Re(sum_j P_j dQ_j) at p, same ordering as the point (row by row on a stack)."""
     m = 2 * n
-    lam = np.zeros(2 * m)
-    lam[:n] = p[n:m]            # x_{n+j} dx_j
-    lam[m:m + n] = -p[m + n:]   # -y_{n+j} dy_j
+    lam = np.zeros(np.shape(p))
+    lam[..., :n] = p[..., n:m]            # x_{n+j} dx_j
+    lam[..., m:m + n] = -p[..., m + n:]   # -y_{n+j} dy_j
     return lam
 
 

@@ -195,6 +195,81 @@ def test_fast_gradient_matches_naive(harmonic):
     assert gim[i, j, k] == pytest.approx(g.imag, rel=1e-6, abs=1e-10)
 
 
+def _reference_cell(fields, parts, vals, a, b, ht, hr, sina, cosa):
+    """Integrand of cell (a, b) from its four corners, one point per field call."""
+    v00, v10, v01, v11 = vals[a, b], vals[a + 1, b], vals[a, b + 1], vals[a + 1, b + 1]
+    p = 0.25 * (v00 + v10 + v01 + v11)
+    dt = (v10 + v11 - v00 - v01) / (2.0 * ht)
+    dr = (v01 + v11 - v00 - v10) / (2.0 * hr)
+    ds = (dr - cosa * dt) / sina
+    lam = np.asarray(fields.model.lambda_R(p), dtype=float)
+    re = float(lam @ dt) - float(fields.model.H_R(p))
+    if parts == "real":
+        return complex(re, 0.0)
+    return complex(re, -float(lam @ ds) - float(fields.H_I(p)))
+
+
+def _reference_action(fields, parts, curve, fixed, delta=1e-5):
+    """Value and gradient of the cell sum, one cell and one node at a time."""
+    ht = curve.t_nodes[1] - curve.t_nodes[0]
+    hr = curve.r_nodes[1] - curve.r_nodes[0]
+    sina, cosa = np.sin(curve.alpha), np.cos(curve.alpha)
+    w = ht * hr * sina
+    vals = np.array(curve.values)
+    nt, nr, dim = vals.shape
+
+    def cell(a, b):
+        return _reference_cell(fields, parts, vals, a, b, ht, hr, sina, cosa)
+
+    F0 = np.array([[cell(a, b) for b in range(nr - 1)] for a in range(nt - 1)])
+    value = complex(w * np.sum(F0))
+    grad = np.zeros((nt, nr, dim), dtype=complex)
+    for i in range(nt):
+        for j in range(nr):
+            if fixed == "boundary" and (i in (0, nt - 1) or j in (0, nr - 1)):
+                continue
+            around = [(a, b) for a in (i - 1, i) for b in (j - 1, j) if 0 <= a < nt - 1 and 0 <= b < nr - 1]
+            for k in range(dim):
+                old = vals[i, j, k]
+                deltas = []
+                for sign in (1.0, -1.0):
+                    vals[i, j, k] = old + sign * delta
+                    s = 0.0 + 0.0j
+                    for a, b in around:
+                        s += cell(a, b) - F0[a, b]
+                    deltas.append(w * s)
+                vals[i, j, k] = old
+                grad[i, j, k] = (deltas[0] - deltas[1]) / (2.0 * delta)
+    return (value.real if parts == "real" else value), grad.real, grad.imag
+
+
+@pytest.mark.parametrize(
+    "model, parts, nt, nr, alpha, fixed, displaced",
+    [
+        ("harmonic", "both", 9, 9, np.pi / 2, "boundary", False),
+        ("harmonic", "both", 9, 9, np.pi / 2, None, True),
+        ("harmonic", "both", 7, 10, np.pi / 3, "boundary", True),
+        ("proper", "real", 9, 9, np.pi / 2, "boundary", True),
+        ("proper", "real", 10, 7, np.pi / 3, None, False),
+        ("proper", "both", 4, 5, np.pi / 2, None, False),
+    ],
+)
+def test_stacked_action_equals_per_cell_reference_bit_for_bit(request, model, parts, nt, nr, alpha, fixed, displaced):
+    _, fields = request.getfixturevalue(model)
+    x0 = np.array([0.4, 0.3, 0.1, -0.2] if model == "harmonic" else [0.2, 0.1, -0.3, 0.4])
+    grid = trajectory_grid(fields, x0, 0.0, (0.0, 1.0), (0.0, 1.0), nt, nr, FlowConfig(dt=1e-2))
+    curve = act.curve_from_grid(grid)
+    curve.alpha = alpha
+    if displaced:
+        curve.values[nt // 2, nr // 2, 0] += 0.05
+    action = act.ParallelogramAction(fields, parts=parts)
+    value, ref_re, ref_im = _reference_action(fields, parts, curve, fixed)
+    assert action.value(curve) == value
+    gre, gim = action.gradient(curve, fixed=fixed)
+    assert np.array_equal(gre, ref_re)
+    assert np.array_equal(gim, ref_im)
+
+
 # ---------------------------------------------------------------------------
 # disk and star actions
 # ---------------------------------------------------------------------------

@@ -257,3 +257,34 @@ def test_every_verb_rejects_a_key_it_does_not_read(tmp_path, capsys, verb):
     cfg = write_config(tmp_path, "cfg.json", {"no_such_key": 1})
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "unknown keys ['no_such_key']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "displace, what",
+    [
+        ({"node": [9, 2]}, "node [9, 2]"),
+        ({"node": [-1, 2]}, "node [-1, 2]"),
+        ({"node": [2, 5]}, "node [2, 5]"),
+        ({"node": [2, 2], "coord": 4}, "coord 4"),
+        ({"node": [2, 2], "coord": -1}, "coord -1"),
+    ],
+)
+def test_action_check_rejects_a_displacement_off_the_grid(tmp_path, capsys, displace, what):
+    # a 5 x 5 grid of a point in R^4: nodes [0, 5) x [0, 5), coords [0, 4)
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {
+            "model": {"name": "standard_hhs", "n": 1, "H": "(P1^2 + Q1^2)/2"},
+            "x0": [0.4, 0.3, 0.1, -0.2],
+            "t_range": [0.0, 0.5],
+            "s_range": [0.0, 0.5],
+            "nt": 5,
+            "ns": 5,
+            "displace": displace,
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["action-check", "--config", cfg, "--out", str(out)]) == 3
+    assert f"displace {what}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
