@@ -54,7 +54,7 @@ from .actions import ParallelogramAction, curve_from_grid, gradient_max_norm
 from .errors import ParseError, PhhsError
 from .expressions import parse_expression
 from .flows import FlowConfig, commutation_defect, continue_along_path, flow_word, trajectory_grid
-from .hamiltonian import assemble_phhs, integrability_report
+from .hamiltonian import assemble_phhs, integrability_report, omega_I_from
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
 from .tensors import exterior_derivative_2form
 from .util import coordinate_names, grid_points, max_abs
@@ -350,8 +350,7 @@ def run_deform(cfg, outdir, scale):
     threshold = scale * float(cfg.get("threshold", 1e-3))
     rows = []
     formula_worst = 0.0
-    from .hamiltonian import omega_I_from
-
+    sub = pts[:: max(1, len(pts) // 16)]
     for eps in eps_list:
         model = model_lib.build_deformation(
             eps,
@@ -363,10 +362,7 @@ def run_deform(cfg, outdir, scale):
         report = integrability_report(model, pts, threshold=threshold)
         omega_I = omega_I_from(model.omega_R, model.J)
         formula = model.extras["d_omega_I_formula"]
-        res = max(
-            max_abs(exterior_derivative_2form(omega_I, p) - formula(p)) for p in pts[:: max(1, len(pts) // 16)]
-        )
-        formula_worst = max(formula_worst, res)
+        formula_worst = max(formula_worst, max_abs(exterior_derivative_2form(omega_I, sub) - formula(sub)))
         rows.append([eps, report.max_nijenhuis, report.max_d_omega_I, report.classification])
     _write_csv(outdir / "sweep.csv", ["epsilon", "max_nijenhuis", "max_d_omega_I", "class"], rows)
     checks = [

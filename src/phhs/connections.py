@@ -11,14 +11,17 @@ J_nabla is evaluated in arbitrary coordinates through the Christoffel
 splitting; the familiar constant block form is the special case of vanishing
 Christoffels.  Integrability of J* is equivalent to flatness of g, which the
 curvature-versus-Nijenhuis report exposes numerically.
+
+Christoffel symbols and curvature take a base point or a stack of them;
+J* and the holomorphic metric parts are built per point and lifted by rowwise.
 """
 
 import numpy as np
 
 from .errors import SingularMetricError
-from .fields import Field, FdConfig, MatrixField, holomorphy_residual, jet
+from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, rowwise
 from .tensors import nijenhuis
-from .util import as_point, max_abs
+from .util import as_point, max_abs, row_max_abs, to_complex
 
 
 class MetricField(Field):
@@ -43,39 +46,43 @@ class MetricField(Field):
 
 
 def euclidean_metric(n):
-    return MetricField(lambda x: np.eye(n), name="euclidean")
+    return MetricField(constant(np.eye(n)), name="euclidean")
 
 
 def diagonal_metric(entries):
-    """Metric diag(f_1(x), ..., f_n(x)) from per-axis callables or constants."""
-    fns = [(e if callable(e) else (lambda x, _c=float(e): _c)) for e in entries]
+    """Metric diag(f_1(x), ..., f_n(x)) from per-axis constants, fields or (lifted) callables of one point."""
+    fns = [
+        e if isinstance(e, Field) else rowwise(e) if callable(e) else (lambda x, _c=float(e): _c)
+        for e in entries
+    ]
 
     def fn(x):
-        return np.diag([f(x) for f in fns])
+        g = np.zeros(x.shape[:-1] + (len(fns), len(fns)))
+        for k, f in enumerate(fns):
+            g[..., k, k] = f(x)
+        return g
 
     return MetricField(fn, name="diagonal")
 
 
 def christoffel(g, x):
     """Gamma^i_{kl} = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})."""
-    x = as_point(x)
     ginv = g.inverse(x)
-    dg = jet(g, x)  # dg[k, m, l]
-    term = np.einsum("kml->mkl", dg) + np.einsum("lmk->mkl", dg) - np.einsum("mkl->mkl", dg)
-    return 0.5 * np.einsum("im,mkl->ikl", ginv, term)
+    dg = jet(g, x)  # dg[..., k, m, l]
+    term = np.einsum("...kml->...mkl", dg) + np.einsum("...lmk->...mkl", dg) - dg
+    return 0.5 * np.einsum("...im,...mkl->...ikl", ginv, term)
 
 
 def riemann_curvature(g, x):
     """R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma Gamma terms."""
-    x = as_point(x)
     gamma_field = Field(lambda p: christoffel(g, p), fd=g.fd)
-    dGamma = jet(gamma_field, x)  # [k, i, a, b]
+    dGamma = jet(gamma_field, x)  # [..., k, i, a, b]
     G = christoffel(g, x)
     R = (
-        np.einsum("kilj->ijkl", dGamma)
-        - np.einsum("likj->ijkl", dGamma)
-        + np.einsum("ikm,mlj->ijkl", G, G)
-        - np.einsum("ilm,mkj->ijkl", G, G)
+        np.einsum("...kilj->...ijkl", dGamma)
+        - np.einsum("...likj->...ijkl", dGamma)
+        + np.einsum("...ikm,...mlj->...ijkl", G, G)
+        - np.einsum("...ilm,...mkj->...ijkl", G, G)
     )
     return R
 
@@ -132,7 +139,7 @@ def j_cotangent_field(g, fd=None):
         n = qp.size // 2
         return j_cotangent(g, qp[:n], qp[n:])
 
-    return MatrixField(fn, fd=fd if fd is not None else FdConfig(step=1e-3), name="J_star")
+    return MatrixField(rowwise(fn), fd=fd if fd is not None else FdConfig(step=1e-3), name="J_star")
 
 
 def canonical_omega_matrix(n):
@@ -159,19 +166,14 @@ def pairing_signature(g, qp):
 
 def flatness_vs_integrability(g, points):
     """Per-point (|R|, |N_{J*}|) over cotangent points; flat iff integrable."""
-    Jstar = j_cotangent_field(g)
-    rows = []
-    for qp in np.asarray(points, dtype=float):
-        n = qp.size // 2
-        r_norm = max_abs(riemann_curvature(g, qp[:n]))
-        n_norm = max_abs(nijenhuis(Jstar, qp))
-        rows.append((r_norm, n_norm))
-    arr = np.array(rows)
+    pts = np.asarray(points, dtype=float)
+    r_norms = row_max_abs(riemann_curvature(g, pts[:, : pts.shape[1] // 2]))
+    n_norms = row_max_abs(nijenhuis(j_cotangent_field(g), pts))
     return {
-        "curvature_norms": arr[:, 0],
-        "nijenhuis_norms": arr[:, 1],
-        "max_curvature": float(np.max(arr[:, 0])),
-        "max_nijenhuis": float(np.max(arr[:, 1])),
+        "curvature_norms": r_norms,
+        "nijenhuis_norms": n_norms,
+        "max_curvature": float(np.max(r_norms)),
+        "max_nijenhuis": float(np.max(n_norms)),
     }
 
 
@@ -190,13 +192,12 @@ def holo_metric_parts(h_entries, fd=None):
 
     def entry(i, j):
         e = h_entries[i][j]
-        return e if callable(e) else (lambda z, _c=complex(e): _c)
+        return rowwise(e if callable(e) else (lambda z, _c=complex(e): _c))
 
     fns = [[entry(i, j) for j in range(n)] for i in range(n)]
 
     def complex_matrix(p):
-        p = as_point(p)
-        z = p[:n] + 1j * p[n:]
+        z = to_complex(p)
         return np.array([[fns[i][j](z) for j in range(n)] for i in range(n)], dtype=complex)
 
     def h_r(p):
@@ -210,7 +211,7 @@ def holo_metric_parts(h_entries, fd=None):
         return np.block([[b, a], [a, -b]])
 
     fd = fd if fd is not None else FdConfig(step=1e-4)
-    return MetricField(h_r, fd=fd, name="h_R"), MetricField(h_i, fd=fd, name="h_I"), fns
+    return MetricField(rowwise(h_r), fd=fd, name="h_R"), MetricField(rowwise(h_i), fd=fd, name="h_I"), fns
 
 
 def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
@@ -223,7 +224,7 @@ def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
     h_r, h_i, fns = holo_metric_parts(h_entries, fd=fd)
     pts = np.asarray(grid, dtype=float)
     n = pts.shape[1] // 2
-    z_samples = [p[:n] + 1j * p[n:] for p in pts[: min(6, len(pts))]]
+    z_samples = to_complex(pts[:6])
     res = max(holomorphy_residual(fns[i][j], z_samples) for i in range(n) for j in range(n))
     if res > holo_tol:
         raise SingularMetricError(

@@ -1,33 +1,30 @@
 """Evaluable tensor fields on a coordinate patch with finite-difference jets.
 
-Every field wraps a plain callable ``point -> value`` together with an
-:class:`FdConfig` that fixes how its derivatives are approximated.  A field
-is called on one point ``(dim,)`` or on a stack ``(N, dim)`` of points, one
-per row; on a stack it returns one value per row, stacked on the first
-axis.  The fields a flow advances -- X, J X and J of every built-in
-Hamiltonian model -- and the ones the action and the grid monitors read --
-H_R, H_I and Lambda_R -- evaluate a whole stack in one numpy pass;
-callables that only take a point (user callables, finite-difference jets,
-the quadrature primitive H_I) are lifted to stacks by :func:`rowwise`.  A
-stack row is bit for bit the single-point value for the built-in models
-and their documented expressions, with one exception: H_R and H_I of the
-central problem, whose complex arithmetic numpy rounds differently on a
-scalar and on an array, may move by one unit in the last place.  Other
-expression text may round differently in the last bit on a stack for the
-same reason (some real powers and complex products).
+Every field wraps a callable together with an :class:`FdConfig` that fixes
+how its derivatives are approximated.  The contract: a field takes one point
+``(dim,)`` or a stack ``(N, dim)`` of points, one per row, and on a stack
+returns one value per row, stacked on the first axis; a stack call that
+does not is a ``ValueError``.  Bare callables of one point (user input to
+the model builders and metrics) are lifted to stacks by :func:`rowwise`.  A
+stack row is bit for bit the single-point value for the built-in models and
+their documented expressions, with one exception: H_R and H_I of the central
+problem, whose complex arithmetic numpy rounds differently on a scalar and
+on an array, may move by one unit in the last place.  Other expression text
+may round differently in the last bit on a stack for the same reason (some
+real powers and complex products).
 
-This is the only module that knows the central-difference stencil: real
-axis partials (:func:`partial_jet`, stacked by :func:`jet`) and derivatives
-of holomorphic callables along complex directions (:func:`complex_gradient`,
-:func:`holomorphy_residual`) all go through :func:`_central_difference`.
-Jets are taken at one point.
+This is the only module that knows the central-difference stencil: axis
+partials of fields (:func:`jet`, :func:`partial_jet`) and derivatives of
+holomorphic callables along complex directions (:func:`complex_gradient`,
+:func:`holomorphy_residual`) all go through :func:`_central_difference`,
+which calls the function once on every stencil point of a point or a stack.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import as_point, as_points
+from .util import as_points, max_abs
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,10 @@ class FdConfig:
             raise ValueError("stencil order must be 2 or 4")
 
     def spacing(self, p):
-        return self.step * max(1.0, float(np.linalg.norm(p)))
+        """The spacing at a point, or one per row of a stack, rounded as ``np.linalg.norm`` rounds |p|."""
+        p = np.asarray(p)
+        sq = np.vecdot(p.real, p.real) + np.vecdot(p.imag, p.imag) if p.dtype.kind == "c" else np.vecdot(p, p)
+        return self.step * np.maximum(1.0, np.sqrt(sq))
 
 
 def rowwise(fn):
@@ -75,7 +75,15 @@ class Field:
         self.name = name
 
     def __call__(self, p):
-        return self.fn(as_points(p))
+        p = as_points(p)
+        out = self.fn(p)
+        if p.ndim == 2 and np.shape(out)[:1] != p.shape[:1]:
+            raise ValueError(
+                f"{type(self).__name__} {self.name!r} returned shape {np.shape(out)} for a stack of "
+                f"shape {p.shape}; a field must return one value per row (lift a function of one "
+                "point with fields.rowwise)"
+            )
+        return out
 
 
 class ScalarField(Field):
@@ -86,10 +94,9 @@ class ScalarField(Field):
         self._grad = grad
 
     def gradient(self, p):
-        p = as_points(p)
         if self._grad is not None:
-            return np.asarray(self._grad(p), dtype=float)
-        return rowwise(lambda q: jet(self, q))(p)
+            return np.asarray(self._grad(as_points(p)), dtype=float)
+        return jet(self, p)
 
 
 class VectorField(Field):
@@ -109,78 +116,76 @@ class TwoFormField(Field):
 
     def antisymmetry_residual(self, p):
         W = self(p)
-        return float(np.max(np.abs(W + W.T)))
+        return max_abs(W + W.swapaxes(-1, -2))
 
 
-def _central_difference(f, p, e, h, order):
-    """Derivative of f at p along the direction e by the central stencil of spacing h.
+def _central_difference(f, P, E, h, order):
+    """Derivatives of f along each direction of E, at a point P or at each row of a stack P.
 
-    Order 2 uses (f(p+h) - f(p-h)) / 2h; order 4 the five-point stencil
-    (-f(p+2h) + 8 f(p+h) - 8 f(p-h) + f(p-2h)) / 12h.  Works for real or
-    complex points and directions, and for scalar, vector and matrix values.
+    ``out[..., k, <value>]`` is the derivative along ``E[k]`` at ``P[...]``
+    with that point's spacing ``h[...]``.  Every stencil point is formed as
+    ``p + (c h) e``, c in (1, 2, -1, -2) ((1, -1) at order 2), and f is
+    called once, on all of them as one stack.  Order 2 uses (f(p+h) - f(p-h)) / 2h; order 4 the
+    five-point stencil (-f(p+2h) + 8 f(p+h) - 8 f(p-h) + f(p-2h)) / 12h.
+    Works for real or complex points and directions, and for scalar, vector
+    and matrix values.
     """
+    c = (1.0, -1.0) if order == 2 else (1.0, 2.0, -1.0, -2.0)
+    h = np.asarray(h)
+    steps = np.stack([P[..., None, :] + (k * h)[..., None, None] * E for k in c])
+    F = np.asarray(f(steps.reshape(-1, P.shape[-1])))
+    F = F.reshape(steps.shape[:-1] + F.shape[1:])
+    h = h.reshape(h.shape + (1,) * (F.ndim - 1 - h.ndim))
     if order == 2:
-        return (f(p + h * e) - f(p - h * e)) / (2.0 * h)
-    f1 = f(p + h * e)
-    f2 = f(p + 2.0 * h * e)
-    b1 = f(p - h * e)
-    b2 = f(p - 2.0 * h * e)
+        return (F[0] - F[1]) / (2.0 * h)
     # paired differences so that symmetric evaluations cancel exactly
-    return (8.0 * (f1 - b1) - (f2 - b2)) / (12.0 * h)
-
-
-def partial_jet(field, p, axis):
-    """Partial derivative of a field along one axis by its ``fd`` stencil."""
-    p = as_point(p)
-    if not 0 <= axis < p.size:
-        raise ValueError(f"axis {axis} out of range for a point of dimension {p.size}")
-    e = np.zeros_like(p)
-    e[axis] = 1.0
-    return _central_difference(lambda q: np.asarray(field(q)), p, e, field.fd.spacing(p), field.fd.order)
+    return (8.0 * (F[0] - F[2]) - (F[1] - F[3])) / (12.0 * h)
 
 
 def jet(field, p):
-    """All axis partials of a field at p, stacked: ``out[a] = d_a field(p)``."""
-    p = as_point(p)
-    return np.stack([partial_jet(field, p, a) for a in range(p.size)])
+    """All axis partials of a field at a point or at each row of a stack: ``out[..., a, :] = d_a field``."""
+    P = as_points(p)
+    return _central_difference(field, P, np.eye(P.shape[-1]), field.fd.spacing(P), field.fd.order)
+
+
+def partial_jet(field, p, axis):
+    """Partial derivative of a field along one axis, at a point or at each row of a stack."""
+    P = as_points(p)
+    if not 0 <= axis < P.shape[-1]:
+        raise ValueError(f"axis {axis} out of range for a point of dimension {P.shape[-1]}")
+    E = np.eye(P.shape[-1])[axis:axis + 1]
+    return np.take(_central_difference(field, P, E, field.fd.spacing(P), field.fd.order), 0, axis=P.ndim - 1)
 
 
 # derivatives of callables on C^m use the default spacing and order
 _COMPLEX_FD = FdConfig()
 
 
-def _complex_partials(H, z, unit):
-    """Derivatives of a callable on C^m at z along unit * e_j, slot by slot."""
-    h = _COMPLEX_FD.spacing(z)
-    return np.array(
-        [_central_difference(H, z, unit * e, h, _COMPLEX_FD.order) for e in np.eye(z.size, dtype=complex)],
-        dtype=complex,
-    )
-
-
 def complex_gradient(H, z):
-    """dH/dz_j of a holomorphic callable on C^m, slot by slot."""
-    return _complex_partials(H, np.asarray(z, dtype=complex), 1.0)
+    """dH/dz_j, slot by slot, of a stack-taking holomorphic callable on C^m at a point or a stack."""
+    Z = np.asarray(z, dtype=complex)
+    E = np.eye(Z.shape[-1], dtype=complex)
+    return _central_difference(H, Z, E, _COMPLEX_FD.spacing(Z), _COMPLEX_FD.order)
 
 
 def holomorphy_residual(H, samples):
-    """Max Cauchy-Riemann defect |dH/d(conj z_j)| of a callable over complex sample points."""
-    worst = 0.0
-    for z in samples:
-        z = np.asarray(z, dtype=complex)
-        dbar = 0.5 * (_complex_partials(H, z, 1.0) + 1j * _complex_partials(H, z, 1j))
-        worst = max(worst, float(np.max(np.abs(dbar))))
-    return worst
+    """Max Cauchy-Riemann defect |dH/d(conj z_j)| of a stack-taking callable over complex samples."""
+    Z = np.asarray(samples, dtype=complex)
+    m = Z.shape[-1]
+    E = np.eye(m, dtype=complex)
+    D = _central_difference(H, Z, np.concatenate([E, 1j * E]), _COMPLEX_FD.spacing(Z), _COMPLEX_FD.order)
+    return max_abs(0.5 * (D[..., :m] + 1j * D[..., m:]))
 
 
-def _constant(M):
+def constant(M):
+    """A callable returning M at a point and one copy of M per row of a stack."""
     M = np.asarray(M, dtype=float)
     return lambda p: M if p.ndim == 1 else np.broadcast_to(M, p.shape[:-1] + M.shape)
 
 
 def constant_matrix_field(M, fd=None, name=None):
-    return MatrixField(_constant(M), fd=fd, name=name)
+    return MatrixField(constant(M), fd=fd, name=name)
 
 
 def constant_two_form_field(W, fd=None, name=None):
-    return TwoFormField(_constant(W), fd=fd, name=name)
+    return TwoFormField(constant(W), fd=fd, name=name)

@@ -13,7 +13,8 @@ Sign conventions, fixed once for the whole package:
 The assembled fields take a point or an ``(N, dim)`` stack of points (see
 :mod:`phhs.fields`): J X contracts J and X row by row, so it evaluates a
 whole stack in one call whenever the model's J and X do; the generic
-pointwise solve for X is lifted to stacks row by row.
+pointwise solve for X is lifted to stacks row by row.  Diagnostics and
+reports evaluate their whole point set as one stack.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -32,7 +33,7 @@ from .tensors import (
     lie_derivative_matrix,
     nijenhuis,
 )
-from .util import as_point, max_abs, seeded_points
+from .util import as_point, max_abs, row_max_abs, seeded_points
 
 
 @dataclass
@@ -182,11 +183,11 @@ def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_to
 
 
 def poisson_bracket(F, G, omega, p):
-    """Omega(X_F, X_G) at p, both fields from :func:`hamiltonian_vector_field`."""
-    p = as_point(p)
+    """Omega(X_F, X_G) at a point (a float) or each row of a stack, by :func:`hamiltonian_vector_field`."""
     xf = hamiltonian_vector_field(omega, F)(p)
     xg = hamiltonian_vector_field(omega, G)(p)
-    return float(xf @ np.asarray(omega(p), dtype=float) @ xg)
+    val = np.vecdot(np.vecmat(xf, np.asarray(omega(p), dtype=float)), xg)
+    return float(val) if val.ndim == 0 else val
 
 
 def _default_samples(model, count=10, scale=0.35, seed=11):
@@ -206,11 +207,10 @@ def assemble_phhs(
     structure, or not anticompatible with Omega_R) abort the assembly; the
     remaining diagnostics are recorded in the report without being fatal.
     """
-    if samples is None:
-        samples = _default_samples(model)
+    samples = _default_samples(model) if samples is None else np.asarray(samples, dtype=float)
 
-    acs = max(acs_residual(model.J, p) for p in samples)
-    anti = max(anticompat_residual(model.omega_R, model.J, p) for p in samples)
+    acs = acs_residual(model.J, samples)
+    anti = anticompat_residual(model.omega_R, model.J, samples)
     if acs > tol_exact:
         raise ValueError(f"J fails J^2 = -1 on samples (residual {acs:.3e}); assembly aborted")
     if anti > tol_exact:
@@ -246,57 +246,33 @@ def assemble_phhs(
 
         H_I = ScalarField(rowwise(h_i_fn), fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
 
+    Jm = np.asarray(model.J(samples), dtype=float)
+    x = np.asarray(X(samples))
+    dh = model.H_R.gradient(samples) + 1j * H_I.gradient(samples)
     diagnostics = {
         "acs": acs,
         "anticompat": anti,
-        "hook_vs_solve": max(max_abs(np.asarray(X(p)) - np.asarray(X_generic(p))) for p in samples),
-        "commutator": max(max_abs(lie_bracket(X, JX, p)) for p in samples),
-        "omega_R_closed": max(max_abs(exterior_derivative_2form(model.omega_R, p)) for p in samples),
-        "omega_I_antisym": max(omega_I.antisymmetry_residual(p) for p in samples),
+        "hook_vs_solve": max_abs(x - np.asarray(X_generic(samples))),
+        "commutator": max_abs(lie_bracket(X, JX, samples)),
+        "omega_R_closed": max_abs(exterior_derivative_2form(model.omega_R, samples)),
+        "omega_I_antisym": omega_I.antisymmetry_residual(samples),
+        "pseudo_holomorphy": max_abs(matvec(Jm.swapaxes(-1, -2), dh) - 1j * dh),
+        "cr_X_omega_I_H_I": max_abs(np.asarray(hamiltonian_vector_field(omega_I, H_I)(samples)) - x),
+        "cr_X_omega_I_H_R": max_abs(
+            np.asarray(hamiltonian_vector_field(omega_I, model.H_R)(samples)) - np.asarray(JX(samples))
+        ),
+        "poisson_H_R_H_I": max_abs(poisson_bracket(model.H_R, H_I, model.omega_R, samples)),
     }
-
-    ph = 0.0
-    cr_i = 0.0
-    cr_r = 0.0
-    pb = 0.0
-    X_omega_I_H_I = hamiltonian_vector_field(omega_I, H_I)
-    X_omega_I_H_R = hamiltonian_vector_field(omega_I, model.H_R)
-    for p in samples:
-        Jm = np.asarray(model.J(p), dtype=float)
-        g_r = model.H_R.gradient(p)
-        g_i = H_I.gradient(p)
-        dh = g_r + 1j * g_i
-        ph = max(ph, max_abs(Jm.T @ dh - 1j * dh))
-        cr_i = max(cr_i, max_abs(np.asarray(X_omega_I_H_I(p)) - np.asarray(X(p))))
-        cr_r = max(cr_r, max_abs(np.asarray(X_omega_I_H_R(p)) - np.asarray(JX(p))))
-        pb = max(pb, abs(poisson_bracket(model.H_R, H_I, model.omega_R, p)))
-    diagnostics.update(
-        {
-            "pseudo_holomorphy": ph,
-            "cr_X_omega_I_H_I": cr_i,
-            "cr_X_omega_I_H_R": cr_r,
-            "poisson_H_R_H_I": pb,
-        }
-    )
     if model.lambda_R is not None:
-        diagnostics["lambda_primitive"] = max(
-            max_abs(
-                _covector_exterior_derivative(model.lambda_R, p)
-                - np.asarray(model.omega_R(p), dtype=float)
-            )
-            for p in samples
+        D = jet(model.lambda_R, samples)  # (d lam)_{ab} = d_a lam_b - d_b lam_a
+        diagnostics["lambda_primitive"] = max_abs(
+            D - D.swapaxes(-1, -2) - np.asarray(model.omega_R(samples), dtype=float)
         )
     diagnostics["tolerances"] = {"exact": tol_exact, "derived": tol_derived}
 
     return HamiltonianFields(
         model=model, X=X, JX=JX, H_I=H_I, omega_I=omega_I, alpha=alpha, diagnostics=diagnostics
     )
-
-
-def _covector_exterior_derivative(lam, p):
-    """(d lam)_{ab} = d_a lam_b - d_b lam_a via the field's stencil."""
-    D = jet(lam, p)
-    return D - D.T
 
 
 @dataclass
@@ -328,13 +304,8 @@ def integrability_report(model, grid, threshold=1e-3):
     """
     omega_I = omega_I_from(model.omega_R, model.J)
     pts = np.asarray(grid, dtype=float)
-
-    def one(p):
-        return max_abs(nijenhuis(model.J, p)), max_abs(exterior_derivative_2form(omega_I, p))
-
-    results = [one(p) for p in pts]
-    n_norms = np.array([r[0] for r in results])
-    d_norms = np.array([r[1] for r in results])
+    n_norms = row_max_abs(nijenhuis(model.J, pts))
+    d_norms = row_max_abs(exterior_derivative_2form(omega_I, pts))
     return IntegrabilityReport(pts, n_norms, d_norms, threshold)
 
 
@@ -357,9 +328,6 @@ def j_preserving_check(V, model, grid):
     """Pairs (|L_V J|, |iota_V d Omega_I|) over a grid; the two vanish together."""
     omega_I = omega_I_from(model.omega_R, model.J)
     pts = np.asarray(grid, dtype=float)
-    lie, con = [], []
-    for p in pts:
-        lie.append(max_abs(lie_derivative_matrix(V, model.J, p)))
-        T = exterior_derivative_2form(omega_I, p)
-        con.append(max_abs(interior_product_3form(T, np.asarray(V(p), dtype=float))))
-    return JPreservingReport(pts, np.array(lie), np.array(con))
+    lie = row_max_abs(lie_derivative_matrix(V, model.J, pts))
+    con = row_max_abs(interior_product_3form(exterior_derivative_2form(omega_I, pts), V(pts)))
+    return JPreservingReport(pts, lie, con)

@@ -26,6 +26,7 @@ from .errors import (
 from .expressions import parse_expression
 from .fields import (
     CovectorField,
+    Field,
     MatrixField,
     ScalarField,
     TwoFormField,
@@ -75,7 +76,8 @@ def _as_complex_hamiltonian(H, m):
     without a symbolic derivative, is the central difference at each point.
     """
     if callable(H):
-        return rowwise(H), rowwise(lambda z: complex_gradient(H, z))
+        H = rowwise(H)
+        return H, lambda z: complex_gradient(H, z)
     expr = parse_expression(H)
     names = coordinate_names(m, "complex")
     value = _compiled(expr, names, complex)
@@ -91,7 +93,7 @@ def _as_complex_hamiltonian(H, m):
             d = expr.diff(name)
             grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
-        return fn, rowwise(lambda z: complex_gradient(fn, z))
+        return fn, lambda z: complex_gradient(fn, z)
     partials = [_compiled(g, names) for g in grads]
 
     def dfn(z):
@@ -105,15 +107,18 @@ def _as_complex_hamiltonian(H, m):
 
 
 def _as_real_scalar(f, m, what="field"):
-    """Normalize a real scalar field on C^m given as a number, text or callable.
+    """Normalize a real scalar field on C^m given as a number, text, field or callable.
 
     The value and the gradient take a point (a float, a vector) or an
-    ``(N, 2m)`` stack (one value, one gradient per row).  The gradient comes
-    from the symbolic partials in x_1..x_m, y_1..y_m; it is None for
-    callables and for expressions without a symbolic derivative.  Constant
+    ``(N, 2m)`` stack (one value, one gradient per row); a field is used as
+    it is, a bare callable is lifted by :func:`rowwise`.  The gradient comes
+    from the symbolic partials in x_1..x_m, y_1..y_m; it is None for fields,
+    callables and expressions without a symbolic derivative.  Constant
     values and partials are evaluated once, when the field is built; every
     other value is checked to be real.
     """
+    if isinstance(f, Field):
+        return f, None
     if callable(f):
         return rowwise(f), None
     if isinstance(f, (int, float)):
@@ -293,9 +298,9 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
 
     def grad_r(p):
         g = complex_gradient(central_hamiltonian, to_complex(p))
-        return np.concatenate([g.real, -g.imag])
+        return np.concatenate([g.real, -g.imag], axis=-1)
 
-    H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=rowwise(grad_r), name="H_R")
+    H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=grad_r, name="H_R")
     X = VectorField(_realify_holomorphic_field(_central_v), name="X")
     model = PhhsModel(
         m=2,
@@ -569,11 +574,11 @@ def build_rotation_family(phi, name="rotation"):
     def j_phi(p):
         c = np.cos(phi_fn(p))
         s = np.sin(phi_fn(p))
-        J = np.zeros((4, 4))
-        J[:, 0] = [0.0, 0.0, c, -s]   # J(d_x1) = cos d_y1 - sin d_y2
-        J[:, 1] = [0.0, 0.0, s, c]    # J(d_x2) = sin d_y1 + cos d_y2
-        J[:, 2] = [-c, -s, 0.0, 0.0]  # J(d_y1) = -cos d_x1 - sin d_x2
-        J[:, 3] = [s, -c, 0.0, 0.0]   # J(d_y2) = sin d_x1 - cos d_x2
+        J = np.zeros(np.shape(c) + (4, 4))
+        J[..., 2, 0], J[..., 3, 0] = c, -s   # J(d_x1) = cos d_y1 - sin d_y2
+        J[..., 2, 1], J[..., 3, 1] = s, c    # J(d_x2) = sin d_y1 + cos d_y2
+        J[..., 0, 2], J[..., 1, 2] = -c, -s  # J(d_y1) = -cos d_x1 - sin d_x2
+        J[..., 0, 3], J[..., 1, 3] = s, -c   # J(d_y2) = sin d_x1 - cos d_x2
         return J
 
     return PhsmData(
@@ -590,16 +595,17 @@ def build_rotation_family(phi, name="rotation"):
 
 
 def radial_bump(center, radius):
-    """Smooth bump supported in the ball: exp(1 - 1/(1 - |p-c|^2/r^2))."""
+    """Smooth bump supported in the ball: exp(1 - 1/(1 - |p-c|^2/r^2)), a scalar field."""
     center = np.asarray(center, dtype=float)
 
     def f(p):
-        s = float(((as_point(p) - center) ** 2).sum()) / radius ** 2
-        if s >= 1.0:
-            return 0.0
-        return float(np.exp(1.0 - 1.0 / (1.0 - s)))
+        s = ((p - center) ** 2).sum(axis=-1) / radius ** 2
+        out = np.zeros(np.shape(s))
+        inside = s < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+        return out[()]
 
-    return f
+    return ScalarField(f, name="bump")
 
 
 def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=None, bump_radius=0.8):
@@ -662,15 +668,15 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
     def d_omega_formula(p):
         r = r_eps(p)
         df = eps ** 2 * f_field.gradient(p)
-        beta = np.zeros((dim, dim))
-        beta[iyn1, ix1] = 1.0
-        beta[ix1, iyn1] = -1.0
-        beta[ixn1, iy1] = -1.0 / r ** 2
-        beta[iy1, ixn1] = 1.0 / r ** 2
+        beta = np.zeros(np.shape(r) + (dim, dim))
+        beta[..., iyn1, ix1] = 1.0
+        beta[..., ix1, iyn1] = -1.0
+        beta[..., ixn1, iy1] = -1.0 / r ** 2
+        beta[..., iy1, ixn1] = 1.0 / r ** 2
         T = (
-            np.einsum("a,bc->abc", df, beta)
-            - np.einsum("b,ac->abc", df, beta)
-            + np.einsum("c,ab->abc", df, beta)
+            np.einsum("...a,...bc->...abc", df, beta)
+            - np.einsum("...b,...ac->...abc", df, beta)
+            + np.einsum("...c,...ab->...abc", df, beta)
         )
         return T
 

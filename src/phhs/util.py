@@ -76,6 +76,11 @@ def max_abs(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def row_max_abs(a):
+    """max |a| of each row of a stack ``(N, ...)``, as an ``(N,)`` array."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
 def standard_j_matrix(m):
     """Multiplication by i on R^{2m} in the (x, y) block ordering."""
     J = np.zeros((2 * m, 2 * m))

@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
-from phhs.fields import FdConfig, MatrixField, ScalarField, partial_jet
+from phhs.fields import FdConfig, MatrixField, ScalarField, partial_jet, rowwise
 from phhs.tensors import acs_residual, anticompat_residual, project_10
 from phhs.util import standard_j_matrix, standard_omega_matrix
 from phhs.fields import constant_matrix_field, constant_two_form_field
 
 
 def test_partial_jet_exact_on_polynomials():
-    f = ScalarField(lambda p: p[0] ** 2)
+    f = ScalarField(rowwise(lambda p: p[0] ** 2))
     p = np.array([3.0, 0.0, 0.0, 0.0])
     assert partial_jet(f, p, 0) == pytest.approx(6.0, abs=1e-9)
 
 
 def test_partial_jet_constant_is_exact_zero():
-    f = ScalarField(lambda p: 7.25)
+    f = ScalarField(rowwise(lambda p: 7.25))
     assert partial_jet(f, np.array([0.3, -0.4]), 1) == 0.0
 
 
 def test_partial_jet_exponential_orders():
     p = np.zeros(2)
-    f2 = ScalarField(lambda q: np.exp(q[0]), fd=FdConfig(step=1e-4, order=2))
-    f4 = ScalarField(lambda q: np.exp(q[0]), fd=FdConfig(step=1e-4, order=4))
+    f2 = ScalarField(rowwise(lambda q: np.exp(q[0])), fd=FdConfig(step=1e-4, order=2))
+    f4 = ScalarField(rowwise(lambda q: np.exp(q[0])), fd=FdConfig(step=1e-4, order=4))
     assert partial_jet(f2, p, 0) == pytest.approx(1.0, abs=1e-7)
     assert partial_jet(f4, p, 0) == pytest.approx(1.0, abs=1e-12)
 
@@ -34,7 +34,7 @@ def test_fd_config_validation():
 
 
 def test_partial_jet_axis_range():
-    f = ScalarField(lambda p: p[0])
+    f = ScalarField(rowwise(lambda p: p[0]))
     with pytest.raises(ValueError):
         partial_jet(f, np.zeros(2), 5)
 

@@ -1,11 +1,14 @@
-"""CLI outputs of the benchmark's variant-0 scenarios match ``bench/golden/`` byte for byte.
+"""CLI outputs of the benchmark's scenarios match ``bench/golden/`` byte for byte.
 
 The references were captured when the benchmark was defined, so this test
-holds every refactor to those numbers.  Every distinct scenario is in,
-the two ``bigrid`` focus scenarios among them: ``integrate`` is the one
-case where the expression-defined J_g of the twisted model runs inside
+holds every refactor to those numbers.  Every distinct variant-0 scenario
+is in, the two ``bigrid`` focus scenarios among them: ``integrate`` is the
+one case where the expression-defined J_g of the twisted model runs inside
 RK4 flows next to the quadrature primitive H_I, and ``action-check`` the
 one where a 17 x 17 grid feeds the parallelogram action and its gradient.
+The jet-bound verbs (``integrability-scan``, ``deform``,
+``connection-check``) are cheap, so their scenarios of every variant are in
+too: each variant moves the scan centers, and with them every stencil point.
 """
 
 import json
@@ -23,11 +26,16 @@ import golden  # noqa: E402
 import scenarios  # noqa: E402
 
 
+JET_VERBS = ("integrability-scan", "deform", "connection-check")
+
+
 def _cases():
     cases = {}
     for name in scenarios.FOCUS:
-        for verb, cfg in scenarios.workload(name, 0):
-            cases.setdefault(golden.key(verb, cfg), (verb, cfg))
+        for variant in range(scenarios.VARIANTS):
+            for verb, cfg in scenarios.workload(name, variant):
+                if variant == 0 or verb in JET_VERBS:
+                    cases.setdefault(golden.key(verb, cfg), (verb, cfg))
     return cases
 
 

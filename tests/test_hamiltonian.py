@@ -9,6 +9,7 @@ from phhs.fields import (
     TwoFormField,
     constant_matrix_field,
     constant_two_form_field,
+    rowwise,
 )
 from phhs.hamiltonian import (
     assemble_phhs,
@@ -51,7 +52,7 @@ def test_hamiltonian_vector_field_darboux():
     # omega = dp ^ dq, H = p^2/2 -> X = p d_q
     W = np.array([[0.0, -1.0], [1.0, 0.0]])
     omega = constant_two_form_field(W)
-    H = ScalarField(lambda p: p[1] ** 2 / 2.0)
+    H = ScalarField(rowwise(lambda p: p[1] ** 2 / 2.0))
     X = hamiltonian_vector_field(omega, H)
     out = X(np.array([0.3, 1.7]))
     assert np.allclose(out, [1.7, 0.0], atol=1e-9)
@@ -73,7 +74,7 @@ def test_hamiltonian_vector_field_central(central):
 
 def test_singular_form_raises():
     omega = constant_two_form_field(np.zeros((2, 2)))
-    H = ScalarField(lambda p: p[0])
+    H = ScalarField(rowwise(lambda p: p[0]))
     X = hamiltonian_vector_field(omega, H)
     with pytest.raises(SingularFormError):
         X(np.zeros(2))
@@ -81,7 +82,7 @@ def test_singular_form_raises():
 
 def test_primitive_of_exact_form_recovers_function():
     H = lambda p: p[0] ** 2  # noqa: E731
-    alpha = CovectorField(lambda p: np.array([2.0 * p[0], 0.0, 0.0, 0.0]))
+    alpha = CovectorField(rowwise(lambda p: np.array([2.0 * p[0], 0.0, 0.0, 0.0])))
     base = np.zeros(4)
     p = np.array([0.7, 0.1, -0.2, 0.3])
     val = primitive_scalar(alpha, base, p)
@@ -97,7 +98,7 @@ def test_primitive_matches_closed_form(proper):
 
 
 def test_non_closed_form_detected():
-    alpha = CovectorField(lambda p: np.array([0.0, p[0], 0.0, 0.0]))  # x1 dx2, not closed
+    alpha = CovectorField(rowwise(lambda p: np.array([0.0, p[0], 0.0, 0.0])))  # x1 dx2, not closed
     assert closedness_residual(alpha, np.array([0.3, 0.1, 0.2, 0.0])) > 0.1
     with pytest.raises(NonClosedFormError):
         primitive_scalar(alpha, np.zeros(4), np.ones(4))
@@ -113,8 +114,8 @@ def test_exactness_failure_of_twisted_model():
 def test_poisson_bracket_sign_convention():
     # with iota_X omega = -dH and omega = dp ^ dq: {q, p} = -1
     W = constant_two_form_field(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    q = ScalarField(lambda p: p[0])
-    pp = ScalarField(lambda p: p[1])
+    q = ScalarField(rowwise(lambda p: p[0]))
+    pp = ScalarField(rowwise(lambda p: p[1]))
     val = poisson_bracket(q, pp, W, np.array([0.2, 0.4]))
     assert val == pytest.approx(-1.0, abs=1e-9)
     assert poisson_bracket(q, q, W, np.array([0.2, 0.4])) == pytest.approx(0.0, abs=1e-12)

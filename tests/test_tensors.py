@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phhs import models
-from phhs.fields import MatrixField, TwoFormField, VectorField, constant_two_form_field
+from phhs.fields import MatrixField, TwoFormField, VectorField, constant_two_form_field, rowwise
 from phhs.hamiltonian import omega_I_from
 from phhs.tensors import (
     exterior_derivative_2form,
@@ -29,7 +29,7 @@ def test_exterior_derivative_hand_expanded():
         W[1, 0] = -p[2]
         return W
 
-    T = exterior_derivative_2form(TwoFormField(w), np.array([0.4, 0.1, -0.3, 0.2]))
+    T = exterior_derivative_2form(TwoFormField(rowwise(w)), np.array([0.4, 0.1, -0.3, 0.2]))
     comps = two_form_components(T)
     assert comps[(0, 1, 2)] == pytest.approx(1.0, abs=1e-9)
     for key, val in comps.items():
@@ -50,15 +50,15 @@ def test_exterior_derivative_twisted_form(proper):
 
 
 def test_lie_bracket_constant_fields():
-    V = VectorField(lambda p: np.array([1.0, 2.0, 3.0, 4.0]))
-    W = VectorField(lambda p: np.array([-1.0, 0.5, 0.0, 2.0]))
+    V = VectorField(rowwise(lambda p: np.array([1.0, 2.0, 3.0, 4.0])))
+    W = VectorField(rowwise(lambda p: np.array([-1.0, 0.5, 0.0, 2.0])))
     assert np.max(np.abs(lie_bracket(V, W, np.zeros(4)))) == 0.0
 
 
 def test_lie_bracket_hand_computed():
     # [x1 d_x2, d_x1] = -d_x2
-    V = VectorField(lambda p: np.array([0.0, p[0], 0.0, 0.0]))
-    W = VectorField(lambda p: np.array([1.0, 0.0, 0.0, 0.0]))
+    V = VectorField(rowwise(lambda p: np.array([0.0, p[0], 0.0, 0.0])))
+    W = VectorField(rowwise(lambda p: np.array([1.0, 0.0, 0.0, 0.0])))
     b = lie_bracket(V, W, np.array([0.7, -0.2, 0.1, 0.3]))
     assert np.allclose(b, [0.0, -1.0, 0.0, 0.0], atol=1e-9)
 
@@ -67,8 +67,8 @@ def test_lie_bracket_antisymmetric_exactly():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 4))
-    V = VectorField(lambda p: A @ p + np.sin(p))
-    W = VectorField(lambda p: B @ p + p ** 2)
+    V = VectorField(rowwise(lambda p: A @ p + np.sin(p)))
+    W = VectorField(rowwise(lambda p: B @ p + p ** 2))
     for _ in range(10):
         p = rng.standard_normal(4)
         fwd = lie_bracket(V, W, p)
