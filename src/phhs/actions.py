@@ -19,6 +19,11 @@ The complex pairing of a holomorphic primitive applied to a real velocity v
 is reconstructed from the real part alone: Lambda(v) = Lambda_R(v)
 - i Lambda_R(J v).  Proper pseudo-holomorphic systems have no imaginary
 primitive, so they only get the real-valued functionals (lambda_mode="real").
+
+Every functional evaluates the model's fields once on the whole stack of its
+nodes (segment nodes, every node of every ray, parallelogram cell
+midpoints).  Only the curve samplers call the user's curve gamma(z) one
+time-plane point at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -26,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MissingPrimitiveError
+from .fields import matvec
 from .util import as_point, from_complex, to_complex
 
 
@@ -86,18 +92,23 @@ class _Pairing:
         self.fields = fields
 
     def lam(self, p, v):
-        """Lambda(v) at p for a real velocity v."""
+        """Lambda(v) at each row of an ``(N, dim)`` stack p for real velocities v, as an ``(N,)`` array."""
         lam = np.asarray(self.lambda_R(p), dtype=float)
+        re = np.vecdot(lam, v)
         if self.mode == "real":
-            return float(lam @ np.asarray(v, dtype=float))
-        Jv = np.asarray(self.J(p), dtype=float) @ np.asarray(v, dtype=float)
-        return complex(lam @ np.asarray(v, dtype=float), -float(lam @ Jv))
+            return re
+        out = np.empty(re.shape, dtype=complex)
+        out.real = re
+        out.imag = -np.vecdot(lam, matvec(np.asarray(self.J(p), dtype=float), v))
+        return out
 
     def hamiltonian(self, p, parts="both"):
-        h_r = float(self.fields.model.H_R(p))
-        if parts == "real":
-            return complex(h_r, 0.0)
-        return complex(h_r, float(self.fields.H_I(p)))
+        """H at each row of an ``(N, dim)`` stack p, as a complex ``(N,)`` array (H_R alone for parts="real")."""
+        out = np.zeros(len(p), dtype=complex)
+        out.real = self.fields.model.H_R(p)
+        if parts != "real":
+            out.imag = self.fields.H_I(p)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +217,8 @@ def segment_action(fields, curve, alpha=0.0, lambda_mode="complex", parts="both"
     pair = _Pairing(fields, lambda_mode)
     u = curve.u_nodes
     vals = curve.values
-    h = u[1] - u[0]
-    vel = _stencil_deriv(vals, h)
-    lam_term = np.array([pair.lam(vals[k], vel[k]) for k in range(u.size)])
-    h_term = np.array([pair.hamiltonian(vals[k], parts) for k in range(u.size)])
-    return _trapz(u, lam_term) - np.exp(1j * alpha) * _trapz(u, h_term)
+    vel = _stencil_deriv(vals, u[1] - u[0])
+    return _trapz(u, pair.lam(vals, vel)) - np.exp(1j * alpha) * _trapz(u, pair.hamiltonian(vals, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +328,6 @@ def parallelogram_action(fields, curve, parts="both"):
 # ---------------------------------------------------------------------------
 
 
-def _radial_lambda_integral(pair, curve, i):
-    """Trapezoid of Lambda(d gamma / dr) along the ray alpha_i."""
-    rs = curve.radii[i]
-    vals = curve.values[i]
-    h = rs[1] - rs[0]
-    if not curve.signed:
-        # variant 1: prepend the center anchor at r = 0
-        rs = np.concatenate([[0.0], rs])
-        vals = np.concatenate([[curve.center], vals])
-    vel = _stencil_deriv(vals, h)
-    lam = np.array([pair.lam(vals[j], vel[j]) for j in range(rs.size)])
-    return _trapz(rs, lam)
-
-
-def _radial_h_integral(pair, curve, i, parts):
-    rs = curve.radii[i]
-    vals = curve.values[i]
-    hv = np.array([pair.hamiltonian(vals[j], parts) for j in range(rs.size)])
-    if curve.signed:
-        return _trapz(rs, hv)
-    ext_r = np.concatenate([[0.0], rs])
-    hv = np.concatenate([[pair.hamiltonian(curve.center, parts)], hv])
-    return _trapz(ext_r, hv)
-
-
 def star_action(fields, curve, variant, lambda_mode="complex", parts="both"):
     """Polar action over a bounded star-shaped time domain.
 
@@ -355,9 +338,18 @@ def star_action(fields, curve, variant, lambda_mode="complex", parts="both"):
     so constant curves evaluate to the Hamilton function).
     """
     pair = _Pairing(fields, lambda_mode)
-    na = curve.alphas.size
-    L = np.array([_radial_lambda_integral(pair, curve, i) for i in range(na)])
-    H = np.array([_radial_h_integral(pair, curve, i, parts) for i in range(na)])
+    rs, vals = curve.radii, curve.values  # (na, nr), (na, nr, dim)
+    h = rs[:, 1] - rs[:, 0]
+    if not curve.signed:
+        # variant 1: prepend the center anchor at r = 0 to every ray
+        na, _, dim = vals.shape
+        rs = np.concatenate([np.zeros((na, 1)), rs], axis=1)
+        vals = np.concatenate([np.broadcast_to(curve.center, (na, 1, dim)), vals], axis=1)
+    # rays on the last axis: each trapezoid sums its own ray, as a 1-d trapezoid would
+    vel = _stencil_deriv(vals.swapaxes(0, 1), h[:, None]).swapaxes(0, 1)
+    nodes, vel = vals.reshape(-1, vals.shape[-1]), vel.reshape(-1, vals.shape[-1])
+    L = np.trapezoid(pair.lam(nodes, vel).reshape(rs.shape), rs, axis=-1)
+    H = np.trapezoid(pair.hamiltonian(nodes, parts).reshape(rs.shape), rs, axis=-1)
     if variant == 1:
         if curve.signed:
             raise ValueError("variant 1 needs a full-circle polar curve")

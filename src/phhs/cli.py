@@ -25,8 +25,10 @@ error, so a misspelled key never falls back to its default):
                        tolerance_period, tolerance_area
     connection-check   metric {"kind": "euclidean" | "diag", "entries": [...],
                        "n": ...}, points (optional, dimension 2k; "diag"
-                       entries are expressions in x1..xk), holo_metric
-                       {"entries": [[...]]} (optional, expressions in z1..zn)
+                       entries are numbers or expressions in x1..xk),
+                       holo_metric {"entries": [[...]]} (optional,
+                       expressions in z1..zn); the metric builders compile
+                       the entries to functions of a whole point stack
 
 Model names: central_problem, standard_hhs (n, H), proper_phhs (f, h, H_R),
 rotation (phi), deformation (epsilon, n, hamiltonian, bump), torus
@@ -52,7 +54,7 @@ import numpy as np
 from . import models as model_lib
 from .actions import ParallelogramAction, curve_from_grid, gradient_max_norm
 from .errors import ParseError, PhhsError
-from .expressions import parse_expression
+from .expressions import compile_points
 from .flows import FlowConfig, commutation_defect, continue_along_path, flow_word, trajectory_grid
 from .hamiltonian import assemble_phhs, integrability_report, omega_I_from
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
@@ -102,9 +104,20 @@ def _require(cfg, key, verb):
     return cfg[key]
 
 
-def _compiled(text, names, cast):
-    fn = parse_expression(text).compile(names)
-    return lambda p: cast(fn(p))
+def _check(name, value, tolerance, passed=None):
+    """One ``checks`` entry; it passes when value <= tolerance unless ``passed`` says otherwise."""
+    return {
+        "name": name,
+        "value": value,
+        "tolerance": tolerance,
+        "pass": value <= tolerance if passed is None else passed,
+    }
+
+
+def _z0(cfg):
+    """The anchor time ``z0``: a number or an [re, im] pair, 0 by default."""
+    z0 = cfg.get("z0", 0.0)
+    return complex(z0[0], z0[1]) if isinstance(z0, list) else complex(z0)
 
 
 def _flow_config(cfg):
@@ -165,12 +178,10 @@ def run_integrate(cfg, outdir, scale):
     fields = assemble_phhs(model)
     fcfg = _flow_config(cfg)
     x0 = np.asarray(_require(cfg, "x0", "integrate"), dtype=float)
-    z0 = cfg.get("z0", 0.0)
-    z0 = complex(z0[0], z0[1]) if isinstance(z0, list) else complex(z0)
     grid = trajectory_grid(
         fields,
         x0,
-        z0,
+        _z0(cfg),
         tuple(_require(cfg, "t_range", "integrate")),
         tuple(_require(cfg, "s_range", "integrate")),
         int(_require(cfg, "nt", "integrate")),
@@ -193,20 +204,14 @@ def run_integrate(cfg, outdir, scale):
         rows,
     )
     tol = cfg.get("tolerances", {})
+    diag = grid.diagnostics
     checks = [
-        {
-            "name": "swap_defect",
-            "value": grid.diagnostics["swap_defect"],
-            "tolerance": scale * float(tol.get("swap", 1e-6)),
-            "pass": grid.diagnostics["swap_defect"] <= scale * float(tol.get("swap", 1e-6)),
-        },
-        {
-            "name": "energy_drift",
-            "value": max(grid.diagnostics["energy_drift_R"], grid.diagnostics["energy_drift_I"]),
-            "tolerance": scale * float(tol.get("energy", 1e-6)),
-            "pass": max(grid.diagnostics["energy_drift_R"], grid.diagnostics["energy_drift_I"])
-            <= scale * float(tol.get("energy", 1e-6)),
-        },
+        _check("swap_defect", diag["swap_defect"], scale * float(tol.get("swap", 1e-6))),
+        _check(
+            "energy_drift",
+            max(diag["energy_drift_R"], diag["energy_drift_I"]),
+            scale * float(tol.get("energy", 1e-6)),
+        ),
     ]
     summary = _resolved(cfg, "integrate", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
     summary["results"] = {
@@ -237,7 +242,7 @@ def run_foliate(cfg, outdir, scale):
         rows,
     )
     tol = scale * float(cfg.get("tolerances", {}).get("energy", 1e-6))
-    checks = [{"name": "leaf_containment", "value": drift, "tolerance": tol, "pass": drift <= tol}]
+    checks = [_check("leaf_containment", drift, tol)]
     summary = _resolved(cfg, "foliate", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
     summary["results"] = {"max_energy_drift": drift}
     return _finish(outdir, summary, checks)
@@ -256,9 +261,9 @@ def run_monodromy(cfg, outdir, scale):
     closed = float(np.max(np.abs(end - x0)))
     negated = float(np.max(np.abs(end + x0)))
     if expect == "closed":
-        checks.append({"name": "endpoint_closed", "value": closed, "tolerance": tol, "pass": closed <= tol})
+        checks.append(_check("endpoint_closed", closed, tol))
     elif expect == "negated":
-        checks.append({"name": "endpoint_negated", "value": negated, "tolerance": tol, "pass": negated <= tol})
+        checks.append(_check("endpoint_negated", negated, tol))
     summary = _resolved(cfg, "monodromy", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
     summary["results"] = {"endpoint": list(end), "closed_defect": closed, "negated_defect": negated}
     _write_csv(outdir / "endpoint.csv", [f"c{k}" for k in range(x0.size)], [list(end)])
@@ -269,8 +274,6 @@ def run_action_check(cfg, outdir, scale):
     model = model_from_config(_require(cfg, "model", "action-check"))
     fcfg = _flow_config(cfg)
     x0 = np.asarray(_require(cfg, "x0", "action-check"), dtype=float)
-    z0 = cfg.get("z0", 0.0)
-    z0 = complex(z0[0], z0[1]) if isinstance(z0, list) else complex(z0)
     nt, ns = int(cfg.get("nt", 13)), int(cfg.get("ns", 13))
     disp = cfg.get("displace")
     if disp:
@@ -284,7 +287,7 @@ def run_action_check(cfg, outdir, scale):
     grid = trajectory_grid(
         fields,
         x0,
-        z0,
+        _z0(cfg),
         tuple(cfg.get("t_range", [0.0, 1.0])),
         tuple(cfg.get("s_range", [0.0, 1.0])),
         nt,
@@ -305,9 +308,7 @@ def run_action_check(cfg, outdir, scale):
         results["displaced_gradient_norm"] = disp_norm
         results["ratio"] = ratio
         ratio_min = float(cfg.get("ratio_min", 10.0)) / scale
-        checks.append(
-            {"name": "critical_point_ratio", "value": ratio, "tolerance": ratio_min, "pass": ratio >= ratio_min}
-        )
+        checks.append(_check("critical_point_ratio", ratio, ratio_min, passed=ratio >= ratio_min))
     summary = _resolved(cfg, "action-check", {"parts": parts})
     summary["results"] = results
     return _finish(outdir, summary, checks)
@@ -329,9 +330,7 @@ def run_integrability_scan(cfg, outdir, scale):
         rows,
     )
     dichotomy = (report.max_nijenhuis <= threshold) == (report.max_d_omega_I <= threshold)
-    checks = [
-        {"name": "dichotomy", "value": float(dichotomy), "tolerance": threshold, "pass": bool(dichotomy)}
-    ]
+    checks = [_check("dichotomy", float(dichotomy), threshold, passed=bool(dichotomy))]
     summary = _resolved(cfg, "integrability-scan", {"threshold": threshold})
     summary["results"] = {
         "max_nijenhuis": report.max_nijenhuis,
@@ -365,21 +364,14 @@ def run_deform(cfg, outdir, scale):
         formula_worst = max(formula_worst, max_abs(exterior_derivative_2form(omega_I, sub) - formula(sub)))
         rows.append([eps, report.max_nijenhuis, report.max_d_omega_I, report.classification])
     _write_csv(outdir / "sweep.csv", ["epsilon", "max_nijenhuis", "max_d_omega_I", "class"], rows)
-    checks = [
-        {
-            "name": "d_omega_formula",
-            "value": formula_worst,
-            "tolerance": scale * 1e-3,
-            "pass": formula_worst <= scale * 1e-3,
-        }
-    ]
+    checks = [_check("d_omega_formula", formula_worst, scale * 1e-3)]
     summary = _resolved(cfg, "deform", {"threshold": threshold})
     summary["results"] = {"sweep": rows, "formula_residual": formula_worst}
     return _finish(outdir, summary, checks)
 
 
 def run_morse_period(cfg, outdir, scale):
-    v = _compiled(cfg.get("v", "1"), coordinate_names(1, aliases=False), float)
+    v = compile_points(cfg.get("v", "1"), coordinate_names(1, aliases=False), float)
     system = PlanarSystem(v=v, T=float(cfg.get("T", np.pi)))
     fcfg = _flow_config(cfg)
     tol_p = scale * float(cfg.get("tolerance_period", 1e-4))
@@ -399,23 +391,18 @@ def run_morse_period(cfg, outdir, scale):
         worst_a = max(worst_a, res)
         area_rows.append([float(E), area, target, res])
     _write_csv(outdir / "area_law.csv", ["E", "area", "T_times_E", "residual"], area_rows)
-    checks = [
-        {"name": "period", "value": worst_p, "tolerance": tol_p, "pass": worst_p <= tol_p},
-        {"name": "area_law", "value": worst_a, "tolerance": tol_a, "pass": worst_a <= tol_a},
-    ]
+    checks = [_check("period", worst_p, tol_p), _check("area_law", worst_a, tol_a)]
     summary = _resolved(cfg, "morse-period", {"T": system.T})
     summary["results"] = {"max_period_error": worst_p, "max_area_residual": worst_a}
     return _finish(outdir, summary, checks)
 
 
-def _metric_from_config(spec, n):
+def _metric_from_config(spec):
     kind = spec.get("kind", "euclidean")
     if kind == "euclidean":
         return conn.euclidean_metric(int(spec.get("n", 2)))
     if kind == "diag":
-        names = coordinate_names(n, "base")
-        entries = [_compiled(e, names, float) if isinstance(e, str) else float(e) for e in spec["entries"]]
-        return conn.diagonal_metric(entries)
+        return conn.diagonal_metric(spec["entries"])
     raise ConfigError(f"unknown metric kind {kind!r}")
 
 
@@ -427,8 +414,7 @@ def run_connection_check(cfg, outdir, scale):
         pts = grid_points(np.full(2 * n, 0.4), 0.2, 2)
     else:
         pts = np.asarray(pts, dtype=float)
-    # the metric is evaluated at the base half q of each cotangent point (q, p)
-    metric = _metric_from_config(spec, pts.shape[1] // 2)
+    metric = _metric_from_config(spec)
     report = conn.flatness_vs_integrability(metric, pts)
     sig, sym = conn.pairing_signature(metric, pts[0])
     results = {
@@ -437,30 +423,12 @@ def run_connection_check(cfg, outdir, scale):
         "pairing_signature": list(sig),
         "pairing_symmetry_residual": sym,
     }
-    checks = [
-        {
-            "name": "pairing_symmetric",
-            "value": sym,
-            "tolerance": scale * 1e-8,
-            "pass": sym <= scale * 1e-8,
-        }
-    ]
+    checks = [_check("pairing_symmetric", sym, scale * 1e-8)]
     if "holo_metric" in cfg:
-        rows = cfg["holo_metric"]["entries"]
-        n_h = len(rows)
-        names = coordinate_names(n_h, "complex", aliases=False)
-        entries = [[_compiled(e, names, complex) for e in row] for row in rows]
-        grid = grid_points(np.full(2 * n_h, 0.2), 0.3, 3)
-        lc = conn.holo_metric_lc_check(entries, grid)
+        entries = cfg["holo_metric"]["entries"]
+        lc = conn.holo_metric_lc_check(entries, grid_points(np.full(2 * len(entries), 0.2), 0.3, 3))
         results["lc_diff"] = lc["max_christoffel_diff"]
-        checks.append(
-            {
-                "name": "levi_civita_parts_agree",
-                "value": lc["max_christoffel_diff"],
-                "tolerance": scale * 1e-5,
-                "pass": lc["max_christoffel_diff"] <= scale * 1e-5,
-            }
-        )
+        checks.append(_check("levi_civita_parts_agree", lc["max_christoffel_diff"], scale * 1e-5))
     rows = [
         list(p) + [rn, rd]
         for p, rn, rd in zip(pts, report["curvature_norms"], report["nijenhuis_norms"])

@@ -12,16 +12,21 @@ splitting; the familiar constant block form is the special case of vanishing
 Christoffels.  Integrability of J* is equivalent to flatness of g, which the
 curvature-versus-Nijenhuis report exposes numerically.
 
-Christoffel symbols and curvature take a base point or a stack of them;
-J* and the holomorphic metric parts are built per point and lifted by rowwise.
+Everything here takes a point or a stack of points on a leading axis:
+Christoffel symbols and curvature of base points, J_nabla, J* and the
+canonical pairing of tangent and cotangent points, and the two real parts of
+a holomorphic metric.  Metric entries given as expression text are compiled
+to stack functions; only a bare callable of one point is lifted by
+:func:`~phhs.fields.rowwise`.
 """
 
 import numpy as np
 
 from .errors import SingularMetricError
-from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, rowwise
+from .expressions import compile_points
+from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, matvec, rowwise
 from .tensors import nijenhuis
-from .util import as_point, max_abs, row_max_abs, to_complex
+from .util import as_points, coordinate_names, first_row, invertible_rows, max_abs, row_max_abs, to_complex
 
 
 class MetricField(Field):
@@ -31,13 +36,15 @@ class MetricField(Field):
         super().__init__(fn, fd if fd is not None else FdConfig(step=1e-4), name)
 
     def inverse(self, x):
+        """g^{-1} at a point or at each row of a stack; a singular row is named with its point."""
         g = np.asarray(self(x), dtype=float)
         try:
             ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
-            raise SingularMetricError(f"metric singular at {x}: {exc}") from exc
-        if not np.all(np.isfinite(ginv)):
-            raise SingularMetricError(f"metric inverse non-finite at {x}")
+            raise SingularMetricError(f"metric singular at {first_row(x, ~invertible_rows(g))}: {exc}") from exc
+        finite = np.isfinite(ginv).all(axis=(-2, -1))
+        if not finite.all():
+            raise SingularMetricError(f"metric inverse non-finite at {first_row(x, ~finite)}")
         return ginv
 
     def signature(self, x):
@@ -49,12 +56,22 @@ def euclidean_metric(n):
     return MetricField(constant(np.eye(n)), name="euclidean")
 
 
+def _entry(e, names, cast):
+    """A metric entry as a stack function: text compiled against ``names``, a callable of one point lifted."""
+    if isinstance(e, str):
+        return compile_points(e, names, cast)
+    if isinstance(e, Field):
+        return e
+    if callable(e):
+        return rowwise(e)
+    c = cast(e)
+    return lambda x: np.full(x.shape[:-1], c)
+
+
 def diagonal_metric(entries):
-    """Metric diag(f_1(x), ..., f_n(x)) from per-axis constants, fields or (lifted) callables of one point."""
-    fns = [
-        e if isinstance(e, Field) else rowwise(e) if callable(e) else (lambda x, _c=float(e): _c)
-        for e in entries
-    ]
+    """Metric diag(f_1(x), ..., f_n(x)) from per-axis constants, text in x1..xn, fields or callables of one point."""
+    names = coordinate_names(len(entries), "base")
+    fns = [_entry(e, names, float) for e in entries]
 
     def fn(x):
         g = np.zeros(x.shape[:-1] + (len(fns), len(fns)))
@@ -88,58 +105,57 @@ def riemann_curvature(g, x):
 
 
 def j_tangent(g, base, fiber):
-    """J_nabla at the tangent point (base, fiber) in (x, v) block coordinates.
+    """J_nabla at the tangent point (base, fiber), or at each row of stacks, in (x, v) block coordinates.
 
     With A[j, k] = Gamma^j_{kl} v_l the horizontal lifts are
     H_k = d_x_k - A[., k] . d_v and the structure exchanges them with the
     verticals: J(V_k) = H_k, J(H_k) = -V_k, giving the block matrix
     [[A, I], [-I - A^2, -A]].
     """
-    base = as_point(base)
+    base = as_points(base)
     fiber = np.asarray(fiber, dtype=float)
-    n = base.size
-    G = christoffel(g, base)
-    A = np.einsum("jkl,l->jk", G, fiber)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = A
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n) - A @ A
-    J[n:, n:] = -A
+    n = base.shape[-1]
+    A = np.einsum("...jkl,...l->...jk", christoffel(g, base), fiber)
+    J = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    J[..., :n, :n] = A
+    J[..., :n, n:] = np.eye(n)
+    J[..., n:, :n] = -np.eye(n) - A @ A
+    J[..., n:, n:] = -A
     return J
 
 
 def _dG_blocks(g, base, fiber):
     """Differential of G(x, v) = (x, g(x) v): [[I, 0], [B, g]] with B = (dg . v)."""
-    n = base.size
-    dg = jet(g, base)  # dg[k, j, l]
-    B = np.einsum("kjl,l->jk", dg, fiber)
-    gm = np.asarray(g(base), dtype=float)
-    top = np.hstack([np.eye(n), np.zeros((n, n))])
-    bottom = np.hstack([B, gm])
-    return np.vstack([top, bottom])
+    n = base.shape[-1]
+    D = np.zeros(base.shape[:-1] + (2 * n, 2 * n))
+    D[..., :n, :n] = np.eye(n)
+    D[..., n:, :n] = np.einsum("...kjl,...l->...jk", jet(g, base), fiber)  # jet[..., k, j, l] = d_k g_jl
+    D[..., n:, n:] = g(base)
+    return D
 
 
 def j_cotangent(g, base, momentum):
-    """J* = dG o J_nabla o dG^{-1} at the cotangent point (base, momentum)."""
-    base = as_point(base)
+    """J* = dG o J_nabla o dG^{-1} at the cotangent point (base, momentum), or at each row of stacks."""
+    base = as_points(base)
     momentum = np.asarray(momentum, dtype=float)
-    fiber = g.inverse(base) @ momentum
+    fiber = matvec(g.inverse(base), momentum)
     dG = _dG_blocks(g, base, fiber)
     try:
         dG_inv = np.linalg.inv(dG)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(f"musical isomorphism singular at {base}: {exc}") from exc
+        bad = first_row(base, ~invertible_rows(dG))
+        raise SingularMetricError(f"musical isomorphism singular at {bad}: {exc}") from exc
     return dG @ j_tangent(g, base, fiber) @ dG_inv
 
 
-def j_cotangent_field(g, fd=None):
+def j_cotangent_field(g):
     """J* as a matrix field over R^{2n} points (q_1..q_n, p_1..p_n)."""
 
     def fn(qp):
-        n = qp.size // 2
-        return j_cotangent(g, qp[:n], qp[n:])
+        n = qp.shape[-1] // 2
+        return j_cotangent(g, qp[..., :n], qp[..., n:])
 
-    return MatrixField(rowwise(fn), fd=fd if fd is not None else FdConfig(step=1e-3), name="J_star")
+    return MatrixField(fn, fd=FdConfig(step=1e-3), name="J_star")
 
 
 def canonical_omega_matrix(n):
@@ -151,10 +167,10 @@ def canonical_omega_matrix(n):
 
 
 def canonical_pairing(g, qp):
-    """Matrix of omega_can(., J* .) at a cotangent point; symmetric metric."""
-    qp = as_point(qp)
-    n = qp.size // 2
-    return canonical_omega_matrix(n) @ j_cotangent(g, qp[:n], qp[n:])
+    """Matrix of omega_can(., J* .) at a cotangent point or each row of a stack; symmetric metric."""
+    qp = as_points(qp)
+    n = qp.shape[-1] // 2
+    return canonical_omega_matrix(n) @ j_cotangent(g, qp[..., :n], qp[..., n:])
 
 
 def pairing_signature(g, qp):
@@ -186,32 +202,32 @@ def holo_metric_parts(h_entries, fd=None):
     """Real metrics h_R, h_I of h = sum h_ij dz_i x dz_j on R^{2n} (x, y blocks).
 
     With h_ij = a_ij + i b_ij the real blocks are
-    h_R = [[a, -b], [-b, -a]] and h_I = [[b, a], [a, -b]].
+    h_R = [[a, -b], [-b, -a]] and h_I = [[b, a], [a, -b]].  An entry is a
+    constant, text in z1..zn or a holomorphic callable of one complex point;
+    the third value returned holds the entries as stack functions.
     """
     n = len(h_entries)
+    names = coordinate_names(n, "complex", aliases=False)
+    fns = [[_entry(e, names, complex) for e in row] for row in h_entries]
 
-    def entry(i, j):
-        e = h_entries[i][j]
-        return rowwise(e if callable(e) else (lambda z, _c=complex(e): _c))
-
-    fns = [[entry(i, j) for j in range(n)] for i in range(n)]
-
-    def complex_matrix(p):
+    def blocks(p):
         z = to_complex(p)
-        return np.array([[fns[i][j](z) for j in range(n)] for i in range(n)], dtype=complex)
+        H = np.empty(z.shape[:-1] + (n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                H[..., i, j] = fns[i][j](z)
+        return H.real, H.imag
 
     def h_r(p):
-        H = complex_matrix(p)
-        a, b = H.real, H.imag
+        a, b = blocks(p)
         return np.block([[a, -b], [-b, -a]])
 
     def h_i(p):
-        H = complex_matrix(p)
-        a, b = H.real, H.imag
+        a, b = blocks(p)
         return np.block([[b, a], [a, -b]])
 
     fd = fd if fd is not None else FdConfig(step=1e-4)
-    return MetricField(rowwise(h_r), fd=fd, name="h_R"), MetricField(rowwise(h_i), fd=fd, name="h_I"), fns
+    return MetricField(h_r, fd=fd, name="h_R"), MetricField(h_i, fd=fd, name="h_I"), fns
 
 
 def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
@@ -230,15 +246,8 @@ def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
         raise SingularMetricError(
             f"metric entries fail the Cauchy-Riemann validation (residual {res:.3e})"
         )
-    worst = 0.0
-    used = 0
-    for p in pts:
-        try:
-            diff = max_abs(christoffel(h_r, p) - christoffel(h_i, p))
-        except SingularMetricError:
-            continue
-        worst = max(worst, diff)
-        used += 1
-    if used == 0:
+    used = pts[invertible_rows(h_r(pts)) & invertible_rows(h_i(pts))]
+    if len(used) == 0:
         raise SingularMetricError("no grid point had both metric parts invertible")
-    return {"max_christoffel_diff": worst, "points_used": used, "holomorphy_residual": res}
+    diff = max_abs(christoffel(h_r, used) - christoffel(h_i, used))
+    return {"max_christoffel_diff": diff, "points_used": len(used), "holomorphy_residual": res}

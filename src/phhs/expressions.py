@@ -12,7 +12,9 @@ Functions: exp, sin, cos, sqrt, conj.  Identifiers are free names.
 :meth:`Expression.compile` binds each of them to a coordinate of one input
 vector (the name tables are :func:`phhs.util.coordinate_names`) and builds a
 plain Python function of that vector, once; an identifier the binding lacks
-is an error at that point.  ``conj`` exists so that anti-holomorphic inputs
+is an error at that point.  :func:`compile_points` is the one route from
+expression text to a field's function: it takes a point or an ``(N, dim)``
+stack of points, one per row.  ``conj`` exists so that anti-holomorphic inputs
 can be written down and rejected by the numerical validators; it has no
 symbolic derivative.
 
@@ -336,3 +338,22 @@ class Expression:
 def parse_expression(src):
     """Parse source text into an :class:`Expression`; raises ParseError."""
     return Expression(_Parser(src).parse(), src)
+
+
+def compile_points(expr, names, cast=None):
+    """Values of ``expr`` (text or parsed) at a point (a scalar) or at the rows of an ``(N, dim)`` stack.
+
+    ``names`` is the binding of :meth:`Expression.compile`.  A constant is
+    evaluated once, when the function is built, passed through ``cast`` and
+    broadcast to the input's rows.
+    """
+    if isinstance(expr, str):
+        expr = parse_expression(expr)
+    if expr.variables():
+        value = expr.compile(names)
+        # a point is read as it is: p.T would cost a view per call, and the
+        # Morse period check makes ~150k single-point calls
+        return lambda p: value(p) if p.ndim == 1 else value(p.T)
+    c = expr.compile({})(None)
+    c = c if cast is None else cast(c)
+    return lambda p: c if p.ndim == 1 else np.full(p.shape[:-1], c)

@@ -4,9 +4,14 @@ Every field wraps a callable together with an :class:`FdConfig` that fixes
 how its derivatives are approximated.  The contract: a field takes one point
 ``(dim,)`` or a stack ``(N, dim)`` of points, one per row, and on a stack
 returns one value per row, stacked on the first axis; a stack call that
-does not is a ``ValueError``.  Bare callables of one point (user input to
-the model builders and metrics) are lifted to stacks by :func:`rowwise`.  A
-stack row is bit for bit the single-point value for the built-in models and
+does not is a ``ValueError``.  Every function the package builds itself
+takes a stack; :func:`rowwise` is the user boundary only.  It lifts a bare
+callable of one point that a user hands to the model builders (through
+``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`)
+or as a metric entry (:func:`~phhs.connections.diagonal_metric`,
+:func:`~phhs.connections.holo_metric_parts`); the one other lift is the
+quadrature primitive H_I of :func:`~phhs.hamiltonian.assemble_phhs`, one
+``quad`` per point.  A stack row is bit for bit the single-point value for the built-in models and
 their documented expressions, with one exception: H_R and H_I of the central
 problem, whose complex arithmetic numpy rounds differently on a scalar and
 on an array, may move by one unit in the last place.  Other expression text

@@ -11,10 +11,11 @@ Sign conventions, fixed once for the whole package:
   Darboux pair gives {q, p} = -1.
 
 The assembled fields take a point or an ``(N, dim)`` stack of points (see
-:mod:`phhs.fields`): J X contracts J and X row by row, so it evaluates a
-whole stack in one call whenever the model's J and X do; the generic
-pointwise solve for X is lifted to stacks row by row.  Diagnostics and
-reports evaluate their whole point set as one stack.
+:mod:`phhs.fields`): J X contracts J and X row by row and the generic X is
+one batched linear solve, so each evaluates a whole stack in one call
+whenever the model's fields do.  Diagnostics, reports and the loop test of
+closedness evaluate their whole point set as one stack.  The one
+per-point lift left is the quadrature primitive H_I, one ``quad`` per point.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -33,7 +34,7 @@ from .tensors import (
     lie_derivative_matrix,
     nijenhuis,
 )
-from .util import as_point, max_abs, row_max_abs, seeded_points
+from .util import as_point, first_row, invertible_rows, max_abs, row_max_abs, seeded_points
 
 
 @dataclass
@@ -103,20 +104,21 @@ def omega_I_from(omega_R, J):
 
 
 def hamiltonian_vector_field(omega, H, name="X"):
-    """Vector field solving w(X, .) = -dH pointwise."""
+    """Vector field solving w(X, .) = -dH, one linear solve per point in one batched call."""
 
     def fn(p):
         W = np.asarray(omega(p), dtype=float)
         g = H.gradient(p)
         try:
-            x = np.linalg.solve(W, g)
+            x = np.linalg.solve(W, g[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise SingularFormError(f"2-form singular at {p}: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularFormError(f"2-form solve produced non-finite values at {p}")
+            raise SingularFormError(f"2-form singular at {first_row(p, ~invertible_rows(W))}: {exc}") from exc
+        finite = np.isfinite(x).all(axis=-1)
+        if not finite.all():
+            raise SingularFormError(f"2-form solve produced non-finite values at {first_row(p, ~finite)}")
         return x
 
-    return VectorField(rowwise(fn), fd=H.fd, name=name)
+    return VectorField(fn, fd=H.fd, name=name)
 
 
 def pairing_covector(omega, V, name="alpha"):
@@ -129,32 +131,36 @@ def pairing_covector(omega, V, name="alpha"):
     return CovectorField(fn, fd=V.fd, name=name)
 
 
-def closedness_residual(alpha, p, diameter=0.2, n_triangles=8, seed=7, n_gauss=24):
+# the loop test of closedness: random small triangles through the point
+LOOP_DIAMETER = 0.2
+LOOP_TRIANGLES = 8
+LOOP_SEED = 7
+LOOP_GAUSS = 24
+
+
+def closedness_residual(alpha, p):
     """Worst loop integral of alpha over random small triangles through p.
 
     Returns the residual scaled by triangle area; for a closed form it is the
-    quadrature noise floor, for a non-closed form the size of d(alpha).
+    quadrature noise floor, for a non-closed form the size of d(alpha).  The
+    Gauss nodes of every edge of every triangle are one stack call of alpha.
     """
     p = as_point(p)
-    rng = np.random.default_rng(seed)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    worst = 0.0
-    for _ in range(n_triangles):
-        verts = [p] + [p + 0.5 * diameter * (2.0 * rng.random(p.size) - 1.0) for _ in range(2)]
-        u = verts[1] - verts[0]
-        v = verts[2] - verts[0]
-        area = 0.5 * np.sqrt(max(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2, 0.0))
-        if area < 1e-12:
-            continue
-        loop = 0.0
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            seg = verts[b] - verts[a]
-            mid = 0.5 * (verts[a] + verts[b])
-            half = 0.5 * seg
-            vals = [np.dot(np.asarray(alpha(mid + t * half), dtype=float), seg) for t in nodes]
-            loop += 0.5 * float(np.dot(weights, vals))
-        worst = max(worst, abs(loop) / area)
-    return worst
+    dim = p.size
+    rng = np.random.default_rng(LOOP_SEED)
+    corners = p + 0.5 * LOOP_DIAMETER * (2.0 * rng.random((LOOP_TRIANGLES, 2, dim)) - 1.0)
+    verts = np.concatenate([np.broadcast_to(p, (LOOP_TRIANGLES, 1, dim)), corners], axis=1)
+    u = verts[:, 1] - verts[:, 0]
+    v = verts[:, 2] - verts[:, 0]
+    area = 0.5 * np.sqrt(np.maximum(np.vecdot(u, u) * np.vecdot(v, v) - np.vecdot(u, v) ** 2, 0.0))
+    ends = np.roll(verts, -1, axis=1)  # edges (0, 1), (1, 2), (2, 0)
+    seg = ends - verts
+    nodes, weights = np.polynomial.legendre.leggauss(LOOP_GAUSS)
+    pts = (0.5 * (verts + ends))[:, :, None] + nodes[:, None] * (0.5 * seg)[:, :, None]
+    vals = np.asarray(alpha(pts.reshape(-1, dim)), dtype=float).reshape(pts.shape)
+    loop = (0.5 * (np.vecdot(vals, seg[:, :, None]) @ weights)).sum(axis=1)
+    keep = area >= 1e-12
+    return float(np.max(np.abs(loop[keep]) / area[keep], initial=0.0))
 
 
 def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_tol=1e-11):
@@ -194,13 +200,7 @@ def _default_samples(model, count=10, scale=0.35, seed=11):
     return seeded_points(seed, count, model.dim, scale=scale, center=model.base_point)
 
 
-def assemble_phhs(
-    model,
-    samples=None,
-    tol_exact=1e-6,
-    tol_derived=1e-3,
-    check_closedness=True,
-):
+def assemble_phhs(model, samples=None, tol_exact=1e-6, check_closedness=True):
     """Produce X, JX, Omega_I, H_I and run the full diagnostic suite.
 
     Validation failures of the structure tensors (J not an almost complex
@@ -268,7 +268,6 @@ def assemble_phhs(
         diagnostics["lambda_primitive"] = max_abs(
             D - D.swapaxes(-1, -2) - np.asarray(model.omega_R(samples), dtype=float)
         )
-    diagnostics["tolerances"] = {"exact": tol_exact, "derived": tol_derived}
 
     return HamiltonianFields(
         model=model, X=X, JX=JX, H_I=H_I, omega_I=omega_I, alpha=alpha, diagnostics=diagnostics

@@ -23,7 +23,7 @@ from .errors import (
     QDependenceError,
     ZeroDenominatorError,
 )
-from .expressions import parse_expression
+from .expressions import compile_points, parse_expression
 from .fields import (
     CovectorField,
     Field,
@@ -53,20 +53,6 @@ from .util import (
 )
 
 
-def _compiled(expr, names, cast=None):
-    """Values of ``expr`` at a point (a scalar) or at the rows of an ``(N, dim)`` stack.
-
-    A constant is evaluated once, when the function is built, passed through
-    ``cast`` and broadcast to the input's rows.
-    """
-    if expr.variables():
-        value = expr.compile(names)
-        return lambda p: value(p.T)
-    c = expr.compile({})(None)
-    c = c if cast is None else cast(c)
-    return lambda p: c if p.ndim == 1 else np.full(p.shape[:-1], c)
-
-
 def _as_complex_hamiltonian(H, m):
     """Normalize a Hamiltonian on C^m given as expression text or callable.
 
@@ -80,7 +66,7 @@ def _as_complex_hamiltonian(H, m):
         return H, lambda z: complex_gradient(H, z)
     expr = parse_expression(H)
     names = coordinate_names(m, "complex")
-    value = _compiled(expr, names, complex)
+    value = compile_points(expr, names, complex)
 
     def fn(z):
         z = np.asarray(z)
@@ -94,7 +80,7 @@ def _as_complex_hamiltonian(H, m):
             grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
         return fn, lambda z: complex_gradient(fn, z)
-    partials = [_compiled(g, names) for g in grads]
+    partials = [compile_points(g, names) for g in grads]
 
     def dfn(z):
         z = np.asarray(z)
@@ -131,7 +117,7 @@ def _as_real_scalar(f, m, what="field"):
             raise ValueError(f"{what} expression {f!r} is not real-valued")
         return v.real
 
-    value = _compiled(expr, names, lambda c: float(real(np.asarray(c))))
+    value = compile_points(expr, names, lambda c: float(real(np.asarray(c))))
     if expr.variables():
 
         def fn(p):
@@ -152,7 +138,7 @@ def _as_real_scalar(f, m, what="field"):
     varying = []
     for k, d in enumerate(partials):
         if d.variables():
-            varying.append((k, _compiled(d, names)))
+            varying.append((k, compile_points(d, names)))
         else:
             const[k] = complex(d.compile({})(None)).real
 
@@ -200,8 +186,8 @@ def _standard_fields(n, H_c, dH_c):
 
 
 def _holomorphy_samples(m, seed=3, count=8, scale=0.4, center=None):
-    pts = seeded_points(seed, count, 2 * m, scale=scale, center=center)
-    return [to_complex(p) for p in pts]
+    """An ``(N, m)`` stack of complex sample points."""
+    return to_complex(seeded_points(seed, count, 2 * m, scale=scale, center=center))
 
 
 def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
@@ -388,10 +374,7 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
         dH_c = lambda z: np.concatenate([np.zeros_like(z[..., :n]), z[..., n:m]], axis=-1)  # noqa: E731
     else:
         H_c, dH_c = _as_complex_hamiltonian(H, m)
-    samples = _holomorphy_samples(m, seed=5)
-    q_dep = 0.0
-    for z in samples:
-        q_dep = max(q_dep, max_abs(dH_c(z)[:n]))
+    q_dep = max_abs(dH_c(_holomorphy_samples(m, seed=5))[..., :n])
     if q_dep > q_tol:
         raise QDependenceError(
             f"Hamiltonian varies with the position coordinates (|dH/dQ| = {q_dep:.3e}); "
@@ -550,16 +533,14 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
     h_fn, _ = _as_real_scalar(h, 2, "h")
     if samples is None:
         samples = seeded_points(17, 10, 4, scale=0.7)
+    samples = as_points(samples)
     J = standard_j_matrix(2)
-    anti = 0.0
-    square = 0.0
-    twist = 0.0
-    for p in samples:
-        I = i_g_matrix(f_fn(p), h_fn(p))
-        anti = max(anti, max_abs(I @ J + J @ I))
-        square = max(square, max_abs(I @ I + np.eye(4)))
-        twist = max(twist, max_abs(I @ J @ I - J))
-    return {"anticommutator": anti, "i_g_square": square, "twist_vs_standard": twist}
+    I = i_g_matrix(f_fn(samples), h_fn(samples))
+    return {
+        "anticommutator": max_abs(I @ J + J @ I),
+        "i_g_square": max_abs(I @ I + np.eye(4)),
+        "twist_vs_standard": max_abs(I @ J @ I - J),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,26 @@ def row_max_abs(a):
     return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
+def first_row(p, bad):
+    """Where a per-row mask ``bad`` first holds: the point ``p`` itself, or on a stack its row and point."""
+    p = np.asarray(p)
+    if p.ndim == 1:
+        return f"{p}"
+    k = int(np.argmax(bad))
+    return f"row {k} (point {p[k]})"
+
+
+def invertible_rows(M):
+    """Whether a square matrix, or each of a stack ``(N, d, d)``, has a finite inverse under ``np.linalg.inv``.
+
+    LAPACK's LU calls a matrix singular exactly when a pivot is zero, which
+    is when the determinant, the product of the pivots, is zero.
+    """
+    ok = np.asarray(np.linalg.det(M) != 0.0)
+    ok[ok] = np.isfinite(np.linalg.inv(M[ok])).all(axis=(-2, -1))
+    return ok
+
+
 def standard_j_matrix(m):
     """Multiplication by i on R^{2m} in the (x, y) block ordering."""
     J = np.zeros((2 * m, 2 * m))

@@ -30,7 +30,7 @@ def test_segment_action_circle_orbit_balance():
     # the area term matches T E so the real action vanishes.  A two-real-
     # dimensional patch admits no anticompatible structure, so the field
     # bundle is assembled by hand for the real-valued functional.
-    from phhs.fields import CovectorField, ScalarField, constant_two_form_field
+    from phhs.fields import CovectorField, ScalarField, constant_two_form_field, rowwise
     from phhs.hamiltonian import HamiltonianFields
 
     T = 2.0
@@ -39,8 +39,8 @@ def test_segment_action_circle_orbit_balance():
         m=1,
         J=None,
         omega_R=constant_two_form_field(W),
-        H_R=ScalarField(lambda p: np.pi * (p[0] ** 2 + p[1] ** 2) / T),
-        lambda_R=CovectorField(lambda p: np.array([p[1], 0.0])),  # p dq
+        H_R=ScalarField(rowwise(lambda p: np.pi * (p[0] ** 2 + p[1] ** 2) / T)),
+        lambda_R=CovectorField(rowwise(lambda p: np.array([p[1], 0.0]))),  # p dq
         name="planar_rhs",
     )
     fields = HamiltonianFields(

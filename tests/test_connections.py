@@ -111,6 +111,14 @@ def test_holo_metric_constant_is_trivially_flat():
     assert out["max_christoffel_diff"] < 1e-12
 
 
+def test_holo_metric_skips_exactly_the_singular_nodes():
+    # h = diag(1, z1) is degenerate on z1 = 0: the 9 of the 81 nodes with x1 = y1 = 0
+    h = [[1, 0], [0, lambda z: z[0]]]
+    out = conn.holo_metric_lc_check(h, grid_points(np.zeros(4), 0.4, 3))
+    assert out["points_used"] == 72
+    assert out["max_christoffel_diff"] < 1e-5
+
+
 def test_holo_metric_rejects_antiholomorphic_entries():
     h = [[lambda z: 1.0, lambda z: 0.0], [lambda z: 0.0, lambda z: np.exp(np.conj(z[0]))]]
     grid = grid_points(np.zeros(4), 0.4, 2)

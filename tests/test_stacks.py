@@ -19,7 +19,7 @@ from phhs import models
 from phhs.errors import NonFiniteStateError
 from phhs.fields import FdConfig, ScalarField, VectorField, complex_gradient, jet, partial_jet, rowwise
 from phhs.flows import FlowConfig, flow, trajectory_grid
-from phhs.hamiltonian import HamiltonianFields, assemble_phhs, omega_I_from
+from phhs.hamiltonian import HamiltonianFields, assemble_phhs, hamiltonian_vector_field, omega_I_from
 from phhs.tensors import exterior_derivative_2form, lie_bracket, lie_derivative_matrix, nijenhuis
 from phhs.util import seeded_points, to_complex
 
@@ -247,6 +247,19 @@ def test_christoffel_and_curvature_on_a_stack_equal_single_points():
     _rows_equal(lambda x: jet(CURVED, x), X)
     _rows_equal(lambda x: conn.christoffel(CURVED, x), X)
     _rows_equal(lambda x: conn.riemann_curvature(CURVED, x), X)
+    # cotangent points (q, p) and the structures built on them
+    QP = np.hstack([X, _points(2, seed=37)])
+    _rows_equal(lambda qp: conn.j_tangent(CURVED, qp[..., :2], qp[..., 2:]), QP)
+    _rows_equal(lambda qp: conn.j_cotangent(CURVED, qp[..., :2], qp[..., 2:]), QP)
+    _rows_equal(conn.j_cotangent_field(CURVED), QP)
+    _rows_equal(lambda qp: conn.canonical_pairing(CURVED, qp), QP)
+    # a holomorphic metric from text and from a callable of one point
+    h_r, h_i, _ = conn.holo_metric_parts([["1", lambda z: 0.3 * z[1]], [lambda z: 0.3 * z[1], "exp(z1)"]])
+    _rows_equal(h_r, QP)
+    _rows_equal(h_i, QP)
+    # the generic X: one batched solve of a point-dependent 2-form
+    fields = assemble_phhs(ZOO["twisted"])
+    _rows_equal(hamiltonian_vector_field(fields.omega_I, fields.H_I), _points(4))
 
 
 @pytest.mark.parametrize(
