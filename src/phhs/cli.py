@@ -54,12 +54,11 @@ import numpy as np
 from . import models as model_lib
 from .actions import ParallelogramAction, curve_from_grid, gradient_max_norm
 from .errors import ParseError, PhhsError
-from .expressions import compile_points
 from .flows import FlowConfig, commutation_defect, continue_along_path, flow_word, trajectory_grid
 from .hamiltonian import assemble_phhs, integrability_report, omega_I_from
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
 from .tensors import exterior_derivative_2form
-from .util import coordinate_names, grid_points, max_abs
+from .util import grid_points, max_abs
 from . import connections as conn
 
 FMT = "%.17g"
@@ -371,8 +370,7 @@ def run_deform(cfg, outdir, scale):
 
 
 def run_morse_period(cfg, outdir, scale):
-    v = compile_points(cfg.get("v", "1"), coordinate_names(1, aliases=False), float)
-    system = PlanarSystem(v=v, T=float(cfg.get("T", np.pi)))
+    system = PlanarSystem(v=cfg.get("v", "1"), T=float(cfg.get("T", np.pi)))
     fcfg = _flow_config(cfg)
     tol_p = scale * float(cfg.get("tolerance_period", 1e-4))
     tol_a = scale * float(cfg.get("tolerance_area", 1e-4))
@@ -489,6 +487,10 @@ def main(argv=None):
                 f"it accepts {sorted(KEYS[args.verb])}"
             )
         return VERBS[args.verb](cfg, outdir, args.tolerance_scale)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but raised by a numerical singularity, not by the scenario
+        print(f"phhs: runtime failure: LinAlgError: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ParseError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"phhs: configuration error: {exc}", file=sys.stderr)
         return 3

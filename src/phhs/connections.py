@@ -23,8 +23,7 @@ to stack functions; only a bare callable of one point is lifted by
 import numpy as np
 
 from .errors import SingularMetricError
-from .expressions import compile_points
-from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, matvec, rowwise
+from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, matvec, stack_function
 from .tensors import nijenhuis
 from .util import as_points, coordinate_names, first_row, invertible_rows, max_abs, row_max_abs, to_complex
 
@@ -56,22 +55,10 @@ def euclidean_metric(n):
     return MetricField(constant(np.eye(n)), name="euclidean")
 
 
-def _entry(e, names, cast):
-    """A metric entry as a stack function: text compiled against ``names``, a callable of one point lifted."""
-    if isinstance(e, str):
-        return compile_points(e, names, cast)
-    if isinstance(e, Field):
-        return e
-    if callable(e):
-        return rowwise(e)
-    c = cast(e)
-    return lambda x: np.full(x.shape[:-1], c)
-
-
 def diagonal_metric(entries):
     """Metric diag(f_1(x), ..., f_n(x)) from per-axis constants, text in x1..xn, fields or callables of one point."""
     names = coordinate_names(len(entries), "base")
-    fns = [_entry(e, names, float) for e in entries]
+    fns = [stack_function(e, names, float) for e in entries]
 
     def fn(x):
         g = np.zeros(x.shape[:-1] + (len(fns), len(fns)))
@@ -203,12 +190,16 @@ def holo_metric_parts(h_entries, fd=None):
 
     With h_ij = a_ij + i b_ij the real blocks are
     h_R = [[a, -b], [-b, -a]] and h_I = [[b, a], [a, -b]].  An entry is a
-    constant, text in z1..zn or a holomorphic callable of one complex point;
-    the third value returned holds the entries as stack functions.
+    constant, text in z1..zn or a holomorphic callable of one complex point,
+    but not a Field, which casts its points to float; the third value
+    returned holds the entries as stack functions.
     """
     n = len(h_entries)
     names = coordinate_names(n, "complex", aliases=False)
-    fns = [[_entry(e, names, complex) for e in row] for row in h_entries]
+    if any(isinstance(e, Field) for row in h_entries for e in row):
+        raise TypeError("a holomorphic metric entry is a Field, which casts its complex points to float "
+                        "and drops Im z; pass text in z1..zn or a callable of complex points instead")
+    fns = [[stack_function(e, names, complex) for e in row] for row in h_entries]
 
     def blocks(p):
         z = to_complex(p)

@@ -7,9 +7,11 @@ returns one value per row, stacked on the first axis; a stack call that
 does not is a ``ValueError``.  Every function the package builds itself
 takes a stack; :func:`rowwise` is the user boundary only.  It lifts a bare
 callable of one point that a user hands to the model builders (through
-``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`)
-or as a metric entry (:func:`~phhs.connections.diagonal_metric`,
-:func:`~phhs.connections.holo_metric_parts`); the one other lift is the
+``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`),
+as a metric entry (:func:`~phhs.connections.diagonal_metric`,
+:func:`~phhs.connections.holo_metric_parts`) or as the conformal factor
+``v`` of :class:`~phhs.morse.PlanarSystem`, the last two through
+:func:`stack_function`, which also compiles text; the one other lift is the
 quadrature primitive H_I of :func:`~phhs.hamiltonian.assemble_phhs`, one
 ``quad`` per point.  A stack row is bit for bit the single-point value for the built-in models and
 their documented expressions, with one exception: H_R and H_I of the central
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import compile_points
 from .util import as_points, max_abs
 
 
@@ -64,6 +67,23 @@ def rowwise(fn):
         return fn(p) if p.ndim == 1 else np.array([fn(q) for q in p])
 
     return lifted
+
+
+def stack_function(entry, names, cast):
+    """A user entry as a stack function.
+
+    A constant is broadcast, text is compiled against ``names``
+    (:func:`~phhs.expressions.compile_points`), a Field is taken as it is and
+    a callable of one point is lifted by :func:`rowwise`.
+    """
+    if isinstance(entry, str):
+        return compile_points(entry, names, cast)
+    if isinstance(entry, Field):
+        return entry
+    if callable(entry):
+        return rowwise(entry)
+    c = cast(entry)
+    return lambda p: np.full(p.shape[:-1], c)
 
 
 def matvec(M, v):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phhs import models
-from phhs.cli import KEYS, main
+from phhs.cli import KEYS, VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
 
@@ -288,3 +288,27 @@ def test_action_check_rejects_a_displacement_off_the_grid(tmp_path, capsys, disp
     assert main(["action-check", "--config", cfg, "--out", str(out)]) == 3
     assert f"displace {what}" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_linalg_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, but a singular solve is not a configuration error
+    def singular(cfg, outdir, scale):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(VERBS, "integrate", singular)
+    cfg = write_config(tmp_path, "cfg.json", {})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "LinAlgError: Singular matrix" in err
+
+
+def test_non_positive_conformal_factor_exits_4_and_names_the_point(tmp_path, capsys):
+    # at the default step budget this orbit used to run for minutes before giving up
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {"v": "x1 - 0.3", "T": np.pi, "radii": [0.5], "energies": [0.1], "flow": {"max_steps": 20000}},
+    )
+    assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "ZeroDenominatorError" in err and "at point [" in err

@@ -3,6 +3,7 @@ import pytest
 
 from phhs import connections as conn
 from phhs.errors import SingularMetricError
+from phhs.fields import ScalarField
 from phhs.tensors import nijenhuis
 from phhs.util import grid_points
 
@@ -130,3 +131,13 @@ def test_singular_metric_raises():
     g = conn.diagonal_metric([lambda x: x[0], 1.0])  # degenerate at x1 = 0
     with pytest.raises(SingularMetricError):
         conn.christoffel(g, np.array([0.0, 0.3]))
+
+
+def test_holo_metric_rejects_a_field_entry():
+    # a Field casts its points to float, which would drop Im z of every complex point
+    h = [[1, 0], [0, ScalarField(lambda z: np.exp(z[..., 0]))]]
+    with pytest.raises(TypeError, match="text in z1..zn or a callable of complex points"):
+        conn.holo_metric_lc_check(h, grid_points(np.full(4, 0.2), 0.3, 3))
+    # the same entry as text passes the check
+    out = conn.holo_metric_lc_check([[1, 0], [0, "exp(z1)"]], grid_points(np.full(4, 0.2), 0.3, 3))
+    assert out["max_christoffel_diff"] < 1e-5
