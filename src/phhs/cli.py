@@ -7,7 +7,8 @@ A scenario is one JSON document.  Shared keys:
     tolerances  : {"swap": ..., "energy": ...} thresholds (optional)
 
 Verbs and their keys (``KEYS``; any other top-level key is a configuration
-error, so a misspelled key never falls back to its default):
+error, so a misspelled key never falls back to its default; the same holds
+for the keys of the nested objects, ``NESTED`` and ``MODEL_KEYS``):
 
     integrate          model, flow, tolerances, x0, z0 ([re, im] or number),
                        t_range, s_range, nt, ns
@@ -97,6 +98,15 @@ class ConfigError(Exception):
     pass
 
 
+def _check_keys(spec, allowed, what):
+    """Raise unless ``spec`` is an object whose keys all lie in ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}; it accepts {sorted(allowed)}")
+
+
 def _require(cfg, key, verb):
     if key not in cfg:
         raise ConfigError(f"scenario for {verb!r} is missing the key {key!r}")
@@ -120,14 +130,29 @@ def _z0(cfg):
 
 
 def _flow_config(cfg):
-    f = dict(cfg.get("flow", {}))
+    f = cfg.get("flow") or {}
     return FlowConfig(dt=float(f.get("dt", 1e-3)), max_step_count=int(f.get("max_steps", 5_000_000)))
+
+
+# the parameters each model name takes, besides "name"
+MODEL_KEYS = {
+    "central_problem": set(),
+    "standard_hhs": {"n", "H"},
+    "proper_phhs": {"f", "h", "H_R"},
+    "rotation": {"phi"},
+    "deformation": {"epsilon", "n", "hamiltonian", "bump"},
+    "torus": {"generators", "H"},
+}
+_BUMP = {"center", "radius"}
 
 
 def model_from_config(spec):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("model must be an object with a 'name'")
     name = spec["name"]
+    if name not in MODEL_KEYS:
+        raise ConfigError(f"unknown model {name!r}")
+    _check_keys(spec, {"name"} | MODEL_KEYS[name], f"model {name!r}")
     if name == "central_problem":
         return model_lib.build_central_problem()
     if name == "standard_hhs":
@@ -140,6 +165,7 @@ def model_from_config(spec):
         return model_lib.build_rotation_family(spec.get("phi", "0"))
     if name == "deformation":
         bump = spec.get("bump", {})
+        _check_keys(bump, _BUMP, "model bump")
         return model_lib.build_deformation(
             float(spec.get("epsilon", 0.0)),
             n=int(spec.get("n", 1)),
@@ -147,10 +173,8 @@ def model_from_config(spec):
             bump_center=bump.get("center"),
             bump_radius=float(bump.get("radius", 0.8)),
         )
-    if name == "torus":
-        lattice = model_lib.Lattice(np.asarray(spec["generators"], dtype=float))
-        return model_lib.build_torus_model(lattice, H=spec.get("H"))
-    raise ConfigError(f"unknown model {name!r}")
+    lattice = model_lib.Lattice(np.asarray(spec["generators"], dtype=float))
+    return model_lib.build_torus_model(lattice, H=spec.get("H"))
 
 
 def _resolved(cfg, verb, defaults):
@@ -202,7 +226,7 @@ def run_integrate(cfg, outdir, scale):
         ["i", "j", "t", "s"] + [f"c{k}" for k in range(dim)] + ["cr_residual"],
         rows,
     )
-    tol = cfg.get("tolerances", {})
+    tol = cfg.get("tolerances") or {}
     diag = grid.diagnostics
     checks = [
         _check("swap_defect", diag["swap_defect"], scale * float(tol.get("swap", 1e-6))),
@@ -240,7 +264,7 @@ def run_foliate(cfg, outdir, scale):
         ["word"] + [f"c{k}" for k in range(x0.size)] + ["drift_H_R", "drift_H_I"],
         rows,
     )
-    tol = scale * float(cfg.get("tolerances", {}).get("energy", 1e-6))
+    tol = scale * float((cfg.get("tolerances") or {}).get("energy", 1e-6))
     checks = [_check("leaf_containment", drift, tol)]
     summary = _resolved(cfg, "foliate", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
     summary["results"] = {"max_energy_drift": drift}
@@ -342,7 +366,7 @@ def run_integrability_scan(cfg, outdir, scale):
 def run_deform(cfg, outdir, scale):
     eps_list = [float(e) for e in cfg.get("epsilons", [0.0, 0.5])]
     n = int(cfg.get("n", 1))
-    bump = cfg.get("bump", {})
+    bump = cfg.get("bump") or {}
     center = np.asarray(cfg.get("center", [0.0] * (4 * n)), dtype=float)
     pts = grid_points(center, float(cfg.get("half_width", 1.2)), int(cfg.get("per_axis", 5)))
     threshold = scale * float(cfg.get("threshold", 1e-3))
@@ -454,6 +478,19 @@ KEYS = {
     "connection-check": {"metric", "points", "holo_metric"},
 }
 
+# the keys of the nested objects each verb reads (a model's: MODEL_KEYS)
+_FLOW = {"flow": {"dt", "max_steps"}}
+NESTED = {
+    "integrate": _FLOW | {"tolerances": {"swap", "energy"}},
+    "foliate": _FLOW | {"tolerances": {"energy"}},
+    "monodromy": _FLOW,
+    "action-check": _FLOW | {"displace": {"node", "coord", "amount"}},
+    "integrability-scan": {},
+    "deform": {"bump": _BUMP},
+    "morse-period": _FLOW,
+    "connection-check": {"metric": {"kind", "entries", "n"}, "holo_metric": {"entries"}},
+}
+
 VERBS = {
     "integrate": run_integrate,
     "foliate": run_foliate,
@@ -480,12 +517,10 @@ def main(argv=None):
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("the scenario document must be a JSON object")
-        unknown = sorted(set(cfg) - KEYS[args.verb])
-        if unknown:
-            raise ConfigError(
-                f"scenario for {args.verb!r} has unknown keys {unknown}; "
-                f"it accepts {sorted(KEYS[args.verb])}"
-            )
+        _check_keys(cfg, KEYS[args.verb], f"scenario for {args.verb!r}")
+        for key, allowed in NESTED[args.verb].items():
+            if cfg.get(key) is not None:
+                _check_keys(cfg[key], allowed, key)
         return VERBS[args.verb](cfg, outdir, args.tolerance_scale)
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but raised by a numerical singularity, not by the scenario

@@ -20,6 +20,10 @@ on an array, may move by one unit in the last place.  Other expression text
 may round differently in the last bit on a stack for the same reason (some
 real powers and complex products).
 
+A vector field that is the real form of a holomorphic map w on C^m carries
+w as its ``complex_form`` (the models with J = i set it); the flows then
+step the complex state z = x + i y with w and never call the field itself.
+
 This is the only module that knows the central-difference stencil: axis
 partials of fields (:func:`jet`, :func:`partial_jet`) and derivatives of
 holomorphic callables along complex directions (:func:`complex_gradient`,
@@ -125,7 +129,17 @@ class ScalarField(Field):
 
 
 class VectorField(Field):
-    """Real vector field, returned in coordinate components."""
+    """Real vector field, returned in coordinate components.
+
+    ``complex_form``, when given, is a stack function w on C^m, taking and
+    returning complex ``(..., m)`` arrays, whose real form the field is: the
+    field at (x, y) is (Re w(z), Im w(z)) with z = x + i y.  The flows step
+    such a field on the complex state z (:mod:`phhs.flows`).
+    """
+
+    def __init__(self, fn, fd=None, name=None, complex_form=None):
+        super().__init__(fn, fd, name)
+        self.complex_form = complex_form
 
 
 class CovectorField(Field):
@@ -133,7 +147,13 @@ class CovectorField(Field):
 
 
 class MatrixField(Field):
-    """(1,1)-tensor field; columns of the matrix are images of basis vectors."""
+    """(1,1)-tensor field; columns of the matrix are images of basis vectors.
+
+    ``matrix`` is the matrix of a constant field built by
+    :func:`constant_matrix_field`, and None otherwise.
+    """
+
+    matrix = None
 
 
 class TwoFormField(Field):
@@ -209,7 +229,9 @@ def constant(M):
 
 
 def constant_matrix_field(M, fd=None, name=None):
-    return MatrixField(constant(M), fd=fd, name=name)
+    field = MatrixField(constant(M), fd=fd, name=name)
+    field.matrix = np.asarray(M, dtype=float)
+    return field
 
 
 def constant_two_form_field(W, fd=None, name=None):

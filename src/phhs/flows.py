@@ -13,6 +13,16 @@ since every row takes exactly the steps it would take alone, each node is
 the value a flow of its own column gives.  Its monitors take H_R on all
 nodes and J on the interior nodes as one stack each.
 
+A field that is the real form of a holomorphic w on C^m (J = i; see
+``VectorField.complex_form``) is flowed on the complex state z = x + i y:
+the state is converted once when a flow starts and once when it ends, and
+every stage calls w on z directly, with no real/complex round trip and no
+J matrix.  The same :func:`rk4_step` advances both states; the stage
+arithmetic is the real one component by component, so the endpoints are
+bit for bit those of the real path.  The combination a X + b J X is
+a w + (i b) w on that path, two terms as on the real one: a single
+(a + i b) w rounds differently.
+
 Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
 for t and then J X for s from the anchor; paths in the complex time plane
 are polylines integrated segment by segment.
@@ -24,7 +34,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
 from .fields import VectorField, matvec
-from .util import as_point, as_points
+from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
 
@@ -45,12 +55,17 @@ class FlowConfig:
 def _check_state(y, step, h):
     """Raise if the state after ``step`` steps of size ``h`` left the finite box.
 
-    The error names the step, the flow time reached and, for a stack, the
-    first row that left (and its state).
+    The box bounds every real component, of a complex state too.  The error
+    names the step, the flow time reached and, for a stack, the first row
+    that left (and its state, in the real (x, y) layout).
     """
-    # NaN fails the comparison, so this also rejects non-finite entries
-    if np.abs(y).max() <= BLOWUP:
+    # NaN fails the comparisons, so this also rejects non-finite entries; |z|
+    # bounds both parts of a complex entry, so only a state with some |z| past
+    # the bound needs the check of the float view
+    if np.abs(y).max() <= BLOWUP or np.abs(y.view(float)).max() <= BLOWUP:
         return
+    if y.dtype.kind == "c":
+        y = from_complex(y)
     where = f"at step {step} (flow time {step * h:.17g})"
     row = None
     if y.ndim == 2:
@@ -65,22 +80,25 @@ def _check_state(y, step, h):
 def rk4_step(V, y, h):
     """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
 
-    ``y`` is a point or an ``(N, dim)`` stack; V must take the same shape.
+    ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
+    the same shape, and the stages keep the dtype of ``y``.
     """
-    k1 = np.asarray(V(y), dtype=float)
-    k2 = np.asarray(V(y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(V(y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(V(y + h * k3), dtype=float)
+    k1 = np.asarray(V(y), dtype=y.dtype)
+    k2 = np.asarray(V(y + 0.5 * h * k1), dtype=y.dtype)
+    k3 = np.asarray(V(y + 0.5 * h * k2), dtype=y.dtype)
+    k4 = np.asarray(V(y + h * k3), dtype=y.dtype)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4(V, x0, t, n_steps):
-    y = np.array(x0, dtype=float)
+    """Endpoint of n_steps RK4 steps; a field with a complex form steps z = x + i y."""
+    w = getattr(V, "complex_form", None)
+    F, y = (V, np.array(x0, dtype=float)) if w is None else (w, to_complex(x0))
     h = t / n_steps
     for step in range(1, n_steps + 1):
-        y = rk4_step(V, y, h)
+        y = rk4_step(F, y, h)
         _check_state(y, step, h)
-    return y
+    return y if w is None else from_complex(y)
 
 
 def _steps_for(t, cfg):
@@ -224,13 +242,21 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
 
 
 def _combo_field(fields, a, b):
-    """a X + b J X, with X evaluated once per call."""
+    """a X + b J X, with X evaluated once per call; a w + (i b) w on z when J X has a complex form."""
 
     def fn(p):
         x = np.asarray(fields.X(p), dtype=float)
         return a * x + b * matvec(np.asarray(fields.model.J(p), dtype=float), x)
 
-    return VectorField(fn, fd=fields.X.fd, name="combo")
+    if fields.JX.complex_form is None:
+        return VectorField(fn, fd=fields.X.fd, name="combo")
+    w = fields.X.complex_form
+
+    def complex_fn(z):
+        v = w(z)
+        return a * v + (1j * b) * v
+
+    return VectorField(fn, fd=fields.X.fd, name="combo", complex_form=complex_fn)
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

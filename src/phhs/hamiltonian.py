@@ -16,6 +16,11 @@ one batched linear solve, so each evaluates a whole stack in one call
 whenever the model's fields do.  Diagnostics, reports and the loop test of
 closedness evaluate their whole point set as one stack.  The one
 per-point lift left is the quadrature primitive H_I, one ``quad`` per point.
+
+When X is the real form of a holomorphic w (``VectorField.complex_form``)
+and J is the constant structure i (:func:`~phhs.util.standard_j_matrix`,
+known from the matrix of a :func:`~phhs.fields.constant_matrix_field`, not
+from samples), J X gets the complex form i w.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -34,7 +39,7 @@ from .tensors import (
     lie_derivative_matrix,
     nijenhuis,
 )
-from .util import as_point, first_row, invertible_rows, max_abs, row_max_abs, seeded_points
+from .util import as_point, first_row, invertible_rows, max_abs, row_max_abs, seeded_points, standard_j_matrix
 
 
 @dataclass
@@ -224,7 +229,9 @@ def assemble_phhs(model, samples=None, tol_exact=1e-6, check_closedness=True):
     def jx_fn(p):
         return matvec(np.asarray(model.J(p), dtype=float), np.asarray(X(p), dtype=float))
 
-    JX = VectorField(jx_fn, fd=X.fd, name="JX")
+    w = getattr(X, "complex_form", None)
+    j_is_i = w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m))
+    JX = VectorField(jx_fn, fd=X.fd, name="JX", complex_form=(lambda z: 1j * w(z)) if j_is_i else None)
     omega_I = omega_I_from(model.omega_R, model.J)
     alpha = pairing_covector(model.omega_R, JX, name="omega_R(JX,.)")
 

@@ -43,6 +43,7 @@ from .util import (
     as_point,
     as_points,
     coordinate_names,
+    first_row,
     from_complex,
     max_abs,
     seeded_points,
@@ -153,13 +154,13 @@ def _as_real_scalar(f, m, what="field"):
 
 
 def _realify_holomorphic_field(V):
-    """Real vector field of a holomorphic one: components (Re V, Im V)."""
+    """The field X of a holomorphic V: components (Re V, Im V), with V as its complex form."""
 
     def fn(p):
         v = V(to_complex(p))
         return from_complex(np.asarray(v, dtype=complex))
 
-    return fn
+    return VectorField(fn, name="X", complex_form=V)
 
 
 def _standard_fields(n, H_c, dH_c):
@@ -170,7 +171,7 @@ def _standard_fields(n, H_c, dH_c):
         g = dH_c(z)
         return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
 
-    X = VectorField(_realify_holomorphic_field(v_c), name="X")
+    X = _realify_holomorphic_field(v_c)
 
     def grad_r(p):
         g = dH_c(to_complex(p))
@@ -235,7 +236,9 @@ def _central_v(z):
     # below this floor the momentum derivative exceeds the flow blow-up guard
     too_close = abs(Q) < 1.4e-3
     if too_close.any() if too_close.ndim else too_close:
-        raise NonFiniteStateError("central problem evaluated too close to the Q = 0 locus")
+        raise NonFiniteStateError(
+            f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}"
+        )
     return np.array([P, -1.0 / (4.0 * Q ** 3)], dtype=complex).T
 
 
@@ -287,7 +290,7 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
         return np.concatenate([g.real, -g.imag], axis=-1)
 
     H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=grad_r, name="H_R")
-    X = VectorField(_realify_holomorphic_field(_central_v), name="X")
+    X = _realify_holomorphic_field(_central_v)
     model = PhhsModel(
         m=2,
         J=constant_matrix_field(standard_j_matrix(2), name="J"),

@@ -312,3 +312,65 @@ def test_non_positive_conformal_factor_exits_4_and_names_the_point(tmp_path, cap
     assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "ZeroDenominatorError" in err and "at point [" in err
+
+
+_CENTRAL = {"name": "central_problem"}
+_OSCILLATOR = {"name": "standard_hhs", "n": 1, "H": "(P1^2 + Q1^2)/2"}
+_GRID = {"x0": [0.4, 0.3, 0.1, -0.2], "t_range": [0.0, 0.5], "s_range": [0.0, 0.5], "nt": 5, "ns": 5}
+
+
+@pytest.mark.parametrize(
+    "verb, scenario, what, key",
+    [
+        (
+            "monodromy",
+            {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "path": [[0, 0], [0.1, 0]], "flow": {"dtt": 0.5}},
+            "flow",
+            "dtt",
+        ),
+        (
+            "foliate",
+            {"model": {"name": "central_problem", "H": "P1^2"}, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]]]},
+            "model 'central_problem'",
+            "H",
+        ),
+        ("integrability-scan", {"model": {"name": "proper_phhs", "hh": "1"}}, "model 'proper_phhs'", "hh"),
+        ("integrate", {"model": {"name": "standard_hhs", "n": 1, "h": "P1"}, **_GRID}, "model 'standard_hhs'", "h"),
+        (
+            "integrability-scan",
+            {"model": {"name": "deformation", "epsilon": 0.5, "bump": {"radiu": 0.5}}},
+            "model bump",
+            "radiu",
+        ),
+        ("integrate", {"model": _OSCILLATOR, **_GRID, "tolerances": {"swapp": 1e-6}}, "tolerances", "swapp"),
+        (
+            "foliate",
+            {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]]], "tolerances": {"swap": 1.0}},
+            "tolerances",
+            "swap",
+        ),
+        ("action-check", {"model": _OSCILLATOR, **_GRID, "displace": {"nodes": [2, 2]}}, "displace", "nodes"),
+        ("deform", {"bump": {"radius": 0.8, "centre": [0, 0, 0, 0]}}, "bump", "centre"),
+        ("connection-check", {"metric": {"kind": "euclidean", "dim": 2}}, "metric", "dim"),
+        (
+            "connection-check",
+            {"metric": {"kind": "euclidean"}, "holo_metric": {"entry": [["1"]]}},
+            "holo_metric",
+            "entry",
+        ),
+    ],
+)
+def test_unknown_nested_key_exits_3_and_names_it(tmp_path, capsys, verb, scenario, what, key):
+    cfg = write_config(tmp_path, "cfg.json", scenario)
+    out = tmp_path / "o"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 3
+    assert f"{what} has unknown keys [{key!r}]" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["flow", "tolerances", "displace"])
+def test_a_nested_key_that_is_not_an_object_exits_3(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "cfg.json", {"model": _OSCILLATOR, **_GRID, key: 0.5})
+    verb = "integrate" if key == "tolerances" else "action-check"
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert f"{key} must be an object" in capsys.readouterr().err

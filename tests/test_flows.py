@@ -1,9 +1,14 @@
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from phhs import models
+from phhs import cli, fields as fields_lib, flows, models, util
 from phhs.errors import NonFiniteStateError, StepBudgetExceededError
-from phhs.fields import VectorField
+from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec
 from phhs.flows import (
     FlowConfig,
     circle_path,
@@ -15,7 +20,8 @@ from phhs.flows import (
     tilted_flow,
     trajectory_grid,
 )
-from phhs.util import from_complex, to_complex
+from phhs.hamiltonian import assemble_phhs
+from phhs.util import from_complex, standard_j_matrix, to_complex
 
 CFG = FlowConfig(dt=1e-3)
 X0 = np.array([1.0, 0.5, 0.0, 0.0])
@@ -228,3 +234,157 @@ def test_energy_conservation_invariant(central, harmonic):
             end = flow(V, x0, 2.0, CFG)
             assert abs(fields.model.H_R(end) - h_r0) < 1e-7
             assert abs(fields.H_I(end) - h_i0) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# fields with a complex form (J = i) flow on the complex state z = x + i y
+# ---------------------------------------------------------------------------
+
+
+HOLOMORPHIC = {
+    "central": (models.build_central_problem(), [1.0, 0.5, 0.0, 0.0]),
+    "oscillator": (models.build_standard_hhs(1, "(P1^2 + Q1^2)/2"), [0.4, 0.3, 0.1, -0.2]),
+    "standard_n2": (models.build_standard_hhs(2, "P1^2/2 + P2"), [0.1, 0.2, -0.3, 0.4, -0.1, 0.2, 0.0, 0.3]),
+    "torus": (models.build_torus_model(models.Lattice(np.eye(2))), [0.1, 0.6, 0.2, -0.3]),
+}
+COARSE = FlowConfig(dt=1e-2)
+
+
+def _real_path(fields):
+    """The same fields with their complex forms stripped, so that every flow steps the real state."""
+    return dataclasses.replace(
+        fields,
+        X=VectorField(fields.X.fn, fd=fields.X.fd, name="X"),
+        JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX"),
+    )
+
+
+@pytest.fixture(scope="module", params=sorted(HOLOMORPHIC))
+def holomorphic(request):
+    model, x0 = HOLOMORPHIC[request.param]
+    fields = assemble_phhs(model)
+    assert fields.X.complex_form is not None and fields.JX.complex_form is not None
+    return fields, _real_path(fields), np.array(x0)
+
+
+def test_complex_state_flows_equal_the_real_path_bit_for_bit(holomorphic):
+    fields, real, x0 = holomorphic
+    stack = np.array([x0, x0 + 0.05])
+    for a, b in ((fields.X, real.X), (fields.JX, real.JX)):
+        for start, t in ((x0, 0.7), (x0, -0.45), (stack, 0.3)):
+            assert np.array_equal(flow(a, start, t, COARSE), flow(b, start, t, COARSE))
+        end, err = flow_error_estimate(a, x0, 0.5, COARSE)
+        end_r, err_r = flow_error_estimate(b, x0, 0.5, COARSE)
+        assert np.array_equal(end, end_r) and err == err_r
+    word = [(0.3, -0.4), (-0.2, 0.5)]
+    assert np.array_equal(flow_word(fields, x0, word, COARSE), flow_word(real, x0, word, COARSE))
+    assert np.array_equal(tilted_flow(fields, x0, 0.9, 0.4, COARSE), tilted_flow(real, x0, 0.9, 0.4, COARSE))
+
+
+def test_complex_state_path_continuation_equals_the_real_path_bit_for_bit(holomorphic):
+    fields, real, x0 = holomorphic
+    # an oblique circle, every segment a complex time step with both parts nonzero
+    center = 0.2 + 0.1j
+    path = circle_path(center, 0.5, center + 0.5 * np.exp(0.7j), n_segments=12)
+    assert np.array_equal(continue_along_path(fields, x0, path, COARSE), continue_along_path(real, x0, path, COARSE))
+
+
+def test_complex_state_grid_equals_the_real_path_bit_for_bit(holomorphic):
+    fields, real, x0 = holomorphic
+    a = trajectory_grid(fields, x0, 0.0, (0.0, 0.6), (-0.3, 0.3), 4, 3, COARSE)
+    b = trajectory_grid(real, x0, 0.0, (0.0, 0.6), (-0.3, 0.3), 4, 3, COARSE)
+    assert np.array_equal(a.values, b.values)
+    for key in ("swap_defect", "energy_drift_R", "energy_drift_I", "cr_residual"):
+        assert a.diagnostics[key] == b.diagnostics[key], key
+
+
+def test_complex_state_overflow_names_step_time_row_and_real_state():
+    # dQ/dt = Q^2: the row with Q0 = 2 blows up near t = 1/2, the one with Q0 = 0.1 does not
+    fields = assemble_phhs(models.build_standard_hhs(1, "P1*Q1^2"))
+    x0 = np.array([[0.1, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.1]])
+    errors = []
+    for V in (fields.X, _real_path(fields).X):
+        with pytest.raises(NonFiniteStateError) as info:
+            flow(V, x0, 1.0, CFG)
+        errors.append(info.value)
+    err, err_r = errors
+    assert err.row == 1 and 490 < err.step < 520 and err.time == pytest.approx(err.step * 1e-3)
+    assert (err.step, err.time, err.row) == (err_r.step, err_r.time, err_r.row)
+    # the state is the real (x1, x2, y1, y2) layout of the stack row, as on the real path
+    assert err.state.dtype == float and err.state.shape == (4,)
+    assert np.array_equal(err.state, err_r.state, equal_nan=True)
+    assert f"at step {err.step} (flow time" in str(err) and "in row 1" in str(err)
+
+
+def test_complex_state_box_bounds_each_real_component():
+    # |z| = 1.13e8 lies past the bound, but both real components lie inside it
+    flows._check_state(np.array([0.8e8 + 0.8e8j, 1.0]), 1, 0.1)
+    with pytest.raises(NonFiniteStateError) as info:
+        flows._check_state(np.array([[1.0, 2.0j], [3.0, 1.5e8j]]), 7, 0.1)
+    err = info.value
+    assert (err.step, err.row) == (7, 1) and np.array_equal(err.state, [3.0, 0.0, 0.0, 1.5e8])
+
+
+@pytest.mark.parametrize(
+    "J",
+    [
+        constant_matrix_field(-standard_j_matrix(2), name="J"),  # the conjugate structure -i
+        MatrixField(constant(standard_j_matrix(2)), name="J"),  # i, but not known to be constant
+    ],
+    ids=["conjugate", "unmarked"],
+)
+def test_a_complex_form_with_a_j_not_known_to_be_i_takes_the_real_path(J):
+    model = dataclasses.replace(models.build_central_problem(), J=J, H_I_hook=None)
+    fields = assemble_phhs(model)
+    assert fields.X.complex_form is not None and fields.JX.complex_form is None
+    P = np.array([X0, [1.1, 0.4, 0.1, -0.2], [0.9, 0.6, -0.1, 0.1]])
+    assert np.array_equal(fields.JX(P), matvec(J(P), fields.X(P)))
+    assert np.array_equal(flow(fields.JX, X0, 0.4, COARSE), flow(_real_path(fields).JX, X0, 0.4, COARSE))
+
+
+def test_central_q_guard_names_the_row_and_its_real_point():
+    fields = assemble_phhs(models.build_central_problem())
+    bad = np.array([1e-3, 0.0, 2e-4, 0.0])
+    with pytest.raises(NonFiniteStateError) as info:
+        flow(fields.X, [[1.0, 0.5, 0.0, 0.0], bad], 0.1)
+    message = str(info.value)
+    assert "Q = 0 locus" in message and f"row 1 (point {bad})" in message
+
+
+def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monkeypatch):
+    # the variant-0 monodromy probe of the benchmark: 16 segments of the circle about -1
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    cfg = scenarios._monodromy(scenarios.anchors(0), probe=True)
+    counts = {"flow": 0, "to_complex": 0, "J": 0}
+    inside = []
+
+    def counted_flow(*args, **kwargs):
+        counts["flow"] += 1
+        inside.append(True)
+        try:
+            return real_flow(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_to_complex(p):
+        counts["to_complex"] += bool(inside)
+        return util.to_complex(p)
+
+    def counted_call(self, p):
+        counts["J"] += bool(inside) and self.name == "J"
+        return real_call(self, p)
+
+    real_flow, real_call = flows.flow, fields_lib.Field.__call__
+    monkeypatch.setattr(flows, "flow", counted_flow)
+    monkeypatch.setattr(fields_lib.Field, "__call__", counted_call)
+    for module in [m for name, m in sys.modules.items() if name.startswith("phhs")]:
+        if getattr(module, "to_complex", None) is util.to_complex:
+            monkeypatch.setattr(module, "to_complex", counted_to_complex)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["monodromy", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert counts["flow"] == 16
+    assert counts["to_complex"] <= counts["flow"]
+    assert counts["J"] == 0
