@@ -60,6 +60,7 @@ from .hamiltonian import (
     pairing_covector,
     poisson_bracket,
     primitive_scalar,
+    primitive_stack,
 )
 from .tensors import (
     acs_residual,

@@ -42,7 +42,10 @@ class NonFiniteStateError(PhhsError):
 
     Raised by a flow's state check, it carries where that happened: the
     ``step`` index, the flow ``time`` reached, the stack ``row`` (None for a
-    single point) and that row's ``state``.  Raised elsewhere, these are None.
+    single point) and that row's ``state``.  Raised by a field inside a flow
+    step, the flow raises it again with that step, the flow time and state
+    the step started from, and the row the field named.  Raised elsewhere,
+    these are None (a field may name the ``row`` of its stack).
     """
 
     def __init__(self, message, step=None, time=None, row=None, state=None):

@@ -3,18 +3,21 @@
 Every field wraps a callable together with an :class:`FdConfig` that fixes
 how its derivatives are approximated.  The contract: a field takes one point
 ``(dim,)`` or a stack ``(N, dim)`` of points, one per row, and on a stack
-returns one value per row, stacked on the first axis; a stack call that
-does not is a ``ValueError``.  Every function the package builds itself
-takes a stack; :func:`rowwise` is the user boundary only.  It lifts a bare
-callable of one point that a user hands to the model builders (through
+returns one value per row, stacked on the first axis (a scalar field
+exactly ``(N,)``); a stack call that does not is a ``ValueError``.  A stack
+with as many rows as a point has coordinates is evaluated with one extra
+row, so that a function of one point reading ``p[k]`` fails this check
+there too.  Every function the package builds itself takes a stack, the
+quadrature primitive H_I included; :func:`rowwise` is the user boundary
+only.  It lifts a bare callable of one point that a user hands to the
+model builders (through
 ``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`),
 as a metric entry (:func:`~phhs.connections.diagonal_metric`,
 :func:`~phhs.connections.holo_metric_parts`) or as the conformal factor
 ``v`` of :class:`~phhs.morse.PlanarSystem`, the last two through
-:func:`stack_function`, which also compiles text; the one other lift is the
-quadrature primitive H_I of :func:`~phhs.hamiltonian.assemble_phhs`, one
-``quad`` per point.  A stack row is bit for bit the single-point value for the built-in models and
-their documented expressions, with one exception: H_R and H_I of the central
+:func:`stack_function`, which also compiles text.  A stack row is bit for
+bit the single-point value for the built-in models and their documented
+expressions, with one exception: H_R and H_I of the central
 problem, whose complex arithmetic numpy rounds differently on a scalar and
 on an array, may move by one unit in the last place.  Other expression text
 may round differently in the last bit on a stack for the same reason (some
@@ -98,6 +101,9 @@ def matvec(M, v):
 class Field:
     """An evaluable map point -> value with a finite-difference config."""
 
+    # the axes of a stack call's value that must read (N,): the first, and all of a scalar's
+    _row_axes = slice(1)
+
     def __init__(self, fn, fd=None, name=None):
         self.fn = fn
         self.fd = fd if fd is not None else FdConfig()
@@ -105,18 +111,28 @@ class Field:
 
     def __call__(self, p):
         p = as_points(p)
+        if p.ndim == 1:
+            return self.fn(p)
+        # a function of one point that reads a coordinate p[k] returns a row of the stack, with
+        # as many entries as a point has coordinates; on a stack with that many rows it would
+        # pass for one value per row, so the stack gets one more row, a copy of its last
+        padded = p.shape[0] == p.shape[1]
+        if padded:
+            p = np.concatenate([p, p[-1:]])
         out = self.fn(p)
-        if p.ndim == 2 and np.shape(out)[:1] != p.shape[:1]:
+        if np.shape(out)[self._row_axes] != p.shape[:1]:
             raise ValueError(
                 f"{type(self).__name__} {self.name!r} returned shape {np.shape(out)} for a stack of "
                 f"shape {p.shape}; a field must return one value per row (lift a function of one "
                 "point with fields.rowwise)"
             )
-        return out
+        return out[:-1] if padded else out
 
 
 class ScalarField(Field):
     """Real scalar field.  ``grad`` may supply an exact gradient hook."""
+
+    _row_axes = slice(None)
 
     def __init__(self, fn, fd=None, grad=None, name=None):
         super().__init__(fn, fd, name)

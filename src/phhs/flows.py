@@ -10,8 +10,11 @@ A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule; the field is then evaluated on the whole stack at
 each stage.  :func:`trajectory_grid` flows all its column anchors so, and
 since every row takes exactly the steps it would take alone, each node is
-the value a flow of its own column gives.  Its monitors take H_R on all
-nodes and J on the interior nodes as one stack each.
+the value a flow of its own column gives.  Its monitors take H_R and H_I
+on all nodes and J on the interior nodes as one stack each, so an energy
+drift can differ in the last digits from node-by-node values where H_R or
+H_I rounds a stack row differently from that point (the central problem's
+H_I, or expression text such as ``1 + x1^2``).
 
 A field that is the real form of a holomorphic w on C^m (J = i; see
 ``VectorField.complex_form``) is flowed on the complex state z = x + i y:
@@ -90,13 +93,36 @@ def rk4_step(V, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _located(exc, y, step, h):
+    """A field's ``NonFiniteStateError`` raised in ``step``, from state ``y``, naming that step.
+
+    The time and the state are those the step started from; the row is the
+    one the field named, if it named one.
+    """
+    if y.dtype.kind == "c":
+        y = from_complex(y)
+    time = (step - 1) * h
+    row = exc.row if y.ndim == 2 else None
+    where = f"in step {step} of the flow (from flow time {time:.17g})"
+    if row is not None:
+        where += f" in row {row}, state {y[row].tolist()}"
+    return NonFiniteStateError(
+        f"{exc}, {where}", step=step, time=time, row=row, state=y[row] if row is not None else y
+    )
+
+
 def _rk4(V, x0, t, n_steps):
     """Endpoint of n_steps RK4 steps; a field with a complex form steps z = x + i y."""
     w = getattr(V, "complex_form", None)
     F, y = (V, np.array(x0, dtype=float)) if w is None else (w, to_complex(x0))
     h = t / n_steps
     for step in range(1, n_steps + 1):
-        y = rk4_step(F, y, h)
+        try:
+            y = rk4_step(F, y, h)
+        except NonFiniteStateError as exc:
+            if exc.step is not None:
+                raise
+            raise _located(exc, y, step, h) from exc
         _check_state(y, step, h)
     return y if w is None else from_complex(y)
 
@@ -210,8 +236,9 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
     dim = x0.size
     nodes = values.reshape(-1, dim)
     drift_r = float(np.max(np.abs(np.asarray(fields.model.H_R(nodes), dtype=float) - fields.model.H_R(x0))))
-    h_i0 = fields.H_I(x0)
-    drift_i = max(abs(fields.H_I(values[i, j]) - h_i0) for i in range(nt) for j in range(ns))
+    # node (i0, j0) holds x0 itself, so H_I(x0) is read off the same stack
+    h_i = np.asarray(fields.H_I(nodes), dtype=float)
+    drift_i = float(np.max(np.abs(h_i - h_i[i0 * ns + j0])))
 
     cr = 0.0
     cr_nodes = np.zeros((nt, ns))

@@ -14,8 +14,14 @@ The assembled fields take a point or an ``(N, dim)`` stack of points (see
 :mod:`phhs.fields`): J X contracts J and X row by row and the generic X is
 one batched linear solve, so each evaluates a whole stack in one call
 whenever the model's fields do.  Diagnostics, reports and the loop test of
-closedness evaluate their whole point set as one stack.  The one
-per-point lift left is the quadrature primitive H_I, one ``quad`` per point.
+closedness evaluate their whole point set as one stack.  So does the
+quadrature primitive H_I of a model with no H_I hook
+(:func:`primitive_stack`): it runs the first 21-point Gauss-Kronrod pass of
+``scipy.integrate.quad`` on every row at once, one alpha call per abscissa,
+and hands only the rows that pass would not settle to ``quad`` itself
+(:func:`primitive_scalar`), so every row is bit for bit the ``quad`` value
+wherever alpha gives a stack row the bits it gives that point.  A single
+point goes to ``quad`` directly.
 
 When X is the real form of a holomorphic w (``VectorField.complex_form``)
 and J is the constant structure i (:func:`~phhs.util.standard_j_matrix`,
@@ -29,7 +35,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec, rowwise
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -39,7 +45,16 @@ from .tensors import (
     lie_derivative_matrix,
     nijenhuis,
 )
-from .util import as_point, first_row, invertible_rows, max_abs, row_max_abs, seeded_points, standard_j_matrix
+from .util import (
+    as_point,
+    as_points,
+    first_row,
+    invertible_rows,
+    max_abs,
+    row_max_abs,
+    seeded_points,
+    standard_j_matrix,
+)
 
 
 @dataclass
@@ -168,7 +183,12 @@ def closedness_residual(alpha, p):
     return float(np.max(np.abs(loop[keep]) / area[keep], initial=0.0))
 
 
-def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_tol=1e-11):
+# absolute and relative tolerance of the quadrature primitive H_I; primitive_stack accepts a
+# row after its first pass only where ``quad`` run with this tolerance would stop there too
+QUAD_TOL = 1e-11
+
+
+def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_tol=QUAD_TOL):
     """Line integral of alpha along the straight segment base -> p.
 
     Defines a primitive anchored at the base point (value 0 there).  With
@@ -191,6 +211,109 @@ def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_to
 
     val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol, limit=200)
     return val
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983, routine
+# qk21): the nonnegative Kronrod abscissae on [-1, 1] from the outermost in,
+# the centre last (the rule is symmetric); the weights of the 10-point Gauss
+# rule on XGK[1], XGK[3], ..., XGK[9]; and the Kronrod weights of XGK.
+QK21_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+QK21_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+QK21_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+
+def primitive_stack(alpha, base, p):
+    """:func:`primitive_scalar` without the closedness check, at a point (a float) or each row of a stack.
+
+    A point is :func:`primitive_scalar` itself.  Every row of a stack first
+    takes the 21-point Gauss-Kronrod pass that ``quad`` (QUADPACK's qagse)
+    makes on [0, 1] before it subdivides, with the same abscissae and the
+    same order of every sum, the integrand at each abscissa one alpha call on
+    the whole stack.  A row keeps that value when qagse would stop after the
+    pass; every other row (a non-finite one included) is handed to
+    :func:`primitive_scalar`.  So each row is bit for bit the value of
+    ``quad`` wherever alpha gives a stack row the bits it gives that point;
+    an alpha that rounds a stack row differently, as a model built on
+    expression text such as ``1 + x1^2`` or ``conj(z1)*z2`` may, can move a
+    row from ``quad`` in the last digits.
+    """
+    base = as_point(base)
+    P = as_points(p)
+    if P.ndim == 1:
+        return primitive_scalar(alpha, base, P, check_closed=False)
+    seg = P - base
+
+    def f(t):
+        return np.vecdot(np.asarray(alpha(base + t * seg), dtype=float), seg)
+
+    # qk21 on [0, 1]: centre 0.5, half-length 0.5
+    fc = f(0.5)
+    fv1, fv2 = [None] * 10, [None] * 10
+    resg = 0.0
+    resk = QK21_WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (*range(1, 10, 2), *range(0, 10, 2)):
+        absc = 0.5 * QK21_XGK[j]
+        fv1[j] = f1 = f(0.5 - absc)
+        fv2[j] = f2 = f(0.5 + absc)
+        fsum = f1 + f2
+        if j % 2:
+            resg = resg + QK21_WG[j // 2] * fsum
+        resk = resk + QK21_WGK[j] * fsum
+        resabs = resabs + QK21_WGK[j] * (np.abs(f1) + np.abs(f2))
+    reskh = resk * 0.5
+    resasc = QK21_WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + QK21_WGK[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
+    result = resk * 0.5
+    resabs = resabs * 0.5
+    resasc = resasc * 0.5
+    abserr = np.abs((resk - resg) * 0.5)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    # min(1, (200 abserr / resasc)^1.5) through the C library's pow, as QUADPACK takes it
+    ratio = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
+    abserr[scaled] = resasc[scaled] * np.array([min(1.0, r ** 1.5) for r in ratio])
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+
+    # qagse stops after the first pass on these rows
+    errbnd = np.maximum(QUAD_TOL, QUAD_TOL * np.abs(result))
+    done = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    for k in np.flatnonzero(~done):
+        result[k] = primitive_scalar(alpha, base, P[k], check_closed=False)
+    return result
 
 
 def poisson_bracket(F, G, omega, p):
@@ -247,11 +370,9 @@ def assemble_phhs(model, samples=None, tol_exact=1e-6, check_closedness=True):
         H_I = ScalarField(model.H_I_hook, fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
     else:
         base = model.base_point
-
-        def h_i_fn(p):
-            return primitive_scalar(alpha, base, p, check_closed=False)
-
-        H_I = ScalarField(rowwise(h_i_fn), fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I")
+        H_I = ScalarField(
+            lambda p: primitive_stack(alpha, base, p), fd=model.H_R.fd, grad=lambda p: np.asarray(alpha(p)), name="H_I"
+        )
 
     Jm = np.asarray(model.J(samples), dtype=float)
     x = np.asarray(X(samples))

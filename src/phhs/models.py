@@ -237,7 +237,8 @@ def _central_v(z):
     too_close = abs(Q) < 1.4e-3
     if too_close.any() if too_close.ndim else too_close:
         raise NonFiniteStateError(
-            f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}"
+            f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
+            row=int(np.argmax(too_close)) if too_close.ndim else None,
         )
     return np.array([P, -1.0 / (4.0 * Q ** 3)], dtype=complex).T
 

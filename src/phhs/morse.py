@@ -27,7 +27,9 @@ Clenshaw recurrence of ``Chebyshev.__call__`` written out on Python floats,
 so an orbit gives the same bits with no numpy polynomial call per stage.
 A v that is not positive and finite on a ring of the angular average (and
 so at a node of the interpolant of T_hat) or at an orbit stage raises
-:class:`~phhs.errors.ZeroDenominatorError` naming the point.
+:class:`~phhs.errors.ZeroDenominatorError` naming the point, and so does a
+ring sample below ``V_REL_FLOOR`` of the ring's largest v, which is how a v
+vanishing on a line through a ring angle shows.
 """
 
 import math
@@ -45,6 +47,11 @@ N_PHI = 256   # trapezoid intervals of the angular average and the area law
 N_R = 400     # trapezoid intervals of the radial area quadrature
 N_GAUSS = 64  # Gauss-Legendre nodes of the rescaling chart, computed once here
 DEGREE = 48   # degree of the Chebyshev interpolant of T_hat on [0, rmax]
+# a ring sample of v below this fraction of the ring's largest v counts as a zero of v: a v that
+# vanishes on a line through a ring angle is positive there only by the rounding of that angle,
+# about eps of its ring maximum for a linear zero (|x1|) and eps^2 for a square (x1^2 reads
+# 3.7e-33 at phi = pi/2), while a smooth positive v keeps a range of up to 1e14 on a ring
+V_REL_FLOOR = 64 * np.finfo(float).eps
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(N_GAUSS)
 _PHIS = np.linspace(0.0, 2.0 * np.pi, N_PHI + 1)
 _RING = np.stack([np.cos(_PHIS), np.sin(_PHIS)], axis=-1)
@@ -67,21 +74,26 @@ class PlanarSystem:
         self.v = stack_function(self.v, coordinate_names(1, aliases=False), float)
 
 
-def _bad_factor(value, point):
-    return ZeroDenominatorError(f"conformal factor v = {value!r} at point {point}; v must be positive and finite")
+def _bad_factor(value, point, need="v must be positive and finite"):
+    return ZeroDenominatorError(f"conformal factor v = {value!r} at point {point}; {need}")
 
 
 def period_function(sys, r):
     """T_hat(r) by trapezoid quadrature of the angular average.
 
     Raises ZeroDenominatorError, naming the point, where v on the ring is
-    not positive and finite.
+    not positive and finite, or below ``V_REL_FLOOR`` times its largest
+    value on the ring.
     """
     pts = r * _RING
     vals = np.asarray(sys.v(pts), dtype=float)
     bad = np.flatnonzero(~((vals > 0.0) & (vals < np.inf)))
     if bad.size:
         raise _bad_factor(float(vals[bad[0]]), pts[bad[0]].tolist())
+    low = np.flatnonzero(vals < V_REL_FLOOR * vals.max())
+    if low.size:
+        need = f"v must not fall below {V_REL_FLOOR:g} of its largest value on the ring"
+        raise _bad_factor(float(vals[low[0]]), pts[low[0]].tolist(), need)
     return 0.5 * float(np.trapezoid(vals, _PHIS))
 
 

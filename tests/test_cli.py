@@ -314,6 +314,12 @@ def test_non_positive_conformal_factor_exits_4_and_names_the_point(tmp_path, cap
     assert "ZeroDenominatorError" in err and "at point [" in err
 
 
+def test_conformal_factor_vanishing_on_a_line_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"v": "x1^2", "T": np.pi, "radii": [0.5], "energies": []})
+    assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "ZeroDenominatorError" in capsys.readouterr().err
+
+
 _CENTRAL = {"name": "central_problem"}
 _OSCILLATOR = {"name": "standard_hhs", "n": 1, "H": "(P1^2 + Q1^2)/2"}
 _GRID = {"x0": [0.4, 0.3, 0.1, -0.2], "t_range": [0.0, 0.5], "s_range": [0.0, 0.5], "nt": 5, "ns": 5}

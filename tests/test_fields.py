@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phhs.fields import FdConfig, MatrixField, ScalarField, partial_jet, rowwise
+from phhs.fields import FdConfig, MatrixField, ScalarField, VectorField, partial_jet, rowwise
 from phhs.tensors import acs_residual, anticompat_residual, project_10
 from phhs.util import standard_j_matrix, standard_omega_matrix
 from phhs.fields import constant_matrix_field, constant_two_form_field
@@ -11,6 +11,26 @@ def test_partial_jet_exact_on_polynomials():
     f = ScalarField(rowwise(lambda p: p[0] ** 2))
     p = np.array([3.0, 0.0, 0.0, 0.0])
     assert partial_jet(f, p, 0) == pytest.approx(6.0, abs=1e-9)
+
+
+def test_point_only_field_on_a_stack_with_a_row_per_coordinate_is_an_error():
+    # one order-4 direction at a point of C^2 is a 4-row stencil stack of 4-dim points, so p[0]
+    # is the first stencil point, with one entry per row; it read 200004.00002 in place of 6
+    with pytest.raises(ValueError, match=r"returned shape \(4,\) for a stack of shape \(5, 4\)"):
+        partial_jet(ScalarField(lambda p: p[0] ** 2), [3.0, 0.0, 0.0, 0.0], 0)
+    V = VectorField(lambda p: np.array([p[1], -p[0]]), name="V")
+    with pytest.raises(ValueError, match=r"'V' returned shape \(2, 2\) for a stack of shape \(3, 2\)"):
+        V(np.ones((2, 2)))
+
+
+def test_scalar_field_returns_exactly_one_value_per_row():
+    f = ScalarField(lambda p: p[..., :1] ** 2, name="f")
+    with pytest.raises(ValueError, match=r"'f' returned shape \(3, 1\) for a stack of shape \(3, 4\)"):
+        f(np.ones((3, 4)))
+    g = ScalarField(lambda p: p[..., 0] ** 2)
+    P = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(g(P), P[:, 0] ** 2)
+    assert partial_jet(g, [3.0, 0.0, 0.0, 0.0], 0) == pytest.approx(6.0, abs=1e-9)
 
 
 def test_partial_jet_constant_is_exact_zero():

@@ -351,6 +351,25 @@ def test_central_q_guard_names_the_row_and_its_real_point():
     assert "Q = 0 locus" in message and f"row 1 (point {bad})" in message
 
 
+def test_central_q_guard_names_the_step_and_flow_time():
+    fields = assemble_phhs(models.build_central_problem())
+    bad = np.array([1e-3, 0.0, 2e-4, 0.0])
+    with pytest.raises(NonFiniteStateError) as info:
+        flow(fields.X, [[1.0, 0.5, 0.0, 0.0], bad], 0.1)
+    err = info.value
+    assert (err.step, err.time, err.row) == (1, 0.0, 1)
+    assert np.array_equal(err.state, bad)
+    assert "in step 1 of the flow (from flow time 0) in row 1" in str(err)
+    # a single point that falls onto the locus some steps into the flow
+    x0 = np.array([0.14, -0.5, 0.0, 0.0])
+    with pytest.raises(NonFiniteStateError) as info:
+        flow(fields.X, x0, 0.3)
+    err = info.value
+    assert err.step > 1 and err.row is None
+    assert err.time == pytest.approx((err.step - 1) * 1e-3, rel=1e-12)
+    assert np.allclose(err.state, flow(fields.X, x0, err.time), rtol=1e-12, atol=0.0)
+
+
 def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monkeypatch):
     # the variant-0 monodromy probe of the benchmark: 16 segments of the circle about -1
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))

@@ -1,7 +1,14 @@
+import dataclasses
+import json
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate
 
-from phhs import models
+from phhs import actions, cli, hamiltonian, models
 from phhs.errors import NonClosedFormError, SingularFormError
 from phhs.fields import (
     CovectorField,
@@ -12,6 +19,7 @@ from phhs.fields import (
     rowwise,
 )
 from phhs.hamiltonian import (
+    PhhsModel,
     assemble_phhs,
     closedness_residual,
     hamiltonian_vector_field,
@@ -20,8 +28,9 @@ from phhs.hamiltonian import (
     omega_I_from,
     poisson_bracket,
     primitive_scalar,
+    primitive_stack,
 )
-from phhs.util import grid_points, standard_j_matrix, standard_omega_matrix
+from phhs.util import grid_points, seeded_points, standard_j_matrix, standard_omega_matrix
 
 
 def test_omega_I_standard_structure():
@@ -209,3 +218,136 @@ def test_energy_orthogonality(central):
         for V in (fields.X(p), fields.JX(p)):
             assert abs(np.dot(g_r, V)) < 1e-9
             assert abs(np.dot(g_i, V)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# H_I on stacks: quad's first Gauss-Kronrod pass on every row at once
+# ---------------------------------------------------------------------------
+
+
+def _hand_built_model():
+    # Re(Q1^2 + exp(P1)) over the standard structure of C^2, with no hook: H_I comes from the primitive
+    return PhhsModel(
+        m=2,
+        J=constant_matrix_field(standard_j_matrix(2)),
+        omega_R=constant_two_form_field(standard_omega_matrix(1)),
+        H_R=ScalarField(rowwise(lambda p: p[0] ** 2 - p[2] ** 2 + np.exp(p[1]) * np.cos(p[3])), name="H_R"),
+        name="hand_built",
+    )
+
+
+PRIMITIVE_MODELS = {
+    "twisted": lambda: models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1"),
+    "twisted_sin": lambda: models.build_proper_phhs(f="1", h="2 + sin(x1)", H_R="-y1"),
+    "hand_built": _hand_built_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_MODELS))
+def test_stack_primitive_is_quad_bit_for_bit(name):
+    model = PRIMITIVE_MODELS[name]()
+    fields = assemble_phhs(model)
+    P = seeded_points(21, 40, 4, scale=0.6, center=model.base_point)
+    quad = np.array([primitive_scalar(fields.alpha, model.base_point, p, check_closed=False) for p in P])
+    assert np.array_equal(primitive_stack(fields.alpha, model.base_point, P), quad)
+    assert np.array_equal(fields.H_I(P), quad)
+    # a point gives a float, the matching row of the stack
+    point = fields.H_I(P[7])
+    assert isinstance(point, float) and point == quad[7]
+
+
+def _sharp_alpha(p):
+    # d(arctan(100 (x1 - 0.3)) + sin(x2)): segments across x1 = 0.3 need quad's subdivision
+    out = np.zeros(p.shape)
+    out[..., 0] = 100.0 / (1.0 + (100.0 * (p[..., 0] - 0.3)) ** 2)
+    out[..., 1] = np.cos(p[..., 1])
+    return out
+
+
+def _first_pass_only(alpha, base, p):
+    """Whether quad stops after its first 21-point pass on the segment base -> p."""
+    seg = p - base
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        _, _, info = integrate.quad(
+            lambda t: float(np.dot(alpha(base + t * seg), seg)), 0.0, 1.0,
+            epsabs=hamiltonian.QUAD_TOL, epsrel=hamiltonian.QUAD_TOL, limit=200, full_output=1,
+        )
+    return info["neval"] == 21
+
+
+def test_stack_primitive_hands_every_row_quad_does_not_accept_to_quad(monkeypatch):
+    alpha = CovectorField(_sharp_alpha, name="sharp")
+    base = np.zeros(4)
+    P = seeded_points(5, 60, 4, scale=1.0)
+    P[3, 1] = np.nan
+    fell_back = []
+    real = hamiltonian.primitive_scalar
+
+    def spy(alpha, base, p, **kwargs):
+        fell_back.append(p)
+        return real(alpha, base, p, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "primitive_scalar", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out = primitive_stack(alpha, base, P)
+        quad = np.array([real(alpha, base, p, check_closed=False) for p in P])
+    assert np.array_equal(out, quad, equal_nan=True)
+    kept = [i for i, p in enumerate(P) if not any(np.array_equal(p, q, equal_nan=True) for q in fell_back)]
+    assert 0 < len(kept) < len(P) and 3 not in kept
+    assert kept == [i for i, p in enumerate(P) if i != 3 and _first_pass_only(alpha, base, p)]
+
+
+def _count_quads(monkeypatch):
+    calls = []
+    real = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    return calls
+
+
+def test_integrate_focus_scenario_takes_no_quad(tmp_path, monkeypatch):
+    # the variant-0 integrate focus scenario of the benchmark: 289 grid nodes and the anchor
+    # took one quad each
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenarios._integrate(scenarios.anchors(0), probe=False)))
+    calls = _count_quads(monkeypatch)
+    assert cli.main(["integrate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 0
+
+
+def _twisted_curve(n):
+    x0 = np.array([0.2, 0.1, -0.3, 0.4])
+
+    def gamma(z):
+        return x0 + 0.1 * np.array([z.real, z.imag, z.real * z.imag, z.real ** 2])
+
+    nodes = np.linspace(0.0, 1.0, n)
+    return actions.sample_parallelogram(gamma, np.pi / 2, nodes, nodes)
+
+
+def test_twisted_action_gradient_takes_no_quad(proper, monkeypatch):
+    # the base cells and 32 class perturbations, 256 cells each, took 8,448 quads on a 17 x 17 grid
+    _, fields = proper
+    calls = _count_quads(monkeypatch)
+    actions.ParallelogramAction(fields, parts="both").gradient(_twisted_curve(17))
+    assert len(calls) == 0
+
+
+def test_twisted_action_gradient_is_the_quad_gradient_bit_for_bit(proper):
+    model, fields = proper
+    by_quad = ScalarField(
+        rowwise(lambda p: primitive_scalar(fields.alpha, model.base_point, p, check_closed=False)), name="H_I"
+    )
+    curve = _twisted_curve(5)
+    grads = actions.ParallelogramAction(fields, parts="both").gradient(curve)
+    ref = actions.ParallelogramAction(dataclasses.replace(fields, H_I=by_quad), parts="both").gradient(curve)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref))

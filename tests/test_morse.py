@@ -131,6 +131,24 @@ def test_non_positive_or_non_finite_conformal_factor_raises(v):
         area_law_check(PlanarSystem(v=v, T=np.pi), 0.1)
 
 
+def test_conformal_factor_vanishing_on_a_line_raises():
+    # x1^2 vanishes on x1 = 0, which the ring angle pi/2 meets only up to rounding: v there is
+    # 3.7e-33 of the ring maximum, positive, and the period used to read 3.0365459195825792
+    with pytest.raises(ZeroDenominatorError, match=r"at point \[.*of its largest value on the ring"):
+        verify_T_periodic(PlanarSystem(v="x1^2", T=np.pi), 0.5)
+    # a linear zero is left at about eps of the ring maximum
+    with pytest.raises(ZeroDenominatorError, match=r"of its largest value on the ring"):
+        period_function(PlanarSystem(v=lambda p: abs(p[0]), T=np.pi), 0.5)
+
+
+@pytest.mark.parametrize("v", ["exp(8*x1)", "exp(10*x1)"])
+def test_conformal_factor_with_a_wide_range_on_the_rings_is_accepted(v):
+    # on the ring r = rmax = 1.2, exp(10*x1) spans e^24 (about 2.6e10), far above the rounding floor
+    sys = PlanarSystem(v=v, T=np.pi)
+    assert np.isfinite(period_function(sys, sys.rmax))
+    assert verify_T_periodic(sys, 0.1) == pytest.approx(np.pi, abs=1e-8)
+
+
 def test_unrescaled_orbit_checks_the_factor_at_each_stage():
     # no interpolant is built: the orbit itself meets v <= 0 where it crosses x = 0.3
     with pytest.raises(ZeroDenominatorError, match=r"v = -?[0-9.e-]+ at point \["):
