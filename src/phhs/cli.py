@@ -1,45 +1,19 @@
 """Scenario runner: ``phhs <verb> --config <path> [--out <dir>] [--tolerance-scale <k>]``.
 
-A scenario is one JSON document.  Shared keys:
+A scenario is one JSON document.  ``SCHEMA`` is its one contract: each
+verb's keys with their kinds and defaults (``REQUIRED`` where there is
+none); a ``model`` follows the table of ``MODELS`` that its ``name`` picks.
+An unknown key, a value of the wrong kind or shape, a choice outside its
+values and a missing required key are configuration errors naming the
+dotted key path (``flow.dt``, ``model.bump.radius``, ``words[0][1]``).
+Expressions are text, or numbers for constants: H in z1..zm, Q1..Qn, P1..Pn
+(m = 2n); f, h, H_R and phi in x1, x2, y1, y2 and the aliases z1, z2, Q1, P1;
+v in x1, y1; metric entries in x1..xk, ``holo_metric`` entries in z1..zn.
 
-    model       : {"name": ..., ...parameters, expressions as strings}
-    flow        : {"dt": 1e-3, "max_steps": 5000000}      (optional)
-    tolerances  : {"swap": ..., "energy": ...} thresholds (optional)
-
-Verbs and their keys (``KEYS``; any other top-level key is a configuration
-error, so a misspelled key never falls back to its default; the same holds
-for the keys of the nested objects, ``NESTED`` and ``MODEL_KEYS``):
-
-    integrate          model, flow, tolerances, x0, z0 ([re, im] or number),
-                       t_range, s_range, nt, ns
-    foliate            model, flow, tolerances, x0, words ([[t, s], ...] lists)
-    monodromy          model, flow, x0, path ([[re, im], ...]), expect
-                       ("closed" | "negated" | null), tolerance
-    action-check       model, flow, x0, z0, t_range, s_range, nt, ns, displace
-                       (optional {"node": [i, j], "coord": k, "amount": a},
-                       0 <= i < nt, 0 <= j < ns, 0 <= k < dim),
-                       ratio_min, parts ("both" | "real")
-    integrability-scan model, center, half_width, per_axis, threshold
-    deform             epsilons, n, hamiltonian, bump {center, radius},
-                       center, half_width, per_axis, threshold
-    morse-period       v (expression in x1, y1), T, flow, radii, energies,
-                       tolerance_period, tolerance_area
-    connection-check   metric {"kind": "euclidean" | "diag", "entries": [...],
-                       "n": ...}, points (optional, dimension 2k; "diag"
-                       entries are numbers or expressions in x1..xk),
-                       holo_metric {"entries": [[...]]} (optional,
-                       expressions in z1..zn); the metric builders compile
-                       the entries to functions of a whole point stack
-
-Model names: central_problem, standard_hhs (n, H), proper_phhs (f, h, H_R),
-rotation (phi), deformation (epsilon, n, hamiltonian, bump), torus
-(generators, H optional).  Expressions H use z1..zm, Q1..Qn, P1..Pn (m = 2n);
-f, h, H_R and phi use x1, x2, y1, y2 and the aliases z1, z2, Q1, P1.
-
-Outputs: one or more CSV data files plus ``summary.json`` echoing the fully
-resolved configuration, all residuals and their tolerances, and a per-check
-pass flag.  Identical configurations produce byte-identical outputs: floats
-are written with 17 significant digits and no timestamps enter the files.
+Outputs: CSV data files plus ``summary.json``, which echoes the configuration
+(see ``ECHO``), all residuals and their tolerances, and a per-check pass
+flag.  Identical configurations give byte-identical outputs: floats are
+written with 17 significant digits and no timestamps enter the files.
 
 Exit codes: 0 all checks pass, 2 numerical check failed, 3 configuration or
 expression parse error, 4 runtime failure (singular locus, step budget, ...).
@@ -47,7 +21,10 @@ expression parse error, 4 runtime failure (singular locus, step budget, ...).
 
 import argparse
 import json
+import math
 import sys
+from collections import ChainMap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +32,7 @@ import numpy as np
 from . import models as model_lib
 from .actions import ParallelogramAction, curve_from_grid, gradient_max_norm
 from .errors import ParseError, PhhsError
-from .flows import FlowConfig, commutation_defect, continue_along_path, flow_word, trajectory_grid
+from .flows import FlowConfig, continue_along_path, flow_word, trajectory_grid
 from .hamiltonian import assemble_phhs, integrability_report, omega_I_from
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
 from .tensors import exterior_derivative_2form
@@ -94,293 +71,364 @@ def _write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _coords(n):
+    return [f"c{k}" for k in range(n)]
+
+
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(spec, allowed, what):
-    """Raise unless ``spec`` is an object whose keys all lie in ``allowed``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} must be an object")
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}; it accepts {sorted(allowed)}")
+# A kind resolves the value at one dotted key path; ``done`` maps the keys
+# resolved before it, in its table and the enclosing ones.
+REQUIRED = object()
 
 
-def _require(cfg, key, verb):
-    if key not in cfg:
-        raise ConfigError(f"scenario for {verb!r} is missing the key {key!r}")
-    return cfg[key]
+def _fail(path, what, value):
+    raise ConfigError(f"{path} must be {what}, got {json.dumps(value)}")
+
+
+def _kind(what, test, convert=None):
+    """A kind of value that ``test`` accepts and ``convert`` resolves."""
+
+    def resolve(value, path, done):
+        if not test(value):
+            _fail(path, what, value)
+        return value if convert is None else convert(value)
+
+    return resolve
+
+
+def _is_number(v, types=(int, float)):
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+NUMBER = _kind("a number", _is_number, float)
+POSITIVE = _kind("a positive number", lambda v: _is_number(v) and v > 0, float)
+INTEGER = _kind("an integer", lambda v: _is_number(v, int))
+COUNT = _kind("a positive integer", lambda v: _is_number(v, int) and v > 0)
+# a number is a constant, handed on as its text
+EXPRESSION = _kind("expression text or a number", lambda v: isinstance(v, str) or _is_number(v), str)
+
+
+def choice(*values):
+    return _kind(f"one of {json.dumps(values)}", lambda v: v in values)
+
+
+def list_of(item, what, convert=list, length=None):
+    """A list of ``item`` values at ``path[i]``; ``length``, a number or a function of ``done``, is ``{n}``."""
+
+    def resolve(value, path, done):
+        n = length(done) if callable(length) else length
+        if not isinstance(value, list) or n not in (None, len(value)):
+            _fail(path, what.format(n=n), value)
+        return convert([item(v, f"{path}[{i}]", done) for i, v in enumerate(value)])
+
+    return resolve
+
+
+NUMBERS = list_of(NUMBER, "a list of numbers")
+EXPRESSIONS = list_of(EXPRESSION, "a list of expressions")
+PAIR = list_of(NUMBER, "a pair [a, b] of numbers", tuple, 2)
+NODE = list_of(INTEGER, "a node [i, j] of integers", tuple, 2)
+_RE_IM = list_of(NUMBER, "a number or a pair [re, im] of numbers", lambda v: complex(*v), 2)
+
+
+def COMPLEX(value, path, done):
+    return complex(value) if _is_number(value) else _RE_IM(value, path, done)
+
+
+# a point of ``dim(done)`` numbers, as an array
+point = partial(list_of, NUMBER, "a point of {n} numbers", np.array)
+
+
+def table(keys, build=dict, what=None):
+    """An object whose keys resolve against ``{key: (kind, default)}`` in table order, handed to ``build``.
+
+    A key left out takes its default, resolved like a given value, or a
+    function of the keys resolved before it; ``null`` stands only for an
+    optional key (default None) left out.  ``what`` names the object in
+    messages, its path by default.
+    """
+
+    def resolve(value, path, outer):
+        name = what or path
+        if not isinstance(value, dict):
+            _fail(name, "an object", value)
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            raise ConfigError(f"{name} has unknown keys {unknown}; it accepts {sorted(keys)}")
+        done = {}
+        seen = ChainMap(done, outer)
+        for key, (kind, default) in keys.items():
+            sub = f"{path}.{key}" if path else key
+            if callable(default):
+                default = default(seen)
+            if key not in value and default is REQUIRED:
+                raise ConfigError(f"{name} is missing the required key {sub}")
+            raw = value.get(key, default)
+            done[key] = None if raw is None and default is None else kind(raw, sub, seen)
+        return build(**done)
+
+    return resolve
+
+
+def _deformation(epsilon, n, hamiltonian, bump):
+    return model_lib.build_deformation(
+        epsilon, n=n, hamiltonian=hamiltonian, bump_center=bump["center"], bump_radius=bump["radius"]
+    )
+
+
+# the parameters the deformation model and the deform verb share; its points have 4n coordinates
+DEFORMATION = {
+    "n": (COUNT, 1),
+    "hamiltonian": (choice("const", "linear_last"), "const"),
+    "bump": (table({"center": (point(lambda c: 4 * c["n"]), None), "radius": (NUMBER, 0.8)}), {}),
+}
+
+# each model name: the table of its parameters and the builder they are handed to
+MODELS = {
+    "central_problem": ({}, model_lib.build_central_problem),
+    "standard_hhs": ({"n": (COUNT, 1), "H": (EXPRESSION, "P1")}, model_lib.build_standard_hhs),
+    "proper_phhs": (
+        {"f": (EXPRESSION, "1"), "h": (EXPRESSION, "1"), "H_R": (EXPRESSION, "-y1")}, model_lib.build_proper_phhs
+    ),
+    "rotation": ({"phi": (EXPRESSION, "0")}, model_lib.build_rotation_family),
+    "deformation": ({"epsilon": (NUMBER, 0.0), **DEFORMATION}, _deformation),
+    "torus": (
+        {"generators": (list_of(NUMBERS, "a list of generators"), REQUIRED), "H": (EXPRESSION, None)},
+        lambda generators, H: model_lib.build_torus_model(model_lib.Lattice(generators), H=H),
+    ),
+}
+
+
+def _model(value, path, done):
+    """A built model: its ``name`` picks the table of ``MODELS`` its other keys follow."""
+    if not isinstance(value, dict):
+        _fail(path, "an object", value)
+    name = choice(*MODELS)(value.get("name"), f"{path}.name", done)
+    keys, build = MODELS[name]
+    spec = table({"name": (choice(name), REQUIRED), **keys}, what=f"{path} {name!r}")(value, path, done)
+    return build(**{key: v for key, v in spec.items() if key != "name"})
+
+
+def model_from_config(spec):
+    """The model a scenario's ``model`` object describes."""
+    return _model(spec, "model", {})
+
+
+def _metric_dim(c):
+    m = c["metric"]
+    return 2 * (len(m["entries"]) if m["kind"] == "diag" else m["n"])
+
+
+_FLOW = table(
+    {"dt": (POSITIVE, 1e-3), "max_steps": (COUNT, 5_000_000)}, lambda dt, max_steps: FlowConfig(dt, max_steps)
+)
+# the model, its flow and the initial point of its trajectories
+ORBIT = {"model": (_model, REQUIRED), "flow": (_FLOW, {}), "x0": (point(lambda c: c["model"].dim), REQUIRED)}
+# the verb checks that the node and the coord lie on the grid
+DISPLACE = table(
+    {"node": (NODE, lambda c: [c["nt"] // 2, c["ns"] // 2]), "coord": (INTEGER, 0), "amount": (NUMBER, 0.05)}
+)
+METRIC = table(
+    {
+        "kind": (choice("euclidean", "diag"), "euclidean"),
+        "entries": (EXPRESSIONS, lambda c: REQUIRED if c["kind"] == "diag" else None),
+        "n": (COUNT, 2),
+    }
+)
+# a box of points about a center and the threshold of the scan's verdict
+SCAN = {"per_axis": (COUNT, 5), "threshold": (NUMBER, 1e-3)}
+
+SCHEMA = {
+    "integrate": {
+        **ORBIT,
+        "z0": (COMPLEX, 0.0),
+        **dict.fromkeys(("t_range", "s_range"), (PAIR, REQUIRED)),
+        **dict.fromkeys(("nt", "ns"), (COUNT, REQUIRED)),
+        "tolerances": (table({"swap": (NUMBER, 1e-6), "energy": (NUMBER, 1e-6)}), {}),
+    },
+    "foliate": {
+        **ORBIT,
+        "words": (list_of(list_of(PAIR, "a word [[t, s], ...]"), "a list of words"), REQUIRED),
+        "tolerances": (table({"energy": (NUMBER, 1e-6)}), {}),
+    },
+    "monodromy": {
+        **ORBIT,
+        "path": (list_of(COMPLEX, "a list of complex times"), REQUIRED),
+        "expect": (choice("closed", "negated"), None),
+        "tolerance": (NUMBER, 1e-5),
+    },
+    "action-check": {
+        **ORBIT,
+        "z0": (COMPLEX, 0.0),
+        **dict.fromkeys(("t_range", "s_range"), (PAIR, [0.0, 1.0])),
+        **dict.fromkeys(("nt", "ns"), (COUNT, 13)),
+        "displace": (DISPLACE, None),
+        "ratio_min": (NUMBER, 10.0),
+        "parts": (choice("both", "real"), "both"),
+    },
+    "integrability-scan": {
+        "model": (_model, REQUIRED),
+        "center": (point(lambda c: c["model"].dim), lambda c: [0.0] * c["model"].dim),
+        "half_width": (NUMBER, 0.5),
+        **SCAN,
+    },
+    "deform": {
+        "epsilons": (NUMBERS, [0.0, 0.5]),
+        **DEFORMATION,
+        "center": (point(lambda c: 4 * c["n"]), lambda c: [0.0] * (4 * c["n"])),
+        "half_width": (NUMBER, 1.2),
+        **SCAN,
+    },
+    "morse-period": {
+        "v": (EXPRESSION, "1"),
+        "T": (NUMBER, math.pi),
+        "flow": (_FLOW, {}),
+        "radii": (NUMBERS, [0.2, 0.5, 0.8]),
+        "energies": (NUMBERS, [0.05, 0.1, 0.2]),
+        **dict.fromkeys(("tolerance_period", "tolerance_area"), (NUMBER, 1e-4)),
+    },
+    "connection-check": {
+        "metric": (METRIC, REQUIRED),
+        "points": (
+            list_of(point(_metric_dim), "a list of points", np.array),
+            lambda c: grid_points(np.full(_metric_dim(c), 0.4), 0.2, 2).tolist(),
+        ),
+        "holo_metric": (table({"entries": (list_of(EXPRESSIONS, "a matrix of expressions"), REQUIRED)}), None),
+    },
+}
+
+
+def resolve(verb, cfg):
+    """The scenario ``cfg`` of ``verb``, walked against ``SCHEMA[verb]`` with the defaults filled in."""
+    return table(SCHEMA[verb], what=f"scenario for {verb!r}")(cfg, "", {})
+
+
+def _flow_echo(c, scale):
+    return {"flow": {"dt": c["flow"].dt, "max_steps": c["flow"].max_step_count}}
+
+
+# the resolved values each verb's summary echoes, with the scenario as given laid over them
+ECHO = {
+    **dict.fromkeys(("integrate", "foliate", "monodromy"), _flow_echo),
+    "action-check": lambda c, scale: {"parts": c["parts"]},
+    **dict.fromkeys(("integrability-scan", "deform"), lambda c, scale: {"threshold": scale * c["threshold"]}),
+    "morse-period": lambda c, scale: {"T": c["T"]},
+    "connection-check": lambda c, scale: {},
+}
+
+
+def echo(verb, cfg, c, scale):
+    """The configuration the summary of ``verb`` echoes for the scenario ``cfg`` resolved to ``c``."""
+    return {"verb": verb, **ECHO[verb](c, scale), **cfg}
 
 
 def _check(name, value, tolerance, passed=None):
     """One ``checks`` entry; it passes when value <= tolerance unless ``passed`` says otherwise."""
-    return {
-        "name": name,
-        "value": value,
-        "tolerance": tolerance,
-        "pass": value <= tolerance if passed is None else passed,
-    }
+    passed = value <= tolerance if passed is None else passed
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": passed}
 
 
-def _z0(cfg):
-    """The anchor time ``z0``: a number or an [re, im] pair, 0 by default."""
-    z0 = cfg.get("z0", 0.0)
-    return complex(z0[0], z0[1]) if isinstance(z0, list) else complex(z0)
-
-
-def _flow_config(cfg):
-    f = cfg.get("flow") or {}
-    return FlowConfig(dt=float(f.get("dt", 1e-3)), max_step_count=int(f.get("max_steps", 5_000_000)))
-
-
-# the parameters each model name takes, besides "name"
-MODEL_KEYS = {
-    "central_problem": set(),
-    "standard_hhs": {"n", "H"},
-    "proper_phhs": {"f", "h", "H_R"},
-    "rotation": {"phi"},
-    "deformation": {"epsilon", "n", "hamiltonian", "bump"},
-    "torus": {"generators", "H"},
-}
-_BUMP = {"center", "radius"}
-
-
-def model_from_config(spec):
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("model must be an object with a 'name'")
-    name = spec["name"]
-    if name not in MODEL_KEYS:
-        raise ConfigError(f"unknown model {name!r}")
-    _check_keys(spec, {"name"} | MODEL_KEYS[name], f"model {name!r}")
-    if name == "central_problem":
-        return model_lib.build_central_problem()
-    if name == "standard_hhs":
-        return model_lib.build_standard_hhs(int(spec.get("n", 1)), spec.get("H", "P1"))
-    if name == "proper_phhs":
-        return model_lib.build_proper_phhs(
-            f=spec.get("f", "1"), h=spec.get("h", "1"), H_R=spec.get("H_R", "-y1")
-        )
-    if name == "rotation":
-        return model_lib.build_rotation_family(spec.get("phi", "0"))
-    if name == "deformation":
-        bump = spec.get("bump", {})
-        _check_keys(bump, _BUMP, "model bump")
-        return model_lib.build_deformation(
-            float(spec.get("epsilon", 0.0)),
-            n=int(spec.get("n", 1)),
-            hamiltonian=spec.get("hamiltonian", "const"),
-            bump_center=bump.get("center"),
-            bump_radius=float(bump.get("radius", 0.8)),
-        )
-    lattice = model_lib.Lattice(np.asarray(spec["generators"], dtype=float))
-    return model_lib.build_torus_model(lattice, H=spec.get("H"))
-
-
-def _resolved(cfg, verb, defaults):
-    out = {"verb": verb}
-    out.update(defaults)
-    out.update(cfg)
-    return out
-
-
-def _finish(outdir, summary, checks):
-    summary["checks"] = checks
-    summary["pass"] = all(c["pass"] for c in checks)
+def _run(verb, run, cfg, outdir, scale):
+    """Resolve the scenario, ``run(c, outdir, scale) -> (results, checks)`` and write the summary; the exit code."""
+    c = resolve(verb, cfg)
+    results, checks = run(c, outdir, scale)
+    summary = {**echo(verb, cfg, c, scale), "results": results, "checks": checks}
+    summary["pass"] = all(ch["pass"] for ch in checks)
     _write_json(outdir / "summary.json", summary)
     return 0 if summary["pass"] else 2
 
 
-# ---------------------------------------------------------------------------
-# verbs
-# ---------------------------------------------------------------------------
-
-
-def run_integrate(cfg, outdir, scale):
-    model = model_from_config(_require(cfg, "model", "integrate"))
-    fields = assemble_phhs(model)
-    fcfg = _flow_config(cfg)
-    x0 = np.asarray(_require(cfg, "x0", "integrate"), dtype=float)
-    grid = trajectory_grid(
-        fields,
-        x0,
-        _z0(cfg),
-        tuple(_require(cfg, "t_range", "integrate")),
-        tuple(_require(cfg, "s_range", "integrate")),
-        int(_require(cfg, "nt", "integrate")),
-        int(_require(cfg, "ns", "integrate")),
-        fcfg,
-    )
-    rows = []
-    cr = grid.diagnostics["cr_nodes"]
-    for i in range(grid.nt):
-        for j in range(grid.ns):
-            rows.append(
-                [i, j, grid.t_nodes[i], grid.s_nodes[j]]
-                + list(grid.values[i, j])
-                + [cr[i, j]]
-            )
-    dim = grid.values.shape[-1]
-    _write_csv(
-        outdir / "grid.csv",
-        ["i", "j", "t", "s"] + [f"c{k}" for k in range(dim)] + ["cr_residual"],
-        rows,
-    )
-    tol = cfg.get("tolerances") or {}
+def run_integrate(c, outdir, scale):
+    fields = assemble_phhs(c["model"])
+    grid = trajectory_grid(fields, c["x0"], c["z0"], c["t_range"], c["s_range"], c["nt"], c["ns"], c["flow"])
     diag = grid.diagnostics
+    t, s, cr = grid.t_nodes, grid.s_nodes, diag["cr_nodes"]
+    rows = [[i, j, t[i], s[j], *grid.values[i, j], cr[i, j]] for i, j in np.ndindex(grid.nt, grid.ns)]
+    _write_csv(outdir / "grid.csv", ["i", "j", "t", "s"] + _coords(grid.values.shape[-1]) + ["cr_residual"], rows)
+    tol = c["tolerances"]
     checks = [
-        _check("swap_defect", diag["swap_defect"], scale * float(tol.get("swap", 1e-6))),
-        _check(
-            "energy_drift",
-            max(diag["energy_drift_R"], diag["energy_drift_I"]),
-            scale * float(tol.get("energy", 1e-6)),
-        ),
+        _check("swap_defect", diag["swap_defect"], scale * tol["swap"]),
+        _check("energy_drift", max(diag["energy_drift_R"], diag["energy_drift_I"]), scale * tol["energy"]),
     ]
-    summary = _resolved(cfg, "integrate", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
-    summary["results"] = {
-        k: v for k, v in grid.diagnostics.items() if k != "cr_nodes"
-    }
-    return _finish(outdir, summary, checks)
+    return {k: v for k, v in diag.items() if k != "cr_nodes"}, checks
 
 
-def run_foliate(cfg, outdir, scale):
-    model = model_from_config(_require(cfg, "model", "foliate"))
-    fields = assemble_phhs(model)
-    fcfg = _flow_config(cfg)
-    x0 = np.asarray(_require(cfg, "x0", "foliate"), dtype=float)
-    words = _require(cfg, "words", "foliate")
+def run_foliate(c, outdir, scale):
+    fields = assemble_phhs(c["model"])
+    x0 = c["x0"]
     h_r0 = float(fields.model.H_R(x0))
     h_i0 = float(fields.H_I(x0))
     rows = []
     drift = 0.0
-    for w_idx, word in enumerate(words):
-        end = flow_word(fields, x0, [(float(t), float(s)) for t, s in word], fcfg)
+    for w_idx, word in enumerate(c["words"]):
+        end = flow_word(fields, x0, word, c["flow"])
         dr = abs(float(fields.model.H_R(end)) - h_r0)
         di = abs(float(fields.H_I(end)) - h_i0)
         drift = max(drift, dr, di)
         rows.append([w_idx] + list(end) + [dr, di])
-    _write_csv(
-        outdir / "endpoints.csv",
-        ["word"] + [f"c{k}" for k in range(x0.size)] + ["drift_H_R", "drift_H_I"],
-        rows,
-    )
-    tol = scale * float((cfg.get("tolerances") or {}).get("energy", 1e-6))
-    checks = [_check("leaf_containment", drift, tol)]
-    summary = _resolved(cfg, "foliate", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
-    summary["results"] = {"max_energy_drift": drift}
-    return _finish(outdir, summary, checks)
+    _write_csv(outdir / "endpoints.csv", ["word"] + _coords(x0.size) + ["drift_H_R", "drift_H_I"], rows)
+    return {"max_energy_drift": drift}, [_check("leaf_containment", drift, scale * c["tolerances"]["energy"])]
 
 
-def run_monodromy(cfg, outdir, scale):
-    model = model_from_config(_require(cfg, "model", "monodromy"))
-    fields = assemble_phhs(model)
-    fcfg = _flow_config(cfg)
-    x0 = np.asarray(_require(cfg, "x0", "monodromy"), dtype=float)
-    path = [complex(z[0], z[1]) for z in _require(cfg, "path", "monodromy")]
-    end = continue_along_path(fields, x0, path, fcfg)
-    tol = scale * float(cfg.get("tolerance", 1e-5))
-    expect = cfg.get("expect")
-    checks = []
-    closed = float(np.max(np.abs(end - x0)))
-    negated = float(np.max(np.abs(end + x0)))
-    if expect == "closed":
-        checks.append(_check("endpoint_closed", closed, tol))
-    elif expect == "negated":
-        checks.append(_check("endpoint_negated", negated, tol))
-    summary = _resolved(cfg, "monodromy", {"flow": {"dt": fcfg.dt, "max_steps": fcfg.max_step_count}})
-    summary["results"] = {"endpoint": list(end), "closed_defect": closed, "negated_defect": negated}
-    _write_csv(outdir / "endpoint.csv", [f"c{k}" for k in range(x0.size)], [list(end)])
-    return _finish(outdir, summary, checks)
+def run_monodromy(c, outdir, scale):
+    x0 = c["x0"]
+    end = continue_along_path(assemble_phhs(c["model"]), x0, c["path"], c["flow"])
+    defects = {"closed": float(np.max(np.abs(end - x0))), "negated": float(np.max(np.abs(end + x0)))}
+    expect = c["expect"]
+    checks = [] if expect is None else [_check(f"endpoint_{expect}", defects[expect], scale * c["tolerance"])]
+    _write_csv(outdir / "endpoint.csv", _coords(x0.size), [list(end)])
+    return {"endpoint": list(end), "closed_defect": defects["closed"], "negated_defect": defects["negated"]}, checks
 
 
-def run_action_check(cfg, outdir, scale):
-    model = model_from_config(_require(cfg, "model", "action-check"))
-    fcfg = _flow_config(cfg)
-    x0 = np.asarray(_require(cfg, "x0", "action-check"), dtype=float)
-    nt, ns = int(cfg.get("nt", 13)), int(cfg.get("ns", 13))
-    disp = cfg.get("displace")
-    if disp:
-        i, j = (int(v) for v in disp.get("node", [nt // 2, ns // 2]))
-        k = int(disp.get("coord", 0))
+def run_action_check(c, outdir, scale):
+    model, nt, ns, disp = c["model"], c["nt"], c["ns"], c["displace"]
+    if disp is not None:
+        (i, j), k = disp["node"], disp["coord"]
         if not (0 <= i < nt and 0 <= j < ns):
             raise ConfigError(f"displace node [{i}, {j}] lies outside the {nt} x {ns} grid")
         if not 0 <= k < model.dim:
             raise ConfigError(f"displace coord {k} is outside [0, {model.dim})")
     fields = assemble_phhs(model)
-    grid = trajectory_grid(
-        fields,
-        x0,
-        _z0(cfg),
-        tuple(cfg.get("t_range", [0.0, 1.0])),
-        tuple(cfg.get("s_range", [0.0, 1.0])),
-        nt,
-        ns,
-        fcfg,
-    )
-    parts = cfg.get("parts", "both")
+    grid = trajectory_grid(fields, c["x0"], c["z0"], c["t_range"], c["s_range"], nt, ns, c["flow"])
+    parts = c["parts"]
     action = ParallelogramAction(fields, parts=parts)
     curve = curve_from_grid(grid)
-    value = complex(action.value(curve))
     base_norm = gradient_max_norm(action.gradient(curve), parts=parts)
-    results = {"action": value, "gradient_norm": base_norm}
+    results = {"action": complex(action.value(curve)), "gradient_norm": base_norm}
     checks = []
-    if disp:
-        curve.values[i, j, k] += float(disp.get("amount", 0.05))
+    if disp is not None:
+        curve.values[i, j, k] += disp["amount"]
         disp_norm = gradient_max_norm(action.gradient(curve), parts=parts)
         ratio = disp_norm / base_norm if base_norm > 0 else float("inf")
-        results["displaced_gradient_norm"] = disp_norm
-        results["ratio"] = ratio
-        ratio_min = float(cfg.get("ratio_min", 10.0)) / scale
+        results.update(displaced_gradient_norm=disp_norm, ratio=ratio)
+        ratio_min = c["ratio_min"] / scale
         checks.append(_check("critical_point_ratio", ratio, ratio_min, passed=ratio >= ratio_min))
-    summary = _resolved(cfg, "action-check", {"parts": parts})
-    summary["results"] = results
-    return _finish(outdir, summary, checks)
+    return results, checks
 
 
-def run_integrability_scan(cfg, outdir, scale):
-    model = model_from_config(_require(cfg, "model", "integrability-scan"))
-    center = np.asarray(cfg.get("center", [0.0] * (2 * model.m)), dtype=float)
-    pts = grid_points(center, float(cfg.get("half_width", 0.5)), int(cfg.get("per_axis", 5)))
-    threshold = scale * float(cfg.get("threshold", 1e-3))
-    report = integrability_report(model, pts, threshold=threshold)
-    rows = [
-        list(p) + [rn, rd]
-        for p, rn, rd in zip(report.points, report.nijenhuis_norms, report.d_omega_I_norms)
-    ]
-    _write_csv(
-        outdir / "scan.csv",
-        [f"c{k}" for k in range(pts.shape[1])] + ["nijenhuis", "d_omega_I"],
-        rows,
-    )
+def run_integrability_scan(c, outdir, scale):
+    pts = grid_points(c["center"], c["half_width"], c["per_axis"])
+    threshold = scale * c["threshold"]
+    report = integrability_report(c["model"], pts, threshold=threshold)
+    rows = [list(p) + [rn, rd] for p, rn, rd in zip(report.points, report.nijenhuis_norms, report.d_omega_I_norms)]
+    _write_csv(outdir / "scan.csv", _coords(pts.shape[1]) + ["nijenhuis", "d_omega_I"], rows)
     dichotomy = (report.max_nijenhuis <= threshold) == (report.max_d_omega_I <= threshold)
     checks = [_check("dichotomy", float(dichotomy), threshold, passed=bool(dichotomy))]
-    summary = _resolved(cfg, "integrability-scan", {"threshold": threshold})
-    summary["results"] = {
-        "max_nijenhuis": report.max_nijenhuis,
-        "max_d_omega_I": report.max_d_omega_I,
-        "classification": report.classification,
-    }
-    return _finish(outdir, summary, checks)
+    results = {"max_nijenhuis": report.max_nijenhuis, "max_d_omega_I": report.max_d_omega_I}
+    return {**results, "classification": report.classification}, checks
 
 
-def run_deform(cfg, outdir, scale):
-    eps_list = [float(e) for e in cfg.get("epsilons", [0.0, 0.5])]
-    n = int(cfg.get("n", 1))
-    bump = cfg.get("bump") or {}
-    center = np.asarray(cfg.get("center", [0.0] * (4 * n)), dtype=float)
-    pts = grid_points(center, float(cfg.get("half_width", 1.2)), int(cfg.get("per_axis", 5)))
-    threshold = scale * float(cfg.get("threshold", 1e-3))
+def run_deform(c, outdir, scale):
+    pts = grid_points(c["center"], c["half_width"], c["per_axis"])
+    threshold = scale * c["threshold"]
     rows = []
     formula_worst = 0.0
     sub = pts[:: max(1, len(pts) // 16)]
-    for eps in eps_list:
-        model = model_lib.build_deformation(
-            eps,
-            n=n,
-            hamiltonian=cfg.get("hamiltonian", "const"),
-            bump_center=bump.get("center"),
-            bump_radius=float(bump.get("radius", 0.8)),
-        )
+    for eps in c["epsilons"]:
+        model = _deformation(eps, c["n"], c["hamiltonian"], c["bump"])
         report = integrability_report(model, pts, threshold=threshold)
         omega_I = omega_I_from(model.omega_R, model.J)
         formula = model.extras["d_omega_I_formula"]
@@ -388,119 +436,48 @@ def run_deform(cfg, outdir, scale):
         rows.append([eps, report.max_nijenhuis, report.max_d_omega_I, report.classification])
     _write_csv(outdir / "sweep.csv", ["epsilon", "max_nijenhuis", "max_d_omega_I", "class"], rows)
     checks = [_check("d_omega_formula", formula_worst, scale * 1e-3)]
-    summary = _resolved(cfg, "deform", {"threshold": threshold})
-    summary["results"] = {"sweep": rows, "formula_residual": formula_worst}
-    return _finish(outdir, summary, checks)
+    return {"sweep": rows, "formula_residual": formula_worst}, checks
 
 
-def run_morse_period(cfg, outdir, scale):
-    system = PlanarSystem(v=cfg.get("v", "1"), T=float(cfg.get("T", np.pi)))
-    fcfg = _flow_config(cfg)
-    tol_p = scale * float(cfg.get("tolerance_period", 1e-4))
-    tol_a = scale * float(cfg.get("tolerance_area", 1e-4))
+def run_morse_period(c, outdir, scale):
+    system = PlanarSystem(v=c["v"], T=c["T"])
     rows = []
-    worst_p = 0.0
-    for r0 in cfg.get("radii", [0.2, 0.5, 0.8]):
-        T = verify_T_periodic(system, float(r0), fcfg)
-        err = abs(T - system.T)
-        worst_p = max(worst_p, err)
-        rows.append([float(r0), T, err, period_function(system, float(r0))])
+    for r0 in c["radii"]:
+        T = verify_T_periodic(system, r0, c["flow"])
+        rows.append([r0, T, abs(T - system.T), period_function(system, r0)])
     _write_csv(outdir / "periods.csv", ["r0", "measured_period", "error", "period_function"], rows)
-    worst_a = 0.0
-    area_rows = []
-    for E in cfg.get("energies", [0.05, 0.1, 0.2]):
-        area, target, res = area_law_check(system, float(E))
-        worst_a = max(worst_a, res)
-        area_rows.append([float(E), area, target, res])
+    area_rows = [[E, *area_law_check(system, E)] for E in c["energies"]]
     _write_csv(outdir / "area_law.csv", ["E", "area", "T_times_E", "residual"], area_rows)
-    checks = [_check("period", worst_p, tol_p), _check("area_law", worst_a, tol_a)]
-    summary = _resolved(cfg, "morse-period", {"T": system.T})
-    summary["results"] = {"max_period_error": worst_p, "max_area_residual": worst_a}
-    return _finish(outdir, summary, checks)
+    worst_p = max([0.0] + [row[2] for row in rows])
+    worst_a = max([0.0] + [row[3] for row in area_rows])
+    checks = [
+        _check("period", worst_p, scale * c["tolerance_period"]),
+        _check("area_law", worst_a, scale * c["tolerance_area"]),
+    ]
+    return {"max_period_error": worst_p, "max_area_residual": worst_a}, checks
 
 
-def _metric_from_config(spec):
-    kind = spec.get("kind", "euclidean")
-    if kind == "euclidean":
-        return conn.euclidean_metric(int(spec.get("n", 2)))
-    if kind == "diag":
-        return conn.diagonal_metric(spec["entries"])
-    raise ConfigError(f"unknown metric kind {kind!r}")
-
-
-def run_connection_check(cfg, outdir, scale):
-    spec = _require(cfg, "metric", "connection-check")
-    pts = cfg.get("points")
-    if pts is None:
-        n = int(spec.get("n", 2))
-        pts = grid_points(np.full(2 * n, 0.4), 0.2, 2)
-    else:
-        pts = np.asarray(pts, dtype=float)
-    metric = _metric_from_config(spec)
+def run_connection_check(c, outdir, scale):
+    m = c["metric"]
+    metric = conn.diagonal_metric(m["entries"]) if m["kind"] == "diag" else conn.euclidean_metric(m["n"])
+    pts = c["points"]
     report = conn.flatness_vs_integrability(metric, pts)
     sig, sym = conn.pairing_signature(metric, pts[0])
-    results = {
-        "max_curvature": report["max_curvature"],
-        "max_nijenhuis": report["max_nijenhuis"],
-        "pairing_signature": list(sig),
-        "pairing_symmetry_residual": sym,
-    }
+    results = {"max_curvature": report["max_curvature"], "max_nijenhuis": report["max_nijenhuis"]}
+    results.update(pairing_signature=list(sig), pairing_symmetry_residual=sym)
     checks = [_check("pairing_symmetric", sym, scale * 1e-8)]
-    if "holo_metric" in cfg:
-        entries = cfg["holo_metric"]["entries"]
+    if c["holo_metric"] is not None:
+        entries = c["holo_metric"]["entries"]
         lc = conn.holo_metric_lc_check(entries, grid_points(np.full(2 * len(entries), 0.2), 0.3, 3))
         results["lc_diff"] = lc["max_christoffel_diff"]
         checks.append(_check("levi_civita_parts_agree", lc["max_christoffel_diff"], scale * 1e-5))
-    rows = [
-        list(p) + [rn, rd]
-        for p, rn, rd in zip(pts, report["curvature_norms"], report["nijenhuis_norms"])
-    ]
-    _write_csv(
-        outdir / "connection.csv",
-        [f"c{k}" for k in range(pts.shape[1])] + ["curvature", "nijenhuis"],
-        rows,
-    )
-    summary = _resolved(cfg, "connection-check", {})
-    summary["results"] = results
-    return _finish(outdir, summary, checks)
+    rows = [list(p) + [rn, rd] for p, rn, rd in zip(pts, report["curvature_norms"], report["nijenhuis_norms"])]
+    _write_csv(outdir / "connection.csv", _coords(pts.shape[1]) + ["curvature", "nijenhuis"], rows)
+    return results, checks
 
 
-# the top-level scenario keys each verb reads
-_GRID = {"model", "flow", "x0", "z0", "t_range", "s_range", "nt", "ns"}
-KEYS = {
-    "integrate": _GRID | {"tolerances"},
-    "foliate": {"model", "flow", "tolerances", "x0", "words"},
-    "monodromy": {"model", "flow", "x0", "path", "expect", "tolerance"},
-    "action-check": _GRID | {"displace", "ratio_min", "parts"},
-    "integrability-scan": {"model", "center", "half_width", "per_axis", "threshold"},
-    "deform": {"epsilons", "n", "hamiltonian", "bump", "center", "half_width", "per_axis", "threshold"},
-    "morse-period": {"v", "T", "flow", "radii", "energies", "tolerance_period", "tolerance_area"},
-    "connection-check": {"metric", "points", "holo_metric"},
-}
-
-# the keys of the nested objects each verb reads (a model's: MODEL_KEYS)
-_FLOW = {"flow": {"dt", "max_steps"}}
-NESTED = {
-    "integrate": _FLOW | {"tolerances": {"swap", "energy"}},
-    "foliate": _FLOW | {"tolerances": {"energy"}},
-    "monodromy": _FLOW,
-    "action-check": _FLOW | {"displace": {"node", "coord", "amount"}},
-    "integrability-scan": {},
-    "deform": {"bump": _BUMP},
-    "morse-period": _FLOW,
-    "connection-check": {"metric": {"kind", "entries", "n"}, "holo_metric": {"entries"}},
-}
-
-VERBS = {
-    "integrate": run_integrate,
-    "foliate": run_foliate,
-    "monodromy": run_monodromy,
-    "action-check": run_action_check,
-    "integrability-scan": run_integrability_scan,
-    "deform": run_deform,
-    "morse-period": run_morse_period,
-    "connection-check": run_connection_check,
-}
+# each verb of SCHEMA as ``main`` calls it, (scenario, output directory, tolerance scale) -> exit code
+VERBS = {verb: partial(_run, verb, globals()["run_" + verb.replace("-", "_")]) for verb in SCHEMA}
 
 
 def main(argv=None):
@@ -515,12 +492,6 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = json.loads(Path(args.config).read_text())
-        if not isinstance(cfg, dict):
-            raise ConfigError("the scenario document must be a JSON object")
-        _check_keys(cfg, KEYS[args.verb], f"scenario for {args.verb!r}")
-        for key, allowed in NESTED[args.verb].items():
-            if cfg.get(key) is not None:
-                _check_keys(cfg[key], allowed, key)
         return VERBS[args.verb](cfg, outdir, args.tolerance_scale)
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but raised by a numerical singularity, not by the scenario

@@ -110,9 +110,6 @@ class HamiltonianFields:
     alpha: CovectorField
     diagnostics: dict
 
-    def H_complex(self, p):
-        return complex(self.model.H_R(p), self.H_I(p))
-
 
 def omega_I_from(omega_R, J):
     """Induced 2-form Omega_I = -Omega_R(J., .), pointwise -J^T W_R."""
@@ -186,9 +183,13 @@ def closedness_residual(alpha, p):
 # absolute and relative tolerance of the quadrature primitive H_I; primitive_stack accepts a
 # row after its first pass only where ``quad`` run with this tolerance would stop there too
 QUAD_TOL = 1e-11
+# a loop residual of alpha above this means alpha is not closed, so it has no primitive
+CLOSED_TOL = 1e-4
+# J^2 = -1 and the Omega_R-anticompatibility of J must hold on the samples to this residual
+EXACT_TOL = 1e-6
 
 
-def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_tol=QUAD_TOL):
+def primitive_scalar(alpha, base, p, check_closed=True):
     """Line integral of alpha along the straight segment base -> p.
 
     Defines a primitive anchored at the base point (value 0 there).  With
@@ -200,16 +201,16 @@ def primitive_scalar(alpha, base, p, check_closed=True, closed_tol=1e-4, quad_to
     p = as_point(p)
     if check_closed:
         res = closedness_residual(alpha, p)
-        if res > closed_tol:
+        if res > CLOSED_TOL:
             raise NonClosedFormError(
-                f"loop residual {res:.3e} exceeds {closed_tol:.1e}; the 1-form is not closed"
+                f"loop residual {res:.3e} exceeds {CLOSED_TOL:.1e}; the 1-form is not closed"
             )
     seg = p - base
 
     def integrand(t):
         return float(np.dot(np.asarray(alpha(base + t * seg), dtype=float), seg))
 
-    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     return val
 
 
@@ -324,24 +325,20 @@ def poisson_bracket(F, G, omega, p):
     return float(val) if val.ndim == 0 else val
 
 
-def _default_samples(model, count=10, scale=0.35, seed=11):
-    return seeded_points(seed, count, model.dim, scale=scale, center=model.base_point)
-
-
-def assemble_phhs(model, samples=None, tol_exact=1e-6, check_closedness=True):
+def assemble_phhs(model, check_closedness=True):
     """Produce X, JX, Omega_I, H_I and run the full diagnostic suite.
 
     Validation failures of the structure tensors (J not an almost complex
     structure, or not anticompatible with Omega_R) abort the assembly; the
     remaining diagnostics are recorded in the report without being fatal.
     """
-    samples = _default_samples(model) if samples is None else np.asarray(samples, dtype=float)
+    samples = seeded_points(11, 10, model.dim, scale=0.35, center=model.base_point)
 
     acs = acs_residual(model.J, samples)
     anti = anticompat_residual(model.omega_R, model.J, samples)
-    if acs > tol_exact:
+    if acs > EXACT_TOL:
         raise ValueError(f"J fails J^2 = -1 on samples (residual {acs:.3e}); assembly aborted")
-    if anti > tol_exact:
+    if anti > EXACT_TOL:
         raise ValueError(
             f"J is not Omega_R-anticompatible on samples (residual {anti:.3e}); assembly aborted"
         )
@@ -360,7 +357,7 @@ def assemble_phhs(model, samples=None, tol_exact=1e-6, check_closedness=True):
 
     if check_closedness:
         worst = max(closedness_residual(alpha, p) for p in [model.base_point, samples[0]])
-        if worst > 1e-4:
+        if worst > CLOSED_TOL:
             raise NonClosedFormError(
                 f"Omega_R(J X, .) is not closed (residual {worst:.3e}); "
                 "the data do not form a pseudo-holomorphic Hamiltonian system"

@@ -164,7 +164,7 @@ def _realify_holomorphic_field(V):
 
 
 def _standard_fields(n, H_c, dH_c):
-    """X hook plus H_R/H_I fields for a holomorphic H on standard C^{2n}."""
+    """X hook, the H_R field and the H_I hook of a holomorphic H on standard C^{2n}."""
     m = 2 * n
 
     def v_c(z):
@@ -177,13 +177,9 @@ def _standard_fields(n, H_c, dH_c):
         g = dH_c(to_complex(p))
         return np.concatenate([g.real, -g.imag], axis=-1)
 
-    def grad_i(p):
-        g = dH_c(to_complex(p))
-        return np.concatenate([g.imag, g.real], axis=-1)
-
     H_R = ScalarField(lambda p: H_c(to_complex(p)).real, grad=grad_r, name="H_R")
     H_I = lambda p: H_c(to_complex(p)).imag  # noqa: E731 - hook, not a field
-    return X, H_R, H_I, grad_i
+    return X, H_R, H_I
 
 
 def _holomorphy_samples(m, seed=3, count=8, scale=0.4, center=None):
@@ -204,7 +200,7 @@ def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
     res = holomorphy_residual(H_c, _holomorphy_samples(m, center=center))
     if res > holo_tol:
         raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
-    X, H_R, H_I_hook, _ = _standard_fields(n, H_c, dH_c)
+    X, H_R, H_I_hook = _standard_fields(n, H_c, dH_c)
     lam = CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R")
     model = PhhsModel(
         m=m,
@@ -217,7 +213,6 @@ def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
         X_hook=X,
         H_I_hook=H_I_hook,
     )
-    model.extras["H_complex"] = H_c
     return model
 
 
@@ -304,7 +299,6 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
         X_hook=X,
         H_I_hook=lambda p: central_hamiltonian(to_complex(p)).imag,
     )
-    model.extras["H_complex"] = central_hamiltonian
     return model
 
 
@@ -384,7 +378,7 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
             f"Hamiltonian varies with the position coordinates (|dH/dQ| = {q_dep:.3e}); "
             "only momentum-dependent Hamiltonians live on the torus"
         )
-    X, H_R, H_I_hook, _ = _standard_fields(n, H_c, dH_c)
+    X, H_R, H_I_hook = _standard_fields(n, H_c, dH_c)
 
     def closed_form(x0):
         z0 = to_complex(as_point(x0))
@@ -409,9 +403,6 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
         X_hook=X,
         H_I_hook=H_I_hook,
     )
-    model.extras["lattice"] = lattice
-    model.extras["H_complex"] = H_c
-    model.extras["dH_complex"] = dH_c
     return model
 
 
@@ -520,8 +511,6 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
         X_hook=VectorField(x_hook, name="X"),
     )
     model.extras["f"] = f_fn
-    model.extras["h"] = h_fn
-    model.extras["r"] = lambda p: f_fn(p) / h_fn(p)
     model.extras["I_g"] = MatrixField(lambda p: i_g_matrix(f_fn(p), h_fn(p)), name="I_g")
     return model
 
@@ -675,8 +664,6 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
         X_hook=x_hook,
         H_I_hook=H_R.fn if hamiltonian == "const" else (lambda p: p.T[dim - 1].copy()),
     )
-    model.extras["epsilon"] = eps
     model.extras["f"] = f_fn
-    model.extras["r"] = r_eps
     model.extras["d_omega_I_formula"] = d_omega_formula
     return model

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phhs import models
-from phhs.cli import KEYS, VERBS, main
+from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
 
@@ -252,7 +252,7 @@ def test_misspelled_key_exits_3_and_names_it(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("verb", sorted(KEYS))
+@pytest.mark.parametrize("verb", sorted(VERBS))
 def test_every_verb_rejects_a_key_it_does_not_read(tmp_path, capsys, verb):
     cfg = write_config(tmp_path, "cfg.json", {"no_such_key": 1})
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -345,7 +345,7 @@ _GRID = {"x0": [0.4, 0.3, 0.1, -0.2], "t_range": [0.0, 0.5], "s_range": [0.0, 0.
         (
             "integrability-scan",
             {"model": {"name": "deformation", "epsilon": 0.5, "bump": {"radiu": 0.5}}},
-            "model bump",
+            "model.bump",
             "radiu",
         ),
         ("integrate", {"model": _OSCILLATOR, **_GRID, "tolerances": {"swapp": 1e-6}}, "tolerances", "swapp"),
@@ -380,3 +380,59 @@ def test_a_nested_key_that_is_not_an_object_exits_3(tmp_path, capsys, key):
     verb = "integrate" if key == "tolerances" else "action-check"
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert f"{key} must be an object" in capsys.readouterr().err
+
+
+_TORUS = {"name": "torus", "generators": [[1, 0], [0, 1]]}
+_MONODROMY = {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "path": [[0, 0], [0.1, 0]]}
+_FOLIATE = {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]]]}
+
+
+@pytest.mark.parametrize(
+    "verb, scenario, message",
+    [
+        ("action-check", {"model": _OSCILLATOR, **_GRID, "nt": "5"}, 'nt must be a positive integer, got "5"'),
+        ("integrate", {"model": _OSCILLATOR, **_GRID, "nt": True}, "nt must be a positive integer, got true"),
+        ("integrability-scan", {"model": _TORUS, "per_axis": 2.5}, "per_axis must be a positive integer, got 2.5"),
+        ("monodromy", {**_MONODROMY, "flow": {"max_steps": 2.7}}, "flow.max_steps must be a positive integer"),
+        ("morse-period", {"radii": 0.5, "energies": []}, "radii must be a list of numbers, got 0.5"),
+        ("deform", {"epsilons": 0.5}, "epsilons must be a list of numbers, got 0.5"),
+        ("integrate", {"model": _OSCILLATOR, **_GRID, "t_range": [0.0]}, "t_range must be a pair [a, b] of numbers"),
+        ("foliate", {**_FOLIATE, "words": [[0.1, 0.2]]}, "words[0][0] must be a pair [a, b] of numbers, got 0.1"),
+        ("foliate", {**_FOLIATE, "words": [[[0.1, "s"]]]}, 'words[0][0][1] must be a number, got "s"'),
+        ("monodromy", {**_MONODROMY, "path": [[0, 0], [0.1]]}, "path[1] must be a number or a pair [re, im]"),
+        ("integrate", {"model": _OSCILLATOR, **_GRID, "tolerances": {"energy": None}}, "tolerances.energy must be"),
+        ("monodromy", {**_MONODROMY, "flow": {"dt": "abc"}}, 'flow.dt must be a positive number, got "abc"'),
+        ("monodromy", {**_MONODROMY, "x0": 0.5}, "x0 must be a point of 4 numbers, got 0.5"),
+        ("monodromy", {**_MONODROMY, "x0": [1.0, 0.5, 0.0]}, "x0 must be a point of 4 numbers, got [1.0, 0.5, 0.0]"),
+        ("integrability-scan", {"model": _OSCILLATOR, "center": [0, 0]}, "center must be a point of 4 numbers"),
+        ("monodromy", {**_MONODROMY, "expect": "negatd"}, 'expect must be one of ["closed", "negated"], got "negatd"'),
+        ("action-check", {"model": _OSCILLATOR, **_GRID, "parts": "imag"}, 'parts must be one of ["both", "real"]'),
+        ("connection-check", {"metric": {"kind": "diagonal"}}, 'metric.kind must be one of ["euclidean", "diag"]'),
+        ("connection-check", {"metric": {"kind": "diag"}}, "metric is missing the required key metric.entries"),
+        ("deform", {"hamiltonian": "linear"}, 'hamiltonian must be one of ["const", "linear_last"], got "linear"'),
+        (
+            "integrability-scan",
+            {"model": {"name": "deformation", "hamiltonian": "lin"}},
+            "model.hamiltonian must be one of",
+        ),
+        (
+            "integrability-scan",
+            {"model": {"name": "deformation", "bump": {"radius": "0.5"}}},
+            'model.bump.radius must be a number, got "0.5"',
+        ),
+        ("integrability-scan", {"model": {"name": "torus"}}, "'torus' is missing the required key model.generators"),
+        ("integrability-scan", {"model": {"name": "proper_phhs", "h": ["x1"]}}, "model.h must be expression text"),
+        ("integrate", {**_GRID}, "scenario for 'integrate' is missing the required key model"),
+    ],
+)
+def test_a_value_of_the_wrong_kind_exits_3_and_names_its_key(tmp_path, capsys, verb, scenario, message):
+    cfg = write_config(tmp_path, "cfg.json", scenario)
+    out = tmp_path / "o"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_a_number_is_a_constant_expression(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"model": {"name": "standard_hhs", "H": 2}, "per_axis": 2})
+    assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
