@@ -9,7 +9,7 @@ velocity into the lattice: none (aperiodic plane), a rank-one family
 import numpy as np
 
 from phhs import models
-from phhs.flows import FlowConfig, trajectory_grid
+from phhs.flows import FlowConfig, grid_monitors, trajectory_grid
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import from_complex, to_complex
 
@@ -31,7 +31,8 @@ print(f"momentum (1, sqrt 2): {out.kind} (caveat={out.caveat}; bounded search ca
 print()
 print("== the numerical grid follows the straight winding exactly ==")
 x0 = from_complex(np.array([0.1 + 0.2j, 0.6 - 0.3j]))
-grid = trajectory_grid(fields, x0, 0.0, (0.0, 1.0), (0.0, 1.0), 9, 9, FlowConfig(dt=1e-3))
+cfg = FlowConfig(dt=1e-3)
+grid = trajectory_grid(fields, x0, 0.0, (0.0, 1.0), (0.0, 1.0), 9, 9, cfg)
 gamma = model.closed_form(x0)
 worst = max(
     float(np.max(np.abs(to_complex(grid.values[i, j]) - gamma(grid.node_z(i, j)))))
@@ -39,4 +40,5 @@ worst = max(
     for j in range(grid.ns)
 )
 print("max deviation from [Q0 + z P0]:", worst)
-print("swap defect:", grid.diagnostics["swap_defect"], " energy drift:", grid.diagnostics["energy_drift_R"])
+monitors = grid_monitors(fields, grid, cfg)
+print("swap defect:", monitors["swap_defect"], " energy drift:", monitors["energy_drift_R"])

@@ -43,6 +43,7 @@ from .flows import (
     flow,
     flow_error_estimate,
     flow_word,
+    grid_monitors,
     tilted_flow,
     trajectory_grid,
 )

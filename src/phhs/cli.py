@@ -32,7 +32,7 @@ import numpy as np
 from . import models as model_lib
 from .actions import ParallelogramAction, curve_from_grid, gradient_max_norm
 from .errors import ParseError, PhhsError
-from .flows import FlowConfig, continue_along_path, flow_word, trajectory_grid
+from .flows import FlowConfig, continue_along_path, flow_word, grid_monitors, trajectory_grid
 from .hamiltonian import assemble_phhs, integrability_report, omega_I_from
 from .morse import PlanarSystem, area_law_check, period_function, verify_T_periodic
 from .tensors import exterior_derivative_2form
@@ -115,20 +115,32 @@ def choice(*values):
     return _kind(f"one of {json.dumps(values)}", lambda v: v in values)
 
 
-def list_of(item, what, convert=list, length=None):
+def list_of(item, what, convert=list, length=None, nonempty=False):
     """A list of ``item`` values at ``path[i]``; ``length``, a number or a function of ``done``, is ``{n}``."""
 
     def resolve(value, path, done):
         n = length(done) if callable(length) else length
-        if not isinstance(value, list) or n not in (None, len(value)):
+        if not isinstance(value, list) or n not in (None, len(value)) or (nonempty and not value):
             _fail(path, what.format(n=n), value)
         return convert([item(v, f"{path}[{i}]", done) for i, v in enumerate(value)])
 
     return resolve
 
 
+def square(item, what, block=1):
+    """An n x n list of rows of ``item`` values, n a positive multiple of ``block``."""
+    rows = list_of(list_of(item, what), what)
+
+    def resolve(value, path, done):
+        n = len(value) if isinstance(value, list) else 0
+        if not (n and n % block == 0 and all(isinstance(row, list) and len(row) == n for row in value)):
+            _fail(path, what, value)
+        return rows(value, path, done)
+
+    return resolve
+
+
 NUMBERS = list_of(NUMBER, "a list of numbers")
-EXPRESSIONS = list_of(EXPRESSION, "a list of expressions")
 PAIR = list_of(NUMBER, "a pair [a, b] of numbers", tuple, 2)
 NODE = list_of(INTEGER, "a node [i, j] of integers", tuple, 2)
 _RE_IM = list_of(NUMBER, "a number or a pair [re, im] of numbers", lambda v: complex(*v), 2)
@@ -196,7 +208,7 @@ MODELS = {
     "rotation": ({"phi": (EXPRESSION, "0")}, model_lib.build_rotation_family),
     "deformation": ({"epsilon": (NUMBER, 0.0), **DEFORMATION}, _deformation),
     "torus": (
-        {"generators": (list_of(NUMBERS, "a list of generators"), REQUIRED), "H": (EXPRESSION, None)},
+        {"generators": (square(NUMBER, "2n generators of length 2n", block=2), REQUIRED), "H": (EXPRESSION, None)},
         lambda generators, H: model_lib.build_torus_model(model_lib.Lattice(generators), H=H),
     ),
 }
@@ -234,7 +246,10 @@ DISPLACE = table(
 METRIC = table(
     {
         "kind": (choice("euclidean", "diag"), "euclidean"),
-        "entries": (EXPRESSIONS, lambda c: REQUIRED if c["kind"] == "diag" else None),
+        "entries": (
+            list_of(EXPRESSION, "a non-empty list of expressions", nonempty=True),
+            lambda c: REQUIRED if c["kind"] == "diag" else None,
+        ),
         "n": (COUNT, 2),
     }
 )
@@ -293,10 +308,10 @@ SCHEMA = {
     "connection-check": {
         "metric": (METRIC, REQUIRED),
         "points": (
-            list_of(point(_metric_dim), "a list of points", np.array),
+            list_of(point(_metric_dim), "a non-empty list of points", np.array, nonempty=True),
             lambda c: grid_points(np.full(_metric_dim(c), 0.4), 0.2, 2).tolist(),
         ),
-        "holo_metric": (table({"entries": (list_of(EXPRESSIONS, "a matrix of expressions"), REQUIRED)}), None),
+        "holo_metric": (table({"entries": (square(EXPRESSION, "a square matrix of expressions"), REQUIRED)}), None),
     },
 }
 
@@ -344,7 +359,7 @@ def _run(verb, run, cfg, outdir, scale):
 def run_integrate(c, outdir, scale):
     fields = assemble_phhs(c["model"])
     grid = trajectory_grid(fields, c["x0"], c["z0"], c["t_range"], c["s_range"], c["nt"], c["ns"], c["flow"])
-    diag = grid.diagnostics
+    diag = grid_monitors(fields, grid, c["flow"])
     t, s, cr = grid.t_nodes, grid.s_nodes, diag["cr_nodes"]
     rows = [[i, j, t[i], s[j], *grid.values[i, j], cr[i, j]] for i, j in np.ndindex(grid.nt, grid.ns)]
     _write_csv(outdir / "grid.csv", ["i", "j", "t", "s"] + _coords(grid.values.shape[-1]) + ["cr_residual"], rows)

@@ -10,11 +10,15 @@ A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule; the field is then evaluated on the whole stack at
 each stage.  :func:`trajectory_grid` flows all its column anchors so, and
 since every row takes exactly the steps it would take alone, each node is
-the value a flow of its own column gives.  Its monitors take H_R and H_I
-on all nodes and J on the interior nodes as one stack each, so an energy
-drift can differ in the last digits from node-by-node values where H_R or
-H_I rounds a stack row differently from that point (the central problem's
-H_I, or expression text such as ``1 + x1^2``).
+the value a flow of its own column gives.  The grid carries no monitor:
+:func:`grid_monitors` computes them from it, so only a caller that reports
+them pays for them (the ``integrate`` verb does; ``action-check``, which
+reads the nodes alone, skips the swap check's two single-point flows).  The
+monitors take H_R and H_I on all nodes and J on the interior nodes as one
+stack each, so an energy drift can differ in the last digits from
+node-by-node values where H_R or H_I rounds a stack row differently from
+that point (the central problem's H_I, or expression text such as
+``1 + x1^2``).
 
 A field that is the real form of a holomorphic w on C^m (J = i; see
 ``VectorField.complex_form``) is flowed on the complex state z = x + i y:
@@ -190,7 +194,7 @@ class GridCurve:
     values: np.ndarray  # (nt, ns, dim)
     z0: complex
     x0: np.ndarray
-    diagnostics: dict
+    anchor: tuple  # (i0, j0), the node of z0; values[i0, j0] is x0
 
     @property
     def nt(self):
@@ -207,11 +211,10 @@ class GridCurve:
 def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
     """Fill a rectangular bi-time grid by flowing X in t and then J X in s.
 
-    The anchor z0 must be a grid node.  Diagnostics recorded with the grid:
-
-    * swap_defect: distance between the two sweep orders at the far corner;
-    * energy_drift_R / energy_drift_I: max |H o gamma - H(x0)|;
-    * cr_residual: max |d_s gamma - J(d_t gamma)| by grid central differences.
+    The anchor z0 must be a grid node.  Only the two sweeps run here: the t
+    sweep of x0 and the s sweep of the column anchors as one stack.  The
+    monitors of the grid are :func:`grid_monitors`, paid for by the callers
+    that report them (``integrate``, not ``action-check``).
     """
     x0 = as_point(x0)
     z0 = complex(z0)
@@ -227,6 +230,21 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
     anchors = np.array([t_states[t - t_nodes[i0]] for t in t_nodes])
     s_states = _flow_through_nodes(fields.JX, anchors, [s - s_nodes[j0] for s in s_nodes], cfg)
     values = np.stack([s_states[s - s_nodes[j0]] for s in s_nodes], axis=1)
+    return GridCurve(t_nodes=t_nodes, s_nodes=s_nodes, values=values, z0=z0, x0=np.array(x0), anchor=(i0, j0))
+
+
+def grid_monitors(fields, grid, cfg=FlowConfig()):
+    """The monitors of a bi-time grid made by :func:`trajectory_grid` with ``cfg``.
+
+    * swap_defect: distance between the two sweep orders at the far corner,
+      the J X flow then the X flow of x0 (two single-point flows);
+    * energy_drift_R / energy_drift_I: max |H o gamma - H(x0)|;
+    * cr_residual: max |d_s gamma - J(d_t gamma)| by grid central differences,
+      and cr_nodes, its value at each node (0 on the border).
+    """
+    t_nodes, s_nodes, values, x0 = grid.t_nodes, grid.s_nodes, grid.values, grid.x0
+    nt, ns = grid.nt, grid.ns
+    i0, j0 = grid.anchor
 
     far_t = t_nodes[-1] - t_nodes[i0]
     far_s = s_nodes[-1] - s_nodes[j0]
@@ -252,20 +270,13 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
         cr_nodes[1:-1, 1:-1] = residual.reshape(nt - 2, ns - 2)
         cr = float(np.max(cr_nodes))
 
-    return GridCurve(
-        t_nodes=t_nodes,
-        s_nodes=s_nodes,
-        values=values,
-        z0=z0,
-        x0=np.array(x0),
-        diagnostics={
-            "swap_defect": swap_defect,
-            "energy_drift_R": drift_r,
-            "energy_drift_I": drift_i,
-            "cr_residual": cr,
-            "cr_nodes": cr_nodes,
-        },
-    )
+    return {
+        "swap_defect": swap_defect,
+        "energy_drift_R": drift_r,
+        "energy_drift_I": drift_i,
+        "cr_residual": cr,
+        "cr_nodes": cr_nodes,
+    }
 
 
 def _combo_field(fields, a, b):

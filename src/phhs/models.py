@@ -315,7 +315,7 @@ class Lattice:
 
     def __post_init__(self):
         B = np.asarray(self.generators, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] % 2:
             raise ValueError("need 2n generators of length 2n")
         if abs(np.linalg.det(B)) < 1e-12:
             raise ValueError("lattice generators are linearly dependent")

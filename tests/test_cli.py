@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phhs import models
+from phhs import flows, models
 from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
@@ -423,6 +424,33 @@ _FOLIATE = {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]
         ("integrability-scan", {"model": {"name": "torus"}}, "'torus' is missing the required key model.generators"),
         ("integrability-scan", {"model": {"name": "proper_phhs", "h": ["x1"]}}, "model.h must be expression text"),
         ("integrate", {**_GRID}, "scenario for 'integrate' is missing the required key model"),
+        ("connection-check", {"metric": {"kind": "euclidean"}, "points": []}, "points must be a non-empty list"),
+        (
+            "connection-check",
+            {"metric": {"kind": "euclidean"}, "holo_metric": {"entries": [["1"], ["0", "1"]]}},
+            'holo_metric.entries must be a square matrix of expressions, got [["1"], ["0", "1"]]',
+        ),
+        (
+            "connection-check",
+            {"metric": {"kind": "euclidean"}, "holo_metric": {"entries": [["1", "0"]]}},
+            'holo_metric.entries must be a square matrix of expressions, got [["1", "0"]]',
+        ),
+        ("connection-check", {"metric": {"kind": "diag", "entries": []}}, "metric.entries must be a non-empty list"),
+        (
+            "integrability-scan",
+            {"model": {"name": "torus", "generators": [[1, 0], [0]]}},
+            "model.generators must be 2n generators of length 2n, got [[1, 0], [0]]",
+        ),
+        (
+            "integrability-scan",
+            {"model": {"name": "torus", "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+            "model.generators must be 2n generators of length 2n",
+        ),
+        (
+            "integrability-scan",
+            {"model": {"name": "torus", "generators": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+            "model.generators must be 2n generators of length 2n",
+        ),
     ],
 )
 def test_a_value_of_the_wrong_kind_exits_3_and_names_its_key(tmp_path, capsys, verb, scenario, message):
@@ -436,3 +464,23 @@ def test_a_value_of_the_wrong_kind_exits_3_and_names_its_key(tmp_path, capsys, v
 def test_a_number_is_a_constant_expression(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"model": {"name": "standard_hhs", "H": 2}, "per_axis": 2})
     assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
+def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
+    # both grids take 2,016 steps: the t sweep 1,008 and the stacked s sweep 1,008;
+    # only integrate reports the swap check, whose two flows take 1,000 steps each
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    cfg = write_config(tmp_path, "cfg.json", dict(scenarios.workload("bigrid", 0))[verb])
+    taken = []
+    rk4_step = flows.rk4_step
+
+    def counted(V, y, h):
+        taken.append(h)
+        return rk4_step(V, y, h)
+
+    monkeypatch.setattr(flows, "rk4_step", counted)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(taken) == steps

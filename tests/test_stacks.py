@@ -18,7 +18,7 @@ from phhs import connections as conn
 from phhs import models
 from phhs.errors import NonFiniteStateError
 from phhs.fields import FdConfig, ScalarField, VectorField, complex_gradient, jet, partial_jet, rowwise
-from phhs.flows import FlowConfig, flow, trajectory_grid
+from phhs.flows import FlowConfig, flow, grid_monitors, trajectory_grid
 from phhs.hamiltonian import HamiltonianFields, assemble_phhs, hamiltonian_vector_field, omega_I_from
 from phhs.tensors import exterior_derivative_2form, lie_bracket, lie_derivative_matrix, nijenhuis
 from phhs.util import seeded_points, to_complex
@@ -169,7 +169,7 @@ def _drift_with_h_r(fields, H_R):
     fields = dataclasses.replace(fields, model=dataclasses.replace(fields.model, H_R=H_R))
     x0 = np.array([0.4, 0.3, 0.1, -0.2])
     grid = trajectory_grid(fields, x0, 0.0, (0.0, 1.0), (0.0, 1.0), 5, 5, CFG)
-    return grid.diagnostics["energy_drift_R"]
+    return grid_monitors(fields, grid, CFG)["energy_drift_R"]
 
 
 def test_pointwise_field_on_a_stack_is_an_error():
