@@ -7,11 +7,17 @@ returns one value per row, stacked on the first axis (a scalar field
 exactly ``(N,)``); a stack call that does not is a ``ValueError``.  A stack
 with as many rows as a point has coordinates is evaluated with one extra
 row, so that a function of one point reading ``p[k]`` fails this check
-there too.  Every function the package builds itself takes a stack, the
-quadrature primitive H_I included; :func:`rowwise` is the user boundary
-only.  It lifts a bare callable of one point that a user hands to the
-model builders (through
-``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`),
+there too.  ``Field.__call__`` checks this where a field enters the
+package: on a user's call, on the sample stack on which
+:func:`~phhs.hamiltonian.assemble_phhs` calls J, Omega_R and X, and on the
+four stages of a real-state flow's first step.  Past that boundary the
+package calls a field's raw function ``fn``: J X and the flows'
+combination a X + b J X compose ``J.fn`` and ``X.fn``, and a flow steps on
+``fn`` after its first step, so no RK4 stage repeats the check.  Every
+function the package builds itself takes a stack, the quadrature
+primitive H_I included; :func:`rowwise` is the user boundary only.  It
+lifts a bare callable of one point that a user hands to the model builders
+(through ``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`),
 as a metric entry (:func:`~phhs.connections.diagonal_metric`,
 :func:`~phhs.connections.holo_metric_parts`) or as the conformal factor
 ``v`` of :class:`~phhs.morse.PlanarSystem`, the last two through

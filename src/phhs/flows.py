@@ -8,12 +8,17 @@ written; every flow in the package, the period measurement of
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule; the field is then evaluated on the whole stack at
-each stage.  :func:`trajectory_grid` flows all its column anchors so, and
-since every row takes exactly the steps it would take alone, each node is
-the value a flow of its own column gives.  The grid carries no monitor:
-:func:`grid_monitors` computes them from it, so only a caller that reports
-them pays for them (the ``integrate`` verb does; ``action-check``, which
-reads the nodes alone, skips the swap check's two single-point flows).  The
+each stage.  The stages of the first step call the field itself, whose
+``Field.__call__`` checks that it returns one value per row; the later
+steps call its raw function ``fn`` on the same shape (see
+:mod:`phhs.fields`), and the combination field a X + b J X composes
+``X.fn`` and ``J.fn``.  :func:`trajectory_grid` flows all its column
+anchors as one stack, and since every row takes exactly the steps it would
+take alone, each node is the value a flow of its own column gives.  The
+grid carries no monitor: :func:`grid_monitors` computes them from it, so
+only a caller that reports them pays for them (the ``integrate`` verb does;
+``action-check``, which reads the nodes alone, skips the swap check's two
+single-point flows).  The
 monitors take H_R and H_I on all nodes and J on the interior nodes as one
 stack each, so an energy drift can differ in the last digits from
 node-by-node values where H_R or H_I rounds a stack row differently from
@@ -88,13 +93,20 @@ def rk4_step(V, y, h):
     """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
 
     ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
-    the same shape, and the stages keep the dtype of ``y``.
+    the same shape, and the stages keep the dtype of ``y``.  The step's
+    coefficients are made once, as Python complex numbers for a complex
+    state: numpy would cast each float to x + 0j anyway, so the bits are
+    those of the float coefficients, without a scalar promotion per product.
     """
+    if y.dtype.kind == "c":
+        half, full, sixth, two = complex(0.5 * h), complex(h), complex(h / 6.0), 2.0 + 0j
+    else:
+        half, full, sixth, two = 0.5 * h, h, h / 6.0, 2.0
     k1 = np.asarray(V(y), dtype=y.dtype)
-    k2 = np.asarray(V(y + 0.5 * h * k1), dtype=y.dtype)
-    k3 = np.asarray(V(y + 0.5 * h * k2), dtype=y.dtype)
-    k4 = np.asarray(V(y + h * k3), dtype=y.dtype)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = np.asarray(V(y + half * k1), dtype=y.dtype)
+    k3 = np.asarray(V(y + half * k2), dtype=y.dtype)
+    k4 = np.asarray(V(y + full * k3), dtype=y.dtype)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def _located(exc, y, step, h):
@@ -116,7 +128,13 @@ def _located(exc, y, step, h):
 
 
 def _rk4(V, x0, t, n_steps):
-    """Endpoint of n_steps RK4 steps; a field with a complex form steps z = x + i y."""
+    """Endpoint of n_steps RK4 steps; a field with a complex form steps z = x + i y.
+
+    The four stages of the first step call the field itself, so
+    ``Field.__call__`` checks that it returns one value per row of the state;
+    every later step calls the field's function ``fn`` on the same shape and
+    dtype unchecked.  A bare callable, and a complex form, is called as it is.
+    """
     w = getattr(V, "complex_form", None)
     F, y = (V, np.array(x0, dtype=float)) if w is None else (w, to_complex(x0))
     h = t / n_steps
@@ -128,6 +146,8 @@ def _rk4(V, x0, t, n_steps):
                 raise
             raise _located(exc, y, step, h) from exc
         _check_state(y, step, h)
+        if step == 1:
+            F = getattr(F, "fn", F)
     return y if w is None else from_complex(y)
 
 
@@ -282,17 +302,20 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
 def _combo_field(fields, a, b):
     """a X + b J X, with X evaluated once per call; a w + (i b) w on z when J X has a complex form."""
 
+    X_fn, J_fn = fields.X.fn, fields.model.J.fn
+
     def fn(p):
-        x = np.asarray(fields.X(p), dtype=float)
-        return a * x + b * matvec(np.asarray(fields.model.J(p), dtype=float), x)
+        x = np.asarray(X_fn(p), dtype=float)
+        return a * x + b * matvec(np.asarray(J_fn(p), dtype=float), x)
 
     if fields.JX.complex_form is None:
         return VectorField(fn, fd=fields.X.fd, name="combo")
     w = fields.X.complex_form
+    a_z, ib = complex(a), 1j * b
 
     def complex_fn(z):
         v = w(z)
-        return a * v + (1j * b) * v
+        return a_z * v + ib * v
 
     return VectorField(fn, fd=fields.X.fd, name="combo", complex_form=complex_fn)
 

@@ -345,9 +345,13 @@ def assemble_phhs(model, check_closedness=True):
 
     X = model.X_hook if model.X_hook is not None else hamiltonian_vector_field(model.omega_R, model.H_R)
     X_generic = hamiltonian_vector_field(model.omega_R, model.H_R)
+    # the sample stack has checked J (above) and checks X here, through Field.__call__, before
+    # J X composes their functions unchecked
+    x = np.asarray(X(samples))
+    J_fn, X_fn = model.J.fn, X.fn
 
     def jx_fn(p):
-        return matvec(np.asarray(model.J(p), dtype=float), np.asarray(X(p), dtype=float))
+        return matvec(np.asarray(J_fn(p), dtype=float), np.asarray(X_fn(p), dtype=float))
 
     w = getattr(X, "complex_form", None)
     j_is_i = w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m))
@@ -372,7 +376,6 @@ def assemble_phhs(model, check_closedness=True):
         )
 
     Jm = np.asarray(model.J(samples), dtype=float)
-    x = np.asarray(X(samples))
     dh = model.H_R.gradient(samples) + 1j * H_I.gradient(samples)
     diagnostics = {
         "acs": acs,

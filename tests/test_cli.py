@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phhs import flows, models
+from phhs import fields, flows, models
 from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
@@ -466,14 +466,18 @@ def test_a_number_is_a_constant_expression(tmp_path):
     assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+def _bigrid_focus_config(tmp_path, monkeypatch, verb):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    return write_config(tmp_path, "cfg.json", dict(scenarios.workload("bigrid", 0))[verb])
+
+
 @pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
 def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
     # both grids take 2,016 steps: the t sweep 1,008 and the stacked s sweep 1,008;
     # only integrate reports the swap check, whose two flows take 1,000 steps each
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import scenarios
-
-    cfg = write_config(tmp_path, "cfg.json", dict(scenarios.workload("bigrid", 0))[verb])
+    cfg = _bigrid_focus_config(tmp_path, monkeypatch, verb)
     taken = []
     rk4_step = flows.rk4_step
 
@@ -484,3 +488,31 @@ def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
     monkeypatch.setattr(flows, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(taken) == steps
+
+
+def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch):
+    # the same flows and the same J_g rows as ever; the row check of Field.__call__ runs on
+    # user calls, assemble_phhs's sample stack and each flow's first step, not on every stage
+    cfg = _bigrid_focus_config(tmp_path, monkeypatch, "integrate")
+    count = {"steps": 0, "J_g rows": 0, "Field calls": 0}
+    rk4_step, i_g_matrix, field_call = flows.rk4_step, models.i_g_matrix, fields.Field.__call__
+
+    def step(V, y, h):
+        count["steps"] += 1
+        return rk4_step(V, y, h)
+
+    def i_g(f_val, h_val):
+        count["J_g rows"] += np.size(f_val)
+        return i_g_matrix(f_val, h_val)
+
+    def call(self, p):
+        count["Field calls"] += 1
+        return field_call(self, p)
+
+    monkeypatch.setattr(flows, "rk4_step", step)
+    monkeypatch.setattr(models, "i_g_matrix", i_g)
+    monkeypatch.setattr(fields.Field, "__call__", call)
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert count["steps"] == 4016 and count["J_g rows"] == 80260
+    # one check per stage made 32,299 calls
+    assert count["Field calls"] <= 300

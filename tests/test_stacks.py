@@ -17,11 +17,11 @@ import pytest
 from phhs import connections as conn
 from phhs import models
 from phhs.errors import NonFiniteStateError
-from phhs.fields import FdConfig, ScalarField, VectorField, complex_gradient, jet, partial_jet, rowwise
+from phhs.fields import FdConfig, MatrixField, ScalarField, VectorField, complex_gradient, jet, partial_jet, rowwise
 from phhs.flows import FlowConfig, flow, grid_monitors, trajectory_grid
 from phhs.hamiltonian import HamiltonianFields, assemble_phhs, hamiltonian_vector_field, omega_I_from
 from phhs.tensors import exterior_derivative_2form, lie_bracket, lie_derivative_matrix, nijenhuis
-from phhs.util import seeded_points, to_complex
+from phhs.util import seeded_points, standard_j_matrix, to_complex
 
 CFG = FlowConfig(dt=1e-2)
 
@@ -182,6 +182,45 @@ def test_pointwise_field_on_a_stack_is_an_error():
 def test_pointwise_field_lifted_by_rowwise_gives_the_true_drift():
     fields, pointwise = _pointwise_oscillator_fields()
     assert _drift_with_h_r(fields, ScalarField(rowwise(pointwise), name="H_R")) < 1e-12
+
+
+def test_pointwise_field_in_a_stack_flow_is_an_error_on_its_first_step():
+    calls = []
+
+    def pointwise(p):
+        calls.append(p.shape)
+        return np.array([p[1], -p[0]])  # on a stack p[0] and p[1] are rows
+
+    V = VectorField(pointwise, name="V")
+    message = r"VectorField 'V' returned shape \(2, 2\) for a stack of shape \(3, 2\).*fields\.rowwise"
+    with pytest.raises(ValueError, match=message):
+        flow(V, np.ones((3, 2)), 1.0, CFG)
+    assert calls == [(3, 2)]
+
+
+def _pointwise_j(p):
+    # the standard J written for one point with entries reading p[0]: on a stack p[0] is the
+    # first row, so the value is one (4, 4) matrix in place of one per row
+    return standard_j_matrix(2) + 0.0 * p[0]
+
+
+def _pointwise_x(p):
+    # a vector field written for one point
+    return np.array([p[1], -p[0], p[3], -p[2]])
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        ({"J": MatrixField(_pointwise_j, name="J")}, r"MatrixField 'J' returned shape \(4, 4\) for a stack of shape \(10, 4\)"),
+        ({"X_hook": VectorField(_pointwise_x, name="X")}, r"VectorField 'X' returned shape \(4, 4\) for a stack of shape \(10, 4\)"),
+    ],
+    ids=["J", "X_hook"],
+)
+def test_assembly_rejects_a_pointwise_structure_field(replace, message):
+    model = dataclasses.replace(models.build_standard_hhs(1, "(P1^2 + Q1^2)/2"), **replace)
+    with pytest.raises(ValueError, match=message + r".*fields\.rowwise"):
+        assemble_phhs(model)
 
 
 def test_field_returning_a_single_value_for_a_stack_is_an_error():
