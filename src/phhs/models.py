@@ -468,6 +468,27 @@ def i_g_matrix(f_val, h_val):
     return I
 
 
+def twist_matrix(f_val, h_val):
+    """The twisted structure I_g J I_g of the diagonal metric (f, h), entry by entry.
+
+    f and h are numbers, or arrays of one shape giving a stack of matrices.
+    In the matmul ``I @ standard_j_matrix(2) @ I`` with I = ``i_g_matrix(f, h)``,
+    every sum behind a nonzero entry has exactly one nonzero term, and
+    multiplying by the ±1 entries of J is exact, so each entry is one
+    rounding of one product: the four products below, in the matmul's
+    order, give its bits.  The one case that differs is a non-finite
+    matrix: where 1/f or 1/h overflows, the matmul spreads NaN (0 * inf)
+    along a row and a column, where this form leaves those zeros.
+    """
+    inv_f, inv_h = 1.0 / f_val, 1.0 / h_val
+    J = np.zeros(np.shape(f_val) + (4, 4))
+    J[..., 0, 2] = inv_f * -h_val   # J_g(d_y1) = -(h/f) d_x1
+    J[..., 1, 3] = -f_val * inv_h   # J_g(d_y2) = -(f/h) d_x2
+    J[..., 2, 0] = inv_h * f_val    # J_g(d_x1) = (f/h) d_y1
+    J[..., 3, 1] = -h_val * -inv_f  # J_g(d_x2) = (h/f) d_y2
+    return J
+
+
 def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phhs"):
     """Twisted structure J_g = I_g o J o I_g on C^2 over the standard form.
 
@@ -475,6 +496,14 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     text in x1, x2, y1, y2, or callables).  The flagship choice f = 1,
     h = exp(x1) has r = f/h depending on x1 only, which is exactly when
     Omega_R(J_g X, .) is exact and the twisted system is Hamiltonian.
+
+    J_g is built entry by entry by :func:`twist_matrix`, not as the matmul
+    I_g J I_g: each of its four nonzero entries is a sum with exactly one
+    nonzero term, one rounding of one product, so the two agree bit for bit
+    wherever J_g is finite.  Where 1/f or 1/h overflows the matmul fills a
+    row and a column with NaN (0 * inf) and the closed form leaves zeros
+    there; both rows are non-finite.
+    ``extras["I_g"]`` is I_g itself, from :func:`i_g_matrix`.
     """
     f_fn, _ = _as_real_scalar(f, 2, "f")
     h_fn, _ = _as_real_scalar(h, 2, "h")
@@ -487,11 +516,8 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
         if np.min(np.abs(vals)) < 1e-10 or np.min(vals) * np.max(vals) < 0:
             raise ZeroDenominatorError(f"{label} must be nowhere zero on the working domain")
 
-    J_std = standard_j_matrix(2)
-
     def j_g(p):
-        I = i_g_matrix(f_fn(p), h_fn(p))
-        return I @ J_std @ I
+        return twist_matrix(f_fn(p), h_fn(p))
 
     W = standard_omega_matrix(1)
     W_inv = np.linalg.inv(W)
@@ -528,11 +554,12 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
         samples = seeded_points(17, 10, 4, scale=0.7)
     samples = as_points(samples)
     J = standard_j_matrix(2)
-    I = i_g_matrix(f_fn(samples), h_fn(samples))
+    f_val, h_val = f_fn(samples), h_fn(samples)
+    I = i_g_matrix(f_val, h_val)
     return {
         "anticommutator": max_abs(I @ J + J @ I),
         "i_g_square": max_abs(I @ I + np.eye(4)),
-        "twist_vs_standard": max_abs(I @ J @ I - J),
+        "twist_vs_standard": max_abs(twist_matrix(f_val, h_val) - J),
     }
 
 

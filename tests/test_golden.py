@@ -6,9 +6,12 @@ is in, the two ``bigrid`` focus scenarios among them: ``integrate`` is the
 one case where the expression-defined J_g of the twisted model runs inside
 RK4 flows next to the quadrature primitive H_I, and ``action-check`` the
 one where a 17 x 17 grid feeds the parallelogram action and its gradient.
-The jet-bound verbs (``integrability-scan``, ``deform``,
-``connection-check``) are cheap, so their scenarios of every variant are in
-too: each variant moves the scan centers, and with them every stencil point.
+The twisted ``integrate`` focus scenario of every other variant is in as
+well: each moves x0 and the anchor node, so J_g runs inside the grid's RK4
+flows and the swap check's flows from a moved anchor.  The jet-bound verbs
+(``integrability-scan``, ``deform``, ``connection-check``) are cheap, so
+their scenarios of every variant are in too: each variant moves the scan
+centers, and with them every stencil point.
 """
 
 import json
@@ -34,7 +37,8 @@ def _cases():
     for name in scenarios.FOCUS:
         for variant in range(scenarios.VARIANTS):
             for verb, cfg in scenarios.workload(name, variant):
-                if variant == 0 or verb in JET_VERBS:
+                twisted_integrate = verb == "integrate" and cfg["model"] == scenarios.TWISTED
+                if variant == 0 or verb in JET_VERBS or twisted_integrate:
                     cases.setdefault(golden.key(verb, cfg), (verb, cfg))
     return cases
 

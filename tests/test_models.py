@@ -8,9 +8,10 @@ from phhs.errors import (
     QDependenceError,
     ZeroDenominatorError,
 )
+from phhs.fields import matvec
 from phhs.hamiltonian import assemble_phhs, integrability_report
 from phhs.tensors import acs_residual, anticompat_residual
-from phhs.util import from_complex, grid_points, to_complex
+from phhs.util import from_complex, grid_points, seeded_points, standard_j_matrix, to_complex
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,39 @@ def test_proper_phhs_trivial_twist_is_standard():
     from phhs.util import standard_j_matrix
 
     assert np.max(np.abs(model.J(np.array([0.3, 0.1, -0.2, 0.4])) - standard_j_matrix(2))) < 1e-14
+
+
+@pytest.mark.parametrize("h", ["exp(x1)", "-exp(x1)"])
+@pytest.mark.parametrize("f", ["1 + x2^2", "-2 - y1^2"])
+def test_twist_matrix_is_the_matmul_bit_for_bit(f, h):
+    # every sum behind an entry of I_g J I_g has one nonzero term, so the closed form
+    # has the matmul's bits, the signs of its zeros included, on stacks and on points
+    f_fn, _ = models._as_real_scalar(f, 2, "f")
+    h_fn, _ = models._as_real_scalar(h, 2, "h")
+    J = standard_j_matrix(2)
+    X = seeded_points(99, 17, 4, scale=3.0)
+    for seed in range(25):
+        P = seeded_points(seed, 17, 4, scale=2.0)
+        for p, x in ((P, X), (P[0], X[0])):
+            f_val, h_val = f_fn(p), h_fn(p)
+            I = models.i_g_matrix(f_val, h_val)
+            closed, product = models.twist_matrix(f_val, h_val), I @ J @ I
+            assert closed.tobytes() == product.tobytes()
+            assert matvec(closed, x).tobytes() == matvec(product, x).tobytes()
+    assert type(f_fn(P[0])) is float and type(h_fn(P[0])) is float
+
+
+def test_twist_matrix_where_one_over_f_overflows():
+    # the matmul spreads 0 * inf = NaN along a row and a column; the closed form keeps
+    # those zeros, and that stack row is non-finite either way
+    f_val, h_val = np.array([1e-310, 2.0]), np.array([1.0, 3.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = models.i_g_matrix(f_val, h_val)
+        closed, product = models.twist_matrix(f_val, h_val), I @ standard_j_matrix(2) @ I
+    assert closed[1].tobytes() == product[1].tobytes()
+    assert np.isnan(product[0]).sum() > 0 and not np.isnan(closed[0]).any()
+    for M in (closed[0], product[0]):
+        assert not np.isfinite(M[0]).all() and not np.isfinite(M[3]).all()
 
 
 def test_zero_denominator_rejected():
