@@ -345,15 +345,21 @@ def compile_points(expr, names, cast=None):
 
     ``names`` is the binding of :meth:`Expression.compile`.  A constant is
     evaluated once, when the function is built, passed through ``cast`` and
-    broadcast to the input's rows.
+    broadcast to the input's rows.  Otherwise the function's ``point``
+    attribute is its point path: the value at one point given as any
+    sequence of its coordinates, a tuple of Python numbers included.
     """
     if isinstance(expr, str):
         expr = parse_expression(expr)
     if expr.variables():
         value = expr.compile(names)
-        # a point is read as it is: p.T would cost a view per call, and the
-        # Morse period check makes ~150k single-point calls
-        return lambda p: value(p) if p.ndim == 1 else value(p.T)
+
+        def points(p):
+            # a point is read as it is: p.T would cost a view per call
+            return value(p) if p.ndim == 1 else value(p.T)
+
+        points.point = value
+        return points
     c = expr.compile({})(None)
     c = c if cast is None else cast(c)
     return lambda p: c if p.ndim == 1 else np.full(p.shape[:-1], c)

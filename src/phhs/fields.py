@@ -32,6 +32,9 @@ real powers and complex products).
 A vector field that is the real form of a holomorphic map w on C^m carries
 w as its ``complex_form`` (the models with J = i set it); the flows then
 step the complex state z = x + i y with w and never call the field itself.
+A ``scalar_form``, the field at one point on Python numbers with the array
+form's bits, is what a flow of one point steps (the scalar lane of
+:mod:`phhs.flows`); the central problem's X and the Morse orbit field carry one.
 
 This is the only module that knows the central-difference stencil: axis
 partials of fields (:func:`jet`, :func:`partial_jet`) and derivatives of
@@ -157,11 +160,16 @@ class VectorField(Field):
     returning complex ``(..., m)`` arrays, whose real form the field is: the
     field at (x, y) is (Re w(z), Im w(z)) with z = x + i y.  The flows step
     such a field on the complex state z (:mod:`phhs.flows`).
+
+    ``scalar_form``, when given, maps the tuple of a point's components, as
+    Python numbers, to the tuple of the value's, with the array form's bits
+    there: complex z_j with a complex form, real coordinates without.
     """
 
-    def __init__(self, fn, fd=None, name=None, complex_form=None):
+    def __init__(self, fn, fd=None, name=None, complex_form=None, scalar_form=None):
         super().__init__(fn, fd, name)
         self.complex_form = complex_form
+        self.scalar_form = scalar_form
 
 
 class CovectorField(Field):

@@ -26,7 +26,8 @@ point goes to ``quad`` directly.
 When X is the real form of a holomorphic w (``VectorField.complex_form``)
 and J is the constant structure i (:func:`~phhs.util.standard_j_matrix`,
 known from the matrix of a :func:`~phhs.fields.constant_matrix_field`, not
-from samples), J X gets the complex form i w.
+from samples), J X gets the complex form i w, and with X's scalar form the
+scalar form i v, component by component.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -187,6 +188,8 @@ QUAD_TOL = 1e-11
 CLOSED_TOL = 1e-4
 # J^2 = -1 and the Omega_R-anticompatibility of J must hold on the samples to this residual
 EXACT_TOL = 1e-6
+# i c, for one component of a scalar-lane value: the complex product numpy's 1j * w makes
+_TIMES_I = (1j).__mul__
 
 
 def primitive_scalar(alpha, base, p, check_closed=True):
@@ -353,9 +356,13 @@ def assemble_phhs(model, check_closedness=True):
     def jx_fn(p):
         return matvec(np.asarray(J_fn(p), dtype=float), np.asarray(X_fn(p), dtype=float))
 
-    w = getattr(X, "complex_form", None)
+    w, s = getattr(X, "complex_form", None), getattr(X, "scalar_form", None)
     j_is_i = w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m))
-    JX = VectorField(jx_fn, fd=X.fd, name="JX", complex_form=(lambda z: 1j * w(z)) if j_is_i else None)
+    JX = VectorField(
+        jx_fn, fd=X.fd, name="JX",
+        complex_form=(lambda z: 1j * w(z)) if j_is_i else None,
+        scalar_form=(lambda z: tuple(map(_TIMES_I, s(z)))) if j_is_i and s is not None else None,
+    )
     omega_I = omega_I_from(model.omega_R, model.J)
     alpha = pairing_covector(model.omega_R, JX, name="omega_R(JX,.)")
 

@@ -153,14 +153,17 @@ def _as_real_scalar(f, m, what="field"):
     return fn, grad
 
 
-def _realify_holomorphic_field(V):
-    """The field X of a holomorphic V: components (Re V, Im V), with V as its complex form."""
+def _realify_holomorphic_field(V, scalar_form=None):
+    """The field X of a holomorphic V: components (Re V, Im V), with V as its complex form.
+
+    ``scalar_form`` is V at one point on Python complex numbers, if given.
+    """
 
     def fn(p):
         v = V(to_complex(p))
         return from_complex(np.asarray(v, dtype=complex))
 
-    return VectorField(fn, name="X", complex_form=V)
+    return VectorField(fn, name="X", complex_form=V, scalar_form=scalar_form)
 
 
 def _standard_fields(n, H_c, dH_c):
@@ -226,16 +229,56 @@ def central_hamiltonian(z):
     return P * P / 2.0 - 1.0 / (8.0 * Q * Q)
 
 
-def _central_v(z):
-    Q, P = z.T
-    # below this floor the momentum derivative exceeds the flow blow-up guard
-    too_close = abs(Q) < 1.4e-3
-    if too_close.any() if too_close.ndim else too_close:
+# below this floor on |Q| the momentum derivative exceeds the flow blow-up guard
+Q_FLOOR = 1.4e-3
+
+
+def _cube(Q):
+    """Q^3 with numpy's bits: its power on arrays, the products Q (Q Q) that power makes on a Python complex.
+
+    numpy's array multiply may fuse a product (FMA) where its power does
+    not; Python's ``**`` starts from 1 + 0j and can lose a zero's sign.
+    """
+    return Q * (Q * Q) if type(Q) is complex else Q ** 3
+
+
+def _quotient(a, b):
+    """a / b with numpy's bits: on Python complex numbers (b != 0) its Smith form, scaled by a reciprocal.
+
+    CPython's ``/`` divides by the scaled denominator and rounds differently.
+    """
+    if type(b) is not complex:
+        return a / b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def _central_qp(Q, P):
+    """(dQ/dt, dP/dt) = (P, -1/(4 Q^3)) at arrays of Q and P, or with numpy's bits at two Python complex numbers.
+
+    The constants are complex, so Python takes the complex products numpy's cast makes.
+    """
+    try:
+        too_close = abs(Q) < Q_FLOOR
+    except OverflowError:  # Python's |Q| past the float range, where numpy's reads inf
+        too_close = False
+    if too_close if type(too_close) is bool else too_close.any():
+        z = np.stack([Q, P], axis=-1)
         raise NonFiniteStateError(
             f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
-            row=int(np.argmax(too_close)) if too_close.ndim else None,
+            row=int(np.argmax(too_close)) if np.ndim(too_close) else None,
         )
-    return np.array([P, -1.0 / (4.0 * Q ** 3)], dtype=complex).T
+    return P, _quotient(-1.0 + 0j, (4.0 + 0j) * _cube(Q))
+
+
+def _central_v(z):
+    return np.array(_central_qp(*z.T), dtype=complex).T
 
 
 def central_closed_form(x0):
@@ -286,7 +329,7 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
         return np.concatenate([g.real, -g.imag], axis=-1)
 
     H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=grad_r, name="H_R")
-    X = _realify_holomorphic_field(_central_v)
+    X = _realify_holomorphic_field(_central_v, scalar_form=lambda z: _central_qp(*z))
     model = PhhsModel(
         m=2,
         J=constant_matrix_field(standard_j_matrix(2), name="J"),

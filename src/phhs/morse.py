@@ -15,7 +15,8 @@ makes every nearby orbit exactly T-periodic, and the symplectic area of the
 sublevel set {psi_L(x^2+y^2) <= E} equals T E.
 
 Orbit periods are measured with :func:`phhs.flows.rk4_step`, the package's
-one RK4 step; this module only adds the angle-crossing event on top of it.
+one RK4 step, on its scalar lane (two Python floats); this module only adds
+the angle-crossing event on top of it.
 
 v follows the package's stack contract (:func:`phhs.fields.stack_function`):
 a number, expression text in x1 and y1, a stack-taking Field, or a callable
@@ -39,8 +40,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
-from .fields import stack_function
-from .flows import FlowConfig, _check_state, rk4_step
+from .fields import VectorField, stack_function
+from .flows import FlowConfig, _check_state, _start, rk4_step
 from .util import coordinate_names
 
 N_PHI = 256   # trapezoid intervals of the angular average and the area law
@@ -112,10 +113,13 @@ def _clenshaw(interp):
 
     The domain map ``off + scl * r`` and the recurrence are the operations
     numpy's ``mapdomain`` and ``chebval`` perform, in the same order, on the
-    coefficients taken once as Python floats.
+    coefficients taken once as Python floats.  As in ``chebval``, a series
+    of one coefficient c0 is c0 + 0 x, and one of two runs no recurrence.
     """
     off, scl = (float(a) for a in interp.mapparms())
     c = interp.coef.tolist()
+    if len(c) == 1:
+        c.append(0)
     tail = c[-3::-1]
 
     def value(r):
@@ -159,40 +163,45 @@ def hamiltonian_flow_field(sys, rescale=True):
     """Hamiltonian field of psi_L(x^2 + y^2) for omega = v dx ^ dy, at one point.
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
-    are radius dependent.
+    are radius dependent.  Its scalar form reads v through the point path of
+    compiled text (``compile_points``'s ``point``), and any other v at the
+    point array; both give v the bits the array form's call of v gives it.
     """
     v, T, rmax = sys.v, sys.T, sys.rmax
+    v_point = getattr(v, "point", None) or (lambda q: v(np.array(q)))
     period = _clenshaw(_period_interpolant(sys)) if rescale else None
 
-    def X(p):
-        x, y = p.tolist()
+    def velocity(x, y, vp):
         factor = 1.0
         if rescale:
             factor = period(min(math.sqrt(x * x + y * y), rmax)) / T
-        vp = float(v(p))
         if not 0.0 < vp < math.inf:
             raise _bad_factor(vp, [x, y])
         q = factor / vp
-        return np.array([-2.0 * y * q, 2.0 * x * q])
+        return -2.0 * y * q, 2.0 * x * q
 
-    return X
+    return VectorField(
+        lambda p: np.array(velocity(*p.tolist(), float(v(p)))),
+        name="orbit",
+        scalar_form=lambda q: velocity(*q, float(v_point(q))),
+    )
 
 
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     """Measured period of the orbit started at (r0, 0).
 
-    Steps with :func:`phhs.flows.rk4_step`, checks the state after each step
-    as every flow does, unwraps the polar angle and locates the first full
-    turn by linear interpolation between steps.
+    Steps with :func:`phhs.flows.rk4_step` on the scalar lane, checks the
+    state after each step as every flow does, unwraps the polar angle with
+    numpy's ``arctan2`` (``math.atan2`` rounds differently) and locates the
+    first full turn by linear interpolation between steps.
     """
-    X = hamiltonian_flow_field(sys, rescale=rescale)
-    y = np.array([r0, 0.0])
+    F, y = _start(hamiltonian_flow_field(sys, rescale=rescale), np.array([r0, 0.0]))
     h = cfg.dt
     theta = 0.0
     prev_angle = 0.0
     t = 0.0
     for step in range(1, cfg.max_step_count + 1):
-        y = rk4_step(X, y, h)
+        y = rk4_step(F, y, h)
         _check_state(y, step, h)
         t += h
         angle = np.arctan2(y[1], y[0])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phhs import fields, flows, models
+from phhs import fields, flows, models, morse
 from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
@@ -466,18 +466,18 @@ def test_a_number_is_a_constant_expression(tmp_path):
     assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-def _bigrid_focus_config(tmp_path, monkeypatch, verb):
+def _focus_config(tmp_path, monkeypatch, verb, workload="bigrid"):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import scenarios
 
-    return write_config(tmp_path, "cfg.json", dict(scenarios.workload("bigrid", 0))[verb])
+    return write_config(tmp_path, "cfg.json", dict(scenarios.workload(workload, 0))[verb])
 
 
 @pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
 def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
     # both grids take 2,016 steps: the t sweep 1,008 and the stacked s sweep 1,008;
     # only integrate reports the swap check, whose two flows take 1,000 steps each
-    cfg = _bigrid_focus_config(tmp_path, monkeypatch, verb)
+    cfg = _focus_config(tmp_path, monkeypatch, verb)
     taken = []
     rk4_step = flows.rk4_step
 
@@ -490,10 +490,27 @@ def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
     assert len(taken) == steps
 
 
+@pytest.mark.parametrize("verb, steps", [("monodromy", 6336), ("foliate", 10000), ("morse-period", 9426)])
+def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatch, verb, steps):
+    # every step of the three verbs flows one point, and takes the scalar lane through rk4_step
+    cfg = _focus_config(tmp_path, monkeypatch, verb, "orbits")
+    states = []
+    rk4_step = flows.rk4_step
+
+    def counted(V, y, h):
+        states.append(type(y))
+        return rk4_step(V, y, h)
+
+    monkeypatch.setattr(flows, "rk4_step", counted)
+    monkeypatch.setattr(morse, "rk4_step", counted)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert states == [tuple] * steps
+
+
 def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch):
     # the same flows and the same J_g rows as ever; the row check of Field.__call__ runs on
     # user calls, assemble_phhs's sample stack and each flow's first step, not on every stage
-    cfg = _bigrid_focus_config(tmp_path, monkeypatch, "integrate")
+    cfg = _focus_config(tmp_path, monkeypatch, "integrate")
     count = {"steps": 0, "J_g rows": 0, "I_g rows": 0, "Field calls": 0}
     rk4_step, field_call = flows.rk4_step, fields.Field.__call__
     twist_matrix, i_g_matrix = models.twist_matrix, models.i_g_matrix

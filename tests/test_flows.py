@@ -410,3 +410,125 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
     assert counts["flow"] == 16
     assert counts["to_complex"] <= counts["flow"]
     assert counts["J"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one point of a field with a scalar form steps Python numbers (the scalar lane)
+# ---------------------------------------------------------------------------
+
+
+def _array_path(fields):
+    """The same fields with their scalar forms stripped, so that a point steps the complex array state."""
+    return dataclasses.replace(
+        fields,
+        X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=fields.X.complex_form),
+        JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=fields.JX.complex_form),
+    )
+
+
+@pytest.fixture(scope="module")
+def central_lane():
+    fields = assemble_phhs(models.build_central_problem())
+    assert fields.X.scalar_form is not None and fields.JX.scalar_form is not None
+    return fields, _array_path(fields)
+
+
+# seeded points about the anchor, the variant-0 anchor itself (+0.0 imaginary parts; a flow in
+# real time keeps them zero, with signs its arithmetic sets) and the anchor with -0.0 ones
+LANE_STARTS = [*util.seeded_points(5, 3, 4, scale=0.2, center=X0), X0, np.array([1.0, 0.5, -0.0, -0.0])]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
+    # X, J X and a combination at seeded points and at points with signed zero parts, against
+    # the complex form at each point and on the whole stack
+    lane, _ = central_lane
+    Z = to_complex(util.seeded_points(9, 400, 4, scale=2.0))
+    signed = [complex(re, im) for re in (0.0, -0.0, 0.8, -1.3) for im in (0.0, -0.0, 0.6)]
+    Z = np.concatenate([Z, [[q, p] for q in signed for p in signed]])
+    Z = Z[np.abs(Z[:, 0]) >= models.Q_FLOOR]
+    for V in (lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8)):
+        values = np.array([V.scalar_form(tuple(z)) for z in Z.tolist()])
+        assert _same_bits(values, V.complex_form(Z))
+        assert _same_bits(values, np.array([V.complex_form(z) for z in Z]))
+
+
+@pytest.mark.parametrize("k", range(len(LANE_STARTS)))
+def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, k):
+    lane, array = central_lane
+    x0 = LANE_STARTS[k]
+    for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
+        for t in (0.7, -0.45):
+            assert _same_bits(flow(a, x0, t, COARSE), flow(b, x0, t, COARSE))
+        end, err = flow_error_estimate(a, x0, 0.5, COARSE)
+        end_b, err_b = flow_error_estimate(b, x0, 0.5, COARSE)
+        assert _same_bits(end, end_b) and _same_bits(err, err_b)
+    word = [(0.3, -0.4), (-0.2, 0.5)]
+    assert _same_bits(flow_word(lane, x0, word, COARSE), flow_word(array, x0, word, COARSE))
+    assert _same_bits(tilted_flow(lane, x0, 0.9, 0.4, COARSE), tilted_flow(array, x0, 0.9, 0.4, COARSE))
+    center = 0.2 + 0.1j
+    path = circle_path(center, 0.5, center + 0.5 * np.exp(0.7j), n_segments=12)
+    assert _same_bits(continue_along_path(lane, x0, path, COARSE), continue_along_path(array, x0, path, COARSE))
+
+
+def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch):
+    # every step of a single-point flow gets a tuple state, and the stacks stay arrays
+    lane, _ = central_lane
+    states = []
+    rk4_step = flows.rk4_step
+
+    def spy(V, y, h):
+        states.append(type(y))
+        return rk4_step(V, y, h)
+
+    monkeypatch.setattr(flows, "rk4_step", spy)
+    end = flow(lane.X, X0, 0.1, COARSE)
+    assert states == [tuple] * 10 and end.dtype == float and end.shape == (4,)
+    states.clear()
+    flow(lane.JX, np.array([X0, X0]), 0.1, COARSE)
+    assert states == [np.ndarray] * 10
+
+
+@pytest.mark.parametrize(
+    "which, x0, t",
+    [
+        ("X", [0.14, -0.5, 0.0, 0.0], 0.3),  # the Q floor, some steps into the flow
+        ("X", [1.0, 0.99e8, 0.0, 0.0], 2.0),  # Q grows past the box near t = 1.01
+        ("JX", [1.0, 0.0, 0.0, 0.7e8], 2.0),  # past the box along the real part of Q
+        ("X", [1.0, 0.7e8, 0.0, 0.7e8], 2.0),  # |Q| passes 1e8 near t = 1.01, each part near t = 1.43
+        ("X", [1.0, np.nan, 0.0, 0.0], 0.3),  # NaN leaves the box at the first step
+        # |Q| and |P| past the float range: Python's abs raises where numpy's reads inf
+        ("X", [1.5e308, 0.5, 1.5e308, 0.0], 0.3),
+        ("JX", [1.0, 1.5e308, 0.0, 1.5e308], 0.3),
+    ],
+    ids=["floor", "box", "box-JX", "box-parts", "nan", "range-Q", "range-P"],
+)
+def test_scalar_lane_errors_equal_the_array_path(central_lane, which, x0, t):
+    errors = []
+    for fields in central_lane:
+        # numpy warns of the NaN and the overflows it meets on the array path
+        with pytest.raises(NonFiniteStateError) as info, np.errstate(all="ignore"):
+            flow(getattr(fields, which), x0, t, CFG)
+        errors.append(info.value)
+    a, b = errors
+    assert (a.step, a.time, a.row) == (b.step, b.time, b.row) and a.row is None
+    assert _same_bits(a.state, b.state) and a.state.dtype == float and a.state.shape == (4,)
+    assert str(a) == str(b)
+    if which == "X" and x0[1] == 0.7e8:
+        assert 1420 < a.step < 1440
+
+
+def test_scalar_lane_box_bounds_each_real_component():
+    # the lane's state is a tuple; |z| past the bound with both parts inside it is in the box
+    flows._check_state((0.8e8 + 0.8e8j, 1.0 + 0j), 1, 0.1)
+    flows._check_state((0.8e8, -1e8), 1, 0.1)
+    with pytest.raises(NonFiniteStateError) as info:
+        flows._check_state((3.0 + 1.5e8j, 1.0 + 0j), 7, 0.1)
+    err = info.value
+    assert (err.step, err.row) == (7, None) and _same_bits(err.state, np.array([3.0, 1.0, 1.5e8, 0.0]))
+    with pytest.raises(NonFiniteStateError):
+        flows._check_state((0.5, np.nan), 1, 0.1)

@@ -8,7 +8,11 @@ RK4 flows next to the quadrature primitive H_I, and ``action-check`` the
 one where a 17 x 17 grid feeds the parallelogram action and its gradient.
 The twisted ``integrate`` focus scenario of every other variant is in as
 well: each moves x0 and the anchor node, so J_g runs inside the grid's RK4
-flows and the swap check's flows from a moved anchor.  The jet-bound verbs
+flows and the swap check's flows from a moved anchor.  So are the
+``monodromy`` and ``foliate`` focus scenarios of every other variant: each
+moves the central problem's x0, and every one of their flows steps a single
+point on the scalar lane of :mod:`phhs.flows`, whose bits these hold to the
+numpy path's references.  The jet-bound verbs
 (``integrability-scan``, ``deform``, ``connection-check``) are cheap, so
 their scenarios of every variant are in too: each variant moves the scan
 centers, and with them every stencil point.
@@ -30,6 +34,7 @@ import scenarios  # noqa: E402
 
 
 JET_VERBS = ("integrability-scan", "deform", "connection-check")
+LANE_VERBS = ("monodromy", "foliate")
 
 
 def _cases():
@@ -38,7 +43,8 @@ def _cases():
         for variant in range(scenarios.VARIANTS):
             for verb, cfg in scenarios.workload(name, variant):
                 twisted_integrate = verb == "integrate" and cfg["model"] == scenarios.TWISTED
-                if variant == 0 or verb in JET_VERBS or twisted_integrate:
+                lane_focus = name == "orbits" and verb in LANE_VERBS
+                if variant == 0 or verb in JET_VERBS or twisted_integrate or lane_focus:
                     cases.setdefault(golden.key(verb, cfg), (verb, cfg))
     return cases
 

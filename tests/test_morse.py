@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from phhs import morse
 from phhs.errors import NonFiniteStateError, NoReturnError, ZeroDenominatorError
-from phhs.fields import ScalarField
+from phhs.fields import ScalarField, VectorField
 from phhs.flows import FlowConfig
 from phhs.morse import (
     PlanarSystem,
@@ -172,6 +172,32 @@ def test_clenshaw_equals_chebyshev_call_bit_for_bit(quad_system):
     assert radii[0] == 0.0 and radii[10000] == quad_system.rmax
     fast = np.array([value(r) for r in radii.tolist()])
     assert np.array_equal(fast, np.array([interp(r) for r in radii]))
+
+
+@pytest.mark.parametrize(
+    "coef", [[-0.0], [0.7], [0.7, -1.3], [0.7, -1.3, 0.2], list(np.random.default_rng(49).standard_normal(49))],
+    ids=["-0", "1", "2", "3", "49"],
+)
+def test_clenshaw_on_short_series_equals_chebyshev_call_bit_for_bit(coef):
+    # chebval reads a series of one coefficient as c0 + 0 x, of two as c0 + c1 x
+    interp = np.polynomial.chebyshev.Chebyshev(coef, domain=[0.0, 1.2])
+    value = morse._clenshaw(interp)
+    radii = np.concatenate([[0.0, 0.6, 1.2], np.random.default_rng(len(coef)).uniform(-0.2, 1.4, 500)])
+    fast = np.array([value(r) for r in radii.tolist()])
+    assert fast.tobytes() == np.array([interp(r) for r in radii]).tobytes()
+
+
+@pytest.mark.parametrize("v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1"])
+def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, monkeypatch):
+    system = PlanarSystem(v=v, T=np.pi)
+    orbit_field = morse.hamiltonian_flow_field
+    assert orbit_field(system).scalar_form is not None
+    lane = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
+    # the orbit field with its scalar form stripped: verify_T_periodic then steps a point array
+    monkeypatch.setattr(morse, "hamiltonian_flow_field", lambda *args, **kw: VectorField(orbit_field(*args, **kw).fn))
+    array = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
+    assert np.array(lane).tobytes() == np.array(array).tobytes()
+    assert max(abs(T - np.pi) for T in lane) < 1e-5
 
 
 def test_ring_and_ray_stacks_equal_the_pointwise_loop(quad_system):
