@@ -14,8 +14,9 @@ vector (the name tables are :func:`phhs.util.coordinate_names`) and builds a
 plain Python function of that vector, once; an identifier the binding lacks
 is an error at that point.  :func:`compile_points` is the one route from
 expression text to a field's function: it takes a point or an ``(N, dim)``
-stack of points, one per row.  ``conj`` exists so that anti-holomorphic inputs
-can be written down and rejected by the numerical validators; it has no
+stack of points, one per row, and its ``point`` attribute one point as
+Python numbers, with numpy's bits.  ``conj`` exists so that anti-holomorphic
+inputs can be written down and rejected by the numerical validators; it has no
 symbolic derivative.
 
 Parse errors carry the exact byte offset of the first byte at which no
@@ -47,6 +48,43 @@ BINARY = {
 }
 
 _OPS = set("+-*/^()")
+
+
+def _numpy(x):
+    """A Python number as the numpy scalar of its kind; anything else as it is."""
+    kind = type(x)
+    return np.complex128(x) if kind is complex else np.float64(x) if kind is float else x
+
+
+def quotient(a, b):
+    """a / b with numpy's bits, on Python numbers too.
+
+    A Python complex divisor, or a Python float one of a Python complex,
+    takes numpy's complex Smith form (CPython's complex ``/`` rounds
+    differently), two Python floats Python's ``/``; where Python raises on a
+    zero, and on arrays and numpy scalars, numpy divides.
+    """
+    kind = type(b)
+    try:
+        if kind is complex or kind is float and type(a) is complex:
+            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+            if abs(br) >= abs(bi):
+                rat = bi / br
+                scl = 1.0 / (br + bi * rat)
+                return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+        if kind is float and type(a) is float:
+            return a / b
+    except ZeroDivisionError:
+        pass
+    return _numpy(a) / b
+
+
+def power(a, b):
+    """a ** b as numpy's scalars take it, on Python numbers too."""
+    return _numpy(a) ** b
 
 
 _Token = namedtuple("_Token", "kind text pos")
@@ -268,14 +306,28 @@ def _compile(ast, binding, label):
 
     Nodes are emitted left operand first, each bound coordinate is read once
     and literals enter the namespace by value: the tree's operations, one
-    for one.
+    for one.  A coordinate read or a function call gives a numpy scalar at a
+    point.  The ``point`` attribute reads Python numbers in their place.
+    There a quotient of such a value is :func:`quotient`, and a power is
+    Python's ``**`` where that gives a float (the C library's ``pow``, as
+    numpy's) and :func:`power` where it raises (overflow, 0 to a negative
+    power) or does not (a complex power, a negative base to a fractional
+    one); sums, products and negations round as numpy's scalars do.
+    Without such a quotient or power it is the function itself.
     """
-    lines, loaded = [], {}
+    lines, points, loaded, scalars = [], [], {}, set()
     namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
+    namespace.update(_quotient=quotient, _power=power)
 
-    def emit(src):
-        lines.append(f"    _t{len(lines)} = {src}")
-        return f"_t{len(lines) - 1}"
+    def scalar(local):
+        scalars.add(local)
+        return local
+
+    def emit(src, point_src=None):
+        local = f"_t{len(lines)}"
+        lines.append(f"    {local} = {src}")
+        points.append(f"    {local} = {point_src or src}")
+        return local
 
     def visit(node):
         kind, arg = node[0], node[1]
@@ -288,18 +340,40 @@ def _compile(ast, binding, label):
             if arg not in loaded:
                 c = binding[arg]
                 pair = isinstance(c, tuple)
-                loaded[arg] = emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if pair else f"_p[{c!r}]")
+                loaded[arg] = scalar(emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if pair else f"_p[{c!r}]"))
             return loaded[arg]
         if kind == "neg":
-            return emit(f"-{visit(arg)}")
+            a = visit(arg)
+            out = emit(f"-{a}")
+            return scalar(out) if a in scalars else out
         if kind == "call":
-            return emit(f"_{arg}({visit(node[2])})")
-        return emit(f"{visit(node[2])} {BINARY[arg][0]} {visit(node[3])}")
+            return scalar(emit(f"_{arg}({visit(node[2])})"))
+        a, b = visit(node[2]), visit(node[3])
+        src = f"{a} {BINARY[arg][0]} {b}"
+        if not {a, b} & scalars:
+            return emit(src)
+        if arg == "/":
+            return scalar(emit(src, f"_quotient({a}, {b})"))
+        local = scalar(emit(src))
+        if arg == "^":
+            points[-1:] = [
+                "    try:",
+                f"        {local} = {src}",
+                f"        if type({local}) is not float:",
+                f"            {local} = _power({a}, {b})",
+                "    except ArithmeticError:",
+                f"        {local} = _power({a}, {b})",
+            ]
+        return local
 
     result = visit(ast)
-    source = "\n".join(["def _fn(_p):", *lines, f"    return {result}"])
-    exec(compile(source, f"<expression {label!r}>", "exec"), namespace)
-    return namespace["_fn"]
+    source = ["def _fn(_p):", *lines, f"    return {result}"]
+    if points != lines:
+        source += ["def _point(_p):", *points, f"    return {result}"]
+    exec(compile("\n".join(source), f"<expression {label!r}>", "exec"), namespace)
+    fn = namespace["_fn"]
+    fn.point = namespace.get("_point", fn)
+    return fn
 
 
 class Expression:
@@ -345,9 +419,9 @@ def compile_points(expr, names, cast=None):
 
     ``names`` is the binding of :meth:`Expression.compile`.  A constant is
     evaluated once, when the function is built, passed through ``cast`` and
-    broadcast to the input's rows.  Otherwise the function's ``point``
-    attribute is its point path: the value at one point given as any
-    sequence of its coordinates, a tuple of Python numbers included.
+    broadcast to the input's rows.  The function's ``point`` attribute is
+    its point path: the value at one point given as a sequence of Python
+    numbers, with the bits the function gives that point's array.
     """
     if isinstance(expr, str):
         expr = parse_expression(expr)
@@ -358,8 +432,13 @@ def compile_points(expr, names, cast=None):
             # a point is read as it is: p.T would cost a view per call
             return value(p) if p.ndim == 1 else value(p.T)
 
-        points.point = value
+        points.point = value.point
         return points
     c = expr.compile({})(None)
     c = c if cast is None else cast(c)
-    return lambda p: c if p.ndim == 1 else np.full(p.shape[:-1], c)
+
+    def constant(p):
+        return c if p.ndim == 1 else np.full(p.shape[:-1], c)
+
+    constant.point = lambda q: c
+    return constant

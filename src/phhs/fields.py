@@ -34,7 +34,10 @@ w as its ``complex_form`` (the models with J = i set it); the flows then
 step the complex state z = x + i y with w and never call the field itself.
 A ``scalar_form``, the field at one point on Python numbers with the array
 form's bits, is what a flow of one point steps (the scalar lane of
-:mod:`phhs.flows`); the central problem's X and the Morse orbit field carry one.
+:mod:`phhs.flows`).  X of the central problem, of a standard system with
+text H and of the twisted model carry one, as do the Morse orbit field and,
+as rows, the twisted J_g; functions are read there by :func:`point_path`,
+and :func:`matvec_point` is :func:`matvec` on rows.
 
 This is the only module that knows the central-difference stencil: axis
 partials of fields (:func:`jet`, :func:`partial_jet`) and derivatives of
@@ -44,6 +47,7 @@ which calls the function once on every stencil point of a point or a stack.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -107,6 +111,22 @@ def matvec(M, v):
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
+def matvec_point(M, v):
+    """:func:`matvec` at one point on Python numbers: M a tuple of rows, v a tuple.
+
+    numpy's product at a point (BLAS ``gemv``) sums a row's products onto
+    +0.0, as this does, so the two agree bit for bit (NaN payloads aside)
+    on rows with at most one nonzero product, where every order is exact.
+    """
+    return tuple([sum(map(mul, row, v), 0.0) for row in M])
+
+
+def point_path(fn):
+    """``fn`` at one point given as a tuple of Python numbers: its ``point`` attribute, or ``fn`` on the point's array."""
+    point = getattr(fn, "point", None)
+    return point if point is not None else lambda q: fn(np.array(q))
+
+
 class Field:
     """An evaluable map point -> value with a finite-difference config."""
 
@@ -163,7 +183,9 @@ class VectorField(Field):
 
     ``scalar_form``, when given, maps the tuple of a point's components, as
     Python numbers, to the tuple of the value's, with the array form's bits
-    there: complex z_j with a complex form, real coordinates without.
+    there: complex z_j with a complex form, real coordinates without.  X of
+    the central problem, of a standard system with text H and of the
+    twisted model have one, as do the J X and a X + b J X built from them.
     """
 
     def __init__(self, fn, fd=None, name=None, complex_form=None, scalar_form=None):
@@ -180,10 +202,15 @@ class MatrixField(Field):
     """(1,1)-tensor field; columns of the matrix are images of basis vectors.
 
     ``matrix`` is the matrix of a constant field built by
-    :func:`constant_matrix_field`, and None otherwise.
+    :func:`constant_matrix_field`, and None otherwise.  ``scalar_form``,
+    when given, is the matrix at one point as rows, as ``VectorField``'s.
     """
 
     matrix = None
+
+    def __init__(self, fn, fd=None, name=None, scalar_form=None):
+        super().__init__(fn, fd, name)
+        self.scalar_form = scalar_form
 
 
 class TwoFormField(Field):

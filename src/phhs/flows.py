@@ -35,18 +35,21 @@ bit for bit those of the real path.  The combination a X + b J X is
 a w + (i b) w on that path, two terms as on the real one: a single
 (a + i b) w rounds differently.
 
-One point of a field with a scalar form (``VectorField.scalar_form``: the
-central problem's X, J X and their combination, and the Morse orbit field)
-takes the scalar lane: a tuple of Python numbers, complex z_j with a complex
-form and floats otherwise, converted once per flow.  :func:`rk4_step` maps
-its stage helpers :func:`_stage` and :func:`_update` over the components.
-The bits are numpy's: Python does the same IEEE operations, every
-coefficient of a complex product is a Python complex (CPython 3.14 would
-multiply a float by a complex without numpy's cast), the central problem
-keeps numpy's cube and quotient (``models._cube``, ``models._quotient``)
-and the Morse angle ``np.arctan2``.  :func:`_check_state` and
-:func:`_located` report a lane state as the array it stands for, so a lane
-error names the step, time and state the array path names.
+One point of a field with a scalar form (``VectorField.scalar_form``: X,
+J X and their combination of the central problem, of a standard system with
+text H and of the twisted model, and the Morse orbit field) takes the
+scalar lane: a tuple of Python numbers, complex z_j with a complex form and
+floats otherwise, converted once per flow.  :func:`rk4_step` maps its stage
+helpers :func:`_stage` and :func:`_update` over the components.  The bits
+are numpy's: Python does the same IEEE operations, every coefficient of a
+complex product is a Python complex (CPython 3.14 would multiply a float by
+a complex without numpy's cast), text keeps numpy's quotient and power
+(:func:`~phhs.expressions.quotient`, :func:`~phhs.expressions.power`), the
+central problem numpy's cube (``models._cube``), a matrix product numpy's
+sum onto +0.0 (:func:`~phhs.fields.matvec_point`) and the Morse angle
+``np.arctan2``.  :func:`_check_state` and :func:`_located` report a lane
+state as the array it stands for, so a lane error names the step, time and
+state the array path names.
 
 Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
 for t and then J X for s from the anchor; paths in the complex time plane
@@ -59,7 +62,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .fields import VectorField, matvec
+from .fields import VectorField, matvec, matvec_point
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -127,7 +130,8 @@ def rk4_step(V, y, h):
 
     ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
     the same shape, and the stages keep the dtype of ``y``.  On the scalar
-    lane ``y`` and V's value are tuples of Python numbers, and the stage
+    lane ``y`` and V's value are tuples of Python numbers (a numpy scalar,
+    as numpy's power gives, stands in for one of its kind), and the stage
     helpers are mapped over the components.  The step's coefficients are
     made once, as Python complex numbers for a complex state: numpy would
     cast each float to x + 0j anyway, so the bits are those of the float
@@ -135,7 +139,7 @@ def rk4_step(V, y, h):
     each product is the complex one numpy makes.
     """
     lane = type(y) is tuple
-    if type(y[0]) is complex if lane else y.dtype.kind == "c":
+    if isinstance(y[0], complex) if lane else y.dtype.kind == "c":
         half, full, sixth, two = complex(0.5 * h), complex(h), complex(h / 6.0), 2.0 + 0j
     else:
         half, full, sixth, two = 0.5 * h, h, h / 6.0, 2.0
@@ -367,18 +371,26 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
 def _combo_field(fields, a, b):
     """a X + b J X, with X evaluated once per call; a w + (i b) w on z when J X has a complex form.
 
-    With X's scalar form it has one, the same two terms per component.
+    With X's scalar form it has one, the same two terms per component; on
+    the real state that also takes J's scalar form.
     """
 
     X_fn, J_fn = fields.X.fn, fields.model.J.fn
+    w, s = fields.X.complex_form, fields.X.scalar_form
 
     def fn(p):
         x = np.asarray(X_fn(p), dtype=float)
         return a * x + b * matvec(np.asarray(J_fn(p), dtype=float), x)
 
     if fields.JX.complex_form is None:
-        return VectorField(fn, fd=fields.X.fd, name="combo")
-    w, s = fields.X.complex_form, fields.X.scalar_form
+        J_s = getattr(fields.model.J, "scalar_form", None)
+
+        def scalar(q):
+            x = s(q)
+            return tuple([a * c + b * d for c, d in zip(x, matvec_point(J_s(q), x))])
+
+        lane = w is None and s is not None and J_s is not None
+        return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar if lane else None)
     a_z, ib = complex(a), 1j * b
 
     def combine(v):

@@ -27,7 +27,8 @@ When X is the real form of a holomorphic w (``VectorField.complex_form``)
 and J is the constant structure i (:func:`~phhs.util.standard_j_matrix`,
 known from the matrix of a :func:`~phhs.fields.constant_matrix_field`, not
 from samples), J X gets the complex form i w, and with X's scalar form the
-scalar form i v, component by component.
+scalar form i v, component by component; a real X's and J's scalar forms
+make J X's, as their functions make J X's function.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +37,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec, matvec_point
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -357,11 +358,15 @@ def assemble_phhs(model, check_closedness=True):
         return matvec(np.asarray(J_fn(p), dtype=float), np.asarray(X_fn(p), dtype=float))
 
     w, s = getattr(X, "complex_form", None), getattr(X, "scalar_form", None)
+    J_s = getattr(model.J, "scalar_form", None)
     j_is_i = w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m))
+    jx_s = None
+    if s is not None and j_is_i:
+        jx_s = lambda z: tuple(map(_TIMES_I, s(z)))  # noqa: E731
+    elif s is not None and w is None and J_s is not None:
+        jx_s = lambda q: matvec_point(J_s(q), s(q))  # noqa: E731
     JX = VectorField(
-        jx_fn, fd=X.fd, name="JX",
-        complex_form=(lambda z: 1j * w(z)) if j_is_i else None,
-        scalar_form=(lambda z: tuple(map(_TIMES_I, s(z)))) if j_is_i and s is not None else None,
+        jx_fn, fd=X.fd, name="JX", complex_form=(lambda z: 1j * w(z)) if j_is_i else None, scalar_form=jx_s
     )
     omega_I = omega_I_from(model.omega_R, model.J)
     alpha = pairing_covector(model.omega_R, JX, name="omega_R(JX,.)")

@@ -14,6 +14,7 @@ charted as (Q_x, P_x, Q_y, P_y) -> (x_1, x_2, y_1, y_2).
 """
 
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     QDependenceError,
     ZeroDenominatorError,
 )
-from .expressions import compile_points, parse_expression
+from .expressions import compile_points, parse_expression, quotient
 from .fields import (
     CovectorField,
     Field,
@@ -36,6 +37,8 @@ from .fields import (
     constant_two_form_field,
     holomorphy_residual,
     matvec,
+    matvec_point,
+    point_path,
     rowwise,
 )
 from .hamiltonian import PhhsModel, PhsmData
@@ -59,8 +62,9 @@ def _as_complex_hamiltonian(H, m):
 
     Returns the value and the gradient (dH/dz_j, slot by slot), both taking
     a complex point or a stack of them.  The gradient of text folds the
-    derivatives in Q/P into their z-slots; that of a callable, or of text
-    without a symbolic derivative, is the central difference at each point.
+    derivatives in Q/P into their z-slots, and its ``point`` reads one point
+    as a tuple; that of a callable, or of text without a symbolic
+    derivative, is the central difference at each point.
     """
     if callable(H):
         H = rowwise(H)
@@ -81,7 +85,8 @@ def _as_complex_hamiltonian(H, m):
             grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
         return fn, lambda z: complex_gradient(fn, z)
-    partials = [compile_points(g, names) for g in grads]
+    partials = [compile_points(g, names, complex) for g in grads]
+    points = [d.point for d in partials]
 
     def dfn(z):
         z = np.asarray(z)
@@ -90,6 +95,7 @@ def _as_complex_hamiltonian(H, m):
             out[..., k] = d(z)
         return out
 
+    dfn.point = lambda z: tuple([d(z) for d in points])
     return fn, dfn
 
 
@@ -102,7 +108,10 @@ def _as_real_scalar(f, m, what="field"):
     from the symbolic partials in x_1..x_m, y_1..y_m; it is None for fields,
     callables and expressions without a symbolic derivative.  Constant
     values and partials are evaluated once, when the field is built; every
-    other value is checked to be real.
+    other value is checked to be real.  For text, ``point`` of the value
+    and of the gradient reads one point as a tuple of floats, with the bits
+    and errors of its array; the gradient's ``constant`` is True where no
+    partial varies.
     """
     if isinstance(f, Field):
         return f, None
@@ -126,10 +135,17 @@ def _as_real_scalar(f, m, what="field"):
             v = real(value(p))
             return float(v) if p.ndim == 1 else v
 
+        def point(q):
+            v = value.point(q)
+            return float(v) if isinstance(v, float) else float(real(np.asarray(v)))
+
+        fn.point = point
     else:
 
         def fn(p):
             return value(as_points(p))
+
+        fn.point = value.point
 
     try:
         partials = [expr.diff(name) for name in coordinate_names(m, aliases=False)]
@@ -150,6 +166,13 @@ def _as_real_scalar(f, m, what="field"):
             out[..., k] = np.real(d(p))
         return out
 
+    def grad_point(q):
+        g = const.tolist()
+        for k, d in varying:
+            g[k] = d.point(q).real
+        return g
+
+    grad.point, grad.constant = grad_point, not varying
     return fn, grad
 
 
@@ -167,14 +190,20 @@ def _realify_holomorphic_field(V, scalar_form=None):
 
 
 def _standard_fields(n, H_c, dH_c):
-    """X hook, the H_R field and the H_I hook of a holomorphic H on standard C^{2n}."""
+    """X hook, the H_R field and the H_I hook of a holomorphic H on standard C^{2n}; X has a scalar form for text H."""
     m = 2 * n
 
     def v_c(z):
         g = dH_c(z)
         return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
 
-    X = _realify_holomorphic_field(v_c)
+    g_point = getattr(dH_c, "point", None)
+
+    def v_point(z):
+        g = g_point(z)
+        return (*g[n:m], *map(neg, g[:n]))
+
+    X = _realify_holomorphic_field(v_c, None if g_point is None else v_point)
 
     def grad_r(p):
         g = dH_c(to_complex(p))
@@ -242,23 +271,6 @@ def _cube(Q):
     return Q * (Q * Q) if type(Q) is complex else Q ** 3
 
 
-def _quotient(a, b):
-    """a / b with numpy's bits: on Python complex numbers (b != 0) its Smith form, scaled by a reciprocal.
-
-    CPython's ``/`` divides by the scaled denominator and rounds differently.
-    """
-    if type(b) is not complex:
-        return a / b
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-
-
 def _central_qp(Q, P):
     """(dQ/dt, dP/dt) = (P, -1/(4 Q^3)) at arrays of Q and P, or with numpy's bits at two Python complex numbers.
 
@@ -274,7 +286,7 @@ def _central_qp(Q, P):
             f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
             row=int(np.argmax(too_close)) if np.ndim(too_close) else None,
         )
-    return P, _quotient(-1.0 + 0j, (4.0 + 0j) * _cube(Q))
+    return P, quotient(-1.0 + 0j, (4.0 + 0j) * _cube(Q))
 
 
 def _central_v(z):
@@ -523,13 +535,26 @@ def twist_matrix(f_val, h_val):
     matrix: where 1/f or 1/h overflows, the matmul spreads NaN (0 * inf)
     along a row and a column, where this form leaves those zeros.
     """
-    inv_f, inv_h = 1.0 / f_val, 1.0 / h_val
     J = np.zeros(np.shape(f_val) + (4, 4))
-    J[..., 0, 2] = inv_f * -h_val   # J_g(d_y1) = -(h/f) d_x1
-    J[..., 1, 3] = -f_val * inv_h   # J_g(d_y2) = -(f/h) d_x2
-    J[..., 2, 0] = inv_h * f_val    # J_g(d_x1) = (f/h) d_y1
-    J[..., 3, 1] = -h_val * -inv_f  # J_g(d_x2) = (h/f) d_y2
+    J[..., 0, 2], J[..., 1, 3], J[..., 2, 0], J[..., 3, 1] = _twist_entries(f_val, h_val)
     return J
+
+
+def twist_rows(f_val, h_val):
+    """:func:`twist_matrix` at one point, from f and h there, as rows of numbers: the same four products."""
+    a, b, c, d = _twist_entries(f_val, h_val)
+    return (0.0, 0.0, a, 0.0), (0.0, 0.0, 0.0, b), (c, 0.0, 0.0, 0.0), (0.0, d, 0.0, 0.0)
+
+
+def _twist_entries(f_val, h_val):
+    """The nonzero entries [0, 2], [1, 3], [2, 0] and [3, 1] of I_g J I_g."""
+    inv_f, inv_h = 1.0 / f_val, 1.0 / h_val
+    return (
+        inv_f * -h_val,  # J_g(d_y1) = -(h/f) d_x1
+        -f_val * inv_h,  # J_g(d_y2) = -(f/h) d_x2
+        inv_h * f_val,  # J_g(d_x1) = (f/h) d_y1
+        -h_val * -inv_f,  # J_g(d_x2) = (h/f) d_y2
+    )
 
 
 def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phhs"):
@@ -547,6 +572,9 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     row and a column with NaN (0 * inf) and the closed form leaves zeros
     there; both rows are non-finite.
     ``extras["I_g"]`` is I_g itself, from :func:`i_g_matrix`.
+    J_g's scalar form is :func:`twist_rows`; X's, for a symbolic gradient,
+    W^-1 grad H_R on floats (one nonzero per row of W^-1), made once for a
+    constant gradient.
     """
     f_fn, _ = _as_real_scalar(f, 2, "f")
     h_fn, _ = _as_real_scalar(h, 2, "h")
@@ -562,6 +590,11 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     def j_g(p):
         return twist_matrix(f_fn(p), h_fn(p))
 
+    f_point, h_point = point_path(f_fn), point_path(h_fn)
+
+    def j_g_point(q):
+        return twist_rows(f_point(q), h_point(q))
+
     W = standard_omega_matrix(1)
     W_inv = np.linalg.inv(W)
     H_field = ScalarField(H_fn, grad=H_grad, name="H_R")
@@ -569,15 +602,23 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     def x_hook(p):
         return matvec(W_inv, H_field.gradient(p))
 
+    x_point = None
+    if H_grad is not None:
+        W_rows, g_point = W_inv.tolist(), H_grad.point
+        x_point = lambda q: matvec_point(W_rows, g_point(q))  # noqa: E731
+        if H_grad.constant:
+            x_const = x_point(None)
+            x_point = lambda q: x_const  # noqa: E731
+
     model = PhhsModel(
         m=2,
-        J=MatrixField(j_g, name="J_g"),
+        J=MatrixField(j_g, name="J_g", scalar_form=j_g_point),
         omega_R=constant_two_form_field(W, name="omega_R"),
         H_R=H_field,
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(1, p), name="lambda_R"),
         base_point=base_point,
         name=name,
-        X_hook=VectorField(x_hook, name="X"),
+        X_hook=VectorField(x_hook, name="X", scalar_form=x_point),
     )
     model.extras["f"] = f_fn
     model.extras["I_g"] = MatrixField(lambda p: i_g_matrix(f_fn(p), h_fn(p)), name="I_g")

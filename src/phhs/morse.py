@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
-from .fields import VectorField, stack_function
+from .fields import VectorField, point_path, stack_function
 from .flows import FlowConfig, _check_state, _start, rk4_step
 from .util import coordinate_names
 
@@ -163,12 +163,12 @@ def hamiltonian_flow_field(sys, rescale=True):
     """Hamiltonian field of psi_L(x^2 + y^2) for omega = v dx ^ dy, at one point.
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
-    are radius dependent.  Its scalar form reads v through the point path of
-    compiled text (``compile_points``'s ``point``), and any other v at the
-    point array; both give v the bits the array form's call of v gives it.
+    are radius dependent.  Its scalar form reads v through
+    :func:`~phhs.fields.point_path`, which gives v the bits the array form's
+    call of v gives it.
     """
     v, T, rmax = sys.v, sys.T, sys.rmax
-    v_point = getattr(v, "point", None) or (lambda q: v(np.array(q)))
+    v_point = point_path(v)
     period = _clenshaw(_period_interpolant(sys)) if rescale else None
 
     def velocity(x, y, vp):

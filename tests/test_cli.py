@@ -511,9 +511,9 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
     # the same flows and the same J_g rows as ever; the row check of Field.__call__ runs on
     # user calls, assemble_phhs's sample stack and each flow's first step, not on every stage
     cfg = _focus_config(tmp_path, monkeypatch, "integrate")
-    count = {"steps": 0, "J_g rows": 0, "I_g rows": 0, "Field calls": 0}
+    count = {"steps": 0, "J_g rows": 0, "J_g lane points": 0, "I_g rows": 0, "Field calls": 0}
     rk4_step, field_call = flows.rk4_step, fields.Field.__call__
-    twist_matrix, i_g_matrix = models.twist_matrix, models.i_g_matrix
+    twist_matrix, twist_rows, i_g_matrix = models.twist_matrix, models.twist_rows, models.i_g_matrix
 
     def step(V, y, h):
         count["steps"] += 1
@@ -522,6 +522,10 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
     def twist(f_val, h_val):
         count["J_g rows"] += np.size(f_val)
         return twist_matrix(f_val, h_val)
+
+    def twist_point(f_val, h_val):
+        count["J_g lane points"] += 1
+        return twist_rows(f_val, h_val)
 
     def i_g(f_val, h_val):
         count["I_g rows"] += np.size(f_val)
@@ -533,10 +537,14 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
 
     monkeypatch.setattr(flows, "rk4_step", step)
     monkeypatch.setattr(models, "twist_matrix", twist)
+    monkeypatch.setattr(models, "twist_rows", twist_point)
     monkeypatch.setattr(models, "i_g_matrix", i_g)
     monkeypatch.setattr(fields.Field, "__call__", call)
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert count["steps"] == 4016 and count["J_g rows"] == 80260
+    # the swap check's single-point J X flow, 1,000 steps of four stages, builds its 4,000
+    # J_g on the scalar lane; the other 76,260 rows are arrays
+    assert count["steps"] == 4016 and count["J_g rows"] + count["J_g lane points"] == 80260
+    assert count["J_g lane points"] == 4000
     # J_g is built in closed form; no I_g matrix is formed on the way
     assert count["I_g rows"] == 0
     # one check per stage made 32,299 calls

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phhs.errors import ParseError
-from phhs.expressions import parse_expression
+from phhs.expressions import compile_points, parse_expression, power, quotient
 from phhs.util import coordinate_names, to_complex
 
 
@@ -164,3 +164,97 @@ def test_name_table_binds_every_coordinate(coords):
         for layout, vec in (("real", p), ("complex", z)):
             assert value(f"Q{j + 1}", layout, vec) == z[j]
             assert value(f"P{j + 1}", layout, vec) == z[n + j]
+
+
+# ---------------------------------------------------------------------------
+# the point path: one point as Python numbers, with numpy's scalar bits
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SPECIAL = [0.0, -0.0, 1.0, -2.5, 3.0, 1e-310, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+
+def _numbers(seed, count):
+    rng = np.random.default_rng(seed)
+    floats = (rng.standard_normal(count) * 10.0 ** rng.integers(-3, 4, count)).tolist()
+    return floats + SPECIAL
+
+
+def test_quotient_is_numpys_division_on_python_numbers():
+    # CPython divides a complex number by the scaled denominator, numpy multiplies by its
+    # reciprocal: they differ on thousands of random z / 3; quotient does not differ at all
+    rng = np.random.default_rng(11)
+    Z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)).tolist()
+    assert sum(z / 3.0 != complex(np.complex128(z) / 3.0) for z in Z) > 5000
+    assert all(_same_bits(quotient(z, 3.0), np.complex128(z) / 3.0) for z in Z)
+    numbers = _numbers(12, 40)
+    pairs = [complex(a, b) for a in numbers[::3] for b in numbers[1::3]]
+    with np.errstate(all="ignore"):
+        for a in numbers + pairs[:200]:
+            for b in numbers[::2] + pairs[::7]:
+                ref = (np.complex128 if isinstance(a, complex) or isinstance(b, complex) else np.float64)(a)
+                assert _same_bits(quotient(a, b), ref / b), (a, b)
+
+
+def test_point_path_power_is_numpys_power():
+    # Python's float ** raises on overflow and on 0 to a negative power, and gives a complex
+    # number for a negative base to a fractional power, where numpy gives inf, inf and NaN;
+    # its complex power is not numpy's
+    with pytest.raises(OverflowError):
+        1e200**2.0
+    assert isinstance((-8.0) ** (1 / 3), complex)
+    real = compile_points("x1^x2", coordinate_names(2))
+    complex_ = compile_points("Q1^P1", coordinate_names(2, "complex"))
+    bases = _numbers(13, 40)
+    exponents = [2.0, 3.0, 0.5, -1.0, 1 / 3, -2.0, 0.0, 7.5, np.inf, np.nan]
+    with np.errstate(all="ignore"):
+        for a in bases:
+            for b in exponents:
+                assert _same_bits(real.point((a, b, 0.0, 0.0)), real(np.array([a, b, 0.0, 0.0]))), (a, b)
+        for z in [complex(a, b) for a in bases[::5] for b in bases[1::5]]:
+            for b in exponents[:6] + [0.5 + 1j]:
+                assert _same_bits(complex_.point((z, complex(b))), complex_(np.array([z, b]))), (z, b)
+    assert power(2.0, 0.5) == np.float64(2.0) ** 0.5
+
+
+@pytest.mark.parametrize(
+    "text, layout",
+    [
+        ("P1^2/3 + Q1^2", "complex"),
+        ("(P1^2 + Q1^2)/2 + 3/10", "complex"),
+        ("1/(Q1 - P1) + Q1^3/7 - exp(Q1)/3", "complex"),
+        ("1 + x1^2", "real"),
+        ("x1/x2 - y1^0.5 + (x2 - 0.25)^-3", "real"),
+        ("z1^2/3 + x2 * z2", "real"),
+    ],
+)
+def test_point_path_equals_the_numpy_scalar_path_bit_for_bit(text, layout):
+    # the reference is the function on a point's array, whose entries are numpy scalars; the
+    # point path reads the same point as Python numbers, specials and zero divisors included
+    m = 2
+    names = coordinate_names(m, layout)
+    fn = compile_points(text, names)
+    rng = np.random.default_rng(5)
+    P = rng.standard_normal((2000, 2 * m)) * 2.0
+    P = np.concatenate([P, np.array([[0.0, -0.0, 0.0, -0.0], [1e200, 0.25, -1e200, 0.5], [-1.0, -0.0, 2.0, 3.0]])])
+    if layout == "complex":
+        P = to_complex(P)
+    with np.errstate(all="ignore"):
+        for p in P:
+            assert _same_bits(np.asarray(fn.point(tuple(p.tolist()))), np.asarray(fn(p))), p
+
+
+def test_point_path_is_needed_for_complex_quotients():
+    # the array function read on Python complex numbers takes CPython's quotient and power
+    fn = parse_expression("P1^2/3 + Q1^2").compile(coordinate_names(2, "complex"))
+    Z = to_complex(np.random.default_rng(6).standard_normal((5000, 4)))
+    plain = sum(not _same_bits(np.complex128(fn(tuple(z.tolist()))), fn(z)) for z in Z)
+    assert plain > 500
+    assert fn.point is not fn and all(_same_bits(np.complex128(fn.point(tuple(z.tolist()))), fn(z)) for z in Z)
+    # with no quotient or power of a coordinate the two paths are one function
+    assert compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).point.__name__ == "_fn"

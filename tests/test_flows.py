@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import sys
@@ -418,9 +419,15 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
 
 
 def _array_path(fields):
-    """The same fields with their scalar forms stripped, so that a point steps the complex array state."""
+    """The same fields with every scalar form stripped (X's, J X's and J's), so that a point steps the array state.
+
+    The state is complex where X has a complex form and real otherwise.
+    """
+    J = copy.copy(fields.model.J)
+    J.scalar_form = None
     return dataclasses.replace(
         fields,
+        model=dataclasses.replace(fields.model, J=J),
         X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=fields.X.complex_form),
         JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=fields.JX.complex_form),
     )
@@ -475,7 +482,7 @@ def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, k):
     assert _same_bits(continue_along_path(lane, x0, path, COARSE), continue_along_path(array, x0, path, COARSE))
 
 
-def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch):
+def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch, tmp_path):
     # every step of a single-point flow gets a tuple state, and the stacks stay arrays
     lane, _ = central_lane
     states = []
@@ -491,6 +498,19 @@ def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch):
     states.clear()
     flow(lane.JX, np.array([X0, X0]), 0.1, COARSE)
     assert states == [np.ndarray] * 10
+    # the bigrid focus scenarios: twisted integrate steps one point in its t sweep (1,008 steps)
+    # and in the swap check's J X and X flows (1,000 each), the stacked s sweep 1,008 times;
+    # the oscillator's action-check has no swap check
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    for verb, lane_steps in (("integrate", 3008), ("action-check", 1008)):
+        states.clear()
+        config = tmp_path / f"{verb}.json"
+        config.write_text(json.dumps(dict(scenarios.workload("bigrid", 0))[verb]))
+        assert cli.main([verb, "--config", str(config), "--out", str(tmp_path / verb)]) == 0
+        assert states.count(tuple) == lane_steps and states.count(np.ndarray) == 1008
+        assert len(states) == lane_steps + 1008
 
 
 @pytest.mark.parametrize(
@@ -532,3 +552,149 @@ def test_scalar_lane_box_bounds_each_real_component():
     assert (err.step, err.row) == (7, None) and _same_bits(err.state, np.array([3.0, 1.0, 1.5e8, 0.0]))
     with pytest.raises(NonFiniteStateError):
         flows._check_state((0.5, np.nan), 1, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the twisted model and the standard system on the scalar lane
+# ---------------------------------------------------------------------------
+
+
+# the bigrid models (a constant X on the twisted model, a complex quotient in the oscillator's
+# partials) and models whose f, h, H_R or H vary more, with quotients and powers of coordinates
+LANE_MODELS = {
+    "twisted": (lambda: models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1"), [0.2, 0.1, -0.3, 0.4]),
+    "twisted_sin": (lambda: models.build_proper_phhs(f="1", h="2 + sin(x1)", H_R="-y1"), [0.3, -0.2, 0.1, 0.5]),
+    "twisted_varying": (
+        lambda: models.build_proper_phhs(f="1 + x2^2/3", h="exp(x2)", H_R="x1*x2 - y1^3/3 + y2/7"),
+        [0.2, 0.1, -0.3, 0.4],
+    ),
+    "oscillator": (lambda: models.build_standard_hhs(1, "(P1^2 + Q1^2)/2"), [0.4, 0.3, 0.1, -0.2]),
+    "oscillator_shifted": (lambda: models.build_standard_hhs(1, "(P1^2 + Q1^2)/2 + 3/10"), [0.4, 0.3, 0.1, -0.2]),
+    "standard_cubic": (lambda: models.build_standard_hhs(1, "P1^2/3 - Q1^3/7"), [0.3, 0.2, -0.1, 0.1]),
+    "standard_n2": (
+        lambda: models.build_standard_hhs(2, "P1^2/2 + P2"), [0.1, 0.2, -0.3, 0.4, -0.1, 0.2, 0.0, 0.3]
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LANE_MODELS))
+def model_lane(request):
+    build, x0 = LANE_MODELS[request.param]
+    # twisted_varying is no pseudo-holomorphic system: its J X is a field all the same
+    fields = assemble_phhs(build(), check_closedness=request.param != "twisted_varying")
+    assert fields.X.scalar_form is not None and fields.JX.scalar_form is not None
+    return fields, _array_path(fields), np.array(x0)
+
+
+def _signed_points(dim):
+    """Points whose every coordinate is one of 0.0, -0.0, 0.8, -1.3 (at most 4**4 of them)."""
+    values = np.array([0.0, -0.0, 0.8, -1.3])
+    index = np.indices((4,) * min(dim, 4)).reshape(min(dim, 4), -1).T
+    P = np.zeros((len(index), dim))
+    P[:, : index.shape[1]] = values[index]
+    return P
+
+
+def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
+    # X, J X (J's rows times X's value on the real state, i X on the complex one) and the
+    # combinations, at seeded points and at points with signed zeros, against the array form
+    # at each point: fn on the real state, the complex form on the complex one
+    lane, _, x0 = model_lane
+    dim = x0.size
+    P = np.concatenate([util.seeded_points(9, 400, dim, scale=1.5, center=x0), _signed_points(dim)])
+    complex_state = lane.X.complex_form is not None
+    fields = [lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8), flows._combo_field(lane, np.cos(0.3), np.sin(0.3))]
+    if not complex_state:
+        J = lane.model.J
+        for p in P:
+            assert _same_bits(np.array(J.scalar_form(tuple(p.tolist()))), J.fn(p))
+    for V in fields:
+        assert V.scalar_form is not None
+        for p in P:
+            if complex_state:
+                z = to_complex(p)
+                assert _same_bits(np.array(V.scalar_form(tuple(z.tolist())), dtype=complex), V.complex_form(z))
+            else:
+                assert _same_bits(np.array(V.scalar_form(tuple(p.tolist()))), np.asarray(V.fn(p), dtype=float))
+
+
+def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(model_lane):
+    lane, array, x0 = model_lane
+    for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
+        for t in (0.7, -0.45):
+            assert _same_bits(flow(a, x0, t, COARSE), flow(b, x0, t, COARSE))
+        end, err = flow_error_estimate(a, x0, 0.5, COARSE)
+        end_b, err_b = flow_error_estimate(b, x0, 0.5, COARSE)
+        assert _same_bits(end, end_b) and _same_bits(err, err_b)
+    word = [(0.3, -0.4), (-0.2, 0.5)]
+    assert _same_bits(flow_word(lane, x0, word, COARSE), flow_word(array, x0, word, COARSE))
+    assert _same_bits(tilted_flow(lane, x0, 0.9, 0.4, COARSE), tilted_flow(array, x0, 0.9, 0.4, COARSE))
+    # the grid's t sweep and the swap check's two flows step one point each
+    grids = [trajectory_grid(f, x0, 0.1, (0.0, 0.4), (-0.2, 0.2), 5, 3, COARSE) for f in (lane, array)]
+    assert _same_bits(grids[0].values, grids[1].values)
+    swaps = [grid_monitors(f, g, COARSE)["swap_defect"] for f, g in zip((lane, array), grids)]
+    assert _same_bits(*swaps)
+
+
+def test_lane_without_a_symbolic_gradient_takes_the_array_path():
+    # a callable H_R has no point path, so X and J X of the twisted model step arrays
+    fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R=lambda p: -p[2]))
+    assert fields.X.scalar_form is None and fields.JX.scalar_form is None
+    assert fields.model.J.scalar_form is not None
+    # a callable f has one all the same: f at the point's array
+    model = models.build_proper_phhs(f=lambda p: 1.0 + 0.1 * p[1] ** 2, h="exp(x1)")
+    twisted = assemble_phhs(model, check_closedness=False)
+    assert _same_bits(
+        flow(twisted.JX, X0, 0.3, COARSE), flow(_array_path(twisted).JX, X0, 0.3, COARSE)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, which, x0, t",
+    [
+        # x1' = x1^2 on the twisted model's X: past the box near t = 1/2
+        (lambda: models.build_proper_phhs(H_R="x2*x1^2"), "X", [2.0, 0.1, 0.0, 0.0], 1.0),
+        # Q' = Q^2 on a standard system's X
+        (lambda: models.build_standard_hhs(1, "P1*Q1^2"), "X", [2.0, 0.0, 0.0, 0.1], 1.0),
+        # J_g X from a start whose y2 lies past the box
+        (lambda: models.build_proper_phhs(f="1", h="exp(x1)"), "JX", [0.1, 0.2, 0.3, 2e8], 0.3),
+    ],
+    ids=["twisted-X", "standard-X", "twisted-JX"],
+)
+def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(build, which, x0, t):
+    fields = assemble_phhs(build(), check_closedness=False)
+    errors = []
+    for f in (fields, _array_path(fields)):
+        with pytest.raises(NonFiniteStateError) as info, np.errstate(all="ignore"):
+            flow(getattr(f, which), x0, t, CFG)
+        errors.append(info.value)
+    a, b = errors
+    assert (a.step, a.time, a.row) == (b.step, b.time, b.row) and a.row is None
+    assert _same_bits(a.state, b.state) and str(a) == str(b)
+
+
+def test_lane_of_a_nan_start_raises_at_the_array_paths_step():
+    # both paths reject the first state; a NaN's payload may differ between numpy's matrix
+    # product and the lane's sum, its place does not
+    fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)"))
+    errors = []
+    for f in (fields, _array_path(fields)):
+        with pytest.raises(NonFiniteStateError) as info, np.errstate(all="ignore"):
+            flow(f.JX, [0.1, np.nan, 0.0, 0.2], 0.3, CFG)
+        errors.append(info.value)
+    a, b = errors
+    assert (a.step, a.time, a.row) == (b.step, b.time, b.row) == (1, 1e-3, None)
+    assert np.array_equal(a.state, b.state, equal_nan=True)
+
+
+def test_lane_keeps_the_not_real_valued_error():
+    # h is real to 1e-14 on the model's samples (|x1| < 1) and complex far out, where J_g's scalar
+    # form raises the ValueError the array path raises
+    model = models.build_proper_phhs(f="1", h="2 + 1e-16 * x1^4 * z1")
+    fields = assemble_phhs(model, check_closedness=False)
+    messages = []
+    for f in (fields, _array_path(fields)):
+        with pytest.raises(ValueError, match="not real-valued") as info:
+            flow(f.JX, [10.0, 0.0, 1.0, 0.0], 0.3, CFG)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
