@@ -65,9 +65,13 @@ def _write_json(path, obj):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
+    # one % per row, by a template made once per tuple of cell types: FMT for a float, str otherwise
+    lines, templates = [",".join(header)], {}
     for row in rows:
-        lines.append(",".join(FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in row))
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(FMT if issubclass(k, (float, np.floating)) else "%s" for k in kinds)
+        lines.append(templates[kinds] % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -428,7 +432,7 @@ def run_integrability_scan(c, outdir, scale):
     pts = grid_points(c["center"], c["half_width"], c["per_axis"])
     threshold = scale * c["threshold"]
     report = integrability_report(c["model"], pts, threshold=threshold)
-    rows = [list(p) + [rn, rd] for p, rn, rd in zip(report.points, report.nijenhuis_norms, report.d_omega_I_norms)]
+    rows = np.column_stack([report.points, report.nijenhuis_norms, report.d_omega_I_norms]).tolist()
     _write_csv(outdir / "scan.csv", _coords(pts.shape[1]) + ["nijenhuis", "d_omega_I"], rows)
     dichotomy = (report.max_nijenhuis <= threshold) == (report.max_d_omega_I <= threshold)
     checks = [_check("dichotomy", float(dichotomy), threshold, passed=bool(dichotomy))]

@@ -392,6 +392,11 @@ class Expression:
         """
         return _compile(self.ast, binding, self.source)
 
+    def constant(self):
+        """Value of an expression without identifiers: a folded ``("num", v)`` leaf is v, any other tree compiles."""
+        kind, value = self.ast[:2]
+        return value if kind == "num" else self.compile({})(None)
+
     def evaluate(self, env):
         """Value for the name -> value mapping ``env``, compiled for this call."""
         return self.compile({name: name for name in env})(env)
@@ -434,7 +439,7 @@ def compile_points(expr, names, cast=None):
 
         points.point = value.point
         return points
-    c = expr.compile({})(None)
+    c = expr.constant()
     c = c if cast is None else cast(c)
 
     def constant(p):

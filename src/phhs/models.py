@@ -157,7 +157,7 @@ def _as_real_scalar(f, m, what="field"):
         if d.variables():
             varying.append((k, compile_points(d, names)))
         else:
-            const[k] = complex(d.compile({})(None)).real
+            const[k] = complex(d.constant()).real
 
     def grad(p):
         out = np.empty(p.shape)

@@ -23,9 +23,9 @@ a number, expression text in x1 and y1, a stack-taking Field, or a callable
 of one point lifted row by row.  The angular average evaluates v once per
 ring of N_PHI + 1 angles and the area law once per ray of N_R + 1 radial
 nodes; only the orbit's field evaluates it at one point per RK4 stage.
-That field reads T_hat through :func:`_clenshaw`, numpy's domain map and
-Clenshaw recurrence of ``Chebyshev.__call__`` written out on Python floats,
-so an orbit gives the same bits with no numpy polynomial call per stage.
+That field reads T_hat through :func:`_clenshaw`, ``Chebyshev.__call__``
+as straight-line code on Python floats: an orbit gives the same bits with
+no numpy call and no loop per stage.
 A v that is not positive and finite on a ring of the angular average (and
 so at a node of the interpolant of T_hat) or at an orbit stage raises
 :class:`~phhs.errors.ZeroDenominatorError` naming the point, and so does a
@@ -109,28 +109,22 @@ def _period_interpolant(sys):
 
 
 def _clenshaw(interp):
-    """``interp`` as a function of one Python float, bit for bit ``interp.__call__``.
+    """``interp`` as generated code of one Python float, bit for bit ``interp.__call__``.
 
-    The domain map ``off + scl * r`` and the recurrence are the operations
-    numpy's ``mapdomain`` and ``chebval`` perform, in the same order, on the
-    coefficients taken once as Python floats.  As in ``chebval``, a series
-    of one coefficient c0 is c0 + 0 x, and one of two runs no recurrence.
+    numpy's ``mapdomain`` and ``chebval`` in the same order, one line per coefficient: a
+    finite one is its ``repr``, which reads back as itself; inf and NaN are bound by name.
+    As in ``chebval``, one coefficient c0 is c0 + 0 x, and two run no recurrence.
     """
-    off, scl = (float(a) for a in interp.mapparms())
-    c = interp.coef.tolist()
+    values = [float(a) for a in [*interp.mapparms(), *interp.coef]]
+    namespace = {f"_k{i}": a for i, a in enumerate(values) if not math.isfinite(a)}
+    off, scl, *c = [repr(a) if math.isfinite(a) else f"_k{i}" for i, a in enumerate(values)]
     if len(c) == 1:
-        c.append(0)
-    tail = c[-3::-1]
-
-    def value(r):
-        x = off + scl * r
-        x2 = 2 * x
-        c0, c1 = c[-2], c[-1]
-        for ck in tail:
-            c0, c1 = ck - c1, c0 + c1 * x2
-        return c0 + c1 * x
-
-    return value
+        c.append("0")
+    source = ["def value(r):", f"    x = {off} + {scl} * r", "    x2 = 2 * x", f"    c0, c1 = {c[-2]}, {c[-1]}"]
+    source += [f"    c0, c1 = {ck} - c1, c0 + c1 * x2" for ck in c[-3::-1]]
+    source.append("    return c0 + c1 * x")
+    exec(compile("\n".join(source), "<T_hat>", "exec"), namespace)
+    return namespace["value"]
 
 
 def rescaling_chart(sys, s):
@@ -172,23 +166,21 @@ def hamiltonian_flow_field(sys, rescale=True):
     period = _clenshaw(_period_interpolant(sys)) if rescale else None
 
     def velocity(x, y, vp):
-        factor = 1.0
-        if rescale:
-            factor = period(min(math.sqrt(x * x + y * y), rmax)) / T
         if not 0.0 < vp < math.inf:
             raise _bad_factor(vp, [x, y])
-        q = factor / vp
+        r = math.sqrt(x * x + y * y)
+        q = (period(rmax if rmax < r else r) / T if rescale else 1.0) / vp  # min(r, rmax), NaN too
         return -2.0 * y * q, 2.0 * x * q
 
-    return VectorField(
-        lambda p: np.array(velocity(*p.tolist(), float(v(p)))),
-        name="orbit",
-        scalar_form=lambda q: velocity(*q, float(v_point(q))),
-    )
+    def scalar_form(q):
+        x, y = q
+        return velocity(x, y, float(v_point(q)))
+
+    return VectorField(lambda p: np.array(velocity(*p.tolist(), float(v(p)))), name="orbit", scalar_form=scalar_form)
 
 
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
-    """Measured period of the orbit started at (r0, 0).
+    """Measured period of the orbit started at (r0, 0), as a Python float.
 
     Steps with :func:`phhs.flows.rk4_step` on the scalar lane, checks the
     state after each step as every flow does, unwraps the polar angle with
@@ -197,23 +189,22 @@ def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     """
     F, y = _start(hamiltonian_flow_field(sys, rescale=rescale), np.array([r0, 0.0]))
     h = cfg.dt
-    theta = 0.0
-    prev_angle = 0.0
-    t = 0.0
+    pi, two_pi = math.pi, 2.0 * math.pi
+    theta = prev_angle = t = 0.0
     for step in range(1, cfg.max_step_count + 1):
         y = rk4_step(F, y, h)
         _check_state(y, step, h)
         t += h
-        angle = np.arctan2(y[1], y[0])
+        angle = float(np.arctan2(y[1], y[0]))
         delta = angle - prev_angle
-        if delta > np.pi:
-            delta -= 2.0 * np.pi
-        elif delta < -np.pi:
-            delta += 2.0 * np.pi
+        if delta > pi:
+            delta -= two_pi
+        elif delta < -pi:
+            delta += two_pi
         prev_angle = angle
         new_theta = theta + delta
-        if new_theta >= 2.0 * np.pi:
-            frac = (2.0 * np.pi - theta) / (new_theta - theta)
+        if new_theta >= two_pi:
+            frac = (two_pi - theta) / (new_theta - theta)
             return t - h + frac * h
         theta = new_theta
     raise NoReturnError("the orbit angle did not advance a full turn within the step budget")

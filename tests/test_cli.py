@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phhs import fields, flows, models, morse
+from phhs import cli, fields, flows, models, morse
 from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
@@ -505,6 +505,40 @@ def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatc
     monkeypatch.setattr(morse, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert states == [tuple] * steps
+
+
+def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
+    # one T_hat per RK4 stage of the 9,426 orbit steps; the area law reads the interpolant itself
+    cfg = _focus_config(tmp_path, monkeypatch, "morse-period", "orbits")
+    calls = []
+    clenshaw = morse._clenshaw
+
+    def counted(interp):
+        value = clenshaw(interp)
+
+        def period(r):
+            calls.append(r)
+            return value(r)
+
+        return period
+
+    monkeypatch.setattr(morse, "_clenshaw", counted)
+    assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 37704
+
+
+def test_csv_rows_are_written_as_their_cells(tmp_path):
+    # the per-cell form: FMT for float and numpy floating cells, str for every other cell
+    rows = [
+        [1, True, "word", 0.1, np.float64(0.1), -0.0],
+        [np.float64(-0.0), float("nan"), np.inf, -np.inf, 1e-300, np.float32(0.1)],
+        [2, False, "a%sb", np.float64(np.nan), 1.0, np.int64(7)],
+        [1, True, "word", 2.5, np.float64(-np.inf), 1e300],
+        [0.5, np.float64(1e-300), "x", 3, np.bool_(True), None],
+    ]
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], rows)
+    cells = [",".join(cli.FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in row) for row in rows]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["a,b,c,d,e,f", *cells]) + "\n"
 
 
 def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch):

@@ -258,3 +258,21 @@ def test_point_path_is_needed_for_complex_quotients():
     assert fn.point is not fn and all(_same_bits(np.complex128(fn.point(tuple(z.tolist()))), fn(z)) for z in Z)
     # with no quotient or power of a coordinate the two paths are one function
     assert compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).point.__name__ == "_fn"
+
+
+@pytest.mark.parametrize("text", ["1", "2.5e-300", "-1", "2 * 3 - 1", "(0 - 1)^0.5", "exp(1)"])
+def test_a_constant_is_its_compiled_value(text):
+    # a folded ("num", v) leaf is read from the tree; any other constant tree compiles
+    expr = parse_expression(text)
+    for e in (expr, parse_expression(f"x1 * ({text})").diff("x1")):
+        c, compiled = e.constant(), e.compile({})(None)
+        assert type(c) is type(compiled) and np.array(c).tobytes() == np.array(compiled).tobytes()
+
+
+def test_a_folded_constant_partial_is_read_without_compiling(monkeypatch):
+    import builtins
+
+    d = parse_expression("-y1").diff("y1")
+    assert d.ast == ("num", -1.0)
+    monkeypatch.setattr(builtins, "compile", None)
+    assert d.constant() == -1.0 and compile_points(d, {}).point(None) == -1.0

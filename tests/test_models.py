@@ -157,6 +157,22 @@ def test_proper_phhs_structure_tensors(proper):
         assert np.max(np.abs(Im.T @ W @ Im - W)) < 1e-12  # compatibility
 
 
+def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
+    # f = 1 and the folded constant partials of h and H_R are read from their trees;
+    # exp(x1), its partial in x1 and -y1 compile once each
+    import builtins
+
+    compiled, compile_ = [], builtins.compile
+
+    def counted(source, filename, *args, **kw):
+        compiled.append(filename)
+        return compile_(source, filename, *args, **kw)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
+    assert compiled == ["<expression 'exp(x1)'>", "<expression 'd(exp(x1))/dx1'>", "<expression '-y1'>"]
+
+
 def test_proper_phhs_trivial_twist_is_standard():
     model = models.build_proper_phhs(f="1", h="1")
     from phhs.util import standard_j_matrix

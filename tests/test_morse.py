@@ -175,16 +175,54 @@ def test_clenshaw_equals_chebyshev_call_bit_for_bit(quad_system):
 
 
 @pytest.mark.parametrize(
-    "coef", [[-0.0], [0.7], [0.7, -1.3], [0.7, -1.3, 0.2], list(np.random.default_rng(49).standard_normal(49))],
-    ids=["-0", "1", "2", "3", "49"],
+    "coef, domain",
+    [
+        ([-0.0], [0.0, 1.2]),
+        ([0.7], [0.0, 1.2]),
+        ([0.7, -1.3], [0.0, 1.2]),
+        ([0.7, -1.3, 0.2], [0.0, 1.2]),
+        (list(np.random.default_rng(49).standard_normal(49)), [0.0, 1.2]),
+        ([0.7, -0.0, -1.3, 0.0, -0.0, 0.2], [0.0, 1.2]),
+        (list(np.random.default_rng(7).standard_normal(9)), [1.2, 0.0]),
+        ([0.7, np.inf, -1.3, 0.2], [0.0, 1.2]),
+        ([0.7, -1.3, np.nan, 0.2, -np.inf], [0.0, 1.2]),
+        ([0.7, -np.nan, 0.2, -1.3], [0.0, 1.2]),
+    ],
+    ids=["-0", "1", "2", "3", "49", "inner -0", "reversed domain", "inf", "nan", "-nan"],
 )
-def test_clenshaw_on_short_series_equals_chebyshev_call_bit_for_bit(coef):
-    # chebval reads a series of one coefficient as c0 + 0 x, of two as c0 + c1 x
-    interp = np.polynomial.chebyshev.Chebyshev(coef, domain=[0.0, 1.2])
+def test_clenshaw_on_short_series_equals_chebyshev_call_bit_for_bit(coef, domain):
+    # chebval reads a series of one coefficient as c0 + 0 x, of two as c0 + c1 x; a finite
+    # coefficient is a literal of the generated code, inf and NaN are bound by name
+    interp = np.polynomial.chebyshev.Chebyshev(coef, domain=domain)
     value = morse._clenshaw(interp)
     radii = np.concatenate([[0.0, 0.6, 1.2], np.random.default_rng(len(coef)).uniform(-0.2, 1.4, 500)])
     fast = np.array([value(r) for r in radii.tolist()])
-    assert fast.tobytes() == np.array([interp(r) for r in radii]).tobytes()
+    with np.errstate(all="ignore"):  # inf - inf in numpy's recurrence
+        assert fast.tobytes() == np.array([interp(r) for r in radii]).tobytes()
+
+
+def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
+    # v = 2 - x1^2 is positive on every ring of the interpolant (r <= rmax = 1.2) and not from
+    # |x1| = sqrt(2) on; past rmax T_hat is read at rmax, min's choice, and a NaN radius gives NaN
+    system = PlanarSystem(v="2 - x1^2", T=np.pi)
+    F = morse.hamiltonian_flow_field(system)
+    interp = morse._period_interpolant(system)
+    inf, nan = np.inf, np.nan
+    for x, y in [(0.3, -0.4), (1.0, 0.9), (-0.1, 1.5), (0.0, inf), (0.0, -inf), (0.0, nan), (0.5, 1e300)]:
+        r = np.sqrt(x * x + y * y)
+        q = float(interp(min(r, system.rmax))) / system.T / float(system.v(np.array([x, y])))
+        with np.errstate(all="ignore"):
+            expected = np.array([-2.0 * y * q, 2.0 * x * q])
+            array = F.fn(np.array([x, y]))
+        scalar = F.scalar_form((x, y))
+        assert all(type(c) is float for c in scalar)
+        assert np.array(scalar).tobytes() == array.tobytes() == expected.tobytes()
+    for x, y in [(1.5, 0.0), (2.0**0.5, 0.0), (-inf, 0.3), (nan, 0.0)]:
+        with pytest.raises(ZeroDenominatorError, match="conformal factor v = ") as scalar:
+            F.scalar_form((x, y))
+        with pytest.raises(ZeroDenominatorError) as array, np.errstate(all="ignore"):
+            F.fn(np.array([x, y]))
+        assert str(scalar.value) == str(array.value)
 
 
 @pytest.mark.parametrize("v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1"])
