@@ -19,13 +19,13 @@ fields = assemble_phhs(model)
 
 print("== classification over the square lattice Z + iZ ==")
 for P0 in (1.0 + 0.0j, 0.0j, 0.5 + 0.5j):
-    out = models.classify_torus_orbit(np.array([P0]), square, 3)
+    out = models.classify_torus_orbit(np.array([P0]), square)
     shown = [f"{z:.3g}" for z in out.periods[:4]]
     print(f"momentum {P0}: {out.kind:10s} periods {shown} caveat={out.caveat}")
 
 print()
 print("== an incommensurate momentum pair on Z^4 stays aperiodic ==")
-out = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), models.Lattice(np.eye(4)), 3)
+out = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), models.Lattice(np.eye(4)))
 print(f"momentum (1, sqrt 2): {out.kind} (caveat={out.caveat}; bounded search cannot certify absence)")
 
 print()

@@ -8,8 +8,8 @@ finite-difference variational gradients.
 Numerical scheme, shared by every functional (all second order in the grid
 spacing):
 
-* grid derivatives are central inside and one-sided second order on the
-  boundary;
+* grid derivatives are :func:`~phhs.fields.grid_derivative`'s, central
+  inside and one-sided second order on the boundary;
 * plain integrals use the trapezoid rule;
 * integrals against the explicit weight e^{i alpha} use a product rule that
   integrates (piecewise-linear data) x e^{i alpha} exactly per interval, so
@@ -17,8 +17,10 @@ spacing):
 
 The complex pairing of a holomorphic primitive applied to a real velocity v
 is reconstructed from the real part alone: Lambda(v) = Lambda_R(v)
-- i Lambda_R(J v).  Proper pseudo-holomorphic systems have no imaginary
-primitive, so they only get the real-valued functionals (lambda_mode="real").
+- i Lambda_R(J v).  ``parts`` picks the functional: ``"both"`` pairs with that
+reconstruction against H = H_R + i H_I, ``"real"`` pairs with Lambda_R alone
+against H_R alone.  Proper pseudo-holomorphic systems have no imaginary
+primitive, so they only get the real-valued functionals (``parts="real"``).
 
 Every functional evaluates the model's fields once on the whole stack of its
 nodes (segment nodes, every node of every ray, parallelogram cell
@@ -31,17 +33,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MissingPrimitiveError
-from .fields import matvec
+from .fields import grid_derivative, matvec
 from .util import as_point, from_complex, to_complex
+
+GRADIENT_DELTA = 1e-5  # the central-difference step of the variational gradients
 
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------
-
-
-def _trapz(x, y):
-    return np.trapezoid(y, x)
 
 
 def _filon_exp(alphas, f):
@@ -61,52 +61,40 @@ def _filon_exp(alphas, f):
     return total
 
 
-def _stencil_deriv(rows, h):
-    """Second-order derivative along axis 0 of a sampled array."""
-    d = np.empty_like(rows)
-    d[1:-1] = (rows[2:] - rows[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * rows[0] + 4.0 * rows[1] - rows[2]) / (2.0 * h)
-    d[-1] = (3.0 * rows[-1] - 4.0 * rows[-2] + rows[-3]) / (2.0 * h)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # primitive pairing
 # ---------------------------------------------------------------------------
 
 
 class _Pairing:
-    """Evaluates Lambda applied to velocities, real or complex-reconstructed."""
+    """Lambda applied to velocities and H, both or their real parts alone (``parts``)."""
 
-    def __init__(self, fields, lambda_mode):
+    def __init__(self, fields, parts="both"):
         model = fields.model
         if model.lambda_R is None:
             raise MissingPrimitiveError(
                 f"model {model.name!r} carries no primitive of Omega_R"
             )
-        if lambda_mode not in ("complex", "real"):
-            raise ValueError("lambda_mode must be 'complex' or 'real'")
-        self.lambda_R = model.lambda_R
-        self.J = model.J
-        self.mode = lambda_mode
         self.fields = fields
+        self.parts = parts
 
     def lam(self, p, v):
         """Lambda(v) at each row of an ``(N, dim)`` stack p for real velocities v, as an ``(N,)`` array."""
-        lam = np.asarray(self.lambda_R(p), dtype=float)
+        model = self.fields.model
+        lam = np.asarray(model.lambda_R(p), dtype=float)
         re = np.vecdot(lam, v)
-        if self.mode == "real":
+        if self.parts == "real":
             return re
         out = np.empty(re.shape, dtype=complex)
         out.real = re
-        out.imag = -np.vecdot(lam, matvec(np.asarray(self.J(p), dtype=float), v))
+        out.imag = -np.vecdot(lam, matvec(np.asarray(model.J(p), dtype=float), v))
         return out
 
-    def hamiltonian(self, p, parts="both"):
+    def hamiltonian(self, p):
         """H at each row of an ``(N, dim)`` stack p, as a complex ``(N,)`` array (H_R alone for parts="real")."""
         out = np.zeros(len(p), dtype=complex)
         out.real = self.fields.model.H_R(p)
-        if parts != "real":
+        if self.parts != "real":
             out.imag = self.fields.H_I(p)
         return out
 
@@ -212,13 +200,13 @@ def sample_polar_signed(gamma, z0, radius, nr, nalpha):
 # ---------------------------------------------------------------------------
 
 
-def segment_action(fields, curve, alpha=0.0, lambda_mode="complex", parts="both"):
+def segment_action(fields, curve, alpha=0.0, parts="both"):
     """Integral of Lambda(gamma') - e^{i alpha} H(gamma) over a 1-d curve."""
-    pair = _Pairing(fields, lambda_mode)
+    pair = _Pairing(fields, parts)
     u = curve.u_nodes
     vals = curve.values
-    vel = _stencil_deriv(vals, u[1] - u[0])
-    return _trapz(u, pair.lam(vals, vel)) - np.exp(1j * alpha) * _trapz(u, pair.hamiltonian(vals, parts))
+    vel = grid_derivative(vals, u[1] - u[0])
+    return np.trapezoid(pair.lam(vals, vel), u) - np.exp(1j * alpha) * np.trapezoid(pair.hamiltonian(vals), u)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +214,7 @@ def segment_action(fields, curve, alpha=0.0, lambda_mode="complex", parts="both"
 # ---------------------------------------------------------------------------
 
 
-class ParallelogramAction:
+class ParallelogramAction(_Pairing):
     """Double integral of Lambda_R(2 dgamma/dz) - H over a parallelogram.
 
     Discretized as a sum of cell Lagrangians: each grid cell contributes its
@@ -240,16 +228,10 @@ class ParallelogramAction:
     (for ``parts="both"``) H_I on the ``(cells, dim)`` stack of midpoints.
     Perturbing one node touches at most its four cells, and two nodes of one
     parity class ``(i mod 2, j mod 2)`` share no cell, so the gradient
-    perturbs a whole class at once (sparse-Jacobian colouring).
+    perturbs a whole class at once (sparse-Jacobian colouring).  Like every
+    functional it needs the model's Lambda_R (``MissingPrimitiveError``
+    otherwise) and takes ``parts`` as the module describes.
     """
-
-    def __init__(self, fields, parts="both"):
-        if fields.model.lambda_R is None:
-            raise MissingPrimitiveError(
-                f"model {fields.model.name!r} carries no primitive of Omega_R"
-            )
-        self.fields = fields
-        self.parts = parts
 
     def _geometry(self, curve):
         ht = curve.t_nodes[1] - curve.t_nodes[0]
@@ -285,7 +267,7 @@ class ParallelogramAction:
 
     __call__ = value
 
-    def gradient(self, curve, fixed="boundary", delta=1e-5):
+    def gradient(self, curve, fixed="boundary"):
         """Per-node gradients of (Re, Im) of the action w.r.t. node coordinates."""
         w_cell = self._geometry(curve)[-1]
         vals = np.array(curve.values)
@@ -294,7 +276,7 @@ class ParallelogramAction:
         F0 = self.integrand_cells(curve)
         grad = np.zeros((nt, nr, dim), dtype=complex)
         free = np.ones((nt, nr), dtype=bool)
-        if fixed in ("boundary", "boundary+center"):
+        if fixed == "boundary":
             free[0, :] = free[-1, :] = False
             free[:, 0] = free[:, -1] = False
         elif fixed is not None:
@@ -310,12 +292,12 @@ class ParallelogramAction:
                 old = vals[nodes, k]
                 deltas = []
                 for sign in (1.0, -1.0):
-                    vals[nodes, k] = old + sign * delta
+                    vals[nodes, k] = old + sign * GRADIENT_DELTA
                     D[1:-1, 1:-1] = self.integrand_cells(probe) - F0
                     s = 0j + D[:-1, :-1] + D[:-1, 1:] + D[1:, :-1] + D[1:, 1:]
                     deltas.append(w_cell * s[nodes])
                 vals[nodes, k] = old
-                grad[nodes, k] = (deltas[0] - deltas[1]) / (2.0 * delta)
+                grad[nodes, k] = (deltas[0] - deltas[1]) / (2.0 * GRADIENT_DELTA)
         return grad.real.copy(), grad.imag.copy()
 
 
@@ -328,7 +310,7 @@ def parallelogram_action(fields, curve, parts="both"):
 # ---------------------------------------------------------------------------
 
 
-def star_action(fields, curve, variant, lambda_mode="complex", parts="both"):
+def star_action(fields, curve, variant, parts="both"):
     """Polar action over a bounded star-shaped time domain.
 
     Variant 1 averages the tilted-segment actions over radial rays of the full
@@ -337,7 +319,7 @@ def star_action(fields, curve, variant, lambda_mode="complex", parts="both"):
     signed first moment of the boundary radius (equal to R for a disk, chosen
     so constant curves evaluate to the Hamilton function).
     """
-    pair = _Pairing(fields, lambda_mode)
+    pair = _Pairing(fields, parts)
     rs, vals = curve.radii, curve.values  # (na, nr), (na, nr, dim)
     h = rs[:, 1] - rs[:, 0]
     if not curve.signed:
@@ -346,35 +328,36 @@ def star_action(fields, curve, variant, lambda_mode="complex", parts="both"):
         rs = np.concatenate([np.zeros((na, 1)), rs], axis=1)
         vals = np.concatenate([np.broadcast_to(curve.center, (na, 1, dim)), vals], axis=1)
     # rays on the last axis: each trapezoid sums its own ray, as a 1-d trapezoid would
-    vel = _stencil_deriv(vals.swapaxes(0, 1), h[:, None]).swapaxes(0, 1)
+    vel = grid_derivative(vals.swapaxes(0, 1), h[:, None]).swapaxes(0, 1)
     nodes, vel = vals.reshape(-1, vals.shape[-1]), vel.reshape(-1, vals.shape[-1])
     L = np.trapezoid(pair.lam(nodes, vel).reshape(rs.shape), rs, axis=-1)
-    H = np.trapezoid(pair.hamiltonian(nodes, parts).reshape(rs.shape), rs, axis=-1)
+    H = np.trapezoid(pair.hamiltonian(nodes).reshape(rs.shape), rs, axis=-1)
+    rule = np.trapezoid(L, curve.alphas) - _filon_exp(curve.alphas, H)
     if variant == 1:
         if curve.signed:
             raise ValueError("variant 1 needs a full-circle polar curve")
-        total = (_trapz(curve.alphas, L) - _filon_exp(curve.alphas, H)) / (2.0 * np.pi)
+        total = rule / (2.0 * np.pi)
     elif variant == 2:
         if not curve.signed:
             raise ValueError("variant 2 needs a signed polar curve")
         spans = curve.radii[:, -1] - curve.radii[:, 0]  # R(alpha) + R(alpha - pi)
         r_hat = -0.25j * _filon_exp(curve.alphas, spans)
-        total = 0.25j * (_trapz(curve.alphas, L) - _filon_exp(curve.alphas, H)) / r_hat
+        total = 0.25j * rule / r_hat
     else:
         raise ValueError("variant must be 1 or 2")
-    if lambda_mode == "real":
+    if parts == "real":
         return complex(total).real
     return complex(total)
 
 
-def disk_action_1(fields, curve, lambda_mode="complex", parts="both"):
+def disk_action_1(fields, curve, parts="both"):
     """Radial-ray action over a disk; vanishes on holomorphic curves."""
-    return star_action(fields, curve, 1, lambda_mode=lambda_mode, parts=parts)
+    return star_action(fields, curve, 1, parts=parts)
 
 
-def disk_action_2(fields, curve, lambda_mode="complex", parts="both"):
+def disk_action_2(fields, curve, parts="both"):
     """Diameter action over a disk; equals H(x0) on constant curves."""
-    return star_action(fields, curve, 2, lambda_mode=lambda_mode, parts=parts)
+    return star_action(fields, curve, 2, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +365,17 @@ def disk_action_2(fields, curve, lambda_mode="complex", parts="both"):
 # ---------------------------------------------------------------------------
 
 
-def variational_gradient(action, curve, fixed="boundary", delta=1e-5):
-    """Finite-difference gradient of an action w.r.t. free curve nodes.
+def variational_gradient(action, curve):
+    """Finite-difference gradient of an action w.r.t. the free curve nodes.
 
     ``action`` is either a :class:`ParallelogramAction` (fast, coloured
-    path) or any callable curve -> value, differentiated naively.  Gradients
-    of the real and imaginary part are returned separately as arrays shaped
-    like the node layout plus a trailing coordinate axis.
+    path) or any callable curve -> value, differentiated naively.  The
+    boundary nodes are held fixed.  Gradients of the real and imaginary part
+    are returned separately as arrays shaped like the node layout plus a
+    trailing coordinate axis.
     """
     if isinstance(action, ParallelogramAction):
-        return action.gradient(curve, fixed=fixed, delta=delta)
+        return action.gradient(curve)
     vals = np.array(curve.values)
     shape = vals.shape
     grad_re = np.zeros(shape)
@@ -404,21 +388,18 @@ def variational_gradient(action, curve, fixed="boundary", delta=1e-5):
     elif isinstance(curve, ParallelogramCurve):
         free[0, :] = free[-1, :] = False
         free[:, 0] = free[:, -1] = False
-    if fixed == "boundary+center" and isinstance(curve, PolarCurve) and curve.signed:
-        mid = shape[1] // 2
-        free[:, mid] = False
     it = np.ndindex(*shape[:-1])
     for idx in it:
         if not free[idx]:
             continue
         for k in range(shape[-1]):
             old = vals[idx + (k,)]
-            curve.values[idx + (k,)] = old + delta
+            curve.values[idx + (k,)] = old + GRADIENT_DELTA
             plus = complex(action(curve))
-            curve.values[idx + (k,)] = old - delta
+            curve.values[idx + (k,)] = old - GRADIENT_DELTA
             minus = complex(action(curve))
             curve.values[idx + (k,)] = old
-            g = (plus - minus) / (2.0 * delta)
+            g = (plus - minus) / (2.0 * GRADIENT_DELTA)
             grad_re[idx + (k,)] = g.real
             grad_im[idx + (k,)] = g.imag
     return grad_re, grad_im

@@ -23,16 +23,16 @@ to stack functions; only a bare callable of one point is lifted by
 import numpy as np
 
 from .errors import SingularMetricError
-from .fields import Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, matvec, stack_function
+from .fields import HOLO_TOL, Field, FdConfig, MatrixField, constant, holomorphy_residual, jet, matvec, stack_function
 from .tensors import nijenhuis
 from .util import as_points, coordinate_names, first_row, invertible_rows, max_abs, row_max_abs, to_complex
 
 
 class MetricField(Field):
-    """Symmetric invertible matrix field on the base manifold."""
+    """Symmetric invertible matrix field on the base manifold, differenced at step 1e-4."""
 
-    def __init__(self, fn, fd=None, name=None):
-        super().__init__(fn, fd if fd is not None else FdConfig(step=1e-4), name)
+    def __init__(self, fn, name=None):
+        super().__init__(fn, FdConfig(step=1e-4), name)
 
     def inverse(self, x):
         """g^{-1} at a point or at each row of a stack; a singular row is named with its point."""
@@ -185,7 +185,7 @@ def flatness_vs_integrability(g, points):
 # ---------------------------------------------------------------------------
 
 
-def holo_metric_parts(h_entries, fd=None):
+def holo_metric_parts(h_entries):
     """Real metrics h_R, h_I of h = sum h_ij dz_i x dz_j on R^{2n} (x, y blocks).
 
     With h_ij = a_ij + i b_ij the real blocks are
@@ -217,23 +217,23 @@ def holo_metric_parts(h_entries, fd=None):
         a, b = blocks(p)
         return np.block([[b, a], [a, -b]])
 
-    fd = fd if fd is not None else FdConfig(step=1e-4)
-    return MetricField(h_r, fd=fd, name="h_R"), MetricField(h_i, fd=fd, name="h_I"), fns
+    return MetricField(h_r, name="h_R"), MetricField(h_i, name="h_I"), fns
 
 
-def holo_metric_lc_check(h_entries, grid, fd=None, holo_tol=1e-6):
+def holo_metric_lc_check(h_entries, grid):
     """Max Christoffel difference of the two real parts of a holomorphic metric.
 
-    Validates the holomorphy of every entry first, then reports
-    max |Gamma(h_R) - Gamma(h_I)| over the grid points where both parts are
-    invertible (h_I has split signature but is non-degenerate wherever h is).
+    Validates the holomorphy of every entry first (to ``fields.HOLO_TOL``),
+    then reports max |Gamma(h_R) - Gamma(h_I)| over the grid points where
+    both parts are invertible (h_I has split signature but is non-degenerate
+    wherever h is).
     """
-    h_r, h_i, fns = holo_metric_parts(h_entries, fd=fd)
+    h_r, h_i, fns = holo_metric_parts(h_entries)
     pts = np.asarray(grid, dtype=float)
     n = pts.shape[1] // 2
     z_samples = to_complex(pts[:6])
     res = max(holomorphy_residual(fns[i][j], z_samples) for i in range(n) for j in range(n))
-    if res > holo_tol:
+    if res > HOLO_TOL:
         raise SingularMetricError(
             f"metric entries fail the Cauchy-Riemann validation (residual {res:.3e})"
         )

@@ -39,11 +39,13 @@ text H and of the twisted model carry one, as do the Morse orbit field and,
 as rows, the twisted J_g; functions are read there by :func:`point_path`,
 and :func:`matvec_point` is :func:`matvec` on rows.
 
-This is the only module that knows the central-difference stencil: axis
-partials of fields (:func:`jet`, :func:`partial_jet`) and derivatives of
-holomorphic callables along complex directions (:func:`complex_gradient`,
-:func:`holomorphy_residual`) all go through :func:`_central_difference`,
-which calls the function once on every stencil point of a point or a stack.
+This is the only module that knows a difference stencil.  Axis partials of
+fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
+callables along complex directions (:func:`complex_gradient`,
+:func:`holomorphy_residual`) all go through :func:`_central_difference`, the
+five-point stencil, which calls the function once on every stencil point of
+a point or a stack.  Derivatives of sampled values (action velocities, the
+grid's Cauchy-Riemann residual) are :func:`grid_derivative`'s.
 """
 
 from dataclasses import dataclass
@@ -64,13 +66,10 @@ class FdConfig:
     """
 
     step: float = 1e-5
-    order: int = 4
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("finite-difference step must be positive")
-        if self.order not in (2, 4):
-            raise ValueError("stencil order must be 2 or 4")
 
     def spacing(self, p):
         """The spacing at a point, or one per row of a stack, rounded as ``np.linalg.norm`` rounds |p|."""
@@ -221,33 +220,41 @@ class TwoFormField(Field):
         return max_abs(W + W.swapaxes(-1, -2))
 
 
-def _central_difference(f, P, E, h, order):
+def _central_difference(f, P, E, h):
     """Derivatives of f along each direction of E, at a point P or at each row of a stack P.
 
     ``out[..., k, <value>]`` is the derivative along ``E[k]`` at ``P[...]``
-    with that point's spacing ``h[...]``.  Every stencil point is formed as
-    ``p + (c h) e``, c in (1, 2, -1, -2) ((1, -1) at order 2), and f is
-    called once, on all of them as one stack.  Order 2 uses (f(p+h) - f(p-h)) / 2h; order 4 the
-    five-point stencil (-f(p+2h) + 8 f(p+h) - 8 f(p-h) + f(p-2h)) / 12h.
-    Works for real or complex points and directions, and for scalar, vector
-    and matrix values.
+    with that point's spacing ``h[...]``: (-f(p+2h) + 8 f(p+h) - 8 f(p-h) +
+    f(p-2h)) / 12h.  Every stencil point is formed as ``p + (c h) e``, c in
+    (1, 2, -1, -2), and f is called once, on all of them as one stack.  Works
+    for real or complex points and directions, and for scalar, vector and
+    matrix values.
     """
-    c = (1.0, -1.0) if order == 2 else (1.0, 2.0, -1.0, -2.0)
     h = np.asarray(h)
-    steps = np.stack([P[..., None, :] + (k * h)[..., None, None] * E for k in c])
+    steps = np.stack([P[..., None, :] + (k * h)[..., None, None] * E for k in (1.0, 2.0, -1.0, -2.0)])
     F = np.asarray(f(steps.reshape(-1, P.shape[-1])))
     F = F.reshape(steps.shape[:-1] + F.shape[1:])
     h = h.reshape(h.shape + (1,) * (F.ndim - 1 - h.ndim))
-    if order == 2:
-        return (F[0] - F[1]) / (2.0 * h)
     # paired differences so that symmetric evaluations cancel exactly
     return (8.0 * (F[0] - F[2]) - (F[1] - F[3])) / (12.0 * h)
+
+
+def grid_derivative(rows, h):
+    """Derivative along axis 0 of samples at spacing h (broadcast against a row), second order.
+
+    Central inside, (v[k+1] - v[k-1]) / 2h; one-sided on the two end rows.
+    """
+    d = np.empty_like(rows)
+    d[1:-1] = (rows[2:] - rows[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * rows[0] + 4.0 * rows[1] - rows[2]) / (2.0 * h)
+    d[-1] = (3.0 * rows[-1] - 4.0 * rows[-2] + rows[-3]) / (2.0 * h)
+    return d
 
 
 def jet(field, p):
     """All axis partials of a field at a point or at each row of a stack: ``out[..., a, :] = d_a field``."""
     P = as_points(p)
-    return _central_difference(field, P, np.eye(P.shape[-1]), field.fd.spacing(P), field.fd.order)
+    return _central_difference(field, P, np.eye(P.shape[-1]), field.fd.spacing(P))
 
 
 def partial_jet(field, p, axis):
@@ -256,18 +263,20 @@ def partial_jet(field, p, axis):
     if not 0 <= axis < P.shape[-1]:
         raise ValueError(f"axis {axis} out of range for a point of dimension {P.shape[-1]}")
     E = np.eye(P.shape[-1])[axis:axis + 1]
-    return np.take(_central_difference(field, P, E, field.fd.spacing(P), field.fd.order), 0, axis=P.ndim - 1)
+    return np.take(_central_difference(field, P, E, field.fd.spacing(P)), 0, axis=P.ndim - 1)
 
 
-# derivatives of callables on C^m use the default spacing and order
+# derivatives of callables on C^m use the default spacing
 _COMPLEX_FD = FdConfig()
+# the largest holomorphy_residual of a callable the package takes for holomorphic
+HOLO_TOL = 1e-6
 
 
 def complex_gradient(H, z):
     """dH/dz_j, slot by slot, of a stack-taking holomorphic callable on C^m at a point or a stack."""
     Z = np.asarray(z, dtype=complex)
     E = np.eye(Z.shape[-1], dtype=complex)
-    return _central_difference(H, Z, E, _COMPLEX_FD.spacing(Z), _COMPLEX_FD.order)
+    return _central_difference(H, Z, E, _COMPLEX_FD.spacing(Z))
 
 
 def holomorphy_residual(H, samples):
@@ -275,7 +284,7 @@ def holomorphy_residual(H, samples):
     Z = np.asarray(samples, dtype=complex)
     m = Z.shape[-1]
     E = np.eye(m, dtype=complex)
-    D = _central_difference(H, Z, np.concatenate([E, 1j * E]), _COMPLEX_FD.spacing(Z), _COMPLEX_FD.order)
+    D = _central_difference(H, Z, np.concatenate([E, 1j * E]), _COMPLEX_FD.spacing(Z))
     return max_abs(0.5 * (D[..., :m] + 1j * D[..., m:]))
 
 
@@ -285,11 +294,11 @@ def constant(M):
     return lambda p: M if p.ndim == 1 else np.broadcast_to(M, p.shape[:-1] + M.shape)
 
 
-def constant_matrix_field(M, fd=None, name=None):
-    field = MatrixField(constant(M), fd=fd, name=name)
+def constant_matrix_field(M, name=None):
+    field = MatrixField(constant(M), name=name)
     field.matrix = np.asarray(M, dtype=float)
     return field
 
 
-def constant_two_form_field(W, fd=None, name=None):
-    return TwoFormField(constant(W), fd=fd, name=name)
+def constant_two_form_field(W, name=None):
+    return TwoFormField(constant(W), name=name)

@@ -62,7 +62,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .fields import VectorField, matvec, matvec_point
+from .fields import VectorField, grid_derivative, matvec, matvec_point
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -328,8 +328,9 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
     * swap_defect: distance between the two sweep orders at the far corner,
       the J X flow then the X flow of x0 (two single-point flows);
     * energy_drift_R / energy_drift_I: max |H o gamma - H(x0)|;
-    * cr_residual: max |d_s gamma - J(d_t gamma)| by grid central differences,
-      and cr_nodes, its value at each node (0 on the border).
+    * cr_residual: max |d_s gamma - J(d_t gamma)| at the interior nodes, with
+      both derivatives from :func:`~phhs.fields.grid_derivative` (central
+      there), and cr_nodes, its value at each node (0 on the border).
     """
     t_nodes, s_nodes, values, x0 = grid.t_nodes, grid.s_nodes, grid.values, grid.x0
     nt, ns = grid.nt, grid.ns
@@ -352,8 +353,8 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
     if nt > 2 and ns > 2:
         ht = t_nodes[1] - t_nodes[0]
         hs = s_nodes[1] - s_nodes[0]
-        dt_g = ((values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * ht)).reshape(-1, dim)
-        ds_g = ((values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * hs)).reshape(-1, dim)
+        dt_g = grid_derivative(values, ht)[1:-1, 1:-1].reshape(-1, dim)
+        ds_g = grid_derivative(values.swapaxes(0, 1), hs).swapaxes(0, 1)[1:-1, 1:-1].reshape(-1, dim)
         Jm = np.asarray(fields.model.J(values[1:-1, 1:-1].reshape(-1, dim)), dtype=float)
         residual = np.max(np.abs(ds_g - matvec(Jm, dt_g)), axis=-1)
         cr_nodes[1:-1, 1:-1] = residual.reshape(nt - 2, ns - 2)

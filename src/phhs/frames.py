@@ -15,6 +15,8 @@ from .errors import DegenerateFormError
 from .tensors import project_10
 from .util import as_point
 
+PARTNER_THRESHOLD = 1e-8  # the smallest |W(p, w)| that makes w the partner of p
+
 
 @dataclass
 class ComplexFrame:
@@ -56,12 +58,13 @@ def _form(omega, u, v):
     return complex(u @ omega @ v)
 
 
-def symplectic_gram_schmidt(omega, seed=None, partner_threshold=1e-8):
+def symplectic_gram_schmidt(omega):
     """Build a paired frame for a complex antisymmetric m x m form.
 
-    The seed frame is scanned in order; the first vector pairing with the
-    current one above ``partner_threshold`` becomes its partner, the rest is
-    made form-orthogonal to the new pair, and the construction recurses.
+    The standard basis is scanned in order; the first vector pairing with the
+    current one at or above ``PARTNER_THRESHOLD`` becomes its partner, the
+    rest is made form-orthogonal to the new pair, and the construction
+    recurses.
 
     Raises
     ------
@@ -78,18 +81,14 @@ def symplectic_gram_schmidt(omega, seed=None, partner_threshold=1e-8):
         raise DegenerateFormError(
             f"fiber dimension {m} is not even; the paired frame needs real dimension 4n"
         )
-    if seed is None:
-        remaining = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-    else:
-        seed = np.asarray(seed, dtype=complex)
-        remaining = [seed[:, j] for j in range(m)]
+    remaining = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
 
     pairs_q, pairs_p = [], []
     while remaining:
         p_vec = remaining.pop(0)
         partner = None
         for idx, w in enumerate(remaining):
-            if abs(_form(omega, p_vec, w)) >= partner_threshold:
+            if abs(_form(omega, p_vec, w)) >= PARTNER_THRESHOLD:
                 partner = idx
                 break
         if partner is None:
@@ -117,7 +116,7 @@ def symplectic_gram_schmidt(omega, seed=None, partner_threshold=1e-8):
     )
 
 
-def frame_from_model(model, p, partner_threshold=1e-8):
+def frame_from_model(model, p):
     """Paired (1,0)-frame of an assembled model at a point.
 
     Projects the first m real coordinate directions to (1,0) vectors,
@@ -134,7 +133,7 @@ def frame_from_model(model, p, partner_threshold=1e-8):
     W_C = W_R + 1j * W_I
     basis = np.stack([project_10(Jf, np.eye(2 * m)[:, a], p) for a in range(m)], axis=1)
     omega_small = basis.T @ W_C @ basis
-    frame = symplectic_gram_schmidt(omega_small, partner_threshold=partner_threshold)
+    frame = symplectic_gram_schmidt(omega_small)
     embedded_q = np.stack([basis @ frame.e_q[j] for j in range(frame.n_pairs)])
     embedded_p = np.stack([basis @ frame.e_p[j] for j in range(frame.n_pairs)])
     return frame, embedded_q, embedded_p

@@ -122,7 +122,7 @@ def omega_I_from(omega_R, J):
     return TwoFormField(fn, fd=J.fd, name="omega_I")
 
 
-def hamiltonian_vector_field(omega, H, name="X"):
+def hamiltonian_vector_field(omega, H):
     """Vector field solving w(X, .) = -dH, one linear solve per point in one batched call."""
 
     def fn(p):
@@ -137,7 +137,7 @@ def hamiltonian_vector_field(omega, H, name="X"):
             raise SingularFormError(f"2-form solve produced non-finite values at {first_row(p, ~finite)}")
         return x
 
-    return VectorField(fn, fd=H.fd, name=name)
+    return VectorField(fn, fd=H.fd, name="X")
 
 
 def pairing_covector(omega, V, name="alpha"):

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .expressions import compile_points, parse_expression, quotient
 from .fields import (
+    HOLO_TOL,
     CovectorField,
     Field,
     MatrixField,
@@ -214,23 +215,22 @@ def _standard_fields(n, H_c, dH_c):
     return X, H_R, H_I
 
 
-def _holomorphy_samples(m, seed=3, count=8, scale=0.4, center=None):
-    """An ``(N, m)`` stack of complex sample points."""
-    return to_complex(seeded_points(seed, count, 2 * m, scale=scale, center=center))
+def _holomorphy_samples(m, seed=3):
+    """An ``(8, m)`` stack of complex sample points."""
+    return to_complex(seeded_points(seed, 8, 2 * m, scale=0.4))
 
 
-def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
+def build_standard_hhs(n, H):
     """Standard holomorphic system on C^{2n}: J = i, Omega = sum dP_j ^ dQ_j.
 
     H may be expression text in Q_j / P_j (automatically holomorphic) or a
     callable C^{2n} -> C, which is validated numerically through its
-    Cauchy-Riemann defect.
+    Cauchy-Riemann defect (at most ``fields.HOLO_TOL``).
     """
     m = 2 * n
     H_c, dH_c = _as_complex_hamiltonian(H, m)
-    center = None if base_point is None else to_complex(as_point(base_point))
-    res = holomorphy_residual(H_c, _holomorphy_samples(m, center=center))
-    if res > holo_tol:
+    res = holomorphy_residual(H_c, _holomorphy_samples(m))
+    if res > HOLO_TOL:
         raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
     X, H_R, H_I_hook = _standard_fields(n, H_c, dH_c)
     lam = CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R")
@@ -240,8 +240,7 @@ def build_standard_hhs(n, H, base_point=None, name=None, holo_tol=1e-6):
         omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
         H_R=H_R,
         lambda_R=lam,
-        base_point=base_point,
-        name=name or f"standard_hhs_{n}",
+        name=f"standard_hhs_{n}",
         X_hook=X,
         H_I_hook=H_I_hook,
     )
@@ -332,8 +331,8 @@ def central_closed_form(x0):
     return gamma
 
 
-def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
-    """Hamiltonian P^2/2 - 1/(8 Q^2) on the patch Q != 0 of C* x C."""
+def build_central_problem():
+    """Hamiltonian P^2/2 - 1/(8 Q^2) on the patch Q != 0 of C* x C, based at (Q, P) = (1, 1/2)."""
     n = 1
 
     def grad_r(p):
@@ -348,7 +347,7 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
         omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
         H_R=H_R,
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
-        base_point=base_point,
+        base_point=(1.0, 0.5, 0.0, 0.0),
         closed_form=central_closed_form,
         name="central_problem",
         X_hook=X,
@@ -360,6 +359,10 @@ def build_central_problem(base_point=(1.0, 0.5, 0.0, 0.0)):
 # ---------------------------------------------------------------------------
 # Natural Hamiltonians on complex tori
 # ---------------------------------------------------------------------------
+
+Q_TOL = 1e-8  # the largest |dH/dQ| a torus Hamiltonian may show at the samples
+SEARCH_RADIUS = 3  # classify_torus_orbit searches the lattice coefficients |k_j| <= SEARCH_RADIUS
+PERIOD_TOL = 1e-9  # and takes a z solving z * P0 = sum k_j e_j to this relative residual
 
 
 @dataclass
@@ -384,6 +387,8 @@ class Lattice:
         """Representative of q modulo the lattice with coefficients in [-1/2, 1/2)."""
         c = np.linalg.solve(self.generators.T, np.asarray(q, dtype=float))
         c -= np.round(c)
+        # np.round rounds a half to even, which leaves +1/2 where it rounded down
+        c[c >= 0.5] -= 1.0
         return self.generators.T @ c
 
     def point(self, k):
@@ -414,8 +419,8 @@ def torus_distance(lattice, p1, p2):
     return float(np.sqrt(np.dot(dq, dq) + np.dot(rest, rest)))
 
 
-def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
-    """Cotangent model over a complex torus; H may depend on momenta only.
+def build_torus_model(lattice, H=None):
+    """Cotangent model over a complex torus; H may depend on momenta only (|dH/dQ| at most ``Q_TOL``).
 
     The default Hamiltonian is sum_j P_j^2 / 2, whose trajectories are the
     straight windings gamma(z) = ([Q0 + z P0], P0).
@@ -428,7 +433,7 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
     else:
         H_c, dH_c = _as_complex_hamiltonian(H, m)
     q_dep = max_abs(dH_c(_holomorphy_samples(m, seed=5))[..., :n])
-    if q_dep > q_tol:
+    if q_dep > Q_TOL:
         raise QDependenceError(
             f"Hamiltonian varies with the position coordinates (|dH/dQ| = {q_dep:.3e}); "
             "only momentum-dependent Hamiltonians live on the torus"
@@ -454,27 +459,24 @@ def build_torus_model(lattice, H=None, name="torus", q_tol=1e-8):
         H_R=H_R,
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
         closed_form=closed_form,
-        name=name,
+        name="torus",
         X_hook=X,
         H_I_hook=H_I_hook,
     )
     return model
 
 
-def classify_torus_orbit(P0, lattice, search_radius=3, velocity=None, tol=1e-9):
+def classify_torus_orbit(P0, lattice):
     """Classify the winding of the straight trajectory with momentum P0.
 
-    Enumerates integer combinations k with |k_j| <= search_radius, solves
-    z * velocity = sum k_j e_j for a complex period z where consistent, and
+    Enumerates integer combinations k with |k_j| <= ``SEARCH_RADIUS``, solves
+    z * P0 = sum k_j e_j for a complex period z where consistent, and
     classifies by the real rank of the period set: two independent periods
     give a torus, one a cylinder, none an aperiodic winding.  A bounded search
     cannot certify the absence of periods, hence the caveat flag whenever the
     rank comes out below two.
     """
-    if search_radius < 1:
-        raise ValueError("search_radius must be at least 1")
-    P0 = np.asarray(P0, dtype=complex)
-    v = P0 if velocity is None else np.asarray(velocity, dtype=complex)
+    v = np.asarray(P0, dtype=complex)
     if np.max(np.abs(v)) == 0.0:
         return OrbitClass(kind="constant", periods=[], caveat=False)
     n = lattice.n
@@ -484,7 +486,7 @@ def classify_torus_orbit(P0, lattice, search_radius=3, velocity=None, tol=1e-9):
     A[:n, 1] = v.imag
     A[n:, 1] = v.real
     periods = []
-    ranges = [range(-search_radius, search_radius + 1)] * (2 * n)
+    ranges = [range(-SEARCH_RADIUS, SEARCH_RADIUS + 1)] * (2 * n)
     mesh = np.meshgrid(*ranges, indexing="ij")
     ks = np.stack([g.ravel() for g in mesh], axis=-1)
     for k in ks:
@@ -493,7 +495,7 @@ def classify_torus_orbit(P0, lattice, search_radius=3, velocity=None, tol=1e-9):
         lam = lattice.point(k)
         rhs = np.concatenate([lam.real, lam.imag])
         sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        if np.linalg.norm(A @ sol - rhs) <= tol * max(1.0, np.linalg.norm(rhs)):
+        if np.linalg.norm(A @ sol - rhs) <= PERIOD_TOL * max(1.0, np.linalg.norm(rhs)):
             periods.append(complex(sol[0], sol[1]))
     if periods:
         M = np.array([[z.real, z.imag] for z in periods])
@@ -557,7 +559,7 @@ def _twist_entries(f_val, h_val):
     )
 
 
-def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phhs"):
+def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     """Twisted structure J_g = I_g o J o I_g on C^2 over the standard form.
 
     ``f`` and ``h`` are nowhere-zero conformal factors (numbers, expression
@@ -580,7 +582,7 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     h_fn, _ = _as_real_scalar(h, 2, "h")
     H_fn, H_grad = _as_real_scalar(H_R, 2, "H_R")
 
-    samples = seeded_points(13, 12, 4, scale=0.6, center=base_point)
+    samples = seeded_points(13, 12, 4, scale=0.6)
     for fn, label in ((f_fn, "f"), (h_fn, "h")):
         vals = fn(samples)
         # a sign change across samples already proves a zero in between
@@ -616,8 +618,7 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
         omega_R=constant_two_form_field(W, name="omega_R"),
         H_R=H_field,
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(1, p), name="lambda_R"),
-        base_point=base_point,
-        name=name,
+        name="proper_phhs",
         X_hook=VectorField(x_hook, name="X", scalar_form=x_point),
     )
     model.extras["f"] = f_fn
@@ -625,8 +626,8 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1", base_point=None, name="proper_phh
     return model
 
 
-def hyperkahler_check(f=1.0, h=1.0, samples=None):
-    """Anticommutation data of I_g with the standard structure on C^2.
+def hyperkahler_check(f=1.0, h=1.0):
+    """Anticommutation data of I_g with the standard structure on C^2, at ten seeded points.
 
     For f = h the two anticommute and the twist I_g o J o I_g reproduces J
     exactly (the Euclidean case f = h = 1 is the quaternionic triple); for
@@ -634,10 +635,8 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
     """
     f_fn, _ = _as_real_scalar(f, 2, "f")
     h_fn, _ = _as_real_scalar(h, 2, "h")
-    if samples is None:
-        samples = seeded_points(17, 10, 4, scale=0.7)
-    samples = as_points(samples)
     J = standard_j_matrix(2)
+    samples = seeded_points(17, 10, 4, scale=0.7)
     f_val, h_val = f_fn(samples), h_fn(samples)
     I = i_g_matrix(f_val, h_val)
     return {
@@ -652,7 +651,7 @@ def hyperkahler_check(f=1.0, h=1.0, samples=None):
 # ---------------------------------------------------------------------------
 
 
-def build_rotation_family(phi, name="rotation"):
+def build_rotation_family(phi):
     """Axis-rotated structure J_phi on C^2; proper whenever phi is non-constant."""
     phi_fn, _ = _as_real_scalar(phi, 2, "phi")
 
@@ -670,7 +669,7 @@ def build_rotation_family(phi, name="rotation"):
         m=2,
         J=MatrixField(j_phi, name="J_phi"),
         omega_R=constant_two_form_field(standard_omega_matrix(1), name="omega_R"),
-        name=name,
+        name="rotation",
     )
 
 
@@ -693,13 +692,15 @@ def radial_bump(center, radius):
     return ScalarField(f, name="bump")
 
 
-def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=None, bump_radius=0.8):
+def build_deformation(epsilon, n=1, hamiltonian="const", bump_center=None, bump_radius=0.8):
     """One member of the rescaling deformation J^eps of the standard structure.
 
-    r^eps = 1 + eps^2 f rescales the (z_1, z_{n+1}) block of J; Omega_R stays
-    the standard form and the Hamiltonian is either constant (any n) or the
-    last complex coordinate z_{2n} (n > 1 only, since the deformation must not
-    touch the coordinates the Hamiltonian depends on).  The exterior
+    f is the :func:`radial_bump` at ``bump_center`` (the origin by default)
+    of radius ``bump_radius``, and r^eps = 1 + eps^2 f rescales the
+    (z_1, z_{n+1}) block of J; Omega_R stays the standard form and the
+    Hamiltonian is either constant (any n) or the last complex coordinate
+    z_{2n} (n > 1 only, since the deformation must not touch the coordinates
+    the Hamiltonian depends on).  The exterior
     derivative of the induced form has the closed-form
 
         d Omega_I^eps = eps^2 df ^ (dy_{n+1} ^ dx_1 - r^{-2} dx_{n+1} ^ dy_1)
@@ -708,9 +709,7 @@ def build_deformation(epsilon, f=None, n=1, hamiltonian="const", bump_center=Non
     """
     m = 2 * n
     dim = 2 * m
-    if f is None:
-        f = radial_bump(bump_center if bump_center is not None else np.zeros(dim), bump_radius)
-    f_fn, _ = _as_real_scalar(f, m, "f")
+    f_fn = radial_bump(bump_center if bump_center is not None else np.zeros(dim), bump_radius)
     eps = float(epsilon)
 
     def r_eps(p):

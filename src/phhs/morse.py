@@ -47,7 +47,8 @@ from .util import coordinate_names
 N_PHI = 256   # trapezoid intervals of the angular average and the area law
 N_R = 400     # trapezoid intervals of the radial area quadrature
 N_GAUSS = 64  # Gauss-Legendre nodes of the rescaling chart, computed once here
-DEGREE = 48   # degree of the Chebyshev interpolant of T_hat on [0, rmax]
+DEGREE = 48   # degree of the Chebyshev interpolant of T_hat on [0, RMAX]
+RMAX = 1.2    # working radius of the chart: the interpolant's domain, and T_hat past it is T_hat(RMAX)
 # a ring sample of v below this fraction of the ring's largest v counts as a zero of v: a v that
 # vanishes on a line through a ring angle is positive there only by the rounding of that angle,
 # about eps of its ring maximum for a linear zero (|x1|) and eps^2 for a square (x1^2 reads
@@ -60,7 +61,7 @@ _RING = np.stack([np.cos(_PHIS), np.sin(_PHIS)], axis=-1)
 
 @dataclass
 class PlanarSystem:
-    """Conformal factor v, target period T, working radius of the chart.
+    """Conformal factor v and target period T.
 
     ``v`` is stored as a stack function of (x1, y1), built by
     :func:`phhs.fields.stack_function` from what is passed.
@@ -68,8 +69,8 @@ class PlanarSystem:
 
     v: object
     T: float
-    rmax: float = 1.2
-    _interp: object = dc_field(default=None, repr=False)
+    _interp: object = dc_field(default=None, init=False, repr=False)
+    _t_hat: object = dc_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.v = stack_function(self.v, coordinate_names(1, aliases=False), float)
@@ -103,7 +104,7 @@ def _period_interpolant(sys):
         sys._interp = np.polynomial.chebyshev.Chebyshev.interpolate(
             lambda rr: np.array([period_function(sys, float(r)) for r in np.atleast_1d(rr)]),
             DEGREE,
-            domain=[0.0, sys.rmax],
+            domain=[0.0, RMAX],
         )
     return sys._interp
 
@@ -157,13 +158,15 @@ def hamiltonian_flow_field(sys, rescale=True):
     """Hamiltonian field of psi_L(x^2 + y^2) for omega = v dx ^ dy, at one point.
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
-    are radius dependent.  Its scalar form reads v through
-    :func:`~phhs.fields.point_path`, which gives v the bits the array form's
-    call of v gives it.
+    are radius dependent.  T_hat's code is generated once per system.  The
+    scalar form reads v through :func:`~phhs.fields.point_path`, which gives v
+    the bits the array form's call of v gives it.
     """
-    v, T, rmax = sys.v, sys.T, sys.rmax
+    v, T, rmax = sys.v, sys.T, RMAX
     v_point = point_path(v)
-    period = _clenshaw(_period_interpolant(sys)) if rescale else None
+    if rescale and sys._t_hat is None:
+        sys._t_hat = _clenshaw(_period_interpolant(sys))
+    period = sys._t_hat
 
     def velocity(x, y, vp):
         if not 0.0 < vp < math.inf:
@@ -217,7 +220,7 @@ def area_law_check(sys, E):
     angle: its radius comes from one scalar root find on psi_L(r^2) - E, and
     the symplectic area from polar quadrature of v r dr dphi.
     """
-    rE = brentq(lambda r: rescaling_chart(sys, r * r) - E, 1e-12, sys.rmax, xtol=1e-13)
+    rE = brentq(lambda r: rescaling_chart(sys, r * r) - E, 1e-12, RMAX, xtol=1e-13)
     rs = np.linspace(0.0, rE, N_R + 1)
     ring = np.empty(_PHIS.size)
     for i, direction in enumerate(_RING):

@@ -17,6 +17,8 @@ import numpy as np
 from .fields import jet
 from .util import max_abs
 
+RANK_REL_THRESHOLD, RANK_ABS_FLOOR = 1e-7, 1e-8  # nijenhuis_rank's cut-offs on singular values
+
 
 def exterior_derivative_2form(omega, p):
     """Full antisymmetric array of d(omega) at p.
@@ -77,21 +79,21 @@ def nijenhuis(J, p):
     return t1 - t2 - t3
 
 
-def nijenhuis_rank(J, p, rel_threshold=1e-7, abs_floor=1e-8):
+def nijenhuis_rank(J, p):
     """Rank of span{N(e_a, e_b)} over all basis pairs, by singular values.
 
-    Singular values below ``rel_threshold`` of the largest do not count; if
-    even the largest sits below ``abs_floor`` the tensor is treated as zero
-    (pure finite-difference noise has no rank).
+    Singular values below ``RANK_REL_THRESHOLD`` of the largest do not count;
+    if even the largest sits at or below ``RANK_ABS_FLOOR`` the tensor is
+    treated as zero (pure finite-difference noise has no rank).
     """
     N = nijenhuis(J, p)
     n = N.shape[0]
     cols = [N[:, a, b] for a in range(n) for b in range(a + 1, n)]
     M = np.stack(cols, axis=1)
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] <= abs_floor:
+    if s.size == 0 or s[0] <= RANK_ABS_FLOOR:
         return 0
-    return int(np.sum(s >= rel_threshold * s[0]))
+    return int(np.sum(s >= RANK_REL_THRESHOLD * s[0]))
 
 
 def acs_residual(J, p):

@@ -226,11 +226,7 @@ def test_criterion_10_connection_module():
         conn.diagonal_metric([lambda x: 1.0, lambda x: 1.0 + x[0] ** 2]), pts
     )
     h = [[lambda z: 1.0, lambda z: 0.0], [lambda z: 0.0, lambda z: np.exp(z[0])]]
-    from phhs.fields import FdConfig
-
-    lc = conn.holo_metric_lc_check(
-        h, grid_points(np.array([0.1, -0.2, 0.3, 0.2]), 0.3, 3), fd=FdConfig(step=1e-4)
-    )
+    lc = conn.holo_metric_lc_check(h, grid_points(np.array([0.1, -0.2, 0.3, 0.2]), 0.3, 3))
     ok = (
         eucl["max_nijenhuis"] <= 1e-8
         and sig == (4, 0)
@@ -265,9 +261,9 @@ def test_criterion_11_nijenhuis_rank():
 
 def test_criterion_12_torus_classification():
     square = models.Lattice(np.eye(2))
-    torus = models.classify_torus_orbit(np.array([1.0 + 0j]), square, 3)
-    const = models.classify_torus_orbit(np.array([0.0 + 0j]), square, 3)
-    aper = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), models.Lattice(np.eye(4)), 3)
+    torus = models.classify_torus_orbit(np.array([1.0 + 0j]), square)
+    const = models.classify_torus_orbit(np.array([0.0 + 0j]), square)
+    aper = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), models.Lattice(np.eye(4)))
     ok = (
         torus.kind == "torus"
         and const.kind == "constant"

@@ -4,6 +4,7 @@ import pytest
 from phhs import actions as act
 from phhs import models
 from phhs.errors import MissingPrimitiveError
+from phhs.fields import grid_derivative
 from phhs.flows import FlowConfig, trajectory_grid
 from phhs.hamiltonian import PhhsModel, assemble_phhs
 from phhs.util import from_complex, to_complex
@@ -54,7 +55,7 @@ def test_segment_action_circle_orbit_balance():
         return np.array([a * np.cos(th), a * np.sin(th)])
 
     curve = act.sample_segment(orbit, np.linspace(0.0, T, 4001))
-    val = act.segment_action(fields, curve, alpha=0.0, lambda_mode="real", parts="real")
+    val = act.segment_action(fields, curve, alpha=0.0, parts="real")
     assert abs(complex(val).real) < 1e-5
 
 
@@ -407,3 +408,39 @@ def test_real_part_functionals_for_twisted_model(proper):
     curve.values[6, 6, 0] += 0.05
     displaced = act.gradient_max_norm(action.gradient(curve), parts="real")
     assert displaced > 10.0 * base
+
+
+def _real_star_reference(fields, curve, variant):
+    # ray by ray: Lambda_R(gamma') and H_R integrated by np.trapezoid, then the angular rule
+    model = fields.model
+    L, H = [], []
+    for rs, vals in zip(curve.radii, curve.values):
+        h = rs[1] - rs[0]
+        if not curve.signed:
+            rs, vals = np.concatenate([[0.0], rs]), np.concatenate([curve.center[None], vals])
+        vel = grid_derivative(vals, h)
+        L.append(np.trapezoid(np.vecdot(np.asarray(model.lambda_R(vals)), vel), rs))
+        H.append(np.trapezoid(np.asarray(model.H_R(vals)), rs))
+    rule = np.trapezoid(np.array(L), curve.alphas) - act._filon_exp(curve.alphas, np.array(H))
+    if variant == 1:
+        return complex(rule / (2.0 * np.pi)).real
+    r_hat = -0.25j * act._filon_exp(curve.alphas, curve.radii[:, -1] - curve.radii[:, 0])
+    return complex(0.25j * rule / r_hat).real
+
+
+@pytest.mark.parametrize("variant, sample", [(1, act.sample_polar), (2, act.sample_polar_signed)])
+def test_real_part_star_action_is_the_per_ray_real_functional(proper, variant, sample):
+    # the twisted model has no H_I primitive of its own, only the real-valued functionals
+    _, fields = proper
+    x0 = np.array([0.2, 0.1, -0.3, 0.4])
+
+    def gamma(z):
+        return x0 + np.array([0.3 * z.real, 0.2 * z.imag, 0.1 * z.real ** 2, -0.2 * z.real * z.imag])
+
+    ellipse = lambda a: 0.8 / np.sqrt(np.cos(a) ** 2 + (np.sin(a) / 1.5) ** 2)  # noqa: E731
+    curve = sample(gamma, 0.1j, ellipse, 12, 24)
+    val = act.star_action(fields, curve, variant, parts="real")
+    assert type(val) is float
+    assert val == _real_star_reference(fields, curve, variant)
+    disk = act.disk_action_1 if variant == 1 else act.disk_action_2
+    assert disk(fields, curve, parts="real") == val

@@ -508,12 +508,14 @@ def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatc
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
-    # one T_hat per RK4 stage of the 9,426 orbit steps; the area law reads the interpolant itself
+    # one T_hat per RK4 stage of the 9,426 orbit steps, from code generated once for the three
+    # orbits of the one system; the area law reads the interpolant itself
     cfg = _focus_config(tmp_path, monkeypatch, "morse-period", "orbits")
-    calls = []
+    calls, generated = [], []
     clenshaw = morse._clenshaw
 
     def counted(interp):
+        generated.append(interp)
         value = clenshaw(interp)
 
         def period(r):
@@ -525,6 +527,7 @@ def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
     monkeypatch.setattr(morse, "_clenshaw", counted)
     assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 37704
+    assert len(generated) == 1
 
 
 def test_csv_rows_are_written_as_their_cells(tmp_path):

@@ -107,17 +107,17 @@ def test_lattice_reduce_and_distance():
 
 def test_classify_torus_orbits():
     lattice = models.Lattice(np.eye(2))
-    torus = models.classify_torus_orbit(np.array([1.0 + 0.0j]), lattice, 3)
+    torus = models.classify_torus_orbit(np.array([1.0 + 0.0j]), lattice)
     assert torus.kind == "torus" and not torus.caveat
     # the winding with momentum 1 has periods 1 and i
     periods = {complex(round(z.real, 9), round(z.imag, 9)) for z in torus.periods}
     assert (1 + 0j) in periods and 1j in periods
 
-    const = models.classify_torus_orbit(np.array([0.0 + 0.0j]), lattice, 3)
+    const = models.classify_torus_orbit(np.array([0.0 + 0.0j]), lattice)
     assert const.kind == "constant" and not const.caveat
 
     lattice4 = models.Lattice(np.eye(4))
-    aper = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), lattice4, 3)
+    aper = models.classify_torus_orbit(np.array([1.0, np.sqrt(2.0)]), lattice4)
     assert aper.kind == "aperiodic*" and aper.caveat
 
     # (Z + iZ) x (sqrt(2) Z + iZ) with momentum (1, 1): only imaginary periods
@@ -126,7 +126,7 @@ def test_classify_torus_orbits():
     gens[1] = [0.0, 0.0, 1.0, 0.0]
     gens[2] = [0.0, np.sqrt(2.0), 0.0, 0.0]
     gens[3] = [0.0, 0.0, 0.0, 1.0]
-    cyl = models.classify_torus_orbit(np.array([1.0 + 0j, 1.0 + 0j]), models.Lattice(gens), 3)
+    cyl = models.classify_torus_orbit(np.array([1.0 + 0j, 1.0 + 0j]), models.Lattice(gens))
     assert cyl.kind == "cylinder" and cyl.caveat
     assert all(abs(z.real) < 1e-9 for z in cyl.periods)
 
@@ -136,7 +136,7 @@ def test_classification_stable_under_unimodular_change():
     base = np.eye(2)
     for P0, kind in ((np.array([1.0 + 0.0j]), "torus"), (np.array([0.0j]), "constant")):
         for gens in (base, (U @ base)):
-            out = models.classify_torus_orbit(P0, models.Lattice(gens), 3)
+            out = models.classify_torus_orbit(P0, models.Lattice(gens))
             assert out.kind == kind
 
 
@@ -336,3 +336,15 @@ def test_real_scalar_checks_a_constant_once_when_built():
     fn, _ = models._as_real_scalar("sqrt(z1)", 2, "f")
     with pytest.raises(ValueError, match="not real-valued"):
         fn(np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]))
+
+
+def test_lattice_reduce_lands_in_the_half_open_interval():
+    # coefficients land in [-1/2, 1/2): a half rounds up, whatever the parity np.round prefers
+    halves = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994]
+    c = models.Lattice(np.eye(8)).reduce(np.array(halves + [0.25]))
+    assert c.tolist() == [-0.5] * 6 + [0.49999999999999994, 0.25]
+    assert models.Lattice(np.eye(2)).reduce([0.5, -0.5]).tolist() == [-0.5, -0.5]
+    assert models.Lattice(np.eye(2)).reduce([1.5, 2.5]).tolist() == [-0.5, -0.5]
+    B = np.array([[2.0, 0.0], [1.0, 1.0]])  # generators (2, 0) and (1, 1)
+    # (1, 1/2) has coefficients (1/4, 1/2), so it reduces to (1/4) (2, 0) - (1/2) (1, 1)
+    assert models.Lattice(B).reduce(np.array([1.0, 0.5])).tolist() == [0.0, -0.5]

@@ -143,9 +143,9 @@ def test_conformal_factor_vanishing_on_a_line_raises():
 
 @pytest.mark.parametrize("v", ["exp(8*x1)", "exp(10*x1)"])
 def test_conformal_factor_with_a_wide_range_on_the_rings_is_accepted(v):
-    # on the ring r = rmax = 1.2, exp(10*x1) spans e^24 (about 2.6e10), far above the rounding floor
+    # on the ring r = RMAX = 1.2, exp(10*x1) spans e^24 (about 2.6e10), far above the rounding floor
     sys = PlanarSystem(v=v, T=np.pi)
-    assert np.isfinite(period_function(sys, sys.rmax))
+    assert np.isfinite(period_function(sys, morse.RMAX))
     assert verify_T_periodic(sys, 0.1) == pytest.approx(np.pi, abs=1e-8)
 
 
@@ -168,8 +168,8 @@ def test_clenshaw_equals_chebyshev_call_bit_for_bit(quad_system):
     interp = morse._period_interpolant(quad_system)
     value = morse._clenshaw(interp)
     rng = np.random.default_rng(7)
-    radii = np.concatenate([np.linspace(0.0, quad_system.rmax, 10001), rng.uniform(0.0, quad_system.rmax, 2000)])
-    assert radii[0] == 0.0 and radii[10000] == quad_system.rmax
+    radii = np.concatenate([np.linspace(0.0, morse.RMAX, 10001), rng.uniform(0.0, morse.RMAX, 2000)])
+    assert radii[0] == 0.0 and radii[10000] == morse.RMAX
     fast = np.array([value(r) for r in radii.tolist()])
     assert np.array_equal(fast, np.array([interp(r) for r in radii]))
 
@@ -202,15 +202,15 @@ def test_clenshaw_on_short_series_equals_chebyshev_call_bit_for_bit(coef, domain
 
 
 def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
-    # v = 2 - x1^2 is positive on every ring of the interpolant (r <= rmax = 1.2) and not from
-    # |x1| = sqrt(2) on; past rmax T_hat is read at rmax, min's choice, and a NaN radius gives NaN
+    # v = 2 - x1^2 is positive on every ring of the interpolant (r <= RMAX = 1.2) and not from
+    # |x1| = sqrt(2) on; past RMAX T_hat is read at RMAX, min's choice, and a NaN radius gives NaN
     system = PlanarSystem(v="2 - x1^2", T=np.pi)
     F = morse.hamiltonian_flow_field(system)
     interp = morse._period_interpolant(system)
     inf, nan = np.inf, np.nan
     for x, y in [(0.3, -0.4), (1.0, 0.9), (-0.1, 1.5), (0.0, inf), (0.0, -inf), (0.0, nan), (0.5, 1e300)]:
         r = np.sqrt(x * x + y * y)
-        q = float(interp(min(r, system.rmax))) / system.T / float(system.v(np.array([x, y])))
+        q = float(interp(min(r, morse.RMAX))) / system.T / float(system.v(np.array([x, y])))
         with np.errstate(all="ignore"):
             expected = np.array([-2.0 * y * q, 2.0 * x * q])
             array = F.fn(np.array([x, y]))
@@ -249,7 +249,7 @@ def test_ring_and_ray_stacks_equal_the_pointwise_loop(quad_system):
         vals = np.array([conformal(r * np.cos(p), r * np.sin(p)) for p in phis])
         assert period_function(quad_system, r) == 0.5 * float(np.trapezoid(vals, phis))
     E = 0.1
-    rE = brentq(lambda r: rescaling_chart(quad_system, r * r) - E, 1e-12, quad_system.rmax, xtol=1e-13)
+    rE = brentq(lambda r: rescaling_chart(quad_system, r * r) - E, 1e-12, morse.RMAX, xtol=1e-13)
     rs = np.linspace(0.0, rE, morse.N_R + 1)
     ring = [np.trapezoid([conformal(r * np.cos(p), r * np.sin(p)) * r for r in rs], rs) for p in phis]
     assert area_law_check(quad_system, E)[0] == float(np.trapezoid(ring, phis))
@@ -291,3 +291,25 @@ def test_orbit_field_makes_no_numpy_polynomial_call(quad_system, monkeypatch):
 
     monkeypatch.setattr(np.polynomial.chebyshev.Chebyshev, "__call__", no_call)
     assert abs(verify_T_periodic(quad_system, 0.5, FlowConfig(dt=2e-3)) - np.pi) < 1e-4
+
+
+def test_t_hat_code_is_compiled_once_per_system(monkeypatch):
+    # the rescaled orbit field reads T_hat as generated code, made once and kept on the system
+    import builtins
+
+    compiled, compile_ = [], builtins.compile
+
+    def counted(source, filename, *args, **kw):
+        compiled.append(filename)
+        return compile_(source, filename, *args, **kw)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    system = PlanarSystem(v=lambda p: 1.0 + p[0] ** 2, T=np.pi)
+    cfg = FlowConfig(dt=2e-3)
+    periods = [verify_T_periodic(system, r0, cfg) for r0 in (0.3, 0.5, 0.3)]
+    verify_T_periodic(system, 0.5, cfg, rescale=False)
+    assert compiled.count("<T_hat>") == 1
+    assert periods[0] == periods[2]
+    other = PlanarSystem(v=lambda p: 1.0 + p[0] ** 2, T=np.pi)
+    assert verify_T_periodic(other, 0.3, cfg) == periods[0]
+    assert compiled.count("<T_hat>") == 2
