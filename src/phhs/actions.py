@@ -164,35 +164,30 @@ def _radius_fn(radius):
     return lambda a: float(radius)
 
 
+def _sample_rays(gamma, z0, alphas, ray, signed):
+    """The :class:`PolarCurve` of gamma on the radial nodes ``ray(alpha)`` of each angle."""
+    z0 = complex(z0)
+    center = as_point(gamma(z0))
+    radii = np.array([ray(a) for a in alphas])
+    values = np.empty(radii.shape + center.shape)
+    for i, a in enumerate(alphas):
+        for j, r in enumerate(radii[i]):
+            values[i, j] = as_point(gamma(z0 + r * np.exp(1j * a)))
+    return PolarCurve(z0, alphas, radii, values, center=center, signed=signed)
+
+
 def sample_polar(gamma, z0, radius, nr, nalpha):
     """Variant-1 polar sampling: no node at the center, center kept as anchor."""
-    z0 = complex(z0)
     rad = _radius_fn(radius)
     alphas = np.linspace(0.0, 2.0 * np.pi, nalpha + 1)
-    radii = np.empty((alphas.size, nr))
-    values = np.empty((alphas.size, nr, as_point(gamma(z0)).size))
-    for i, a in enumerate(alphas):
-        R = rad(a)
-        rs = np.linspace(0.0, R, nr + 1)[1:]
-        radii[i] = rs
-        for j, r in enumerate(rs):
-            values[i, j] = as_point(gamma(z0 + r * np.exp(1j * a)))
-    return PolarCurve(z0, alphas, radii, values, center=as_point(gamma(z0)), signed=False)
+    return _sample_rays(gamma, z0, alphas, lambda a: np.linspace(0.0, rad(a), nr + 1)[1:], signed=False)
 
 
 def sample_polar_signed(gamma, z0, radius, nr, nalpha):
     """Variant-2 polar sampling: signed radius through the center, alpha in [0, pi]."""
-    z0 = complex(z0)
     rad = _radius_fn(radius)
     alphas = np.linspace(0.0, np.pi, nalpha + 1)
-    radii = np.empty((alphas.size, nr))
-    values = np.empty((alphas.size, nr, as_point(gamma(z0)).size))
-    for i, a in enumerate(alphas):
-        rs = np.linspace(-rad(a - np.pi), rad(a), nr)
-        radii[i] = rs
-        for j, r in enumerate(rs):
-            values[i, j] = as_point(gamma(z0 + r * np.exp(1j * a)))
-    return PolarCurve(z0, alphas, radii, values, center=as_point(gamma(z0)), signed=True)
+    return _sample_rays(gamma, z0, alphas, lambda a: np.linspace(-rad(a - np.pi), rad(a), nr), signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 All integration is fixed-step classical Runge-Kutta 4: determinism is worth
 more than adaptivity for golden-value work, and the step budget guards the
 singular loci.  :func:`rk4_step` is the only place the RK4 stage formula is
-written; every flow in the package, the period measurement of
-:mod:`phhs.morse` included, advances through it.
+written, and :func:`rk4_states` the only loop over steps; every flow in the
+package, the period measurement of :mod:`phhs.morse` included, advances
+through them.
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule; the field is then evaluated on the whole stack at
@@ -57,7 +58,7 @@ are polylines integrated segment by segment.
 """
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -186,18 +187,17 @@ def _start(V, x0):
     return V, np.array(x0, dtype=float)
 
 
-def _rk4(V, x0, t, n_steps):
-    """Endpoint of n_steps RK4 steps of the state :func:`_start` picks.
+def rk4_states(V, x0, h):
+    """The checked states after steps 1, 2, ... of the RK4 flow of V from ``x0`` with step h, endlessly.
 
-    The four stages of the first step call the field itself, so
-    ``Field.__call__`` checks that it returns one value per row of the state;
-    every later step calls the field's function ``fn`` on the same shape and
-    dtype unchecked.  A bare callable, a complex form and a scalar form are
-    called as they are.
+    The state is the one :func:`_start` picks.  The four stages of the first
+    step call the field itself, so ``Field.__call__`` checks that it returns
+    one value per row of the state; every later step calls the field's
+    function ``fn`` on the same shape and dtype unchecked.  A bare callable,
+    a complex form and a scalar form are called as they are.
     """
     F, y = _start(V, x0)
-    h = t / n_steps
-    for step in range(1, n_steps + 1):
+    for step in count(1):
         try:
             y = rk4_step(F, y, h)
         except NonFiniteStateError as exc:
@@ -207,6 +207,13 @@ def _rk4(V, x0, t, n_steps):
         _check_state(y, step, h)
         if step == 1:
             F = getattr(F, "fn", F)
+        yield y
+
+
+def _rk4(V, x0, t, n_steps):
+    """Endpoint of n_steps :func:`rk4_states` steps over time t, as a real array."""
+    for y in islice(rk4_states(V, x0, t / n_steps), n_steps):
+        pass
     y = np.asarray(y)
     return from_complex(y) if y.dtype.kind == "c" else y
 

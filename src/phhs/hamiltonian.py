@@ -155,6 +155,7 @@ LOOP_DIAMETER = 0.2
 LOOP_TRIANGLES = 8
 LOOP_SEED = 7
 LOOP_GAUSS = 24
+_LOOP_NODES, _LOOP_WEIGHTS = np.polynomial.legendre.leggauss(LOOP_GAUSS)  # computed once here
 
 
 def closedness_residual(alpha, p):
@@ -174,10 +175,9 @@ def closedness_residual(alpha, p):
     area = 0.5 * np.sqrt(np.maximum(np.vecdot(u, u) * np.vecdot(v, v) - np.vecdot(u, v) ** 2, 0.0))
     ends = np.roll(verts, -1, axis=1)  # edges (0, 1), (1, 2), (2, 0)
     seg = ends - verts
-    nodes, weights = np.polynomial.legendre.leggauss(LOOP_GAUSS)
-    pts = (0.5 * (verts + ends))[:, :, None] + nodes[:, None] * (0.5 * seg)[:, :, None]
+    pts = (0.5 * (verts + ends))[:, :, None] + _LOOP_NODES[:, None] * (0.5 * seg)[:, :, None]
     vals = np.asarray(alpha(pts.reshape(-1, dim)), dtype=float).reshape(pts.shape)
-    loop = (0.5 * (np.vecdot(vals, seg[:, :, None]) @ weights)).sum(axis=1)
+    loop = (0.5 * (np.vecdot(vals, seg[:, :, None]) @ _LOOP_WEIGHTS)).sum(axis=1)
     keep = area >= 1e-12
     return float(np.max(np.abs(loop[keep]) / area[keep], initial=0.0))
 

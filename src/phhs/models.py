@@ -6,6 +6,10 @@ when there is no Hamiltonian).  Where a closed-form solution exists it is
 attached as an oracle hook so the numerical routes can be cross-checked
 against it.
 
+The systems with J = i on (C^{2n}, d lambda_can), which differ only in H
+(standard, central, torus), come from one constructor that runs their one
+Cauchy-Riemann check.
+
 Coordinate bookkeeping: a patch of m complex dimensions uses the global real
 ordering (x_1..x_m, y_1..y_m) with z_j = x_j + i y_j.  For systems with
 canonical pairs the first n complex slots are positions Q_j and the next n
@@ -190,34 +194,49 @@ def _realify_holomorphic_field(V, scalar_form=None):
     return VectorField(fn, name="X", complex_form=V, scalar_form=scalar_form)
 
 
-def _standard_fields(n, H_c, dH_c):
-    """X hook, the H_R field and the H_I hook of a holomorphic H on standard C^{2n}; X has a scalar form for text H."""
+def _holomorphy_samples(m, seed=3):
+    """An ``(8, m)`` stack of complex sample points."""
+    return to_complex(seeded_points(seed, 8, 2 * m, scale=0.4))
+
+
+def _holomorphic_model(n, H_c, dH_c, X=None, **model_kwargs):
+    """The system of H on (C^{2n}, d lambda_can) with J = i, if H passes the Cauchy-Riemann check.
+
+    H_c and dH_c (dH/dz_j) take a complex point or a stack.  X, unless a
+    closed form is given, is (dH/dP, -dH/dQ), with a scalar form where dH_c
+    has a ``point``; the keywords go to :class:`~phhs.hamiltonian.PhhsModel`.
+    """
     m = 2 * n
+    res = holomorphy_residual(H_c, _holomorphy_samples(m))
+    if res > HOLO_TOL:
+        raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
+    if X is None:
+        g_point = getattr(dH_c, "point", None)
 
-    def v_c(z):
-        g = dH_c(z)
-        return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
+        def v_c(z):
+            g = dH_c(z)
+            return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
 
-    g_point = getattr(dH_c, "point", None)
+        def v_point(z):
+            g = g_point(z)
+            return (*g[n:m], *map(neg, g[:n]))
 
-    def v_point(z):
-        g = g_point(z)
-        return (*g[n:m], *map(neg, g[:n]))
-
-    X = _realify_holomorphic_field(v_c, None if g_point is None else v_point)
+        X = _realify_holomorphic_field(v_c, None if g_point is None else v_point)
 
     def grad_r(p):
         g = dH_c(to_complex(p))
         return np.concatenate([g.real, -g.imag], axis=-1)
 
-    H_R = ScalarField(lambda p: H_c(to_complex(p)).real, grad=grad_r, name="H_R")
-    H_I = lambda p: H_c(to_complex(p)).imag  # noqa: E731 - hook, not a field
-    return X, H_R, H_I
-
-
-def _holomorphy_samples(m, seed=3):
-    """An ``(8, m)`` stack of complex sample points."""
-    return to_complex(seeded_points(seed, 8, 2 * m, scale=0.4))
+    return PhhsModel(
+        m=m,
+        J=constant_matrix_field(standard_j_matrix(m), name="J"),
+        omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
+        H_R=ScalarField(lambda p: H_c(to_complex(p)).real, grad=grad_r, name="H_R"),
+        lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
+        X_hook=X,
+        H_I_hook=lambda p: H_c(to_complex(p)).imag,
+        **model_kwargs,
+    )
 
 
 def build_standard_hhs(n, H):
@@ -227,24 +246,7 @@ def build_standard_hhs(n, H):
     callable C^{2n} -> C, which is validated numerically through its
     Cauchy-Riemann defect (at most ``fields.HOLO_TOL``).
     """
-    m = 2 * n
-    H_c, dH_c = _as_complex_hamiltonian(H, m)
-    res = holomorphy_residual(H_c, _holomorphy_samples(m))
-    if res > HOLO_TOL:
-        raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
-    X, H_R, H_I_hook = _standard_fields(n, H_c, dH_c)
-    lam = CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R")
-    model = PhhsModel(
-        m=m,
-        J=constant_matrix_field(standard_j_matrix(m), name="J"),
-        omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
-        H_R=H_R,
-        lambda_R=lam,
-        name=f"standard_hhs_{n}",
-        X_hook=X,
-        H_I_hook=H_I_hook,
-    )
-    return model
+    return _holomorphic_model(n, *_as_complex_hamiltonian(H, 2 * n), name=f"standard_hhs_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +335,15 @@ def central_closed_form(x0):
 
 def build_central_problem():
     """Hamiltonian P^2/2 - 1/(8 Q^2) on the patch Q != 0 of C* x C, based at (Q, P) = (1, 1/2)."""
-    n = 1
-
-    def grad_r(p):
-        g = complex_gradient(central_hamiltonian, to_complex(p))
-        return np.concatenate([g.real, -g.imag], axis=-1)
-
-    H_R = ScalarField(lambda p: central_hamiltonian(to_complex(p)).real, grad=grad_r, name="H_R")
-    X = _realify_holomorphic_field(_central_v, scalar_form=lambda z: _central_qp(*z))
-    model = PhhsModel(
-        m=2,
-        J=constant_matrix_field(standard_j_matrix(2), name="J"),
-        omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
-        H_R=H_R,
-        lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
+    return _holomorphic_model(
+        1,
+        central_hamiltonian,
+        lambda z: complex_gradient(central_hamiltonian, z),
+        X=_realify_holomorphic_field(_central_v, scalar_form=lambda z: _central_qp(*z)),
         base_point=(1.0, 0.5, 0.0, 0.0),
         closed_form=central_closed_form,
         name="central_problem",
-        X_hook=X,
-        H_I_hook=lambda p: central_hamiltonian(to_complex(p)).imag,
     )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +412,9 @@ def torus_distance(lattice, p1, p2):
 def build_torus_model(lattice, H=None):
     """Cotangent model over a complex torus; H may depend on momenta only (|dH/dQ| at most ``Q_TOL``).
 
-    The default Hamiltonian is sum_j P_j^2 / 2, whose trajectories are the
-    straight windings gamma(z) = ([Q0 + z P0], P0).
+    H is validated as for :func:`build_standard_hhs`.  The default
+    Hamiltonian is sum_j P_j^2 / 2, whose trajectories are the straight
+    windings gamma(z) = ([Q0 + z P0], P0).
     """
     n = lattice.n
     m = 2 * n
@@ -438,7 +429,6 @@ def build_torus_model(lattice, H=None):
             f"Hamiltonian varies with the position coordinates (|dH/dQ| = {q_dep:.3e}); "
             "only momentum-dependent Hamiltonians live on the torus"
         )
-    X, H_R, H_I_hook = _standard_fields(n, H_c, dH_c)
 
     def closed_form(x0):
         z0 = to_complex(as_point(x0))
@@ -452,18 +442,7 @@ def build_torus_model(lattice, H=None):
 
         return gamma
 
-    model = PhhsModel(
-        m=m,
-        J=constant_matrix_field(standard_j_matrix(m), name="J"),
-        omega_R=constant_two_form_field(standard_omega_matrix(n), name="omega_R"),
-        H_R=H_R,
-        lambda_R=CovectorField(lambda p: standard_lambda_coeffs(n, p), name="lambda_R"),
-        closed_form=closed_form,
-        name="torus",
-        X_hook=X,
-        H_I_hook=H_I_hook,
-    )
-    return model
+    return _holomorphic_model(n, H_c, dH_c, closed_form=closed_form, name="torus")
 
 
 def classify_torus_orbit(P0, lattice):
@@ -656,8 +635,8 @@ def build_rotation_family(phi):
     phi_fn, _ = _as_real_scalar(phi, 2, "phi")
 
     def j_phi(p):
-        c = np.cos(phi_fn(p))
-        s = np.sin(phi_fn(p))
+        phi_p = phi_fn(p)
+        c, s = np.cos(phi_p), np.sin(phi_p)
         J = np.zeros(np.shape(c) + (4, 4))
         J[..., 2, 0], J[..., 3, 0] = c, -s   # J(d_x1) = cos d_y1 - sin d_y2
         J[..., 2, 1], J[..., 3, 1] = s, c    # J(d_x2) = sin d_y1 + cos d_y2

@@ -14,9 +14,9 @@ chart
 makes every nearby orbit exactly T-periodic, and the symplectic area of the
 sublevel set {psi_L(x^2+y^2) <= E} equals T E.
 
-Orbit periods are measured with :func:`phhs.flows.rk4_step`, the package's
-one RK4 step, on its scalar lane (two Python floats); this module only adds
-the angle-crossing event on top of it.
+Orbit periods are measured with :func:`phhs.flows.rk4_states`, the
+package's one loop of RK4 steps, on its scalar lane (two Python floats);
+this module only adds the angle-crossing event on top of it.
 
 v follows the package's stack contract (:func:`phhs.fields.stack_function`):
 a number, expression text in x1 and y1, a stack-taking Field, or a callable
@@ -35,13 +35,14 @@ vanishing on a line through a ring angle shows.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
 from .fields import VectorField, point_path, stack_function
-from .flows import FlowConfig, _check_state, _start, rk4_step
+from .flows import FlowConfig, rk4_states
 from .util import coordinate_names
 
 N_PHI = 256   # trapezoid intervals of the angular average and the area law
@@ -185,18 +186,17 @@ def hamiltonian_flow_field(sys, rescale=True):
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     """Measured period of the orbit started at (r0, 0), as a Python float.
 
-    Steps with :func:`phhs.flows.rk4_step` on the scalar lane, checks the
-    state after each step as every flow does, unwraps the polar angle with
-    numpy's ``arctan2`` (``math.atan2`` rounds differently) and locates the
-    first full turn by linear interpolation between steps.
+    Takes at most ``cfg.max_step_count`` steps of
+    :func:`phhs.flows.rk4_states` on the scalar lane, each state checked as
+    in every flow, unwraps the polar angle with numpy's ``arctan2``
+    (``math.atan2`` rounds differently) and locates the first full turn by
+    linear interpolation between steps.
     """
-    F, y = _start(hamiltonian_flow_field(sys, rescale=rescale), np.array([r0, 0.0]))
     h = cfg.dt
+    states = rk4_states(hamiltonian_flow_field(sys, rescale=rescale), np.array([r0, 0.0]), h)
     pi, two_pi = math.pi, 2.0 * math.pi
     theta = prev_angle = t = 0.0
-    for step in range(1, cfg.max_step_count + 1):
-        y = rk4_step(F, y, h)
-        _check_state(y, step, h)
+    for y in islice(states, cfg.max_step_count):
         t += h
         angle = float(np.arctan2(y[1], y[0]))
         delta = angle - prev_angle

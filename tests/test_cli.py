@@ -502,7 +502,6 @@ def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatc
         return rk4_step(V, y, h)
 
     monkeypatch.setattr(flows, "rk4_step", counted)
-    monkeypatch.setattr(morse, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert states == [tuple] * steps
 

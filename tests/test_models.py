@@ -96,6 +96,18 @@ def test_torus_q_dependence_rejected():
         models.build_torus_model(lattice, H="Q1")
 
 
+@pytest.mark.parametrize("H", ["conj(P1)^2/2", lambda z: np.conj(z[1]) ** 2 / 2])
+def test_torus_antiholomorphic_hamiltonian_rejected(H):
+    # no Q-dependence, so only the Cauchy-Riemann check of the shared constructor catches it,
+    # with the defect the standard system reports for the same H
+    lattice = models.Lattice(np.eye(2))
+    with pytest.raises(NotHolomorphicError) as torus:
+        models.build_torus_model(lattice, H=H)
+    with pytest.raises(NotHolomorphicError) as standard:
+        models.build_standard_hhs(1, H)
+    assert str(torus.value) == str(standard.value) == "Hamiltonian has Cauchy-Riemann defect 4.070e-01"
+
+
 def test_lattice_reduce_and_distance():
     lattice = models.Lattice(np.eye(2))
     r = lattice.reduce(np.array([1.3, -0.6]))
