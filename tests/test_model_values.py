@@ -6,20 +6,25 @@ its golden paths, the torus (its default H and a text H in two momenta)
 and the standard system with n = 2 (text H and a callable H) to values
 recorded as ``float.hex`` strings in ``model_values.json``: X, J X,
 H_R, the gradient of H_R and H_I on a seeded stack and at one point, one
-single-point flow endpoint (on the scalar lane where X has a scalar form)
-and one stack flow endpoint.
+single-point flow endpoint (on the scalar lane where X has a scalar form),
+one stack flow endpoint, and a single-point and a stack endpoint of the
+combination cos(alpha) X + sin(alpha) J X (``tilted_flow``).
 
-To record the values again, run ``PYTHONPATH=src python tests/test_model_values.py``.
+To record values that are not recorded yet, run
+``PYTHONPATH=src python tests/test_model_values.py``.  It adds the missing
+keys only: where a recorded value would change it writes nothing, lists the
+keys and exits with status 1.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phhs import models
-from phhs.flows import FlowConfig, flow
+from phhs.flows import FlowConfig, flow, tilted_flow
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import seeded_points
 
@@ -57,6 +62,8 @@ def compute(name):
         out[f"H_I_{label}"] = fields.H_I(pts)
     out["flow_X_point"] = flow(fields.X, p, 0.37, CFG)
     out["flow_JX_stack"] = flow(fields.JX, P[:3], -0.29, CFG)
+    out["tilted_point"] = tilted_flow(fields, p, 0.7, 0.31, CFG)
+    out["tilted_stack"] = tilted_flow(fields, P[:3], -2.2, 0.23, CFG)
     return {key: _hex(value) for key, value in out.items()}
 
 
@@ -82,5 +89,21 @@ def test_single_point_flows_take_the_lane_where_x_has_a_scalar_form():
     }
 
 
+def record():
+    """Add the values not recorded yet; refuse, with status 1, if a recorded one would change."""
+    recorded = json.loads(VALUES.read_text()) if VALUES.exists() else {}
+    moved = []
+    for name in sorted(MODELS):
+        entry = recorded.setdefault(name, {})
+        for key, value in compute(name).items():
+            if entry.setdefault(key, value) != value:
+                moved.append(f"{name}.{key}")
+    if moved:
+        print("recorded values would change, nothing written:", *moved, sep="\n  ")
+        return 1
+    VALUES.write_text(json.dumps(recorded, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    VALUES.write_text(json.dumps({name: compute(name) for name in sorted(MODELS)}, indent=1) + "\n")
+    sys.exit(record())
