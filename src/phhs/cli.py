@@ -104,7 +104,8 @@ def _kind(what, test, convert=None):
 
 
 def _is_number(v, types=(int, float)):
-    return isinstance(v, types) and not isinstance(v, bool)
+    # json reads NaN and Infinity as floats; a scenario number is finite
+    return isinstance(v, types) and not isinstance(v, bool) and (type(v) is int or math.isfinite(v))
 
 
 NUMBER = _kind("a number", _is_number, float)

@@ -12,10 +12,11 @@ Functions: exp, sin, cos, sqrt, conj.  Identifiers are free names.
 :meth:`Expression.compile` binds each of them to a coordinate of one input
 vector (the name tables are :func:`phhs.util.coordinate_names`) and builds a
 plain Python function of that vector, once; an identifier the binding lacks
-is an error at that point.  :func:`compile_points` is the one route from
-expression text to a field's function: it takes a point or an ``(N, dim)``
-stack of points, one per row, and its ``point`` attribute one point as
-Python numbers, with numpy's bits.  ``conj`` exists so that anti-holomorphic
+is an error at that point.  :func:`compile_points` (one expression) and
+:func:`compile_vector` (the components of a field on C^m, one source) are
+the routes from text to a field's function: it takes a point or an
+``(N, dim)`` stack of points, one per row, and its ``point`` attribute one
+point as Python numbers, with numpy's bits.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
 symbolic derivative.
 
@@ -83,7 +84,25 @@ def quotient(a, b):
 
 
 def power(a, b):
-    """a ** b as numpy's scalars take it, on Python numbers too."""
+    """a ** b as numpy's scalars take it, on Python numbers too.
+
+    A Python complex to an integer float power n, 0 <= n < 100, is the
+    products of numpy's complex power, a Python complex: 1 for n = 0, 0 at a
+    zero base, a, a a and a (a a) for n = 1, 2, 3, binary powering onto 1 + 0j past that.
+    """
+    if type(a) is complex and type(b) is float and b.is_integer() and 0.0 <= b < 100.0:
+        n, r = int(b), 1 + 0j
+        if n == 0 or not a:
+            return 0j if n else r
+        if n < 4:
+            return (a, a * a, a * (a * a))[n - 1]
+        while True:
+            if n & 1:
+                r *= a
+            n >>= 1
+            if not n:
+                return r
+            a *= a
     return _numpy(a) ** b
 
 
@@ -301,23 +320,27 @@ def _variables(node):
     return set().union(*(_variables(child) for child in node[1:] if isinstance(child, tuple)))
 
 
-def _compile(ast, binding, label):
+def _compile(roots, binding, label, vector=False):
     """Straight-line Python function ``_p -> value``, one local per AST node.
 
     Nodes are emitted left operand first, each bound coordinate is read once
     and literals enter the namespace by value: the tree's operations, one
     for one.  A coordinate read or a function call gives a numpy scalar at a
-    point.  The ``point`` attribute reads Python numbers in their place.
-    There a quotient of such a value is :func:`quotient`, and a power is
-    Python's ``**`` where that gives a float (the C library's ``pow``, as
-    numpy's) and :func:`power` where it raises (overflow, 0 to a negative
-    power) or does not (a complex power, a negative base to a fractional
-    one); sums, products and negations round as numpy's scalars do.
-    Without such a quotient or power it is the function itself.
+    point.  The ``point`` attribute reads Python numbers in their place and
+    keeps numpy's bits: a quotient is :func:`quotient`, a power of a Python
+    complex :func:`power` (written out as a a and a (a a), 0 at a zero base,
+    for the literal powers 2 and 3), and any other power Python's ``**``
+    where that gives a float (the C library's ``pow``, as numpy's) and
+    :func:`power` where it raises or does not.  Without such a quotient or
+    power it is the function itself.
+
+    With ``vector``, ``roots`` are the trees of a value's complex components:
+    the function takes a point or an ``(N, dim)`` stack and returns
+    ``(..., len(roots))`` components, its ``point`` a tuple of them.
     """
     lines, points, loaded, scalars = [], [], {}, set()
     namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
-    namespace.update(_quotient=quotient, _power=power)
+    namespace.update(_quotient=quotient, _power=power, _empty=np.empty)
 
     def scalar(local):
         scalars.add(local)
@@ -356,20 +379,31 @@ def _compile(ast, binding, label):
             return scalar(emit(src, f"_quotient({a}, {b})"))
         local = scalar(emit(src))
         if arg == "^":
+            product = {("num", 2.0): f"{a} * {a}", ("num", 3.0): f"{a} * ({a} * {a})"}.get(node[3])
             points[-1:] = [
-                "    try:",
-                f"        {local} = {src}",
-                f"        if type({local}) is not float:",
+                f"    if type({a}) is complex:",
+                f"        {local} = {product} if {a} else 0j" if product else f"        {local} = _power({a}, {b})",
+                "    else:",
+                "        try:",
+                f"            {local} = {src}",
+                f"            if type({local}) is not float:",
+                f"                {local} = _power({a}, {b})",
+                "        except ArithmeticError:",
                 f"            {local} = _power({a}, {b})",
-                "    except ArithmeticError:",
-                f"        {local} = _power({a}, {b})",
             ]
         return local
 
-    result = visit(ast)
-    source = ["def _fn(_p):", *lines, f"    return {result}"]
-    if points != lines:
-        source += ["def _point(_p):", *points, f"    return {result}"]
+    if not vector:
+        result = visit(roots)
+        source = ["def _fn(_p):", *lines, f"    return {result}"]
+        if points != lines:
+            source += ["def _point(_p):", *points, f"    return {result}"]
+    else:
+        results = [visit(root) for root in roots]
+        source = ["def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", *lines]
+        source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), complex)")
+        source += [*(f"    _o[..., {k}] = {r}" for k, r in enumerate(results)), "    return _o"]
+        source += ["def _point(_p):", *points, f"    return ({', '.join(results)},)"]
     exec(compile("\n".join(source), f"<expression {label!r}>", "exec"), namespace)
     fn = namespace["_fn"]
     fn.point = namespace.get("_point", fn)
@@ -447,3 +481,23 @@ def compile_points(expr, names, cast=None):
 
     constant.point = lambda q: c
     return constant
+
+
+def _complex_leaves(node):
+    return ("num", complex(node[1])) if node[0] == "num" else tuple(
+        _complex_leaves(c) if isinstance(c, tuple) else c for c in node
+    )
+
+
+def compile_vector(exprs, names):
+    """The components ``exprs`` (text or parsed) on the complex layout as one function, one compile.
+
+    It takes a complex point or an ``(N, dim)`` stack (``names`` as in
+    :meth:`Expression.compile`) and returns ``(..., len(exprs))`` components,
+    each as :func:`compile_points` with a complex cast gives it, and its
+    ``point`` their tuple at a point of Python complex numbers, with the
+    same bits.  A constant is evaluated on complex literals: ``-0`` is ``-(0j)``.
+    """
+    exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
+    roots = [e.ast if e.variables() else ("num", Expression(_complex_leaves(e.ast)).constant()) for e in exprs]
+    return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", vector=True)

@@ -4,40 +4,35 @@ Every field wraps a callable together with an :class:`FdConfig` that fixes
 how its derivatives are approximated.  The contract: a field takes one point
 ``(dim,)`` or a stack ``(N, dim)`` of points, one per row, and on a stack
 returns one value per row, stacked on the first axis (a scalar field
-exactly ``(N,)``); a stack call that does not is a ``ValueError``.  A stack
-with as many rows as a point has coordinates is evaluated with one extra
-row, so that a function of one point reading ``p[k]`` fails this check
-there too.  ``Field.__call__`` checks this where a field enters the
-package: on a user's call, on the sample stack on which
-:func:`~phhs.hamiltonian.assemble_phhs` calls J, Omega_R and X, and on the
-four stages of a real-state flow's first step.  Past that boundary the
-package calls a field's raw function ``fn``: J X and the flows'
-combination a X + b J X compose ``J.fn`` and ``X.fn``, and a flow steps on
-``fn`` after its first step, so no RK4 stage repeats the check.  Every
-function the package builds itself takes a stack, the quadrature
-primitive H_I included; :func:`rowwise` is the user boundary only.  It
-lifts a bare callable of one point that a user hands to the model builders
-(through ``_as_real_scalar`` and ``_as_complex_hamiltonian`` in :mod:`phhs.models`),
-as a metric entry (:func:`~phhs.connections.diagonal_metric`,
-:func:`~phhs.connections.holo_metric_parts`) or as the conformal factor
-``v`` of :class:`~phhs.morse.PlanarSystem`, the last two through
-:func:`stack_function`, which also compiles text.  A stack row is bit for
-bit the single-point value for the built-in models and their documented
-expressions, with one exception: H_R and H_I of the central
-problem, whose complex arithmetic numpy rounds differently on a scalar and
-on an array, may move by one unit in the last place.  Other expression text
-may round differently in the last bit on a stack for the same reason (some
-real powers and complex products).
+exactly ``(N,)``); a stack call that does not is a ``ValueError``, and a
+stack with as many rows as a point has coordinates gets one extra row, so
+that a function of one point reading ``p[k]`` fails there too.
+``Field.__call__`` checks this where a field enters the package: a user's
+call, the sample stack on which :func:`~phhs.hamiltonian.assemble_phhs`
+calls J, Omega_R and X, and the four stages of a real-state flow's first
+step.  Past it the package calls a field's raw function ``fn`` (J X, the
+combination a X + b J X, every later RK4 step).  Every function the package
+builds itself takes a stack, the quadrature primitive H_I included;
+:func:`rowwise` is the user boundary only: it lifts a callable of one point
+handed to the model builders, as a metric entry (:mod:`phhs.connections`)
+or as the conformal factor ``v`` of :class:`~phhs.morse.PlanarSystem`, the
+last two through :func:`stack_function`, which also compiles text.  A stack
+row is bit for bit the single-point value for the built-in models and their
+documented expressions, except H_R and H_I of the central problem, whose
+complex arithmetic numpy rounds differently on a scalar and on an array
+(one unit in the last place), and other text with some real powers and
+complex products.
 
 A vector field that is the real form of a holomorphic map w on C^m carries
-w as its ``complex_form`` (the models with J = i set it); the flows then
-step the complex state z = x + i y with w and never call the field itself.
-A ``scalar_form``, the field at one point on Python numbers with the array
-form's bits, is what a flow of one point steps (the scalar lane of
-:mod:`phhs.flows`).  X of the central problem, of a standard system with
-text H and of the twisted model carry one, as do the Morse orbit field and,
-as rows, the twisted J_g; functions are read there by :func:`point_path`,
-and :func:`matvec_point` is :func:`matvec` on rows.
+w as its ``complex_form``; the flows step the complex state z = x + i y with
+it.  A ``scalar_form``, the field at one point on Python numbers with the
+array form's bits, is what a flow of one point steps (the scalar lane of
+:mod:`phhs.flows`).  On the models with J = i both forms of X come from one
+compiled source, :func:`~phhs.expressions.compile_vector` of X's component
+trees, and :func:`holomorphic_map` makes J X's and a X + b J X's from X's
+with one per-component map.  The twisted X, J_g (as rows) and the Morse
+orbit field keep hand-written scalar forms, reading functions through
+:func:`point_path`; :func:`matvec_point` is :func:`matvec` on rows.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -68,8 +63,8 @@ class FdConfig:
     step: float = 1e-5
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not 0 < self.step < np.inf:  # NaN fails both comparisons
+            raise ValueError("finite-difference step must be positive and finite")
 
     def spacing(self, p):
         """The spacing at a point, or one per row of a stack, rounded as ``np.linalg.norm`` rounds |p|."""
@@ -118,6 +113,19 @@ def matvec_point(M, v):
     on rows with at most one nonzero product, where every order is exact.
     """
     return tuple([sum(map(mul, row, v), 0.0) for row in M])
+
+
+def holomorphic_map(X, f, fn, name):
+    """The field f(w) for X the real form of w, with ``fn`` on the real state.
+
+    f maps one complex component, on an array or a Python complex alike, so
+    it makes the complex form f(w(z)) and, where X has one, the scalar form.
+    """
+    w, s = X.complex_form, X.scalar_form
+    return VectorField(
+        fn, fd=X.fd, name=name, complex_form=lambda z: f(w(z)),
+        scalar_form=None if s is None else lambda z: tuple(map(f, s(z))),
+    )
 
 
 def point_path(fn):
@@ -182,9 +190,7 @@ class VectorField(Field):
 
     ``scalar_form``, when given, maps the tuple of a point's components, as
     Python numbers, to the tuple of the value's, with the array form's bits
-    there: complex z_j with a complex form, real coordinates without.  X of
-    the central problem, of a standard system with text H and of the
-    twisted model have one, as do the J X and a X + b J X built from them.
+    there: complex z_j with a complex form, real coordinates without.
     """
 
     def __init__(self, fn, fd=None, name=None, complex_form=None, scalar_form=None):

@@ -12,45 +12,34 @@ share one step schedule; the field is then evaluated on the whole stack at
 each stage.  The stages of the first step call the field itself, whose
 ``Field.__call__`` checks that it returns one value per row; the later
 steps call its raw function ``fn`` on the same shape (see
-:mod:`phhs.fields`), and the combination field a X + b J X composes
-``X.fn`` and ``J.fn``.  :func:`trajectory_grid` flows all its column
-anchors as one stack, and since every row takes exactly the steps it would
-take alone, each node is the value a flow of its own column gives.  The
-grid carries no monitor: :func:`grid_monitors` computes them from it, so
-only a caller that reports them pays for them (the ``integrate`` verb does;
-``action-check``, which reads the nodes alone, skips the swap check's two
-single-point flows).  The
-monitors take H_R and H_I on all nodes and J on the interior nodes as one
-stack each, so an energy drift can differ in the last digits from
-node-by-node values where H_R or H_I rounds a stack row differently from
-that point (the central problem's H_I, or expression text such as
+:mod:`phhs.fields`).  :func:`trajectory_grid` flows all its column anchors
+as one stack, each row taking exactly the steps it would take alone.  Its
+monitors come from :func:`grid_monitors`, paid for only by the callers that
+report them, which take H_R and H_I on node stacks, so an energy drift can
+differ in the last digits from node-by-node values where a stack row rounds
+differently from its point (the central problem's H_I, or text such as
 ``1 + x1^2``).
 
 A field that is the real form of a holomorphic w on C^m (J = i; see
-``VectorField.complex_form``) is flowed on the complex state z = x + i y:
-the state is converted once when a flow starts and once when it ends, and
-every stage calls w on z directly, with no real/complex round trip and no
-J matrix.  The same :func:`rk4_step` advances both states; the stage
-arithmetic is the real one component by component, so the endpoints are
-bit for bit those of the real path.  The combination a X + b J X is
-a w + (i b) w on that path, two terms as on the real one: a single
-(a + i b) w rounds differently.
+``VectorField.complex_form``) is flowed on the complex state z = x + i y,
+converted once when a flow starts and once when it ends: every stage calls
+w on z, with no real/complex round trip and no J matrix.  The stage
+arithmetic of :func:`rk4_step` is the real one component by component, so
+the endpoints are bit for bit those of the real path.  The combination
+a X + b J X is a w + (i b) w there, two terms as on the real path (a single
+(a + i b) w rounds differently), one map for its complex and scalar forms
+(:func:`~phhs.fields.holomorphic_map`).
 
-One point of a field with a scalar form (``VectorField.scalar_form``: X,
-J X and their combination of the central problem, of a standard system with
-text H and of the twisted model, and the Morse orbit field) takes the
-scalar lane: a tuple of Python numbers, complex z_j with a complex form and
-floats otherwise, converted once per flow.  :func:`rk4_step` maps its stage
-helpers :func:`_stage` and :func:`_update` over the components.  The bits
-are numpy's: Python does the same IEEE operations, every coefficient of a
+One point of a field with a scalar form (X, J X and their combination
+where X is compiled text or the twisted model's, and the Morse orbit field)
+takes the scalar lane: a tuple of Python numbers, complex z_j with a
+complex form and floats otherwise, converted once per flow.  The bits are
+numpy's: Python does the same IEEE operations, every coefficient of a
 complex product is a Python complex (CPython 3.14 would multiply a float by
-a complex without numpy's cast), text keeps numpy's quotient and power
-(:func:`~phhs.expressions.quotient`, :func:`~phhs.expressions.power`), the
-central problem numpy's cube (``models._cube``), a matrix product numpy's
-sum onto +0.0 (:func:`~phhs.fields.matvec_point`) and the Morse angle
-``np.arctan2``.  :func:`_check_state` and :func:`_located` report a lane
-state as the array it stands for, so a lane error names the step, time and
-state the array path names.
+a complex without numpy's cast), compiled text keeps numpy's quotient and
+power (:mod:`phhs.expressions`), a matrix product numpy's sum onto +0.0
+(:func:`~phhs.fields.matvec_point`) and the Morse angle ``np.arctan2``.  A
+lane error names the step, time and state the array path names.
 
 Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
 for t and then J X for s from the anchor; paths in the complex time plane
@@ -63,7 +52,7 @@ from itertools import count, islice, repeat
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .fields import VectorField, grid_derivative, matvec, matvec_point
+from .fields import VectorField, grid_derivative, holomorphic_map, matvec, matvec_point
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -77,8 +66,8 @@ class FlowConfig:
     richardson: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:  # NaN fails both comparisons
+            raise ValueError("dt must be positive and finite")
         if self.max_step_count <= 0:
             raise ValueError("max_step_count must be positive")
 
@@ -131,13 +120,11 @@ def rk4_step(V, y, h):
 
     ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
     the same shape, and the stages keep the dtype of ``y``.  On the scalar
-    lane ``y`` and V's value are tuples of Python numbers (a numpy scalar,
-    as numpy's power gives, stands in for one of its kind), and the stage
-    helpers are mapped over the components.  The step's coefficients are
-    made once, as Python complex numbers for a complex state: numpy would
-    cast each float to x + 0j anyway, so the bits are those of the float
-    coefficients, without a scalar promotion per product, and on the lane
-    each product is the complex one numpy makes.
+    lane ``y`` and V's value are tuples of Python numbers (a numpy scalar
+    stands in for one of its kind), and the stage helpers are mapped over
+    the components.  The step's coefficients are made once, as Python
+    complex numbers for a complex state: numpy would cast each float to
+    x + 0j anyway, and on the lane each product is the complex one numpy makes.
     """
     lane = type(y) is tuple
     if isinstance(y[0], complex) if lane else y.dtype.kind == "c":
@@ -390,24 +377,17 @@ def _combo_field(fields, a, b):
         x = np.asarray(X_fn(p), dtype=float)
         return a * x + b * matvec(np.asarray(J_fn(p), dtype=float), x)
 
-    if fields.JX.complex_form is None:
-        J_s = getattr(fields.model.J, "scalar_form", None)
+    if fields.JX.complex_form is not None:
+        a_z, ib = complex(a), 1j * b
+        return holomorphic_map(fields.X, lambda v: a_z * v + ib * v, fn, "combo")
+    J_s = getattr(fields.model.J, "scalar_form", None)
 
-        def scalar(q):
-            x = s(q)
-            return tuple([a * c + b * d for c, d in zip(x, matvec_point(J_s(q), x))])
+    def scalar(q):
+        x = s(q)
+        return tuple([a * c + b * d for c, d in zip(x, matvec_point(J_s(q), x))])
 
-        lane = w is None and s is not None and J_s is not None
-        return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar if lane else None)
-    a_z, ib = complex(a), 1j * b
-
-    def combine(v):
-        return a_z * v + ib * v
-
-    return VectorField(
-        fn, fd=fields.X.fd, name="combo", complex_form=lambda z: combine(w(z)),
-        scalar_form=None if s is None else lambda z: tuple(map(combine, s(z))),
-    )
+    lane = w is None and s is not None and J_s is not None
+    return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar if lane else None)
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

@@ -14,30 +14,25 @@ The assembled fields take a point or an ``(N, dim)`` stack of points (see
 :mod:`phhs.fields`): J X contracts J and X row by row and the generic X is
 one batched linear solve, so each evaluates a whole stack in one call
 whenever the model's fields do.  Diagnostics, reports and the loop test of
-closedness evaluate their whole point set as one stack.  So does the
+closedness evaluate their whole point set as one stack, and so does the
 quadrature primitive H_I of a model with no H_I hook
-(:func:`primitive_stack`): it runs the first 21-point Gauss-Kronrod pass of
-``scipy.integrate.quad`` on every row at once, one alpha call per abscissa,
-and hands only the rows that pass would not settle to ``quad`` itself
-(:func:`primitive_scalar`), so every row is bit for bit the ``quad`` value
-wherever alpha gives a stack row the bits it gives that point.  A single
-point goes to ``quad`` directly.
+(:func:`primitive_stack`, bit for bit ``scipy.integrate.quad`` per row).
 
-When X is the real form of a holomorphic w (``VectorField.complex_form``)
-and J is the constant structure i (:func:`~phhs.util.standard_j_matrix`,
-known from the matrix of a :func:`~phhs.fields.constant_matrix_field`, not
-from samples), J X gets the complex form i w, and with X's scalar form the
-scalar form i v, component by component; a real X's and J's scalar forms
-make J X's, as their functions make J X's function.
+When X has a complex form w and J is the constant structure i (known from
+the matrix of a :func:`~phhs.fields.constant_matrix_field`), J X's complex
+and scalar forms are i w, per component (:func:`~phhs.fields.holomorphic_map`);
+a real X's and J's scalar forms make J X's, as their functions make J X's function.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from operator import mul
 
 import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec, matvec_point
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, holomorphic_map, jet, matvec, matvec_point
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -189,8 +184,6 @@ QUAD_TOL = 1e-11
 CLOSED_TOL = 1e-4
 # J^2 = -1 and the Omega_R-anticompatibility of J must hold on the samples to this residual
 EXACT_TOL = 1e-6
-# i c, for one component of a scalar-lane value: the complex product numpy's 1j * w makes
-_TIMES_I = (1j).__mul__
 
 
 def primitive_scalar(alpha, base, p, check_closed=True):
@@ -359,15 +352,12 @@ def assemble_phhs(model, check_closedness=True):
 
     w, s = getattr(X, "complex_form", None), getattr(X, "scalar_form", None)
     J_s = getattr(model.J, "scalar_form", None)
-    j_is_i = w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m))
-    jx_s = None
-    if s is not None and j_is_i:
-        jx_s = lambda z: tuple(map(_TIMES_I, s(z)))  # noqa: E731
-    elif s is not None and w is None and J_s is not None:
-        jx_s = lambda q: matvec_point(J_s(q), s(q))  # noqa: E731
-    JX = VectorField(
-        jx_fn, fd=X.fd, name="JX", complex_form=(lambda z: 1j * w(z)) if j_is_i else None, scalar_form=jx_s
-    )
+    if w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
+        JX = holomorphic_map(X, partial(mul, 1j), jx_fn, "JX")
+    else:
+        lane = s is not None and w is None and J_s is not None
+        jx_s = (lambda q: matvec_point(J_s(q), s(q))) if lane else None
+        JX = VectorField(jx_fn, fd=X.fd, name="JX", scalar_form=jx_s)
     omega_I = omega_I_from(model.omega_R, model.J)
     alpha = pairing_covector(model.omega_R, JX, name="omega_R(JX,.)")
 

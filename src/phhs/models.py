@@ -18,7 +18,6 @@ charted as (Q_x, P_x, Q_y, P_y) -> (x_1, x_2, y_1, y_2).
 """
 
 from dataclasses import dataclass
-from operator import neg
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     QDependenceError,
     ZeroDenominatorError,
 )
-from .expressions import compile_points, parse_expression, quotient
+from .expressions import Expression, compile_points, compile_vector, parse_expression
 from .fields import (
     HOLO_TOL,
     CovectorField,
@@ -62,20 +61,30 @@ from .util import (
 )
 
 
-def _as_complex_hamiltonian(H, m):
-    """Normalize a Hamiltonian on C^m given as expression text or callable.
+def _gradient_x(n, dH_c):
+    """X = (dH/dP, -dH/dQ) on C^{2n}, read off the values of the gradient dH_c."""
 
-    Returns the value and the gradient (dH/dz_j, slot by slot), both taking
-    a complex point or a stack of them.  The gradient of text folds the
-    derivatives in Q/P into their z-slots, and its ``point`` reads one point
-    as a tuple; that of a callable, or of text without a symbolic
-    derivative, is the central difference at each point.
+    def w(z):
+        g = dH_c(z)
+        return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
+
+    return w
+
+
+def _as_complex_hamiltonian(H, n):
+    """The value, gradient (dH/dz_j) and X = (dH/dP, -dH/dQ) of H on C^{2n}, text or callable.
+
+    Each takes a complex point or a stack.  For text the gradient and X are
+    compiled from the partial trees (those in Q/P folded into their z-slots)
+    by :func:`~phhs.expressions.compile_vector`, so X has a lane ``point``;
+    otherwise the gradient is the central difference and X is read off it.
     """
     if callable(H):
         H = rowwise(H)
-        return H, lambda z: complex_gradient(H, z)
+        dH = lambda z: complex_gradient(H, z)  # noqa: E731
+        return H, dH, _gradient_x(n, dH)
     expr = parse_expression(H)
-    names = coordinate_names(m, "complex")
+    names = coordinate_names(2 * n, "complex")
     value = compile_points(expr, names, complex)
 
     def fn(z):
@@ -84,24 +93,15 @@ def _as_complex_hamiltonian(H, m):
         return complex(v) if z.ndim == 1 else np.asarray(v, dtype=complex)
 
     try:
-        grads = [None] * m
+        grads = [None] * (2 * n)
         for name, k in names.items():
             d = expr.diff(name)
             grads[k] = d if grads[k] is None else grads[k] + d
     except ValueError:
-        return fn, lambda z: complex_gradient(fn, z)
-    partials = [compile_points(g, names, complex) for g in grads]
-    points = [d.point for d in partials]
-
-    def dfn(z):
-        z = np.asarray(z)
-        out = np.empty(z.shape, dtype=complex)
-        for k, d in enumerate(partials):
-            out[..., k] = d(z)
-        return out
-
-    dfn.point = lambda z: tuple([d(z) for d in points])
-    return fn, dfn
+        dH = lambda z: complex_gradient(fn, z)  # noqa: E731
+        return fn, dH, _gradient_x(n, dH)
+    X = grads[n:] + [Expression(("neg", g.ast), f"-({g.source})") for g in grads[:n]]
+    return fn, compile_vector(grads, names), compile_vector(X, names)
 
 
 def _as_real_scalar(f, m, what="field"):
@@ -181,47 +181,26 @@ def _as_real_scalar(f, m, what="field"):
     return fn, grad
 
 
-def _realify_holomorphic_field(V, scalar_form=None):
-    """The field X of a holomorphic V: components (Re V, Im V), with V as its complex form.
-
-    ``scalar_form`` is V at one point on Python complex numbers, if given.
-    """
-
-    def fn(p):
-        v = V(to_complex(p))
-        return from_complex(np.asarray(v, dtype=complex))
-
-    return VectorField(fn, name="X", complex_form=V, scalar_form=scalar_form)
-
-
 def _holomorphy_samples(m, seed=3):
     """An ``(8, m)`` stack of complex sample points."""
     return to_complex(seeded_points(seed, 8, 2 * m, scale=0.4))
 
 
-def _holomorphic_model(n, H_c, dH_c, X=None, **model_kwargs):
+def _holomorphic_model(n, H_c, dH_c, w, **model_kwargs):
     """The system of H on (C^{2n}, d lambda_can) with J = i, if H passes the Cauchy-Riemann check.
 
-    H_c and dH_c (dH/dz_j) take a complex point or a stack.  X, unless a
-    closed form is given, is (dH/dP, -dH/dQ), with a scalar form where dH_c
-    has a ``point``; the keywords go to :class:`~phhs.hamiltonian.PhhsModel`.
+    H_c, dH_c (dH/dz_j) and X's complex form w take a complex point or a
+    stack; w's ``point``, if any, is X's scalar form.  The keywords go to
+    :class:`~phhs.hamiltonian.PhhsModel`.
     """
     m = 2 * n
     res = holomorphy_residual(H_c, _holomorphy_samples(m))
     if res > HOLO_TOL:
         raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
-    if X is None:
-        g_point = getattr(dH_c, "point", None)
-
-        def v_c(z):
-            g = dH_c(z)
-            return np.concatenate([g[..., n:m], -g[..., :n]], axis=-1)
-
-        def v_point(z):
-            g = g_point(z)
-            return (*g[n:m], *map(neg, g[:n]))
-
-        X = _realify_holomorphic_field(v_c, None if g_point is None else v_point)
+    X = VectorField(
+        lambda p: from_complex(np.asarray(w(to_complex(p)), dtype=complex)),
+        name="X", complex_form=w, scalar_form=getattr(w, "point", None),
+    )
 
     def grad_r(p):
         g = dH_c(to_complex(p))
@@ -246,7 +225,7 @@ def build_standard_hhs(n, H):
     callable C^{2n} -> C, which is validated numerically through its
     Cauchy-Riemann defect (at most ``fields.HOLO_TOL``).
     """
-    return _holomorphic_model(n, *_as_complex_hamiltonian(H, 2 * n), name=f"standard_hhs_{n}")
+    return _holomorphic_model(n, *_as_complex_hamiltonian(H, n), name=f"standard_hhs_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +242,25 @@ def central_hamiltonian(z):
 Q_FLOOR = 1.4e-3
 
 
-def _cube(Q):
-    """Q^3 with numpy's bits: its power on arrays, the products Q (Q Q) that power makes on a Python complex.
+def _q_floor_checked(w):
+    """The central X ``w`` behind one check that |Q| stays above ``Q_FLOOR``: one function for arrays and the lane."""
+    point = w.point
 
-    numpy's array multiply may fuse a product (FMA) where its power does
-    not; Python's ``**`` starts from 1 + 0j and can lose a zero's sign.
-    """
-    return Q * (Q * Q) if type(Q) is complex else Q ** 3
+    def checked(z):
+        lane = type(z) is tuple
+        try:
+            too_close = abs(z[0] if lane else z[..., 0]) < Q_FLOOR
+        except OverflowError:  # Python's |Q| past the float range, where numpy's reads inf
+            too_close = False
+        if too_close if type(too_close) is bool else too_close.any():
+            raise NonFiniteStateError(
+                f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
+                row=int(np.argmax(too_close)) if np.ndim(too_close) else None,
+            )
+        return point(z) if lane else w(z)
 
-
-def _central_qp(Q, P):
-    """(dQ/dt, dP/dt) = (P, -1/(4 Q^3)) at arrays of Q and P, or with numpy's bits at two Python complex numbers.
-
-    The constants are complex, so Python takes the complex products numpy's cast makes.
-    """
-    try:
-        too_close = abs(Q) < Q_FLOOR
-    except OverflowError:  # Python's |Q| past the float range, where numpy's reads inf
-        too_close = False
-    if too_close if type(too_close) is bool else too_close.any():
-        z = np.stack([Q, P], axis=-1)
-        raise NonFiniteStateError(
-            f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
-            row=int(np.argmax(too_close)) if np.ndim(too_close) else None,
-        )
-    return P, quotient(-1.0 + 0j, (4.0 + 0j) * _cube(Q))
-
-
-def _central_v(z):
-    return np.array(_central_qp(*z.T), dtype=complex).T
+    checked.point = checked
+    return checked
 
 
 def central_closed_form(x0):
@@ -335,11 +304,12 @@ def central_closed_form(x0):
 
 def build_central_problem():
     """Hamiltonian P^2/2 - 1/(8 Q^2) on the patch Q != 0 of C* x C, based at (Q, P) = (1, 1/2)."""
+    X = compile_vector(("P1", "-1/(4*Q1^3)"), coordinate_names(2, "complex"))
     return _holomorphic_model(
         1,
         central_hamiltonian,
         lambda z: complex_gradient(central_hamiltonian, z),
-        X=_realify_holomorphic_field(_central_v, scalar_form=lambda z: _central_qp(*z)),
+        _q_floor_checked(X),
         base_point=(1.0, 0.5, 0.0, 0.0),
         closed_form=central_closed_form,
         name="central_problem",
@@ -421,8 +391,9 @@ def build_torus_model(lattice, H=None):
     if H is None:
         H_c = lambda z: 0.5 * np.sum(z[..., n:m] ** 2, axis=-1)  # noqa: E731
         dH_c = lambda z: np.concatenate([np.zeros_like(z[..., :n]), z[..., n:m]], axis=-1)  # noqa: E731
+        w = _gradient_x(n, dH_c)
     else:
-        H_c, dH_c = _as_complex_hamiltonian(H, m)
+        H_c, dH_c, w = _as_complex_hamiltonian(H, n)
     q_dep = max_abs(dH_c(_holomorphy_samples(m, seed=5))[..., :n])
     if q_dep > Q_TOL:
         raise QDependenceError(
@@ -442,7 +413,7 @@ def build_torus_model(lattice, H=None):
 
         return gamma
 
-    return _holomorphic_model(n, H_c, dH_c, closed_form=closed_form, name="torus")
+    return _holomorphic_model(n, H_c, dH_c, w, closed_form=closed_form, name="torus")
 
 
 def classify_torus_orbit(P0, lattice):
@@ -546,12 +517,8 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     h = exp(x1) has r = f/h depending on x1 only, which is exactly when
     Omega_R(J_g X, .) is exact and the twisted system is Hamiltonian.
 
-    J_g is built entry by entry by :func:`twist_matrix`, not as the matmul
-    I_g J I_g: each of its four nonzero entries is a sum with exactly one
-    nonzero term, one rounding of one product, so the two agree bit for bit
-    wherever J_g is finite.  Where 1/f or 1/h overflows the matmul fills a
-    row and a column with NaN (0 * inf) and the closed form leaves zeros
-    there; both rows are non-finite.
+    J_g is built entry by entry by :func:`twist_matrix`, bit for bit the
+    matmul I_g J I_g wherever J_g is finite.
     ``extras["I_g"]`` is I_g itself, from :func:`i_g_matrix`.
     J_g's scalar form is :func:`twist_rows`; X's, for a symbolic gradient,
     W^-1 grad H_R on floats (one nonzero per row of W^-1), made once for a

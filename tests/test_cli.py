@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -461,16 +463,39 @@ def test_a_value_of_the_wrong_kind_exits_3_and_names_its_key(tmp_path, capsys, v
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"flow": {"dt": math.inf}}, "flow.dt"),
+        ({"x0": [math.nan, 0.5, 0.0, 0.0]}, "x0[0]"),
+        ({"words": [[[0.1, -math.inf]]]}, "words[0][0][1]"),
+        ({"tolerances": {"energy": math.nan}}, "tolerances.energy"),
+    ],
+)
+def test_a_non_finite_scenario_number_exits_3_and_names_its_key(tmp_path, capsys, change, key):
+    # json reads NaN and Infinity; a scenario number must be finite
+    scenario = {"model": {"name": "central_problem"}, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]]], **change}
+    cfg = write_config(tmp_path, "cfg.json", scenario)
+    out = tmp_path / "o"
+    assert main(["foliate", "--config", cfg, "--out", str(out)]) == 3
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_a_number_is_a_constant_expression(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"model": {"name": "standard_hhs", "H": 2}, "per_axis": 2})
     assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
-def _focus_config(tmp_path, monkeypatch, verb, workload="bigrid"):
+def _focus_scenario(monkeypatch, verb, workload):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import scenarios
 
-    return write_config(tmp_path, "cfg.json", dict(scenarios.workload(workload, 0))[verb])
+    return dict(scenarios.workload(workload, 0))[verb]
+
+
+def _focus_config(tmp_path, monkeypatch, verb, workload="bigrid"):
+    return write_config(tmp_path, "cfg.json", _focus_scenario(monkeypatch, verb, workload))
 
 
 @pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
@@ -504,6 +529,34 @@ def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatc
     monkeypatch.setattr(flows, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert states == [tuple] * steps
+
+
+@pytest.mark.parametrize("verb, shorter", [("monodromy", "path"), ("foliate", "words")])
+def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorter):
+    # the package compiles the central X, one source for its array and lane forms, once, when the
+    # model is built: no flow, path segment or flow word compiles, so the count is the same with
+    # a quarter of the segments or one word
+    scenario = dict(_focus_scenario(monkeypatch, verb, "orbits"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compile(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "phhs" or name.startswith("phhs."):
+            monkeypatch.setattr(module, "compile", counted, raising=False)
+    counts = []
+    for cut in (None, shorter):
+        if cut == "path":
+            scenario["path"] = scenario["path"][::4]
+        elif cut == "words":
+            scenario["words"] = scenario["words"][:1]
+        cfg = write_config(tmp_path, f"cfg{len(counts)}.json", scenario)
+        calls.clear()
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / f"o{len(counts)}")]) == 0
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):

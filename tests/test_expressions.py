@@ -222,6 +222,30 @@ def test_point_path_power_is_numpys_power():
     assert power(2.0, 0.5) == np.float64(2.0) ** 0.5
 
 
+def test_integer_power_of_a_python_complex_is_numpys_products():
+    # numpy's complex power multiplies for an integer exponent below 100 (a a, a (a a), then
+    # binary powering onto 1 + 0j; 1 for 0, and 0 at a zero base): power makes the same
+    # products on a Python complex and keeps it one
+    bases = [complex(a, b) for a in _numbers(14, 10) for b in _numbers(15, 10)]
+    with np.errstate(all="ignore"):
+        for n in (*range(12), 31, 64, 99):
+            for z in bases:
+                got = power(z, float(n))
+                assert type(got) is complex and _same_bits(got, np.complex128(z) ** float(n)), (z, n)
+    assert type(power(1j, 100.0)) is type(power(1j, 2.5)) is type(power(1j, -2.0)) is np.complex128
+
+
+def test_point_path_keeps_an_integer_power_of_a_complex_coordinate_python_complex():
+    # the literal square and cube are written out, any other integer power goes to power: the
+    # point path returns a Python complex with the bits of the function at that point
+    fn = compile_points("Q1^3 - P1^2/5 + Q1^4*P1^7 + P1^(1+1)", coordinate_names(2, "complex"))
+    numbers = [0.0, -0.0, 0.75, -1.5, 1e200, np.inf, np.nan]
+    with np.errstate(all="ignore"):
+        for z in [(complex(a, b), complex(b, c)) for a in numbers for b in numbers for c in numbers[:4]]:
+            got = fn.point(z)
+            assert type(got) is complex and _same_bits(got, fn(np.array(z))), z
+
+
 @pytest.mark.parametrize(
     "text, layout",
     [

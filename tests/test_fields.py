@@ -44,8 +44,10 @@ def test_partial_jet_exponential_orders():
 
 
 def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FdConfig(step=-1.0)
+    # NaN fails every comparison, so a plain ``step <= 0`` test would let it through
+    for step in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FdConfig(step=step)
 
 
 def test_partial_jet_axis_range():

@@ -67,6 +67,12 @@ def test_step_budget_guard():
         flow(V, np.zeros(2), 1.0, FlowConfig(dt=1e-3, max_step_count=10))
 
 
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, float("nan"), float("inf")])
+def test_flow_config_rejects_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="dt must be"):
+        FlowConfig(dt=dt)
+
+
 def test_overflow_guard():
     V = VectorField(lambda p: np.array(p))
     with pytest.raises(NonFiniteStateError):
@@ -431,6 +437,24 @@ def _array_path(fields):
         X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=fields.X.complex_form),
         JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=fields.JX.complex_form),
     )
+
+
+def test_central_x_checks_the_q_floor_once_on_arrays_and_on_the_lane():
+    # X is the compiled text (P1, -1/(4 Q1^3)) behind one check: the lane returns Python complex
+    # numbers, raises the array's error, and passes a |Q| past the float range, where Python's
+    # abs raises and numpy's reads inf
+    X = models.build_central_problem().X_hook
+    w, s = X.complex_form, X.scalar_form
+    assert [type(c) for c in s((1.0 + 0.5j, 0.5 - 0.25j))] == [complex, complex]
+    messages = []
+    for f in (s, lambda z: w(np.array(z))):
+        with pytest.raises(NonFiniteStateError, match="Q = 0 locus") as info:
+            f((2e-4 - 1e-4j, 0.5 + 0j))
+        messages.append((str(info.value), info.value.row))
+    assert messages[0] == messages[1]
+    huge = (complex(1e308, -1e308), 0.5 + 0j)
+    with np.errstate(all="ignore"):
+        assert _same_bits(np.array(s(huge)), w(np.array(huge)))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phhs import models
+from phhs import flows, models
 from phhs.errors import (
     NonFiniteStateError,
     NotHolomorphicError,
@@ -360,3 +364,44 @@ def test_lattice_reduce_lands_in_the_half_open_interval():
     B = np.array([[2.0, 0.0], [1.0, 1.0]])  # generators (2, 0) and (1, 1)
     # (1, 1/2) has coefficients (1/4, 1/2), so it reduces to (1/4) (2, 0) - (1/2) (1, 1)
     assert models.Lattice(B).reduce(np.array([1.0, 0.5])).tolist() == [0.0, -0.5]
+
+
+def _factor(name, k):
+    # a power 1 is the name itself: the derivative of Q1^1 reads Q1^0, numpy's power at a point
+    return {0: None, 1: name}.get(k, f"{name}^{k}")
+
+
+@st.composite
+def polynomial_text(draw):
+    """A polynomial H in Q1 and P1: integer powers 1-4, + - *, and / by nonzero constants."""
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        factors = [draw(st.sampled_from(["1", "2", "0.3", "5"])), _factor("Q1", draw(st.integers(0, 4)))]
+        factors.append(_factor("P1", draw(st.integers(0, 4))))
+        term = "*".join(f for f in factors if f)
+        if draw(st.booleans()):
+            term += "/" + draw(st.sampled_from(["2", "7", "0.1", "-3"]))
+        sign = draw(st.sampled_from(["+", "-"]))
+        text += f" {sign} {term}" if i else ("-" if sign == "-" else "") + term
+    return text
+
+
+_SIGNED_ZEROS = [complex(a, b) for a, b in itertools.product([0.0, -0.0], repeat=2)]
+LANE_POINTS = [
+    *to_complex(seeded_points(29, 6, 4, scale=1.5)),
+    *(np.array(z) for z in itertools.product(_SIGNED_ZEROS, repeat=2)),
+    np.array([complex(-0.0, 0.7), complex(1.25, -0.0)]),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=polynomial_text())
+def test_generated_lane_forms_equal_the_complex_forms_at_the_point(H):
+    # X, J X and a X + b J X of a text H come from one compiled source: the lane value is the
+    # complex form's at the point, bit for bit, and every lane component a Python complex
+    fields = assemble_phhs(models.build_standard_hhs(1, H))
+    for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
+        for z in LANE_POINTS:
+            lane = V.scalar_form(tuple(z.tolist()))
+            assert [type(c) for c in lane] == [complex, complex], (V.name, z)
+            assert np.array(lane).tobytes() == np.asarray(V.complex_form(z)).tobytes(), (V.name, z)
