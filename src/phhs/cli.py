@@ -15,6 +15,9 @@ Outputs: CSV data files plus ``summary.json``, which echoes the configuration
 flag.  Identical configurations give byte-identical outputs: floats are
 written with 17 significant digits and no timestamps enter the files.
 
+``--tolerance-scale`` multiplies every tolerance; a scale that is not
+positive and finite is a configuration error.
+
 Exit codes: 0 all checks pass, 2 numerical check failed, 3 configuration or
 expression parse error, 4 runtime failure (singular locus, step budget, ...).
 """
@@ -508,9 +511,12 @@ def main(argv=None):
     parser.add_argument("--tolerance-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
+        # the scale multiplies every tolerance: NaN or one below zero fails every check, inf passes all
+        if not 0.0 < args.tolerance_scale < math.inf:
+            _fail("--tolerance-scale", "a positive finite number", args.tolerance_scale)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         cfg = json.loads(Path(args.config).read_text())
         return VERBS[args.verb](cfg, outdir, args.tolerance_scale)
     except np.linalg.LinAlgError as exc:

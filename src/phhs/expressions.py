@@ -24,6 +24,7 @@ Parse errors carry the exact byte offset of the first byte at which no
 grammar continuation exists, plus the set of acceptable token classes.
 """
 
+import math
 import operator
 from collections import namedtuple
 
@@ -86,22 +87,27 @@ def quotient(a, b):
 def power(a, b):
     """a ** b as numpy's scalars take it, on Python numbers too.
 
-    A Python complex to an integer float power n, 0 <= n < 100, is the
+    A Python complex to an integer float power n, -100 < n < 100, is the
     products of numpy's complex power, a Python complex: 1 for n = 0, 0 at a
-    zero base, a, a a and a (a a) for n = 1, 2, 3, binary powering onto 1 + 0j past that.
+    zero base for n > 0 and NaN + NaN j for n < 0, a, a a and a (a a) for
+    n = 1, 2, 3, binary powering of |n| onto 1 + 0j past that and for every
+    n < 0, whose power is then the reciprocal ``quotient(1 + 0j, r)`` of that.
     """
-    if type(a) is complex and type(b) is float and b.is_integer() and 0.0 <= b < 100.0:
+    if type(a) is complex and type(b) is float and b.is_integer() and -100.0 < b < 100.0:
         n, r = int(b), 1 + 0j
-        if n == 0 or not a:
-            return 0j if n else r
-        if n < 4:
+        if n == 0:
+            return r
+        if not a:
+            return 0j if n > 0 else complex(math.nan, math.nan)
+        if 0 < n < 4:
             return (a, a * a, a * (a * a))[n - 1]
+        m = abs(n)
         while True:
-            if n & 1:
+            if m & 1:
                 r *= a
-            n >>= 1
-            if not n:
-                return r
+            m >>= 1
+            if not m:
+                return r if n > 0 else complex(quotient(1 + 0j, r))  # a zero r divides as numpy scalars
             a *= a
     return _numpy(a) ** b
 

@@ -2,10 +2,13 @@
 
 All integration is fixed-step classical Runge-Kutta 4: determinism is worth
 more than adaptivity for golden-value work, and the step budget guards the
-singular loci.  :func:`rk4_step` is the only place the RK4 stage formula is
-written, and :func:`rk4_states` the only loop over steps; every flow in the
-package, the period measurement of :mod:`phhs.morse` included, advances
-through them.
+singular loci.  The stage and the update are written once, as the formula
+strings ``_STAGE`` and ``_UPDATE``: the array path's :func:`rk4_step` and
+the scalar lane's generated steppers are both made from them.  An array
+state steps through one loop of :func:`rk4_step` calls and a lane state
+through its stepper; :func:`rk4_states` yields the states of either, and
+every flow in the package, the period measurement of :mod:`phhs.morse`
+included, advances through them.
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule; the field is then evaluated on the whole stack at
@@ -39,7 +42,15 @@ complex product is a Python complex (CPython 3.14 would multiply a float by
 a complex without numpy's cast), compiled text keeps numpy's quotient and
 power (:mod:`phhs.expressions`), a matrix product numpy's sum onto +0.0
 (:func:`~phhs.fields.matvec_point`) and the Morse angle ``np.arctan2``.  A
-lane error names the step, time and state the array path names.
+lane error names the step, time and state the array path names.  The lane
+steps through :func:`_lane_stepper`, straight-line code generated once per
+process for each component count m and cached by m: the four stages and the
+update of each component written out, the field's scalar form called four
+times a step, the box test inline.  A flow's endpoint takes one call of it
+for all its steps (:func:`flow`, :func:`flow_word`,
+:func:`continue_along_path`, the swap check of :func:`grid_monitors`);
+:func:`rk4_states` calls it once per step, so the Morse angle event sees
+every state.
 
 Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
 for t and then J X for s from the anchor; paths in the complex time plane
@@ -47,7 +58,8 @@ are polylines integrated segment by segment.
 """
 
 from dataclasses import dataclass, replace
-from itertools import count, islice, repeat
+from functools import cache
+from itertools import count, islice
 
 import numpy as np
 
@@ -56,7 +68,6 @@ from .fields import VectorField, grid_derivative, holomorphic_map, matvec, matve
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
-_IN_BOX = BLOWUP.__ge__  # |c| <= BLOWUP for one lane component, False on NaN
 
 
 @dataclass(frozen=True)
@@ -77,16 +88,11 @@ def _check_state(y, step, h):
 
     The box bounds every real component, of a complex state too.  The error
     names the step, the flow time reached and, for a stack, the first row
-    that left (and its state, in the real (x, y) layout).  A lane state
-    past the bound is checked, and reported, as the array it stands for.
+    that left (and its state, in the real (x, y) layout).  A lane state, a
+    tuple whose inline box test failed, is checked, and reported, as the
+    array it stands for.
     """
-    if type(y) is tuple:
-        try:
-            if all(map(_IN_BOX, map(abs, y))):
-                return
-        except OverflowError:  # Python's |z| past the float range: outside the box
-            pass
-        y = np.array(y)
+    y = np.asarray(y)
     # NaN fails the comparisons, so this also rejects non-finite entries; |z|
     # bounds both parts of a complex entry, so only a state with some |z| past
     # the bound needs the check of the float view
@@ -105,43 +111,107 @@ def _check_state(y, step, h):
     )
 
 
-def _stage(y, c, k):
-    """The RK4 stage state y + c k."""
-    return y + c * k
+# The RK4 stage state y + c k and the step's end state y + (h/6)(k1 + 2 k2 + 2 k3 + k4), the one
+# written form of each: the array path's _stage and _update and every lane stepper are made from them.
+_STAGE = "{y} + {c} * {k}"
+_UPDATE = "{y} + {sixth} * ({k1} + {two} * {k2} + {two} * {k3} + {k4})"
 
 
-def _update(y, sixth, k1, k2, k3, k4, two):
-    """The RK4 step's end state y + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
-    return y + sixth * (k1 + two * k2 + two * k3 + k4)
+def _formula(name, text, *args):
+    """The function ``name(*args)`` returning the formula ``text`` of its arguments."""
+    namespace = {}
+    source = f"def {name}({', '.join(args)}):\n    return {text.format_map({a: a for a in args})}"
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_stage = _formula("_stage", _STAGE, "y", "c", "k")
+_update = _formula("_update", _UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
+
+
+def _coefficients(complex_state, h):
+    """half, full, sixth and two of a step of size h: Python complex numbers for a complex state.
+
+    numpy would cast each float to x + 0j anyway, and on the lane each
+    product is then the complex one numpy makes.  A numpy h (a grid's node
+    spacing) is read as a Python float, so a float lane steps Python floats.
+    """
+    h = float(h)
+    if complex_state:
+        return complex(0.5 * h), complex(h), complex(h / 6.0), 2.0 + 0j
+    return 0.5 * h, h, h / 6.0, 2.0
 
 
 def rk4_step(V, y, h):
     """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
 
     ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
-    the same shape, and the stages keep the dtype of ``y``.  On the scalar
-    lane ``y`` and V's value are tuples of Python numbers (a numpy scalar
-    stands in for one of its kind), and the stage helpers are mapped over
-    the components.  The step's coefficients are made once, as Python
-    complex numbers for a complex state: numpy would cast each float to
-    x + 0j anyway, and on the lane each product is the complex one numpy makes.
+    the same shape, and the stages keep the dtype of ``y``.  The scalar
+    lane steps through :func:`_lane_stepper`, made from the same formulas.
     """
-    lane = type(y) is tuple
-    if isinstance(y[0], complex) if lane else y.dtype.kind == "c":
-        half, full, sixth, two = complex(0.5 * h), complex(h), complex(h / 6.0), 2.0 + 0j
-    else:
-        half, full, sixth, two = 0.5 * h, h, h / 6.0, 2.0
-    if lane:
-        k1 = V(y)
-        k2 = V(tuple(map(_stage, y, repeat(half), k1)))
-        k3 = V(tuple(map(_stage, y, repeat(half), k2)))
-        k4 = V(tuple(map(_stage, y, repeat(full), k3)))
-        return tuple(map(_update, y, repeat(sixth), k1, k2, k3, k4, repeat(two)))
+    half, full, sixth, two = _coefficients(y.dtype.kind == "c", h)
     k1 = np.asarray(V(y), dtype=y.dtype)
     k2 = np.asarray(V(_stage(y, half, k1)), dtype=y.dtype)
     k3 = np.asarray(V(_stage(y, half, k2)), dtype=y.dtype)
     k4 = np.asarray(V(_stage(y, full, k3)), dtype=y.dtype)
     return _update(y, sixth, k1, k2, k3, k4, two)
+
+
+@cache
+def _lane_stepper(m):
+    """The scalar lane's RK4 stepper for m components, generated once per process.
+
+    ``stepper(F, y, n, first_step, h, half, full, sixth, two)`` takes steps
+    first_step, ..., first_step + n - 1 of size h of F, the field's scalar
+    form, from the tuple ``y`` and returns the tuple state after them, with
+    the coefficients of :func:`_coefficients`.  Each step is straight-line
+    code on y0..y{m-1}: four calls of F, and the stages and the update of
+    each component written from ``_STAGE`` and ``_UPDATE``, so their
+    operations are those of :func:`rk4_step` on a one-point array.  The
+    box test of :func:`_check_state` is inlined, |y_j| <= BLOWUP per
+    component; a state that fails it, or whose Python |z| overflows, goes
+    to :func:`_check_state`, which passes it if every real part is inside
+    the box and raises its error otherwise.  A field's
+    ``NonFiniteStateError`` is located in its step by :func:`_located`.
+    """
+    y = [f"y{j}" for j in range(m)]
+    k = [[f"k{i}_{j}" for j in range(m)] for i in range(1, 5)]
+
+    def state(names):
+        return f"({', '.join(names)},)"
+
+    def stage(c, ks):
+        return state([_STAGE.format(y=a, c=c, k=b) for a, b in zip(y, ks)])
+
+    def update(j):
+        k1, k2, k3, k4 = (ks[j] for ks in k)
+        return _UPDATE.format(y=y[j], sixth="sixth", k1=k1, k2=k2, k3=k3, k4=k4, two="two")
+
+    source = [
+        "def lane(F, y, n, first_step, h, half, full, sixth, two):",
+        f"    {state(y)} = y",
+        "    for step in range(first_step, first_step + n):",
+        "        try:",
+        f"            {state(k[0])} = F({state(y)})",
+        f"            {state(k[1])} = F({stage('half', k[0])})",
+        f"            {state(k[2])} = F({stage('half', k[1])})",
+        f"            {state(k[3])} = F({stage('full', k[2])})",
+        "        except NonFiniteStateError as exc:",
+        "            if exc.step is not None:",
+        "                raise",
+        f"            raise _located(exc, {state(y)}, step, h) from exc",
+        *(f"        {y[j]} = {update(j)}" for j in range(m)),
+        "        try:",
+        f"            inside = {' and '.join(f'{BLOWUP!r} >= abs({a})' for a in y)}",
+        "        except OverflowError:  # Python's |z| past the float range: outside the box",
+        "            inside = False",
+        "        if not inside:",
+        f"            _check_state({state(y)}, step, h)",
+        f"    return {state(y)}",
+    ]
+    namespace = {"NonFiniteStateError": NonFiniteStateError, "_located": _located, "_check_state": _check_state}
+    exec(compile("\n".join(source), f"<RK4 lane of {m} components>", "exec"), namespace)
+    return namespace["lane"]
 
 
 def _located(exc, y, step, h):
@@ -177,13 +247,26 @@ def _start(V, x0):
 def rk4_states(V, x0, h):
     """The checked states after steps 1, 2, ... of the RK4 flow of V from ``x0`` with step h, endlessly.
 
-    The state is the one :func:`_start` picks.  The four stages of the first
-    step call the field itself, so ``Field.__call__`` checks that it returns
-    one value per row of the state; every later step calls the field's
-    function ``fn`` on the same shape and dtype unchecked.  A bare callable,
-    a complex form and a scalar form are called as they are.
+    The state is the one :func:`_start` picks.  A lane state is advanced one
+    step per call of its :func:`_lane_stepper`, so a caller sees every
+    state, the Morse angle event included.  On the array path the four
+    stages of the first step call the field itself, so ``Field.__call__``
+    checks that it returns one value per row of the state; every later
+    step calls the field's function ``fn`` on the same shape and dtype
+    unchecked.  A bare callable and a complex form are called as they are.
     """
     F, y = _start(V, x0)
+    return _lane_states(F, y, h) if type(y) is tuple else _array_states(F, y, h)
+
+
+def _lane_states(F, y, h):
+    lane, coefficients = _lane_stepper(len(y)), _coefficients(isinstance(y[0], complex), h)
+    for step in count(1):
+        y = lane(F, y, 1, step, h, *coefficients)
+        yield y
+
+
+def _array_states(F, y, h):
     for step in count(1):
         try:
             y = rk4_step(F, y, h)
@@ -198,10 +281,14 @@ def rk4_states(V, x0, h):
 
 
 def _rk4(V, x0, t, n_steps):
-    """Endpoint of n_steps :func:`rk4_states` steps over time t, as a real array."""
-    for y in islice(rk4_states(V, x0, t / n_steps), n_steps):
-        pass
-    y = np.asarray(y)
+    """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call on the lane."""
+    h = t / n_steps
+    F, y = _start(V, x0)
+    if type(y) is tuple:
+        y = np.array(_lane_stepper(len(y))(F, y, n_steps, 1, h, *_coefficients(isinstance(y[0], complex), h)))
+    else:
+        for y in islice(_array_states(F, y, h), n_steps):
+            pass
     return from_complex(y) if y.dtype.kind == "c" else y
 
 

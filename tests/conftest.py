@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from phhs import models
+from phhs import flows, models
 from phhs.hamiltonian import assemble_phhs
 
 
@@ -30,3 +32,27 @@ def torus_square():
     lattice = models.Lattice(np.eye(2))
     model = models.build_torus_model(lattice)
     return model, assemble_phhs(model)
+
+
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """The RK4 steps taken from here on: ``lane``, the sum of the lane steppers' n, and ``array``, the ``rk4_step`` calls."""
+    taken = Counter()
+    lane_stepper, rk4_step = flows._lane_stepper, flows.rk4_step
+
+    def counted_stepper(m):
+        run = lane_stepper(m)
+
+        def lane(F, y, n, *rest):
+            taken["lane"] += n
+            return run(F, y, n, *rest)
+
+        return lane
+
+    def counted_step(V, y, h):
+        taken["array"] += 1
+        return rk4_step(V, y, h)
+
+    monkeypatch.setattr(flows, "_lane_stepper", counted_stepper)
+    monkeypatch.setattr(flows, "rk4_step", counted_step)
+    return taken

@@ -482,6 +482,18 @@ def test_a_non_finite_scenario_number_exits_3_and_names_its_key(tmp_path, capsys
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("scale, shown", [("nan", "NaN"), ("inf", "Infinity"), ("0", "0.0"), ("-1", "-1.0")])
+def test_a_tolerance_scale_that_is_not_positive_and_finite_exits_3(tmp_path, capsys, scale, shown):
+    # NaN or a scale below zero fails every check, and inf passes every one
+    scenario = {"model": {"name": "central_problem"}, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[0.1, 0.0]]]}
+    cfg = write_config(tmp_path, "cfg.json", scenario)
+    out = tmp_path / "o"
+    assert main(["foliate", "--config", cfg, "--out", str(out), "--tolerance-scale", scale]) == 3
+    assert f"--tolerance-scale must be a positive finite number, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["foliate", "--config", cfg, "--out", str(out), "--tolerance-scale", "0.5"]) == 0
+
+
 def test_a_number_is_a_constant_expression(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"model": {"name": "standard_hhs", "H": 2}, "per_axis": 2})
     assert main(["integrability-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -499,43 +511,28 @@ def _focus_config(tmp_path, monkeypatch, verb, workload="bigrid"):
 
 
 @pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
-def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, verb, steps):
+def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, rk4_steps, verb, steps):
     # both grids take 2,016 steps: the t sweep 1,008 and the stacked s sweep 1,008;
     # only integrate reports the swap check, whose two flows take 1,000 steps each
     cfg = _focus_config(tmp_path, monkeypatch, verb)
-    taken = []
-    rk4_step = flows.rk4_step
-
-    def counted(V, y, h):
-        taken.append(h)
-        return rk4_step(V, y, h)
-
-    monkeypatch.setattr(flows, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(taken) == steps
+    assert rk4_steps["lane"] + rk4_steps["array"] == steps
 
 
 @pytest.mark.parametrize("verb, steps", [("monodromy", 6336), ("foliate", 10000), ("morse-period", 9426)])
-def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatch, verb, steps):
-    # every step of the three verbs flows one point, and takes the scalar lane through rk4_step
+def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatch, rk4_steps, verb, steps):
+    # every step of the three verbs flows one point, and takes the scalar lane's generated stepper
     cfg = _focus_config(tmp_path, monkeypatch, verb, "orbits")
-    states = []
-    rk4_step = flows.rk4_step
-
-    def counted(V, y, h):
-        states.append(type(y))
-        return rk4_step(V, y, h)
-
-    monkeypatch.setattr(flows, "rk4_step", counted)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert states == [tuple] * steps
+    assert rk4_steps == {"lane": steps}
 
 
 @pytest.mark.parametrize("verb, shorter", [("monodromy", "path"), ("foliate", "words")])
 def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorter):
     # the package compiles the central X, one source for its array and lane forms, once, when the
-    # model is built: no flow, path segment or flow word compiles, so the count is the same with
-    # a quarter of the segments or one word
+    # model is built, and the lane stepper of its two components once, at the first flow: no
+    # further flow, path segment or flow word compiles, so the count is the same with a quarter
+    # of the segments or one word
     scenario = dict(_focus_scenario(monkeypatch, verb, "orbits"))
     calls = []
 
@@ -554,9 +551,10 @@ def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorte
             scenario["words"] = scenario["words"][:1]
         cfg = write_config(tmp_path, f"cfg{len(counts)}.json", scenario)
         calls.clear()
+        flows._lane_stepper.cache_clear()
         assert main([verb, "--config", cfg, "--out", str(tmp_path / f"o{len(counts)}")]) == 0
         counts.append(len(calls))
-    assert counts == [1, 1]
+    assert counts == [2, 2]
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
@@ -596,17 +594,13 @@ def test_csv_rows_are_written_as_their_cells(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "\n".join(["a,b,c,d,e,f", *cells]) + "\n"
 
 
-def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch):
+def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch, rk4_steps):
     # the same flows and the same J_g rows as ever; the row check of Field.__call__ runs on
     # user calls, assemble_phhs's sample stack and each flow's first step, not on every stage
     cfg = _focus_config(tmp_path, monkeypatch, "integrate")
-    count = {"steps": 0, "J_g rows": 0, "J_g lane points": 0, "I_g rows": 0, "Field calls": 0}
-    rk4_step, field_call = flows.rk4_step, fields.Field.__call__
+    count = {"J_g rows": 0, "J_g lane points": 0, "I_g rows": 0, "Field calls": 0}
+    field_call = fields.Field.__call__
     twist_matrix, twist_rows, i_g_matrix = models.twist_matrix, models.twist_rows, models.i_g_matrix
-
-    def step(V, y, h):
-        count["steps"] += 1
-        return rk4_step(V, y, h)
 
     def twist(f_val, h_val):
         count["J_g rows"] += np.size(f_val)
@@ -624,7 +618,6 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
         count["Field calls"] += 1
         return field_call(self, p)
 
-    monkeypatch.setattr(flows, "rk4_step", step)
     monkeypatch.setattr(models, "twist_matrix", twist)
     monkeypatch.setattr(models, "twist_rows", twist_point)
     monkeypatch.setattr(models, "i_g_matrix", i_g)
@@ -632,7 +625,8 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     # the swap check's single-point J X flow, 1,000 steps of four stages, builds its 4,000
     # J_g on the scalar lane; the other 76,260 rows are arrays
-    assert count["steps"] == 4016 and count["J_g rows"] + count["J_g lane points"] == 80260
+    assert rk4_steps == {"lane": 3008, "array": 1008}
+    assert count["J_g rows"] + count["J_g lane points"] == 80260
     assert count["J_g lane points"] == 4000
     # J_g is built in closed form; no I_g matrix is formed on the way
     assert count["I_g rows"] == 0

@@ -232,7 +232,27 @@ def test_integer_power_of_a_python_complex_is_numpys_products():
             for z in bases:
                 got = power(z, float(n))
                 assert type(got) is complex and _same_bits(got, np.complex128(z) ** float(n)), (z, n)
-    assert type(power(1j, 100.0)) is type(power(1j, 2.5)) is type(power(1j, -2.0)) is np.complex128
+    assert type(power(1j, 100.0)) is type(power(1j, 2.5)) is np.complex128
+    assert type(power(1j, -2.0)) is complex
+
+
+def test_negative_integer_power_of_a_python_complex_is_numpys_reciprocal():
+    # for -100 < n < 0 numpy powers the base |n| times onto 1 + 0j, as for n > 3, and divides
+    # 1 + 0j by that product (NaN + NaN j at a zero base): power keeps the bits and a Python
+    # complex on the 576 bases, zeros, inf, NaN and 1e200 among them
+    numbers = _numbers(13, 13)
+    bases = [complex(a, b) for a in numbers for b in numbers]
+    assert len(bases) == 576
+    with np.errstate(all="ignore"):
+        for n in range(-99, 0):
+            for z in bases:
+                got = power(z, float(n))
+                assert type(got) is complex and _same_bits(got, np.complex128(z) ** float(n)), (z, n)
+    fn = compile_points("Q1^-2 + P1^(-5)", coordinate_names(2, "complex"))
+    with np.errstate(all="ignore"):
+        for z in [(q, p) for q in bases[::7] for p in bases[::29]]:
+            got = fn.point(z)
+            assert type(got) is complex and _same_bits(got, fn(np.array(z))), z
 
 
 def test_point_path_keeps_an_integer_power_of_a_complex_coordinate_python_complex():

@@ -1,14 +1,16 @@
 import copy
 import dataclasses
+import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phhs import cli, fields as fields_lib, flows, models, util
-from phhs.errors import NonFiniteStateError, StepBudgetExceededError
+from phhs import cli, fields as fields_lib, flows, models, morse as morse_lib, util
+from phhs.errors import NonFiniteStateError, PhhsError, StepBudgetExceededError
 from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec
 from phhs.flows import (
     FlowConfig,
@@ -506,22 +508,14 @@ def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, k):
     assert _same_bits(continue_along_path(lane, x0, path, COARSE), continue_along_path(array, x0, path, COARSE))
 
 
-def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch, tmp_path):
-    # every step of a single-point flow gets a tuple state, and the stacks stay arrays
+def test_scalar_lane_takes_no_numpy_step(central_lane, rk4_steps, tmp_path):
+    # every step of a single-point flow is a lane step, and the stacks step as arrays
     lane, _ = central_lane
-    states = []
-    rk4_step = flows.rk4_step
-
-    def spy(V, y, h):
-        states.append(type(y))
-        return rk4_step(V, y, h)
-
-    monkeypatch.setattr(flows, "rk4_step", spy)
     end = flow(lane.X, X0, 0.1, COARSE)
-    assert states == [tuple] * 10 and end.dtype == float and end.shape == (4,)
-    states.clear()
+    assert rk4_steps == {"lane": 10} and end.dtype == float and end.shape == (4,)
+    rk4_steps.clear()
     flow(lane.JX, np.array([X0, X0]), 0.1, COARSE)
-    assert states == [np.ndarray] * 10
+    assert rk4_steps == {"array": 10}
     # the bigrid focus scenarios: twisted integrate steps one point in its t sweep (1,008 steps)
     # and in the swap check's J X and X flows (1,000 each), the stacked s sweep 1,008 times;
     # the oscillator's action-check has no swap check
@@ -529,12 +523,11 @@ def test_scalar_lane_takes_no_numpy_step(central_lane, monkeypatch, tmp_path):
     import scenarios
 
     for verb, lane_steps in (("integrate", 3008), ("action-check", 1008)):
-        states.clear()
+        rk4_steps.clear()
         config = tmp_path / f"{verb}.json"
         config.write_text(json.dumps(dict(scenarios.workload("bigrid", 0))[verb]))
         assert cli.main([verb, "--config", str(config), "--out", str(tmp_path / verb)]) == 0
-        assert states.count(tuple) == lane_steps and states.count(np.ndarray) == 1008
-        assert len(states) == lane_steps + 1008
+        assert rk4_steps == {"lane": lane_steps, "array": 1008}
 
 
 @pytest.mark.parametrize(
@@ -722,3 +715,133 @@ def test_lane_keeps_the_not_real_valued_error():
             flow(f.JX, [10.0, 0.0, 1.0, 0.0], 0.3, CFG)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# the lane's generated stepper against rk4_step on one-point arrays
+# ---------------------------------------------------------------------------
+
+
+# each component of a stepped state: signed zeros, an ordinary number, 1e200, inf, NaN, and
+# 1.5e308, whose Python |z| overflows where both parts do (numpy reads inf)
+STEP_VALUES = [0.0, -0.0, 0.3, -1.3, 1e200, 1.5e308, np.inf, -np.inf, np.nan]
+
+
+def _first_step(states):
+    """What the first of ``states`` gives: (state, None), or the error's (state or None, (type, step, time, row, message))."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(next(states)), None
+    except NonFiniteStateError as exc:
+        return exc.state, (NonFiniteStateError, exc.step, exc.time, exc.row, str(exc))
+    except PhhsError as exc:  # the field's own error
+        return None, (type(exc), str(exc))
+
+
+def _lane_fields():
+    """(name, field, complex state): a Morse orbit field, a twisted X and a central combination."""
+    orbit = morse_lib.hamiltonian_flow_field(morse_lib.PlanarSystem(v="2 + sin(x1)", T=np.pi))
+    twisted = assemble_phhs(LANE_MODELS["twisted_varying"][0](), check_closedness=False)
+    central = assemble_phhs(models.build_central_problem())
+    combination = flows._combo_field(central, 0.6, -0.8)
+    return [("orbit", orbit, False), ("twisted X", twisted.X, False), ("central combination", combination, True)]
+
+
+def _same_up_to_nans(a, b):
+    """The same dtype, shape and NaN places, and the same bits in every other real component."""
+    if not (a.dtype == b.dtype and a.shape == b.shape):
+        return False
+    a, b = a.view(float), b.view(float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("k", range(3), ids=["orbit-m2", "twisted-m4", "central-complex-m2"])
+def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
+    # every state with components from STEP_VALUES, and seeded ordinary ones: the generated step
+    # is rk4_step on the one-point array, with the array path's box check and error location,
+    # tobytes() for tobytes(), on the field's scalar form lifted to the array and on its array
+    # form.  Only a NaN's sign may differ: which operand's NaN an IEEE operation returns is not
+    # fixed across numpy's loops, nor across CPython's own float operations (its specialized
+    # float add returns the other operand's NaN than the generic one), so a state with a NaN
+    # keeps its NaN places and the bits of its other components
+    name, V, complex_state = _lane_fields()[k]
+    s = V.scalar_form
+    array_forms = [lambda p: np.array(s(tuple(p.tolist()))), V.complex_form if complex_state else V]
+    h = 0.05
+    if complex_state:
+        parts = [complex(a, b) for a in STEP_VALUES for b in STEP_VALUES]
+        states = [np.array(z) for z in itertools.product(parts, repeat=2)]
+        states += list(to_complex(util.seeded_points(3, 50, 4, scale=0.5, center=X0)))
+    else:
+        m = 2 if name == "orbit" else 4
+        states = [np.array(p) for p in itertools.product(STEP_VALUES, repeat=m)]
+        states += list(util.seeded_points(3, 50, m, scale=0.5))
+    outcomes = Counter()
+    for y in states:
+        state, error = _first_step(flows._lane_states(s, tuple(y.tolist()), h))
+        for form in array_forms:
+            array_state, array_error = _first_step(flows._array_states(form, y, h))
+            assert error == array_error, (name, y)
+            assert state is None is array_state or _same_up_to_nans(state, array_state), (name, y)
+        outcomes["state" if error is None else error[0].__name__] += 1
+    # ordinary steps and the box's error occur, and v's own error on the orbit (at inf and NaN)
+    assert outcomes["state"] >= 50 and outcomes["NonFiniteStateError"] > 0
+    assert (outcomes["ZeroDenominatorError"] > 0) is (name == "orbit")
+
+
+def test_lane_stepper_runs_n_steps_as_n_single_steps():
+    # one call for a whole flow and one call per step give the same state, as does rk4_step
+    fields = assemble_phhs(models.build_central_problem())
+    w, s = fields.X.complex_form, fields.X.scalar_form
+    z0 = to_complex(X0)
+    h = 1e-3
+    coefficients = flows._coefficients(True, h)
+    lane = flows._lane_stepper(2)
+    whole = lane(s, tuple(z0.tolist()), 250, 1, h, *coefficients)
+    single = tuple(z0.tolist())
+    for step in range(1, 251):
+        single = lane(s, single, 1, step, h, *coefficients)
+    array = z0
+    for _ in range(250):
+        array = flows.rk4_step(w, array, h)
+    assert _same_bits(np.array(whole), np.array(single)) and _same_bits(np.array(whole), array)
+    assert flows._lane_stepper(2) is lane
+
+
+def test_lane_stepper_box_test_defers_to_check_state():
+    # |z| past the bound with both parts inside passes, as _check_state passes it; a |z| past
+    # the float range (Python's abs raises) and a part past the bound raise its error
+    lane = flows._lane_stepper(2)
+    zero = lambda q: (0j, 0j)  # noqa: E731
+    coefficients = flows._coefficients(True, 0.1)
+    inside = (0.8e8 + 0.8e8j, 1.0 + 0j)
+    assert lane(zero, inside, 3, 1, 0.1, *coefficients) == inside
+    for y, layout in (((1.5e308 + 1.5e308j, 0j), [1.5e308, 0.0, 1.5e308, 0.0]), ((3.0 + 1.5e8j, 0j), [3.0, 0.0, 1.5e8, 0.0])):
+        with pytest.raises(NonFiniteStateError) as info:
+            lane(zero, y, 5, 4, 0.1, *coefficients)
+        err = info.value
+        assert (err.step, err.time, err.row) == (4, 4 * 0.1, None)
+        assert str(err) == "flow state overflowed at step 4 (flow time 0.40000000000000002); a singular locus was hit"
+        assert _same_bits(err.state, np.array(layout))
+
+
+def test_lane_errors_keep_their_recorded_step_time_and_message():
+    # recorded before the lane stepper was generated: the central X from near the Q floor raises
+    # its field error in step 35, and from a large P leaves the box at step 1011
+    fields = assemble_phhs(models.build_central_problem())
+    floor, box = [], []
+    for x0, t, out in (([0.14, -0.5, 0.0, 0.0], 0.3, floor), ([1.0, 0.99e8, 0.0, 0.0], 2.0, box)):
+        with pytest.raises(NonFiniteStateError) as info:
+            flow(fields.X, x0, t, CFG)
+        err = info.value
+        out.extend([type(err.__cause__), err.step, err.time, err.row, [c.hex() for c in err.state.tolist()], str(err)])
+    assert floor == [
+        NonFiniteStateError, 35, 0.034, None, ["0x1.44cafc96b25e7p-6", "-0x1.a00d7e21d1f9cp+4", "0x0.0p+0", "0x0.0p+0"],
+        "central problem evaluated too close to the Q = 0 locus at [-1.20055389e-03 -4.19687736e+02"
+        "  0.00000000e+00  0.00000000e+00], in step 35 of the flow (from flow time 0.034000000000000002)",
+    ]
+    assert box == [
+        type(None), 1011, 1.0110000000000001, None, ["0x1.7dcf2a3fff478p+26", "0x1.79a7afffff514p+26", "0x0.0p+0", "0x0.0p+0"],
+        "flow state overflowed at step 1011 (flow time 1.0110000000000001); a singular locus was hit",
+    ]
