@@ -1,14 +1,18 @@
-"""Pinned bits of the J = i models the CLI goldens do not reach.
+"""Pinned bits of the models off the CLI goldens' paths.
 
-``tests/test_golden.py`` covers the oscillator (n = 1) and the central
-problem through the CLI.  This file holds the central problem's fields off
-its golden paths, the torus (its default H and a text H in two momenta)
-and the standard system with n = 2 (text H and a callable H) to values
-recorded as ``float.hex`` strings in ``model_values.json``: X, J X,
-H_R, the gradient of H_R and H_I on a seeded stack and at one point, one
-single-point flow endpoint (on the scalar lane where X has a scalar form),
-one stack flow endpoint, and a single-point and a stack endpoint of the
-combination cos(alpha) X + sin(alpha) J X (``tilted_flow``).
+``tests/test_golden.py`` covers the oscillator (n = 1), the central problem
+and the twisted model of the benchmark through the CLI.  This file holds
+the central problem's fields off its golden paths, the torus (its default H
+and a text H in two momenta), the standard system with n = 2 (text H and a
+callable H) and two twisted models (the benchmark's f = 1, h = exp(x1),
+H_R = -y1, and one whose f, h and H_R all vary) to values recorded as
+``float.hex`` strings in ``model_values.json``: J, X, J X, H_R, the
+gradient of H_R and H_I on a seeded stack and at one point, a single-point
+and a stack flow endpoint of X and of J X (on the scalar lane where the
+field has a scalar form), and a single-point and a stack endpoint of the
+combination cos(alpha) X + sin(alpha) J X (``tilted_flow``).  The twisted
+models are also pinned on a stack of points with signed zeros and, there,
+point by point, X's and J X's scalar forms.
 
 To record values that are not recorded yet, run
 ``PYTHONPATH=src python tests/test_model_values.py``.  It adds the missing
@@ -39,7 +43,25 @@ MODELS = {
     "standard_n2_callable": lambda: models.build_standard_hhs(
         2, lambda z: z[2] ** 2 / 2 + z[0] * z[3] - z[1] ** 3 / 5
     ),
+    "proper_phhs": lambda: models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1"),
+    "twisted_varying": lambda: models.build_proper_phhs(
+        f="1 + x2^2/3", h="exp(x2)", H_R="x1*x2 - y1^3/3 + y2/7"
+    ),
 }
+# twisted_varying is no pseudo-holomorphic system (Omega_R(J X, .) is not closed); its fields
+# are pinned all the same
+NOT_CLOSED = {"twisted_varying"}
+# every coordinate 0.0, -0.0, 0.8 or -1.3
+SIGNED_ZEROS = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0, -0.0, 0.0],
+    [0.8, -0.0, -1.3, 0.0],
+    [-0.0, 0.8, 0.0, -1.3],
+    [-1.3, 0.0, -0.0, 0.8],
+    [0.0, -1.3, 0.8, -0.0],
+])
 
 
 def _hex(a):
@@ -48,19 +70,27 @@ def _hex(a):
 
 def compute(name):
     """The pinned values of one model, as nested lists of ``float.hex`` strings."""
-    fields = assemble_phhs(MODELS[name]())
+    fields = assemble_phhs(MODELS[name](), check_closedness=name not in NOT_CLOSED)
     model = fields.model
     dim = model.dim
     P = seeded_points(21, 6, dim, scale=0.6, center=model.base_point)
     p = P[0]
     out = {}
-    for label, pts in (("stack", P), ("point", p)):
+    stacks = (("stack", P), ("point", p))
+    if name in ("proper_phhs", "twisted_varying"):
+        stacks += (("signed", SIGNED_ZEROS),)
+        for V in (fields.X, fields.JX):
+            out[f"{V.name}_lane_signed"] = [V.scalar_form(tuple(q)) for q in SIGNED_ZEROS.tolist()]
+    for label, pts in stacks:
+        out[f"J_{label}"] = model.J(pts)
         out[f"X_{label}"] = fields.X(pts)
         out[f"JX_{label}"] = fields.JX(pts)
         out[f"H_R_{label}"] = model.H_R(pts)
         out[f"grad_H_R_{label}"] = model.H_R.gradient(pts)
         out[f"H_I_{label}"] = fields.H_I(pts)
     out["flow_X_point"] = flow(fields.X, p, 0.37, CFG)
+    out["flow_X_stack"] = flow(fields.X, P[:3], 0.41, CFG)
+    out["flow_JX_point"] = flow(fields.JX, p, -0.33, CFG)
     out["flow_JX_stack"] = flow(fields.JX, P[:3], -0.29, CFG)
     out["tilted_point"] = tilted_flow(fields, p, 0.7, 0.31, CFG)
     out["tilted_stack"] = tilted_flow(fields, P[:3], -2.2, 0.23, CFG)
@@ -79,13 +109,18 @@ def test_model_values_match_their_recorded_bits(name):
 def test_single_point_flows_take_the_lane_where_x_has_a_scalar_form():
     # the central problem and the text H's pin the scalar lane, the torus default and the
     # callable the complex path
-    lanes = {name: assemble_phhs(build()).X.scalar_form is not None for name, build in MODELS.items()}
+    lanes = {
+        name: assemble_phhs(build(), check_closedness=name not in NOT_CLOSED).X.scalar_form is not None
+        for name, build in MODELS.items()
+    }
     assert lanes == {
         "central": True,
         "torus_default": False,
         "torus_text_n2": True,
         "standard_n2": True,
         "standard_n2_callable": False,
+        "proper_phhs": True,
+        "twisted_varying": True,
     }
 
 
