@@ -13,10 +13,12 @@ Functions: exp, sin, cos, sqrt, conj.  Identifiers are free names.
 vector (the name tables are :func:`phhs.util.coordinate_names`) and builds a
 plain Python function of that vector, once; an identifier the binding lacks
 is an error at that point.  :func:`compile_points` (one expression) and
-:func:`compile_vector` (the components of a field on C^m, one source) are
-the routes from text to a field's function: it takes a point or an
-``(N, dim)`` stack of points, one per row, and its ``point`` attribute one
-point as Python numbers, with numpy's bits.  ``conj`` exists so that anti-holomorphic
+:func:`compile_vector` (the components of a field, complex on C^m or real on
+the real layout, one source) are the routes from text to a field's
+function: it takes a point or an ``(N, dim)`` stack of points, one per row,
+and its ``point`` attribute one point as Python numbers, with numpy's bits.
+Expressions add to and multiply expressions or numbers, negate, and divide
+a number, making the trees of composite fields.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
 symbolic derivative.
 
@@ -63,8 +65,9 @@ def quotient(a, b):
 
     A Python complex divisor, or a Python float one of a Python complex,
     takes numpy's complex Smith form (CPython's complex ``/`` rounds
-    differently), two Python floats Python's ``/``; where Python raises on a
-    zero, and on arrays and numpy scalars, numpy divides.
+    differently), two Python floats Python's ``/``, or numpy's, as a Python
+    float, where Python raises on a zero divisor; where the Smith form
+    raises, and on arrays and numpy scalars, numpy divides.
     """
     kind = type(b)
     try:
@@ -80,7 +83,8 @@ def quotient(a, b):
         if kind is float and type(a) is float:
             return a / b
     except ZeroDivisionError:
-        pass
+        if kind is float and type(a) is float:
+            return float(np.float64(a) / b)
     return _numpy(a) / b
 
 
@@ -92,6 +96,7 @@ def power(a, b):
     zero base for n > 0 and NaN + NaN j for n < 0, a, a a and a (a a) for
     n = 1, 2, 3, binary powering of |n| onto 1 + 0j past that and for every
     n < 0, whose power is then the reciprocal ``quotient(1 + 0j, r)`` of that.
+    Any other power of two Python floats is numpy's, as a Python float.
     """
     if type(a) is complex and type(b) is float and b.is_integer() and -100.0 < b < 100.0:
         n, r = int(b), 1 + 0j
@@ -109,7 +114,8 @@ def power(a, b):
             if not m:
                 return r if n > 0 else complex(quotient(1 + 0j, r))  # a zero r divides as numpy scalars
             a *= a
-    return _numpy(a) ** b
+    r = _numpy(a) ** b
+    return float(r) if type(a) is type(b) is float else r
 
 
 _Token = namedtuple("_Token", "kind text pos")
@@ -326,57 +332,60 @@ def _variables(node):
     return set().union(*(_variables(child) for child in node[1:] if isinstance(child, tuple)))
 
 
-def _compile(roots, binding, label, vector=False):
+def _compile(roots, binding, label, dtype=None):
     """Straight-line Python function ``_p -> value``, one local per AST node.
 
-    Nodes are emitted left operand first, each bound coordinate is read once
-    and literals enter the namespace by value: the tree's operations, one
-    for one.  A coordinate read or a function call gives a numpy scalar at a
-    point.  The ``point`` attribute reads Python numbers in their place and
-    keeps numpy's bits: a quotient is :func:`quotient`, a power of a Python
-    complex :func:`power` (written out as a a and a (a a), 0 at a zero base,
-    for the literal powers 2 and 3), and any other power Python's ``**``
-    where that gives a float (the C library's ``pow``, as numpy's) and
-    :func:`power` where it raises or does not.  Without such a quotient or
-    power it is the function itself.
+    Nodes are emitted left operand first and literals enter the namespace
+    by value: the tree's operations, one for one, but each distinct one
+    once (equal subtrees share a local; literals are told apart by
+    ``repr``, so ``0.0`` and ``-0.0`` stay two).  A coordinate read or a
+    function call gives a numpy scalar at a point.  The ``point`` attribute
+    reads Python numbers in their place and keeps numpy's bits: a quotient
+    is :func:`quotient`, a power of a Python complex :func:`power` (written
+    out as a a and a (a a), 0 at a zero base, for the literal powers 2 and
+    3), and any other power Python's ``**`` where that gives a float (the C
+    library's ``pow``, as numpy's) and :func:`power` where it raises or
+    does not.  Without such a quotient or power it is the function itself.
 
-    With ``vector``, ``roots`` are the trees of a value's complex components:
-    the function takes a point or an ``(N, dim)`` stack and returns
-    ``(..., len(roots))`` components, its ``point`` a tuple of them.
+    With a ``dtype``, ``roots`` are the trees of a value's components of
+    that dtype (complex or float): the function takes a point or an
+    ``(N, dim)`` stack and returns ``(..., len(roots))`` components, its
+    ``point`` a tuple of them.  On floats a function call's value is read
+    as a Python float there, so the point path keeps Python floats.
     """
-    lines, points, loaded, scalars = [], [], {}, set()
+    lines, points, scalars, locals_, literals = [], [], set(), {}, {}
     namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
-    namespace.update(_quotient=quotient, _power=power, _empty=np.empty)
+    namespace.update(_quotient=quotient, _power=power, _empty=np.empty, _dtype=dtype)
 
     def scalar(local):
         scalars.add(local)
         return local
 
     def emit(src, point_src=None):
-        local = f"_t{len(lines)}"
-        lines.append(f"    {local} = {src}")
-        points.append(f"    {local} = {point_src or src}")
-        return local
+        if src not in locals_:
+            locals_[src] = f"_t{len(lines)}"
+            lines.append(f"    {locals_[src]} = {src}")
+            points.append(f"    {locals_[src]} = {point_src or src}")
+        return locals_[src]
 
     def visit(node):
         kind, arg = node[0], node[1]
         if kind == "num":
-            namespace[f"_c{len(namespace)}"] = arg
-            return f"_c{len(namespace) - 1}"
+            local = literals.setdefault(repr(arg), f"_c{len(literals)}")
+            namespace[local] = arg
+            return local
         if kind == "var":
             if arg not in binding:
                 raise ValueError(f"unknown identifier {arg!r}")
-            if arg not in loaded:
-                c = binding[arg]
-                pair = isinstance(c, tuple)
-                loaded[arg] = scalar(emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if pair else f"_p[{c!r}]"))
-            return loaded[arg]
+            c = binding[arg]
+            return scalar(emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if isinstance(c, tuple) else f"_p[{c!r}]"))
         if kind == "neg":
             a = visit(arg)
             out = emit(f"-{a}")
             return scalar(out) if a in scalars else out
         if kind == "call":
-            return scalar(emit(f"_{arg}({visit(node[2])})"))
+            src = f"_{arg}({visit(node[2])})"
+            return scalar(emit(src, f"float({src})" if dtype is float else None))
         a, b = visit(node[2]), visit(node[3])
         src = f"{a} {BINARY[arg][0]} {b}"
         if not {a, b} & scalars:
@@ -386,7 +395,7 @@ def _compile(roots, binding, label, vector=False):
         local = scalar(emit(src))
         if arg == "^":
             product = {("num", 2.0): f"{a} * {a}", ("num", 3.0): f"{a} * ({a} * {a})"}.get(node[3])
-            points[-1:] = [
+            points[int(local[2:])] = "\n".join([  # the line that made _t<k>
                 f"    if type({a}) is complex:",
                 f"        {local} = {product} if {a} else 0j" if product else f"        {local} = _power({a}, {b})",
                 "    else:",
@@ -396,10 +405,10 @@ def _compile(roots, binding, label, vector=False):
                 f"                {local} = _power({a}, {b})",
                 "        except ArithmeticError:",
                 f"            {local} = _power({a}, {b})",
-            ]
+            ])
         return local
 
-    if not vector:
+    if dtype is None:
         result = visit(roots)
         source = ["def _fn(_p):", *lines, f"    return {result}"]
         if points != lines:
@@ -407,7 +416,7 @@ def _compile(roots, binding, label, vector=False):
     else:
         results = [visit(root) for root in roots]
         source = ["def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", *lines]
-        source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), complex)")
+        source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), _dtype)")
         source += [*(f"    _o[..., {k}] = {r}" for k, r in enumerate(results)), "    return _o"]
         source += ["def _point(_p):", *points, f"    return ({', '.join(results)},)"]
     exec(compile("\n".join(source), f"<expression {label!r}>", "exec"), namespace)
@@ -448,10 +457,28 @@ class Expression:
         return _variables(self.ast)
 
     def __add__(self, other):
-        return Expression(("bin", "+", self.ast, other.ast), f"({self.source})+({other.source})")
+        return _binary("+", self, other)
+
+    def __mul__(self, other):
+        return _binary("*", self, other)
+
+    def __rtruediv__(self, other):
+        return _binary("/", other, self)
+
+    def __neg__(self):
+        return Expression(("neg", self.ast), f"-({self.source})")
 
     def __repr__(self):
         return f"Expression({self.source!r})"
+
+
+def _binary(op, a, b):
+    """The Expression ``a op b`` (+, * or /) of Expressions or numbers; two numbers fold into numpy's value."""
+    a, b = (x if isinstance(x, Expression) else Expression(("num", float(x)), repr(float(x))) for x in (a, b))
+    source, (x, y) = f"({a.source}){op}({b.source})", (a.ast, b.ast)
+    if x[0] == y[0] == "num":
+        return Expression(("num", quotient(x[1], y[1]) if op == "/" else BINARY[op][1](x[1], y[1])), source)
+    return Expression(("bin", op, x, y), source)
 
 
 def parse_expression(src):
@@ -495,15 +522,17 @@ def _complex_leaves(node):
     )
 
 
-def compile_vector(exprs, names):
-    """The components ``exprs`` (text or parsed) on the complex layout as one function, one compile.
+def compile_vector(exprs, names, dtype=complex):
+    """The components ``exprs`` (text or parsed) of ``dtype`` as one function, one compile.
 
-    It takes a complex point or an ``(N, dim)`` stack (``names`` as in
+    It takes a point or an ``(N, dim)`` stack (``names`` as in
     :meth:`Expression.compile`) and returns ``(..., len(exprs))`` components,
-    each as :func:`compile_points` with a complex cast gives it, and its
-    ``point`` their tuple at a point of Python complex numbers, with the
-    same bits.  A constant is evaluated on complex literals: ``-0`` is ``-(0j)``.
+    and its ``point`` their tuple at a point of Python numbers, with the
+    same bits.  ``complex`` is the complex layout, each component as
+    :func:`compile_points` with a complex cast gives it; a constant is
+    evaluated on complex literals: ``-0`` is ``-(0j)``.  ``float`` is the
+    real layout of real-valued trees: the point path returns Python floats.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
-    roots = [e.ast if e.variables() else ("num", Expression(_complex_leaves(e.ast)).constant()) for e in exprs]
-    return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", vector=True)
+    roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
+    return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", dtype)

@@ -27,12 +27,12 @@ A vector field that is the real form of a holomorphic map w on C^m carries
 w as its ``complex_form``; the flows step the complex state z = x + i y with
 it.  A ``scalar_form``, the field at one point on Python numbers with the
 array form's bits, is what a flow of one point steps (the scalar lane of
-:mod:`phhs.flows`).  On the models with J = i both forms of X come from one
-compiled source, :func:`~phhs.expressions.compile_vector` of X's component
-trees, and :func:`holomorphic_map` makes J X's and a X + b J X's from X's
-with one per-component map.  The twisted X, J_g (as rows) and the Morse
-orbit field keep hand-written scalar forms, reading functions through
-:func:`point_path`; :func:`matvec_point` is :func:`matvec` on rows.
+:mod:`phhs.flows`).  For text, both forms come from one compiled source,
+:func:`~phhs.expressions.compile_vector` of the component trees: X on the
+models with J = i, whose J X and a X + b J X :func:`holomorphic_map` makes
+with one per-component map, and X and J_g X on the twisted model.  Only the
+Morse orbit field keeps a hand-written scalar form, reading its conformal
+factor through :func:`point_path`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -44,7 +44,6 @@ grid's Cauchy-Riemann residual) are :func:`grid_derivative`'s.
 """
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -103,16 +102,6 @@ def stack_function(entry, names, cast):
 def matvec(M, v):
     """``M @ v`` at a point, row by row on stacks of matrices and/or vectors."""
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
-
-
-def matvec_point(M, v):
-    """:func:`matvec` at one point on Python numbers: M a tuple of rows, v a tuple.
-
-    numpy's product at a point (BLAS ``gemv``) sums a row's products onto
-    +0.0, as this does, so the two agree bit for bit (NaN payloads aside)
-    on rows with at most one nonzero product, where every order is exact.
-    """
-    return tuple([sum(map(mul, row, v), 0.0) for row in M])
 
 
 def holomorphic_map(X, f, fn, name):
@@ -207,15 +196,10 @@ class MatrixField(Field):
     """(1,1)-tensor field; columns of the matrix are images of basis vectors.
 
     ``matrix`` is the matrix of a constant field built by
-    :func:`constant_matrix_field`, and None otherwise.  ``scalar_form``,
-    when given, is the matrix at one point as rows, as ``VectorField``'s.
+    :func:`constant_matrix_field`, and None otherwise.
     """
 
     matrix = None
-
-    def __init__(self, fn, fd=None, name=None, scalar_form=None):
-        super().__init__(fn, fd, name)
-        self.scalar_form = scalar_form
 
 
 class TwoFormField(Field):

@@ -34,15 +34,16 @@ a X + b J X is a w + (i b) w there, two terms as on the real path (a single
 (:func:`~phhs.fields.holomorphic_map`).
 
 One point of a field with a scalar form (X, J X and their combination
-where X is compiled text or the twisted model's, and the Morse orbit field)
-takes the scalar lane: a tuple of Python numbers, complex z_j with a
-complex form and floats otherwise, converted once per flow.  The bits are
-numpy's: Python does the same IEEE operations, every coefficient of a
-complex product is a Python complex (CPython 3.14 would multiply a float by
-a complex without numpy's cast), compiled text keeps numpy's quotient and
-power (:mod:`phhs.expressions`), a matrix product numpy's sum onto +0.0
-(:func:`~phhs.fields.matvec_point`) and the Morse angle ``np.arctan2``.  A
-lane error names the step, time and state the array path names.  The lane
+where they are compiled text, and the Morse orbit field) takes the scalar
+lane: a tuple of Python numbers, complex z_j with a complex form and floats
+otherwise, converted once per flow.  The bits are numpy's: Python does the
+same IEEE operations, every coefficient of a complex product is a Python
+complex (CPython 3.14 would multiply a float by a complex without numpy's
+cast), compiled text keeps numpy's quotient and power and sums the twisted
+model's J_g X onto +0.0 as numpy's matrix product does
+(:mod:`phhs.expressions`, :func:`~phhs.models.build_proper_phhs`), and the
+Morse angle is ``np.arctan2``.  A lane error names the step, time and state
+the array path names.  The lane
 steps through :func:`_lane_stepper`, straight-line code generated once per
 process for each component count m and cached by m: the four stages and the
 update of each component written out, the field's scalar form called four
@@ -64,7 +65,7 @@ from itertools import count, islice
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .fields import VectorField, grid_derivative, holomorphic_map, matvec, matvec_point
+from .fields import VectorField, grid_derivative, holomorphic_map, matvec
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -451,30 +452,24 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
 
 
 def _combo_field(fields, a, b):
-    """a X + b J X, with X evaluated once per call; a w + (i b) w on z when J X has a complex form.
+    """a X + b J X from X's and J X's own forms; a w + (i b) w on z when J X has a complex form.
 
-    With X's scalar form it has one, the same two terms per component; on
-    the real state that also takes J's scalar form.
+    a and b are read as Python floats (``tilted_flow`` passes numpy's), so
+    a float lane steps Python floats.  On the real state the lane form,
+    where X and J X both have one, is a c + b d per component.
     """
-
-    X_fn, J_fn = fields.X.fn, fields.model.J.fn
-    w, s = fields.X.complex_form, fields.X.scalar_form
+    a, b = float(a), float(b)
+    X_fn, JX_fn = fields.X.fn, fields.JX.fn
 
     def fn(p):
-        x = np.asarray(X_fn(p), dtype=float)
-        return a * x + b * matvec(np.asarray(J_fn(p), dtype=float), x)
+        return a * np.asarray(X_fn(p), dtype=float) + b * np.asarray(JX_fn(p), dtype=float)
 
     if fields.JX.complex_form is not None:
         a_z, ib = complex(a), 1j * b
         return holomorphic_map(fields.X, lambda v: a_z * v + ib * v, fn, "combo")
-    J_s = getattr(fields.model.J, "scalar_form", None)
-
-    def scalar(q):
-        x = s(q)
-        return tuple([a * c + b * d for c, d in zip(x, matvec_point(J_s(q), x))])
-
-    lane = w is None and s is not None and J_s is not None
-    return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar if lane else None)
+    s, t = fields.X.scalar_form, fields.JX.scalar_form
+    scalar = None if s is None or t is None else lambda q: tuple([a * c + b * d for c, d in zip(s(q), t(q))])
+    return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar)
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

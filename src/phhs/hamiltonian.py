@@ -18,10 +18,10 @@ closedness evaluate their whole point set as one stack, and so does the
 quadrature primitive H_I of a model with no H_I hook
 (:func:`primitive_stack`, bit for bit ``scipy.integrate.quad`` per row).
 
-When X has a complex form w and J is the constant structure i (known from
-the matrix of a :func:`~phhs.fields.constant_matrix_field`), J X's complex
-and scalar forms are i w, per component (:func:`~phhs.fields.holomorphic_map`);
-a real X's and J's scalar forms make J X's, as their functions make J X's function.
+J X is the model's hook if it has one (the twisted model's), else J's
+function times X's; when X has a complex form w and J is the constant
+structure i (the matrix of a :func:`~phhs.fields.constant_matrix_field`),
+its complex and scalar forms are i w (:func:`~phhs.fields.holomorphic_map`).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, holomorphic_map, jet, matvec, matvec_point
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, holomorphic_map, jet, matvec
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -72,6 +72,7 @@ class PhhsModel:
     closed_form: object = None
     name: str = "model"
     X_hook: object = None
+    JX_hook: object = None
     H_I_hook: object = None
     extras: dict = dc_field(default_factory=dict)
 
@@ -350,14 +351,13 @@ def assemble_phhs(model, check_closedness=True):
     def jx_fn(p):
         return matvec(np.asarray(J_fn(p), dtype=float), np.asarray(X_fn(p), dtype=float))
 
-    w, s = getattr(X, "complex_form", None), getattr(X, "scalar_form", None)
-    J_s = getattr(model.J, "scalar_form", None)
-    if w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
+    w = getattr(X, "complex_form", None)
+    if model.JX_hook is not None:
+        JX = model.JX_hook
+    elif w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
         JX = holomorphic_map(X, partial(mul, 1j), jx_fn, "JX")
     else:
-        lane = s is not None and w is None and J_s is not None
-        jx_s = (lambda q: matvec_point(J_s(q), s(q))) if lane else None
-        JX = VectorField(jx_fn, fd=X.fd, name="JX", scalar_form=jx_s)
+        JX = VectorField(jx_fn, fd=X.fd, name="JX")
     omega_I = omega_I_from(model.omega_R, model.J)
     alpha = pairing_covector(model.omega_R, JX, name="omega_R(JX,.)")
 

@@ -18,6 +18,7 @@ charted as (Q_x, P_x, Q_y, P_y) -> (x_1, x_2, y_1, y_2).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,8 +42,6 @@ from .fields import (
     constant_two_form_field,
     holomorphy_residual,
     matvec,
-    matvec_point,
-    point_path,
     rowwise,
 )
 from .hamiltonian import PhhsModel, PhsmData
@@ -100,23 +99,20 @@ def _as_complex_hamiltonian(H, n):
     except ValueError:
         dH = lambda z: complex_gradient(fn, z)  # noqa: E731
         return fn, dH, _gradient_x(n, dH)
-    X = grads[n:] + [Expression(("neg", g.ast), f"-({g.source})") for g in grads[:n]]
+    X = grads[n:] + [-g for g in grads[:n]]
     return fn, compile_vector(grads, names), compile_vector(X, names)
 
 
 def _as_real_scalar(f, m, what="field"):
-    """Normalize a real scalar field on C^m given as a number, text, field or callable.
+    """Normalize a real scalar field on C^m given as a number, text (or parsed), field or callable.
 
     The value and the gradient take a point (a float, a vector) or an
     ``(N, 2m)`` stack (one value, one gradient per row); a field is used as
     it is, a bare callable is lifted by :func:`rowwise`.  The gradient comes
     from the symbolic partials in x_1..x_m, y_1..y_m; it is None for fields,
-    callables and expressions without a symbolic derivative.  Constant
-    values and partials are evaluated once, when the field is built; every
-    other value is checked to be real.  For text, ``point`` of the value
-    and of the gradient reads one point as a tuple of floats, with the bits
-    and errors of its array; the gradient's ``constant`` is True where no
-    partial varies.
+    callables and expressions without a symbolic derivative.  A constant
+    value is evaluated once, when the field is built, every other one is
+    checked to be real; the partials are compiled at the first gradient.
     """
     if isinstance(f, Field):
         return f, None
@@ -124,60 +120,32 @@ def _as_real_scalar(f, m, what="field"):
         return rowwise(f), None
     if isinstance(f, (int, float)):
         f = str(float(f))
-    expr = parse_expression(f)
+    expr = f if isinstance(f, Expression) else parse_expression(f)
     names = coordinate_names(m)
 
     def real(v):
         if v.dtype.kind == "c" and (abs(v.imag) > 1e-14 * np.maximum(1.0, abs(v))).any():
-            raise ValueError(f"{what} expression {f!r} is not real-valued")
+            raise ValueError(f"{what} expression {expr.source!r} is not real-valued")
         return v.real
 
     value = compile_points(expr, names, lambda c: float(real(np.asarray(c))))
-    if expr.variables():
 
-        def fn(p):
-            p = as_points(p)
-            v = real(value(p))
-            return float(v) if p.ndim == 1 else v
-
-        def point(q):
-            v = value.point(q)
-            return float(v) if isinstance(v, float) else float(real(np.asarray(v)))
-
-        fn.point = point
-    else:
-
-        def fn(p):
-            return value(as_points(p))
-
-        fn.point = value.point
+    def fn(p):
+        p = as_points(p)
+        v = real(np.asarray(value(p)))
+        return float(v) if p.ndim == 1 else v
 
     try:
         partials = [expr.diff(name) for name in coordinate_names(m, aliases=False)]
     except ValueError:
         return fn, None
-    const = np.zeros(2 * m)  # the constant partials, evaluated once
-    varying = []
-    for k, d in enumerate(partials):
-        if d.variables():
-            varying.append((k, compile_points(d, names)))
-        else:
-            const[k] = complex(d.constant()).real
+    compiled = []  # the partials as one source, compiled at the first gradient (f and h never take one)
 
     def grad(p):
-        out = np.empty(p.shape)
-        out[...] = const
-        for k, d in varying:
-            out[..., k] = np.real(d(p))
-        return out
+        if not compiled:
+            compiled.append(compile_vector(partials, names, float))
+        return compiled[0](p)
 
-    def grad_point(q):
-        g = const.tolist()
-        for k, d in varying:
-            g[k] = d.point(q).real
-        return g
-
-    grad.point, grad.constant = grad_point, not varying
     return fn, grad
 
 
@@ -482,24 +450,21 @@ def twist_matrix(f_val, h_val):
     In the matmul ``I @ standard_j_matrix(2) @ I`` with I = ``i_g_matrix(f, h)``,
     every sum behind a nonzero entry has exactly one nonzero term, and
     multiplying by the ±1 entries of J is exact, so each entry is one
-    rounding of one product: the four products below, in the matmul's
-    order, give its bits.  The one case that differs is a non-finite
-    matrix: where 1/f or 1/h overflows, the matmul spreads NaN (0 * inf)
-    along a row and a column, where this form leaves those zeros.
+    rounding of one product: the four products of :func:`_twist_entries`,
+    in the matmul's order, give its bits.  The one case that differs is a
+    non-finite matrix: where 1/f or 1/h overflows, the matmul spreads NaN
+    (0 * inf) along a row and a column, where this form leaves those zeros.
+    The twisted J_g X is these products times X's components, no matrix
+    (:func:`build_proper_phhs`): where one is inf or NaN, ``matvec`` of this
+    matrix spreads NaN to the other components, and J_g X does not.
     """
     J = np.zeros(np.shape(f_val) + (4, 4))
     J[..., 0, 2], J[..., 1, 3], J[..., 2, 0], J[..., 3, 1] = _twist_entries(f_val, h_val)
     return J
 
 
-def twist_rows(f_val, h_val):
-    """:func:`twist_matrix` at one point, from f and h there, as rows of numbers: the same four products."""
-    a, b, c, d = _twist_entries(f_val, h_val)
-    return (0.0, 0.0, a, 0.0), (0.0, 0.0, 0.0, b), (c, 0.0, 0.0, 0.0), (0.0, d, 0.0, 0.0)
-
-
 def _twist_entries(f_val, h_val):
-    """The nonzero entries [0, 2], [1, 3], [2, 0] and [3, 1] of I_g J I_g."""
+    """The nonzero entries [0, 2], [1, 3], [2, 0] and [3, 1] of I_g J I_g, of numbers, arrays or expressions."""
     inv_f, inv_h = 1.0 / f_val, 1.0 / h_val
     return (
         inv_f * -h_val,  # J_g(d_y1) = -(h/f) d_x1
@@ -507,6 +472,27 @@ def _twist_entries(f_val, h_val):
         inv_h * f_val,  # J_g(d_x1) = (f/h) d_y1
         -h_val * -inv_f,  # J_g(d_x2) = (h/f) d_y2
     )
+
+
+def _compiled_field(exprs, name):
+    """The field of real-valued trees on the real layout of C^2 and its lane, one compile at its first call."""
+    field = VectorField(None, name=name)
+
+    @cache
+    def compiled():  # at the first call, then in place of the stubs below (a scan of J alone never compiles)
+        fn = compile_vector(exprs, coordinate_names(2), float)
+        field.fn, field.scalar_form = fn, fn.point
+        return fn
+
+    field.fn, field.scalar_form = (lambda p: compiled()(p)), (lambda q: compiled().point(q))
+    return field
+
+
+def _real_text(v, own):
+    """A number or text as an Expression, if it reads the names ``own`` alone (x_j, y_j: its values are real); else None."""
+    v = str(float(v)) if isinstance(v, (int, float)) else v
+    expr = parse_expression(v) if isinstance(v, str) else None
+    return expr if expr is not None and expr.variables() <= own.keys() else None
 
 
 def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
@@ -520,13 +506,25 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     J_g is built entry by entry by :func:`twist_matrix`, bit for bit the
     matmul I_g J I_g wherever J_g is finite.
     ``extras["I_g"]`` is I_g itself, from :func:`i_g_matrix`.
-    J_g's scalar form is :func:`twist_rows`; X's, for a symbolic gradient,
-    W^-1 grad H_R on floats (one nonzero per row of W^-1), made once for a
-    constant gradient.
+
+    For text H_R with symbolic partials, X = W^-1 grad H_R is compiled from
+    the partial trees (one ±1 of W^-1 per component); for text f and h too,
+    J_g X from the products of :func:`_twist_entries` on the f and h trees,
+    each times its component of X.  Each is one real-layout source
+    (:func:`~phhs.expressions.compile_vector`, compiled at the field's first
+    call) for arrays and the lane, its components summed onto +0.0 as
+    numpy's matrix product sums a row with one nonzero term: the bits of
+    ``matvec(W^-1, grad H_R)`` and ``matvec(J_g, X)`` wherever these are
+    finite.  Where an entry is inf or NaN, the matrix product makes NaN
+    (0 * inf, 0 * NaN) in the other components too; the compiled ones keep
+    their own values.  A callable f, h or H_R, or text reading a z_j alias
+    (so possibly complex), keeps both matrix products, on arrays alone.
     """
-    f_fn, _ = _as_real_scalar(f, 2, "f")
-    h_fn, _ = _as_real_scalar(h, 2, "h")
-    H_fn, H_grad = _as_real_scalar(H_R, 2, "H_R")
+    own = coordinate_names(2, aliases=False)
+    f_e, h_e, H_e = (_real_text(v, own) for v in (f, h, H_R))
+    f_fn, _ = _as_real_scalar(f_e or f, 2, "f")
+    h_fn, _ = _as_real_scalar(h_e or h, 2, "h")
+    H_fn, H_grad = _as_real_scalar(H_e or H_R, 2, "H_R")
 
     samples = seeded_points(13, 12, 4, scale=0.6)
     for fn, label in ((f_fn, "f"), (h_fn, "h")):
@@ -535,37 +533,27 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
         if np.min(np.abs(vals)) < 1e-10 or np.min(vals) * np.max(vals) < 0:
             raise ZeroDenominatorError(f"{label} must be nowhere zero on the working domain")
 
-    def j_g(p):
-        return twist_matrix(f_fn(p), h_fn(p))
-
-    f_point, h_point = point_path(f_fn), point_path(h_fn)
-
-    def j_g_point(q):
-        return twist_rows(f_point(q), h_point(q))
-
     W = standard_omega_matrix(1)
     W_inv = np.linalg.inv(W)
     H_field = ScalarField(H_fn, grad=H_grad, name="H_R")
-
-    def x_hook(p):
-        return matvec(W_inv, H_field.gradient(p))
-
-    x_point = None
-    if H_grad is not None:
-        W_rows, g_point = W_inv.tolist(), H_grad.point
-        x_point = lambda q: matvec_point(W_rows, g_point(q))  # noqa: E731
-        if H_grad.constant:
-            x_const = x_point(None)
-            x_point = lambda q: x_const  # noqa: E731
+    X = JX = None
+    if H_e is not None and H_grad is not None:
+        grads = [H_e.diff(name) for name in own]
+        X_e = [grads[k] * float(W_inv[j, k]) + 0.0 for j, k in zip(*np.nonzero(W_inv))]
+        X = _compiled_field(X_e, "X")
+        if f_e is not None and h_e is not None:
+            # row i of J_g has its one entry in column k
+            JX = _compiled_field([e * X_e[k] + 0.0 for e, k in zip(_twist_entries(f_e, h_e), (2, 3, 0, 1))], "JX")
 
     model = PhhsModel(
         m=2,
-        J=MatrixField(j_g, name="J_g", scalar_form=j_g_point),
+        J=MatrixField(lambda p: twist_matrix(f_fn(p), h_fn(p)), name="J_g"),
         omega_R=constant_two_form_field(W, name="omega_R"),
         H_R=H_field,
         lambda_R=CovectorField(lambda p: standard_lambda_coeffs(1, p), name="lambda_R"),
         name="proper_phhs",
-        X_hook=VectorField(x_hook, name="X", scalar_form=x_point),
+        X_hook=X or VectorField(lambda p: matvec(W_inv, H_field.gradient(p)), name="X"),
+        JX_hook=JX,
     )
     model.extras["f"] = f_fn
     model.extras["I_g"] = MatrixField(lambda p: i_g_matrix(f_fn(p), h_fn(p)), name="I_g")

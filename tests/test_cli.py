@@ -557,6 +557,26 @@ def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorte
     assert counts == [2, 2]
 
 
+def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
+    # the twisted model compiles h = exp(x1) and H_R = -y1 when it is built; X, J X and the
+    # gradient of H_R, one source each, when it is assembled; and the lane stepper of its four
+    # components at the first single-point flow.  No grid node, stage or flow compiles more
+    cfg = _focus_config(tmp_path, monkeypatch, "integrate")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compile(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "phhs" or name.startswith("phhs."):
+            monkeypatch.setattr(module, "compile", counted, raising=False)
+    flows._lane_stepper.cache_clear()
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
+    assert len(calls) == 6 and calls[-1] == "<RK4 lane of 4 components>"
+
+
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
     # one T_hat per RK4 stage of the 9,426 orbit steps, from code generated once for the three
     # orbits of the one system; the area law reads the interpolant itself
@@ -595,20 +615,16 @@ def test_csv_rows_are_written_as_their_cells(tmp_path):
 
 
 def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, monkeypatch, rk4_steps):
-    # the same flows and the same J_g rows as ever; the row check of Field.__call__ runs on
-    # user calls, assemble_phhs's sample stack and each flow's first step, not on every stage
+    # the same flows as ever; the row check of Field.__call__ runs on user calls, assemble_phhs's
+    # sample stack and each flow's first step, not on every stage
     cfg = _focus_config(tmp_path, monkeypatch, "integrate")
-    count = {"J_g rows": 0, "J_g lane points": 0, "I_g rows": 0, "Field calls": 0}
+    count = {"J_g rows": 0, "I_g rows": 0, "Field calls": 0}
     field_call = fields.Field.__call__
-    twist_matrix, twist_rows, i_g_matrix = models.twist_matrix, models.twist_rows, models.i_g_matrix
+    twist_matrix, i_g_matrix = models.twist_matrix, models.i_g_matrix
 
     def twist(f_val, h_val):
         count["J_g rows"] += np.size(f_val)
         return twist_matrix(f_val, h_val)
-
-    def twist_point(f_val, h_val):
-        count["J_g lane points"] += 1
-        return twist_rows(f_val, h_val)
 
     def i_g(f_val, h_val):
         count["I_g rows"] += np.size(f_val)
@@ -619,15 +635,14 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
         return field_call(self, p)
 
     monkeypatch.setattr(models, "twist_matrix", twist)
-    monkeypatch.setattr(models, "twist_rows", twist_point)
     monkeypatch.setattr(models, "i_g_matrix", i_g)
     monkeypatch.setattr(fields.Field, "__call__", call)
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    # the swap check's single-point J X flow, 1,000 steps of four stages, builds its 4,000
-    # J_g on the scalar lane; the other 76,260 rows are arrays
     assert rk4_steps == {"lane": 3008, "array": 1008}
-    assert count["J_g rows"] + count["J_g lane points"] == 80260
-    assert count["J_g lane points"] == 4000
+    # J X is compiled from J_g's entries and X's components, so no flow forms J_g (80,260 rows
+    # did, 4,000 of them on the scalar lane); the 285 left are the assembly's checks and
+    # diagnostics and the grid's Cauchy-Riemann residual
+    assert count["J_g rows"] == 285
     # J_g is built in closed form; no I_g matrix is formed on the way
     assert count["I_g rows"] == 0
     # one check per stage made 32,299 calls

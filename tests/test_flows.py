@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import json
@@ -427,15 +426,12 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
 
 
 def _array_path(fields):
-    """The same fields with every scalar form stripped (X's, J X's and J's), so that a point steps the array state.
+    """The same fields with every scalar form stripped (X's and J X's), so that a point steps the array state.
 
     The state is complex where X has a complex form and real otherwise.
     """
-    J = copy.copy(fields.model.J)
-    J.scalar_form = None
     return dataclasses.replace(
         fields,
-        model=dataclasses.replace(fields.model, J=J),
         X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=fields.X.complex_form),
         JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=fields.JX.complex_form),
     )
@@ -613,18 +609,15 @@ def _signed_points(dim):
 
 
 def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
-    # X, J X (J's rows times X's value on the real state, i X on the complex one) and the
-    # combinations, at seeded points and at points with signed zeros, against the array form
-    # at each point: fn on the real state, the complex form on the complex one
+    # X, J X (compiled from J_g's entries and X's components on the real state, i X on the
+    # complex one) and the combinations, at seeded points and at points with signed zeros,
+    # against the array form at each point: fn on the real state, the complex form on the
+    # complex one
     lane, _, x0 = model_lane
     dim = x0.size
     P = np.concatenate([util.seeded_points(9, 400, dim, scale=1.5, center=x0), _signed_points(dim)])
     complex_state = lane.X.complex_form is not None
     fields = [lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8), flows._combo_field(lane, np.cos(0.3), np.sin(0.3))]
-    if not complex_state:
-        J = lane.model.J
-        for p in P:
-            assert _same_bits(np.array(J.scalar_form(tuple(p.tolist()))), J.fn(p))
     for V in fields:
         assert V.scalar_form is not None
         for p in P:
@@ -633,6 +626,17 @@ def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
                 assert _same_bits(np.array(V.scalar_form(tuple(z.tolist())), dtype=complex), V.complex_form(z))
             else:
                 assert _same_bits(np.array(V.scalar_form(tuple(p.tolist()))), np.asarray(V.fn(p), dtype=float))
+
+
+def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
+    # tilted_flow hands numpy's cos(alpha) and sin(alpha) to the combination, which reads them
+    # as Python floats: every lane component is a Python float (real state) or complex
+    lane, _, x0 = model_lane
+    V = flows._combo_field(lane, np.cos(0.3), np.sin(0.3))
+    kind = float if lane.X.complex_form is None else complex
+    for p in (x0, *_signed_points(x0.size)[::7]):
+        q = tuple((p if kind is float else to_complex(p)).tolist())
+        assert {type(c) for c in V.scalar_form(q)} == {kind}, p
 
 
 def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(model_lane):
@@ -654,13 +658,13 @@ def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array
 
 
 def test_lane_without_a_symbolic_gradient_takes_the_array_path():
-    # a callable H_R has no point path, so X and J X of the twisted model step arrays
+    # a callable H_R has no symbolic partials, so X and J X of the twisted model step arrays
     fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R=lambda p: -p[2]))
     assert fields.X.scalar_form is None and fields.JX.scalar_form is None
-    assert fields.model.J.scalar_form is not None
-    # a callable f has one all the same: f at the point's array
+    # a callable f leaves J X as J_g's matrix times X, on arrays: only X takes the lane
     model = models.build_proper_phhs(f=lambda p: 1.0 + 0.1 * p[1] ** 2, h="exp(x1)")
     twisted = assemble_phhs(model, check_closedness=False)
+    assert twisted.X.scalar_form is not None and twisted.JX.scalar_form is None
     assert _same_bits(
         flow(twisted.JX, X0, 0.3, COARSE), flow(_array_path(twisted).JX, X0, 0.3, COARSE)
     )

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phhs import flows, models
@@ -174,8 +174,9 @@ def test_proper_phhs_structure_tensors(proper):
 
 
 def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
-    # f = 1 and the folded constant partials of h and H_R are read from their trees;
-    # exp(x1), its partial in x1 and -y1 compile once each
+    # f = 1 is read from its tree; exp(x1) and -y1 compile once each when the model is built.
+    # The gradients compile at their first call, which f's and h's never get, and so do X and
+    # J X: the assembly compiles those three, one source each, and no flow compiles any more
     import builtins
 
     compiled, compile_ = [], builtins.compile
@@ -185,8 +186,15 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
         return compile_(source, filename, *args, **kw)
 
     monkeypatch.setattr(builtins, "compile", counted)
-    models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
-    assert compiled == ["<expression 'exp(x1)'>", "<expression 'd(exp(x1))/dx1'>", "<expression '-y1'>"]
+    model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
+    assert compiled == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
+    fields = assemble_phhs(model)
+    assert len(compiled) == 5 and compiled[-1] == "<expression '(d(-y1)/dx1, d(-y1)/dx2, d(-y1)/dy1, d(-y1)/dy2)'>"
+    x0 = np.array([0.2, 0.1, -0.3, 0.4])
+    for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
+        flows.flow(V, x0, 0.05)
+        flows.flow(V, np.array([x0, x0]), 0.05)
+    assert len([c for c in compiled if c.startswith("<expression")]) == 5
 
 
 def test_proper_phhs_trivial_twist_is_standard():
@@ -405,3 +413,60 @@ def test_generated_lane_forms_equal_the_complex_forms_at_the_point(H):
             lane = V.scalar_form(tuple(z.tolist()))
             assert [type(c) for c in lane] == [complex, complex], (V.name, z)
             assert np.array(lane).tobytes() == np.asarray(V.complex_form(z)).tobytes(), (V.name, z)
+
+
+@st.composite
+def real_polynomial_text(draw):
+    """A polynomial in x1, x2, y1, y2: up to two coordinates per term, integer powers 1-3, + - *, and / by nonzero constants."""
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        factors = [draw(st.sampled_from(["1", "2", "0.3", "5"]))]
+        for name in draw(st.lists(st.sampled_from(["x1", "x2", "y1", "y2"]), max_size=2)):
+            factors.append(_factor(name, draw(st.integers(1, 3))))
+        term = "*".join(factors)
+        if draw(st.booleans()):
+            term += "/" + draw(st.sampled_from(["2", "7", "0.1", "-3"]))
+        sign = draw(st.sampled_from(["+", "-"]))
+        text += f" {sign} {term}" if i else ("-" if sign == "-" else "") + term
+    return text
+
+
+TWISTED_POINTS = [*seeded_points(31, 6, 4, scale=1.5), *map(np.array, itertools.product([0.0, -0.0, 0.8], repeat=4))]
+
+
+def _same_bits_up_to_nan_signs(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b)
+    nan = np.isnan(a)
+    return b.dtype == float and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=real_polynomial_text(), h=real_polynomial_text(), g=real_polynomial_text())
+def test_twisted_lane_forms_equal_the_array_forms_at_the_point(H, h, g):
+    # X, J X and a X + b J X of text H_R, h and f = 1 + g^2 come from one compiled source each:
+    # the lane value is the array function's at the point, bit for bit (a NaN's sign aside, see
+    # the lane stepper's tests), and every lane component a Python float
+    try:
+        model = models.build_proper_phhs(f=f"1 + ({g})^2", h=h, H_R=H)
+    except ZeroDenominatorError:  # h changes sign, or nearly vanishes, on the samples
+        assume(False)
+    fields = assemble_phhs(model, check_closedness=False)
+    with np.errstate(all="ignore"):
+        for V in (fields.X, fields.JX, flows._combo_field(fields, np.cos(0.6), np.sin(0.6))):
+            for p in TWISTED_POINTS:
+                lane = V.scalar_form(tuple(p.tolist()))
+                assert [type(c) for c in lane] == [float] * 4, (V.name, p)
+                assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
+
+
+def test_twisted_lane_keeps_python_floats_where_numpy_steps_in():
+    # x2 = 0 divides by zero and x1 < 0 takes a fractional power Python's ** gives a complex
+    # number for: both fall back to numpy, whose inf and NaN the lane returns as Python floats
+    fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R="(x1 + 2)^1.5 - y1/x2"), check_closedness=False)
+    with np.errstate(all="ignore"):
+        for p in (np.array([-3.0, 0.0, 0.5, 0.3]), np.array([-3.0, -0.0, -0.5, 0.3])):
+            for V in (fields.X, fields.JX):
+                lane = V.scalar_form(tuple(p.tolist()))
+                assert [type(c) for c in lane] == [float] * 4, (V.name, p)
+                assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
+                assert not np.isfinite(lane).all()
