@@ -17,6 +17,10 @@ is an error at that point.  :func:`compile_points` (one expression) and
 the real layout, one source) are the routes from text to a field's
 function: it takes a point or an ``(N, dim)`` stack of points, one per row,
 and its ``point`` attribute one point as Python numbers, with numpy's bits.
+A vector's point path also gives its body as a :class:`Lane`, which the
+flows write inline into their generated steppers.  Every generated text,
+its literals written into it, is compiled once per process
+(:func:`generated`).
 Expressions add to and multiply expressions or numbers, negate, and divide
 a number, making the trees of composite fields.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
@@ -28,7 +32,11 @@ grammar continuation exists, plus the set of acceptable token classes.
 
 import math
 import operator
+import re
+import struct
 from collections import namedtuple
+from functools import lru_cache
+from textwrap import indent
 
 import numpy as np
 
@@ -116,6 +124,129 @@ def power(a, b):
             a *= a
     r = _numpy(a) ** b
     return float(r) if type(a) is type(b) is float else r
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _literal(value):
+    """Source text of the number ``value`` that evaluates to its type and its bits, a NaN's included."""
+    kind = type(value).__name__  # float, complex, or numpy's float64 or complex128
+    if isinstance(value, complex):
+        return f"{kind}({_literal(float(value.real))}, {_literal(float(value.imag))})"
+    x = float(value)
+    text = repr(x) if math.isfinite(x) else f"_from_bits({struct.unpack('<Q', struct.pack('<d', x))[0]:#x})"
+    return text if kind == "float" else f"{kind}({text})"
+
+
+# the names generated code reads besides its own: the functions of the language, the point path's
+# quotient and power, and what its literals are built from
+_HELPERS = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
+_HELPERS.update(
+    _quotient=quotient, _power=power, _from_bits=_from_bits, float64=np.float64, complex128=np.complex128,
+    _empty=np.empty,
+)
+
+
+@lru_cache(maxsize=1024)
+def generated(source, filename, **names):
+    """The namespace of ``source`` run as a module: compiled once per process for one source text.
+
+    The module reads ``_HELPERS`` and ``names``; the text holds everything
+    else, its literals included (:func:`_literal`), so that equal texts are
+    equal functions.
+    """
+    namespace = {**_HELPERS, **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+class Lane(tuple):
+    """A value at one point as source text that generated code writes inline (the lane of :mod:`phhs.flows`).
+
+    ``lines`` are statements that read the point's components as ``_p0``,
+    ``_p1``, ... and ``results`` an expression per component of the value;
+    ``constants`` are the module-level lines that bind the literals they
+    read, and ``args`` the names of coefficients the caller passes in.
+    Where ``guard`` is true, or raises ``OverflowError``, the value is not
+    the inline one: the caller calls the scalar form the lane belongs to.
+    A tuple of these texts, so that equal lanes are one cache key.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, constants, lines, results, guard=None, args=()):
+        return super().__new__(cls, (constants, lines, results, guard, args))
+
+    constants, lines, results, guard, args = (property(operator.itemgetter(i)) for i in range(5))
+
+
+def _renamed(lane, prefix):
+    """``lane`` with its locals ``_t<k>`` and literals ``_c<k>`` renamed ``<prefix>t<k>`` and ``<prefix>c<k>``."""
+    def rename(texts):
+        return tuple(re.sub(r"\b_([tc]\d+)\b", rf"{prefix}\1", t) for t in texts)
+
+    guard = None if lane.guard is None else rename([lane.guard])[0]
+    return Lane(rename(lane.constants), rename(lane.lines), rename(lane.results), guard)
+
+
+@lru_cache(maxsize=256)
+def _mapped(formula, args, **lanes):
+    """The Lane of ``formula`` over ``lanes``, their locals renamed apart: one per field source, which paths share."""
+    parts = [_renamed(lane, f"_{key}") for key, lane in lanes.items()]
+    guards = [f"({part.guard})" for part in parts if part.guard is not None]
+    return Lane(
+        sum((part.constants for part in parts), ()),
+        sum((part.lines for part in parts), ()),
+        tuple(formula.format_map(dict(zip(lanes, rs))) for rs in zip(*(part.results for part in parts))),
+        " or ".join(guards) or None,
+        args,
+    )
+
+
+def lane_map(formula, coefficients, **forms):
+    """The ``source`` of the scalar form whose component j is ``formula`` of component j of each of ``forms``.
+
+    ``formula`` names each scalar form of ``forms`` by its keyword, as
+    ``{v}``, and reads the ``coefficients`` (name -> value) by name; every
+    form must have a ``source`` of its own, taking no coefficients.  The
+    source is a function of no arguments returning the :class:`Lane` and
+    the coefficient values, as a compiled point's does.
+    """
+    sources = {key: form.source for key, form in forms.items()}
+    values = tuple(coefficients.values())
+
+    def source():
+        lane = _mapped(formula, tuple(coefficients), **{key: s()[0] for key, s in sources.items()})
+        return lane, values
+
+    return source
+
+
+# a lane's a / b as quotient takes it, written inline: its complex Smith form and its division of
+# two Python floats, and quotient itself for other types and where those raise
+_QUOTIENT = """\
+try:
+    if type({b}) is complex or type({b}) is float and type({a}) is complex:
+        _ar = {a}.real
+        _ai = {a}.imag
+        _br = {b}.real
+        _bi = {b}.imag
+        if abs(_br) >= abs(_bi):
+            _rat = _bi / _br
+            _scl = 1.0 / (_br + _bi * _rat)
+            {out} = complex((_ar + _ai * _rat) * _scl, (_ai - _ar * _rat) * _scl)
+        else:
+            _rat = _br / _bi
+            _scl = 1.0 / (_bi + _br * _rat)
+            {out} = complex((_ar * _rat + _ai) * _scl, (_ai * _rat - _ar) * _scl)
+    elif type({a}) is float and type({b}) is float:
+        {out} = {a} / {b}
+    else:
+        {out} = _quotient({a}, {b})
+except ZeroDivisionError:
+    {out} = _quotient({a}, {b})"""
 
 
 _Token = namedtuple("_Token", "kind text pos")
@@ -335,27 +466,32 @@ def _variables(node):
 def _compile(roots, binding, label, dtype=None):
     """Straight-line Python function ``_p -> value``, one local per AST node.
 
-    Nodes are emitted left operand first and literals enter the namespace
-    by value: the tree's operations, one for one, but each distinct one
-    once (equal subtrees share a local; literals are told apart by
-    ``repr``, so ``0.0`` and ``-0.0`` stay two).  A coordinate read or a
-    function call gives a numpy scalar at a point.  The ``point`` attribute
-    reads Python numbers in their place and keeps numpy's bits: a quotient
-    is :func:`quotient`, a power of a Python complex :func:`power` (written
-    out as a a and a (a a), 0 at a zero base, for the literal powers 2 and
-    3), and any other power Python's ``**`` where that gives a float (the C
-    library's ``pow``, as numpy's) and :func:`power` where it raises or
-    does not.  Without such a quotient or power it is the function itself.
+    Nodes are emitted left operand first and literals are module-level
+    names written as :func:`_literal` gives them: the tree's operations,
+    one for one, but each distinct one once (equal subtrees share a local;
+    literals are told apart by type and bits, so ``0.0`` and ``-0.0`` stay
+    two, and a negated literal is one).  The text is compiled once per
+    process (:func:`generated`).  A coordinate read or a function call
+    gives a numpy scalar at a point.  The ``point`` attribute reads Python
+    numbers in their place and keeps numpy's bits: a quotient is
+    :func:`quotient`, a power of a Python complex :func:`power`
+    (written out as a a and a (a a), 0 at a zero base, for the literal
+    powers 2 and 3), and any other power Python's ``**`` where that gives a
+    float (the C library's ``pow``, as numpy's) and :func:`power` where it
+    raises or does not.  Without such a quotient or power it is the
+    function itself.
 
     With a ``dtype``, ``roots`` are the trees of a value's components of
     that dtype (complex or float): the function takes a point or an
     ``(N, dim)`` stack and returns ``(..., len(roots))`` components, its
-    ``point`` a tuple of them.  On floats a function call's value is read
-    as a Python float there, so the point path keeps Python floats.
+    ``point`` a tuple of them, reading the point's components as ``_p0``,
+    ``_p1``, ...; ``point.source`` gives that body as a :class:`Lane`, with
+    quotient's complex Smith form and its two-float division written out
+    (``quotient`` itself where they raise and for other types).  On
+    floats a function call's value is read as a Python float there, so the
+    point path keeps Python floats.
     """
     lines, points, scalars, locals_, literals = [], [], set(), {}, {}
-    namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
-    namespace.update(_quotient=quotient, _power=power, _empty=np.empty, _dtype=dtype)
 
     def scalar(local):
         scalars.add(local)
@@ -364,22 +500,25 @@ def _compile(roots, binding, label, dtype=None):
     def emit(src, point_src=None):
         if src not in locals_:
             locals_[src] = f"_t{len(lines)}"
-            lines.append(f"    {locals_[src]} = {src}")
-            points.append(f"    {locals_[src]} = {point_src or src}")
+            lines.append(f"{locals_[src]} = {src}")
+            points.append(f"{locals_[src]} = {point_src or src}")
         return locals_[src]
 
     def visit(node):
         kind, arg = node[0], node[1]
         if kind == "num":
-            local = literals.setdefault(repr(arg), f"_c{len(literals)}")
-            namespace[local] = arg
-            return local
+            return literals.setdefault(_literal(arg), f"_c{len(literals)}")
         if kind == "var":
             if arg not in binding:
                 raise ValueError(f"unknown identifier {arg!r}")
             c = binding[arg]
-            return scalar(emit(f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if isinstance(c, tuple) else f"_p[{c!r}]"))
+            src = f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if isinstance(c, tuple) else f"_p[{c!r}]"
+            if dtype is None:
+                return scalar(emit(src))
+            return scalar(emit(src, f"_p{c[0]} + 1j * _p{c[1]}" if isinstance(c, tuple) else f"_p{c}"))
         if kind == "neg":
+            if arg[0] == "num":  # negation is exact: the negated literal
+                return visit(("num", -arg[1]))
             a = visit(arg)
             out = emit(f"-{a}")
             return scalar(out) if a in scalars else out
@@ -390,38 +529,57 @@ def _compile(roots, binding, label, dtype=None):
         src = f"{a} {BINARY[arg][0]} {b}"
         if not {a, b} & scalars:
             return emit(src)
-        if arg == "/":
-            return scalar(emit(src, f"_quotient({a}, {b})"))
         local = scalar(emit(src))
-        if arg == "^":
+        k = int(local[2:])  # the line that made _t<k>
+        if arg == "/":
+            points[k] = f"{local} = _quotient({a}, {b})"
+        elif arg == "^":
             product = {("num", 2.0): f"{a} * {a}", ("num", 3.0): f"{a} * ({a} * {a})"}.get(node[3])
-            points[int(local[2:])] = "\n".join([  # the line that made _t<k>
-                f"    if type({a}) is complex:",
-                f"        {local} = {product} if {a} else 0j" if product else f"        {local} = _power({a}, {b})",
-                "    else:",
-                "        try:",
-                f"            {local} = {src}",
-                f"            if type({local}) is not float:",
-                f"                {local} = _power({a}, {b})",
-                "        except ArithmeticError:",
+            points[k] = "\n".join([
+                f"if type({a}) is complex:",
+                f"    {local} = {product} if {a} else 0j" if product else f"    {local} = _power({a}, {b})",
+                "else:",
+                "    try:",
+                f"        {local} = {src}",
+                f"        if type({local}) is not float:",
                 f"            {local} = _power({a}, {b})",
+                "    except ArithmeticError:",
+                f"        {local} = _power({a}, {b})",
             ])
         return local
 
+    def body(entries):
+        return indent("\n".join(entries), "    ") if entries else "    pass"
+
+    results = [visit(roots)] if dtype is None else [visit(root) for root in roots]
+    constants = tuple(f"{local} = {text}" for text, local in literals.items())
     if dtype is None:
-        result = visit(roots)
-        source = ["def _fn(_p):", *lines, f"    return {result}"]
+        source = [*constants, "def _fn(_p):", body(lines), f"    return {results[0]}"]
         if points != lines:
-            source += ["def _point(_p):", *points, f"    return {result}"]
+            source += ["def _point(_p):", body(points), f"    return {results[0]}"]
     else:
-        results = [visit(root) for root in roots]
-        source = ["def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", *lines]
-        source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), _dtype)")
+        coordinates = [j for c in binding.values() for j in (c if isinstance(c, tuple) else (c,))]
+        unpack = "".join(f"_p{j}, " for j in range(1 + max(coordinates, default=-1)))
+        source = [*constants, "def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", body(lines)]
+        source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), {dtype.__name__})")
         source += [*(f"    _o[..., {k}] = {r}" for k, r in enumerate(results)), "    return _o"]
-        source += ["def _point(_p):", *points, f"    return ({', '.join(results)},)"]
-    exec(compile("\n".join(source), f"<expression {label!r}>", "exec"), namespace)
+        # the point path reads a coordinate where the array path copies it to a local
+        copies = dict(match.groups() for match in (re.fullmatch(r"(_t\d+) = (_p\d+)", line) for line in points) if match)
+
+        def read(text):
+            return re.sub(r"\b_t\d+\b", lambda local: copies.get(local[0], local[0]), text)
+
+        points = [read(line) for line in points if line.partition(" = ")[0] not in copies]
+        results = [read(result) for result in results]
+        source += ["def _point(_p):", f"    {unpack}= _p" if unpack else "", body(points), f"    return ({', '.join(results)},)"]
+    namespace = generated("\n".join(source), f"<expression {label!r}>")
     fn = namespace["_fn"]
-    fn.point = namespace.get("_point", fn)
+    fn.point = point = namespace.get("_point", fn)
+    if dtype is not None:  # the lane writes each quotient out, its compile paid at a flow's first stepper
+        quotients = (re.fullmatch(r"(_\w+) = _quotient\((\w+), (\w+)\)", line) for line in points)
+        inline = tuple(line if q is None else _QUOTIENT.format(out=q[1], a=q[2], b=q[3]) for line, q in zip(points, quotients))
+        lane = Lane(constants, inline, tuple(results))
+        point.source = lambda: (lane, ())
     return fn
 
 
@@ -532,7 +690,23 @@ def compile_vector(exprs, names, dtype=complex):
     :func:`compile_points` with a complex cast gives it; a constant is
     evaluated on complex literals: ``-0`` is ``-(0j)``.  ``float`` is the
     real layout of real-valued trees: the point path returns Python floats.
+    Where every component is a folded number nothing compiles: the function
+    fills its rows with those numbers, the point path returns them, and its
+    ``source`` writes them inline.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
-    return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", dtype)
+    if any(root[0] != "num" for root in roots):
+        return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", dtype)
+    values = tuple(root[1] for root in roots)
+    row = np.array(values, dtype)
+
+    def fn(z):
+        out = np.empty((*z.shape[:-1], row.size), dtype)
+        out[...] = row
+        return out
+
+    lane = Lane((), (), tuple(f"({_literal(v)})" for v in values))
+    fn.point = point = lambda q: values
+    point.source = lambda: (lane, ())
+    return fn

@@ -30,9 +30,12 @@ array form's bits, is what a flow of one point steps (the scalar lane of
 :mod:`phhs.flows`).  For text, both forms come from one compiled source,
 :func:`~phhs.expressions.compile_vector` of the component trees: X on the
 models with J = i, whose J X and a X + b J X :func:`holomorphic_map` makes
-with one per-component map, and X and J_g X on the twisted model.  Only the
-Morse orbit field keeps a hand-written scalar form, reading its conformal
-factor through :func:`point_path`.
+with one per-component map, and X and J_g X on the twisted model.  Such a
+scalar form carries its body as ``source`` (a
+:class:`~phhs.expressions.Lane`), and a map of it states its formula as
+text, so that a flow writes the field into its generated stepper.  Only
+the Morse orbit field keeps a hand-written scalar form, with no source,
+reading its conformal factor through the function's point path.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compile_points
+from .expressions import compile_points, lane_map
 from .util import as_points, max_abs
 
 
@@ -104,17 +107,20 @@ def matvec(M, v):
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
-def holomorphic_map(X, f, fn, name):
+def holomorphic_map(X, f, fn, name, formula, **coefficients):
     """The field f(w) for X the real form of w, with ``fn`` on the real state.
 
     f maps one complex component, on an array or a Python complex alike, so
     it makes the complex form f(w(z)) and, where X has one, the scalar form.
+    ``formula`` is f as text of the component ``{v}`` and of the
+    ``coefficients`` it reads by name; where X's scalar form has a source, a
+    lane flow writes it inline with f's (:func:`~phhs.expressions.lane_map`).
     """
     w, s = X.complex_form, X.scalar_form
-    return VectorField(
-        fn, fd=X.fd, name=name, complex_form=lambda z: f(w(z)),
-        scalar_form=None if s is None else lambda z: tuple(map(f, s(z))),
-    )
+    scalar = None if s is None else lambda z: tuple(map(f, s(z)))
+    if hasattr(s, "source"):
+        scalar.source = lane_map(formula, coefficients, v=s)
+    return VectorField(fn, fd=X.fd, name=name, complex_form=lambda z: f(w(z)), scalar_form=scalar)
 
 
 def point_path(fn):

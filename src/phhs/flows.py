@@ -43,12 +43,21 @@ cast), compiled text keeps numpy's quotient and power and sums the twisted
 model's J_g X onto +0.0 as numpy's matrix product does
 (:mod:`phhs.expressions`, :func:`~phhs.models.build_proper_phhs`), and the
 Morse angle is ``np.arctan2``.  A lane error names the step, time and state
-the array path names.  The lane
-steps through :func:`_lane_stepper`, straight-line code generated once per
-process for each component count m and cached by m: the four stages and the
-update of each component written out, the field's scalar form called four
-times a step, the box test inline.  A flow's endpoint takes one call of it
-for all its steps (:func:`flow`, :func:`flow_word`,
+the array path names.
+
+The lane steps through :func:`_lane_stepper`, one generator of
+straight-line code, compiled once per process for each component count and
+field body: the four stages and the update of each component written out,
+the box test inline, and at each stage the field.  Where the scalar form
+has a ``source``, a :class:`~phhs.expressions.Lane`, its body is written
+inline: the compiled text of X and J_g X, the map i w or a w + (i b) w of
+:func:`~phhs.fields.holomorphic_map` on it, a c + b d of the twisted
+combination, and the central problem's Q-floor test, where a failing test
+calls the scalar form for its error.  The coefficients (a, i b, the step's)
+are arguments, so every segment of a path shares one stepper.  Any other
+scalar form is called at each stage: the Morse orbit field, whose stage the
+Clenshaw sum of T_hat dominates.  A flow's endpoint takes one call of the
+stepper for all its steps (:func:`flow`, :func:`flow_word`,
 :func:`continue_along_path`, the swap check of :func:`grid_monitors`);
 :func:`rk4_states` calls it once per step, so the Morse angle event sees
 every state.
@@ -58,13 +67,16 @@ for t and then J X for s from the anchor; paths in the complex time plane
 are polylines integrated segment by segment.
 """
 
+import re
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from itertools import count, islice
+from textwrap import indent
 
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
+from .expressions import generated, lane_map
 from .fields import VectorField, grid_derivative, holomorphic_map, matvec
 from .util import as_point, as_points, from_complex, to_complex
 
@@ -158,45 +170,68 @@ def rk4_step(V, y, h):
     return _update(y, sixth, k1, k2, k3, k4, two)
 
 
-@cache
-def _lane_stepper(m):
-    """The scalar lane's RK4 stepper for m components, generated once per process.
+@lru_cache(maxsize=256)
+def _lane_stepper(m, lane=None):
+    """The scalar lane's RK4 stepper for m components and the field body ``lane``, generated once per process.
 
-    ``stepper(F, y, n, first_step, h, half, full, sixth, two)`` takes steps
-    first_step, ..., first_step + n - 1 of size h of F, the field's scalar
-    form, from the tuple ``y`` and returns the tuple state after them, with
-    the coefficients of :func:`_coefficients`.  Each step is straight-line
-    code on y0..y{m-1}: four calls of F, and the stages and the update of
-    each component written from ``_STAGE`` and ``_UPDATE``, so their
-    operations are those of :func:`rk4_step` on a one-point array.  The
-    box test of :func:`_check_state` is inlined, |y_j| <= BLOWUP per
-    component; a state that fails it, or whose Python |z| overflows, goes
-    to :func:`_check_state`, which passes it if every real part is inside
-    the box and raises its error otherwise.  A field's
+    ``stepper(F, y, n, first_step, h, half, full, sixth, two, *args)`` takes
+    steps first_step, ..., first_step + n - 1 of size h of F, the field's
+    scalar form, from the tuple ``y`` and returns the tuple state after
+    them, with the coefficients of :func:`_coefficients` and the lane's
+    ``args``.  Each step is straight-line code on y0..y{m-1}: the stages
+    and the update of each component written from ``_STAGE`` and
+    ``_UPDATE``, so their operations are those of :func:`rk4_step` on a
+    one-point array, and at each stage the field: its
+    :class:`~phhs.expressions.Lane` written inline, on the stage state
+    ``_p0``, ``_p1``, ..., or, with no lane or where the lane's guard holds,
+    a call of F.  The box test of :func:`_check_state` is inlined, |y_j| <=
+    BLOWUP per component; a state that fails it, or whose Python |z|
+    overflows, goes to :func:`_check_state`, which passes it if every real
+    part is inside the box and raises its error otherwise.  A field's
     ``NonFiniteStateError`` is located in its step by :func:`_located`.
+    The text is compiled once per process (:func:`~phhs.expressions.generated`).
     """
     y = [f"y{j}" for j in range(m)]
+    p = [f"_p{j}" for j in range(m)]
     k = [[f"k{i}_{j}" for j in range(m)] for i in range(1, 5)]
 
     def state(names):
         return f"({', '.join(names)},)"
 
-    def stage(c, ks):
-        return state([_STAGE.format(y=a, c=c, k=b) for a, b in zip(y, ks)])
+    def field(c, previous, ks):
+        """The lines that set ``ks`` to the field at the stage y + c previous (y itself at the first)."""
+        stage = y if c is None else [_STAGE.format(y=a, c=c, k=b) for a, b in zip(y, previous)]
+        call = f"{state(ks)} = F({state(stage)})"
+        if lane is None:
+            return [call]
+        text = "\n".join([*lane.lines, *lane.results])
+        reads = [f"{a} = {b}" for a, b in zip(p, stage) if lane.guard or re.search(rf"\b{a}\b", text)]
+        inline = [*lane.lines, *(f"{a} = {r}" for a, r in zip(ks, lane.results))]
+        if lane.guard is None:
+            return reads + inline
+        return reads + [
+            "try:",
+            f"    _call = {lane.guard}",
+            "except OverflowError:",
+            "    _call = True",
+            "if _call:",
+            f"    {state(ks)} = F({state(p)})",
+            "else:",
+            indent("\n".join(inline), "    "),
+        ]
 
     def update(j):
         k1, k2, k3, k4 = (ks[j] for ks in k)
         return _UPDATE.format(y=y[j], sixth="sixth", k1=k1, k2=k2, k3=k3, k4=k4, two="two")
 
+    stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
     source = [
-        "def lane(F, y, n, first_step, h, half, full, sixth, two):",
+        *(lane.constants if lane else ()),
+        f"def lane(F, y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args) if lane else ''}):",
         f"    {state(y)} = y",
         "    for step in range(first_step, first_step + n):",
         "        try:",
-        f"            {state(k[0])} = F({state(y)})",
-        f"            {state(k[1])} = F({stage('half', k[0])})",
-        f"            {state(k[2])} = F({stage('half', k[1])})",
-        f"            {state(k[3])} = F({stage('full', k[2])})",
+        indent("\n".join(stages), " " * 12),
         "        except NonFiniteStateError as exc:",
         "            if exc.step is not None:",
         "                raise",
@@ -210,8 +245,10 @@ def _lane_stepper(m):
         f"            _check_state({state(y)}, step, h)",
         f"    return {state(y)}",
     ]
-    namespace = {"NonFiniteStateError": NonFiniteStateError, "_located": _located, "_check_state": _check_state}
-    exec(compile("\n".join(source), f"<RK4 lane of {m} components>", "exec"), namespace)
+    namespace = generated(
+        "\n".join(source), f"<RK4 lane of {m} components>",
+        NonFiniteStateError=NonFiniteStateError, _located=_located, _check_state=_check_state,
+    )
     return namespace["lane"]
 
 
@@ -260,8 +297,15 @@ def rk4_states(V, x0, h):
     return _lane_states(F, y, h) if type(y) is tuple else _array_states(F, y, h)
 
 
+def _stepper_of(F, y, h):
+    """The stepper of F's lane from ``y`` with step h, and the coefficients it takes after h."""
+    source = getattr(F, "source", None)
+    lane, args = (None, ()) if source is None else source()
+    return _lane_stepper(len(y), lane), (*_coefficients(isinstance(y[0], complex), h), *args)
+
+
 def _lane_states(F, y, h):
-    lane, coefficients = _lane_stepper(len(y)), _coefficients(isinstance(y[0], complex), h)
+    lane, coefficients = _stepper_of(F, y, h)
     for step in count(1):
         y = lane(F, y, 1, step, h, *coefficients)
         yield y
@@ -286,7 +330,8 @@ def _rk4(V, x0, t, n_steps):
     h = t / n_steps
     F, y = _start(V, x0)
     if type(y) is tuple:
-        y = np.array(_lane_stepper(len(y))(F, y, n_steps, 1, h, *_coefficients(isinstance(y[0], complex), h)))
+        lane, coefficients = _stepper_of(F, y, h)
+        y = np.array(lane(F, y, n_steps, 1, h, *coefficients))
     else:
         for y in islice(_array_states(F, y, h), n_steps):
             pass
@@ -466,9 +511,11 @@ def _combo_field(fields, a, b):
 
     if fields.JX.complex_form is not None:
         a_z, ib = complex(a), 1j * b
-        return holomorphic_map(fields.X, lambda v: a_z * v + ib * v, fn, "combo")
+        return holomorphic_map(fields.X, lambda v: a_z * v + ib * v, fn, "combo", "a * {v} + ib * {v}", a=a_z, ib=ib)
     s, t = fields.X.scalar_form, fields.JX.scalar_form
     scalar = None if s is None or t is None else lambda q: tuple([a * c + b * d for c, d in zip(s(q), t(q))])
+    if hasattr(s, "source") and hasattr(t, "source"):
+        scalar.source = lane_map("a * {c} + b * {d}", {"a": a, "b": b}, c=s, d=t)
     return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar)
 
 

@@ -355,7 +355,7 @@ def assemble_phhs(model, check_closedness=True):
     if model.JX_hook is not None:
         JX = model.JX_hook
     elif w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
-        JX = holomorphic_map(X, partial(mul, 1j), jx_fn, "JX")
+        JX = holomorphic_map(X, partial(mul, 1j), jx_fn, "JX", "1j * {v}")
     else:
         JX = VectorField(jx_fn, fd=X.fd, name="JX")
     omega_I = omega_I_from(model.omega_R, model.J)

@@ -28,7 +28,7 @@ from .errors import (
     QDependenceError,
     ZeroDenominatorError,
 )
-from .expressions import Expression, compile_points, compile_vector, parse_expression
+from .expressions import Expression, Lane, compile_points, compile_vector, parse_expression
 from .fields import (
     HOLO_TOL,
     CovectorField,
@@ -110,7 +110,9 @@ def _as_real_scalar(f, m, what="field"):
     ``(N, 2m)`` stack (one value, one gradient per row); a field is used as
     it is, a bare callable is lifted by :func:`rowwise`.  The gradient comes
     from the symbolic partials in x_1..x_m, y_1..y_m; it is None for fields,
-    callables and expressions without a symbolic derivative.  A constant
+    callables, expressions without a symbolic derivative and text that
+    reads a z_j, Q_j or P_j (whose partials would take it for a coordinate
+    of its own, not x_j + i y_j).  A constant
     value is evaluated once, when the field is built, every other one is
     checked to be real; the partials are compiled at the first gradient.
     """
@@ -135,8 +137,11 @@ def _as_real_scalar(f, m, what="field"):
         v = real(np.asarray(value(p)))
         return float(v) if p.ndim == 1 else v
 
+    own = coordinate_names(m, aliases=False)
+    if not expr.variables() <= own.keys():
+        return fn, None
     try:
-        partials = [expr.diff(name) for name in coordinate_names(m, aliases=False)]
+        partials = [expr.diff(name) for name in own]
     except ValueError:
         return fn, None
     compiled = []  # the partials as one source, compiled at the first gradient (f and h never take one)
@@ -211,8 +216,15 @@ Q_FLOOR = 1.4e-3
 
 
 def _q_floor_checked(w):
-    """The central X ``w`` behind one check that |Q| stays above ``Q_FLOOR``: one function for arrays and the lane."""
+    """The central X ``w`` behind one check that |Q| stays above ``Q_FLOOR``: one function for arrays and the lane.
+
+    Its ``source`` is w's lane behind the same test as a line of text: a
+    lane flow calls the function itself where the test fails or Python's
+    |Q| overflows, for its error (or, past the float range, its value).
+    """
     point = w.point
+    lane, values = point.source()
+    guarded = Lane(lane.constants, lane.lines, lane.results, f"abs(_p0) < {Q_FLOOR!r}", lane.args), values
 
     def checked(z):
         lane = type(z) is tuple
@@ -228,6 +240,7 @@ def _q_floor_checked(w):
         return point(z) if lane else w(z)
 
     checked.point = checked
+    checked.source = lambda: guarded
     return checked
 
 
@@ -485,6 +498,7 @@ def _compiled_field(exprs, name):
         return fn
 
     field.fn, field.scalar_form = (lambda p: compiled()(p)), (lambda q: compiled().point(q))
+    field.scalar_form.source = lambda: compiled().point.source()
     return field
 
 

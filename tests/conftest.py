@@ -40,8 +40,8 @@ def rk4_steps(monkeypatch):
     taken = Counter()
     lane_stepper, rk4_step = flows._lane_stepper, flows.rk4_step
 
-    def counted_stepper(m):
-        run = lane_stepper(m)
+    def counted_stepper(m, lane=None):
+        run = lane_stepper(m, lane)
 
         def lane(F, y, n, *rest):
             taken["lane"] += n

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phhs import cli, fields, flows, models, morse
+from phhs import cli, expressions, fields, flows, models, morse
 from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
@@ -527,12 +527,14 @@ def test_orbits_focus_scenario_rk4_steps_on_the_scalar_lane(tmp_path, monkeypatc
     assert rk4_steps == {"lane": steps}
 
 
-@pytest.mark.parametrize("verb, shorter", [("monodromy", "path"), ("foliate", "words")])
-def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorter):
-    # the package compiles the central X, one source for its array and lane forms, once, when the
-    # model is built, and the lane stepper of its two components once, at the first flow: no
-    # further flow, path segment or flow word compiles, so the count is the same with a quarter
-    # of the segments or one word
+@pytest.mark.parametrize("verb, shorter, compiled", [("monodromy", "path", 2), ("foliate", "words", 3)])
+def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorter, compiled):
+    # the package compiles the central X, one source for its array and lane forms, once per
+    # process, and at the first flow of each field the lane stepper with that field written
+    # inline: X's and J X's for foliate, the combination's for monodromy, whose segments share
+    # it (a and i b are the stepper's arguments).  No further flow, path segment or flow word
+    # compiles, so the count is the same with a quarter of the segments or one word, and nothing
+    # compiles on a second run in the same process
     scenario = dict(_focus_scenario(monkeypatch, verb, "orbits"))
     calls = []
 
@@ -551,16 +553,22 @@ def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorte
             scenario["words"] = scenario["words"][:1]
         cfg = write_config(tmp_path, f"cfg{len(counts)}.json", scenario)
         calls.clear()
+        expressions.generated.cache_clear()
         flows._lane_stepper.cache_clear()
         assert main([verb, "--config", cfg, "--out", str(tmp_path / f"o{len(counts)}")]) == 0
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [compiled, compiled]
+    assert calls[0] == "<expression '(P1, -1/(4*Q1^3))'>" and set(calls[1:]) == {"<RK4 lane of 2 components>"}
+    calls.clear()
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    assert calls == []
 
 
 def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
-    # the twisted model compiles h = exp(x1) and H_R = -y1 when it is built; X, J X and the
-    # gradient of H_R, one source each, when it is assembled; and the lane stepper of its four
-    # components at the first single-point flow.  No grid node, stage or flow compiles more
+    # the twisted model compiles h = exp(x1) and H_R = -y1 when it is built, and J X, one source,
+    # when it is assembled (X and the gradient of H_R are folded numbers); then the lane steppers
+    # of X (the t sweep) and of J X (the swap check), each with its field written inline, at
+    # their first single-point flows.  No grid node, stage or flow compiles more
     cfg = _focus_config(tmp_path, monkeypatch, "integrate")
     calls = []
 
@@ -571,10 +579,11 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name == "phhs" or name.startswith("phhs."):
             monkeypatch.setattr(module, "compile", counted, raising=False)
+    expressions.generated.cache_clear()
     flows._lane_stepper.cache_clear()
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
-    assert len(calls) == 6 and calls[-1] == "<RK4 lane of 4 components>"
+    assert len(calls) == 5 and calls[3:] == ["<RK4 lane of 4 components>"] * 2
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phhs.errors import ParseError
-from phhs.expressions import compile_points, parse_expression, power, quotient
-from phhs.util import coordinate_names, to_complex
+from phhs.expressions import compile_points, compile_vector, parse_expression, power, quotient
+from phhs.util import coordinate_names, seeded_points, to_complex
 
 
 def test_basic_arithmetic_and_functions():
@@ -199,6 +201,69 @@ def test_quotient_is_numpys_division_on_python_numbers():
             for b in numbers[::2] + pairs[::7]:
                 ref = (np.complex128 if isinstance(a, complex) or isinstance(b, complex) else np.float64)(a)
                 assert _same_bits(quotient(a, b), ref / b), (a, b)
+
+
+def test_the_inline_quotient_is_quotient_and_falls_back_to_it_on_zero_and_nan_divisors():
+    # the point path writes quotient's complex Smith form and its division of two floats inline;
+    # where they raise ZeroDivisionError (a zero divisor, or a NaN one: Python's NaN / 0.0 raises)
+    # it calls quotient, so every pair keeps quotient's bits, which are the array path's.  A NaN
+    # keeps its place, not always its sign: which operand's NaN an operation returns differs
+    # between numpy's loops and CPython's float operations (nan j / (inf + inf j) is one case)
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        nan = np.isnan(a.reshape(-1).view(float))
+        return a.dtype == b.dtype and np.array_equal(nan, np.isnan(b.reshape(-1).view(float))) and (
+            a.reshape(-1).view(float)[~nan].tobytes() == b.reshape(-1).view(float)[~nan].tobytes()
+        )
+
+    complex_fn = compile_vector(["z1/z2"], coordinate_names(2, "complex"))
+    real_fn = compile_vector(["x1/x2"], coordinate_names(2), float)
+    mixed_fn = compile_points("z1/x2", coordinate_names(2))  # a complex by a float
+    parts = [complex(a, b) for a in SPECIAL for b in SPECIAL[::2]]
+    zero_or_nan = 0
+    with np.errstate(all="ignore"):
+        for a in parts:
+            for b in parts:
+                (q,) = complex_fn.point((a, b))
+                assert same(q, quotient(a, b)) and same(q, complex_fn(np.array([a, b]))[0]), (a, b)
+                zero_or_nan += not b or b != b
+        for a in SPECIAL:
+            for b in SPECIAL:
+                (q,) = real_fn.point((a, b, 0.5, 0.5))
+                assert type(q) is float and same(q, quotient(a, b)), (a, b)
+                assert same(q, real_fn(np.array([a, b, 0.5, 0.5]))[0]), (a, b)
+                p = (a, b, -0.75, 0.0)
+                q = mixed_fn.point(p)
+                assert same(q, quotient(complex(a, -0.75), b)) and same(q, mixed_fn(np.array(p))), (a, b)
+    assert zero_or_nan > 500
+
+
+def test_a_vector_of_folded_numbers_compiles_nothing(monkeypatch):
+    # the partials of -y1 and the twisted X made from them are folded numbers: the function
+    # fills its rows with them, bit for bit the compiled source, signed zeros kept, and the
+    # point path and the lane source give them as they are
+    import builtins
+
+    from phhs import expressions
+
+    grads = [parse_expression("-y1").diff(name) for name in ("x1", "x2", "y1", "y2")]
+    values = [g.ast[1] for g in grads] + [-0.0, np.inf]
+    trees = [("num", v) for v in values]
+    names = coordinate_names(2)
+    # the source compile_vector compiled for them before, complex literals on the complex layout
+    roots = {float: trees, complex: [("num", complex(v)) for v in values]}
+    compiled = {dtype: expressions._compile(roots[dtype], names, "folded", dtype) for dtype in (float, complex)}
+    monkeypatch.setattr(builtins, "compile", None)
+    P = np.concatenate([seeded_points(4, 5, 4), [[0.0, -0.0, np.nan, np.inf]]])
+    for dtype in (float, complex):
+        fn = expressions.compile_vector([expressions.Expression(t) for t in trees], names, dtype)
+        for p in (P, P[0]):
+            assert _same_bits(fn(p), compiled[dtype](p)) and fn(p).shape == compiled[dtype](p).shape
+        point = fn.point(tuple(P[0].tolist()))
+        assert _same_bits(np.array(point), np.array(compiled[dtype].point(tuple(P[0].tolist()))))
+        lane, args = fn.point.source()
+        assert lane.lines == () and args == () and len(lane.results) == len(values)
+    assert values[:4] == [-0.0, -0.0, -1.0, -0.0] and [math.copysign(1.0, v.real) for v in point] == [-1.0] * 5 + [1.0]
 
 
 def test_point_path_power_is_numpys_power():

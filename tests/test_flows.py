@@ -742,13 +742,41 @@ def _first_step(states):
         return None, (type(exc), str(exc))
 
 
-def _lane_fields():
-    """(name, field, complex state): a Morse orbit field, a twisted X and a central combination."""
-    orbit = morse_lib.hamiltonian_flow_field(morse_lib.PlanarSystem(v="2 + sin(x1)", T=np.pi))
-    twisted = assemble_phhs(LANE_MODELS["twisted_varying"][0](), check_closedness=False)
-    central = assemble_phhs(models.build_central_problem())
-    combination = flows._combo_field(central, 0.6, -0.8)
-    return [("orbit", orbit, False), ("twisted X", twisted.X, False), ("central combination", combination, True)]
+# each kind of lane field, its body written inline in the stepper but the orbit's: the central X
+# (the Q-floor guard and a complex quotient), J X and a X + b J X, at (0.6, -0.8) and at the first
+# segment of the monodromy focus path; the twisted model's X, J_g X and combination, with a folded
+# constant X (bigrid) and with varying ones; the oscillator's X and combination; and a standard
+# system whose X divides by Q1^2, which meets zero and NaN divisors
+LANE_FIELDS = [
+    "orbit", "central X", "central JX", "central combination", "central monodromy segment",
+    "twisted X", "twisted JX", "twisted combination",
+    "twisted_varying X", "twisted_varying JX", "twisted_varying combination",
+    "oscillator X", "oscillator combination", "standard_inverse X",
+]
+
+
+def _lane_field(name):
+    """(field, complex state) of the ``LANE_FIELDS`` entry ``name``."""
+    if name == "orbit":
+        return morse_lib.hamiltonian_flow_field(morse_lib.PlanarSystem(v="2 + sin(x1)", T=np.pi)), False
+    model, _, which = name.partition(" ")
+    if model == "central":
+        model = models.build_central_problem()
+    elif model == "standard_inverse":
+        model = models.build_standard_hhs(1, "P1^2/2 - 1/Q1")
+    else:
+        model = LANE_MODELS[model][0]()
+    fields = assemble_phhs(model, check_closedness=False)
+    th = 2.0 * np.pi / 64
+    dz = complex(-1.0 + np.cos(th), np.sin(th))
+    V = {
+        "X": fields.X,
+        "JX": fields.JX,
+        "combination": flows._combo_field(fields, 0.6, -0.8) if model.name == "central_problem" else
+        flows._combo_field(fields, np.cos(0.3), np.sin(0.3)),
+        "monodromy segment": flows._combo_field(fields, dz.real, dz.imag),
+    }[which]
+    return V, fields.X.complex_form is not None
 
 
 def _same_up_to_nans(a, b):
@@ -760,17 +788,20 @@ def _same_up_to_nans(a, b):
     return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
-@pytest.mark.parametrize("k", range(3), ids=["orbit-m2", "twisted-m4", "central-complex-m2"])
+@pytest.mark.parametrize("k", range(len(LANE_FIELDS)), ids=LANE_FIELDS)
 def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
-    # every state with components from STEP_VALUES, and seeded ordinary ones: the generated step
-    # is rk4_step on the one-point array, with the array path's box check and error location,
+    # every state with components from STEP_VALUES (6,561 of them on four real or two complex
+    # components), and seeded ordinary ones: the generated step, the field written inline, is
+    # rk4_step on the one-point array, with the array path's box check and error location,
     # tobytes() for tobytes(), on the field's scalar form lifted to the array and on its array
     # form.  Only a NaN's sign may differ: which operand's NaN an IEEE operation returns is not
     # fixed across numpy's loops, nor across CPython's own float operations (its specialized
     # float add returns the other operand's NaN than the generic one), so a state with a NaN
     # keeps its NaN places and the bits of its other components
-    name, V, complex_state = _lane_fields()[k]
+    name = LANE_FIELDS[k]
+    V, complex_state = _lane_field(name)
     s = V.scalar_form
+    assert hasattr(s, "source") is (name != "orbit")
     array_forms = [lambda p: np.array(s(tuple(p.tolist()))), V.complex_form if complex_state else V]
     h = 0.05
     if complex_state:
@@ -849,3 +880,71 @@ def test_lane_errors_keep_their_recorded_step_time_and_message():
         type(None), 1011, 1.0110000000000001, None, ["0x1.7dcf2a3fff478p+26", "0x1.79a7afffff514p+26", "0x0.0p+0", "0x0.0p+0"],
         "flow state overflowed at step 1011 (flow time 1.0110000000000001); a singular locus was hit",
     ]
+
+
+def _floor_start(lam):
+    """The start (lam Q0, P0 / lam) of the recorded floor flow above, Q0 = 0.14 and P0 = -0.5, in the real layout.
+
+    A flow of w lam^2 from it is lam times the X flow from (Q0, P0), so it meets the Q floor
+    at the same step: J X = i w with lam = e^{i pi/4}, a X + b J X = (a + i b) w with lam^2 = a + i b.
+    """
+    Q0, P0 = 0.14 * lam, -0.5 / lam
+    return [Q0.real, P0.real, Q0.imag, P0.imag]
+
+
+def test_inline_floor_errors_of_j_x_and_the_combination_keep_their_recorded_step_time_and_message():
+    # recorded before the field was written inline into the stepper: J X and the combination of
+    # the first monodromy segment meet the Q floor in step 35, where the stage calls the guarded
+    # scalar form for its error
+    fields = assemble_phhs(models.build_central_problem())
+    th = 2.0 * np.pi / 64
+    dz = complex(-1.0 + np.cos(th), np.sin(th))
+    recorded = []
+    for V, x0 in (
+        (fields.JX, [0.099, -0.3536, 0.099, 0.3536]),  # _floor_start(e^{i pi/4}), rounded
+        (flows._combo_field(fields, dz.real, dz.imag), _floor_start(np.sqrt(dz))),
+    ):
+        with pytest.raises(NonFiniteStateError) as info:
+            flow(V, x0, 0.3, CFG)
+        err = info.value
+        recorded.append([type(err.__cause__), err.step, err.time, err.row, [c.hex() for c in err.state.tolist()], str(err)])
+    assert recorded == [
+        [
+            NonFiniteStateError, 35, 0.034, None,
+            ["0x1.ccdb2538510c0p-7", "-0x1.250299cad3ddep+4", "0x1.ccdb2538510c0p-7", "0x1.250299cad3ddep+4"],
+            "central problem evaluated too close to the Q = 0 locus at [-7.08963752e-04 -2.82694738e+02 -7.08963752e-04"
+            "  2.82694738e+02], in step 35 of the flow (from flow time 0.034000000000000002)",
+        ],
+        [
+            NonFiniteStateError, 35, 0.034, None,
+            ["0x1.18a21adcf22bap-8", "-0x1.c9e4fe03ce2b8p+5", "0x1.26c21f5fc4951p-8", "0x1.e0f10ef4e5d94p+5"],
+            "central problem evaluated too close to the Q = 0 locus at [-2.59330862e-04 -9.23790202e+02 -2.72383722e-04"
+            "  9.70287192e+02], in step 35 of the flow (from flow time 0.034000000000000002)",
+        ],
+    ]
+
+
+def test_the_inline_guard_calls_the_scalar_form_only_where_the_q_floor_test_fails_or_overflows():
+    s = assemble_phhs(models.build_central_problem()).X.scalar_form
+    lane, args = s.source()
+    assert lane.guard == f"abs(_p0) < {models.Q_FLOOR!r}" and args == ()
+    stepper, h = flows._lane_stepper(2, lane), 1e-3
+    coefficients = flows._coefficients(True, h)
+    calls = []
+
+    def F(z):
+        calls.append(z)
+        return s(z)
+
+    stepper(F, (1 + 0j, 0.5 + 0j), 100, 1, h, *coefficients)
+    assert calls == []
+    # inside the floor the scalar form raises the floor error, which the stepper locates
+    with pytest.raises(NonFiniteStateError, match="Q = 0 locus") as info:
+        stepper(F, (1e-3 + 0j, 0.5 + 0j), 1, 7, h, *coefficients)
+    assert calls == [(1e-3 + 0j, 0.5 + 0j)] and (info.value.step, info.value.time) == (7, 6 * h)
+    # Python's |Q| past the float range raises OverflowError: the scalar form takes the stage,
+    # with numpy's |Q| = inf past the floor, and the box rejects the state it leads to
+    calls.clear()
+    with pytest.raises(NonFiniteStateError, match="overflowed at step 1 "), np.errstate(all="ignore"):
+        stepper(F, (complex(1.5e308, 1.5e308), 0.5 + 0j), 1, 1, h, *coefficients)
+    assert calls[0] == (complex(1.5e308, 1.5e308), 0.5 + 0j)

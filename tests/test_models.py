@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phhs import flows, models
+from phhs import expressions, flows, models
 from phhs.errors import (
     NonFiniteStateError,
     NotHolomorphicError,
@@ -175,8 +175,10 @@ def test_proper_phhs_structure_tensors(proper):
 
 def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
     # f = 1 is read from its tree; exp(x1) and -y1 compile once each when the model is built.
-    # The gradients compile at their first call, which f's and h's never get, and so do X and
-    # J X: the assembly compiles those three, one source each, and no flow compiles any more
+    # The gradients compile at their first call, which f's and h's never get; the partials of
+    # H_R = -y1 and so X are folded numbers, which compile nothing, so the assembly compiles J X
+    # alone.  The first single-point flows of X, J X and a combination compile their three lane
+    # steppers, and no later flow compiles any more
     import builtins
 
     compiled, compile_ = [], builtins.compile
@@ -186,15 +188,47 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
         return compile_(source, filename, *args, **kw)
 
     monkeypatch.setattr(builtins, "compile", counted)
+    expressions.generated.cache_clear()
+    flows._lane_stepper.cache_clear()
     model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
     assert compiled == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     fields = assemble_phhs(model)
-    assert len(compiled) == 5 and compiled[-1] == "<expression '(d(-y1)/dx1, d(-y1)/dx2, d(-y1)/dy1, d(-y1)/dy2)'>"
+    assert len(compiled) == 3 and "exp(x1)" in compiled[-1] and "d(-y1)/dy2" in compiled[-1]
     x0 = np.array([0.2, 0.1, -0.3, 0.4])
-    for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
-        flows.flow(V, x0, 0.05)
-        flows.flow(V, np.array([x0, x0]), 0.05)
-    assert len([c for c in compiled if c.startswith("<expression")]) == 5
+    for _ in range(2):
+        for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
+            flows.flow(V, x0, 0.05)
+            flows.flow(V, np.array([x0, x0]), 0.05)
+    assert compiled[3:] == ["<RK4 lane of 4 components>"] * 3
+
+
+def test_real_text_reading_a_z_alias_takes_the_difference_jet_for_its_gradient():
+    # (z1 - x1)^2 is -y1^2.  Its symbolic partials took z1 for a coordinate of its own and gave
+    # the gradient [-0, 0, 0, 0] here, with a ComplexWarning; now it has none, and the gradient
+    # and the twisted X built on it come from the difference jet
+    import warnings
+
+    p = np.array([0.3, 0.2, 0.5, -0.1])
+    _, grad = models._as_real_scalar("(z1 - x1)^2", 2)
+    assert grad is None
+    model = models.build_proper_phhs(H_R="(z1 - x1)^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(model.H_R.gradient(p), [0.0, 0.0, -1.0, 0.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(model.X_hook(p), [0.0, 0.0, 0.0, -1.0], rtol=0.0, atol=1e-9)
+
+
+def test_a_second_central_problem_compiles_nothing(monkeypatch):
+    # its X, one source, is compiled once per process, and so are the lane steppers of its fields
+    import builtins
+
+    x0 = np.array([1.0, 0.5, 0.0, 0.0])
+    first = assemble_phhs(models.build_central_problem())
+    ends = [flows.flow(V, x0, 0.01) for V in (first.X, first.JX, flows._combo_field(first, 0.6, -0.8))]
+    monkeypatch.setattr(builtins, "compile", None)
+    fields = assemble_phhs(models.build_central_problem())
+    again = [flows.flow(V, x0, 0.01) for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8))]
+    assert all(np.array_equal(a, b) for a, b in zip(ends, again))
 
 
 def test_proper_phhs_trivial_twist_is_standard():
