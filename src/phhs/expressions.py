@@ -17,10 +17,12 @@ is an error at that point.  :func:`compile_points` (one expression) and
 the real layout, one source) are the routes from text to a field's
 function: it takes a point or an ``(N, dim)`` stack of points, one per row,
 and its ``point`` attribute one point as Python numbers, with numpy's bits.
-A vector's point path also gives its body as a :class:`Lane`, which the
-flows write inline into their generated steppers.  Every generated text,
-its literals written into it, is compiled once per process
-(:func:`generated`).
+A vector's point path is its :class:`Lane` (``lane``), the body that the
+flows write inline into their generated steppers, and ``point`` is the
+function it writes out.  Formulas of a few named values, such as the RK4
+stage, are text too (:func:`formula_function`), and so is
+:func:`quotient`.  Every generated text, its literals written into it, is
+compiled once per process (:func:`generated`).
 Expressions add to and multiply expressions or numbers, negate, and divide
 a number, making the trees of composite fields.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
@@ -68,32 +70,10 @@ def _numpy(x):
     return np.complex128(x) if kind is complex else np.float64(x) if kind is float else x
 
 
-def quotient(a, b):
-    """a / b with numpy's bits, on Python numbers too.
-
-    A Python complex divisor, or a Python float one of a Python complex,
-    takes numpy's complex Smith form (CPython's complex ``/`` rounds
-    differently), two Python floats Python's ``/``, or numpy's, as a Python
-    float, where Python raises on a zero divisor; where the Smith form
-    raises, and on arrays and numpy scalars, numpy divides.
-    """
-    kind = type(b)
-    try:
-        if kind is complex or kind is float and type(a) is complex:
-            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-            if abs(br) >= abs(bi):
-                rat = bi / br
-                scl = 1.0 / (br + bi * rat)
-                return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-            rat = br / bi
-            scl = 1.0 / (bi + br * rat)
-            return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-        if kind is float and type(a) is float:
-            return a / b
-    except ZeroDivisionError:
-        if kind is float and type(a) is float:
-            return float(np.float64(a) / b)
-    return _numpy(a) / b
+def _divide(a, b):
+    """a / b as numpy divides, a Python float for two Python floats: :func:`quotient` where its own forms fail."""
+    q = _numpy(a) / b
+    return float(q) if type(a) is type(b) is float else q
 
 
 def power(a, b):
@@ -144,7 +124,7 @@ def _literal(value):
 # quotient and power, and what its literals are built from
 _HELPERS = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _HELPERS.update(
-    _quotient=quotient, _power=power, _from_bits=_from_bits, float64=np.float64, complex128=np.complex128,
+    _divide=_divide, _power=power, _from_bits=_from_bits, float64=np.float64, complex128=np.complex128,
     _empty=np.empty,
 )
 
@@ -162,70 +142,16 @@ def generated(source, filename, **names):
     return namespace
 
 
-class Lane(tuple):
-    """A value at one point as source text that generated code writes inline (the lane of :mod:`phhs.flows`).
-
-    ``lines`` are statements that read the point's components as ``_p0``,
-    ``_p1``, ... and ``results`` an expression per component of the value;
-    ``constants`` are the module-level lines that bind the literals they
-    read, and ``args`` the names of coefficients the caller passes in.
-    Where ``guard`` is true, or raises ``OverflowError``, the value is not
-    the inline one: the caller calls the scalar form the lane belongs to.
-    A tuple of these texts, so that equal lanes are one cache key.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, constants, lines, results, guard=None, args=()):
-        return super().__new__(cls, (constants, lines, results, guard, args))
-
-    constants, lines, results, guard, args = (property(operator.itemgetter(i)) for i in range(5))
+def formula_function(text, *names):
+    """The function of ``names`` that returns ``text``, each ``{name}`` in it read as that argument (:func:`generated`)."""
+    source = f"def _formula({', '.join(names)}):\n    return {text.format_map({name: name for name in names})}"
+    return generated(source, f"<{text}>")["_formula"]
 
 
-def _renamed(lane, prefix):
-    """``lane`` with its locals ``_t<k>`` and literals ``_c<k>`` renamed ``<prefix>t<k>`` and ``<prefix>c<k>``."""
-    def rename(texts):
-        return tuple(re.sub(r"\b_([tc]\d+)\b", rf"{prefix}\1", t) for t in texts)
-
-    guard = None if lane.guard is None else rename([lane.guard])[0]
-    return Lane(rename(lane.constants), rename(lane.lines), rename(lane.results), guard)
-
-
-@lru_cache(maxsize=256)
-def _mapped(formula, args, **lanes):
-    """The Lane of ``formula`` over ``lanes``, their locals renamed apart: one per field source, which paths share."""
-    parts = [_renamed(lane, f"_{key}") for key, lane in lanes.items()]
-    guards = [f"({part.guard})" for part in parts if part.guard is not None]
-    return Lane(
-        sum((part.constants for part in parts), ()),
-        sum((part.lines for part in parts), ()),
-        tuple(formula.format_map(dict(zip(lanes, rs))) for rs in zip(*(part.results for part in parts))),
-        " or ".join(guards) or None,
-        args,
-    )
-
-
-def lane_map(formula, coefficients, **forms):
-    """The ``source`` of the scalar form whose component j is ``formula`` of component j of each of ``forms``.
-
-    ``formula`` names each scalar form of ``forms`` by its keyword, as
-    ``{v}``, and reads the ``coefficients`` (name -> value) by name; every
-    form must have a ``source`` of its own, taking no coefficients.  The
-    source is a function of no arguments returning the :class:`Lane` and
-    the coefficient values, as a compiled point's does.
-    """
-    sources = {key: form.source for key, form in forms.items()}
-    values = tuple(coefficients.values())
-
-    def source():
-        lane = _mapped(formula, tuple(coefficients), **{key: s()[0] for key, s in sources.items()})
-        return lane, values
-
-    return source
-
-
-# a lane's a / b as quotient takes it, written inline: its complex Smith form and its division of
-# two Python floats, and quotient itself for other types and where those raise
+# a / b with numpy's bits on Python numbers, written once: quotient is this text, and a lane writes
+# it inline.  A Python complex divisor, or a Python float one of a Python complex, takes numpy's
+# complex Smith form (CPython's complex / rounds differently), two Python floats Python's /, and
+# numpy divides (_divide) where those raise, as on a zero divisor, and for every other type
 _QUOTIENT = """\
 try:
     if type({b}) is complex or type({b}) is float and type({a}) is complex:
@@ -244,9 +170,89 @@ try:
     elif type({a}) is float and type({b}) is float:
         {out} = {a} / {b}
     else:
-        {out} = _quotient({a}, {b})
+        {out} = _divide({a}, {b})
 except ZeroDivisionError:
-    {out} = _quotient({a}, {b})"""
+    {out} = _divide({a}, {b})"""
+
+quotient = generated(
+    f"def quotient(a, b):\n{indent(_QUOTIENT.format(out='q', a='a', b='b'), '    ')}\n    return q", "<quotient>"
+)["quotient"]
+quotient.__doc__ = """a / b with numpy's bits, on Python numbers too: ``_QUOTIENT`` as a function."""
+_HELPERS["_quotient"] = quotient
+
+
+class Lane(tuple):
+    """A value at one point as source text that generated code writes inline (the lane of :mod:`phhs.flows`).
+
+    ``lines`` are statements that read the point's components as ``_p0``,
+    ``_p1``, ... and ``results`` an expression per component of the value;
+    ``constants`` are the module-level lines that bind the other names they
+    read (literals, imports), and ``args`` the names of the values the caller
+    passes in: coefficients, and functions that a line calls.  A line may
+    raise: that is the value's error at that point.  A tuple of these
+    texts, so that equal lanes are one cache key.  A lane travels as a
+    function of no arguments returning it and the values of its ``args``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, constants, lines, results, args=()):
+        return super().__new__(cls, (constants, lines, results, args))
+
+    constants, lines, results, args = (property(operator.itemgetter(i)) for i in range(4))
+
+
+@lru_cache(maxsize=256)
+def lane_function(lane, values=()):
+    """The function of one point, a tuple of Python numbers, that ``lane`` writes out with its args ``values``."""
+    reads = sorted({int(j) for j in re.findall(r"\b_p(\d+)\b", "\n".join([*lane.lines, *lane.results]))})
+    source = [
+        *lane.constants,
+        f"def _point(_p{''.join(f', {a}' for a in lane.args)}):",
+        *(f"    _p{j} = _p[{j}]" for j in reads),
+        indent("\n".join(lane.lines), "    "),
+        f"    return ({''.join(f'{r}, ' for r in lane.results)})",
+    ]
+    point = generated("\n".join(source), "<lane>")["_point"]
+    return (lambda q: point(q, *values)) if values else point
+
+
+def _renamed(lane, prefix):
+    """``lane`` with its locals ``_t<k>`` and literals ``_c<k>`` renamed ``<prefix>t<k>`` and ``<prefix>c<k>``."""
+    def rename(texts):
+        return tuple(re.sub(r"\b_([tc]\d+)\b", rf"{prefix}\1", t) for t in texts)
+
+    return Lane(rename(lane.constants), rename(lane.lines), rename(lane.results), lane.args)
+
+
+@lru_cache(maxsize=256)
+def _mapped(formula, args, **lanes):
+    """The Lane of ``formula`` over ``lanes``, their locals renamed apart: one per field source, which paths share."""
+    parts = [_renamed(lane, f"_{key}") for key, lane in lanes.items()]
+    return Lane(
+        sum((part.constants for part in parts), ()),
+        sum((part.lines for part in parts), ()),
+        tuple(formula.format_map(dict(zip(lanes, rs))) for rs in zip(*(part.results for part in parts))),
+        sum((part.args for part in parts), args),
+    )
+
+
+def lane_map(formula, coefficients, **lanes):
+    """The lane whose component j is ``formula`` of component j of each of ``lanes``.
+
+    ``formula`` names each lane of ``lanes`` by its keyword, as ``{v}``,
+    and reads the ``coefficients`` (name -> value) by name; a lane here is
+    the function of no arguments that gives a :class:`Lane` and the values
+    of its args, and so is the one returned.
+    """
+    names, values = tuple(coefficients), tuple(coefficients.values())
+
+    def lane():
+        parts = {key: part() for key, part in lanes.items()}
+        mapped = _mapped(formula, names, **{key: body for key, (body, _) in parts.items()})
+        return mapped, sum((args for _, args in parts.values()), values)
+
+    return lane
 
 
 _Token = namedtuple("_Token", "kind text pos")
@@ -483,13 +489,12 @@ def _compile(roots, binding, label, dtype=None):
 
     With a ``dtype``, ``roots`` are the trees of a value's components of
     that dtype (complex or float): the function takes a point or an
-    ``(N, dim)`` stack and returns ``(..., len(roots))`` components, its
-    ``point`` a tuple of them, reading the point's components as ``_p0``,
-    ``_p1``, ...; ``point.source`` gives that body as a :class:`Lane`, with
-    quotient's complex Smith form and its two-float division written out
-    (``quotient`` itself where they raise and for other types).  On
-    floats a function call's value is read as a Python float there, so the
-    point path keeps Python floats.
+    ``(N, dim)`` stack and returns ``(..., len(roots))`` components.  Its
+    point path is a :class:`Lane` reading the point's components as
+    ``_p0``, ``_p1``, ..., with each quotient written out as ``_QUOTIENT``:
+    the ``lane`` attribute gives it, and ``point`` is the function it
+    writes out (:func:`lane_function`), returning a tuple.  On floats a function call's value is
+    read as a Python float there, so the point path keeps Python floats.
     """
     lines, points, scalars, locals_, literals = [], [], set(), {}, {}
 
@@ -558,8 +563,6 @@ def _compile(roots, binding, label, dtype=None):
         if points != lines:
             source += ["def _point(_p):", body(points), f"    return {results[0]}"]
     else:
-        coordinates = [j for c in binding.values() for j in (c if isinstance(c, tuple) else (c,))]
-        unpack = "".join(f"_p{j}, " for j in range(1 + max(coordinates, default=-1)))
         source = [*constants, "def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", body(lines)]
         source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), {dtype.__name__})")
         source += [*(f"    _o[..., {k}] = {r}" for k, r in enumerate(results)), "    return _o"]
@@ -570,16 +573,17 @@ def _compile(roots, binding, label, dtype=None):
             return re.sub(r"\b_t\d+\b", lambda local: copies.get(local[0], local[0]), text)
 
         points = [read(line) for line in points if line.partition(" = ")[0] not in copies]
-        results = [read(result) for result in results]
-        source += ["def _point(_p):", f"    {unpack}= _p" if unpack else "", body(points), f"    return ({', '.join(results)},)"]
-    namespace = generated("\n".join(source), f"<expression {label!r}>")
-    fn = namespace["_fn"]
-    fn.point = point = namespace.get("_point", fn)
-    if dtype is not None:  # the lane writes each quotient out, its compile paid at a flow's first stepper
+        # the lane writes each quotient out
         quotients = (re.fullmatch(r"(_\w+) = _quotient\((\w+), (\w+)\)", line) for line in points)
         inline = tuple(line if q is None else _QUOTIENT.format(out=q[1], a=q[2], b=q[3]) for line, q in zip(points, quotients))
-        lane = Lane(constants, inline, tuple(results))
-        point.source = lambda: (lane, ())
+        lane = Lane(constants, inline, tuple(read(result) for result in results))
+    namespace = generated("\n".join(source), f"<expression {label!r}>")
+    fn = namespace["_fn"]
+    if dtype is None:
+        fn.point = namespace.get("_point", fn)
+    else:  # the function the lane writes out, compiled at its first call
+        fn.point = lambda q: lane_function(lane)(q)
+        fn.lane = lambda: (lane, ())
     return fn
 
 
@@ -686,13 +690,14 @@ def compile_vector(exprs, names, dtype=complex):
     It takes a point or an ``(N, dim)`` stack (``names`` as in
     :meth:`Expression.compile`) and returns ``(..., len(exprs))`` components,
     and its ``point`` their tuple at a point of Python numbers, with the
-    same bits.  ``complex`` is the complex layout, each component as
+    same bits; its ``lane`` gives that point path as a :class:`Lane` and no
+    args.  ``complex`` is the complex layout, each component as
     :func:`compile_points` with a complex cast gives it; a constant is
     evaluated on complex literals: ``-0`` is ``-(0j)``.  ``float`` is the
     real layout of real-valued trees: the point path returns Python floats.
     Where every component is a folded number nothing compiles: the function
     fills its rows with those numbers, the point path returns them, and its
-    ``source`` writes them inline.
+    lane writes them inline.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
@@ -707,6 +712,6 @@ def compile_vector(exprs, names, dtype=complex):
         return out
 
     lane = Lane((), (), tuple(f"({_literal(v)})" for v in values))
-    fn.point = point = lambda q: values
-    point.source = lambda: (lane, ())
+    fn.point = lambda q: values
+    fn.lane = lambda: (lane, ())
     return fn

@@ -25,17 +25,17 @@ complex products.
 
 A vector field that is the real form of a holomorphic map w on C^m carries
 w as its ``complex_form``; the flows step the complex state z = x + i y with
-it.  A ``scalar_form``, the field at one point on Python numbers with the
-array form's bits, is what a flow of one point steps (the scalar lane of
-:mod:`phhs.flows`).  For text, both forms come from one compiled source,
+it.  Its one single-point form is its ``lane``, an
+:class:`~phhs.expressions.Lane`: the field at one point as text on Python
+numbers, with the array form's bits, which a flow of one point writes into
+its generated stepper (the scalar lane of :mod:`phhs.flows`);
+``scalar_form`` is the function generated from it.  For text, the array,
+complex and lane forms come from one compiled source,
 :func:`~phhs.expressions.compile_vector` of the component trees: X on the
-models with J = i, whose J X and a X + b J X :func:`holomorphic_map` makes
-with one per-component map, and X and J_g X on the twisted model.  Such a
-scalar form carries its body as ``source`` (a
-:class:`~phhs.expressions.Lane`), and a map of it states its formula as
-text, so that a flow writes the field into its generated stepper.  Only
-the Morse orbit field keeps a hand-written scalar form, with no source,
-reading its conformal factor through the function's point path.
+models with J = i, and X and J_g X on the twisted model.  J X and
+a X + b J X of the former are one formula text each, of which
+:func:`holomorphic_map` makes the complex form and the lane.  The Morse
+orbit field is a lane written in :mod:`phhs.morse`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -47,10 +47,11 @@ grid's Cauchy-Riemann residual) are :func:`grid_derivative`'s.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .expressions import compile_points, lane_map
+from .expressions import compile_points, formula_function, lane_function, lane_map
 from .util import as_points, max_abs
 
 
@@ -107,20 +108,26 @@ def matvec(M, v):
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
-def holomorphic_map(X, f, fn, name, formula, **coefficients):
-    """The field f(w) for X the real form of w, with ``fn`` on the real state.
+def holomorphic_map(X, fn, name, formula, **coefficients):
+    """The field ``formula`` of X's complex form w, component by component, with ``fn`` on the real state.
 
-    f maps one complex component, on an array or a Python complex alike, so
-    it makes the complex form f(w(z)) and, where X has one, the scalar form.
-    ``formula`` is f as text of the component ``{v}`` and of the
-    ``coefficients`` it reads by name; where X's scalar form has a source, a
-    lane flow writes it inline with f's (:func:`~phhs.expressions.lane_map`).
+    ``formula`` is text of one complex component ``{v}`` and of the
+    ``coefficients`` it reads by name.  It makes the complex form, on w's
+    array (:func:`~phhs.expressions.formula_function`, compiled at its
+    first call), and, where X has a lane, the lane
+    (:func:`~phhs.expressions.lane_map`).
     """
-    w, s = X.complex_form, X.scalar_form
-    scalar = None if s is None else lambda z: tuple(map(f, s(z)))
-    if hasattr(s, "source"):
-        scalar.source = lane_map(formula, coefficients, v=s)
-    return VectorField(fn, fd=X.fd, name=name, complex_form=lambda z: f(w(z)), scalar_form=scalar)
+    w, values = X.complex_form, tuple(coefficients.values())
+
+    @cache
+    def f():
+        return formula_function(formula, "v", *coefficients)
+
+    def complex_form(z):
+        return f()(w(z), *values)
+
+    lane = None if X.lane is None else lane_map(formula, coefficients, v=X.lane)
+    return VectorField(fn, fd=X.fd, name=name, complex_form=complex_form, lane=lane)
 
 
 def point_path(fn):
@@ -183,15 +190,23 @@ class VectorField(Field):
     field at (x, y) is (Re w(z), Im w(z)) with z = x + i y.  The flows step
     such a field on the complex state z (:mod:`phhs.flows`).
 
-    ``scalar_form``, when given, maps the tuple of a point's components, as
-    Python numbers, to the tuple of the value's, with the array form's bits
-    there: complex z_j with a complex form, real coordinates without.
+    ``lane``, when given, is the field at one point as generated code: a
+    function of no arguments that returns a
+    :class:`~phhs.expressions.Lane` and the values of its args.  The point
+    and the value are tuples of Python numbers, with the array form's bits
+    there: complex z_j with a complex form, real coordinates without.  A
+    flow of one point writes the lane into its stepper (:mod:`phhs.flows`).
     """
 
-    def __init__(self, fn, fd=None, name=None, complex_form=None, scalar_form=None):
+    def __init__(self, fn, fd=None, name=None, complex_form=None, lane=None):
         super().__init__(fn, fd, name)
         self.complex_form = complex_form
-        self.scalar_form = scalar_form
+        self.lane = lane
+
+    @property
+    def scalar_form(self):
+        """The function of one point's tuple generated from ``lane`` (compiled at its first use), or None."""
+        return None if self.lane is None else lane_function(*self.lane())
 
 
 class CovectorField(Field):

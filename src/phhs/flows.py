@@ -30,12 +30,12 @@ w on z, with no real/complex round trip and no J matrix.  The stage
 arithmetic of :func:`rk4_step` is the real one component by component, so
 the endpoints are bit for bit those of the real path.  The combination
 a X + b J X is a w + (i b) w there, two terms as on the real path (a single
-(a + i b) w rounds differently), one map for its complex and scalar forms
-(:func:`~phhs.fields.holomorphic_map`).
+(a + i b) w rounds differently), one formula for its complex form and its
+lane (:func:`~phhs.fields.holomorphic_map`).
 
-One point of a field with a scalar form (X, J X and their combination
-where they are compiled text, and the Morse orbit field) takes the scalar
-lane: a tuple of Python numbers, complex z_j with a complex form and floats
+One point of a field with a lane (X, J X and their combination where they
+are compiled text, and the Morse orbit field) takes the scalar lane: a
+tuple of Python numbers, complex z_j with a complex form and floats
 otherwise, converted once per flow.  The bits are numpy's: Python does the
 same IEEE operations, every coefficient of a complex product is a Python
 complex (CPython 3.14 would multiply a float by a complex without numpy's
@@ -47,16 +47,15 @@ the array path names.
 
 The lane steps through :func:`_lane_stepper`, one generator of
 straight-line code, compiled once per process for each component count and
-field body: the four stages and the update of each component written out,
-the box test inline, and at each stage the field.  Where the scalar form
-has a ``source``, a :class:`~phhs.expressions.Lane`, its body is written
-inline: the compiled text of X and J_g X, the map i w or a w + (i b) w of
-:func:`~phhs.fields.holomorphic_map` on it, a c + b d of the twisted
-combination, and the central problem's Q-floor test, where a failing test
-calls the scalar form for its error.  The coefficients (a, i b, the step's)
-are arguments, so every segment of a path shares one stepper.  Any other
-scalar form is called at each stage: the Morse orbit field, whose stage the
-Clenshaw sum of T_hat dominates.  A flow's endpoint takes one call of the
+field :class:`~phhs.expressions.Lane`: the four stages and the update of
+each component written out, the box test inline, and at each stage the
+field's lane written inline: the compiled text of X and J_g X, the map
+i w or a w + (i b) w of :func:`~phhs.fields.holomorphic_map` on it,
+a c + b d of the twisted combination, the central problem's Q-floor line,
+and the Morse orbit field with T_hat's code.  A line that raises is the
+field's error there.  The lane's values (a, i b, a function its lines
+call) and the step's coefficients are arguments, so every segment of a
+path shares one stepper.  A flow's endpoint takes one call of the
 stepper for all its steps (:func:`flow`, :func:`flow_word`,
 :func:`continue_along_path`, the swap check of :func:`grid_monitors`);
 :func:`rk4_states` calls it once per step, so the Morse angle event sees
@@ -76,7 +75,7 @@ from textwrap import indent
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .expressions import generated, lane_map
+from .expressions import formula_function, generated, lane_map
 from .fields import VectorField, grid_derivative, holomorphic_map, matvec
 from .util import as_point, as_points, from_complex, to_complex
 
@@ -130,16 +129,8 @@ _STAGE = "{y} + {c} * {k}"
 _UPDATE = "{y} + {sixth} * ({k1} + {two} * {k2} + {two} * {k3} + {k4})"
 
 
-def _formula(name, text, *args):
-    """The function ``name(*args)`` returning the formula ``text`` of its arguments."""
-    namespace = {}
-    source = f"def {name}({', '.join(args)}):\n    return {text.format_map({a: a for a in args})}"
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-_stage = _formula("_stage", _STAGE, "y", "c", "k")
-_update = _formula("_update", _UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
+_stage = formula_function(_STAGE, "y", "c", "k")
+_update = formula_function(_UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
 
 
 def _coefficients(complex_state, h):
@@ -171,29 +162,29 @@ def rk4_step(V, y, h):
 
 
 @lru_cache(maxsize=256)
-def _lane_stepper(m, lane=None):
-    """The scalar lane's RK4 stepper for m components and the field body ``lane``, generated once per process.
+def _lane_stepper(m, lane):
+    """The scalar lane's RK4 stepper for m components and the field's Lane ``lane``, generated once per process.
 
-    ``stepper(F, y, n, first_step, h, half, full, sixth, two, *args)`` takes
-    steps first_step, ..., first_step + n - 1 of size h of F, the field's
-    scalar form, from the tuple ``y`` and returns the tuple state after
-    them, with the coefficients of :func:`_coefficients` and the lane's
+    ``stepper(y, n, first_step, h, half, full, sixth, two, *args)`` takes
+    steps first_step, ..., first_step + n - 1 of size h of the field from
+    the tuple ``y`` and returns the tuple state after them, with the
+    coefficients of :func:`_coefficients` and the values of the lane's
     ``args``.  Each step is straight-line code on y0..y{m-1}: the stages
     and the update of each component written from ``_STAGE`` and
     ``_UPDATE``, so their operations are those of :func:`rk4_step` on a
-    one-point array, and at each stage the field: its
-    :class:`~phhs.expressions.Lane` written inline, on the stage state
-    ``_p0``, ``_p1``, ..., or, with no lane or where the lane's guard holds,
-    a call of F.  The box test of :func:`_check_state` is inlined, |y_j| <=
-    BLOWUP per component; a state that fails it, or whose Python |z|
-    overflows, goes to :func:`_check_state`, which passes it if every real
-    part is inside the box and raises its error otherwise.  A field's
-    ``NonFiniteStateError`` is located in its step by :func:`_located`.
-    The text is compiled once per process (:func:`~phhs.expressions.generated`).
+    one-point array, and at each stage the lane written inline, on the
+    stage state ``_p0``, ``_p1``, ....  The box test of
+    :func:`_check_state` is inlined, |y_j| <= BLOWUP per component; a state
+    that fails it, or whose Python |z| overflows, goes to
+    :func:`_check_state`, which passes it if every real part is inside the
+    box and raises its error otherwise.  A field's ``NonFiniteStateError``
+    is located in its step by :func:`_located`.  The text is compiled once
+    per process (:func:`~phhs.expressions.generated`).
     """
     y = [f"y{j}" for j in range(m)]
     p = [f"_p{j}" for j in range(m)]
     k = [[f"k{i}_{j}" for j in range(m)] for i in range(1, 5)]
+    text = "\n".join([*lane.lines, *lane.results])
 
     def state(names):
         return f"({', '.join(names)},)"
@@ -201,24 +192,8 @@ def _lane_stepper(m, lane=None):
     def field(c, previous, ks):
         """The lines that set ``ks`` to the field at the stage y + c previous (y itself at the first)."""
         stage = y if c is None else [_STAGE.format(y=a, c=c, k=b) for a, b in zip(y, previous)]
-        call = f"{state(ks)} = F({state(stage)})"
-        if lane is None:
-            return [call]
-        text = "\n".join([*lane.lines, *lane.results])
-        reads = [f"{a} = {b}" for a, b in zip(p, stage) if lane.guard or re.search(rf"\b{a}\b", text)]
-        inline = [*lane.lines, *(f"{a} = {r}" for a, r in zip(ks, lane.results))]
-        if lane.guard is None:
-            return reads + inline
-        return reads + [
-            "try:",
-            f"    _call = {lane.guard}",
-            "except OverflowError:",
-            "    _call = True",
-            "if _call:",
-            f"    {state(ks)} = F({state(p)})",
-            "else:",
-            indent("\n".join(inline), "    "),
-        ]
+        reads = [f"{a} = {b}" for a, b in zip(p, stage) if re.search(rf"\b{a}\b", text)]
+        return [*reads, *lane.lines, *(f"{a} = {r}" for a, r in zip(ks, lane.results))]
 
     def update(j):
         k1, k2, k3, k4 = (ks[j] for ks in k)
@@ -226,8 +201,8 @@ def _lane_stepper(m, lane=None):
 
     stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
     source = [
-        *(lane.constants if lane else ()),
-        f"def lane(F, y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args) if lane else ''}):",
+        *lane.constants,
+        f"def lane(y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args)}):",
         f"    {state(y)} = y",
         "    for step in range(first_step, first_step + n):",
         "        try:",
@@ -272,11 +247,11 @@ def _located(exc, y, step, h):
 
 
 def _start(V, x0):
-    """The function a flow of V from ``x0`` steps: the scalar, complex or real form, and its start state."""
+    """What a flow of V from ``x0`` steps, the lane, complex or real form of V, and its start state."""
     w = getattr(V, "complex_form", None)
-    s = getattr(V, "scalar_form", None) if x0.ndim == 1 else None
-    if s is not None:
-        return s, tuple((x0 if w is None else to_complex(x0)).tolist())
+    lane = getattr(V, "lane", None) if x0.ndim == 1 else None
+    if lane is not None:
+        return lane, tuple((x0 if w is None else to_complex(x0)).tolist())
     if w is not None:
         return w, to_complex(x0)
     return V, np.array(x0, dtype=float)
@@ -297,17 +272,16 @@ def rk4_states(V, x0, h):
     return _lane_states(F, y, h) if type(y) is tuple else _array_states(F, y, h)
 
 
-def _stepper_of(F, y, h):
-    """The stepper of F's lane from ``y`` with step h, and the coefficients it takes after h."""
-    source = getattr(F, "source", None)
-    lane, args = (None, ()) if source is None else source()
-    return _lane_stepper(len(y), lane), (*_coefficients(isinstance(y[0], complex), h), *args)
+def _stepper_of(lane, y, h):
+    """The stepper of ``lane`` from ``y`` with step h, and the values it takes after h."""
+    body, args = lane()
+    return _lane_stepper(len(y), body), (*_coefficients(isinstance(y[0], complex), h), *args)
 
 
-def _lane_states(F, y, h):
-    lane, coefficients = _stepper_of(F, y, h)
+def _lane_states(lane, y, h):
+    stepper, values = _stepper_of(lane, y, h)
     for step in count(1):
-        y = lane(F, y, 1, step, h, *coefficients)
+        y = stepper(y, 1, step, h, *values)
         yield y
 
 
@@ -330,8 +304,8 @@ def _rk4(V, x0, t, n_steps):
     h = t / n_steps
     F, y = _start(V, x0)
     if type(y) is tuple:
-        lane, coefficients = _stepper_of(F, y, h)
-        y = np.array(lane(F, y, n_steps, 1, h, *coefficients))
+        stepper, values = _stepper_of(F, y, h)
+        y = np.array(stepper(y, n_steps, 1, h, *values))
     else:
         for y in islice(_array_states(F, y, h), n_steps):
             pass
@@ -496,27 +470,29 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
     }
 
 
+# a X + b J X on the real state, of X's value {c} and J X's {d}: the combination's array form, and
+# its lane where X and J X have lanes
+_COMBINATION = "a * {c} + b * {d}"
+_combination = formula_function(_COMBINATION, "c", "d", "a", "b")
+
+
 def _combo_field(fields, a, b):
     """a X + b J X from X's and J X's own forms; a w + (i b) w on z when J X has a complex form.
 
     a and b are read as Python floats (``tilted_flow`` passes numpy's), so
-    a float lane steps Python floats.  On the real state the lane form,
-    where X and J X both have one, is a c + b d per component.
+    a float lane steps Python floats.
     """
     a, b = float(a), float(b)
-    X_fn, JX_fn = fields.X.fn, fields.JX.fn
+    X, JX = fields.X, fields.JX
+    X_fn, JX_fn = X.fn, JX.fn
 
     def fn(p):
-        return a * np.asarray(X_fn(p), dtype=float) + b * np.asarray(JX_fn(p), dtype=float)
+        return _combination(np.asarray(X_fn(p), dtype=float), np.asarray(JX_fn(p), dtype=float), a, b)
 
-    if fields.JX.complex_form is not None:
-        a_z, ib = complex(a), 1j * b
-        return holomorphic_map(fields.X, lambda v: a_z * v + ib * v, fn, "combo", "a * {v} + ib * {v}", a=a_z, ib=ib)
-    s, t = fields.X.scalar_form, fields.JX.scalar_form
-    scalar = None if s is None or t is None else lambda q: tuple([a * c + b * d for c, d in zip(s(q), t(q))])
-    if hasattr(s, "source") and hasattr(t, "source"):
-        scalar.source = lane_map("a * {c} + b * {d}", {"a": a, "b": b}, c=s, d=t)
-    return VectorField(fn, fd=fields.X.fd, name="combo", scalar_form=scalar)
+    if JX.complex_form is not None:
+        return holomorphic_map(X, fn, "combo", "a * {v} + ib * {v}", a=complex(a), ib=1j * b)
+    lane = None if X.lane is None or JX.lane is None else lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane)
+    return VectorField(fn, fd=X.fd, name="combo", lane=lane)
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

@@ -21,12 +21,11 @@ quadrature primitive H_I of a model with no H_I hook
 J X is the model's hook if it has one (the twisted model's), else J's
 function times X's; when X has a complex form w and J is the constant
 structure i (the matrix of a :func:`~phhs.fields.constant_matrix_field`),
-its complex and scalar forms are i w (:func:`~phhs.fields.holomorphic_map`).
+its complex form and its lane are i w, from the one formula ``1j * {v}``
+(:func:`~phhs.fields.holomorphic_map`).
 """
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
-from operator import mul
 
 import numpy as np
 from scipy import integrate
@@ -355,7 +354,7 @@ def assemble_phhs(model, check_closedness=True):
     if model.JX_hook is not None:
         JX = model.JX_hook
     elif w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
-        JX = holomorphic_map(X, partial(mul, 1j), jx_fn, "JX", "1j * {v}")
+        JX = holomorphic_map(X, jx_fn, "JX", "1j * {v}")
     else:
         JX = VectorField(jx_fn, fd=X.fd, name="JX")
     omega_I = omega_I_from(model.omega_R, model.J)

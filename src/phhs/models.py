@@ -75,7 +75,7 @@ def _as_complex_hamiltonian(H, n):
 
     Each takes a complex point or a stack.  For text the gradient and X are
     compiled from the partial trees (those in Q/P folded into their z-slots)
-    by :func:`~phhs.expressions.compile_vector`, so X has a lane ``point``;
+    by :func:`~phhs.expressions.compile_vector`, so X has a ``lane``;
     otherwise the gradient is the central difference and X is read off it.
     """
     if callable(H):
@@ -163,7 +163,7 @@ def _holomorphic_model(n, H_c, dH_c, w, **model_kwargs):
     """The system of H on (C^{2n}, d lambda_can) with J = i, if H passes the Cauchy-Riemann check.
 
     H_c, dH_c (dH/dz_j) and X's complex form w take a complex point or a
-    stack; w's ``point``, if any, is X's scalar form.  The keywords go to
+    stack; w's ``lane``, if any, is X's.  The keywords go to
     :class:`~phhs.hamiltonian.PhhsModel`.
     """
     m = 2 * n
@@ -172,7 +172,7 @@ def _holomorphic_model(n, H_c, dH_c, w, **model_kwargs):
         raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
     X = VectorField(
         lambda p: from_complex(np.asarray(w(to_complex(p)), dtype=complex)),
-        name="X", complex_form=w, scalar_form=getattr(w, "point", None),
+        name="X", complex_form=w, lane=getattr(w, "lane", None),
     )
 
     def grad_r(p):
@@ -215,32 +215,34 @@ def central_hamiltonian(z):
 Q_FLOOR = 1.4e-3
 
 
-def _q_floor_checked(w):
-    """The central X ``w`` behind one check that |Q| stays above ``Q_FLOOR``: one function for arrays and the lane.
+def _q_floor(z):
+    """Raise where |Q| < ``Q_FLOOR`` (numpy's |Q|) at a complex point, a lane's tuple or a stack's rows: the one check."""
+    z = np.asarray(z)
+    too_close = np.abs(z[..., 0]) < Q_FLOOR
+    if too_close.any():
+        raise NonFiniteStateError(
+            f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
+            row=int(np.argmax(too_close)) if too_close.ndim else None,
+        )
 
-    Its ``source`` is w's lane behind the same test as a line of text: a
-    lane flow calls the function itself where the test fails or Python's
-    |Q| overflows, for its error (or, past the float range, its value).
+
+def _q_floor_checked(w):
+    """The central X ``w`` behind :func:`_q_floor`, on arrays and on the lane.
+
+    The lane is w's behind a line that calls the check where both parts of
+    Q are below the floor, as they are wherever |Q| is; it reads the parts,
+    since Python's |Q| overflows past the float range, where numpy's reads
+    inf.
     """
-    point = w.point
-    lane, values = point.source()
-    guarded = Lane(lane.constants, lane.lines, lane.results, f"abs(_p0) < {Q_FLOOR!r}", lane.args), values
+    body, values = w.lane()
+    test = f"if {-Q_FLOOR!r} < _p0.real < {Q_FLOOR!r} and {-Q_FLOOR!r} < _p0.imag < {Q_FLOOR!r}:\n    _q_floor((_p0, _p1))"
+    lane = Lane(body.constants, (test, *body.lines), body.results, (*body.args, "_q_floor")), (*values, _q_floor)
 
     def checked(z):
-        lane = type(z) is tuple
-        try:
-            too_close = abs(z[0] if lane else z[..., 0]) < Q_FLOOR
-        except OverflowError:  # Python's |Q| past the float range, where numpy's reads inf
-            too_close = False
-        if too_close if type(too_close) is bool else too_close.any():
-            raise NonFiniteStateError(
-                f"central problem evaluated too close to the Q = 0 locus at {first_row(from_complex(z), too_close)}",
-                row=int(np.argmax(too_close)) if np.ndim(too_close) else None,
-            )
-        return point(z) if lane else w(z)
+        _q_floor(z)
+        return w(z)
 
-    checked.point = checked
-    checked.source = lambda: guarded
+    checked.lane = lambda: lane
     return checked
 
 
@@ -489,16 +491,12 @@ def _twist_entries(f_val, h_val):
 
 def _compiled_field(exprs, name):
     """The field of real-valued trees on the real layout of C^2 and its lane, one compile at its first call."""
-    field = VectorField(None, name=name)
-
     @cache
-    def compiled():  # at the first call, then in place of the stubs below (a scan of J alone never compiles)
-        fn = compile_vector(exprs, coordinate_names(2), float)
-        field.fn, field.scalar_form = fn, fn.point
-        return fn
+    def compiled():  # at the first call, then in place of the stub below (a scan of J alone never compiles)
+        field.fn = compile_vector(exprs, coordinate_names(2), float)
+        return field.fn
 
-    field.fn, field.scalar_form = (lambda p: compiled()(p)), (lambda q: compiled().point(q))
-    field.scalar_form.source = lambda: compiled().point.source()
+    field = VectorField(lambda p: compiled()(p), name=name, lane=lambda: compiled().lane())
     return field
 
 

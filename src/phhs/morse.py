@@ -23,9 +23,11 @@ a number, expression text in x1 and y1, a stack-taking Field, or a callable
 of one point lifted row by row.  The angular average evaluates v once per
 ring of N_PHI + 1 angles and the area law once per ray of N_R + 1 radial
 nodes; only the orbit's field evaluates it at one point per RK4 stage.
-That field reads T_hat through :func:`_clenshaw`, ``Chebyshev.__call__``
-as straight-line code on Python floats: an orbit gives the same bits with
-no numpy call and no loop per stage.
+That field is a lane (:class:`~phhs.expressions.Lane`), which the flow
+writes into its generated stepper, and it reads T_hat through
+:func:`_clenshaw`, ``Chebyshev.__call__`` as straight-line code on Python
+floats: an orbit gives the same bits with no numpy call and no loop per
+stage.
 A v that is not positive and finite on a ring of the angular average (and
 so at a node of the interpolant of T_hat) or at an orbit stage raises
 :class:`~phhs.errors.ZeroDenominatorError` naming the point, and so does a
@@ -41,6 +43,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
+from .expressions import Lane, _literal
 from .fields import VectorField, point_path, stack_function
 from .flows import FlowConfig, rk4_states
 from .util import coordinate_names
@@ -110,23 +113,21 @@ def _period_interpolant(sys):
     return sys._interp
 
 
-def _clenshaw(interp):
-    """``interp`` as generated code of one Python float, bit for bit ``interp.__call__``.
+def _clenshaw(interp, r):
+    """``interp`` at the Python float named ``r`` as a :class:`~phhs.expressions.Lane`: bit for bit ``interp.__call__``.
 
     numpy's ``mapdomain`` and ``chebval`` in the same order, one line per coefficient: a
     finite one is its ``repr``, which reads back as itself; inf and NaN are bound by name.
     As in ``chebval``, one coefficient c0 is c0 + 0 x, and two run no recurrence.
     """
     values = [float(a) for a in [*interp.mapparms(), *interp.coef]]
-    namespace = {f"_k{i}": a for i, a in enumerate(values) if not math.isfinite(a)}
+    constants = tuple(f"_k{i} = {_literal(a)}" for i, a in enumerate(values) if not math.isfinite(a))
     off, scl, *c = [repr(a) if math.isfinite(a) else f"_k{i}" for i, a in enumerate(values)]
     if len(c) == 1:
         c.append("0")
-    source = ["def value(r):", f"    x = {off} + {scl} * r", "    x2 = 2 * x", f"    c0, c1 = {c[-2]}, {c[-1]}"]
-    source += [f"    c0, c1 = {ck} - c1, c0 + c1 * x2" for ck in c[-3::-1]]
-    source.append("    return c0 + c1 * x")
-    exec(compile("\n".join(source), "<T_hat>", "exec"), namespace)
-    return namespace["value"]
+    lines = [f"_x = {off} + {scl} * {r}", "_x2 = 2 * _x", f"_b0, _b1 = {c[-2]}, {c[-1]}"]
+    lines += [f"_b0, _b1 = {ck} - _b1, _b0 + _b1 * _x2" for ck in c[-3::-1]]
+    return Lane(constants, tuple(lines), ("_b0 + _b1 * _x",))
 
 
 def rescaling_chart(sys, s):
@@ -159,28 +160,31 @@ def hamiltonian_flow_field(sys, rescale=True):
     """Hamiltonian field of psi_L(x^2 + y^2) for omega = v dx ^ dy, at one point.
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
-    are radius dependent.  T_hat's code is generated once per system.  The
-    scalar form reads v through :func:`~phhs.fields.point_path`, which gives v
-    the bits the array form's call of v gives it.
+    are radius dependent.  The field is its lane: v read through its point
+    path (:func:`~phhs.fields.point_path`, the bits its call on the point's
+    array gives), a line that raises where v is not positive and finite,
+    and T_hat's code (:func:`_clenshaw`, made once per system) on
+    min(r, RMAX); its array form is the function generated from the lane.
     """
-    v, T, rmax = sys.v, sys.T, RMAX
-    v_point = point_path(v)
-    if rescale and sys._t_hat is None:
-        sys._t_hat = _clenshaw(_period_interpolant(sys))
-    period = sys._t_hat
-
-    def velocity(x, y, vp):
-        if not 0.0 < vp < math.inf:
-            raise _bad_factor(vp, [x, y])
-        r = math.sqrt(x * x + y * y)
-        q = (period(rmax if rmax < r else r) / T if rescale else 1.0) / vp  # min(r, rmax), NaN too
-        return -2.0 * y * q, 2.0 * x * q
-
-    def scalar_form(q):
-        x, y = q
-        return velocity(x, y, float(v_point(q)))
-
-    return VectorField(lambda p: np.array(velocity(*p.tolist(), float(v(p)))), name="orbit", scalar_form=scalar_form)
+    constants = ("from math import inf as _inf, sqrt as _fsqrt",)
+    lines = ("_vp = float(_v((_p0, _p1)))", "if not 0.0 < _vp < _inf:\n    raise _bad_factor(_vp, [_p0, _p1])")
+    if rescale:
+        if sys._t_hat is None:
+            sys._t_hat = _clenshaw(_period_interpolant(sys), "_r")
+        t_hat = sys._t_hat
+        constants += t_hat.constants
+        lines += (
+            "_r = _fsqrt(_p0 * _p0 + _p1 * _p1)",
+            f"_r = {RMAX!r} if {RMAX!r} < _r else _r",  # min(r, RMAX), NaN too
+            *t_hat.lines,
+            f"_q = ({t_hat.results[0]}) / {_literal(sys.T)} / _vp",
+        )
+    else:
+        lines += ("_q = 1.0 / _vp",)
+    lane = Lane(constants, lines, ("-2.0 * _p1 * _q", "2.0 * _p0 * _q"), ("_v", "_bad_factor"))
+    values = (point_path(sys.v), _bad_factor)
+    field = VectorField(lambda p: np.array(field.scalar_form(tuple(p.tolist()))), name="orbit", lane=lambda: (lane, values))
+    return field
 
 
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):

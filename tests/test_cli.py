@@ -587,23 +587,28 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
-    # one T_hat per RK4 stage of the 9,426 orbit steps, from code generated once for the three
+    # one orbit field evaluation, which reads v at the point once and runs T_hat's code once,
+    # per RK4 stage of the 9,426 orbit steps, from T_hat's code generated once for the three
     # orbits of the one system; the area law reads the interpolant itself
     cfg = _focus_config(tmp_path, monkeypatch, "morse-period", "orbits")
     calls, generated = [], []
-    clenshaw = morse._clenshaw
+    clenshaw, point_path = morse._clenshaw, morse.point_path
 
-    def counted(interp):
+    def counted(interp, r):
         generated.append(interp)
-        value = clenshaw(interp)
+        return clenshaw(interp, r)
 
-        def period(r):
-            calls.append(r)
-            return value(r)
+    def counted_v(v):
+        point = point_path(v)
 
-        return period
+        def read(q):
+            calls.append(q)
+            return point(q)
+
+        return read
 
     monkeypatch.setattr(morse, "_clenshaw", counted)
+    monkeypatch.setattr(morse, "point_path", counted_v)
     assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 37704
     assert len(generated) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from phhs import cli, fields as fields_lib, flows, models, morse as morse_lib, util
 from phhs.errors import NonFiniteStateError, PhhsError, StepBudgetExceededError
+from phhs.expressions import Lane
 from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec
 from phhs.flows import (
     FlowConfig,
@@ -421,12 +422,12 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
 
 
 # ---------------------------------------------------------------------------
-# one point of a field with a scalar form steps Python numbers (the scalar lane)
+# one point of a field with a lane steps Python numbers (the scalar lane)
 # ---------------------------------------------------------------------------
 
 
 def _array_path(fields):
-    """The same fields with every scalar form stripped (X's and J X's), so that a point steps the array state.
+    """The same fields with every lane stripped (X's and J X's), so that a point steps the array state.
 
     The state is complex where X has a complex form and real otherwise.
     """
@@ -742,11 +743,12 @@ def _first_step(states):
         return None, (type(exc), str(exc))
 
 
-# each kind of lane field, its body written inline in the stepper but the orbit's: the central X
-# (the Q-floor guard and a complex quotient), J X and a X + b J X, at (0.6, -0.8) and at the first
-# segment of the monodromy focus path; the twisted model's X, J_g X and combination, with a folded
-# constant X (bigrid) and with varying ones; the oscillator's X and combination; and a standard
-# system whose X divides by Q1^2, which meets zero and NaN divisors
+# each kind of lane field, its lane written inline in the stepper: the Morse orbit field (T_hat's
+# code and v's raising line), the central X (the Q-floor line and a complex quotient), J X and
+# a X + b J X, at (0.6, -0.8) and at the first segment of the monodromy focus path; the twisted
+# model's X, J_g X and combination, with a folded constant X (bigrid) and with varying ones; the
+# oscillator's X and combination; and a standard system whose X divides by Q1^2, which meets
+# zero and NaN divisors
 LANE_FIELDS = [
     "orbit", "central X", "central JX", "central combination", "central monodromy segment",
     "twisted X", "twisted JX", "twisted combination",
@@ -801,7 +803,7 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     name = LANE_FIELDS[k]
     V, complex_state = _lane_field(name)
     s = V.scalar_form
-    assert hasattr(s, "source") is (name != "orbit")
+    assert V.lane is not None and s is not None
     array_forms = [lambda p: np.array(s(tuple(p.tolist()))), V.complex_form if complex_state else V]
     h = 0.05
     if complex_state:
@@ -814,7 +816,7 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
         states += list(util.seeded_points(3, 50, m, scale=0.5))
     outcomes = Counter()
     for y in states:
-        state, error = _first_step(flows._lane_states(s, tuple(y.tolist()), h))
+        state, error = _first_step(flows._lane_states(V.lane, tuple(y.tolist()), h))
         for form in array_forms:
             array_state, array_error = _first_step(flows._array_states(form, y, h))
             assert error == array_error, (name, y)
@@ -828,33 +830,32 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
 def test_lane_stepper_runs_n_steps_as_n_single_steps():
     # one call for a whole flow and one call per step give the same state, as does rk4_step
     fields = assemble_phhs(models.build_central_problem())
-    w, s = fields.X.complex_form, fields.X.scalar_form
+    w, (lane, args) = fields.X.complex_form, fields.X.lane()
     z0 = to_complex(X0)
     h = 1e-3
-    coefficients = flows._coefficients(True, h)
-    lane = flows._lane_stepper(2)
-    whole = lane(s, tuple(z0.tolist()), 250, 1, h, *coefficients)
+    coefficients = (*flows._coefficients(True, h), *args)
+    stepper = flows._lane_stepper(2, lane)
+    whole = stepper(tuple(z0.tolist()), 250, 1, h, *coefficients)
     single = tuple(z0.tolist())
     for step in range(1, 251):
-        single = lane(s, single, 1, step, h, *coefficients)
+        single = stepper(single, 1, step, h, *coefficients)
     array = z0
     for _ in range(250):
         array = flows.rk4_step(w, array, h)
     assert _same_bits(np.array(whole), np.array(single)) and _same_bits(np.array(whole), array)
-    assert flows._lane_stepper(2) is lane
+    assert flows._lane_stepper(2, lane) is stepper
 
 
 def test_lane_stepper_box_test_defers_to_check_state():
     # |z| past the bound with both parts inside passes, as _check_state passes it; a |z| past
     # the float range (Python's abs raises) and a part past the bound raise its error
-    lane = flows._lane_stepper(2)
-    zero = lambda q: (0j, 0j)  # noqa: E731
+    lane = flows._lane_stepper(2, Lane((), (), ("0j", "0j")))
     coefficients = flows._coefficients(True, 0.1)
     inside = (0.8e8 + 0.8e8j, 1.0 + 0j)
-    assert lane(zero, inside, 3, 1, 0.1, *coefficients) == inside
+    assert lane(inside, 3, 1, 0.1, *coefficients) == inside
     for y, layout in (((1.5e308 + 1.5e308j, 0j), [1.5e308, 0.0, 1.5e308, 0.0]), ((3.0 + 1.5e8j, 0j), [3.0, 0.0, 1.5e8, 0.0])):
         with pytest.raises(NonFiniteStateError) as info:
-            lane(zero, y, 5, 4, 0.1, *coefficients)
+            lane(y, 5, 4, 0.1, *coefficients)
         err = info.value
         assert (err.step, err.time, err.row) == (4, 4 * 0.1, None)
         assert str(err) == "flow state overflowed at step 4 (flow time 0.40000000000000002); a singular locus was hit"
@@ -894,8 +895,8 @@ def _floor_start(lam):
 
 def test_inline_floor_errors_of_j_x_and_the_combination_keep_their_recorded_step_time_and_message():
     # recorded before the field was written inline into the stepper: J X and the combination of
-    # the first monodromy segment meet the Q floor in step 35, where the stage calls the guarded
-    # scalar form for its error
+    # the first monodromy segment meet the Q floor in step 35, where the stage's floor line raises
+    # the check's error
     fields = assemble_phhs(models.build_central_problem())
     th = 2.0 * np.pi / 64
     dz = complex(-1.0 + np.cos(th), np.sin(th))
@@ -924,27 +925,33 @@ def test_inline_floor_errors_of_j_x_and_the_combination_keep_their_recorded_step
     ]
 
 
-def test_the_inline_guard_calls_the_scalar_form_only_where_the_q_floor_test_fails_or_overflows():
-    s = assemble_phhs(models.build_central_problem()).X.scalar_form
-    lane, args = s.source()
-    assert lane.guard == f"abs(_p0) < {models.Q_FLOOR!r}" and args == ()
+def test_the_inline_floor_line_calls_the_check_only_where_both_parts_of_q_are_below_the_floor():
+    lane, (floor,) = assemble_phhs(models.build_central_problem()).X.lane()
+    assert lane.args == ("_q_floor",) and floor is models._q_floor
+    floor_line = "if -0.0014 < _p0.real < 0.0014 and -0.0014 < _p0.imag < 0.0014:\n    _q_floor((_p0, _p1))"
+    assert models.Q_FLOOR == 0.0014 and lane.lines[0] == floor_line
     stepper, h = flows._lane_stepper(2, lane), 1e-3
     coefficients = flows._coefficients(True, h)
     calls = []
 
-    def F(z):
+    def check(z):
         calls.append(z)
-        return s(z)
+        return floor(z)
 
-    stepper(F, (1 + 0j, 0.5 + 0j), 100, 1, h, *coefficients)
+    stepper((1 + 0j, 0.5 + 0j), 100, 1, h, *coefficients, check)
     assert calls == []
-    # inside the floor the scalar form raises the floor error, which the stepper locates
+    # both parts below the floor and |Q| above it: the check runs and passes
+    stepper((1.2e-3 + 1.2e-3j, 0.5 + 0j), 1, 1, h, *coefficients, check)
+    assert calls[0] == (1.2e-3 + 1.2e-3j, 0.5 + 0j)
+    # inside the floor the check raises the floor error, which the stepper locates
+    calls.clear()
     with pytest.raises(NonFiniteStateError, match="Q = 0 locus") as info:
-        stepper(F, (1e-3 + 0j, 0.5 + 0j), 1, 7, h, *coefficients)
+        stepper((1e-3 + 0j, 0.5 + 0j), 1, 7, h, *coefficients, check)
     assert calls == [(1e-3 + 0j, 0.5 + 0j)] and (info.value.step, info.value.time) == (7, 6 * h)
-    # Python's |Q| past the float range raises OverflowError: the scalar form takes the stage,
-    # with numpy's |Q| = inf past the floor, and the box rejects the state it leads to
+    # Python's |Q| past the float range raises OverflowError, numpy's reads inf, past the floor:
+    # the line reads the parts, so the stage takes the field's value, and the box rejects the
+    # state it leads to
     calls.clear()
     with pytest.raises(NonFiniteStateError, match="overflowed at step 1 "), np.errstate(all="ignore"):
-        stepper(F, (complex(1.5e308, 1.5e308), 0.5 + 0j), 1, 1, h, *coefficients)
-    assert calls[0] == (complex(1.5e308, 1.5e308), 0.5 + 0j)
+        stepper((complex(1.5e308, 1.5e308), 0.5 + 0j), 1, 1, h, *coefficients, check)
+    assert calls == []

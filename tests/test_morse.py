@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from phhs import morse
 from phhs.errors import NonFiniteStateError, NoReturnError, ZeroDenominatorError
+from phhs.expressions import lane_function
 from phhs.fields import ScalarField, VectorField
 from phhs.flows import FlowConfig
 from phhs.morse import (
@@ -150,10 +151,20 @@ def test_conformal_factor_with_a_wide_range_on_the_rings_is_accepted(v):
 
 
 def test_unrescaled_orbit_checks_the_factor_at_each_stage():
-    # no interpolant is built: the orbit itself meets v <= 0 where it crosses x = 0.3
-    with pytest.raises(ZeroDenominatorError, match=r"v = -?[0-9.e-]+ at point \["):
-        verify_T_periodic(PlanarSystem(v="x1 - 0.3", T=np.pi), 0.5, FlowConfig(dt=1e-3, max_step_count=20000),
-                          rescale=False)
+    # no interpolant is built: the orbit itself meets v <= 0 where it crosses x = 0.3, while
+    # the rescaled orbit meets it first on a ring of T_hat's interpolant; messages recorded
+    # before the orbit field was written as a lane
+    cfg = FlowConfig(dt=1e-3, max_step_count=20000)
+    messages = []
+    for rescale in (True, False):
+        with pytest.raises(ZeroDenominatorError) as info:
+            verify_T_periodic(PlanarSystem(v="x1 - 0.3", T=np.pi), 0.5, cfg, rescale=rescale)
+        messages.append(str(info.value))
+    assert messages == [
+        "conformal factor v = -0.29969172972041275 at point [0.0003082702795872416, 0.0]; v must be positive and finite",
+        "conformal factor v = -0.01841933536719681 at point [0.2815806646328032, 0.41409179243938954]; "
+        "v must be positive and finite",
+    ]
 
 
 def test_period_measurement_checks_the_state_each_step():
@@ -164,9 +175,15 @@ def test_period_measurement_checks_the_state_each_step():
     assert err.value.step == 1
 
 
+def _t_hat(interp):
+    """T_hat's lane on the radius ``_p0``, as the function of one radius that it writes out."""
+    point = lane_function(morse._clenshaw(interp, "_p0"))
+    return lambda r: point((r,))[0]
+
+
 def test_clenshaw_equals_chebyshev_call_bit_for_bit(quad_system):
     interp = morse._period_interpolant(quad_system)
-    value = morse._clenshaw(interp)
+    value = _t_hat(interp)
     rng = np.random.default_rng(7)
     radii = np.concatenate([np.linspace(0.0, morse.RMAX, 10001), rng.uniform(0.0, morse.RMAX, 2000)])
     assert radii[0] == 0.0 and radii[10000] == morse.RMAX
@@ -194,7 +211,7 @@ def test_clenshaw_on_short_series_equals_chebyshev_call_bit_for_bit(coef, domain
     # chebval reads a series of one coefficient as c0 + 0 x, of two as c0 + c1 x; a finite
     # coefficient is a literal of the generated code, inf and NaN are bound by name
     interp = np.polynomial.chebyshev.Chebyshev(coef, domain=domain)
-    value = morse._clenshaw(interp)
+    value = _t_hat(interp)
     radii = np.concatenate([[0.0, 0.6, 1.2], np.random.default_rng(len(coef)).uniform(-0.2, 1.4, 500)])
     fast = np.array([value(r) for r in radii.tolist()])
     with np.errstate(all="ignore"):  # inf - inf in numpy's recurrence
@@ -223,15 +240,17 @@ def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
         with pytest.raises(ZeroDenominatorError) as array, np.errstate(all="ignore"):
             F.fn(np.array([x, y]))
         assert str(scalar.value) == str(array.value)
+        if (x, y) == (1.5, 0.0):  # recorded before the orbit field was written as a lane
+            assert str(scalar.value) == "conformal factor v = -0.25 at point [1.5, 0.0]; v must be positive and finite"
 
 
 @pytest.mark.parametrize("v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1"])
 def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, monkeypatch):
     system = PlanarSystem(v=v, T=np.pi)
     orbit_field = morse.hamiltonian_flow_field
-    assert orbit_field(system).scalar_form is not None
+    assert orbit_field(system).lane is not None
     lane = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
-    # the orbit field with its scalar form stripped: verify_T_periodic then steps a point array
+    # the orbit field with its lane stripped: verify_T_periodic then steps a point array
     monkeypatch.setattr(morse, "hamiltonian_flow_field", lambda *args, **kw: VectorField(orbit_field(*args, **kw).fn))
     array = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
     assert np.array(lane).tobytes() == np.array(array).tobytes()
@@ -294,8 +313,13 @@ def test_orbit_field_makes_no_numpy_polynomial_call(quad_system, monkeypatch):
 
 
 def test_t_hat_code_is_compiled_once_per_system(monkeypatch):
-    # the rescaled orbit field reads T_hat as generated code, made once and kept on the system
+    # the rescaled orbit field writes T_hat's code, made once and kept on the system, into its
+    # lane stepper, which is compiled once per process for its text: once for the rescaled
+    # orbits and once for the unrescaled one, and not again for a second system with the same
+    # T_hat
     import builtins
+
+    from phhs import expressions, flows
 
     compiled, compile_ = [], builtins.compile
 
@@ -304,12 +328,14 @@ def test_t_hat_code_is_compiled_once_per_system(monkeypatch):
         return compile_(source, filename, *args, **kw)
 
     monkeypatch.setattr(builtins, "compile", counted)
+    expressions.generated.cache_clear()
+    flows._lane_stepper.cache_clear()
     system = PlanarSystem(v=lambda p: 1.0 + p[0] ** 2, T=np.pi)
     cfg = FlowConfig(dt=2e-3)
     periods = [verify_T_periodic(system, r0, cfg) for r0 in (0.3, 0.5, 0.3)]
     verify_T_periodic(system, 0.5, cfg, rescale=False)
-    assert compiled.count("<T_hat>") == 1
+    assert compiled == ["<RK4 lane of 2 components>"] * 2
     assert periods[0] == periods[2]
     other = PlanarSystem(v=lambda p: 1.0 + p[0] ** 2, T=np.pi)
     assert verify_T_periodic(other, 0.3, cfg) == periods[0]
-    assert compiled.count("<T_hat>") == 2
+    assert compiled == ["<RK4 lane of 2 components>"] * 2
