@@ -44,7 +44,8 @@ class NonFiniteStateError(PhhsError):
     ``step`` index, the flow ``time`` reached, the stack ``row`` (None for a
     single point) and that row's ``state``.  Raised by a field inside a flow
     step, the flow raises it again with that step, the flow time and state
-    the step started from, and the row the field named.  Raised elsewhere,
+    the step started from, and the row: the one the field named on an array
+    stack, the one being stepped on the lane.  Raised elsewhere,
     these are None (a field may name the ``row`` of its stack).
     """
 

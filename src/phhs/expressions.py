@@ -26,7 +26,8 @@ compiled once per process (:func:`generated`).
 Expressions add to and multiply expressions or numbers, negate, and divide
 a number, making the trees of composite fields.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
-symbolic derivative.
+symbolic derivative.  :meth:`Expression.diff` simplifies its tree; for a power
+of two c, d(u/c) is u'/c and (c u)/c is u, both exact (:func:`_power_of_two`).
 
 Parse errors carry the exact byte offset of the first byte at which no
 grammar continuation exists, plus the set of acceptable token classes.
@@ -384,6 +385,16 @@ class _Parser:
         )
 
 
+def _power_of_two(node):
+    """Whether ``node`` is a number c = ±2^k whose square is a normal float.
+
+    A product by such a c and a quotient by c or c^2 are exact short of overflow and underflow, so
+    u'/c is the quotient rule's (u' c)/c^2 and (c u)/c is u; for any other c they round differently.
+    """
+    mantissa, exponent = math.frexp(node[1]) if node[0] == "num" else (0.0, 0)
+    return abs(mantissa) == 0.5 and -510 <= exponent <= 512  # c = 2^(exponent - 1), c^2 normal
+
+
 def _diff(node, var):
     kind = node[0]
     if kind == "num":
@@ -414,6 +425,8 @@ def _diff(node, var):
     if op == "*":
         return ("bin", "+", ("bin", "*", dl, r), ("bin", "*", l, dr))
     if op == "/":
+        if _power_of_two(r):
+            return ("bin", "/", dl, r)
         num = ("bin", "-", ("bin", "*", dl, r), ("bin", "*", l, dr))
         return ("bin", "/", num, ("bin", "*", r, r))
     # d(l^r) with constant exponent r: r * l^(r-1) * dl; general case via log.
@@ -458,6 +471,8 @@ def _simplify(node):
             return l
     if op == "-" and r[0] == "num" and r[1] == 0.0:
         return l
+    if op == "/" and _power_of_two(r) and l[:3] == ("bin", "*", r):  # (c u)/c is u
+        return l[3]
     if op == "^" and r[0] == "num" and r[1] == 1.0:
         return l
     return ("bin", op, l, r)

@@ -23,19 +23,15 @@ complex arithmetic numpy rounds differently on a scalar and on an array
 (one unit in the last place), and other text with some real powers and
 complex products.
 
-A vector field that is the real form of a holomorphic map w on C^m carries
-w as its ``complex_form``; the flows step the complex state z = x + i y with
-it.  Its one single-point form is its ``lane``, an
+A vector field's one single-point form is its ``lane``, an
 :class:`~phhs.expressions.Lane`: the field at one point as text on Python
-numbers, with the array form's bits, which a flow of one point writes into
-its generated stepper (the scalar lane of :mod:`phhs.flows`);
-``scalar_form`` is the function generated from it.  For text, the array,
-complex and lane forms come from one compiled source,
-:func:`~phhs.expressions.compile_vector` of the component trees: X on the
-models with J = i, and X and J_g X on the twisted model.  J X and
-a X + b J X of the former are one formula text each, of which
-:func:`holomorphic_map` makes the complex form and the lane.  The Morse
-orbit field is a lane written in :mod:`phhs.morse`.
+numbers, with the array form's bits, which every flow writes into its
+stepper (:mod:`phhs.flows`), and from which ``scalar_form`` is generated.
+For text, the array and lane forms come from one compiled source: X on the
+models with J = i, whose lane steps complex z_j (:func:`on_complex_state`)
+and under whose J X and a X + b J X :func:`holomorphic_map` puts one
+formula each, and X and J_g X on the twisted model.  The Morse orbit field
+is a lane written in :mod:`phhs.morse`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -47,11 +43,10 @@ grid's Cauchy-Riemann residual) are :func:`grid_derivative`'s.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .expressions import compile_points, formula_function, lane_function, lane_map
+from .expressions import compile_points, lane_function, lane_map
 from .util import as_points, max_abs
 
 
@@ -109,25 +104,18 @@ def matvec(M, v):
 
 
 def holomorphic_map(X, fn, name, formula, **coefficients):
-    """The field ``formula`` of X's complex form w, component by component, with ``fn`` on the real state.
+    """The field ``fn`` whose lane is ``formula`` of X's lane on complex z_j, component by component, if X has a lane.
 
-    ``formula`` is text of one complex component ``{v}`` and of the
-    ``coefficients`` it reads by name.  It makes the complex form, on w's
-    array (:func:`~phhs.expressions.formula_function`, compiled at its
-    first call), and, where X has a lane, the lane
-    (:func:`~phhs.expressions.lane_map`).
+    ``formula`` is text of one component ``{v}`` of the holomorphic w whose
+    real form X is, and of the ``coefficients`` it reads by name.
     """
-    w, values = X.complex_form, tuple(coefficients.values())
-
-    @cache
-    def f():
-        return formula_function(formula, "v", *coefficients)
-
-    def complex_form(z):
-        return f()(w(z), *values)
-
     lane = None if X.lane is None else lane_map(formula, coefficients, v=X.lane)
-    return VectorField(fn, fd=X.fd, name=name, complex_form=complex_form, lane=lane)
+    return VectorField(fn, fd=X.fd, name=name, lane=lane)
+
+
+def on_complex_state(body, dim):
+    """Whether the Lane ``body`` of a field on ``dim`` real coordinates steps complex z_j = x_j + i y_j: m results for 2m."""
+    return 2 * len(body.results) == dim
 
 
 def point_path(fn):
@@ -185,17 +173,17 @@ class ScalarField(Field):
 class VectorField(Field):
     """Real vector field, returned in coordinate components.
 
-    ``complex_form``, when given, is a stack function w on C^m, taking and
-    returning complex ``(..., m)`` arrays, whose real form the field is: the
-    field at (x, y) is (Re w(z), Im w(z)) with z = x + i y.  The flows step
-    such a field on the complex state z (:mod:`phhs.flows`).
+    ``complex_form``, when given, is a stack function w on C^m whose real
+    form the field is, (Re w(z), Im w(z)) at z = x + i y: X's on the models
+    with J = i, which the flows do not read.
 
     ``lane``, when given, is the field at one point as generated code: a
     function of no arguments that returns a
     :class:`~phhs.expressions.Lane` and the values of its args.  The point
     and the value are tuples of Python numbers, with the array form's bits
-    there: complex z_j with a complex form, real coordinates without.  A
-    flow of one point writes the lane into its stepper (:mod:`phhs.flows`).
+    there: complex z_j or real coordinates (:func:`on_complex_state`).
+    Every flow of the field writes the lane into its stepper
+    (:mod:`phhs.flows`).
     """
 
     def __init__(self, fn, fd=None, name=None, complex_form=None, lane=None):

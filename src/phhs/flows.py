@@ -3,67 +3,44 @@
 All integration is fixed-step classical Runge-Kutta 4: determinism is worth
 more than adaptivity for golden-value work, and the step budget guards the
 singular loci.  The stage and the update are written once, as the formula
-strings ``_STAGE`` and ``_UPDATE``: the array path's :func:`rk4_step` and
-the scalar lane's generated steppers are both made from them.  An array
-state steps through one loop of :func:`rk4_step` calls and a lane state
-through its stepper; :func:`rk4_states` yields the states of either, and
-every flow in the package, the period measurement of :mod:`phhs.morse`
-included, advances through them.
+strings ``_STAGE`` and ``_UPDATE``, from which the array path's
+:func:`rk4_step` and the lane's generated steppers (:func:`_lane_stepper`)
+are made.  :func:`rk4_states` yields the states of either, and every flow
+in the package, the period measurement of :mod:`phhs.morse` included,
+advances through them.
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
-share one step schedule; the field is then evaluated on the whole stack at
-each stage.  The stages of the first step call the field itself, whose
-``Field.__call__`` checks that it returns one value per row; the later
-steps call its raw function ``fn`` on the same shape (see
-:mod:`phhs.fields`).  :func:`trajectory_grid` flows all its column anchors
-as one stack, each row taking exactly the steps it would take alone.  Its
+share one step schedule.  Every flow of a field with a lane (X, J X and
+their combination where they are compiled text, and the Morse orbit field)
+steps on the lane, a stack row by row, so that each row takes exactly the
+steps and the bits it would take alone: a point is a tuple of Python
+numbers, converted once per flow, and the field's lane is written inline
+into a stepper that every row and every segment of a path share.  The lane
+of the real form of a holomorphic w on C^m (J = i) steps complex
+z_j = x_j + i y_j, as the lane shows (:func:`~phhs.fields.on_complex_state`):
+J X is i w there and a X + b J X is a w + (i b) w, two terms as on the real
+path (:func:`~phhs.fields.holomorphic_map`).  The bits are numpy's on
+arrays: Python does the same IEEE operations on Python complex
+coefficients (:func:`_coefficients`), compiled text keeps numpy's quotient
+and power and sums the twisted J_g X onto +0.0 as numpy's matrix product
+does (:mod:`phhs.expressions`), and the Morse angle is ``np.arctan2``.  A
+lane error names the step, time, row and real state the array path names,
+and a stack raises the error the array path meets first (:func:`_lane_rows`).
+
+A field without a lane (a user's callable) steps the real array state
+through :func:`rk4_step`, a stack evaluated whole at each stage.  The
+stages of the first step call the field itself, whose ``Field.__call__``
+checks that it returns one value per row; the later steps call its raw
+function ``fn`` (see :mod:`phhs.fields`).
+
+:func:`trajectory_grid` flows all its column anchors as one stack.  Its
 monitors come from :func:`grid_monitors`, paid for only by the callers that
-report them, which take H_R and H_I on node stacks, so an energy drift can
+report them; they take H_R and H_I on node stacks, so an energy drift can
 differ in the last digits from node-by-node values where a stack row rounds
 differently from its point (the central problem's H_I, or text such as
-``1 + x1^2``).
-
-A field that is the real form of a holomorphic w on C^m (J = i; see
-``VectorField.complex_form``) is flowed on the complex state z = x + i y,
-converted once when a flow starts and once when it ends: every stage calls
-w on z, with no real/complex round trip and no J matrix.  The stage
-arithmetic of :func:`rk4_step` is the real one component by component, so
-the endpoints are bit for bit those of the real path.  The combination
-a X + b J X is a w + (i b) w there, two terms as on the real path (a single
-(a + i b) w rounds differently), one formula for its complex form and its
-lane (:func:`~phhs.fields.holomorphic_map`).
-
-One point of a field with a lane (X, J X and their combination where they
-are compiled text, and the Morse orbit field) takes the scalar lane: a
-tuple of Python numbers, complex z_j with a complex form and floats
-otherwise, converted once per flow.  The bits are numpy's: Python does the
-same IEEE operations, every coefficient of a complex product is a Python
-complex (CPython 3.14 would multiply a float by a complex without numpy's
-cast), compiled text keeps numpy's quotient and power and sums the twisted
-model's J_g X onto +0.0 as numpy's matrix product does
-(:mod:`phhs.expressions`, :func:`~phhs.models.build_proper_phhs`), and the
-Morse angle is ``np.arctan2``.  A lane error names the step, time and state
-the array path names.
-
-The lane steps through :func:`_lane_stepper`, one generator of
-straight-line code, compiled once per process for each component count and
-field :class:`~phhs.expressions.Lane`: the four stages and the update of
-each component written out, the box test inline, and at each stage the
-field's lane written inline: the compiled text of X and J_g X, the map
-i w or a w + (i b) w of :func:`~phhs.fields.holomorphic_map` on it,
-a c + b d of the twisted combination, the central problem's Q-floor line,
-and the Morse orbit field with T_hat's code.  A line that raises is the
-field's error there.  The lane's values (a, i b, a function its lines
-call) and the step's coefficients are arguments, so every segment of a
-path shares one stepper.  A flow's endpoint takes one call of the
-stepper for all its steps (:func:`flow`, :func:`flow_word`,
-:func:`continue_along_path`, the swap check of :func:`grid_monitors`);
-:func:`rk4_states` calls it once per step, so the Morse angle event sees
-every state.
-
-Time-plane conventions: a bi-time grid node t + i s is reached by flowing X
-for t and then J X for s from the anchor; paths in the complex time plane
-are polylines integrated segment by segment.
+``1 + x1^2``).  A bi-time grid node t + i s is reached by flowing X for t
+and then J X for s from the anchor; paths in the complex time plane are
+polylines integrated segment by segment.
 """
 
 import re
@@ -76,7 +53,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
 from .expressions import formula_function, generated, lane_map
-from .fields import VectorField, grid_derivative, holomorphic_map, matvec
+from .fields import VectorField, grid_derivative, holomorphic_map, matvec, on_complex_state
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -95,31 +72,29 @@ class FlowConfig:
             raise ValueError("max_step_count must be positive")
 
 
-def _check_state(y, step, h):
+def _check_state(y, step, h, row=None):
     """Raise if the state after ``step`` steps of size ``h`` left the finite box.
 
     The box bounds every real component, of a complex state too.  The error
     names the step, the flow time reached and, for a stack, the first row
-    that left (and its state, in the real (x, y) layout).  A lane state, a
-    tuple whose inline box test failed, is checked, and reported, as the
-    array it stands for.
+    that left and its real (x, y) state; a lane state, a tuple whose inline
+    box test failed, is checked as its array and named as ``row``.
     """
     y = np.asarray(y)
-    # NaN fails the comparisons, so this also rejects non-finite entries; |z|
-    # bounds both parts of a complex entry, so only a state with some |z| past
-    # the bound needs the check of the float view
+    # NaN fails the comparisons, so this also rejects non-finite entries; |z| bounds both parts of
+    # a complex entry, so only a state with some |z| past the bound needs the check of the float view
     if np.abs(y).max() <= BLOWUP or np.abs(y.view(float)).max() <= BLOWUP:
         return
     if y.dtype.kind == "c":
         y = from_complex(y)
-    where = f"at step {step} (flow time {step * h:.17g})"
-    row = None
     if y.ndim == 2:
         row = int(np.flatnonzero(~(np.abs(y) <= BLOWUP).all(axis=1))[0])
-        where += f" in row {row}, state {y[row].tolist()}"
+        y = y[row]
+    where = f"at step {step} (flow time {step * h:.17g})"
+    if row is not None:
+        where += f" in row {row}, state {y.tolist()}"
     raise NonFiniteStateError(
-        f"flow state overflowed {where}; a singular locus was hit",
-        step=step, time=step * h, row=row, state=y[row] if row is not None else y,
+        f"flow state overflowed {where}; a singular locus was hit", step=step, time=step * h, row=row, state=y
     )
 
 
@@ -136,9 +111,10 @@ _update = formula_function(_UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
 def _coefficients(complex_state, h):
     """half, full, sixth and two of a step of size h: Python complex numbers for a complex state.
 
-    numpy would cast each float to x + 0j anyway, and on the lane each
-    product is then the complex one numpy makes.  A numpy h (a grid's node
-    spacing) is read as a Python float, so a float lane steps Python floats.
+    numpy would cast each float to x + 0j anyway (CPython 3.14 would not),
+    and on the lane each product is then the complex one numpy makes.  A
+    numpy h (a grid's node spacing) is read as a Python float, so a float
+    lane steps Python floats.
     """
     h = float(h)
     if complex_state:
@@ -149,9 +125,9 @@ def _coefficients(complex_state, h):
 def rk4_step(V, y, h):
     """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
 
-    ``y`` is a point or an ``(N, dim)`` stack, real or complex; V must take
-    the same shape, and the stages keep the dtype of ``y``.  The scalar
-    lane steps through :func:`_lane_stepper`, made from the same formulas.
+    ``y`` is a point or an ``(N, dim)`` stack, V must take the same shape,
+    and the stages keep y's dtype: the flows step the real state of a field
+    without a lane, and a complex ``y`` steps as the lane's complex z_j do.
     """
     half, full, sixth, two = _coefficients(y.dtype.kind == "c", h)
     k1 = np.asarray(V(y), dtype=y.dtype)
@@ -163,23 +139,22 @@ def rk4_step(V, y, h):
 
 @lru_cache(maxsize=256)
 def _lane_stepper(m, lane):
-    """The scalar lane's RK4 stepper for m components and the field's Lane ``lane``, generated once per process.
+    """The lane's RK4 stepper for m components and the field's Lane ``lane``, generated once per process.
 
-    ``stepper(y, n, first_step, h, half, full, sixth, two, *args)`` takes
-    steps first_step, ..., first_step + n - 1 of size h of the field from
-    the tuple ``y`` and returns the tuple state after them, with the
+    ``stepper(y, n, first_step, h, half, full, sixth, two, *args, row=None)``
+    takes steps first_step, ..., first_step + n - 1 of size h of the field
+    from the tuple ``y`` and returns the tuple state after them, with the
     coefficients of :func:`_coefficients` and the values of the lane's
-    ``args``.  Each step is straight-line code on y0..y{m-1}: the stages
-    and the update of each component written from ``_STAGE`` and
-    ``_UPDATE``, so their operations are those of :func:`rk4_step` on a
-    one-point array, and at each stage the lane written inline, on the
-    stage state ``_p0``, ``_p1``, ....  The box test of
-    :func:`_check_state` is inlined, |y_j| <= BLOWUP per component; a state
-    that fails it, or whose Python |z| overflows, goes to
-    :func:`_check_state`, which passes it if every real part is inside the
-    box and raises its error otherwise.  A field's ``NonFiniteStateError``
-    is located in its step by :func:`_located`.  The text is compiled once
-    per process (:func:`~phhs.expressions.generated`).
+    ``args``; its errors name ``row``, the row of a stack ``y`` is.  Each
+    step is straight-line code on y0..y{m-1}: the stages and the update of
+    each component written from ``_STAGE`` and ``_UPDATE``, the operations
+    of :func:`rk4_step` on a one-point array, and at each stage the lane
+    written inline on the stage state ``_p0``, ``_p1``, ....  The box test
+    is inlined, |y_j| <= BLOWUP per component; a state that fails it, or
+    whose Python |z| overflows, goes to :func:`_check_state`.  A field's
+    ``NonFiniteStateError`` is located in its step by :func:`_located`.
+    The text is compiled once per process
+    (:func:`~phhs.expressions.generated`).
     """
     y = [f"y{j}" for j in range(m)]
     p = [f"_p{j}" for j in range(m)]
@@ -202,7 +177,7 @@ def _lane_stepper(m, lane):
     stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
     source = [
         *lane.constants,
-        f"def lane(y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args)}):",
+        f"def lane(y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args)}, *, row=None):",
         f"    {state(y)} = y",
         "    for step in range(first_step, first_step + n):",
         "        try:",
@@ -210,14 +185,14 @@ def _lane_stepper(m, lane):
         "        except NonFiniteStateError as exc:",
         "            if exc.step is not None:",
         "                raise",
-        f"            raise _located(exc, {state(y)}, step, h) from exc",
+        f"            raise _located(exc, {state(y)}, step, h, row) from exc",
         *(f"        {y[j]} = {update(j)}" for j in range(m)),
         "        try:",
         f"            inside = {' and '.join(f'{BLOWUP!r} >= abs({a})' for a in y)}",
         "        except OverflowError:  # Python's |z| past the float range: outside the box",
         "            inside = False",
         "        if not inside:",
-        f"            _check_state({state(y)}, step, h)",
+        f"            _check_state({state(y)}, step, h, row)",
         f"    return {state(y)}",
     ]
     namespace = generated(
@@ -227,65 +202,83 @@ def _lane_stepper(m, lane):
     return namespace["lane"]
 
 
-def _located(exc, y, step, h):
+def _located(exc, y, step, h, row=None):
     """A field's ``NonFiniteStateError`` raised in ``step``, from state ``y``, naming that step.
 
     The time and the state are those the step started from; the row is the
-    one the field named, if it named one.
+    one the field named on an array stack, and ``row`` on the lane.
     """
     y = np.asarray(y)
     if y.dtype.kind == "c":
         y = from_complex(y)
+    if y.ndim == 2:
+        row = exc.row
+        y = y if row is None else y[row]
     time = (step - 1) * h
-    row = exc.row if y.ndim == 2 else None
     where = f"in step {step} of the flow (from flow time {time:.17g})"
     if row is not None:
-        where += f" in row {row}, state {y[row].tolist()}"
-    return NonFiniteStateError(
-        f"{exc}, {where}", step=step, time=time, row=row, state=y[row] if row is not None else y
-    )
+        where += f" in row {row}, state {y.tolist()}"
+    return NonFiniteStateError(f"{exc}, {where}", step=step, time=time, row=row, state=y)
 
 
-def _start(V, x0):
-    """What a flow of V from ``x0`` steps, the lane, complex or real form of V, and its start state."""
-    w = getattr(V, "complex_form", None)
-    lane = getattr(V, "lane", None) if x0.ndim == 1 else None
-    if lane is not None:
-        return lane, tuple((x0 if w is None else to_complex(x0)).tolist())
-    if w is not None:
-        return w, to_complex(x0)
-    return V, np.array(x0, dtype=float)
+def _lane_start(V, x0, h):
+    """V's lane stepper, the values it takes after step h and the rows of ``x0`` as tuples; None without a lane."""
+    if getattr(V, "lane", None) is None:
+        return None
+    body, args = V.lane()
+    complex_state = on_complex_state(body, x0.shape[-1])
+    rows = np.atleast_2d(to_complex(x0) if complex_state else x0)
+    values = (*_coefficients(complex_state, h), *args)
+    return _lane_stepper(len(body.results), body), values, [tuple(y) for y in rows.tolist()]
+
+
+def _lane_rows(stepper, values, rows, n, first_step, h, stack):
+    """The lane states ``rows`` after steps first_step, ..., first_step + n - 1 of size h, one stepper call per row.
+
+    The error raised is the one the array path meets first: the earliest
+    step, in a step a field's error (located with the field's error as its
+    cause) before the box test at its end, then the lowest row, named in a
+    ``stack``.  Later rows step only as far as a failed one did.  An error
+    of another type propagates from the row that raises it.
+    """
+    out, first = [], None
+    for row, y in enumerate(rows):
+        try:
+            out.append(stepper(y, n, first_step, h, *values, row=row if stack else None))
+        except NonFiniteStateError as exc:
+            key = (exc.step, exc.__cause__ is None)
+            if first is None or key < first[0]:
+                first = key, exc
+                n = exc.step - first_step + 1
+    if first is not None:
+        raise first[1]
+    return out
 
 
 def rk4_states(V, x0, h):
     """The checked states after steps 1, 2, ... of the RK4 flow of V from ``x0`` with step h, endlessly.
 
-    The state is the one :func:`_start` picks.  A lane state is advanced one
-    step per call of its :func:`_lane_stepper`, so a caller sees every
-    state, the Morse angle event included.  On the array path the four
-    stages of the first step call the field itself, so ``Field.__call__``
-    checks that it returns one value per row of the state; every later
-    step calls the field's function ``fn`` on the same shape and dtype
-    unchecked.  A bare callable and a complex form are called as they are.
+    On the lane a point's state is its tuple, one stepper call per step (the
+    Morse angle event sees every state), and a stack's the list of its rows'.
+    Without a lane it is the real array (:func:`_array_states`).
     """
-    F, y = _start(V, x0)
-    return _lane_states(F, y, h) if type(y) is tuple else _array_states(F, y, h)
+    lane = _lane_start(V, x0, h)
+    return _array_states(V, np.array(x0, dtype=float), h) if lane is None else _lane_states(*lane, h, x0.ndim == 2)
 
 
-def _stepper_of(lane, y, h):
-    """The stepper of ``lane`` from ``y`` with step h, and the values it takes after h."""
-    body, args = lane()
-    return _lane_stepper(len(y), body), (*_coefficients(isinstance(y[0], complex), h), *args)
-
-
-def _lane_states(lane, y, h):
-    stepper, values = _stepper_of(lane, y, h)
+def _lane_states(stepper, values, rows, h, stack):
+    if stack:
+        for step in count(1):
+            rows = _lane_rows(stepper, values, rows, 1, step, h, True)
+            yield rows
+    (y,) = rows
     for step in count(1):
         y = stepper(y, 1, step, h, *values)
         yield y
 
 
 def _array_states(F, y, h):
+    """F's flow on the real array: the first step's stages call F, the later ones its ``fn`` (a bare callable as it is)."""
     for step in count(1):
         try:
             y = rk4_step(F, y, h)
@@ -300,15 +293,14 @@ def _array_states(F, y, h):
 
 
 def _rk4(V, x0, t, n_steps):
-    """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call on the lane."""
+    """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call per row on the lane."""
     h = t / n_steps
-    F, y = _start(V, x0)
-    if type(y) is tuple:
-        stepper, values = _stepper_of(F, y, h)
-        y = np.array(stepper(y, n_steps, 1, h, *values))
-    else:
-        for y in islice(_array_states(F, y, h), n_steps):
+    lane = _lane_start(V, x0, h)
+    if lane is None:
+        for y in islice(_array_states(V, np.array(x0, dtype=float), h), n_steps):
             pass
+        return y
+    y = np.array(_lane_rows(*lane, n_steps, 1, h, x0.ndim == 2)).reshape(*x0.shape[:-1], -1)
     return from_complex(y) if y.dtype.kind == "c" else y
 
 
@@ -402,7 +394,8 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
     """Fill a rectangular bi-time grid by flowing X in t and then J X in s.
 
     The anchor z0 must be a grid node.  Only the two sweeps run here: the t
-    sweep of x0 and the s sweep of the column anchors as one stack.  The
+    sweep of x0 and the s sweep of the column anchors as one stack (row by
+    row where J X has a lane, so each column is its own flow).  The
     monitors of the grid are :func:`grid_monitors`, paid for by the callers
     that report them (``integrate``, not ``action-check``).
     """
@@ -471,13 +464,13 @@ def grid_monitors(fields, grid, cfg=FlowConfig()):
 
 
 # a X + b J X on the real state, of X's value {c} and J X's {d}: the combination's array form, and
-# its lane where X and J X have lanes
+# its lane where X and J X have lanes on the real state
 _COMBINATION = "a * {c} + b * {d}"
 _combination = formula_function(_COMBINATION, "c", "d", "a", "b")
 
 
 def _combo_field(fields, a, b):
-    """a X + b J X from X's and J X's own forms; a w + (i b) w on z when J X has a complex form.
+    """a X + b J X from X's and J X's own forms; its lane a w + (i b) w where X's lane steps complex z_j (J X is i w).
 
     a and b are read as Python floats (``tilted_flow`` passes numpy's), so
     a float lane steps Python floats.
@@ -489,10 +482,11 @@ def _combo_field(fields, a, b):
     def fn(p):
         return _combination(np.asarray(X_fn(p), dtype=float), np.asarray(JX_fn(p), dtype=float), a, b)
 
-    if JX.complex_form is not None:
+    if X.lane is None or JX.lane is None:
+        return VectorField(fn, fd=X.fd, name="combo")
+    if on_complex_state(X.lane()[0], fields.model.dim):
         return holomorphic_map(X, fn, "combo", "a * {v} + ib * {v}", a=complex(a), ib=1j * b)
-    lane = None if X.lane is None or JX.lane is None else lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane)
-    return VectorField(fn, fd=X.fd, name="combo", lane=lane)
+    return VectorField(fn, fd=X.fd, name="combo", lane=lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane))
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

@@ -19,9 +19,9 @@ quadrature primitive H_I of a model with no H_I hook
 (:func:`primitive_stack`, bit for bit ``scipy.integrate.quad`` per row).
 
 J X is the model's hook if it has one (the twisted model's), else J's
-function times X's; when X has a complex form w and J is the constant
-structure i (the matrix of a :func:`~phhs.fields.constant_matrix_field`),
-its complex form and its lane are i w, from the one formula ``1j * {v}``
+function times X's; when J is the constant structure i (the matrix of a
+:func:`~phhs.fields.constant_matrix_field`) and X's lane steps complex z_j,
+J X's lane is i w on it, the formula ``1j * {v}``
 (:func:`~phhs.fields.holomorphic_map`).
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .fields import CovectorField, ScalarField, TwoFormField, VectorField, holomorphic_map, jet, matvec
+from .fields import CovectorField, ScalarField, TwoFormField, VectorField, holomorphic_map, jet, matvec, on_complex_state
 from .tensors import (
     acs_residual,
     anticompat_residual,
@@ -350,10 +350,11 @@ def assemble_phhs(model, check_closedness=True):
     def jx_fn(p):
         return matvec(np.asarray(J_fn(p), dtype=float), np.asarray(X_fn(p), dtype=float))
 
-    w = getattr(X, "complex_form", None)
     if model.JX_hook is not None:
         JX = model.JX_hook
-    elif w is not None and np.array_equal(getattr(model.J, "matrix", None), standard_j_matrix(model.m)):
+    elif getattr(X, "lane", None) is not None and on_complex_state(X.lane()[0], model.dim) and np.array_equal(
+        getattr(model.J, "matrix", None), standard_j_matrix(model.m)
+    ):
         JX = holomorphic_map(X, jx_fn, "JX", "1j * {v}")
     else:
         JX = VectorField(jx_fn, fd=X.fd, name="JX")

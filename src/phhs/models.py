@@ -95,7 +95,9 @@ def _as_complex_hamiltonian(H, n):
         grads = [None] * (2 * n)
         for name, k in names.items():
             d = expr.diff(name)
-            grads[k] = d if grads[k] is None else grads[k] + d
+            # a slot's names are aliases (z_j and Q_j or P_j); a partial that folded to 0.0 adds nothing
+            if grads[k] is None or d.ast != ("num", 0.0):
+                grads[k] = d if grads[k] is None or grads[k].ast == ("num", 0.0) else grads[k] + d
     except ValueError:
         dH = lambda z: complex_gradient(fn, z)  # noqa: E731
         return fn, dH, _gradient_x(n, dH)
@@ -372,11 +374,8 @@ def build_torus_model(lattice, H=None):
     n = lattice.n
     m = 2 * n
     if H is None:
-        H_c = lambda z: 0.5 * np.sum(z[..., n:m] ** 2, axis=-1)  # noqa: E731
-        dH_c = lambda z: np.concatenate([np.zeros_like(z[..., :n]), z[..., n:m]], axis=-1)  # noqa: E731
-        w = _gradient_x(n, dH_c)
-    else:
-        H_c, dH_c, w = _as_complex_hamiltonian(H, n)
+        H = " + ".join(f"P{j}^2/2" for j in range(1, n + 1))
+    H_c, dH_c, w = _as_complex_hamiltonian(H, n)
     q_dep = max_abs(dH_c(_holomorphy_samples(m, seed=5))[..., :n])
     if q_dep > Q_TOL:
         raise QDependenceError(

@@ -36,16 +36,21 @@ def torus_square():
 
 @pytest.fixture
 def rk4_steps(monkeypatch):
-    """The RK4 steps taken from here on: ``lane``, the sum of the lane steppers' n, and ``array``, the ``rk4_step`` calls."""
+    """The RK4 steps taken from here on: ``lane``, the sum of the lane steppers' n, and ``array``, the ``rk4_step`` calls.
+
+    A stack of a field with a lane steps row by row, one stepper call per
+    row, so ``lane`` counts step-rows: n steps of N rows are n N.  An
+    ``rk4_step`` call steps a whole array state, so ``array`` counts steps.
+    """
     taken = Counter()
     lane_stepper, rk4_step = flows._lane_stepper, flows.rk4_step
 
     def counted_stepper(m, lane):
         run = lane_stepper(m, lane)
 
-        def stepper(y, n, *rest):
+        def stepper(y, n, *rest, **row):
             taken["lane"] += n
-            return run(y, n, *rest)
+            return run(y, n, *rest, **row)
 
         return stepper
 

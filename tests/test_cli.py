@@ -510,13 +510,26 @@ def _focus_config(tmp_path, monkeypatch, verb, workload="bigrid"):
     return write_config(tmp_path, "cfg.json", _focus_scenario(monkeypatch, verb, workload))
 
 
-@pytest.mark.parametrize("verb, steps", [("action-check", 2016), ("integrate", 4016)])
+@pytest.mark.parametrize("verb, steps", [("action-check", 18144), ("integrate", 20144)])
 def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, rk4_steps, verb, steps):
-    # both grids take 2,016 steps: the t sweep 1,008 and the stacked s sweep 1,008;
-    # only integrate reports the swap check, whose two flows take 1,000 steps each
+    # both grids take 18,144 step-rows: the t sweep 1,008 and the s sweep of the 17 column
+    # anchors 17 x 1,008, row by row; only integrate reports the swap check, whose two flows
+    # take 1,000 steps each
     cfg = _focus_config(tmp_path, monkeypatch, verb)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert rk4_steps["lane"] + rk4_steps["array"] == steps
+
+
+def test_focus_scenarios_take_no_array_rk4_step(tmp_path, monkeypatch, rk4_steps):
+    # every flow of the benchmark's focus scenarios is of a field with a lane, a stack row by row
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import scenarios
+
+    for workload, verbs in scenarios.FOCUS.items():
+        for verb in verbs:
+            cfg = write_config(tmp_path, f"{workload}-{verb}.json", dict(scenarios.workload(workload, 0))[verb])
+            assert main([verb, "--config", cfg, "--out", str(tmp_path / workload / verb)]) == 0
+    assert rk4_steps["array"] == 0 and rk4_steps["lane"] > 0
 
 
 @pytest.mark.parametrize("verb, steps", [("monodromy", 6336), ("foliate", 10000), ("morse-period", 9426)])
@@ -652,7 +665,7 @@ def test_bigrid_integrate_focus_scenario_checks_rows_at_the_boundary(tmp_path, m
     monkeypatch.setattr(models, "i_g_matrix", i_g)
     monkeypatch.setattr(fields.Field, "__call__", call)
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert rk4_steps == {"lane": 3008, "array": 1008}
+    assert rk4_steps == {"lane": 20144}
     # J X is compiled from J_g's entries and X's components, so no flow forms J_g (80,260 rows
     # did, 4,000 of them on the scalar lane); the 285 left are the assembly's checks and
     # diagnostics and the grid's Cauchy-Riemann residual

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phhs import models
 from phhs.errors import ParseError
 from phhs.expressions import compile_points, compile_vector, parse_expression, power, quotient
 from phhs.util import coordinate_names, seeded_points, to_complex
@@ -84,6 +85,62 @@ def test_derivative_of_quotient_and_sqrt():
     env = {"x1": 0.7}
     fd = (e.evaluate({"x1": 0.7 + 1e-7}) - e.evaluate({"x1": 0.7 - 1e-7})) / 2e-7
     assert e.diff("x1").evaluate(env) == pytest.approx(fd, rel=1e-6)
+
+
+# random trees over x1 and x2: sums, products, quotients by numbers (powers of two and others)
+# and by expressions that do not vanish, integer and fractional powers, and the functions
+_DIVISORS = ["2", "4", "0.5", "-8", "7", "0.1", "-3"]
+_LEAVES = st.sampled_from(["x1", "x2", "2", "3", "0.5", "7"])
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(children, st.sampled_from(_DIVISORS)).map(lambda t: f"({t[0]})/{t[1]}"),
+        st.tuples(children, children).map(lambda t: f"({t[0]})/(1 + ({t[1]})^2)"),
+        st.tuples(children, st.sampled_from(["2", "3"])).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(children, st.sampled_from(["0.5", "1.5"])).map(lambda t: f"(1 + ({t[0]})^2)^{t[1]}"),
+        st.tuples(st.sampled_from(["exp", "sin", "cos"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        children.map(lambda c: f"sqrt(1 + ({c})^2)"),
+        children.map(lambda c: f"-({c})"),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.recursive(_LEAVES, _extend, max_leaves=6), var=st.sampled_from(["x1", "x2"]),
+       point=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+def test_derivatives_are_sympys(text, var, point):
+    # Expression.diff, simplified, against sympy's derivative of the same text, both evaluated
+    # at the point (sympy to 30 digits)
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    env = dict(zip(("x1", "x2"), point))
+    reference = sympy.diff(sympy.sympify(text.replace("^", "**")), {"x1": x1, "x2": x2}[var])
+    want = complex(reference.evalf(30, subs={x1: point[0], x2: point[1]}))
+    with np.errstate(all="ignore"):
+        got = complex(parse_expression(text).diff(var).evaluate(env))
+    if not (np.isfinite(want) and abs(want) < 1e12):
+        return
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (text, var, point, got, want)
+
+
+def test_the_oscillators_x_is_one_operation_or_two_per_component():
+    # X = (dH/dP1, -dH/dQ1) of H = (P1^2 + Q1^2)/2: d(u/2) is u'/2 and (2 P1)/2 folds to P1, the
+    # alias partials that folded to 0.0 are not summed, so X reads P1 and negates Q1
+    lane, args = models.build_standard_hhs(1, "(P1^2 + Q1^2)/2").X_hook.lane()
+    assert (lane.constants, lane.lines, lane.results, args) == ((), ("_t2 = -_p0",), ("_p1", "_t2"), ())
+
+
+def test_a_divisor_that_is_no_power_of_two_keeps_the_quotient_rule():
+    # for c = 7, u'/7 and the quotient rule's (u' 7)/49 round differently (they differ at 239 of
+    # 1,000 values of u' = 3 Q1^2), and model_values.json pins the bits of X of text such as
+    # Q1^3/7; only a power of two c, for which both are exact, takes u'/c
+    u = 3.0 * np.linspace(0.1, 2.0, 1000) ** 2
+    assert ((u * 7.0) / 49.0 != u / 7.0).sum() == 239
+    d = parse_expression("Q1^3/7").diff("Q1")
+    partial = ("bin", "*", ("num", 3.0), ("bin", "^", ("var", "Q1"), ("num", 2.0)))
+    assert d.ast == ("bin", "/", ("bin", "*", partial, ("num", 7.0)), ("num", 49.0))
+    assert parse_expression("Q1^3/4").diff("Q1").ast == ("bin", "/", partial, ("num", 4.0))
 
 
 def test_conj_evaluates_but_has_no_derivative():

@@ -248,7 +248,7 @@ def test_energy_conservation_invariant(central, harmonic):
 
 
 # ---------------------------------------------------------------------------
-# fields with a complex form (J = i) flow on the complex state z = x + i y
+# fields whose lane steps the complex state z = x + i y (J = i)
 # ---------------------------------------------------------------------------
 
 
@@ -262,7 +262,7 @@ COARSE = FlowConfig(dt=1e-2)
 
 
 def _real_path(fields):
-    """The same fields with their complex forms stripped, so that every flow steps the real state."""
+    """The same fields with their lanes and complex forms stripped, so that every flow steps the real array state."""
     return dataclasses.replace(
         fields,
         X=VectorField(fields.X.fn, fd=fields.X.fd, name="X"),
@@ -274,16 +274,22 @@ def _real_path(fields):
 def holomorphic(request):
     model, x0 = HOLOMORPHIC[request.param]
     fields = assemble_phhs(model)
-    assert fields.X.complex_form is not None and fields.JX.complex_form is not None
+    assert fields.X.complex_form is not None and fields.JX.lane is not None
     return fields, _real_path(fields), np.array(x0)
+
+
+def _stack_is_its_rows(V, stack, t):
+    """Whether the flow of a stack is its rows' single-point flows, tobytes() for tobytes()."""
+    return flow(V, stack, t, COARSE).tobytes() == np.array([flow(V, row, t, COARSE) for row in stack]).tobytes()
 
 
 def test_complex_state_flows_equal_the_real_path_bit_for_bit(holomorphic):
     fields, real, x0 = holomorphic
-    stack = np.array([x0, x0 + 0.05])
+    stack = np.array([x0, x0 + 0.05, x0 - 0.03])
     for a, b in ((fields.X, real.X), (fields.JX, real.JX)):
-        for start, t in ((x0, 0.7), (x0, -0.45), (stack, 0.3)):
-            assert np.array_equal(flow(a, start, t, COARSE), flow(b, start, t, COARSE))
+        for t in (0.7, -0.45):
+            assert np.array_equal(flow(a, x0, t, COARSE), flow(b, x0, t, COARSE))
+        assert _stack_is_its_rows(a, stack, 0.3)
         end, err = flow_error_estimate(a, x0, 0.5, COARSE)
         end_r, err_r = flow_error_estimate(b, x0, 0.5, COARSE)
         assert np.array_equal(end, end_r) and err == err_r
@@ -348,7 +354,7 @@ def test_complex_state_box_bounds_each_real_component():
 def test_a_complex_form_with_a_j_not_known_to_be_i_takes_the_real_path(J):
     model = dataclasses.replace(models.build_central_problem(), J=J, H_I_hook=None)
     fields = assemble_phhs(model)
-    assert fields.X.complex_form is not None and fields.JX.complex_form is None
+    assert fields.X.complex_form is not None and fields.X.lane is not None and fields.JX.lane is None
     P = np.array([X0, [1.1, 0.4, 0.1, -0.2], [0.9, 0.6, -0.1, 0.1]])
     assert np.array_equal(fields.JX(P), matvec(J(P), fields.X(P)))
     assert np.array_equal(flow(fields.JX, X0, 0.4, COARSE), flow(_real_path(fields).JX, X0, 0.4, COARSE))
@@ -359,8 +365,11 @@ def test_central_q_guard_names_the_row_and_its_real_point():
     bad = np.array([1e-3, 0.0, 2e-4, 0.0])
     with pytest.raises(NonFiniteStateError) as info:
         flow(fields.X, [[1.0, 0.5, 0.0, 0.0], bad], 0.1)
-    message = str(info.value)
-    assert "Q = 0 locus" in message and f"row 1 (point {bad})" in message
+    err = info.value
+    message = str(err)
+    assert "Q = 0 locus" in message and f"in row 1, state {bad.tolist()}" in message
+    assert message.count("row 1") == 1
+    assert (err.step, err.time, err.row) == (1, 0.0, 1) and np.array_equal(err.state, bad)
 
 
 def test_central_q_guard_names_the_step_and_flow_time():
@@ -380,6 +389,56 @@ def test_central_q_guard_names_the_step_and_flow_time():
     assert err.step > 1 and err.row is None
     assert err.time == pytest.approx((err.step - 1) * 1e-3, rel=1e-12)
     assert np.allclose(err.state, flow(fields.X, x0, err.time), rtol=1e-12, atol=0.0)
+
+
+def _far_field():
+    """The field (1, 1) that raises where x1 > 2, with a lane and, stripped of it, on arrays."""
+
+    def too_far(p):
+        bad = np.asarray(p)[..., 0] > 2.0
+        if bad.any():
+            raise NonFiniteStateError("x1 past 2", row=int(np.argmax(bad)) if bad.ndim else None)
+
+    def fn(p):
+        too_far(p)
+        return np.ones(p.shape)
+
+    lane = Lane((), ("if _p0 > 2.0:\n    _too_far((_p0, _p1))",), ("1.0", "1.0"), ("_too_far",))
+    return VectorField(fn, name="far", lane=lambda: (lane, (too_far,))), VectorField(fn, name="far")
+
+
+@pytest.mark.parametrize(
+    "stack, step, row",
+    [
+        # row 1 meets the field's error in step 3, before row 0 leaves the box at step 10
+        ([[0.0, 1e8 - 0.95], [1.75, 0.0]], 3, 1),
+        # row 0 leaves the box at the end of step 1, after row 1's field error in that step
+        ([[0.0, 1e8 - 0.05], [2.5, 0.0]], 1, 1),
+        # both rows leave the box at step 1: the lower row is named
+        ([[0.0, 1e8 - 0.05], [0.0, 1e8 - 0.01]], 1, 0),
+    ],
+    ids=["earlier-step", "field-before-box", "lower-row"],
+)
+def test_a_stack_on_the_lane_raises_the_error_the_array_path_meets_first(stack, step, row):
+    lane, array = _far_field()
+    errors = []
+    for V in (lane, array):
+        with pytest.raises(NonFiniteStateError) as info:
+            flow(V, stack, 2.0, FlowConfig(dt=0.1))
+        errors.append(info.value)
+    a, b = errors
+    assert (a.step, a.row) == (step, row)
+    assert (a.step, a.time, a.row) == (b.step, b.time, b.row) and _same_bits(a.state, b.state)
+    assert str(a) == str(b) and str(a).count("row") == 1
+
+
+def test_rk4_states_of_a_stack_on_the_lane_are_its_rows_states():
+    # a stack's states are the list of its rows' lane states, each row stepped as it is alone
+    X = assemble_phhs(models.build_central_problem()).X
+    stack = np.array([X0, X0 + 0.05])
+    states = list(itertools.islice(flows.rk4_states(X, stack, 1e-2), 5))
+    rows = [list(itertools.islice(flows.rk4_states(X, row, 1e-2), 5)) for row in stack]
+    assert [[repr(y) for y in state] for state in states] == [[repr(r[k]) for r in rows] for k in range(5)]
 
 
 def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monkeypatch):
@@ -427,15 +486,64 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
 
 
 def _array_path(fields):
-    """The same fields with every lane stripped (X's and J X's), so that a point steps the array state.
+    """The same fields with every lane stripped (X's and J X's): the reference of the lane.
 
-    The state is complex where X has a complex form and real otherwise.
+    Where X has a complex form w, X keeps it and J X gets i w, computed
+    here: under ``complex_arrays`` their flows step numpy's complex array
+    z = x + i y, the state the lane's complex z_j stands for.  Otherwise
+    they step the real array state.
     """
+    w = fields.X.complex_form
     return dataclasses.replace(
         fields,
-        X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=fields.X.complex_form),
-        JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=fields.JX.complex_form),
+        X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=w),
+        JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=None if w is None else _i_times(w)),
     )
+
+
+def _i_times(w):
+    """i w of X's complex form w on numpy's complex arrays: the reference of J X's lane on z."""
+    return lambda z: 1j * w(z)
+
+
+def _combination_form(w, a, b):
+    """a w + (i b) w of X's complex form w on numpy's complex arrays: the reference of the combination's lane on z."""
+    a, ib = complex(float(a)), 1j * float(b)
+
+    def form(z):
+        v = w(z)
+        return a * v + ib * v
+
+    return form
+
+
+@pytest.fixture
+def complex_arrays(monkeypatch):
+    """Flows of a field with a complex form w and no lane step numpy's complex array z = x + i y with w.
+
+    This is the array path that the lane's complex state matches, kept as
+    its reference: the state is converted once per flow, the stages are
+    ``rk4_step``'s on complex arrays, and a combination of such fields is
+    a w + (i b) w.
+    """
+    rk4, combo = flows._rk4, flows._combo_field
+
+    def on_complex_arrays(V, x0, t, n_steps):
+        w = getattr(V, "complex_form", None)
+        if w is None or V.lane is not None:
+            return rk4(V, x0, t, n_steps)
+        for z in itertools.islice(flows._array_states(w, to_complex(x0), t / n_steps), n_steps):
+            pass
+        return from_complex(z)
+
+    def combination(fields, a, b):
+        V = combo(fields, a, b)
+        if fields.X.complex_form is not None and V.lane is None:
+            V.complex_form = _combination_form(fields.X.complex_form, a, b)
+        return V
+
+    monkeypatch.setattr(flows, "_rk4", on_complex_arrays)
+    monkeypatch.setattr(flows, "_combo_field", combination)
 
 
 def test_central_x_checks_the_q_floor_once_on_arrays_and_on_the_lane():
@@ -475,20 +583,23 @@ def _same_bits(a, b):
 
 def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
     # X, J X and a combination at seeded points and at points with signed zero parts, against
-    # the complex form at each point and on the whole stack
+    # w, i w and a w + (i b) w of X's complex form w at each point and on the whole stack
     lane, _ = central_lane
+    w = lane.X.complex_form
     Z = to_complex(util.seeded_points(9, 400, 4, scale=2.0))
     signed = [complex(re, im) for re in (0.0, -0.0, 0.8, -1.3) for im in (0.0, -0.0, 0.6)]
     Z = np.concatenate([Z, [[q, p] for q in signed for p in signed]])
     Z = Z[np.abs(Z[:, 0]) >= models.Q_FLOOR]
-    for V in (lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8)):
+    for V, form in (
+        (lane.X, w), (lane.JX, _i_times(w)), (flows._combo_field(lane, 0.6, -0.8), _combination_form(w, 0.6, -0.8))
+    ):
         values = np.array([V.scalar_form(tuple(z)) for z in Z.tolist()])
-        assert _same_bits(values, V.complex_form(Z))
-        assert _same_bits(values, np.array([V.complex_form(z) for z in Z]))
+        assert _same_bits(values, form(Z))
+        assert _same_bits(values, np.array([form(z) for z in Z]))
 
 
 @pytest.mark.parametrize("k", range(len(LANE_STARTS)))
-def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, k):
+def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, complex_arrays, k):
     lane, array = central_lane
     x0 = LANE_STARTS[k]
     for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
@@ -506,25 +617,25 @@ def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, k):
 
 
 def test_scalar_lane_takes_no_numpy_step(central_lane, rk4_steps, tmp_path):
-    # every step of a single-point flow is a lane step, and the stacks step as arrays
+    # every step of a flow of a field with a lane is a lane step, a stack's row by row
     lane, _ = central_lane
     end = flow(lane.X, X0, 0.1, COARSE)
     assert rk4_steps == {"lane": 10} and end.dtype == float and end.shape == (4,)
     rk4_steps.clear()
-    flow(lane.JX, np.array([X0, X0]), 0.1, COARSE)
-    assert rk4_steps == {"array": 10}
+    end = flow(lane.JX, np.array([X0, X0]), 0.1, COARSE)
+    assert rk4_steps == {"lane": 20} and end.dtype == float and end.shape == (2, 4)
     # the bigrid focus scenarios: twisted integrate steps one point in its t sweep (1,008 steps)
-    # and in the swap check's J X and X flows (1,000 each), the stacked s sweep 1,008 times;
-    # the oscillator's action-check has no swap check
+    # and in the swap check's J X and X flows (1,000 each), and the s sweep's 17 rows 1,008
+    # times each; the oscillator's action-check has no swap check
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import scenarios
 
-    for verb, lane_steps in (("integrate", 3008), ("action-check", 1008)):
+    for verb, lane_steps in (("integrate", 20144), ("action-check", 18144)):
         rk4_steps.clear()
         config = tmp_path / f"{verb}.json"
         config.write_text(json.dumps(dict(scenarios.workload("bigrid", 0))[verb]))
         assert cli.main([verb, "--config", str(config), "--out", str(tmp_path / verb)]) == 0
-        assert rk4_steps == {"lane": lane_steps, "array": 1008}
+        assert rk4_steps == {"lane": lane_steps}
 
 
 @pytest.mark.parametrize(
@@ -541,7 +652,7 @@ def test_scalar_lane_takes_no_numpy_step(central_lane, rk4_steps, tmp_path):
     ],
     ids=["floor", "box", "box-JX", "box-parts", "nan", "range-Q", "range-P"],
 )
-def test_scalar_lane_errors_equal_the_array_path(central_lane, which, x0, t):
+def test_scalar_lane_errors_equal_the_array_path(central_lane, complex_arrays, which, x0, t):
     errors = []
     for fields in central_lane:
         # numpy warns of the NaN and the overflows it meets on the array path
@@ -612,19 +723,21 @@ def _signed_points(dim):
 def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
     # X, J X (compiled from J_g's entries and X's components on the real state, i X on the
     # complex one) and the combinations, at seeded points and at points with signed zeros,
-    # against the array form at each point: fn on the real state, the complex form on the
-    # complex one
+    # against the array form at each point: fn on the real state, and on the complex one w,
+    # i w and a w + (i b) w of X's complex form w
     lane, _, x0 = model_lane
     dim = x0.size
     P = np.concatenate([util.seeded_points(9, 400, dim, scale=1.5, center=x0), _signed_points(dim)])
-    complex_state = lane.X.complex_form is not None
-    fields = [lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8), flows._combo_field(lane, np.cos(0.3), np.sin(0.3))]
-    for V in fields:
+    w = lane.X.complex_form
+    coefficients = [(0.6, -0.8), (np.cos(0.3), np.sin(0.3))]
+    fields = [lane.X, lane.JX, *(flows._combo_field(lane, a, b) for a, b in coefficients)]
+    forms = None if w is None else [w, _i_times(w), *(_combination_form(w, a, b) for a, b in coefficients)]
+    for k, V in enumerate(fields):
         assert V.scalar_form is not None
         for p in P:
-            if complex_state:
+            if w is not None:
                 z = to_complex(p)
-                assert _same_bits(np.array(V.scalar_form(tuple(z.tolist())), dtype=complex), V.complex_form(z))
+                assert _same_bits(np.array(V.scalar_form(tuple(z.tolist())), dtype=complex), forms[k](z))
             else:
                 assert _same_bits(np.array(V.scalar_form(tuple(p.tolist()))), np.asarray(V.fn(p), dtype=float))
 
@@ -640,7 +753,9 @@ def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
         assert {type(c) for c in V.scalar_form(q)} == {kind}, p
 
 
-def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(model_lane):
+def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(
+    model_lane, complex_arrays
+):
     lane, array, x0 = model_lane
     for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
         for t in (0.7, -0.45):
@@ -651,11 +766,14 @@ def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array
     word = [(0.3, -0.4), (-0.2, 0.5)]
     assert _same_bits(flow_word(lane, x0, word, COARSE), flow_word(array, x0, word, COARSE))
     assert _same_bits(tilted_flow(lane, x0, 0.9, 0.4, COARSE), tilted_flow(array, x0, 0.9, 0.4, COARSE))
-    # the grid's t sweep and the swap check's two flows step one point each
+    # the grid's t sweep and the swap check's two flows step one point each; its s sweep steps
+    # the column anchors row by row on the lane and as one stack on the array path
     grids = [trajectory_grid(f, x0, 0.1, (0.0, 0.4), (-0.2, 0.2), 5, 3, COARSE) for f in (lane, array)]
     assert _same_bits(grids[0].values, grids[1].values)
     swaps = [grid_monitors(f, g, COARSE)["swap_defect"] for f, g in zip((lane, array), grids)]
     assert _same_bits(*swaps)
+    stack = np.array([x0, x0 + 0.05, x0 - 0.03])
+    assert all(_stack_is_its_rows(V, stack, 0.3) for V in (lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8)))
 
 
 def test_lane_without_a_symbolic_gradient_takes_the_array_path():
@@ -683,7 +801,7 @@ def test_lane_without_a_symbolic_gradient_takes_the_array_path():
     ],
     ids=["twisted-X", "standard-X", "twisted-JX"],
 )
-def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(build, which, x0, t):
+def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(complex_arrays, build, which, x0, t):
     fields = assemble_phhs(build(), check_closedness=False)
     errors = []
     for f in (fields, _array_path(fields)):
@@ -758,9 +876,14 @@ LANE_FIELDS = [
 
 
 def _lane_field(name):
-    """(field, complex state) of the ``LANE_FIELDS`` entry ``name``."""
+    """(field, its array form) of the ``LANE_FIELDS`` entry ``name``.
+
+    The array form is the field itself on the real state, and on the
+    complex one w, i w or a w + (i b) w of X's complex form w.
+    """
     if name == "orbit":
-        return morse_lib.hamiltonian_flow_field(morse_lib.PlanarSystem(v="2 + sin(x1)", T=np.pi)), False
+        V = morse_lib.hamiltonian_flow_field(morse_lib.PlanarSystem(v="2 + sin(x1)", T=np.pi))
+        return V, V
     model, _, which = name.partition(" ")
     if model == "central":
         model = models.build_central_problem()
@@ -771,14 +894,23 @@ def _lane_field(name):
     fields = assemble_phhs(model, check_closedness=False)
     th = 2.0 * np.pi / 64
     dz = complex(-1.0 + np.cos(th), np.sin(th))
-    V = {
-        "X": fields.X,
-        "JX": fields.JX,
-        "combination": flows._combo_field(fields, 0.6, -0.8) if model.name == "central_problem" else
-        flows._combo_field(fields, np.cos(0.3), np.sin(0.3)),
-        "monodromy segment": flows._combo_field(fields, dz.real, dz.imag),
+    w = fields.X.complex_form
+    if which in ("X", "JX"):
+        V = getattr(fields, which)
+        return V, V if w is None else w if which == "X" else _i_times(w)
+    a, b = {
+        "combination": (0.6, -0.8) if model.name == "central_problem" else (np.cos(0.3), np.sin(0.3)),
+        "monodromy segment": (dz.real, dz.imag),
     }[which]
-    return V, fields.X.complex_form is not None
+    V = flows._combo_field(fields, a, b)
+    return V, V if w is None else _combination_form(w, a, b)
+
+
+def _lane_states(V, y, h):
+    """The states of V's lane flow from the lane state ``y`` with step h, as ``rk4_states`` steps one point."""
+    body, args = V.lane()
+    values = (*flows._coefficients(type(y[0]) is complex, h), *args)
+    return flows._lane_states(flows._lane_stepper(len(body.results), body), values, [y], h, False)
 
 
 def _same_up_to_nans(a, b):
@@ -801,12 +933,12 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     # float add returns the other operand's NaN than the generic one), so a state with a NaN
     # keeps its NaN places and the bits of its other components
     name = LANE_FIELDS[k]
-    V, complex_state = _lane_field(name)
+    V, form = _lane_field(name)
     s = V.scalar_form
     assert V.lane is not None and s is not None
-    array_forms = [lambda p: np.array(s(tuple(p.tolist()))), V.complex_form if complex_state else V]
+    array_forms = [lambda p: np.array(s(tuple(p.tolist()))), form]
     h = 0.05
-    if complex_state:
+    if form is not V:
         parts = [complex(a, b) for a in STEP_VALUES for b in STEP_VALUES]
         states = [np.array(z) for z in itertools.product(parts, repeat=2)]
         states += list(to_complex(util.seeded_points(3, 50, 4, scale=0.5, center=X0)))
@@ -816,7 +948,7 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
         states += list(util.seeded_points(3, 50, m, scale=0.5))
     outcomes = Counter()
     for y in states:
-        state, error = _first_step(flows._lane_states(V.lane, tuple(y.tolist()), h))
+        state, error = _first_step(_lane_states(V, tuple(y.tolist()), h))
         for form in array_forms:
             array_state, array_error = _first_step(flows._array_states(form, y, h))
             assert error == array_error, (name, y)

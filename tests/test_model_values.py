@@ -8,8 +8,8 @@ callable H) and two twisted models (the benchmark's f = 1, h = exp(x1),
 H_R = -y1, and one whose f, h and H_R all vary) to values recorded as
 ``float.hex`` strings in ``model_values.json``: J, X, J X, H_R, the
 gradient of H_R and H_I on a seeded stack and at one point, a single-point
-and a stack flow endpoint of X and of J X (on the scalar lane where the
-field has a scalar form), and a single-point and a stack endpoint of the
+and a stack flow endpoint of X and of J X (on the lane where the field has
+one, a stack row by row), and a single-point and a stack endpoint of the
 combination cos(alpha) X + sin(alpha) J X (``tilted_flow``).  The twisted
 models are also pinned on a stack of points with signed zeros and, there,
 point by point, X's and J X's scalar forms.
@@ -107,15 +107,15 @@ def test_model_values_match_their_recorded_bits(name):
 
 
 def test_single_point_flows_take_the_lane_where_x_has_a_scalar_form():
-    # the central problem and the text H's pin the scalar lane, the torus default and the
-    # callable the complex path
+    # the central problem, the text H's and the torus default (the text sum_j P_j^2/2) pin the
+    # lane, the callable the array path
     lanes = {
         name: assemble_phhs(build(), check_closedness=name not in NOT_CLOSED).X.scalar_form is not None
         for name, build in MODELS.items()
     }
     assert lanes == {
         "central": True,
-        "torus_default": False,
+        "torus_default": True,
         "torus_text_n2": True,
         "standard_n2": True,
         "standard_n2_callable": False,
