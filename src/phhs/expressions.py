@@ -66,9 +66,9 @@ _OPS = set("+-*/^()")
 
 
 def _numpy(x):
-    """A Python number as the numpy scalar of its kind; anything else as it is."""
+    """A Python number as the numpy scalar of its kind, an int as a float64; anything else as it is."""
     kind = type(x)
-    return np.complex128(x) if kind is complex else np.float64(x) if kind is float else x
+    return np.complex128(x) if kind is complex else np.float64(x) if kind is float or kind is int else x
 
 
 def _divide(a, b):
@@ -149,10 +149,11 @@ def formula_function(text, *names):
     return generated(source, f"<{text}>")["_formula"]
 
 
-# a / b with numpy's bits on Python numbers, written once: quotient is this text, and a lane writes
-# it inline.  A Python complex divisor, or a Python float one of a Python complex, takes numpy's
-# complex Smith form (CPython's complex / rounds differently), two Python floats Python's /, and
-# numpy divides (_divide) where those raise, as on a zero divisor, and for every other type
+# a / b with numpy's bits on Python numbers, written once: quotient is this text, and a complex-layout
+# lane writes it inline.  A Python complex divisor, or a Python float one of a Python complex, takes
+# numpy's complex Smith form (CPython's complex / rounds differently), two Python floats Python's /,
+# and numpy divides (_divide) where those raise, as on a zero divisor, and for every other type.  A
+# real-layout lane writes _REAL_QUOTIENT, the branch _QUOTIENT takes on two floats, with no type test
 _QUOTIENT = """\
 try:
     if type({b}) is complex or type({b}) is float and type({a}) is complex:
@@ -172,6 +173,11 @@ try:
         {out} = {a} / {b}
     else:
         {out} = _divide({a}, {b})
+except ZeroDivisionError:
+    {out} = _divide({a}, {b})"""
+_REAL_QUOTIENT = """\
+try:
+    {out} = {a} / {b}
 except ZeroDivisionError:
     {out} = _divide({a}, {b})"""
 
@@ -506,10 +512,12 @@ def _compile(roots, binding, label, dtype=None):
     that dtype (complex or float): the function takes a point or an
     ``(N, dim)`` stack and returns ``(..., len(roots))`` components.  Its
     point path is a :class:`Lane` reading the point's components as
-    ``_p0``, ``_p1``, ..., with each quotient written out as ``_QUOTIENT``:
-    the ``lane`` attribute gives it, and ``point`` is the function it
-    writes out (:func:`lane_function`), returning a tuple.  On floats a function call's value is
-    read as a Python float there, so the point path keeps Python floats.
+    ``_p0``, ``_p1``, ..., with each quotient written out, as ``_QUOTIENT``
+    on the complex layout and as ``_REAL_QUOTIENT`` (Python's ``/``) on
+    floats: the ``lane`` attribute gives it, and ``point`` is the function
+    it writes out (:func:`lane_function`), returning a tuple.  On floats a
+    function call's value is read as a Python float there, so the point
+    path keeps Python floats.
     """
     lines, points, scalars, locals_, literals = [], [], set(), {}, {}
 
@@ -590,7 +598,8 @@ def _compile(roots, binding, label, dtype=None):
         points = [read(line) for line in points if line.partition(" = ")[0] not in copies]
         # the lane writes each quotient out
         quotients = (re.fullmatch(r"(_\w+) = _quotient\((\w+), (\w+)\)", line) for line in points)
-        inline = tuple(line if q is None else _QUOTIENT.format(out=q[1], a=q[2], b=q[3]) for line, q in zip(points, quotients))
+        form = _REAL_QUOTIENT if dtype is float else _QUOTIENT
+        inline = tuple(line if q is None else form.format(out=q[1], a=q[2], b=q[3]) for line, q in zip(points, quotients))
         lane = Lane(constants, inline, tuple(read(result) for result in results))
     namespace = generated("\n".join(source), f"<expression {label!r}>")
     fn = namespace["_fn"]
@@ -712,7 +721,7 @@ def compile_vector(exprs, names, dtype=complex):
     real layout of real-valued trees: the point path returns Python floats.
     Where every component is a folded number nothing compiles: the function
     fills its rows with those numbers, the point path returns them, and its
-    lane writes them inline.
+    lane binds them as constants, as ``_compile`` binds its literals.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
@@ -726,7 +735,8 @@ def compile_vector(exprs, names, dtype=complex):
         out[...] = row
         return out
 
-    lane = Lane((), (), tuple(f"({_literal(v)})" for v in values))
+    literals = {text: f"_c{k}" for k, text in enumerate(dict.fromkeys(map(_literal, values)))}
+    lane = Lane(tuple(f"{name} = {text}" for text, name in literals.items()), (), tuple(literals[_literal(v)] for v in values))
     fn.point = lambda q: values
     fn.lane = lambda: (lane, ())
     return fn

@@ -15,7 +15,8 @@ their combination where they are compiled text, and the Morse orbit field)
 steps on the lane, a stack row by row, so that each row takes exactly the
 steps and the bits it would take alone: a point is a tuple of Python
 numbers, converted once per flow, and the field's lane is written inline
-into a stepper that every row and every segment of a path share.  The lane
+into a stepper that every row and every segment of a path share, with
+each result that reads only constants computed once per stepper call.  The lane
 of the real form of a holomorphic w on C^m (J = i) steps complex
 z_j = x_j + i y_j, as the lane shows (:func:`~phhs.fields.on_complex_state`):
 J X is i w there and a X + b J X is a w + (i b) w, two terms as on the real
@@ -23,7 +24,9 @@ path (:func:`~phhs.fields.holomorphic_map`).  The bits are numpy's on
 arrays: Python does the same IEEE operations on Python complex
 coefficients (:func:`_coefficients`), compiled text keeps numpy's quotient
 and power and sums the twisted J_g X onto +0.0 as numpy's matrix product
-does (:mod:`phhs.expressions`), and the Morse angle is ``np.arctan2``.  A
+does (:mod:`phhs.expressions`; a row with a zero X factor is 0.0, see
+:func:`~phhs.models.build_proper_phhs`), and the Morse angle is
+``np.arctan2``.  A
 lane error names the step, time, row and real state the array path names,
 and a stack raises the error the array path meets first (:func:`_lane_rows`).
 
@@ -98,14 +101,15 @@ def _check_state(y, step, h, row=None):
     )
 
 
-# The RK4 stage state y + c k and the step's end state y + (h/6)(k1 + 2 k2 + 2 k3 + k4), the one
-# written form of each: the array path's _stage and _update and every lane stepper are made from them.
-_STAGE = "{y} + {c} * {k}"
-_UPDATE = "{y} + {sixth} * ({k1} + {two} * {k2} + {two} * {k3} + {k4})"
+# The RK4 stage state y + c k and the step's end state y + (h/6)(k1 + 2 k2 + 2 k3 + k4), each y plus
+# its increment, the one written form of each: the array path's _stage and _update and every lane
+# stepper are made from them.
+_STAGE = "{c} * {k}"
+_UPDATE = "{sixth} * ({k1} + {two} * {k2} + {two} * {k3} + {k4})"
 
 
-_stage = formula_function(_STAGE, "y", "c", "k")
-_update = formula_function(_UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
+_stage = formula_function("{y} + " + _STAGE, "y", "c", "k")
+_update = formula_function("{y} + " + _UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
 
 
 def _coefficients(complex_state, h):
@@ -138,7 +142,7 @@ def rk4_step(V, y, h):
 
 
 @lru_cache(maxsize=256)
-def _lane_stepper(m, lane):
+def _lane_stepper(m, lane, complex_state):
     """The lane's RK4 stepper for m components and the field's Lane ``lane``, generated once per process.
 
     ``stepper(y, n, first_step, h, half, full, sixth, two, *args, row=None)``
@@ -149,9 +153,14 @@ def _lane_stepper(m, lane):
     step is straight-line code on y0..y{m-1}: the stages and the update of
     each component written from ``_STAGE`` and ``_UPDATE``, the operations
     of :func:`rk4_step` on a one-point array, and at each stage the lane
-    written inline on the stage state ``_p0``, ``_p1``, ....  The box test
-    is inlined, |y_j| <= BLOWUP per component; a state that fails it, or
-    whose Python |z| overflows, goes to :func:`_check_state`.  A field's
+    written inline on the stage state ``_p0``, ``_p1``, ....  A result
+    that reads only the lane's constants and args is the same at every
+    stage, so it and its increments are computed once per call, before the
+    loop, with the same operations: each step adds the same bits.  The box
+    test is inlined: ``-BLOWUP <= y_j <= BLOWUP`` on the real layout, and
+    |y_j| <= BLOWUP on a ``complex_state`` (the layout :func:`_lane_start`
+    reads off the state); a state that fails it, or whose Python |z|
+    overflows, goes to :func:`_check_state`.  A field's
     ``NonFiniteStateError`` is located in its step by :func:`_located`.
     The text is compiled once per process
     (:func:`~phhs.expressions.generated`).
@@ -160,38 +169,54 @@ def _lane_stepper(m, lane):
     p = [f"_p{j}" for j in range(m)]
     k = [[f"k{i}_{j}" for j in range(m)] for i in range(1, 5)]
     text = "\n".join([*lane.lines, *lane.results])
+    # the results that read only names the constants bind and the args, and call nothing: k_j, the
+    # same at every stage, with its increments half_k_j, full_k_j and sixth_k_j
+    bound = {*re.findall(r"^(\w+) = ", "\n".join(lane.constants), re.M), *lane.args}
+    fixed = [j for j, r in enumerate(lane.results) if set(re.findall(r"\b[A-Za-z_]\w*", r)) <= bound and not re.search(r"\w\s*\(", r)]
+    hoisted = [f"k_{j} = {lane.results[j]}" for j in fixed]
+    hoisted += [f"{c}_k_{j} = {_STAGE.format(c=c, k=f'k_{j}')}" for j in fixed for c in ("half", "full")]
+    hoisted += [f"sixth_k_{j} = {_UPDATE.format(sixth='sixth', two='two', **dict.fromkeys(('k1', 'k2', 'k3', 'k4'), f'k_{j}'))}" for j in fixed]
 
     def state(names):
         return f"({', '.join(names)},)"
 
     def field(c, previous, ks):
         """The lines that set ``ks`` to the field at the stage y + c previous (y itself at the first)."""
-        stage = y if c is None else [_STAGE.format(y=a, c=c, k=b) for a, b in zip(y, previous)]
+        stage = y if c is None else [
+            f"{a} + {c}_k_{j}" if j in fixed else f"{a} + {_STAGE.format(c=c, k=b)}" for j, (a, b) in enumerate(zip(y, previous))
+        ]
         reads = [f"{a} = {b}" for a, b in zip(p, stage) if re.search(rf"\b{a}\b", text)]
-        return [*reads, *lane.lines, *(f"{a} = {r}" for a, r in zip(ks, lane.results))]
+        return [*reads, *lane.lines, *(f"{ks[j]} = {r}" for j, r in enumerate(lane.results) if j not in fixed)]
 
     def update(j):
         k1, k2, k3, k4 = (ks[j] for ks in k)
-        return _UPDATE.format(y=y[j], sixth="sixth", k1=k1, k2=k2, k3=k3, k4=k4, two="two")
+        return f"sixth_k_{j}" if j in fixed else _UPDATE.format(sixth="sixth", k1=k1, k2=k2, k3=k3, k4=k4, two="two")
 
+    if complex_state:
+        box = [
+            "        try:",
+            f"            inside = {' and '.join(f'{BLOWUP!r} >= abs({a})' for a in y)}",
+            "        except OverflowError:  # Python's |z| past the float range: outside the box",
+            "            inside = False",
+            "        if not inside:",
+        ]
+    else:
+        box = [f"        if not ({' and '.join(f'{-BLOWUP!r} <= {a} <= {BLOWUP!r}' for a in y)}):"]
     stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
     source = [
         *lane.constants,
         f"def lane(y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args)}, *, row=None):",
         f"    {state(y)} = y",
+        *(f"    {line}" for line in hoisted),
         "    for step in range(first_step, first_step + n):",
         "        try:",
-        indent("\n".join(stages), " " * 12),
+        indent("\n".join(stages) or "pass", " " * 12),
         "        except NonFiniteStateError as exc:",
         "            if exc.step is not None:",
         "                raise",
         f"            raise _located(exc, {state(y)}, step, h, row) from exc",
-        *(f"        {y[j]} = {update(j)}" for j in range(m)),
-        "        try:",
-        f"            inside = {' and '.join(f'{BLOWUP!r} >= abs({a})' for a in y)}",
-        "        except OverflowError:  # Python's |z| past the float range: outside the box",
-        "            inside = False",
-        "        if not inside:",
+        *(f"        {y[j]} = {y[j]} + {update(j)}" for j in range(m)),
+        *box,
         f"            _check_state({state(y)}, step, h, row)",
         f"    return {state(y)}",
     ]
@@ -229,7 +254,7 @@ def _lane_start(V, x0, h):
     complex_state = on_complex_state(body, x0.shape[-1])
     rows = np.atleast_2d(to_complex(x0) if complex_state else x0)
     values = (*_coefficients(complex_state, h), *args)
-    return _lane_stepper(len(body.results), body), values, [tuple(y) for y in rows.tolist()]
+    return _lane_stepper(len(body.results), body, complex_state), values, [tuple(y) for y in rows.tolist()]
 
 
 def _lane_rows(stepper, values, rows, n, first_step, h, stack):

@@ -468,7 +468,8 @@ def twist_matrix(f_val, h_val):
     in the matmul's order, give its bits.  The one case that differs is a
     non-finite matrix: where 1/f or 1/h overflows, the matmul spreads NaN
     (0 * inf) along a row and a column, where this form leaves those zeros.
-    The twisted J_g X is these products times X's components, no matrix
+    The twisted J_g X is these products times X's components, no matrix,
+    and 0.0 in a row whose X component is a folded zero
     (:func:`build_proper_phhs`): where one is inf or NaN, ``matvec`` of this
     matrix spreads NaN to the other components, and J_g X does not.
     """
@@ -521,14 +522,16 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     For text H_R with symbolic partials, X = W^-1 grad H_R is compiled from
     the partial trees (one ±1 of W^-1 per component); for text f and h too,
     J_g X from the products of :func:`_twist_entries` on the f and h trees,
-    each times its component of X.  Each is one real-layout source
+    each times its component of X, or 0.0 where that component folded to a
+    number zero.  Each is one real-layout source
     (:func:`~phhs.expressions.compile_vector`, compiled at the field's first
     call) for arrays and the lane, its components summed onto +0.0 as
     numpy's matrix product sums a row with one nonzero term: the bits of
     ``matvec(W^-1, grad H_R)`` and ``matvec(J_g, X)`` wherever these are
     finite.  Where an entry is inf or NaN, the matrix product makes NaN
     (0 * inf, 0 * NaN) in the other components too; the compiled ones keep
-    their own values.  A callable f, h or H_R, or text reading a z_j alias
+    their own values, and a 0.0 row stays 0.0 (for h = exp(x1) past
+    x1 = 709.78 too).  A callable f, h or H_R, or text reading a z_j alias
     (so possibly complex), keeps both matrix products, on arrays alone.
     """
     own = coordinate_names(2, aliases=False)
@@ -553,8 +556,9 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
         X_e = [grads[k] * float(W_inv[j, k]) + 0.0 for j, k in zip(*np.nonzero(W_inv))]
         X = _compiled_field(X_e, "X")
         if f_e is not None and h_e is not None:
-            # row i of J_g has its one entry in column k
-            JX = _compiled_field([e * X_e[k] + 0.0 for e, k in zip(_twist_entries(f_e, h_e), (2, 3, 0, 1))], "JX")
+            # row i of J_g has its one entry in column k; a row whose X factor is a number zero is 0.0
+            rows, zero = zip(_twist_entries(f_e, h_e), (2, 3, 0, 1)), Expression(("num", 0.0), "0.0")
+            JX = _compiled_field([zero if X_e[k].ast == zero.ast else e * X_e[k] + 0.0 for e, k in rows], "JX")
 
     model = PhhsModel(
         m=2,

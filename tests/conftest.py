@@ -45,8 +45,8 @@ def rk4_steps(monkeypatch):
     taken = Counter()
     lane_stepper, rk4_step = flows._lane_stepper, flows.rk4_step
 
-    def counted_stepper(m, lane):
-        run = lane_stepper(m, lane)
+    def counted_stepper(m, lane, complex_state):
+        run = lane_stepper(m, lane, complex_state)
 
         def stepper(y, n, *rest, **row):
             taken["lane"] += n

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phhs import models
-from phhs.errors import ParseError
+from phhs.errors import NonFiniteStateError, ParseError
 from phhs.expressions import compile_points, compile_vector, parse_expression, power, quotient
 from phhs.util import coordinate_names, seeded_points, to_complex
 
@@ -293,6 +293,57 @@ def test_the_inline_quotient_is_quotient_and_falls_back_to_it_on_zero_and_nan_di
                 q = mixed_fn.point(p)
                 assert same(q, quotient(complex(a, -0.75), b)) and same(q, mixed_fn(np.array(p))), (a, b)
     assert zero_or_nan > 500
+
+
+def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
+    # on the real layout the lane writes Python's / and numpy's division where it raises, with no
+    # type test: the point path and the stepped lane give the array function's bits at signed
+    # zero, subnormal, infinite and NaN divisors (a NaN keeps its place, as above), and the point
+    # path gives the same bits, with the same warnings, on int and numpy float64 coordinates,
+    # where an int zero divisor raised ZeroDivisionError before
+    import itertools
+    import warnings
+
+    from phhs import flows
+    from phhs.fields import VectorField
+
+    fn = compile_vector(["x2/x1", "1/(x1 - y1)", "x1 * y2", "y2"], coordinate_names(2), float)
+    (lane, _), V = fn.lane(), VectorField(fn, name="quotients", lane=fn.lane)
+    assert sum("_divide" in line for line in lane.lines) == 2 and "type(" not in "\n".join(lane.lines)
+    divisors = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]
+    points = [(a, b, c, 0.5) for a, b, c in itertools.product([*divisors, 1.5], [3.0, -0.0, 1e-320, np.nan], [0.0, -0.0, 1.5])]
+
+    def same(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        nan = np.isnan(a)
+        return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+    def first_step(states):
+        try:
+            return next(states), None
+        except NonFiniteStateError as exc:
+            return exc.state, (exc.step, exc.time, exc.row, str(exc))
+
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for p in points:
+            assert all(type(v) is float for v in fn.point(p)) and same(fn.point(p), fn(np.array(p))), p
+            state, error = first_step(flows.rk4_states(V, np.array(p), 0.05))
+            array_state, array_error = first_step(flows._array_states(fn, np.array(p), 0.05))
+            assert error == array_error and same(state, array_state), p
+            outcomes.add(error is None)
+    assert outcomes == {True, False}
+
+    def point_and_warnings(p):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            return fn.point(p), sorted(str(w.message) for w in caught)
+
+    for p in [(0, 3, 0, 1), (2, 0, 2, -1), (0, 0, 1, 1), (4, 1, -3, 7)]:
+        floats, warned = point_and_warnings(tuple(map(float, p)))
+        for q in (p, tuple(map(np.float64, p))):
+            value, also_warned = point_and_warnings(q)
+            assert np.array(value, dtype=float).tobytes() == np.array(floats).tobytes() and also_warned == warned, q
 
 
 def test_a_vector_of_folded_numbers_compiles_nothing(monkeypatch):

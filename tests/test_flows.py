@@ -10,7 +10,7 @@ import pytest
 
 from phhs import cli, fields as fields_lib, flows, models, morse as morse_lib, util
 from phhs.errors import NonFiniteStateError, PhhsError, StepBudgetExceededError
-from phhs.expressions import Lane
+from phhs.expressions import Expression, Lane, compile_vector, parse_expression
 from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec
 from phhs.flows import (
     FlowConfig,
@@ -909,8 +909,9 @@ def _lane_field(name):
 def _lane_states(V, y, h):
     """The states of V's lane flow from the lane state ``y`` with step h, as ``rk4_states`` steps one point."""
     body, args = V.lane()
-    values = (*flows._coefficients(type(y[0]) is complex, h), *args)
-    return flows._lane_states(flows._lane_stepper(len(body.results), body), values, [y], h, False)
+    complex_state = type(y[0]) is complex
+    values = (*flows._coefficients(complex_state, h), *args)
+    return flows._lane_states(flows._lane_stepper(len(body.results), body, complex_state), values, [y], h, False)
 
 
 def _same_up_to_nans(a, b):
@@ -959,6 +960,77 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     assert (outcomes["ZeroDenominatorError"] > 0) is (name == "orbit")
 
 
+# the constant results of the lanes below: signed zeros, an ordinary number, infinities and NaN
+HOISTED = [0.0, -0.0, 0.3, np.inf, -np.inf, np.nan]
+
+
+def _hoisting_lanes(layout):
+    """Fields of two components on ``layout`` with constant results, all constant or beside a varying one, and their array forms."""
+    complex_state = layout == "complex"
+    names = util.coordinate_names(2 if complex_state else 1, layout)
+    varying = parse_expression("z1 * z2 - 0.5" if complex_state else "x1 * y1 - 0.5")
+    numbers = [complex(c, -0.0) for c in HOISTED] if complex_state else HOISTED
+    lanes = []
+    for c, d in zip(numbers, numbers[1:] + numbers[:1]):
+        for exprs in ([c, d], [varying, c], [c, varying]):
+            exprs = [e if isinstance(e, Expression) else Expression(("num", e)) for e in exprs]
+            fn = compile_vector(exprs, names, complex if complex_state else float)
+            lanes.append((VectorField(fn, name="hoisted", lane=fn.lane), fn))
+    return lanes
+
+
+def _called(run):
+    """An iterator of the one value run(), called when it is read, as ``_first_step`` reads a flow's first state."""
+    yield run()
+
+
+@pytest.mark.parametrize("layout", ["real", "complex"])
+def test_lane_stepper_hoists_constant_results_with_rk4_steps_bits(layout):
+    # a result that reads only the lane's constants and args, with its stage and update increments,
+    # is computed once per stepper call, before the loop: the first step is still rk4_step on the
+    # one-point array, tobytes() for tobytes() up to NaN signs (as above), on lanes of constant
+    # results and of constant results beside a varying one, and a call of three steps is three
+    # rk4_steps
+    values = [0.0, -0.0, 0.3, 1.5e308, np.inf, np.nan]
+    if layout == "complex":
+        parts = [complex(a, b) for a in values for b in (-0.0, 0.3, np.nan)]
+        states = [np.array(z) for z in itertools.product(parts, repeat=2)]
+        ordinary = np.array([0.4 - 0.2j, -0.3 + 0.6j])
+    else:
+        states = [np.array(p) for p in itertools.product(STEP_VALUES, repeat=2)]
+        ordinary = np.array([0.4, -0.3])
+    outcomes = Counter()
+    for V, form in _hoisting_lanes(layout):
+        body, _ = V.lane()
+        stepper = flows._lane_stepper(2, body, layout == "complex")
+        fixed = [f"k_{j}" in stepper.__code__.co_varnames for j in range(2)]
+        assert fixed == [r.startswith("_c") for r in body.results] and any(fixed)
+        for y in states:
+            state, error = _first_step(_lane_states(V, tuple(y.tolist()), 0.05))
+            array_state, array_error = _first_step(flows._array_states(form, y, 0.05))
+            assert error == array_error and (state is None is array_state or _same_up_to_nans(state, array_state)), y
+            outcomes["state" if error is None else "error"] += 1
+        coefficients = flows._coefficients(layout == "complex", 0.05)
+        three, error = _first_step(_called(lambda: stepper(tuple(ordinary.tolist()), 3, 1, 0.05, *coefficients)))
+        array, array_error = _first_step(itertools.islice(flows._array_states(form, ordinary, 0.05), 2, None))
+        assert error == array_error and _same_up_to_nans(three, array)
+    assert outcomes["state"] > 100 and outcomes["error"] > 100
+
+
+def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bits():
+    # the twisted X is constant and J_g X has one varying row, so three results of their
+    # combination read only its constants and its coefficients a and b
+    build, x0 = LANE_MODELS["twisted"]
+    fields = assemble_phhs(build())
+    body, args = flows._combo_field(fields, np.cos(0.7), np.sin(0.7)).lane()
+    fixed = flows._lane_stepper(4, body, False).__code__.co_varnames
+    assert [f"k_{j}" in fixed for j in range(4)] == [True, False, True, True] and args == (np.cos(0.7), np.sin(0.7))
+    starts = [np.array(x0), np.array([x0, [0.1, -0.2, 0.3, 0.0], [-0.0, 0.0, 1e-300, -0.4]])]
+    for start, r in itertools.product(starts, (0.05, -0.3)):
+        lane = flows.tilted_flow(fields, start, 0.7, r, CFG)
+        assert _same_bits(lane, flows.tilted_flow(_array_path(fields), start, 0.7, r, CFG))
+
+
 def test_lane_stepper_runs_n_steps_as_n_single_steps():
     # one call for a whole flow and one call per step give the same state, as does rk4_step
     fields = assemble_phhs(models.build_central_problem())
@@ -966,7 +1038,7 @@ def test_lane_stepper_runs_n_steps_as_n_single_steps():
     z0 = to_complex(X0)
     h = 1e-3
     coefficients = (*flows._coefficients(True, h), *args)
-    stepper = flows._lane_stepper(2, lane)
+    stepper = flows._lane_stepper(2, lane, True)
     whole = stepper(tuple(z0.tolist()), 250, 1, h, *coefficients)
     single = tuple(z0.tolist())
     for step in range(1, 251):
@@ -975,13 +1047,13 @@ def test_lane_stepper_runs_n_steps_as_n_single_steps():
     for _ in range(250):
         array = flows.rk4_step(w, array, h)
     assert _same_bits(np.array(whole), np.array(single)) and _same_bits(np.array(whole), array)
-    assert flows._lane_stepper(2, lane) is stepper
+    assert flows._lane_stepper(2, lane, True) is stepper
 
 
 def test_lane_stepper_box_test_defers_to_check_state():
     # |z| past the bound with both parts inside passes, as _check_state passes it; a |z| past
     # the float range (Python's abs raises) and a part past the bound raise its error
-    lane = flows._lane_stepper(2, Lane((), (), ("0j", "0j")))
+    lane = flows._lane_stepper(2, Lane((), (), ("0j", "0j")), True)
     coefficients = flows._coefficients(True, 0.1)
     inside = (0.8e8 + 0.8e8j, 1.0 + 0j)
     assert lane(inside, 3, 1, 0.1, *coefficients) == inside
@@ -992,6 +1064,39 @@ def test_lane_stepper_box_test_defers_to_check_state():
         assert (err.step, err.time, err.row) == (4, 4 * 0.1, None)
         assert str(err) == "flow state overflowed at step 4 (flow time 0.40000000000000002); a singular locus was hit"
         assert _same_bits(err.state, np.array(layout))
+
+
+def test_real_lane_box_test_is_check_states_box():
+    # the real layout's box test is -1e8 <= y_j <= 1e8: the edges pass, and one ulp past them, an
+    # infinity or a NaN raise _check_state's error (step, time, row and state), alone and on a
+    # flow, where the array path raises it in the same step
+    stepper = flows._lane_stepper(2, Lane((), (), ("0.0", "-0.0")), False)
+    coefficients = flows._coefficients(False, 0.1)
+    for inside in ((1e8, -1e8), (-1e8, 0.5)):
+        assert stepper(inside, 3, 1, 0.1, *coefficients) == inside
+    past = np.nextafter(1e8, np.inf)
+    for y in ((past, 0.0), (0.5, -past), (np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)):
+        with pytest.raises(NonFiniteStateError) as info:
+            stepper(y, 5, 4, 0.1, *coefficients, row=2)
+        with pytest.raises(NonFiniteStateError) as expected:
+            flows._check_state(np.array(y), 4, 0.1, 2)
+        err, ref = info.value, expected.value
+        assert (err.step, err.time, err.row, str(err)) == (ref.step, ref.time, ref.row, str(ref)) == (4, 0.4, 2, str(err))
+        assert _same_up_to_nans(err.state, ref.state)
+    # a constant field (1, -1) from the edges leaves the box in step 1, and from one unit inside
+    # them reaches the edge in step 2 of 0.5 and leaves in step 3: a point and a stack, each row
+    # its own flow
+    fn = compile_vector(["1.0", "-1.0"], util.coordinate_names(1), float)
+    V, array = VectorField(fn, name="edge", lane=fn.lane), VectorField(fn, name="edge")
+    for x0 in ([1e8, 0.0], [0.0, -1e8], [1e8 - 1.0, 0.0], [[0.0, 0.0], [0.0, 1.0 - 1e8]]):
+        errors = []
+        for W in (V, array):
+            with pytest.raises(NonFiniteStateError) as info:
+                flow(W, x0, 2.0, FlowConfig(dt=0.5))
+            errors.append(info.value)
+        (a, b), start = errors, np.array(x0)
+        assert (a.step, a.time, a.row, str(a)) == (b.step, b.time, b.row, str(b)) and _same_bits(a.state, b.state)
+        assert a.step == (1 if np.abs(start).max() == 1e8 else 3) and a.row == (1 if start.ndim == 2 else None)
 
 
 def test_lane_errors_keep_their_recorded_step_time_and_message():
@@ -1062,7 +1167,7 @@ def test_the_inline_floor_line_calls_the_check_only_where_both_parts_of_q_are_be
     assert lane.args == ("_q_floor",) and floor is models._q_floor
     floor_line = "if -0.0014 < _p0.real < 0.0014 and -0.0014 < _p0.imag < 0.0014:\n    _q_floor((_p0, _p1))"
     assert models.Q_FLOOR == 0.0014 and lane.lines[0] == floor_line
-    stepper, h = flows._lane_stepper(2, lane), 1e-3
+    stepper, h = flows._lane_stepper(2, lane, True), 1e-3
     coefficients = flows._coefficients(True, h)
     calls = []
 

@@ -177,7 +177,7 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
     # f = 1 is read from its tree; exp(x1) and -y1 compile once each when the model is built.
     # The gradients compile at their first call, which f's and h's never get; the partials of
     # H_R = -y1 and so X are folded numbers, which compile nothing, so the assembly compiles J X
-    # alone.  The first single-point flows of X, J X and a combination compile their three lane
+    # alone, whose one row with a nonzero X factor reads d(-y1)/dy1.  The first single-point flows of X, J X and a combination compile their three lane
     # steppers, and no later flow compiles any more
     import builtins
 
@@ -193,7 +193,7 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
     model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
     assert compiled == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     fields = assemble_phhs(model)
-    assert len(compiled) == 3 and "exp(x1)" in compiled[-1] and "d(-y1)/dy2" in compiled[-1]
+    assert len(compiled) == 3 and "exp(x1)" in compiled[-1] and "d(-y1)/dy1" in compiled[-1]
     x0 = np.array([0.2, 0.1, -0.3, 0.4])
     for _ in range(2):
         for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
@@ -269,6 +269,26 @@ def test_twist_matrix_where_one_over_f_overflows():
     assert np.isnan(product[0]).sum() > 0 and not np.isnan(closed[0]).any()
     for M in (closed[0], product[0]):
         assert not np.isfinite(M[0]).all() and not np.isfinite(M[3]).all()
+
+
+def test_twisted_j_x_rows_with_a_zero_x_factor_are_zero_where_h_overflows():
+    # with H_R = -y1 only X's y2 component is nonzero, so three rows of the compiled J_g X are the
+    # number 0.0, not J_g's entry times 0.0: at x1 = 710, where exp(x1) overflows, they stay 0.0
+    # on the lane, on a point and on a stack, while matvec(J_g, X) spreads 0 * inf = NaN
+    model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
+    fields = assemble_phhs(model)
+    p = np.array([710.0, 0.1, -0.3, 0.4])
+    with np.errstate(all="ignore"):
+        lane = np.array(fields.JX.scalar_form(tuple(p.tolist())))
+        point, stack = fields.JX(p), fields.JX(np.array([p, p]))
+        product = matvec(model.J(p), fields.X(p))
+    for value in (lane, point, *stack):
+        assert np.isfinite(value).all() and value.tobytes() == np.zeros(4).tobytes()
+    assert np.isnan(product).tolist() == [True, False, False, True]
+    # inside the float range the rows are the matrix product's, signed zeros included
+    for q in (np.array([709.0, 0.1, -0.3, 0.4]), np.array([-0.5, 0.0, -0.0, 2.0])):
+        assert fields.JX(q).tobytes() == matvec(model.J(q), fields.X(q)).tobytes()
+        assert np.array(fields.JX.scalar_form(tuple(q.tolist()))).tobytes() == fields.JX(q).tobytes()
 
 
 def test_zero_denominator_rejected():
