@@ -15,14 +15,15 @@ plain Python function of that vector, once; an identifier the binding lacks
 is an error at that point.  :func:`compile_points` (one expression) and
 :func:`compile_vector` (the components of a field, complex on C^m or real on
 the real layout, one source) are the routes from text to a field's
-function: it takes a point or an ``(N, dim)`` stack of points, one per row,
-and its ``point`` attribute one point as Python numbers, with numpy's bits.
-A vector's point path is its :class:`Lane` (``lane``), the body that the
-flows write inline into their generated steppers, and ``point`` is the
-function it writes out.  Formulas of a few named values, such as the RK4
-stage, are text too (:func:`formula_function`), and so is
-:func:`quotient`.  Every generated text, its literals written into it, is
-compiled once per process (:func:`generated`).
+function: it takes a point or an ``(N, dim)`` stack of points, one per row.
+Every compiled text has one single-point form, its :class:`Lane` (the
+``lane`` attribute): the value at one point of Python numbers as text, with
+numpy's bits, which the flows write inline into their generated steppers
+and :func:`lane_function` writes out as a function.  Formulas of a few
+named values, such as the RK4 stage, are text too
+(:func:`formula_function`), and so is :func:`quotient`.  Every generated
+text, its literals written into it, is compiled once per process
+(:func:`generated`).
 Expressions add to and multiply expressions or numbers, negate, and divide
 a number, making the trees of composite fields.  ``conj`` exists so that anti-holomorphic
 inputs can be written down and rejected by the numerical validators; it has no
@@ -121,8 +122,8 @@ def _literal(value):
     return text if kind == "float" else f"{kind}({text})"
 
 
-# the names generated code reads besides its own: the functions of the language, the point path's
-# quotient and power, and what its literals are built from
+# the names generated code reads besides its own: the functions of the language, a lane's division
+# fallback and power, and what its literals are built from
 _HELPERS = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _HELPERS.update(
     _divide=_divide, _power=power, _from_bits=_from_bits, float64=np.float64, complex128=np.complex128,
@@ -185,7 +186,6 @@ quotient = generated(
     f"def quotient(a, b):\n{indent(_QUOTIENT.format(out='q', a='a', b='b'), '    ')}\n    return q", "<quotient>"
 )["quotient"]
 quotient.__doc__ = """a / b with numpy's bits, on Python numbers too: ``_QUOTIENT`` as a function."""
-_HELPERS["_quotient"] = quotient
 
 
 class Lane(tuple):
@@ -499,27 +499,28 @@ def _compile(roots, binding, label, dtype=None):
     literals are told apart by type and bits, so ``0.0`` and ``-0.0`` stay
     two, and a negated literal is one).  The text is compiled once per
     process (:func:`generated`).  A coordinate read or a function call
-    gives a numpy scalar at a point.  The ``point`` attribute reads Python
-    numbers in their place and keeps numpy's bits: a quotient is
-    :func:`quotient`, a power of a Python complex :func:`power`
-    (written out as a a and a (a a), 0 at a zero base, for the literal
-    powers 2 and 3), and any other power Python's ``**`` where that gives a
-    float (the C library's ``pow``, as numpy's) and :func:`power` where it
-    raises or does not.  Without such a quotient or power it is the
-    function itself.
+    gives a numpy scalar at a point.
 
-    With a ``dtype``, ``roots`` are the trees of a value's components of
+    Without a ``dtype``, ``roots`` is one tree and the function returns its
+    value; with one, ``roots`` are the trees of a value's components of
     that dtype (complex or float): the function takes a point or an
-    ``(N, dim)`` stack and returns ``(..., len(roots))`` components.  Its
-    point path is a :class:`Lane` reading the point's components as
-    ``_p0``, ``_p1``, ..., with each quotient written out, as ``_QUOTIENT``
-    on the complex layout and as ``_REAL_QUOTIENT`` (Python's ``/``) on
-    floats: the ``lane`` attribute gives it, and ``point`` is the function
-    it writes out (:func:`lane_function`), returning a tuple.  On floats a
-    function call's value is read as a Python float there, so the point
-    path keeps Python floats.
+    ``(N, dim)`` stack and returns ``(..., len(roots))`` components.
+
+    The ``lane`` attribute gives the function's single-point form, a
+    :class:`Lane` and no args: the same operations on the point's
+    components as Python numbers ``_p0``, ``_p1``, ..., one result per
+    component, with numpy's bits.  Each quotient is written out, as
+    ``_QUOTIENT`` (as :func:`quotient`), or as ``_REAL_QUOTIENT``
+    (Python's ``/``) on floats; a power of a Python complex is
+    :func:`power` (written out as a a and a (a a), 0 at a zero base, for
+    the literal powers 2 and 3), and any other power Python's ``**`` where
+    that gives a float (the C library's ``pow``, as numpy's) and
+    :func:`power` where it raises or does not.  A function call's value
+    stays a numpy scalar, except on floats, where it is read as a Python
+    float, so that a real lane keeps Python floats.
     """
     lines, points, scalars, locals_, literals = [], [], set(), {}, {}
+    form = _REAL_QUOTIENT if dtype is float else _QUOTIENT
 
     def scalar(local):
         scalars.add(local)
@@ -541,8 +542,6 @@ def _compile(roots, binding, label, dtype=None):
                 raise ValueError(f"unknown identifier {arg!r}")
             c = binding[arg]
             src = f"_p[{c[0]!r}] + 1j * _p[{c[1]!r}]" if isinstance(c, tuple) else f"_p[{c!r}]"
-            if dtype is None:
-                return scalar(emit(src))
             return scalar(emit(src, f"_p{c[0]} + 1j * _p{c[1]}" if isinstance(c, tuple) else f"_p{c}"))
         if kind == "neg":
             if arg[0] == "num":  # negation is exact: the negated literal
@@ -560,7 +559,7 @@ def _compile(roots, binding, label, dtype=None):
         local = scalar(emit(src))
         k = int(local[2:])  # the line that made _t<k>
         if arg == "/":
-            points[k] = f"{local} = _quotient({a}, {b})"
+            points[k] = form.format(out=local, a=a, b=b)
         elif arg == "^":
             product = {("num", 2.0): f"{a} * {a}", ("num", 3.0): f"{a} * ({a} * {a})"}.get(node[3])
             points[k] = "\n".join([
@@ -583,31 +582,20 @@ def _compile(roots, binding, label, dtype=None):
     constants = tuple(f"{local} = {text}" for text, local in literals.items())
     if dtype is None:
         source = [*constants, "def _fn(_p):", body(lines), f"    return {results[0]}"]
-        if points != lines:
-            source += ["def _point(_p):", body(points), f"    return {results[0]}"]
     else:
         source = [*constants, "def _fn(_z):", "    _p = _z if _z.ndim == 1 else _z.T", body(lines)]
         source.append(f"    _o = _empty((*_z.shape[:-1], {len(results)}), {dtype.__name__})")
         source += [*(f"    _o[..., {k}] = {r}" for k, r in enumerate(results)), "    return _o"]
-        # the point path reads a coordinate where the array path copies it to a local
-        copies = dict(match.groups() for match in (re.fullmatch(r"(_t\d+) = (_p\d+)", line) for line in points) if match)
+    # the lane reads a coordinate where the array path copies it to a local
+    copies = dict(match.groups() for match in (re.fullmatch(r"(_t\d+) = (_p\d+)", line) for line in points) if match)
 
-        def read(text):
-            return re.sub(r"\b_t\d+\b", lambda local: copies.get(local[0], local[0]), text)
+    def read(text):
+        return re.sub(r"\b_t\d+\b", lambda local: copies.get(local[0], local[0]), text)
 
-        points = [read(line) for line in points if line.partition(" = ")[0] not in copies]
-        # the lane writes each quotient out
-        quotients = (re.fullmatch(r"(_\w+) = _quotient\((\w+), (\w+)\)", line) for line in points)
-        form = _REAL_QUOTIENT if dtype is float else _QUOTIENT
-        inline = tuple(line if q is None else form.format(out=q[1], a=q[2], b=q[3]) for line, q in zip(points, quotients))
-        lane = Lane(constants, inline, tuple(read(result) for result in results))
-    namespace = generated("\n".join(source), f"<expression {label!r}>")
-    fn = namespace["_fn"]
-    if dtype is None:
-        fn.point = namespace.get("_point", fn)
-    else:  # the function the lane writes out, compiled at its first call
-        fn.point = lambda q: lane_function(lane)(q)
-        fn.lane = lambda: (lane, ())
+    points = tuple(read(line) for line in points if line.partition(" = ")[0] not in copies)
+    lane = Lane(constants, points, tuple(read(result) for result in results))
+    fn = generated("\n".join(source), f"<expression {label!r}>")["_fn"]
+    fn.lane = lambda: (lane, ())
     return fn
 
 
@@ -621,9 +609,10 @@ class Expression:
     def compile(self, binding):
         """Function of one vector ``p``; ``binding`` maps identifier -> coordinate.
 
-        A coordinate is a key of ``p`` or, for a complex name over a real
-        vector, the key pair (a, b) read as ``p[a] + 1j * p[b]``.  Raises
-        ValueError for an identifier the binding lacks.
+        A coordinate is an index of ``p`` or, for a complex name over a real
+        vector, the index pair (a, b) read as ``p[a] + 1j * p[b]``; the
+        function's ``lane`` reads index k as ``_p<k>``.  Raises ValueError
+        for an identifier the binding lacks.
         """
         return _compile(self.ast, binding, self.source)
 
@@ -634,7 +623,7 @@ class Expression:
 
     def evaluate(self, env):
         """Value for the name -> value mapping ``env``, compiled for this call."""
-        return self.compile({name: name for name in env})(env)
+        return self.compile({name: k for k, name in enumerate(env)})(list(env.values()))
 
     def diff(self, var):
         return Expression(_simplify(_diff(self.ast, var)), f"d({self.source})/d{var}")
@@ -677,9 +666,9 @@ def compile_points(expr, names, cast=None):
 
     ``names`` is the binding of :meth:`Expression.compile`.  A constant is
     evaluated once, when the function is built, passed through ``cast`` and
-    broadcast to the input's rows.  The function's ``point`` attribute is
-    its point path: the value at one point given as a sequence of Python
-    numbers, with the bits the function gives that point's array.
+    broadcast to the input's rows; any other expression's function carries
+    the compiled ``lane``, its value at one point of Python numbers with the
+    bits the function gives that point's array.
     """
     if isinstance(expr, str):
         expr = parse_expression(expr)
@@ -690,7 +679,7 @@ def compile_points(expr, names, cast=None):
             # a point is read as it is: p.T would cost a view per call
             return value(p) if p.ndim == 1 else value(p.T)
 
-        points.point = value.point
+        points.lane = value.lane
         return points
     c = expr.constant()
     c = c if cast is None else cast(c)
@@ -698,7 +687,6 @@ def compile_points(expr, names, cast=None):
     def constant(p):
         return c if p.ndim == 1 else np.full(p.shape[:-1], c)
 
-    constant.point = lambda q: c
     return constant
 
 
@@ -712,16 +700,15 @@ def compile_vector(exprs, names, dtype=complex):
     """The components ``exprs`` (text or parsed) of ``dtype`` as one function, one compile.
 
     It takes a point or an ``(N, dim)`` stack (``names`` as in
-    :meth:`Expression.compile`) and returns ``(..., len(exprs))`` components,
-    and its ``point`` their tuple at a point of Python numbers, with the
-    same bits; its ``lane`` gives that point path as a :class:`Lane` and no
-    args.  ``complex`` is the complex layout, each component as
-    :func:`compile_points` with a complex cast gives it; a constant is
-    evaluated on complex literals: ``-0`` is ``-(0j)``.  ``float`` is the
-    real layout of real-valued trees: the point path returns Python floats.
-    Where every component is a folded number nothing compiles: the function
-    fills its rows with those numbers, the point path returns them, and its
-    lane binds them as constants, as ``_compile`` binds its literals.
+    :meth:`Expression.compile`) and returns ``(..., len(exprs))`` components;
+    its ``lane`` gives them at a point of Python numbers, with the same bits,
+    as a :class:`Lane` and no args.  ``complex`` is the complex layout, each
+    component as :func:`compile_points` with a complex cast gives it; a
+    constant is evaluated on complex literals: ``-0`` is ``-(0j)``.
+    ``float`` is the real layout of real-valued trees: the lane's results
+    are Python floats.  Where every component is a folded number nothing
+    compiles: the function fills its rows with those numbers, and its lane
+    binds them as constants, as ``_compile`` binds its literals.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
@@ -737,6 +724,5 @@ def compile_vector(exprs, names, dtype=complex):
 
     literals = {text: f"_c{k}" for k, text in enumerate(dict.fromkeys(map(_literal, values)))}
     lane = Lane(tuple(f"{name} = {text}" for text, name in literals.items()), (), tuple(literals[_literal(v)] for v in values))
-    fn.point = lambda q: values
     fn.lane = lambda: (lane, ())
     return fn

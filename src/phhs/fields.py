@@ -26,12 +26,13 @@ complex products.
 A vector field's one single-point form is its ``lane``, an
 :class:`~phhs.expressions.Lane`: the field at one point as text on Python
 numbers, with the array form's bits, which every flow writes into its
-stepper (:mod:`phhs.flows`), and from which ``scalar_form`` is generated.
-For text, the array and lane forms come from one compiled source: X on the
-models with J = i, whose lane steps complex z_j (:func:`on_complex_state`)
-and under whose J X and a X + b J X :func:`holomorphic_map` puts one
-formula each, and X and J_g X on the twisted model.  The Morse orbit field
-is a lane written in :mod:`phhs.morse`.
+stepper (:mod:`phhs.flows`) and :func:`~phhs.expressions.lane_function`
+writes out as a function.  For text, the array and lane forms come from
+one compiled source: X on the models with J = i, whose lane steps complex
+z_j (:func:`on_complex_state`) and under whose J X and a X + b J X
+:func:`~phhs.expressions.lane_map` puts one formula each, and X and J_g X
+on the twisted model.  The Morse orbit field is a lane written in
+:mod:`phhs.morse`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compile_points, lane_function, lane_map
+from .expressions import compile_points
 from .util import as_points, max_abs
 
 
@@ -103,25 +104,9 @@ def matvec(M, v):
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
-def holomorphic_map(X, fn, name, formula, **coefficients):
-    """The field ``fn`` whose lane is ``formula`` of X's lane on complex z_j, component by component, if X has a lane.
-
-    ``formula`` is text of one component ``{v}`` of the holomorphic w whose
-    real form X is, and of the ``coefficients`` it reads by name.
-    """
-    lane = None if X.lane is None else lane_map(formula, coefficients, v=X.lane)
-    return VectorField(fn, fd=X.fd, name=name, lane=lane)
-
-
 def on_complex_state(body, dim):
     """Whether the Lane ``body`` of a field on ``dim`` real coordinates steps complex z_j = x_j + i y_j: m results for 2m."""
     return 2 * len(body.results) == dim
-
-
-def point_path(fn):
-    """``fn`` at one point given as a tuple of Python numbers: its ``point`` attribute, or ``fn`` on the point's array."""
-    point = getattr(fn, "point", None)
-    return point if point is not None else lambda q: fn(np.array(q))
 
 
 class Field:
@@ -173,10 +158,6 @@ class ScalarField(Field):
 class VectorField(Field):
     """Real vector field, returned in coordinate components.
 
-    ``complex_form``, when given, is a stack function w on C^m whose real
-    form the field is, (Re w(z), Im w(z)) at z = x + i y: X's on the models
-    with J = i, which the flows do not read.
-
     ``lane``, when given, is the field at one point as generated code: a
     function of no arguments that returns a
     :class:`~phhs.expressions.Lane` and the values of its args.  The point
@@ -186,15 +167,9 @@ class VectorField(Field):
     (:mod:`phhs.flows`).
     """
 
-    def __init__(self, fn, fd=None, name=None, complex_form=None, lane=None):
+    def __init__(self, fn, fd=None, name=None, lane=None):
         super().__init__(fn, fd, name)
-        self.complex_form = complex_form
         self.lane = lane
-
-    @property
-    def scalar_form(self):
-        """The function of one point's tuple generated from ``lane`` (compiled at its first use), or None."""
-        return None if self.lane is None else lane_function(*self.lane())
 
 
 class CovectorField(Field):

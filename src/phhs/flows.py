@@ -5,9 +5,9 @@ more than adaptivity for golden-value work, and the step budget guards the
 singular loci.  The stage and the update are written once, as the formula
 strings ``_STAGE`` and ``_UPDATE``, from which the array path's
 :func:`rk4_step` and the lane's generated steppers (:func:`_lane_stepper`)
-are made.  :func:`rk4_states` yields the states of either, and every flow
-in the package, the period measurement of :mod:`phhs.morse` included,
-advances through them.
+are made.  Every flow in the package advances through them, and
+:func:`rk4_states` yields the states of one point's flow, for the period
+measurement of :mod:`phhs.morse`.
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
 share one step schedule.  Every flow of a field with a lane (X, J X and
@@ -20,7 +20,7 @@ each result that reads only constants computed once per stepper call.  The lane
 of the real form of a holomorphic w on C^m (J = i) steps complex
 z_j = x_j + i y_j, as the lane shows (:func:`~phhs.fields.on_complex_state`):
 J X is i w there and a X + b J X is a w + (i b) w, two terms as on the real
-path (:func:`~phhs.fields.holomorphic_map`).  The bits are numpy's on
+path (:func:`~phhs.expressions.lane_map`).  The bits are numpy's on
 arrays: Python does the same IEEE operations on Python complex
 coefficients (:func:`_coefficients`), compiled text keeps numpy's quotient
 and power and sums the twisted J_g X onto +0.0 as numpy's matrix product
@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
 from .expressions import formula_function, generated, lane_map
-from .fields import VectorField, grid_derivative, holomorphic_map, matvec, on_complex_state
+from .fields import VectorField, grid_derivative, matvec, on_complex_state
 from .util import as_point, as_points, from_complex, to_complex
 
 BLOWUP = 1e8
@@ -281,21 +281,18 @@ def _lane_rows(stepper, values, rows, n, first_step, h, stack):
 
 
 def rk4_states(V, x0, h):
-    """The checked states after steps 1, 2, ... of the RK4 flow of V from ``x0`` with step h, endlessly.
+    """The checked states after steps 1, 2, ... of the RK4 flow of V from the point ``x0`` with step h, endlessly.
 
-    On the lane a point's state is its tuple, one stepper call per step (the
-    Morse angle event sees every state), and a stack's the list of its rows'.
-    Without a lane it is the real array (:func:`_array_states`).
+    On the lane the state is a tuple, one stepper call per step (the Morse
+    angle event sees every state); without a lane it is the real array
+    (:func:`_array_states`).
     """
+    x0 = as_point(x0)
     lane = _lane_start(V, x0, h)
-    return _array_states(V, np.array(x0, dtype=float), h) if lane is None else _lane_states(*lane, h, x0.ndim == 2)
+    return _array_states(V, x0, h) if lane is None else _lane_states(*lane, h)
 
 
-def _lane_states(stepper, values, rows, h, stack):
-    if stack:
-        for step in count(1):
-            rows = _lane_rows(stepper, values, rows, 1, step, h, True)
-            yield rows
+def _lane_states(stepper, values, rows, h):
     (y,) = rows
     for step in count(1):
         y = stepper(y, 1, step, h, *values)
@@ -510,8 +507,10 @@ def _combo_field(fields, a, b):
     if X.lane is None or JX.lane is None:
         return VectorField(fn, fd=X.fd, name="combo")
     if on_complex_state(X.lane()[0], fields.model.dim):
-        return holomorphic_map(X, fn, "combo", "a * {v} + ib * {v}", a=complex(a), ib=1j * b)
-    return VectorField(fn, fd=X.fd, name="combo", lane=lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane))
+        lane = lane_map("a * {v} + ib * {v}", {"a": complex(a), "ib": 1j * b}, v=X.lane)
+    else:
+        lane = lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane)
+    return VectorField(fn, fd=X.fd, name="combo", lane=lane)
 
 
 def tilted_flow(fields, x0, alpha, r, cfg=FlowConfig()):

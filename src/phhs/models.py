@@ -174,7 +174,7 @@ def _holomorphic_model(n, H_c, dH_c, w, **model_kwargs):
         raise NotHolomorphicError(f"Hamiltonian has Cauchy-Riemann defect {res:.3e}")
     X = VectorField(
         lambda p: from_complex(np.asarray(w(to_complex(p)), dtype=complex)),
-        name="X", complex_form=w, lane=getattr(w, "lane", None),
+        name="X", lane=getattr(w, "lane", None),
     )
 
     def grad_r(p):

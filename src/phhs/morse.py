@@ -24,10 +24,10 @@ of one point lifted row by row.  The angular average evaluates v once per
 ring of N_PHI + 1 angles and the area law once per ray of N_R + 1 radial
 nodes; only the orbit's field evaluates it at one point per RK4 stage.
 That field is a lane (:class:`~phhs.expressions.Lane`), which the flow
-writes into its generated stepper, and it reads T_hat through
-:func:`_clenshaw`, ``Chebyshev.__call__`` as straight-line code on Python
-floats: an orbit gives the same bits with no numpy call and no loop per
-stage.
+writes into its generated stepper: v's own compiled lane written inline
+where v is text, and it reads T_hat through :func:`_clenshaw`,
+``Chebyshev.__call__`` as straight-line code on Python floats: an orbit of
+text v gives the same bits with no numpy call and no loop per stage.
 A v that is not positive and finite on a ring of the angular average (and
 so at a node of the interpolant of T_hat) or at an orbit stage raises
 :class:`~phhs.errors.ZeroDenominatorError` naming the point, and so does a
@@ -43,8 +43,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
-from .expressions import Lane, _literal
-from .fields import VectorField, point_path, stack_function
+from .expressions import Lane, _literal, _renamed, lane_function
+from .fields import VectorField, stack_function
 from .flows import FlowConfig, rk4_states
 from .util import coordinate_names
 
@@ -160,14 +160,22 @@ def hamiltonian_flow_field(sys, rescale=True):
     """Hamiltonian field of psi_L(x^2 + y^2) for omega = v dx ^ dy, at one point.
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
-    are radius dependent.  The field is its lane: v read through its point
-    path (:func:`~phhs.fields.point_path`, the bits its call on the point's
-    array gives), a line that raises where v is not positive and finite,
-    and T_hat's code (:func:`_clenshaw`, made once per system) on
-    min(r, RMAX); its array form is the function generated from the lane.
+    are radius dependent.  The field is its lane: v, written inline from
+    its own lane (its locals renamed ``_v...``) where v is text and called
+    on the point's array otherwise, as a Python float, then a line that
+    raises where v is not positive and finite, and T_hat's code
+    (:func:`_clenshaw`, made once per system) on min(r, RMAX); its array
+    form is the function generated from the lane.
     """
     constants = ("from math import inf as _inf, sqrt as _fsqrt",)
-    lines = ("_vp = float(_v((_p0, _p1)))", "if not 0.0 < _vp < _inf:\n    raise _bad_factor(_vp, [_p0, _p1])")
+    if getattr(sys.v, "lane", None) is None:
+        v_lines, args, values = ("_vp = float(_v((_p0, _p1)))",), ("_v",), (lambda q: sys.v(np.array(q)),)
+    else:
+        body, values = sys.v.lane()
+        body = _renamed(body, "_v")
+        constants += body.constants
+        v_lines, args = (*body.lines, f"_vp = float({body.results[0]})"), body.args
+    lines = (*v_lines, "if not 0.0 < _vp < _inf:\n    raise _bad_factor(_vp, [_p0, _p1])")
     if rescale:
         if sys._t_hat is None:
             sys._t_hat = _clenshaw(_period_interpolant(sys), "_r")
@@ -181,10 +189,9 @@ def hamiltonian_flow_field(sys, rescale=True):
         )
     else:
         lines += ("_q = 1.0 / _vp",)
-    lane = Lane(constants, lines, ("-2.0 * _p1 * _q", "2.0 * _p0 * _q"), ("_v", "_bad_factor"))
-    values = (point_path(sys.v), _bad_factor)
-    field = VectorField(lambda p: np.array(field.scalar_form(tuple(p.tolist()))), name="orbit", lane=lambda: (lane, values))
-    return field
+    lane = Lane(constants, lines, ("-2.0 * _p1 * _q", "2.0 * _p0 * _q"), (*args, "_bad_factor"))
+    values = (*values, _bad_factor)
+    return VectorField(lambda p: np.array(lane_function(lane, values)(tuple(p.tolist()))), name="orbit", lane=lambda: (lane, values))
 
 
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):

@@ -4,7 +4,28 @@ import numpy as np
 import pytest
 
 from phhs import flows, models
+from phhs.expressions import compile_vector, lane_function
 from phhs.hamiltonian import assemble_phhs
+from phhs.util import coordinate_names
+
+
+def scalar_lane(fn):
+    """The value of the compiled scalar ``fn`` at one point of Python numbers: the function its Lane writes out, unpacked."""
+    point = lane_function(*fn.lane())
+    return lambda q: point(q)[0]
+
+
+def complex_x(H=None, n=1):
+    """X's complex form w on C^(2n) from the model builder's own pieces, a function of complex arrays.
+
+    For text H it is the X that ``models._as_complex_hamiltonian`` compiles,
+    and without H the central problem's compiled pair behind its Q-floor
+    check.  Equal text compiles to the same function (``expressions.generated``),
+    so w is the function behind the built model's X.
+    """
+    if H is None:
+        return models._q_floor_checked(compile_vector(("P1", "-1/(4*Q1^3)"), coordinate_names(2, "complex")))
+    return models._as_complex_hamiltonian(H, n)[2]
 
 
 @pytest.fixture(scope="session")

@@ -599,32 +599,33 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
     assert len(calls) == 5 and calls[3:] == ["<RK4 lane of 4 components>"] * 2
 
 
-def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch):
-    # one orbit field evaluation, which reads v at the point once and runs T_hat's code once,
-    # per RK4 stage of the 9,426 orbit steps, from T_hat's code generated once for the three
-    # orbits of the one system; the area law reads the interpolant itself
+def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch, rk4_steps):
+    # one orbit field evaluation, which runs v's own lines and T_hat's code once, per RK4 stage
+    # of the 9,426 orbit step-rows, from T_hat's code generated once for the three orbits of the
+    # one system; v is text, written into the orbit's lane with no call of v; the area law reads
+    # the interpolant itself
     cfg = _focus_config(tmp_path, monkeypatch, "morse-period", "orbits")
-    calls, generated = [], []
-    clenshaw, point_path = morse._clenshaw, morse.point_path
+    generated, lanes = [], []
+    clenshaw, orbit_field = morse._clenshaw, morse.hamiltonian_flow_field
 
     def counted(interp, r):
         generated.append(interp)
         return clenshaw(interp, r)
 
-    def counted_v(v):
-        point = point_path(v)
-
-        def read(q):
-            calls.append(q)
-            return point(q)
-
-        return read
+    def recorded(sys, rescale=True):
+        field = orbit_field(sys, rescale)
+        lanes.append((sys.v, field.lane()[0]))
+        return field
 
     monkeypatch.setattr(morse, "_clenshaw", counted)
-    monkeypatch.setattr(morse, "point_path", counted_v)
+    monkeypatch.setattr(morse, "hamiltonian_flow_field", recorded)
     assert main(["morse-period", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 37704
-    assert len(generated) == 1
+    assert rk4_steps == {"lane": 9426}
+    assert len(generated) == 1 and len(lanes) == 3
+    for v, lane in lanes:
+        v_lines = expressions._renamed(v.lane()[0], "_v").lines
+        assert v_lines and "_v" not in lane.args and not any("_v(" in line for line in lane.lines)
+        assert all(lane.lines.count(line) == 1 for line in v_lines)
 
 
 def test_csv_rows_are_written_as_their_cells(tmp_path):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from phhs import models
 from phhs.errors import NonFiniteStateError, ParseError
-from phhs.expressions import compile_points, compile_vector, parse_expression, power, quotient
+from phhs.expressions import compile_points, compile_vector, lane_function, parse_expression, power, quotient
 from phhs.util import coordinate_names, seeded_points, to_complex
+
+from conftest import scalar_lane
 
 
 def test_basic_arithmetic_and_functions():
@@ -226,7 +228,7 @@ def test_name_table_binds_every_coordinate(coords):
 
 
 # ---------------------------------------------------------------------------
-# the point path: one point as Python numbers, with numpy's scalar bits
+# the point path, a compiled text's Lane: one point as Python numbers, with numpy's scalar bits
 # ---------------------------------------------------------------------------
 
 
@@ -276,21 +278,23 @@ def test_the_inline_quotient_is_quotient_and_falls_back_to_it_on_zero_and_nan_di
     complex_fn = compile_vector(["z1/z2"], coordinate_names(2, "complex"))
     real_fn = compile_vector(["x1/x2"], coordinate_names(2), float)
     mixed_fn = compile_points("z1/x2", coordinate_names(2))  # a complex by a float
+    complex_point, real_point = (lane_function(*fn.lane()) for fn in (complex_fn, real_fn))
+    mixed_point = scalar_lane(mixed_fn)
     parts = [complex(a, b) for a in SPECIAL for b in SPECIAL[::2]]
     zero_or_nan = 0
     with np.errstate(all="ignore"):
         for a in parts:
             for b in parts:
-                (q,) = complex_fn.point((a, b))
+                (q,) = complex_point((a, b))
                 assert same(q, quotient(a, b)) and same(q, complex_fn(np.array([a, b]))[0]), (a, b)
                 zero_or_nan += not b or b != b
         for a in SPECIAL:
             for b in SPECIAL:
-                (q,) = real_fn.point((a, b, 0.5, 0.5))
+                (q,) = real_point((a, b, 0.5, 0.5))
                 assert type(q) is float and same(q, quotient(a, b)), (a, b)
                 assert same(q, real_fn(np.array([a, b, 0.5, 0.5]))[0]), (a, b)
                 p = (a, b, -0.75, 0.0)
-                q = mixed_fn.point(p)
+                q = mixed_point(p)
                 assert same(q, quotient(complex(a, -0.75), b)) and same(q, mixed_fn(np.array(p))), (a, b)
     assert zero_or_nan > 500
 
@@ -309,6 +313,7 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
 
     fn = compile_vector(["x2/x1", "1/(x1 - y1)", "x1 * y2", "y2"], coordinate_names(2), float)
     (lane, _), V = fn.lane(), VectorField(fn, name="quotients", lane=fn.lane)
+    point = lane_function(lane)
     assert sum("_divide" in line for line in lane.lines) == 2 and "type(" not in "\n".join(lane.lines)
     divisors = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]
     points = [(a, b, c, 0.5) for a, b, c in itertools.product([*divisors, 1.5], [3.0, -0.0, 1e-320, np.nan], [0.0, -0.0, 1.5])]
@@ -327,7 +332,7 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
     outcomes = set()
     with np.errstate(all="ignore"):
         for p in points:
-            assert all(type(v) is float for v in fn.point(p)) and same(fn.point(p), fn(np.array(p))), p
+            assert all(type(v) is float for v in point(p)) and same(point(p), fn(np.array(p))), p
             state, error = first_step(flows.rk4_states(V, np.array(p), 0.05))
             array_state, array_error = first_step(flows._array_states(fn, np.array(p), 0.05))
             assert error == array_error and same(state, array_state), p
@@ -337,7 +342,7 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
     def point_and_warnings(p):
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
             warnings.simplefilter("always")
-            return fn.point(p), sorted(str(w.message) for w in caught)
+            return point(p), sorted(str(w.message) for w in caught)
 
     for p in [(0, 3, 0, 1), (2, 0, 2, -1), (0, 0, 1, 1), (4, 1, -3, 7)]:
         floats, warned = point_and_warnings(tuple(map(float, p)))
@@ -348,8 +353,8 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
 
 def test_a_vector_of_folded_numbers_compiles_nothing(monkeypatch):
     # the partials of -y1 and the twisted X made from them are folded numbers: the function
-    # fills its rows with them, bit for bit the compiled source, signed zeros kept, and the
-    # point path and the lane source give them as they are
+    # fills its rows with them, bit for bit the compiled source, signed zeros kept, and its lane
+    # is the compiled source's, whose function gives them as they are
     import builtins
 
     from phhs import expressions
@@ -362,17 +367,18 @@ def test_a_vector_of_folded_numbers_compiles_nothing(monkeypatch):
     roots = {float: trees, complex: [("num", complex(v)) for v in values]}
     compiled = {dtype: expressions._compile(roots[dtype], names, "folded", dtype) for dtype in (float, complex)}
     P = np.concatenate([seeded_points(4, 5, 4), [[0.0, -0.0, np.nan, np.inf]]])
-    # its point function, compiled at its first call
-    points = {dtype: compiled[dtype].point(tuple(P[0].tolist())) for dtype in (float, complex)}
+    # its lane's function, compiled at its first call
+    points = {dtype: lane_function(*compiled[dtype].lane())(tuple(P[0].tolist())) for dtype in (float, complex)}
     monkeypatch.setattr(builtins, "compile", None)
     for dtype in (float, complex):
         fn = expressions.compile_vector([expressions.Expression(t) for t in trees], names, dtype)
         for p in (P, P[0]):
             assert _same_bits(fn(p), compiled[dtype](p)) and fn(p).shape == compiled[dtype](p).shape
-        point = fn.point(tuple(P[0].tolist()))
-        assert _same_bits(np.array(point), np.array(points[dtype]))
         lane, args = fn.lane()
         assert lane.lines == () and args == () and len(lane.results) == len(values)
+        assert (lane, args) == compiled[dtype].lane()
+        point = lane_function(lane)(tuple(P[0].tolist()))
+        assert _same_bits(np.array(point), np.array(points[dtype]))
     assert values[:4] == [-0.0, -0.0, -1.0, -0.0] and [math.copysign(1.0, v.real) for v in point] == [-1.0] * 5 + [1.0]
 
 
@@ -385,15 +391,16 @@ def test_point_path_power_is_numpys_power():
     assert isinstance((-8.0) ** (1 / 3), complex)
     real = compile_points("x1^x2", coordinate_names(2))
     complex_ = compile_points("Q1^P1", coordinate_names(2, "complex"))
+    real_point, complex_point = scalar_lane(real), scalar_lane(complex_)
     bases = _numbers(13, 40)
     exponents = [2.0, 3.0, 0.5, -1.0, 1 / 3, -2.0, 0.0, 7.5, np.inf, np.nan]
     with np.errstate(all="ignore"):
         for a in bases:
             for b in exponents:
-                assert _same_bits(real.point((a, b, 0.0, 0.0)), real(np.array([a, b, 0.0, 0.0]))), (a, b)
+                assert _same_bits(real_point((a, b, 0.0, 0.0)), real(np.array([a, b, 0.0, 0.0]))), (a, b)
         for z in [complex(a, b) for a in bases[::5] for b in bases[1::5]]:
             for b in exponents[:6] + [0.5 + 1j]:
-                assert _same_bits(complex_.point((z, complex(b))), complex_(np.array([z, b]))), (z, b)
+                assert _same_bits(complex_point((z, complex(b))), complex_(np.array([z, b]))), (z, b)
     assert power(2.0, 0.5) == np.float64(2.0) ** 0.5
 
 
@@ -424,9 +431,10 @@ def test_negative_integer_power_of_a_python_complex_is_numpys_reciprocal():
                 got = power(z, float(n))
                 assert type(got) is complex and _same_bits(got, np.complex128(z) ** float(n)), (z, n)
     fn = compile_points("Q1^-2 + P1^(-5)", coordinate_names(2, "complex"))
+    point = scalar_lane(fn)
     with np.errstate(all="ignore"):
         for z in [(q, p) for q in bases[::7] for p in bases[::29]]:
-            got = fn.point(z)
+            got = point(z)
             assert type(got) is complex and _same_bits(got, fn(np.array(z))), z
 
 
@@ -434,10 +442,11 @@ def test_point_path_keeps_an_integer_power_of_a_complex_coordinate_python_comple
     # the literal square and cube are written out, any other integer power goes to power: the
     # point path returns a Python complex with the bits of the function at that point
     fn = compile_points("Q1^3 - P1^2/5 + Q1^4*P1^7 + P1^(1+1)", coordinate_names(2, "complex"))
+    point = scalar_lane(fn)
     numbers = [0.0, -0.0, 0.75, -1.5, 1e200, np.inf, np.nan]
     with np.errstate(all="ignore"):
         for z in [(complex(a, b), complex(b, c)) for a in numbers for b in numbers for c in numbers[:4]]:
-            got = fn.point(z)
+            got = point(z)
             assert type(got) is complex and _same_bits(got, fn(np.array(z))), z
 
 
@@ -458,6 +467,7 @@ def test_point_path_equals_the_numpy_scalar_path_bit_for_bit(text, layout):
     m = 2
     names = coordinate_names(m, layout)
     fn = compile_points(text, names)
+    point = scalar_lane(fn)
     rng = np.random.default_rng(5)
     P = rng.standard_normal((2000, 2 * m)) * 2.0
     P = np.concatenate([P, np.array([[0.0, -0.0, 0.0, -0.0], [1e200, 0.25, -1e200, 0.5], [-1.0, -0.0, 2.0, 3.0]])])
@@ -465,18 +475,25 @@ def test_point_path_equals_the_numpy_scalar_path_bit_for_bit(text, layout):
         P = to_complex(P)
     with np.errstate(all="ignore"):
         for p in P:
-            assert _same_bits(np.asarray(fn.point(tuple(p.tolist()))), np.asarray(fn(p))), p
+            assert _same_bits(np.asarray(point(tuple(p.tolist()))), np.asarray(fn(p))), p
 
 
 def test_point_path_is_needed_for_complex_quotients():
-    # the array function read on Python complex numbers takes CPython's quotient and power
+    # the array function read on Python complex numbers takes CPython's quotient and power; the
+    # Lane writes numpy's quotient out inline (_QUOTIENT's Smith form) and keeps numpy's bits
     fn = parse_expression("P1^2/3 + Q1^2").compile(coordinate_names(2, "complex"))
     Z = to_complex(np.random.default_rng(6).standard_normal((5000, 4)))
     plain = sum(not _same_bits(np.complex128(fn(tuple(z.tolist()))), fn(z)) for z in Z)
     assert plain > 500
-    assert fn.point is not fn and all(_same_bits(np.complex128(fn.point(tuple(z.tolist()))), fn(z)) for z in Z)
-    # with no quotient or power of a coordinate the two paths are one function
-    assert compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).point.__name__ == "_fn"
+    lane, args = fn.lane()
+    quotients = [line for line in lane.lines if line.startswith("try:")]
+    assert args == () and len(quotients) == 1 and "_scl = 1.0 / (_br + _bi * _rat)" in quotients[0]
+    point = scalar_lane(fn)
+    assert all(_same_bits(np.complex128(point(tuple(z.tolist()))), fn(z)) for z in Z)
+    # with no quotient or power of a coordinate the Lane is the array function's operations,
+    # each coordinate read as _p<k>
+    lane, _ = compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).lane()
+    assert lane.lines == ("_t1 = _exp(_p0)", "_t3 = _t1 * _p1", "_t4 = _c0 / _c1", "_t5 = _t3 - _t4")
 
 
 @pytest.mark.parametrize("text", ["1", "2.5e-300", "-1", "2 * 3 - 1", "(0 - 1)^0.5", "exp(1)"])
@@ -494,4 +511,4 @@ def test_a_folded_constant_partial_is_read_without_compiling(monkeypatch):
     d = parse_expression("-y1").diff("y1")
     assert d.ast == ("num", -1.0)
     monkeypatch.setattr(builtins, "compile", None)
-    assert d.constant() == -1.0 and compile_points(d, {}).point(None) == -1.0
+    assert d.constant() == -1.0 and compile_points(d, {})(np.empty(0)) == -1.0

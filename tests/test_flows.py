@@ -10,8 +10,8 @@ import pytest
 
 from phhs import cli, fields as fields_lib, flows, models, morse as morse_lib, util
 from phhs.errors import NonFiniteStateError, PhhsError, StepBudgetExceededError
-from phhs.expressions import Expression, Lane, compile_vector, parse_expression
-from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec
+from phhs.expressions import Expression, Lane, compile_vector, lane_function, parse_expression
+from phhs.fields import MatrixField, VectorField, constant, constant_matrix_field, matvec, on_complex_state
 from phhs.flows import (
     FlowConfig,
     circle_path,
@@ -26,6 +26,8 @@ from phhs.flows import (
 )
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import from_complex, standard_j_matrix, to_complex
+
+from conftest import complex_x
 
 CFG = FlowConfig(dt=1e-3)
 X0 = np.array([1.0, 0.5, 0.0, 0.0])
@@ -262,7 +264,7 @@ COARSE = FlowConfig(dt=1e-2)
 
 
 def _real_path(fields):
-    """The same fields with their lanes and complex forms stripped, so that every flow steps the real array state."""
+    """The same fields with their lanes stripped, so that every flow steps the real array state."""
     return dataclasses.replace(
         fields,
         X=VectorField(fields.X.fn, fd=fields.X.fd, name="X"),
@@ -274,7 +276,7 @@ def _real_path(fields):
 def holomorphic(request):
     model, x0 = HOLOMORPHIC[request.param]
     fields = assemble_phhs(model)
-    assert fields.X.complex_form is not None and fields.JX.lane is not None
+    assert on_complex_state(fields.X.lane()[0], fields.model.dim) and fields.JX.lane is not None
     return fields, _real_path(fields), np.array(x0)
 
 
@@ -354,7 +356,7 @@ def test_complex_state_box_bounds_each_real_component():
 def test_a_complex_form_with_a_j_not_known_to_be_i_takes_the_real_path(J):
     model = dataclasses.replace(models.build_central_problem(), J=J, H_I_hook=None)
     fields = assemble_phhs(model)
-    assert fields.X.complex_form is not None and fields.X.lane is not None and fields.JX.lane is None
+    assert on_complex_state(fields.X.lane()[0], fields.model.dim) and fields.JX.lane is None
     P = np.array([X0, [1.1, 0.4, 0.1, -0.2], [0.9, 0.6, -0.1, 0.1]])
     assert np.array_equal(fields.JX(P), matvec(J(P), fields.X(P)))
     assert np.array_equal(flow(fields.JX, X0, 0.4, COARSE), flow(_real_path(fields).JX, X0, 0.4, COARSE))
@@ -432,13 +434,14 @@ def test_a_stack_on_the_lane_raises_the_error_the_array_path_meets_first(stack, 
     assert str(a) == str(b) and str(a).count("row") == 1
 
 
-def test_rk4_states_of_a_stack_on_the_lane_are_its_rows_states():
-    # a stack's states are the list of its rows' lane states, each row stepped as it is alone
+def test_rk4_states_takes_one_point_on_the_lane_and_on_the_array_path():
+    # a stack is util.as_point's ValueError on both paths, before any step
     X = assemble_phhs(models.build_central_problem()).X
     stack = np.array([X0, X0 + 0.05])
-    states = list(itertools.islice(flows.rk4_states(X, stack, 1e-2), 5))
-    rows = [list(itertools.islice(flows.rk4_states(X, row, 1e-2), 5)) for row in stack]
-    assert [[repr(y) for y in state] for state in states] == [[repr(r[k]) for r in rows] for k in range(5)]
+    for V in (X, VectorField(X.fn, name="X")):
+        with pytest.raises(ValueError, match="a point must be a 1-d coordinate vector"):
+            flows.rk4_states(V, stack, 1e-2)
+    assert [len(y) for y in itertools.islice(flows.rk4_states(X, X0, 1e-2), 2)] == [2, 2]
 
 
 def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monkeypatch):
@@ -485,20 +488,18 @@ def test_monodromy_probe_converts_once_per_flow_and_never_calls_j(tmp_path, monk
 # ---------------------------------------------------------------------------
 
 
-def _array_path(fields):
+def _array_path(fields, w=None):
     """The same fields with every lane stripped (X's and J X's): the reference of the lane.
 
-    Where X has a complex form w, X keeps it and J X gets i w, computed
-    here: under ``complex_arrays`` their flows step numpy's complex array
-    z = x + i y, the state the lane's complex z_j stands for.  Otherwise
-    they step the real array state.
+    Given X's complex form w (``complex_x``), X carries it as ``w`` and J X
+    carries i w, computed here: under ``complex_arrays`` their flows step
+    numpy's complex array z = x + i y, the state the lane's complex z_j
+    stands for.  Otherwise they step the real array state.
     """
-    w = fields.X.complex_form
-    return dataclasses.replace(
-        fields,
-        X=VectorField(fields.X.fn, fd=fields.X.fd, name="X", complex_form=w),
-        JX=VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX", complex_form=None if w is None else _i_times(w)),
-    )
+    X = VectorField(fields.X.fn, fd=fields.X.fd, name="X")
+    JX = VectorField(fields.JX.fn, fd=fields.JX.fd, name="JX")
+    X.w, JX.w = w, None if w is None else _i_times(w)
+    return dataclasses.replace(fields, X=X, JX=JX)
 
 
 def _i_times(w):
@@ -519,7 +520,7 @@ def _combination_form(w, a, b):
 
 @pytest.fixture
 def complex_arrays(monkeypatch):
-    """Flows of a field with a complex form w and no lane step numpy's complex array z = x + i y with w.
+    """Flows of a field that carries a complex form ``w`` and no lane step numpy's complex array z = x + i y with w.
 
     This is the array path that the lane's complex state matches, kept as
     its reference: the state is converted once per flow, the stages are
@@ -529,7 +530,7 @@ def complex_arrays(monkeypatch):
     rk4, combo = flows._rk4, flows._combo_field
 
     def on_complex_arrays(V, x0, t, n_steps):
-        w = getattr(V, "complex_form", None)
+        w = getattr(V, "w", None)
         if w is None or V.lane is not None:
             return rk4(V, x0, t, n_steps)
         for z in itertools.islice(flows._array_states(w, to_complex(x0), t / n_steps), n_steps):
@@ -538,8 +539,9 @@ def complex_arrays(monkeypatch):
 
     def combination(fields, a, b):
         V = combo(fields, a, b)
-        if fields.X.complex_form is not None and V.lane is None:
-            V.complex_form = _combination_form(fields.X.complex_form, a, b)
+        w = getattr(fields.X, "w", None)
+        if w is not None and V.lane is None:
+            V.w = _combination_form(w, a, b)
         return V
 
     monkeypatch.setattr(flows, "_rk4", on_complex_arrays)
@@ -551,7 +553,7 @@ def test_central_x_checks_the_q_floor_once_on_arrays_and_on_the_lane():
     # numbers, raises the array's error, and passes a |Q| past the float range, where Python's
     # abs raises and numpy's reads inf
     X = models.build_central_problem().X_hook
-    w, s = X.complex_form, X.scalar_form
+    w, s = complex_x(), lane_function(*X.lane())
     assert [type(c) for c in s((1.0 + 0.5j, 0.5 - 0.25j))] == [complex, complex]
     messages = []
     for f in (s, lambda z: w(np.array(z))):
@@ -567,8 +569,8 @@ def test_central_x_checks_the_q_floor_once_on_arrays_and_on_the_lane():
 @pytest.fixture(scope="module")
 def central_lane():
     fields = assemble_phhs(models.build_central_problem())
-    assert fields.X.scalar_form is not None and fields.JX.scalar_form is not None
-    return fields, _array_path(fields)
+    assert fields.X.lane is not None and fields.JX.lane is not None
+    return fields, _array_path(fields, complex_x())
 
 
 # seeded points about the anchor, the variant-0 anchor itself (+0.0 imaginary parts; a flow in
@@ -584,8 +586,8 @@ def _same_bits(a, b):
 def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
     # X, J X and a combination at seeded points and at points with signed zero parts, against
     # w, i w and a w + (i b) w of X's complex form w at each point and on the whole stack
-    lane, _ = central_lane
-    w = lane.X.complex_form
+    lane, array = central_lane
+    w = array.X.w
     Z = to_complex(util.seeded_points(9, 400, 4, scale=2.0))
     signed = [complex(re, im) for re in (0.0, -0.0, 0.8, -1.3) for im in (0.0, -0.0, 0.6)]
     Z = np.concatenate([Z, [[q, p] for q in signed for p in signed]])
@@ -593,7 +595,8 @@ def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
     for V, form in (
         (lane.X, w), (lane.JX, _i_times(w)), (flows._combo_field(lane, 0.6, -0.8), _combination_form(w, 0.6, -0.8))
     ):
-        values = np.array([V.scalar_form(tuple(z)) for z in Z.tolist()])
+        point = lane_function(*V.lane())
+        values = np.array([point(tuple(z)) for z in Z.tolist()])
         assert _same_bits(values, form(Z))
         assert _same_bits(values, np.array([form(z) for z in Z]))
 
@@ -685,7 +688,8 @@ def test_scalar_lane_box_bounds_each_real_component():
 
 
 # the bigrid models (a constant X on the twisted model, a complex quotient in the oscillator's
-# partials) and models whose f, h, H_R or H vary more, with quotients and powers of coordinates
+# partials) and models whose f, h, H_R or H vary more, with quotients and powers of coordinates;
+# a standard system is its text H (see _built)
 LANE_MODELS = {
     "twisted": (lambda: models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1"), [0.2, 0.1, -0.3, 0.4]),
     "twisted_sin": (lambda: models.build_proper_phhs(f="1", h="2 + sin(x1)", H_R="-y1"), [0.3, -0.2, 0.1, 0.5]),
@@ -693,22 +697,29 @@ LANE_MODELS = {
         lambda: models.build_proper_phhs(f="1 + x2^2/3", h="exp(x2)", H_R="x1*x2 - y1^3/3 + y2/7"),
         [0.2, 0.1, -0.3, 0.4],
     ),
-    "oscillator": (lambda: models.build_standard_hhs(1, "(P1^2 + Q1^2)/2"), [0.4, 0.3, 0.1, -0.2]),
-    "oscillator_shifted": (lambda: models.build_standard_hhs(1, "(P1^2 + Q1^2)/2 + 3/10"), [0.4, 0.3, 0.1, -0.2]),
-    "standard_cubic": (lambda: models.build_standard_hhs(1, "P1^2/3 - Q1^3/7"), [0.3, 0.2, -0.1, 0.1]),
-    "standard_n2": (
-        lambda: models.build_standard_hhs(2, "P1^2/2 + P2"), [0.1, 0.2, -0.3, 0.4, -0.1, 0.2, 0.0, 0.3]
-    ),
+    "oscillator": ("(P1^2 + Q1^2)/2", [0.4, 0.3, 0.1, -0.2]),
+    "oscillator_shifted": ("(P1^2 + Q1^2)/2 + 3/10", [0.4, 0.3, 0.1, -0.2]),
+    "standard_cubic": ("P1^2/3 - Q1^3/7", [0.3, 0.2, -0.1, 0.1]),
+    "standard_n2": ("P1^2/2 + P2", [0.1, 0.2, -0.3, 0.4, -0.1, 0.2, 0.0, 0.3]),
 }
+
+
+def _built(build, x0):
+    """The model ``build`` gives and X's complex form w: a builder's with no w, or the standard system of the text H at x0's dimension."""
+    if callable(build):
+        return build(), None
+    n = len(x0) // 4
+    return models.build_standard_hhs(n, build), complex_x(build, n)
 
 
 @pytest.fixture(scope="module", params=sorted(LANE_MODELS))
 def model_lane(request):
     build, x0 = LANE_MODELS[request.param]
+    model, w = _built(build, x0)
     # twisted_varying is no pseudo-holomorphic system: its J X is a field all the same
-    fields = assemble_phhs(build(), check_closedness=request.param != "twisted_varying")
-    assert fields.X.scalar_form is not None and fields.JX.scalar_form is not None
-    return fields, _array_path(fields), np.array(x0)
+    fields = assemble_phhs(model, check_closedness=request.param != "twisted_varying")
+    assert fields.X.lane is not None and fields.JX.lane is not None
+    return fields, _array_path(fields, w), np.array(x0)
 
 
 def _signed_points(dim):
@@ -725,21 +736,21 @@ def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
     # complex one) and the combinations, at seeded points and at points with signed zeros,
     # against the array form at each point: fn on the real state, and on the complex one w,
     # i w and a w + (i b) w of X's complex form w
-    lane, _, x0 = model_lane
+    lane, array, x0 = model_lane
     dim = x0.size
     P = np.concatenate([util.seeded_points(9, 400, dim, scale=1.5, center=x0), _signed_points(dim)])
-    w = lane.X.complex_form
+    w = array.X.w
     coefficients = [(0.6, -0.8), (np.cos(0.3), np.sin(0.3))]
     fields = [lane.X, lane.JX, *(flows._combo_field(lane, a, b) for a, b in coefficients)]
     forms = None if w is None else [w, _i_times(w), *(_combination_form(w, a, b) for a, b in coefficients)]
     for k, V in enumerate(fields):
-        assert V.scalar_form is not None
+        point = lane_function(*V.lane())
         for p in P:
             if w is not None:
                 z = to_complex(p)
-                assert _same_bits(np.array(V.scalar_form(tuple(z.tolist())), dtype=complex), forms[k](z))
+                assert _same_bits(np.array(point(tuple(z.tolist())), dtype=complex), forms[k](z))
             else:
-                assert _same_bits(np.array(V.scalar_form(tuple(p.tolist()))), np.asarray(V.fn(p), dtype=float))
+                assert _same_bits(np.array(point(tuple(p.tolist()))), np.asarray(V.fn(p), dtype=float))
 
 
 def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
@@ -747,10 +758,11 @@ def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
     # as Python floats: every lane component is a Python float (real state) or complex
     lane, _, x0 = model_lane
     V = flows._combo_field(lane, np.cos(0.3), np.sin(0.3))
-    kind = float if lane.X.complex_form is None else complex
+    kind = complex if on_complex_state(lane.X.lane()[0], x0.size) else float
+    point = lane_function(*V.lane())
     for p in (x0, *_signed_points(x0.size)[::7]):
         q = tuple((p if kind is float else to_complex(p)).tolist())
-        assert {type(c) for c in V.scalar_form(q)} == {kind}, p
+        assert {type(c) for c in point(q)} == {kind}, p
 
 
 def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(
@@ -779,11 +791,11 @@ def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array
 def test_lane_without_a_symbolic_gradient_takes_the_array_path():
     # a callable H_R has no symbolic partials, so X and J X of the twisted model step arrays
     fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R=lambda p: -p[2]))
-    assert fields.X.scalar_form is None and fields.JX.scalar_form is None
+    assert fields.X.lane is None and fields.JX.lane is None
     # a callable f leaves J X as J_g's matrix times X, on arrays: only X takes the lane
     model = models.build_proper_phhs(f=lambda p: 1.0 + 0.1 * p[1] ** 2, h="exp(x1)")
     twisted = assemble_phhs(model, check_closedness=False)
-    assert twisted.X.scalar_form is not None and twisted.JX.scalar_form is None
+    assert twisted.X.lane is not None and twisted.JX.lane is None
     assert _same_bits(
         flow(twisted.JX, X0, 0.3, COARSE), flow(_array_path(twisted).JX, X0, 0.3, COARSE)
     )
@@ -795,16 +807,17 @@ def test_lane_without_a_symbolic_gradient_takes_the_array_path():
         # x1' = x1^2 on the twisted model's X: past the box near t = 1/2
         (lambda: models.build_proper_phhs(H_R="x2*x1^2"), "X", [2.0, 0.1, 0.0, 0.0], 1.0),
         # Q' = Q^2 on a standard system's X
-        (lambda: models.build_standard_hhs(1, "P1*Q1^2"), "X", [2.0, 0.0, 0.0, 0.1], 1.0),
+        ("P1*Q1^2", "X", [2.0, 0.0, 0.0, 0.1], 1.0),
         # J_g X from a start whose y2 lies past the box
         (lambda: models.build_proper_phhs(f="1", h="exp(x1)"), "JX", [0.1, 0.2, 0.3, 2e8], 0.3),
     ],
     ids=["twisted-X", "standard-X", "twisted-JX"],
 )
 def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(complex_arrays, build, which, x0, t):
-    fields = assemble_phhs(build(), check_closedness=False)
+    model, w = _built(build, x0)
+    fields = assemble_phhs(model, check_closedness=False)
     errors = []
-    for f in (fields, _array_path(fields)):
+    for f in (fields, _array_path(fields, w)):
         with pytest.raises(NonFiniteStateError) as info, np.errstate(all="ignore"):
             flow(getattr(f, which), x0, t, CFG)
         errors.append(info.value)
@@ -886,15 +899,14 @@ def _lane_field(name):
         return V, V
     model, _, which = name.partition(" ")
     if model == "central":
-        model = models.build_central_problem()
+        model, w = models.build_central_problem(), complex_x()
     elif model == "standard_inverse":
-        model = models.build_standard_hhs(1, "P1^2/2 - 1/Q1")
+        model, w = _built("P1^2/2 - 1/Q1", X0)
     else:
-        model = LANE_MODELS[model][0]()
+        model, w = _built(*LANE_MODELS[model])
     fields = assemble_phhs(model, check_closedness=False)
     th = 2.0 * np.pi / 64
     dz = complex(-1.0 + np.cos(th), np.sin(th))
-    w = fields.X.complex_form
     if which in ("X", "JX"):
         V = getattr(fields, which)
         return V, V if w is None else w if which == "X" else _i_times(w)
@@ -911,7 +923,7 @@ def _lane_states(V, y, h):
     body, args = V.lane()
     complex_state = type(y[0]) is complex
     values = (*flows._coefficients(complex_state, h), *args)
-    return flows._lane_states(flows._lane_stepper(len(body.results), body, complex_state), values, [y], h, False)
+    return flows._lane_states(flows._lane_stepper(len(body.results), body, complex_state), values, [y], h)
 
 
 def _same_up_to_nans(a, b):
@@ -935,8 +947,8 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     # keeps its NaN places and the bits of its other components
     name = LANE_FIELDS[k]
     V, form = _lane_field(name)
-    s = V.scalar_form
-    assert V.lane is not None and s is not None
+    assert V.lane is not None
+    s = lane_function(*V.lane())
     array_forms = [lambda p: np.array(s(tuple(p.tolist()))), form]
     h = 0.05
     if form is not V:
@@ -1034,7 +1046,7 @@ def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bi
 def test_lane_stepper_runs_n_steps_as_n_single_steps():
     # one call for a whole flow and one call per step give the same state, as does rk4_step
     fields = assemble_phhs(models.build_central_problem())
-    w, (lane, args) = fields.X.complex_form, fields.X.lane()
+    w, (lane, args) = complex_x(), fields.X.lane()
     z0 = to_complex(X0)
     h = 1e-3
     coefficients = (*flows._coefficients(True, h), *args)

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from phhs import models
+from phhs.expressions import lane_function
 from phhs.flows import FlowConfig, flow, tilted_flow
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import seeded_points
@@ -80,7 +81,8 @@ def compute(name):
     if name in ("proper_phhs", "twisted_varying"):
         stacks += (("signed", SIGNED_ZEROS),)
         for V in (fields.X, fields.JX):
-            out[f"{V.name}_lane_signed"] = [V.scalar_form(tuple(q)) for q in SIGNED_ZEROS.tolist()]
+            point = lane_function(*V.lane())
+            out[f"{V.name}_lane_signed"] = [point(tuple(q)) for q in SIGNED_ZEROS.tolist()]
     for label, pts in stacks:
         out[f"J_{label}"] = model.J(pts)
         out[f"X_{label}"] = fields.X(pts)
@@ -110,7 +112,7 @@ def test_single_point_flows_take_the_lane_where_x_has_a_scalar_form():
     # the central problem, the text H's and the torus default (the text sum_j P_j^2/2) pin the
     # lane, the callable the array path
     lanes = {
-        name: assemble_phhs(build(), check_closedness=name not in NOT_CLOSED).X.scalar_form is not None
+        name: assemble_phhs(build(), check_closedness=name not in NOT_CLOSED).X.lane is not None
         for name, build in MODELS.items()
     }
     assert lanes == {

@@ -17,6 +17,8 @@ from phhs.hamiltonian import assemble_phhs, integrability_report
 from phhs.tensors import acs_residual, anticompat_residual
 from phhs.util import from_complex, grid_points, seeded_points, standard_j_matrix, to_complex
 
+from conftest import complex_x
+
 
 # ---------------------------------------------------------------------------
 # standard systems
@@ -279,7 +281,7 @@ def test_twisted_j_x_rows_with_a_zero_x_factor_are_zero_where_h_overflows():
     fields = assemble_phhs(model)
     p = np.array([710.0, 0.1, -0.3, 0.4])
     with np.errstate(all="ignore"):
-        lane = np.array(fields.JX.scalar_form(tuple(p.tolist())))
+        lane = np.array(expressions.lane_function(*fields.JX.lane())(tuple(p.tolist())))
         point, stack = fields.JX(p), fields.JX(np.array([p, p]))
         product = matvec(model.J(p), fields.X(p))
     for value in (lane, point, *stack):
@@ -288,7 +290,7 @@ def test_twisted_j_x_rows_with_a_zero_x_factor_are_zero_where_h_overflows():
     # inside the float range the rows are the matrix product's, signed zeros included
     for q in (np.array([709.0, 0.1, -0.3, 0.4]), np.array([-0.5, 0.0, -0.0, 2.0])):
         assert fields.JX(q).tobytes() == matvec(model.J(q), fields.X(q)).tobytes()
-        assert np.array(fields.JX.scalar_form(tuple(q.tolist()))).tobytes() == fields.JX(q).tobytes()
+        assert np.array(expressions.lane_function(*fields.JX.lane())(tuple(q.tolist()))).tobytes() == fields.JX(q).tobytes()
 
 
 def test_zero_denominator_rejected():
@@ -463,12 +465,12 @@ def test_generated_lane_forms_equal_the_complex_forms_at_the_point(H):
     # i w and a w + (i b) w of X's complex form w at the point, bit for bit, and every lane
     # component a Python complex
     fields = assemble_phhs(models.build_standard_hhs(1, H))
-    w = fields.X.complex_form
+    w = complex_x(H)
     a, ib = 0.6 + 0j, -0.8j
     forms = (w, lambda z: 1j * w(z), lambda z: a * w(z) + ib * w(z))
     for V, form in zip((fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)), forms):
         for z in LANE_POINTS:
-            lane = V.scalar_form(tuple(z.tolist()))
+            lane = expressions.lane_function(*V.lane())(tuple(z.tolist()))
             assert [type(c) for c in lane] == [complex, complex], (V.name, z)
             assert np.array(lane).tobytes() == np.asarray(form(z)).tobytes(), (V.name, z)
 
@@ -512,7 +514,7 @@ def test_twisted_lane_forms_equal_the_array_forms_at_the_point(H, h, g):
     with np.errstate(all="ignore"):
         for V in (fields.X, fields.JX, flows._combo_field(fields, np.cos(0.6), np.sin(0.6))):
             for p in TWISTED_POINTS:
-                lane = V.scalar_form(tuple(p.tolist()))
+                lane = expressions.lane_function(*V.lane())(tuple(p.tolist()))
                 assert [type(c) for c in lane] == [float] * 4, (V.name, p)
                 assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
 
@@ -524,7 +526,7 @@ def test_twisted_lane_keeps_python_floats_where_numpy_steps_in():
     with np.errstate(all="ignore"):
         for p in (np.array([-3.0, 0.0, 0.5, 0.3]), np.array([-3.0, -0.0, -0.5, 0.3])):
             for V in (fields.X, fields.JX):
-                lane = V.scalar_form(tuple(p.tolist()))
+                lane = expressions.lane_function(*V.lane())(tuple(p.tolist()))
                 assert [type(c) for c in lane] == [float] * 4, (V.name, p)
                 assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
                 assert not np.isfinite(lane).all()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from phhs import morse
+from textwrap import indent
+
+from phhs import expressions, flows, morse
 from phhs.errors import NonFiniteStateError, NoReturnError, ZeroDenominatorError
 from phhs.expressions import lane_function
 from phhs.fields import ScalarField, VectorField
@@ -225,18 +227,19 @@ def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
     F = morse.hamiltonian_flow_field(system)
     interp = morse._period_interpolant(system)
     inf, nan = np.inf, np.nan
+    scalar_form = lane_function(*F.lane())
     for x, y in [(0.3, -0.4), (1.0, 0.9), (-0.1, 1.5), (0.0, inf), (0.0, -inf), (0.0, nan), (0.5, 1e300)]:
         r = np.sqrt(x * x + y * y)
         q = float(interp(min(r, morse.RMAX))) / system.T / float(system.v(np.array([x, y])))
         with np.errstate(all="ignore"):
             expected = np.array([-2.0 * y * q, 2.0 * x * q])
             array = F.fn(np.array([x, y]))
-        scalar = F.scalar_form((x, y))
+        scalar = scalar_form((x, y))
         assert all(type(c) is float for c in scalar)
         assert np.array(scalar).tobytes() == array.tobytes() == expected.tobytes()
     for x, y in [(1.5, 0.0), (2.0**0.5, 0.0), (-inf, 0.3), (nan, 0.0)]:
         with pytest.raises(ZeroDenominatorError, match="conformal factor v = ") as scalar:
-            F.scalar_form((x, y))
+            scalar_form((x, y))
         with pytest.raises(ZeroDenominatorError) as array, np.errstate(all="ignore"):
             F.fn(np.array([x, y]))
         assert str(scalar.value) == str(array.value)
@@ -244,8 +247,11 @@ def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
             assert str(scalar.value) == "conformal factor v = -0.25 at point [1.5, 0.0]; v must be positive and finite"
 
 
-@pytest.mark.parametrize("v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1"])
+@pytest.mark.parametrize(
+    "v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1", 1.5, lambda p: 1.0 + p[0] ** 2], ids=["text-1", "text-2", "text-3", "number", "callable"]
+)
 def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, monkeypatch):
+    # text v is written into the orbit's lane, a number or a callable is called from it
     system = PlanarSystem(v=v, T=np.pi)
     orbit_field = morse.hamiltonian_flow_field
     assert orbit_field(system).lane is not None
@@ -255,6 +261,29 @@ def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, mo
     array = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
     assert np.array(lane).tobytes() == np.array(array).tobytes()
     assert max(abs(T - np.pi) for T in lane) < 1e-5
+
+
+@pytest.mark.parametrize("v", ["1 + x1^2", "2 + sin(x1) * y1", "1/(1 + x1^2) + y1^2"])
+def test_text_v_is_written_into_each_stage_of_the_orbit_stepper(v, monkeypatch):
+    # v's own lane, its locals renamed _v..., takes the place of a call of v: the generated
+    # stepper holds each of v's lines once per RK4 stage, and a number v keeps the one call line
+    sources = []
+
+    def recorded(source, *args, **names):
+        sources.append(source)
+        return generated(source, *args, **names)
+
+    generated = flows.generated
+    monkeypatch.setattr(flows, "generated", recorded)
+    text = PlanarSystem(v=v, T=np.pi)
+    for system in (text, PlanarSystem(v=1.5, T=np.pi)):
+        body, _ = morse.hamiltonian_flow_field(system).lane()
+        flows._lane_stepper.__wrapped__(2, body, False)
+    inline, called = sources
+    v_lines = expressions._renamed(text.v.lane()[0], "_v").lines
+    assert v_lines and "_v(" not in inline
+    assert all(inline.count(indent(line, " " * 12)) == 4 for line in v_lines)
+    assert inline.count("_vp = float(") == 4 and called.count("_vp = float(_v((_p0, _p1)))") == 4
 
 
 def test_ring_and_ray_stacks_equal_the_pointwise_loop(quad_system):

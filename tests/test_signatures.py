@@ -14,8 +14,7 @@ import pytest
 from phhs import actions, connections, fields, frames, hamiltonian, models, morse, tensors
 
 SIGNATURES = {
-    fields.VectorField: "fn, fd, name, complex_form, lane",
-    fields.holomorphic_map: "X, fn, name, formula, coefficients",
+    fields.VectorField: "fn, fd, name, lane",
     fields.constant_matrix_field: "M, name",
     fields.constant_two_form_field: "W, name",
     actions.segment_action: "fields, curve, alpha, parts",
