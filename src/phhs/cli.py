@@ -408,6 +408,8 @@ def run_monodromy(c, outdir, scale):
 
 def run_action_check(c, outdir, scale):
     model, nt, ns, disp = c["model"], c["nt"], c["ns"], c["displace"]
+    if min(nt, ns) < 2:  # the action sums cells, and a cell spans two nodes on each axis
+        raise ConfigError(f"action-check needs nt and ns of at least 2, got nt = {nt} and ns = {ns}")
     if disp is not None:
         (i, j), k = disp["node"], disp["coord"]
         if not (0 <= i < nt and 0 <= j < ns):

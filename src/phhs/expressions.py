@@ -16,10 +16,11 @@ is an error at that point.  :func:`compile_points` (one expression) and
 :func:`compile_vector` (the components of a field, complex on C^m or real on
 the real layout, one source) are the routes from text to a field's
 function: it takes a point or an ``(N, dim)`` stack of points, one per row.
-Every compiled text has one single-point form, its :class:`Lane` (the
-``lane`` attribute): the value at one point of Python numbers as text, with
-numpy's bits, which the flows write inline into their generated steppers
-and :func:`lane_function` writes out as a function.  Formulas of a few
+Every compiled text has one single-point form, its :class:`Lane`, which
+the ``lane`` attribute holds with the values of its args (a constant's is
+its number, :func:`literal_lane`): the value at one point of Python
+numbers as text, with numpy's bits, which the flows write inline into their
+generated steppers and :func:`lane_function` writes out as a function.  Formulas of a few
 named values, such as the RK4 stage, are text too
 (:func:`formula_function`), and so is :func:`quotient`.  Every generated
 text, its literals written into it, is compiled once per process
@@ -197,8 +198,8 @@ class Lane(tuple):
     read (literals, imports), and ``args`` the names of the values the caller
     passes in: coefficients, and functions that a line calls.  A line may
     raise: that is the value's error at that point.  A tuple of these
-    texts, so that equal lanes are one cache key.  A lane travels as a
-    function of no arguments returning it and the values of its ``args``.
+    texts, so that equal lanes are one cache key.  A lane travels as the
+    pair of it and the values of its ``args``.
     """
 
     __slots__ = ()
@@ -222,6 +223,12 @@ def lane_function(lane, values=()):
     ]
     point = generated("\n".join(source), "<lane>")["_point"]
     return (lambda q: point(q, *values)) if values else point
+
+
+def literal_lane(*values):
+    """The lane of the numbers ``values``, no args: each distinct literal bound once as :func:`_literal` writes it."""
+    literals = {text: f"_c{k}" for k, text in enumerate(dict.fromkeys(map(_literal, values)))}
+    return Lane(tuple(f"{name} = {text}" for text, name in literals.items()), (), tuple(literals[_literal(v)] for v in values)), ()
 
 
 def _renamed(lane, prefix):
@@ -249,17 +256,11 @@ def lane_map(formula, coefficients, **lanes):
 
     ``formula`` names each lane of ``lanes`` by its keyword, as ``{v}``,
     and reads the ``coefficients`` (name -> value) by name; a lane here is
-    the function of no arguments that gives a :class:`Lane` and the values
-    of its args, and so is the one returned.
+    the pair of a :class:`Lane` and the values of its args, and so is the
+    one returned.
     """
-    names, values = tuple(coefficients), tuple(coefficients.values())
-
-    def lane():
-        parts = {key: part() for key, part in lanes.items()}
-        mapped = _mapped(formula, names, **{key: body for key, (body, _) in parts.items()})
-        return mapped, sum((args for _, args in parts.values()), values)
-
-    return lane
+    mapped = _mapped(formula, tuple(coefficients), **{key: body for key, (body, _) in lanes.items()})
+    return mapped, sum((args for _, args in lanes.values()), tuple(coefficients.values()))
 
 
 _Token = namedtuple("_Token", "kind text pos")
@@ -506,7 +507,7 @@ def _compile(roots, binding, label, dtype=None):
     that dtype (complex or float): the function takes a point or an
     ``(N, dim)`` stack and returns ``(..., len(roots))`` components.
 
-    The ``lane`` attribute gives the function's single-point form, a
+    The ``lane`` attribute is the function's single-point form, a
     :class:`Lane` and no args: the same operations on the point's
     components as Python numbers ``_p0``, ``_p1``, ..., one result per
     component, with numpy's bits.  Each quotient is written out, as
@@ -595,7 +596,7 @@ def _compile(roots, binding, label, dtype=None):
     points = tuple(read(line) for line in points if line.partition(" = ")[0] not in copies)
     lane = Lane(constants, points, tuple(read(result) for result in results))
     fn = generated("\n".join(source), f"<expression {label!r}>")["_fn"]
-    fn.lane = lambda: (lane, ())
+    fn.lane = lane, ()
     return fn
 
 
@@ -666,8 +667,9 @@ def compile_points(expr, names, cast=None):
 
     ``names`` is the binding of :meth:`Expression.compile`.  A constant is
     evaluated once, when the function is built, passed through ``cast`` and
-    broadcast to the input's rows; any other expression's function carries
-    the compiled ``lane``, its value at one point of Python numbers with the
+    broadcast to the input's rows, and its ``lane`` is that number
+    (:func:`literal_lane`); any other expression's function carries the
+    compiled ``lane``, its value at one point of Python numbers with the
     bits the function gives that point's array.
     """
     if isinstance(expr, str):
@@ -687,6 +689,7 @@ def compile_points(expr, names, cast=None):
     def constant(p):
         return c if p.ndim == 1 else np.full(p.shape[:-1], c)
 
+    constant.lane = literal_lane(c)
     return constant
 
 
@@ -708,7 +711,7 @@ def compile_vector(exprs, names, dtype=complex):
     ``float`` is the real layout of real-valued trees: the lane's results
     are Python floats.  Where every component is a folded number nothing
     compiles: the function fills its rows with those numbers, and its lane
-    binds them as constants, as ``_compile`` binds its literals.
+    is theirs (:func:`literal_lane`), as ``_compile`` binds its literals.
     """
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
@@ -722,7 +725,5 @@ def compile_vector(exprs, names, dtype=complex):
         out[...] = row
         return out
 
-    literals = {text: f"_c{k}" for k, text in enumerate(dict.fromkeys(map(_literal, values)))}
-    lane = Lane(tuple(f"{name} = {text}" for text, name in literals.items()), (), tuple(literals[_literal(v)] for v in values))
-    fn.lane = lambda: (lane, ())
+    fn.lane = literal_lane(*values)
     return fn

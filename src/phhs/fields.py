@@ -23,16 +23,16 @@ complex arithmetic numpy rounds differently on a scalar and on an array
 (one unit in the last place), and other text with some real powers and
 complex products.
 
-A vector field's one single-point form is its ``lane``, an
-:class:`~phhs.expressions.Lane`: the field at one point as text on Python
-numbers, with the array form's bits, which every flow writes into its
-stepper (:mod:`phhs.flows`) and :func:`~phhs.expressions.lane_function`
-writes out as a function.  For text, the array and lane forms come from
-one compiled source: X on the models with J = i, whose lane steps complex
-z_j (:func:`on_complex_state`) and under whose J X and a X + b J X
-:func:`~phhs.expressions.lane_map` puts one formula each, and X and J_g X
-on the twisted model.  The Morse orbit field is a lane written in
-:mod:`phhs.morse`.
+A vector field's one single-point form is its ``lane``, the pair of an
+:class:`~phhs.expressions.Lane` and the values of its args: the field at
+one point as text on Python numbers, with the array form's bits, which
+every flow writes into its stepper (:mod:`phhs.flows`) and
+:func:`~phhs.expressions.lane_function` writes out as a function.  For
+text, the array and lane forms come from one compiled source: X on the
+models with J = i, whose lane steps complex z_j (:func:`on_complex_state`)
+and under whose J X and a X + b J X :func:`~phhs.expressions.lane_map`
+puts one formula each, and X and J_g X on the twisted model.  The Morse
+orbit field is a lane written in :mod:`phhs.morse`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compile_points
+from .expressions import compile_points, literal_lane
 from .util import as_points, max_abs
 
 
@@ -85,9 +85,10 @@ def rowwise(fn):
 def stack_function(entry, names, cast):
     """A user entry as a stack function.
 
-    A constant is broadcast, text is compiled against ``names``
-    (:func:`~phhs.expressions.compile_points`), a Field is taken as it is and
-    a callable of one point is lifted by :func:`rowwise`.
+    A number is broadcast and its ``lane`` is that number
+    (:func:`~phhs.expressions.literal_lane`), text is compiled against
+    ``names`` (:func:`~phhs.expressions.compile_points`), a Field is taken
+    as it is and a callable of one point is lifted by :func:`rowwise`.
     """
     if isinstance(entry, str):
         return compile_points(entry, names, cast)
@@ -96,7 +97,9 @@ def stack_function(entry, names, cast):
     if callable(entry):
         return rowwise(entry)
     c = cast(entry)
-    return lambda p: np.full(p.shape[:-1], c)
+    constant = lambda p: np.full(p.shape[:-1], c)  # noqa: E731
+    constant.lane = literal_lane(c)
+    return constant
 
 
 def matvec(M, v):
@@ -158,9 +161,9 @@ class ScalarField(Field):
 class VectorField(Field):
     """Real vector field, returned in coordinate components.
 
-    ``lane``, when given, is the field at one point as generated code: a
-    function of no arguments that returns a
-    :class:`~phhs.expressions.Lane` and the values of its args.  The point
+    ``lane``, when given, is the field at one point as generated code: the
+    pair of a :class:`~phhs.expressions.Lane` and the values of its args,
+    as every compiled function's ``lane`` attribute holds it.  The point
     and the value are tuples of Python numbers, with the array form's bits
     there: complex z_j or real coordinates (:func:`on_complex_state`).
     Every flow of the field writes the lane into its stepper

@@ -250,7 +250,7 @@ def _lane_start(V, x0, h):
     """V's lane stepper, the values it takes after step h and the rows of ``x0`` as tuples; None without a lane."""
     if getattr(V, "lane", None) is None:
         return None
-    body, args = V.lane()
+    body, args = V.lane
     complex_state = on_complex_state(body, x0.shape[-1])
     rows = np.atleast_2d(to_complex(x0) if complex_state else x0)
     values = (*_coefficients(complex_state, h), *args)
@@ -506,7 +506,7 @@ def _combo_field(fields, a, b):
 
     if X.lane is None or JX.lane is None:
         return VectorField(fn, fd=X.fd, name="combo")
-    if on_complex_state(X.lane()[0], fields.model.dim):
+    if on_complex_state(X.lane[0], fields.model.dim):
         lane = lane_map("a * {v} + ib * {v}", {"a": complex(a), "ib": 1j * b}, v=X.lane)
     else:
         lane = lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane)

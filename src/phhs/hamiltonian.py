@@ -353,7 +353,7 @@ def assemble_phhs(model, check_closedness=True):
 
     if model.JX_hook is not None:
         JX = model.JX_hook
-    elif getattr(X, "lane", None) is not None and on_complex_state(X.lane()[0], model.dim) and np.array_equal(
+    elif getattr(X, "lane", None) is not None and on_complex_state(X.lane[0], model.dim) and np.array_equal(
         getattr(model.J, "matrix", None), standard_j_matrix(model.m)
     ):
         JX = VectorField(jx_fn, fd=X.fd, name="JX", lane=lane_map("1j * {v}", {}, v=X.lane))

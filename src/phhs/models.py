@@ -18,7 +18,6 @@ charted as (Q_x, P_x, Q_y, P_y) -> (x_1, x_2, y_1, y_2).
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -236,7 +235,7 @@ def _q_floor_checked(w):
     since Python's |Q| overflows past the float range, where numpy's reads
     inf.
     """
-    body, values = w.lane()
+    body, values = w.lane
     test = f"if {-Q_FLOOR!r} < _p0.real < {Q_FLOOR!r} and {-Q_FLOOR!r} < _p0.imag < {Q_FLOOR!r}:\n    _q_floor((_p0, _p1))"
     lane = Lane(body.constants, (test, *body.lines), body.results, (*body.args, "_q_floor")), (*values, _q_floor)
 
@@ -244,7 +243,7 @@ def _q_floor_checked(w):
         _q_floor(z)
         return w(z)
 
-    checked.lane = lambda: lane
+    checked.lane = lane
     return checked
 
 
@@ -489,17 +488,6 @@ def _twist_entries(f_val, h_val):
     )
 
 
-def _compiled_field(exprs, name):
-    """The field of real-valued trees on the real layout of C^2 and its lane, one compile at its first call."""
-    @cache
-    def compiled():  # at the first call, then in place of the stub below (a scan of J alone never compiles)
-        field.fn = compile_vector(exprs, coordinate_names(2), float)
-        return field.fn
-
-    field = VectorField(lambda p: compiled()(p), name=name, lane=lambda: compiled().lane())
-    return field
-
-
 def _real_text(v, own):
     """A number or text as an Expression, if it reads the names ``own`` alone (x_j, y_j: its values are real); else None."""
     v = str(float(v)) if isinstance(v, (int, float)) else v
@@ -524,8 +512,8 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     J_g X from the products of :func:`_twist_entries` on the f and h trees,
     each times its component of X, or 0.0 where that component folded to a
     number zero.  Each is one real-layout source
-    (:func:`~phhs.expressions.compile_vector`, compiled at the field's first
-    call) for arrays and the lane, its components summed onto +0.0 as
+    (:func:`~phhs.expressions.compile_vector`, compiled at the build) for
+    arrays and the lane, its components summed onto +0.0 as
     numpy's matrix product sums a row with one nonzero term: the bits of
     ``matvec(W^-1, grad H_R)`` and ``matvec(J_g, X)`` wherever these are
     finite.  Where an entry is inf or NaN, the matrix product makes NaN
@@ -554,11 +542,14 @@ def build_proper_phhs(f=1.0, h=1.0, H_R="-y1"):
     if H_e is not None and H_grad is not None:
         grads = [H_e.diff(name) for name in own]
         X_e = [grads[k] * float(W_inv[j, k]) + 0.0 for j, k in zip(*np.nonzero(W_inv))]
-        X = _compiled_field(X_e, "X")
+        X_fn = compile_vector(X_e, own, float)
+        X = VectorField(X_fn, name="X", lane=X_fn.lane)
         if f_e is not None and h_e is not None:
             # row i of J_g has its one entry in column k; a row whose X factor is a number zero is 0.0
             rows, zero = zip(_twist_entries(f_e, h_e), (2, 3, 0, 1)), Expression(("num", 0.0), "0.0")
-            JX = _compiled_field([zero if X_e[k].ast == zero.ast else e * X_e[k] + 0.0 for e, k in rows], "JX")
+            JX_e = [zero if X_e[k].ast == zero.ast else e * X_e[k] + 0.0 for e, k in rows]
+            JX_fn = compile_vector(JX_e, own, float)
+            JX = VectorField(JX_fn, name="JX", lane=JX_fn.lane)
 
     model = PhhsModel(
         m=2,

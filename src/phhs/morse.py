@@ -24,8 +24,8 @@ of one point lifted row by row.  The angular average evaluates v once per
 ring of N_PHI + 1 angles and the area law once per ray of N_R + 1 radial
 nodes; only the orbit's field evaluates it at one point per RK4 stage.
 That field is a lane (:class:`~phhs.expressions.Lane`), which the flow
-writes into its generated stepper: v's own compiled lane written inline
-where v is text, and it reads T_hat through :func:`_clenshaw`,
+writes into its generated stepper: v's own lane written inline where v
+is text or a number, and it reads T_hat through :func:`_clenshaw`,
 ``Chebyshev.__call__`` as straight-line code on Python floats: an orbit of
 text v gives the same bits with no numpy call and no loop per stage.
 A v that is not positive and finite on a ring of the angular average (and
@@ -44,7 +44,7 @@ from scipy.optimize import brentq
 
 from .errors import NoReturnError, ZeroDenominatorError
 from .expressions import Lane, _literal, _renamed, lane_function
-from .fields import VectorField, stack_function
+from .fields import VectorField, rowwise, stack_function
 from .flows import FlowConfig, rk4_states
 from .util import coordinate_names
 
@@ -161,17 +161,18 @@ def hamiltonian_flow_field(sys, rescale=True):
 
     Without rescaling the Hamiltonian is x^2 + y^2 itself and orbit periods
     are radius dependent.  The field is its lane: v, written inline from
-    its own lane (its locals renamed ``_v...``) where v is text and called
-    on the point's array otherwise, as a Python float, then a line that
-    raises where v is not positive and finite, and T_hat's code
-    (:func:`_clenshaw`, made once per system) on min(r, RMAX); its array
-    form is the function generated from the lane.
+    its own lane (its locals renamed ``_v...``) where v has one (text or a
+    number), and called on the point's array where it has none (a callable
+    or a Field), as a Python float, then a line that raises where v is not
+    positive and finite, and T_hat's code (:func:`_clenshaw`, made once per
+    system) on min(r, RMAX); its array form is the function generated from
+    the lane, row by row on a stack.
     """
     constants = ("from math import inf as _inf, sqrt as _fsqrt",)
     if getattr(sys.v, "lane", None) is None:
         v_lines, args, values = ("_vp = float(_v((_p0, _p1)))",), ("_v",), (lambda q: sys.v(np.array(q)),)
     else:
-        body, values = sys.v.lane()
+        body, values = sys.v.lane
         body = _renamed(body, "_v")
         constants += body.constants
         v_lines, args = (*body.lines, f"_vp = float({body.results[0]})"), body.args
@@ -191,7 +192,8 @@ def hamiltonian_flow_field(sys, rescale=True):
         lines += ("_q = 1.0 / _vp",)
     lane = Lane(constants, lines, ("-2.0 * _p1 * _q", "2.0 * _p0 * _q"), (*args, "_bad_factor"))
     values = (*values, _bad_factor)
-    return VectorField(lambda p: np.array(lane_function(lane, values)(tuple(p.tolist()))), name="orbit", lane=lambda: (lane, values))
+    array = rowwise(lambda p: np.array(lane_function(lane, values)(tuple(p.tolist()))))
+    return VectorField(array, name="orbit", lane=(lane, values))
 
 
 def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):

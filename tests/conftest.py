@@ -11,7 +11,7 @@ from phhs.util import coordinate_names
 
 def scalar_lane(fn):
     """The value of the compiled scalar ``fn`` at one point of Python numbers: the function its Lane writes out, unpacked."""
-    point = lane_function(*fn.lane())
+    point = lane_function(*fn.lane)
     return lambda q: point(q)[0]
 
 

@@ -293,6 +293,17 @@ def test_action_check_rejects_a_displacement_off_the_grid(tmp_path, capsys, disp
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("nt, ns, code", [(1, 5, 3), (5, 1, 3), (1, 1, 3), (2, 2, 0)])
+def test_action_check_needs_two_nodes_on_each_axis(tmp_path, capsys, nt, ns, code):
+    # the action sums the grid's cells: a one-node axis has none, and was an IndexError
+    scenario = {"model": _OSCILLATOR, **_GRID, "nt": nt, "ns": ns, "displace": {"node": [0, 0]}}
+    out = tmp_path / "o"
+    assert main(["action-check", "--config", write_config(tmp_path, "cfg.json", scenario), "--out", str(out)]) == code
+    if code:
+        assert f"action-check needs nt and ns of at least 2, got nt = {nt} and ns = {ns}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 def test_linalg_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError, but a singular solve is not a configuration error
     def singular(cfg, outdir, scale):
@@ -614,7 +625,7 @@ def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch, rk
 
     def recorded(sys, rescale=True):
         field = orbit_field(sys, rescale)
-        lanes.append((sys.v, field.lane()[0]))
+        lanes.append((sys.v, field.lane[0]))
         return field
 
     monkeypatch.setattr(morse, "_clenshaw", counted)
@@ -623,7 +634,7 @@ def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch, rk
     assert rk4_steps == {"lane": 9426}
     assert len(generated) == 1 and len(lanes) == 3
     for v, lane in lanes:
-        v_lines = expressions._renamed(v.lane()[0], "_v").lines
+        v_lines = expressions._renamed(v.lane[0], "_v").lines
         assert v_lines and "_v" not in lane.args and not any("_v(" in line for line in lane.lines)
         assert all(lane.lines.count(line) == 1 for line in v_lines)
 

@@ -129,7 +129,7 @@ def test_derivatives_are_sympys(text, var, point):
 def test_the_oscillators_x_is_one_operation_or_two_per_component():
     # X = (dH/dP1, -dH/dQ1) of H = (P1^2 + Q1^2)/2: d(u/2) is u'/2 and (2 P1)/2 folds to P1, the
     # alias partials that folded to 0.0 are not summed, so X reads P1 and negates Q1
-    lane, args = models.build_standard_hhs(1, "(P1^2 + Q1^2)/2").X_hook.lane()
+    lane, args = models.build_standard_hhs(1, "(P1^2 + Q1^2)/2").X_hook.lane
     assert (lane.constants, lane.lines, lane.results, args) == ((), ("_t2 = -_p0",), ("_p1", "_t2"), ())
 
 
@@ -278,7 +278,7 @@ def test_the_inline_quotient_is_quotient_and_falls_back_to_it_on_zero_and_nan_di
     complex_fn = compile_vector(["z1/z2"], coordinate_names(2, "complex"))
     real_fn = compile_vector(["x1/x2"], coordinate_names(2), float)
     mixed_fn = compile_points("z1/x2", coordinate_names(2))  # a complex by a float
-    complex_point, real_point = (lane_function(*fn.lane()) for fn in (complex_fn, real_fn))
+    complex_point, real_point = (lane_function(*fn.lane) for fn in (complex_fn, real_fn))
     mixed_point = scalar_lane(mixed_fn)
     parts = [complex(a, b) for a in SPECIAL for b in SPECIAL[::2]]
     zero_or_nan = 0
@@ -312,7 +312,7 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
     from phhs.fields import VectorField
 
     fn = compile_vector(["x2/x1", "1/(x1 - y1)", "x1 * y2", "y2"], coordinate_names(2), float)
-    (lane, _), V = fn.lane(), VectorField(fn, name="quotients", lane=fn.lane)
+    (lane, _), V = fn.lane, VectorField(fn, name="quotients", lane=fn.lane)
     point = lane_function(lane)
     assert sum("_divide" in line for line in lane.lines) == 2 and "type(" not in "\n".join(lane.lines)
     divisors = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]
@@ -368,15 +368,15 @@ def test_a_vector_of_folded_numbers_compiles_nothing(monkeypatch):
     compiled = {dtype: expressions._compile(roots[dtype], names, "folded", dtype) for dtype in (float, complex)}
     P = np.concatenate([seeded_points(4, 5, 4), [[0.0, -0.0, np.nan, np.inf]]])
     # its lane's function, compiled at its first call
-    points = {dtype: lane_function(*compiled[dtype].lane())(tuple(P[0].tolist())) for dtype in (float, complex)}
+    points = {dtype: lane_function(*compiled[dtype].lane)(tuple(P[0].tolist())) for dtype in (float, complex)}
     monkeypatch.setattr(builtins, "compile", None)
     for dtype in (float, complex):
         fn = expressions.compile_vector([expressions.Expression(t) for t in trees], names, dtype)
         for p in (P, P[0]):
             assert _same_bits(fn(p), compiled[dtype](p)) and fn(p).shape == compiled[dtype](p).shape
-        lane, args = fn.lane()
+        lane, args = fn.lane
         assert lane.lines == () and args == () and len(lane.results) == len(values)
-        assert (lane, args) == compiled[dtype].lane()
+        assert (lane, args) == compiled[dtype].lane
         point = lane_function(lane)(tuple(P[0].tolist()))
         assert _same_bits(np.array(point), np.array(points[dtype]))
     assert values[:4] == [-0.0, -0.0, -1.0, -0.0] and [math.copysign(1.0, v.real) for v in point] == [-1.0] * 5 + [1.0]
@@ -485,14 +485,14 @@ def test_point_path_is_needed_for_complex_quotients():
     Z = to_complex(np.random.default_rng(6).standard_normal((5000, 4)))
     plain = sum(not _same_bits(np.complex128(fn(tuple(z.tolist()))), fn(z)) for z in Z)
     assert plain > 500
-    lane, args = fn.lane()
+    lane, args = fn.lane
     quotients = [line for line in lane.lines if line.startswith("try:")]
     assert args == () and len(quotients) == 1 and "_scl = 1.0 / (_br + _bi * _rat)" in quotients[0]
     point = scalar_lane(fn)
     assert all(_same_bits(np.complex128(point(tuple(z.tolist()))), fn(z)) for z in Z)
     # with no quotient or power of a coordinate the Lane is the array function's operations,
     # each coordinate read as _p<k>
-    lane, _ = compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).lane()
+    lane, _ = compile_points("exp(x1) * x2 - 1/4", coordinate_names(2)).lane
     assert lane.lines == ("_t1 = _exp(_p0)", "_t3 = _t1 * _p1", "_t4 = _c0 / _c1", "_t5 = _t3 - _t4")
 
 

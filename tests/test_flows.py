@@ -276,7 +276,7 @@ def _real_path(fields):
 def holomorphic(request):
     model, x0 = HOLOMORPHIC[request.param]
     fields = assemble_phhs(model)
-    assert on_complex_state(fields.X.lane()[0], fields.model.dim) and fields.JX.lane is not None
+    assert on_complex_state(fields.X.lane[0], fields.model.dim) and fields.JX.lane is not None
     return fields, _real_path(fields), np.array(x0)
 
 
@@ -356,7 +356,7 @@ def test_complex_state_box_bounds_each_real_component():
 def test_a_complex_form_with_a_j_not_known_to_be_i_takes_the_real_path(J):
     model = dataclasses.replace(models.build_central_problem(), J=J, H_I_hook=None)
     fields = assemble_phhs(model)
-    assert on_complex_state(fields.X.lane()[0], fields.model.dim) and fields.JX.lane is None
+    assert on_complex_state(fields.X.lane[0], fields.model.dim) and fields.JX.lane is None
     P = np.array([X0, [1.1, 0.4, 0.1, -0.2], [0.9, 0.6, -0.1, 0.1]])
     assert np.array_equal(fields.JX(P), matvec(J(P), fields.X(P)))
     assert np.array_equal(flow(fields.JX, X0, 0.4, COARSE), flow(_real_path(fields).JX, X0, 0.4, COARSE))
@@ -406,7 +406,7 @@ def _far_field():
         return np.ones(p.shape)
 
     lane = Lane((), ("if _p0 > 2.0:\n    _too_far((_p0, _p1))",), ("1.0", "1.0"), ("_too_far",))
-    return VectorField(fn, name="far", lane=lambda: (lane, (too_far,))), VectorField(fn, name="far")
+    return VectorField(fn, name="far", lane=(lane, (too_far,))), VectorField(fn, name="far")
 
 
 @pytest.mark.parametrize(
@@ -553,7 +553,7 @@ def test_central_x_checks_the_q_floor_once_on_arrays_and_on_the_lane():
     # numbers, raises the array's error, and passes a |Q| past the float range, where Python's
     # abs raises and numpy's reads inf
     X = models.build_central_problem().X_hook
-    w, s = complex_x(), lane_function(*X.lane())
+    w, s = complex_x(), lane_function(*X.lane)
     assert [type(c) for c in s((1.0 + 0.5j, 0.5 - 0.25j))] == [complex, complex]
     messages = []
     for f in (s, lambda z: w(np.array(z))):
@@ -595,7 +595,7 @@ def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
     for V, form in (
         (lane.X, w), (lane.JX, _i_times(w)), (flows._combo_field(lane, 0.6, -0.8), _combination_form(w, 0.6, -0.8))
     ):
-        point = lane_function(*V.lane())
+        point = lane_function(*V.lane)
         values = np.array([point(tuple(z)) for z in Z.tolist()])
         assert _same_bits(values, form(Z))
         assert _same_bits(values, np.array([form(z) for z in Z]))
@@ -744,7 +744,7 @@ def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
     fields = [lane.X, lane.JX, *(flows._combo_field(lane, a, b) for a, b in coefficients)]
     forms = None if w is None else [w, _i_times(w), *(_combination_form(w, a, b) for a, b in coefficients)]
     for k, V in enumerate(fields):
-        point = lane_function(*V.lane())
+        point = lane_function(*V.lane)
         for p in P:
             if w is not None:
                 z = to_complex(p)
@@ -758,8 +758,8 @@ def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
     # as Python floats: every lane component is a Python float (real state) or complex
     lane, _, x0 = model_lane
     V = flows._combo_field(lane, np.cos(0.3), np.sin(0.3))
-    kind = complex if on_complex_state(lane.X.lane()[0], x0.size) else float
-    point = lane_function(*V.lane())
+    kind = complex if on_complex_state(lane.X.lane[0], x0.size) else float
+    point = lane_function(*V.lane)
     for p in (x0, *_signed_points(x0.size)[::7]):
         q = tuple((p if kind is float else to_complex(p)).tolist())
         assert {type(c) for c in point(q)} == {kind}, p
@@ -920,7 +920,7 @@ def _lane_field(name):
 
 def _lane_states(V, y, h):
     """The states of V's lane flow from the lane state ``y`` with step h, as ``rk4_states`` steps one point."""
-    body, args = V.lane()
+    body, args = V.lane
     complex_state = type(y[0]) is complex
     values = (*flows._coefficients(complex_state, h), *args)
     return flows._lane_states(flows._lane_stepper(len(body.results), body, complex_state), values, [y], h)
@@ -948,7 +948,7 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     name = LANE_FIELDS[k]
     V, form = _lane_field(name)
     assert V.lane is not None
-    s = lane_function(*V.lane())
+    s = lane_function(*V.lane)
     array_forms = [lambda p: np.array(s(tuple(p.tolist()))), form]
     h = 0.05
     if form is not V:
@@ -1013,7 +1013,7 @@ def test_lane_stepper_hoists_constant_results_with_rk4_steps_bits(layout):
         ordinary = np.array([0.4, -0.3])
     outcomes = Counter()
     for V, form in _hoisting_lanes(layout):
-        body, _ = V.lane()
+        body, _ = V.lane
         stepper = flows._lane_stepper(2, body, layout == "complex")
         fixed = [f"k_{j}" in stepper.__code__.co_varnames for j in range(2)]
         assert fixed == [r.startswith("_c") for r in body.results] and any(fixed)
@@ -1034,7 +1034,7 @@ def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bi
     # combination read only its constants and its coefficients a and b
     build, x0 = LANE_MODELS["twisted"]
     fields = assemble_phhs(build())
-    body, args = flows._combo_field(fields, np.cos(0.7), np.sin(0.7)).lane()
+    body, args = flows._combo_field(fields, np.cos(0.7), np.sin(0.7)).lane
     fixed = flows._lane_stepper(4, body, False).__code__.co_varnames
     assert [f"k_{j}" in fixed for j in range(4)] == [True, False, True, True] and args == (np.cos(0.7), np.sin(0.7))
     starts = [np.array(x0), np.array([x0, [0.1, -0.2, 0.3, 0.0], [-0.0, 0.0, 1e-300, -0.4]])]
@@ -1046,7 +1046,7 @@ def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bi
 def test_lane_stepper_runs_n_steps_as_n_single_steps():
     # one call for a whole flow and one call per step give the same state, as does rk4_step
     fields = assemble_phhs(models.build_central_problem())
-    w, (lane, args) = complex_x(), fields.X.lane()
+    w, (lane, args) = complex_x(), fields.X.lane
     z0 = to_complex(X0)
     h = 1e-3
     coefficients = (*flows._coefficients(True, h), *args)
@@ -1175,7 +1175,7 @@ def test_inline_floor_errors_of_j_x_and_the_combination_keep_their_recorded_step
 
 
 def test_the_inline_floor_line_calls_the_check_only_where_both_parts_of_q_are_below_the_floor():
-    lane, (floor,) = assemble_phhs(models.build_central_problem()).X.lane()
+    lane, (floor,) = assemble_phhs(models.build_central_problem()).X.lane
     assert lane.args == ("_q_floor",) and floor is models._q_floor
     floor_line = "if -0.0014 < _p0.real < 0.0014 and -0.0014 < _p0.imag < 0.0014:\n    _q_floor((_p0, _p1))"
     assert models.Q_FLOOR == 0.0014 and lane.lines[0] == floor_line

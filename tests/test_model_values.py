@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from phhs import models
-from phhs.expressions import lane_function
+from phhs.expressions import Lane, lane_function
 from phhs.flows import FlowConfig, flow, tilted_flow
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import seeded_points
@@ -81,7 +81,7 @@ def compute(name):
     if name in ("proper_phhs", "twisted_varying"):
         stacks += (("signed", SIGNED_ZEROS),)
         for V in (fields.X, fields.JX):
-            point = lane_function(*V.lane())
+            point = lane_function(*V.lane)
             out[f"{V.name}_lane_signed"] = [point(tuple(q)) for q in SIGNED_ZEROS.tolist()]
     for label, pts in stacks:
         out[f"J_{label}"] = model.J(pts)
@@ -97,6 +97,17 @@ def compute(name):
     out["tilted_point"] = tilted_flow(fields, p, 0.7, 0.31, CFG)
     out["tilted_stack"] = tilted_flow(fields, P[:3], -2.2, 0.23, CFG)
     return {key: _hex(value) for key, value in out.items()}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_assembled_lanes_are_none_or_a_lane_and_its_values(name):
+    # a field's lane is a value: the pair of a Lane and the tuple of its args' values, not a call
+    fields = assemble_phhs(MODELS[name](), check_closedness=name not in NOT_CLOSED)
+    for V in (fields.X, fields.JX):
+        lane = V.lane
+        assert lane is None or (
+            type(lane) is tuple and len(lane) == 2 and isinstance(lane[0], Lane) and type(lane[1]) is tuple
+        ), V.name
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -178,8 +178,9 @@ def test_proper_phhs_structure_tensors(proper):
 def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
     # f = 1 is read from its tree; exp(x1) and -y1 compile once each when the model is built.
     # The gradients compile at their first call, which f's and h's never get; the partials of
-    # H_R = -y1 and so X are folded numbers, which compile nothing, so the assembly compiles J X
-    # alone, whose one row with a nonzero X factor reads d(-y1)/dy1.  The first single-point flows of X, J X and a combination compile their three lane
+    # H_R = -y1 and so X are folded numbers, which compile nothing, so the build's third compile
+    # is J X, whose one row with a nonzero X factor reads d(-y1)/dy1, and the assembly compiles
+    # nothing.  The first single-point flows of X, J X and a combination compile their three lane
     # steppers, and no later flow compiles any more
     import builtins
 
@@ -193,9 +194,10 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
     expressions.generated.cache_clear()
     flows._lane_stepper.cache_clear()
     model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
-    assert compiled == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
-    fields = assemble_phhs(model)
+    assert compiled[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     assert len(compiled) == 3 and "exp(x1)" in compiled[-1] and "d(-y1)/dy1" in compiled[-1]
+    fields = assemble_phhs(model)
+    assert len(compiled) == 3
     x0 = np.array([0.2, 0.1, -0.3, 0.4])
     for _ in range(2):
         for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)):
@@ -281,7 +283,7 @@ def test_twisted_j_x_rows_with_a_zero_x_factor_are_zero_where_h_overflows():
     fields = assemble_phhs(model)
     p = np.array([710.0, 0.1, -0.3, 0.4])
     with np.errstate(all="ignore"):
-        lane = np.array(expressions.lane_function(*fields.JX.lane())(tuple(p.tolist())))
+        lane = np.array(expressions.lane_function(*fields.JX.lane)(tuple(p.tolist())))
         point, stack = fields.JX(p), fields.JX(np.array([p, p]))
         product = matvec(model.J(p), fields.X(p))
     for value in (lane, point, *stack):
@@ -290,7 +292,7 @@ def test_twisted_j_x_rows_with_a_zero_x_factor_are_zero_where_h_overflows():
     # inside the float range the rows are the matrix product's, signed zeros included
     for q in (np.array([709.0, 0.1, -0.3, 0.4]), np.array([-0.5, 0.0, -0.0, 2.0])):
         assert fields.JX(q).tobytes() == matvec(model.J(q), fields.X(q)).tobytes()
-        assert np.array(expressions.lane_function(*fields.JX.lane())(tuple(q.tolist()))).tobytes() == fields.JX(q).tobytes()
+        assert np.array(expressions.lane_function(*fields.JX.lane)(tuple(q.tolist()))).tobytes() == fields.JX(q).tobytes()
 
 
 def test_zero_denominator_rejected():
@@ -470,7 +472,7 @@ def test_generated_lane_forms_equal_the_complex_forms_at_the_point(H):
     forms = (w, lambda z: 1j * w(z), lambda z: a * w(z) + ib * w(z))
     for V, form in zip((fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)), forms):
         for z in LANE_POINTS:
-            lane = expressions.lane_function(*V.lane())(tuple(z.tolist()))
+            lane = expressions.lane_function(*V.lane)(tuple(z.tolist()))
             assert [type(c) for c in lane] == [complex, complex], (V.name, z)
             assert np.array(lane).tobytes() == np.asarray(form(z)).tobytes(), (V.name, z)
 
@@ -514,7 +516,7 @@ def test_twisted_lane_forms_equal_the_array_forms_at_the_point(H, h, g):
     with np.errstate(all="ignore"):
         for V in (fields.X, fields.JX, flows._combo_field(fields, np.cos(0.6), np.sin(0.6))):
             for p in TWISTED_POINTS:
-                lane = expressions.lane_function(*V.lane())(tuple(p.tolist()))
+                lane = expressions.lane_function(*V.lane)(tuple(p.tolist()))
                 assert [type(c) for c in lane] == [float] * 4, (V.name, p)
                 assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
 
@@ -526,7 +528,7 @@ def test_twisted_lane_keeps_python_floats_where_numpy_steps_in():
     with np.errstate(all="ignore"):
         for p in (np.array([-3.0, 0.0, 0.5, 0.3]), np.array([-3.0, -0.0, -0.5, 0.3])):
             for V in (fields.X, fields.JX):
-                lane = expressions.lane_function(*V.lane())(tuple(p.tolist()))
+                lane = expressions.lane_function(*V.lane)(tuple(p.tolist()))
                 assert [type(c) for c in lane] == [float] * 4, (V.name, p)
                 assert _same_bits_up_to_nan_signs(lane, V.fn(p)), (V.name, p)
                 assert not np.isfinite(lane).all()

@@ -227,7 +227,7 @@ def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
     F = morse.hamiltonian_flow_field(system)
     interp = morse._period_interpolant(system)
     inf, nan = np.inf, np.nan
-    scalar_form = lane_function(*F.lane())
+    scalar_form = lane_function(*F.lane)
     for x, y in [(0.3, -0.4), (1.0, 0.9), (-0.1, 1.5), (0.0, inf), (0.0, -inf), (0.0, nan), (0.5, 1e300)]:
         r = np.sqrt(x * x + y * y)
         q = float(interp(min(r, morse.RMAX))) / system.T / float(system.v(np.array([x, y])))
@@ -251,7 +251,7 @@ def test_orbit_field_scalar_form_equals_its_array_form_bit_for_bit():
     "v", ["1 + x1^2", "exp(x1)", "2 + sin(x1) * y1", 1.5, lambda p: 1.0 + p[0] ** 2], ids=["text-1", "text-2", "text-3", "number", "callable"]
 )
 def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, monkeypatch):
-    # text v is written into the orbit's lane, a number or a callable is called from it
+    # text or a number v is written into the orbit's lane, a callable is called from it
     system = PlanarSystem(v=v, T=np.pi)
     orbit_field = morse.hamiltonian_flow_field
     assert orbit_field(system).lane is not None
@@ -266,7 +266,7 @@ def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, mo
 @pytest.mark.parametrize("v", ["1 + x1^2", "2 + sin(x1) * y1", "1/(1 + x1^2) + y1^2"])
 def test_text_v_is_written_into_each_stage_of_the_orbit_stepper(v, monkeypatch):
     # v's own lane, its locals renamed _v..., takes the place of a call of v: the generated
-    # stepper holds each of v's lines once per RK4 stage, and a number v keeps the one call line
+    # stepper holds each of v's lines once per RK4 stage, and a callable v keeps the one call line
     sources = []
 
     def recorded(source, *args, **names):
@@ -276,14 +276,46 @@ def test_text_v_is_written_into_each_stage_of_the_orbit_stepper(v, monkeypatch):
     generated = flows.generated
     monkeypatch.setattr(flows, "generated", recorded)
     text = PlanarSystem(v=v, T=np.pi)
-    for system in (text, PlanarSystem(v=1.5, T=np.pi)):
-        body, _ = morse.hamiltonian_flow_field(system).lane()
+    for system in (text, PlanarSystem(v=lambda p: 1.5, T=np.pi)):
+        body, _ = morse.hamiltonian_flow_field(system).lane
         flows._lane_stepper.__wrapped__(2, body, False)
     inline, called = sources
-    v_lines = expressions._renamed(text.v.lane()[0], "_v").lines
+    v_lines = expressions._renamed(text.v.lane[0], "_v").lines
     assert v_lines and "_v(" not in inline
     assert all(inline.count(indent(line, " " * 12)) == 4 for line in v_lines)
     assert inline.count("_vp = float(") == 4 and called.count("_vp = float(_v((_p0, _p1)))") == 4
+
+
+@pytest.mark.parametrize("v", [2.0, "2", "2 + 0*x1"], ids=["number", "constant-text", "text"])
+def test_constant_v_is_a_literal_of_the_orbit_stepper(v, monkeypatch):
+    # a constant v carries a Lane, its number as a literal: the stepper calls no _v, and the
+    # period is the bits of the same v written as text in x1
+    sources = []
+
+    def recorded(source, *args, **names):
+        sources.append(source)
+        return generated(source, *args, **names)
+
+    generated = flows.generated
+    monkeypatch.setattr(flows, "generated", recorded)
+    system = PlanarSystem(v=v, T=np.pi)
+    body, _ = morse.hamiltonian_flow_field(system).lane
+    flows._lane_stepper.__wrapped__(2, body, False)
+    (source,) = sources
+    assert "_v(" not in source and source.count("_vp = float(") == 4
+    assert verify_T_periodic(system, 0.5, CFG).hex() == "0x1.921fb54442e84p+1"
+
+
+@pytest.mark.parametrize("v", ["1 + x1^2", 1.5, lambda p: 1.0 + p[0] ** 2], ids=["text", "number", "callable"])
+def test_orbit_field_on_a_stack_is_its_rows_bit_for_bit(v):
+    # the field takes a stack, one row per point, as every field does (np.zeros((3, 2)) raised a
+    # TypeError when the array form read a stack as one point)
+    F = morse.hamiltonian_flow_field(PlanarSystem(v=v, T=np.pi))
+    for P in (np.zeros((3, 2)), np.random.default_rng(5).uniform(-1.0, 1.0, (3, 2))):
+        stack = F(P)
+        assert stack.shape == P.shape
+        for row, p in zip(stack, P):
+            assert row.tobytes() == F(p).tobytes()
 
 
 def test_ring_and_ray_stacks_equal_the_pointwise_loop(quad_system):
