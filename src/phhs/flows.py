@@ -16,7 +16,11 @@ steps on the lane, a stack row by row, so that each row takes exactly the
 steps and the bits it would take alone: a point is a tuple of Python
 numbers, converted once per flow, and the field's lane is written inline
 into a stepper that every row and every segment of a path share, with
-each result that reads only constants computed once per stepper call.  The lane
+each result that reads only constants computed once per stepper call.  A
+component whose rate is such a number zero is frozen: it stays fixed along
+the flow but for the sign of a zero, so a field that reads only frozen
+components (the twisted J_g X = (0, e^-x1, 0, 0)) is evaluated twice per
+stepper call, not four times a step, with the same bits.  The lane
 of the real form of a holomorphic w on C^m (J = i) steps complex
 z_j = x_j + i y_j, as the lane shows (:func:`~phhs.fields.on_complex_state`):
 J X is i w there and a X + b J X is a w + (i b) w, two terms as on the real
@@ -49,8 +53,11 @@ polylines integrated segment by segment.
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from io import StringIO
 from itertools import count, islice
+from keyword import iskeyword
 from textwrap import indent
+from tokenize import NAME, OP, generate_tokens
 
 import numpy as np
 
@@ -141,26 +148,52 @@ def rk4_step(V, y, h):
     return _update(y, sixth, k1, k2, k3, k4, two)
 
 
+def _reads(text):
+    """The names the code ``text`` reads, and ``f()`` for each name f that it calls (a name before ``(``)."""
+    tokens = [t.string for t in generate_tokens(StringIO(text).readline) if t.type in (NAME, OP)]
+    names = set()
+    for before, name, after in zip(["", *tokens], tokens, [*tokens[1:], ""]):
+        # not an attribute, a keyword, or a name that ``=`` sets (an assignment's or a keyword argument's)
+        if name.isidentifier() and not iskeyword(name) and before != "." and after != "=":
+            names.update((name, f"{name}()") if after == "(" else (name,))
+    return names
+
+
 @lru_cache(maxsize=256)
 def _lane_stepper(m, lane, complex_state):
     """The lane's RK4 stepper for m components and the field's Lane ``lane``, generated once per process.
 
     ``stepper(y, n, first_step, h, half, full, sixth, two, *args, row=None)``
-    takes steps first_step, ..., first_step + n - 1 of size h of the field
-    from the tuple ``y`` and returns the tuple state after them, with the
-    coefficients of :func:`_coefficients` and the values of the lane's
-    ``args``; its errors name ``row``, the row of a stack ``y`` is.  Each
-    step is straight-line code on y0..y{m-1}: the stages and the update of
-    each component written from ``_STAGE`` and ``_UPDATE``, the operations
-    of :func:`rk4_step` on a one-point array, and at each stage the lane
-    written inline on the stage state ``_p0``, ``_p1``, ....  A result
-    that reads only the lane's constants and args is the same at every
-    stage, so it and its increments are computed once per call, before the
-    loop, with the same operations: each step adds the same bits.  The box
-    test is inlined: ``-BLOWUP <= y_j <= BLOWUP`` on the real layout, and
-    |y_j| <= BLOWUP on a ``complex_state`` (the layout :func:`_lane_start`
-    reads off the state); a state that fails it, or whose Python |z|
-    overflows, goes to :func:`_check_state`.  A field's
+    takes steps first_step, ..., first_step + n - 1 (n >= 1) of size h of
+    the field from the tuple ``y`` and returns the tuple state after them,
+    with the coefficients of :func:`_coefficients` and the values of the
+    lane's ``args``; its errors name ``row``, the row of a stack ``y`` is.
+    Each step is straight-line code on y0..y{m-1}: the stages and the
+    update of each component written from ``_STAGE`` and ``_UPDATE``, the
+    operations of :func:`rk4_step` on a one-point array, and at each stage
+    the lane written inline on the stage state ``_p0``, ``_p1``, ....
+
+    Code that reads only what a call fixes is moved out of the loop, with
+    the same operations, so each step adds the same bits; what a line or
+    result reads is one analysis (:func:`_reads`).  A result that reads
+    only the lane's constants and args, and calls nothing, is the same at
+    every stage: it and its increments are computed once per call, before
+    the loop.  Such a result bound to the number ±0.0 on the real layout
+    makes its component *frozen*: half, full and sixth share h's sign, so
+    its increments are one signed zero z and every stage state of it is
+    y_j + z, (y + z) + z being y + z, but for the first stage of the
+    call's first step, which reads y_j.  When every line and result reads
+    only constants, args and frozen components, and calls no arg, the
+    field lines run twice, before the loop (their errors located in
+    ``first_step``): on y, for k1 of the first step, and on the stage
+    state y + half k, for every other stage.  The loop then only adds the
+    increments, the first step's sixth (k1 + 2 k + 2 k + k) and every
+    later step's sixth (k + 2 k + 2 k + k).
+
+    The box test is inlined: ``-BLOWUP <= y_j <= BLOWUP`` on the real
+    layout, and |y_j| <= BLOWUP on a ``complex_state`` (the layout
+    :func:`_lane_start` reads off the state); a state that fails it, or
+    whose Python |z| overflows, goes to :func:`_check_state`.  A field's
     ``NonFiniteStateError`` is located in its step by :func:`_located`.
     The text is compiled once per process
     (:func:`~phhs.expressions.generated`).
@@ -168,29 +201,62 @@ def _lane_stepper(m, lane, complex_state):
     y = [f"y{j}" for j in range(m)]
     p = [f"_p{j}" for j in range(m)]
     k = [[f"k{i}_{j}" for j in range(m)] for i in range(1, 5)]
-    text = "\n".join([*lane.lines, *lane.results])
-    # the results that read only names the constants bind and the args, and call nothing: k_j, the
-    # same at every stage, with its increments half_k_j, full_k_j and sixth_k_j
-    bound = {*re.findall(r"^(\w+) = ", "\n".join(lane.constants), re.M), *lane.args}
-    fixed = [j for j, r in enumerate(lane.results) if set(re.findall(r"\b[A-Za-z_]\w*", r)) <= bound and not re.search(r"\w\s*\(", r)]
-    hoisted = [f"k_{j} = {lane.results[j]}" for j in fixed]
-    hoisted += [f"{c}_k_{j} = {_STAGE.format(c=c, k=f'k_{j}')}" for j in fixed for c in ("half", "full")]
-    hoisted += [f"sixth_k_{j} = {_UPDATE.format(sixth='sixth', two='two', **dict.fromkeys(('k1', 'k2', 'k3', 'k4'), f'k_{j}'))}" for j in fixed]
 
     def state(names):
         return f"({', '.join(names)},)"
+
+    def update(k1, k2, k3, k4):
+        return _UPDATE.format(sixth="sixth", two="two", k1=k1, k2=k2, k3=k3, k4=k4)
+
+    results = [_reads(r) for r in lane.results]
+    read = _reads("\n".join(lane.lines)).union(*results)
+    # the results that read only names the constants bind and the args, and call nothing: k_j, the
+    # same at every stage, with its increments half_k_j, full_k_j and sixth_k_j
+    bound = dict(re.findall(r"^(\w+) = (.*)$", "\n".join(lane.constants), re.M))
+    fixed = [j for j, r in enumerate(results) if r <= {*bound, *lane.args}]
+    hoisted = [f"k_{j} = {lane.results[j]}" for j in fixed]
+    hoisted += [f"{c}_k_{j} = {_STAGE.format(c=c, k=f'k_{j}')}" for j in fixed for c in ("half", "full")]
+    hoisted += [f"sixth_k_{j} = {update(*[f'k_{j}'] * 4)}" for j in fixed]
+    # the frozen components, and whether the whole field reads nothing else that varies
+    frozen = set() if complex_state else {p[j] for j in fixed if bound.get(lane.results[j]) in ("0.0", "-0.0")}
+    varying = {*p, *(f"{a}()" for a in lane.args)} - frozen
+    invariant = len(fixed) < m and not read & varying
 
     def field(c, previous, ks):
         """The lines that set ``ks`` to the field at the stage y + c previous (y itself at the first)."""
         stage = y if c is None else [
             f"{a} + {c}_k_{j}" if j in fixed else f"{a} + {_STAGE.format(c=c, k=b)}" for j, (a, b) in enumerate(zip(y, previous))
         ]
-        reads = [f"{a} = {b}" for a, b in zip(p, stage) if re.search(rf"\b{a}\b", text)]
+        reads = [f"{a} = {b}" for a, b in zip(p, stage) if a in read]
         return [*reads, *lane.lines, *(f"{ks[j]} = {r}" for j, r in enumerate(lane.results) if j not in fixed)]
 
-    def update(j):
-        k1, k2, k3, k4 = (ks[j] for ks in k)
-        return f"sixth_k_{j}" if j in fixed else _UPDATE.format(sixth="sixth", k1=k1, k2=k2, k3=k3, k4=k4, two="two")
+    def located(lines, step, pad):
+        """``lines`` in a try that locates the field's ``NonFiniteStateError`` in ``step``."""
+        return [
+            f"{pad}try:",
+            indent("\n".join(lines) or "pass", pad + "    "),
+            f"{pad}except NonFiniteStateError as exc:",
+            f"{pad}    if exc.step is not None:",
+            f"{pad}        raise",
+            f"{pad}    raise _located(exc, {state(y)}, {step}, h, row) from exc",
+        ]
+
+    varied = [j for j in range(m) if j not in fixed]
+    if invariant:
+        # the field at y, k1_j of the first step, and at y + half k, k2_j of every later stage; step_j
+        # is the increment of the step to come
+        before = [
+            *located([*field(None, None, k[0]), *field("half", k[0], k[1])], "first_step", "    "),
+            *(f"    step_{j} = {update(k[0][j], *[k[1][j]] * 3)}" for j in varied),
+            *(f"    sixth_k_{j} = {update(*[k[1][j]] * 4)}" for j in varied),
+        ]
+        stages, increments = [], {j: f"step_{j}" for j in varied}
+        swaps = [f"        step_{j} = sixth_k_{j}" for j in varied]
+    else:
+        before, swaps = [], []
+        stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
+        stages = located(stages, "step", "        ")
+        increments = {j: update(*(ks[j] for ks in k)) for j in varied}
 
     if complex_state:
         box = [
@@ -202,20 +268,16 @@ def _lane_stepper(m, lane, complex_state):
         ]
     else:
         box = [f"        if not ({' and '.join(f'{-BLOWUP!r} <= {a} <= {BLOWUP!r}' for a in y)}):"]
-    stages = [*field(None, None, k[0]), *field("half", k[0], k[1]), *field("half", k[1], k[2]), *field("full", k[2], k[3])]
     source = [
         *lane.constants,
         f"def lane(y, n, first_step, h, half, full, sixth, two{''.join(f', {a}' for a in lane.args)}, *, row=None):",
         f"    {state(y)} = y",
         *(f"    {line}" for line in hoisted),
+        *before,
         "    for step in range(first_step, first_step + n):",
-        "        try:",
-        indent("\n".join(stages) or "pass", " " * 12),
-        "        except NonFiniteStateError as exc:",
-        "            if exc.step is not None:",
-        "                raise",
-        f"            raise _located(exc, {state(y)}, step, h, row) from exc",
-        *(f"        {y[j]} = {y[j]} + {update(j)}" for j in range(m)),
+        *stages,
+        *(f"        {y[j]} = {y[j]} + {increments.get(j, f'sixth_k_{j}')}" for j in range(m)),
+        *swaps,
         *box,
         f"            _check_state({state(y)}, step, h, row)",
         f"    return {state(y)}",
@@ -327,12 +389,19 @@ def _rk4(V, x0, t, n_steps):
 
 
 def _steps_for(t, cfg):
-    n = max(1, int(np.ceil(abs(t) / cfg.dt)))
+    """The number of steps of size at most ``cfg.dt`` over the duration t, within the step budget.
+
+    The count is tested as a float, so a duration whose count overflows
+    (inf, or |t| / dt past the float range) exceeds the budget.
+    """
+    if np.isnan(t):
+        raise ValueError(f"the flow duration must be a number, got {t}")
+    n = max(1.0, float(np.ceil(abs(t) / cfg.dt)))
     if n > cfg.max_step_count:
         raise StepBudgetExceededError(
-            f"flow of duration {t} needs {n} steps, budget is {cfg.max_step_count}"
+            f"flow of duration {t} needs {n:.17g} steps, budget is {cfg.max_step_count}"
         )
-    return n
+    return int(n)
 
 
 def _coarse_fine(V, x0, t, cfg):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -608,6 +609,52 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     assert len(calls) == 5 and calls[3:] == ["<RK4 lane of 4 components>"] * 2
+
+
+# sha256 of the bigrid focus runs' other lane steppers, which the frozen-component rule leaves as
+# they were generated before it: the twisted X (all results constant) and the oscillator's
+# X and combination (complex layout)
+_UNCHANGED_STEPPERS = {
+    "integrate": ["5a6259ef58053ad243f0936f88a3138d67fa0b6058f10a23321b2b114e51ac39"],
+    "action-check": [
+        "07cfd2d05339814ffffdccda96d25918144358b5e2f1d398c06a8e432f835d54",
+        "243766c03b2bebbd8917f6c60a9b6f52cd8295e216431fbf5c38fb438cec3fad",
+    ],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_UNCHANGED_STEPPERS))
+def test_bigrid_focus_scenario_evaluates_the_twisted_j_x_before_its_loop(tmp_path, monkeypatch, verb):
+    # J_g X = (0, e^-x1, 0, 0) reads only x1, which it keeps fixed: its stepper runs exp(x1) twice
+    # per call, before the loop, and none in it; every other lane stepper keeps its text
+    cfg = _focus_config(tmp_path, monkeypatch, verb)
+    sources = []
+
+    def recorded(source, *args, **names):
+        sources.append(source)
+        return generated(source, *args, **names)
+
+    generated = flows.generated
+    monkeypatch.setattr(flows, "generated", recorded)
+    expressions.generated.cache_clear()
+    flows._lane_stepper.cache_clear()
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    frozen = [s for s in sources if "_exp(" in s]
+    others = [hashlib.sha256(s.encode()).hexdigest() for s in sources if "_exp(" not in s]
+    assert others == _UNCHANGED_STEPPERS[verb] and len(frozen) == (verb == "integrate")
+    for source in frozen:
+        before, loop = source.split("    for step in range(first_step, first_step + n):")
+        assert before.count("_exp(") == 2 and "_exp(" not in loop
+
+
+def test_a_word_whose_step_count_overflows_exits_4(tmp_path, capsys):
+    # |t| / dt past the float range is an infinite step count, over any budget, as 1e4 is over it
+    for t, steps in ((1e306, "inf"), (1e4, "10000000")):
+        scenario = {"model": _CENTRAL, "x0": [1.0, 0.5, 0.0, 0.0], "words": [[[t, 0.0]]]}
+        cfg = write_config(tmp_path, "cfg.json", scenario)
+        assert main(["foliate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert f"StepBudgetExceededError: flow of duration {t!r} needs {steps} steps, budget is 5000000" in err
 
 
 def test_morse_period_focus_scenario_t_hat_evaluations(tmp_path, monkeypatch, rk4_steps):

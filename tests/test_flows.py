@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -69,6 +70,20 @@ def test_step_budget_guard():
     V = VectorField(lambda p: np.zeros(2) + 1.0)
     with pytest.raises(StepBudgetExceededError):
         flow(V, np.zeros(2), 1.0, FlowConfig(dt=1e-3, max_step_count=10))
+
+
+@pytest.mark.parametrize("t", [1e306, -np.inf, 1e4])
+def test_a_step_count_past_the_budget_is_a_step_budget_error(t):
+    # the count is compared as a float first: |t| / dt past the float range is inf steps
+    V = VectorField(lambda p: np.zeros(2) + 1.0)
+    with pytest.raises(StepBudgetExceededError, match=re.escape(f"flow of duration {t!r} needs ")):
+        flow(V, np.zeros(2), t, CFG)
+
+
+def test_a_nan_flow_duration_is_a_value_error():
+    V = VectorField(lambda p: np.zeros(2) + 1.0)
+    with pytest.raises(ValueError, match="the flow duration must be a number, got nan"):
+        flow(V, np.zeros(2), np.nan, CFG)
 
 
 @pytest.mark.parametrize("dt", [-1e-3, 0.0, float("nan"), float("inf")])
@@ -1027,6 +1042,88 @@ def test_lane_stepper_hoists_constant_results_with_rk4_steps_bits(layout):
         array, array_error = _first_step(itertools.islice(flows._array_states(form, ordinary, 0.05), 2, None))
         assert error == array_error and _same_up_to_nans(three, array)
     assert outcomes["state"] > 100 and outcomes["error"] > 100
+
+
+# x1 at the start of a lane whose field reads only x1, which it keeps fixed: signed zeros, a tiny
+# number, where exp overflows (709.79) and where it underflows so that 1/0 goes to _divide
+# (-745.2), infinities and NaN; -17, where J_g X's e^17 leaves the box after some 80 steps, and 2,
+# where a hand-made field divides by zero
+FROZEN_STARTS = [0.0, -0.0, 1e-300, 709.79, -745.2, np.inf, -np.inf, np.nan, -17.0, 2.0]
+
+FROZEN_LANES = ["twisted JX", "raising at 1e-300", "raising at +0.0", "x1 row 0.3"]
+
+
+def _frozen_lane(name):
+    """(field, the rest of a state after x1) of the ``FROZEN_LANES`` entry ``name``, a lane whose field reads only x1.
+
+    The twisted J_g X = (0, e^-x1, 0, 0), and the fields of hand-made
+    Lanes: an x1 row of -0.0, or of 0.3 (so that x1 moves and no
+    component is frozen), an arg, calls of functions their constants bind,
+    a quotient by x1^2 - 4 and x1's sign on 3 (the sign of zero that a
+    negative step's later stages flip from x1 = -0.0 to +0.0), and a line
+    that raises the field's error at x1 = 1e-300, or at x1 = +0.0.  Their array
+    function is their scalar form on the one-point array.
+    """
+    if name == "twisted JX":
+        build, x0 = LANE_MODELS["twisted"]
+        return assemble_phhs(build()).JX, x0[1:]
+    test, row = {"raising at +0.0": ("str(_p0) == '0.0'", "-0.0"), "x1 row 0.3": ("_p0 == 1e-300", "0.3")}.get(name, ("_p0 == 1e-300", "-0.0"))
+    lane = Lane(
+        ("from math import copysign as _copysign", "from phhs.errors import NonFiniteStateError as _E", f"_c0 = {row}", "_c1 = 3.0", "_c2 = 4.0"),
+        (
+            f"if {test}:\n    raise _E('the field is singular here')",
+            "_t0 = float(_sin(a * _p0))",
+            "_t1 = _p0 * _p0 - _c2",
+            "try:\n    _t2 = _c1 / _t1\nexcept ZeroDivisionError:\n    _t2 = _divide(_c1, _t1)",
+            "_t3 = _copysign(_c1, _p0)",
+        ),
+        ("_c0", "_t0", "_t2", "_t3"),
+        ("a",),
+    ), (0.7,)
+    point = lane_function(*lane)
+    return VectorField(lambda p: np.array(point(tuple(p.tolist()))), name="frozen", lane=lane), [0.5, -0.2, 0.1]
+
+
+@pytest.mark.parametrize("name", FROZEN_LANES)
+def test_lane_stepper_evaluates_a_frozen_field_twice_per_call_with_rk4_steps_bits(name):
+    # every stage state of a frozen component is y + z for one signed zero z, so the field that
+    # reads only it runs on y and on y + half k, before the loop: the first step is rk4_step on the
+    # one-point array, n steps in one call are n single-step calls and n rk4_steps, a stack
+    # through _lane_rows is its rows, and every error names the step, time, row and state the
+    # array path names, tobytes() for tobytes() up to NaN signs.  An x1 row of 0.3 steps as before
+    V, rest = _frozen_lane(name)
+    body, args = V.lane
+    m = len(body.results)
+    stepper = flows._lane_stepper(m, body, False)
+    assert any(k.startswith(("k3_", "k4_")) for k in stepper.__code__.co_varnames) is (name == "x1 row 0.3")
+    outcomes, n = Counter(), 100
+
+    def steps(y, h, count=n):
+        """The state after ``count`` steps of the array path from y, or its error (``_first_step``)."""
+        return _first_step(itertools.islice(flows._array_states(V, np.array(y), h), count - 1, None))
+
+    for h in (0.05, -0.05):
+        values = (*flows._coefficients(False, h), *args)
+        rows = [(x1, *rest) for x1 in FROZEN_STARTS]
+        for y in rows:
+            first, whole = _first_step(_lane_states(V, y, h)), _first_step(_called(lambda: stepper(y, n, 1, h, *values)))
+            single = _first_step(itertools.islice(_lane_states(V, y, h), n - 1, None))
+            for (state, error), (other, other_error) in ((first, steps(y, h, 1)), (whole, single), (whole, steps(y, h))):
+                assert error == other_error and (state is None is other or _same_up_to_nans(state, other)), (y, h)
+            error = whole[1]
+            outcomes["state" if error is None else "error" if error[1] == 1 else "later error"] += 1
+        with np.errstate(all="ignore"):
+            good = [y for y in rows if _first_step(_called(lambda: stepper(y, n, 1, h, *values)))[1] is None]
+            stack = np.array(flows._lane_rows(stepper, values, good, n, 1, h, True))
+            assert _same_bits(stack, np.array([stepper(y, n, 1, h, *values) for y in good]))
+        if V.name == "JX":
+            # J_g X takes stacks: the array path's stack, and its first error on all the rows
+            assert _same_up_to_nans(stack, steps(good, h)[0])
+            state, error = _first_step(_called(lambda: np.array(flows._lane_rows(stepper, values, rows, n, 1, h, True))))
+            array_state, array_error = steps(rows, h)
+            assert error == array_error and _same_up_to_nans(state, array_state)
+    # J_g X's e^17 leaves the box after some 80 steps
+    assert outcomes["state"] and outcomes["error"] and (outcomes["later error"] > 0) is (name == "twisted JX")
 
 
 def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bits():
