@@ -611,9 +611,9 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
     assert len(calls) == 5 and calls[3:] == ["<RK4 lane of 4 components>"] * 2
 
 
-# sha256 of the bigrid focus runs' other lane steppers, which the frozen-component rule leaves as
-# they were generated before it: the twisted X (all results constant) and the oscillator's
-# X and combination (complex layout)
+# sha256 of the bigrid focus runs' other lane steppers, which the frozen-component rule does not
+# touch: the twisted X (every result constant) and the oscillator's X and combination (complex
+# layout)
 _UNCHANGED_STEPPERS = {
     "integrate": ["5a6259ef58053ad243f0936f88a3138d67fa0b6058f10a23321b2b114e51ac39"],
     "action-check": [
