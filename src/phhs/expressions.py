@@ -35,6 +35,7 @@ Parse errors carry the exact byte offset of the first byte at which no
 grammar continuation exists, plus the set of acceptable token classes.
 """
 
+import marshal
 import math
 import operator
 import re
@@ -600,6 +601,16 @@ def _compile(roots, binding, label, dtype=None):
     return fn
 
 
+@lru_cache(maxsize=1024)
+def _compiled(tree, binding, label, dtype=None):
+    """:func:`_compile` of the marshalled trees ``tree`` and the items ``binding`` of a name table, once per process.
+
+    So a second build of the same text walks no tree.  marshal writes each
+    number leaf's bits: 0.0 and -0.0, equal as tuple leaves, are two keys.
+    """
+    return _compile(marshal.loads(tree), dict(binding), label, dtype)
+
+
 class Expression:
     """A parsed expression: compilable, differentiable, hashable by source."""
 
@@ -615,7 +626,7 @@ class Expression:
         function's ``lane`` reads index k as ``_p<k>``.  Raises ValueError
         for an identifier the binding lacks.
         """
-        return _compile(self.ast, binding, self.source)
+        return _compiled(marshal.dumps(self.ast, 2), tuple(binding.items()), self.source)
 
     def constant(self):
         """Value of an expression without identifiers: a folded ``("num", v)`` leaf is v, any other tree compiles."""
@@ -716,7 +727,8 @@ def compile_vector(exprs, names, dtype=complex):
     exprs = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     roots = [_complex_leaves(e.ast) if dtype is complex and not e.variables() else e.ast for e in exprs]
     if any(root[0] != "num" for root in roots):
-        return _compile(roots, names, f"({', '.join(e.source for e in exprs)})", dtype)
+        label = f"({', '.join(e.source for e in exprs)})"
+        return _compiled(marshal.dumps(roots, 2), tuple(names.items()), label, dtype)
     values = tuple(root[1] for root in roots)
     row = np.array(values, dtype)
 

@@ -8,11 +8,12 @@ exactly ``(N,)``); a stack call that does not is a ``ValueError``, and a
 stack with as many rows as a point has coordinates gets one extra row, so
 that a function of one point reading ``p[k]`` fails there too.
 ``Field.__call__`` checks this where a field enters the package: a user's
-call, the sample stack on which :func:`~phhs.hamiltonian.assemble_phhs`
-calls J, Omega_R and X, and the four stages of a real-state flow's first
-step.  Past it the package calls a field's raw function ``fn`` (J X, the
-combination a X + b J X, every later RK4 step).  Every function the package
-builds itself takes a stack, the quadrature primitive H_I included;
+call, and the sample stack on which :func:`~phhs.hamiltonian.assemble_phhs`
+calls J, Omega_R and X.  Past it the package calls a field's raw function
+``fn`` (J X, the combination a X + b J X), and a flow of a field without a
+lane calls ``fn`` on one point at a time (:mod:`phhs.flows`).  Every
+function the package builds itself takes a stack, the quadrature primitive
+H_I included;
 :func:`rowwise` is the user boundary only: it lifts a callable of one point
 handed to the model builders, as a metric entry (:mod:`phhs.connections`)
 or as the conformal factor ``v`` of :class:`~phhs.morse.PlanarSystem`, the
@@ -166,8 +167,8 @@ class VectorField(Field):
     as every compiled function's ``lane`` attribute holds it.  The point
     and the value are tuples of Python numbers, with the array form's bits
     there: complex z_j or real coordinates (:func:`on_complex_state`).
-    Every flow of the field writes the lane into its stepper
-    (:mod:`phhs.flows`).
+    Every flow of the field writes the lane into its stepper, and without
+    one a line that calls ``fn`` (:mod:`phhs.flows`).
     """
 
     def __init__(self, fn, fd=None, name=None, lane=None):

@@ -2,43 +2,47 @@
 
 All integration is fixed-step classical Runge-Kutta 4: determinism is worth
 more than adaptivity for golden-value work, and the step budget guards the
-singular loci.  The stage and the update are written once, as the formula
-strings ``_STAGE`` and ``_UPDATE``, from which the array path's
-:func:`rk4_step` and the lane's generated steppers (:func:`_lane_stepper`)
-are made.  Every flow in the package advances through them, and
+singular loci.  Every flow advances through one stepper generator,
+:func:`_lane_stepper`, which writes the stage and the update of each
+component from the formula strings ``_STAGE`` and ``_UPDATE``, and
 :func:`rk4_states` yields the states of one point's flow, for the period
 measurement of :mod:`phhs.morse`.
 
 A flow state is one point ``(dim,)`` or a stack ``(N, dim)`` of points that
-share one step schedule.  Every flow of a field with a lane (X, J X and
-their combination where they are compiled text, and the Morse orbit field)
-steps on the lane, a stack row by row, so that each row takes exactly the
-steps and the bits it would take alone: a point is a tuple of Python
-numbers, converted once per flow, and the field's lane is written inline
-into a stepper that every row and every segment of a path share, with
-each result that reads only constants computed once per stepper call.  A
-component whose rate is such a number zero is frozen: it stays fixed along
-the flow but for the sign of a zero, so a field that reads only frozen
-components (the twisted J_g X = (0, e^-x1, 0, 0)) is evaluated twice per
-stepper call, not four times a step, with the same bits.  The lane
-of the real form of a holomorphic w on C^m (J = i) steps complex
-z_j = x_j + i y_j, as the lane shows (:func:`~phhs.fields.on_complex_state`):
-J X is i w there and a X + b J X is a w + (i b) w, two terms as on the real
-path (:func:`~phhs.expressions.lane_map`).  The bits are numpy's on
-arrays: Python does the same IEEE operations on Python complex
-coefficients (:func:`_coefficients`), compiled text keeps numpy's quotient
-and power and sums the twisted J_g X onto +0.0 as numpy's matrix product
-does (:mod:`phhs.expressions`; a row with a zero X factor is 0.0, see
+share one step schedule.  Every flow steps on its field's lane, a stack row
+by row, so that each row takes exactly the steps and the bits it would
+take alone: a point is a tuple of Python numbers, converted once per flow,
+and the field's lane is written inline into a stepper that every row and
+every segment of a path share, with each result that reads only constants
+computed once per stepper call.  A component whose rate is such a number
+zero is frozen: it stays fixed along the flow but for the sign of a zero,
+so a field that reads only frozen components (the twisted
+J_g X = (0, e^-x1, 0, 0)) is evaluated twice per stepper call, not four
+times a step, with the same bits.  The lane of the real form of a
+holomorphic w on C^m (J = i) steps complex z_j = x_j + i y_j, as the lane
+shows (:func:`~phhs.fields.on_complex_state`): J X is i w there and
+a X + b J X is a w + (i b) w, two terms as on the real layout
+(:func:`~phhs.expressions.lane_map`).  The bits are numpy's on arrays:
+Python does the same IEEE operations on Python complex coefficients
+(:func:`_coefficients`), compiled text keeps numpy's quotient and power and
+sums the twisted J_g X onto +0.0 as numpy's matrix product does
+(:mod:`phhs.expressions`; a row with a zero X factor is 0.0, see
 :func:`~phhs.models.build_proper_phhs`), and the Morse angle is
-``np.arctan2``.  A
-lane error names the step, time, row and real state the array path names,
-and a stack raises the error the array path meets first (:func:`_lane_rows`).
+``np.arctan2``.
 
-A field without a lane (a user's callable) steps the real array state
-through :func:`rk4_step`, a stack evaluated whole at each stage.  The
-stages of the first step call the field itself, whose ``Field.__call__``
-checks that it returns one value per row; the later steps call its raw
-function ``fn`` (see :mod:`phhs.fields`).
+A field without a lane (a user's callable, the deformation model's X, a
+callable H's X) steps on a lane of one line that calls its raw function
+``fn`` on the stage point as a ``(dim,)`` array (:func:`_lane_start`): on
+one real point numpy's float64 ``+`` and ``*`` are Python's float
+operations, so the step has the bits of RK4 on that array.  The value must
+be ``dim`` numbers; any other count is the ``ValueError`` of the line's
+tuple unpacking.
+
+An error names the step, the flow time, and in a stack the row and its
+real state.  A stack raises the error that a step of the whole stack would
+meet first (:func:`_lane_rows`); an error of another type, such as a
+``SingularFormError`` of a callable H's X, comes from the first row, in row
+order, that raises it.
 
 :func:`trajectory_grid` flows all its column anchors as one stack.  Its
 monitors come from :func:`grid_monitors`, paid for only by the callers that
@@ -54,7 +58,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from io import StringIO
-from itertools import count, islice
+from itertools import count
 from keyword import iskeyword
 from textwrap import indent
 from tokenize import NAME, OP, generate_tokens
@@ -62,7 +66,7 @@ from tokenize import NAME, OP, generate_tokens
 import numpy as np
 
 from .errors import NonFiniteStateError, StepBudgetExceededError
-from .expressions import formula_function, generated, lane_map
+from .expressions import Lane, formula_function, generated, lane_map
 from .fields import VectorField, grid_derivative, matvec, on_complex_state
 from .util import as_point, as_points, from_complex, to_complex
 
@@ -83,12 +87,11 @@ class FlowConfig:
 
 
 def _check_state(y, step, h, row=None):
-    """Raise if the state after ``step`` steps of size ``h`` left the finite box.
+    """Raise if the lane state ``y`` after ``step`` steps of size ``h`` left the finite box.
 
     The box bounds every real component, of a complex state too.  The error
-    names the step, the flow time reached and, for a stack, the first row
-    that left and its real (x, y) state; a lane state, a tuple whose inline
-    box test failed, is checked as its array and named as ``row``.
+    names the step, the flow time reached and, for the stack row ``row``,
+    that row and its real (x, y) state.
     """
     y = np.asarray(y)
     # NaN fails the comparisons, so this also rejects non-finite entries; |z| bounds both parts of
@@ -97,9 +100,6 @@ def _check_state(y, step, h, row=None):
         return
     if y.dtype.kind == "c":
         y = from_complex(y)
-    if y.ndim == 2:
-        row = int(np.flatnonzero(~(np.abs(y) <= BLOWUP).all(axis=1))[0])
-        y = y[row]
     where = f"at step {step} (flow time {step * h:.17g})"
     if row is not None:
         where += f" in row {row}, state {y.tolist()}"
@@ -108,15 +108,10 @@ def _check_state(y, step, h, row=None):
     )
 
 
-# The RK4 stage state y + c k and the step's end state y + (h/6)(k1 + 2 k2 + 2 k3 + k4), each y plus
-# its increment, the one written form of each: the array path's _stage and _update and every lane
-# stepper are made from them.
+# The increments of the RK4 stage state y + c k and of the step's end state
+# y + (h/6)(k1 + 2 k2 + 2 k3 + k4), the one written form of each, from which every stepper is made.
 _STAGE = "{c} * {k}"
 _UPDATE = "{sixth} * ({k1} + {two} * {k2} + {two} * {k3} + {k4})"
-
-
-_stage = formula_function("{y} + " + _STAGE, "y", "c", "k")
-_update = formula_function("{y} + " + _UPDATE, "y", "sixth", "k1", "k2", "k3", "k4", "two")
 
 
 def _coefficients(complex_state, h):
@@ -131,21 +126,6 @@ def _coefficients(complex_state, h):
     if complex_state:
         return complex(0.5 * h), complex(h), complex(h / 6.0), 2.0 + 0j
     return 0.5 * h, h, h / 6.0, 2.0
-
-
-def rk4_step(V, y, h):
-    """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h.
-
-    ``y`` is a point or an ``(N, dim)`` stack, V must take the same shape,
-    and the stages keep y's dtype: the flows step the real state of a field
-    without a lane, and a complex ``y`` steps as the lane's complex z_j do.
-    """
-    half, full, sixth, two = _coefficients(y.dtype.kind == "c", h)
-    k1 = np.asarray(V(y), dtype=y.dtype)
-    k2 = np.asarray(V(_stage(y, half, k1)), dtype=y.dtype)
-    k3 = np.asarray(V(_stage(y, half, k2)), dtype=y.dtype)
-    k4 = np.asarray(V(_stage(y, full, k3)), dtype=y.dtype)
-    return _update(y, sixth, k1, k2, k3, k4, two)
 
 
 def _reads(text):
@@ -170,7 +150,7 @@ def _lane_stepper(m, lane, complex_state):
     lane's ``args``; its errors name ``row``, the row of a stack ``y`` is.
     Each step is straight-line code on y0..y{m-1}: the stages and the
     update of each component written from ``_STAGE`` and ``_UPDATE``, the
-    operations of :func:`rk4_step` on a one-point array, and at each stage
+    operations of an RK4 step of numpy's one-point array, and at each stage
     the lane written inline on the stage state ``_p0``, ``_p1``, ....
 
     Code that reads only what a call fixes is moved out of the loop, with
@@ -289,18 +269,14 @@ def _lane_stepper(m, lane, complex_state):
     return namespace["lane"]
 
 
-def _located(exc, y, step, h, row=None):
-    """A field's ``NonFiniteStateError`` raised in ``step``, from state ``y``, naming that step.
+def _located(exc, y, step, h, row):
+    """A field's ``NonFiniteStateError`` raised in ``step``, from the lane state ``y`` of the stack row ``row``, naming that step.
 
-    The time and the state are those the step started from; the row is the
-    one the field named on an array stack, and ``row`` on the lane.
+    The time and the state are those the step started from.
     """
     y = np.asarray(y)
     if y.dtype.kind == "c":
         y = from_complex(y)
-    if y.ndim == 2:
-        row = exc.row
-        y = y if row is None else y[row]
     time = (step - 1) * h
     where = f"in step {step} of the flow (from flow time {time:.17g})"
     if row is not None:
@@ -308,11 +284,25 @@ def _located(exc, y, step, h, row=None):
     return NonFiniteStateError(f"{exc}, {where}", step=step, time=time, row=row, state=y)
 
 
+def _call_lane(m):
+    """The Lane of a field of m components that has none: one line calling its function ``_F`` on the point's array.
+
+    The value is read as one float row, and the tuple unpacking of its m
+    numbers is the shape check.
+    """
+    p, t = [f"_p{j}" for j in range(m)], [f"_t{j}" for j in range(m)]
+    line = f"{', '.join(t)}, = _array(_F(_array(({', '.join(p)},))), float).ravel().tolist()"
+    return Lane(("from numpy import array as _array",), (line,), tuple(t), ("_F",))
+
+
 def _lane_start(V, x0, h):
-    """V's lane stepper, the values it takes after step h and the rows of ``x0`` as tuples; None without a lane."""
-    if getattr(V, "lane", None) is None:
-        return None
-    body, args = V.lane
+    """V's lane stepper, the values it takes after step h and the rows of ``x0`` as tuples.
+
+    A field without a lane steps on :func:`_call_lane`, with its raw
+    function ``fn`` (a bare callable as it is) for ``_F``.
+    """
+    lane = getattr(V, "lane", None)
+    body, args = lane if lane is not None else (_call_lane(x0.shape[-1]), (getattr(V, "fn", V),))
     complex_state = on_complex_state(body, x0.shape[-1])
     rows = np.atleast_2d(to_complex(x0) if complex_state else x0)
     values = (*_coefficients(complex_state, h), *args)
@@ -322,11 +312,11 @@ def _lane_start(V, x0, h):
 def _lane_rows(stepper, values, rows, n, first_step, h, stack):
     """The lane states ``rows`` after steps first_step, ..., first_step + n - 1 of size h, one stepper call per row.
 
-    The error raised is the one the array path meets first: the earliest
-    step, in a step a field's error (located with the field's error as its
-    cause) before the box test at its end, then the lowest row, named in a
-    ``stack``.  Later rows step only as far as a failed one did.  An error
-    of another type propagates from the row that raises it.
+    The error raised is the one a step of the whole stack meets first: the
+    earliest step, in a step a field's error (located with the field's
+    error as its cause) before the box test at its end, then the lowest
+    row, named in a ``stack``.  Later rows step only as far as a failed one
+    did.  An error of another type propagates from the row that raises it.
     """
     out, first = [], None
     for row, y in enumerate(rows):
@@ -345,13 +335,10 @@ def _lane_rows(stepper, values, rows, n, first_step, h, stack):
 def rk4_states(V, x0, h):
     """The checked states after steps 1, 2, ... of the RK4 flow of V from the point ``x0`` with step h, endlessly.
 
-    On the lane the state is a tuple, one stepper call per step (the Morse
-    angle event sees every state); without a lane it is the real array
-    (:func:`_array_states`).
+    Each state is a lane tuple, one stepper call per step (the Morse angle
+    event sees every state).
     """
-    x0 = as_point(x0)
-    lane = _lane_start(V, x0, h)
-    return _array_states(V, x0, h) if lane is None else _lane_states(*lane, h)
+    return _lane_states(*_lane_start(V, as_point(x0), h), h)
 
 
 def _lane_states(stepper, values, rows, h):
@@ -361,30 +348,10 @@ def _lane_states(stepper, values, rows, h):
         yield y
 
 
-def _array_states(F, y, h):
-    """F's flow on the real array: the first step's stages call F, the later ones its ``fn`` (a bare callable as it is)."""
-    for step in count(1):
-        try:
-            y = rk4_step(F, y, h)
-        except NonFiniteStateError as exc:
-            if exc.step is not None:
-                raise
-            raise _located(exc, y, step, h) from exc
-        _check_state(y, step, h)
-        if step == 1:
-            F = getattr(F, "fn", F)
-        yield y
-
-
 def _rk4(V, x0, t, n_steps):
-    """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call per row on the lane."""
+    """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call per row."""
     h = t / n_steps
-    lane = _lane_start(V, x0, h)
-    if lane is None:
-        for y in islice(_array_states(V, np.array(x0, dtype=float), h), n_steps):
-            pass
-        return y
-    y = np.array(_lane_rows(*lane, n_steps, 1, h, x0.ndim == 2)).reshape(*x0.shape[:-1], -1)
+    y = np.array(_lane_rows(*_lane_start(V, x0, h), n_steps, 1, h, x0.ndim == 2)).reshape(*x0.shape[:-1], -1)
     return from_complex(y) if y.dtype.kind == "c" else y
 
 
@@ -486,7 +453,7 @@ def trajectory_grid(fields, x0, z0, t_range, s_range, nt, ns, cfg=FlowConfig()):
 
     The anchor z0 must be a grid node.  Only the two sweeps run here: the t
     sweep of x0 and the s sweep of the column anchors as one stack (row by
-    row where J X has a lane, so each column is its own flow).  The
+    row, so each column is its own flow).  The
     monitors of the grid are :func:`grid_monitors`, paid for by the callers
     that report them (``integrate``, not ``action-check``).
     """

@@ -200,10 +200,11 @@ def verify_T_periodic(sys, r0, cfg=FlowConfig(), rescale=True):
     """Measured period of the orbit started at (r0, 0), as a Python float.
 
     Takes at most ``cfg.max_step_count`` steps of
-    :func:`phhs.flows.rk4_states` on the scalar lane, each state checked as
-    in every flow, unwraps the polar angle with numpy's ``arctan2``
-    (``math.atan2`` rounds differently) and locates the first full turn by
-    linear interpolation between steps.
+    :func:`phhs.flows.rk4_states`, the orbit field's lane stepped on two
+    Python floats and each state checked as in every flow, unwraps the
+    polar angle with numpy's ``arctan2`` (``math.atan2`` rounds
+    differently) and locates the first full turn by linear interpolation
+    between steps.
     """
     h = cfg.dt
     states = rk4_states(hamiltonian_flow_field(sys, rescale=rescale), np.array([r0, 0.0]), h)

@@ -1,9 +1,11 @@
 from collections import Counter
+from itertools import count
 
 import numpy as np
 import pytest
 
-from phhs import flows, models
+from phhs import expressions, flows, models
+from phhs.errors import NonFiniteStateError
 from phhs.expressions import compile_vector, lane_function
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import coordinate_names
@@ -55,16 +57,68 @@ def torus_square():
     return model, assemble_phhs(model)
 
 
+def clear_compile_caches():
+    """Forget every walked tree, compiled text and lane stepper, as a new process starts."""
+    expressions._compiled.cache_clear()
+    expressions.generated.cache_clear()
+    flows._lane_stepper.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# RK4 on numpy arrays: the reference of the lane steppers
+# ---------------------------------------------------------------------------
+
+
+def rk4_step(V, y, h):
+    """One classical Runge-Kutta 4 step of dy/dt = V(y) with step h on numpy's arrays.
+
+    ``y`` is a point or an ``(N, dim)`` stack, V must take the same shape,
+    and the stages keep y's dtype: a real ``y`` steps as a lane's real
+    coordinates, a complex one as its complex z_j.
+    """
+    half, full, sixth, two = flows._coefficients(y.dtype.kind == "c", h)
+    k1 = np.asarray(V(y), dtype=y.dtype)
+    k2 = np.asarray(V(y + half * k1), dtype=y.dtype)
+    k3 = np.asarray(V(y + half * k2), dtype=y.dtype)
+    k4 = np.asarray(V(y + full * k3), dtype=y.dtype)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
+
+
+def _check_state(y, step, h):
+    """``flows._check_state`` of a point, or of each row of a stack in turn, which names the first row that left the box."""
+    if y.ndim == 1:
+        return flows._check_state(y, step, h)
+    for row, p in enumerate(y):
+        flows._check_state(p, step, h, row)
+
+
+def array_states(F, y, h):
+    """The checked states after steps 1, 2, ... of F's RK4 flow on the array ``y`` (a point or a stack), endlessly.
+
+    The first step's stages call F, the later ones its ``fn`` (a bare
+    callable as it is).  A field's ``NonFiniteStateError`` is located in
+    its step, naming the row the field named on a stack, and a state past
+    the box names its first row outside it, as the lane's errors do.
+    """
+    for step in count(1):
+        try:
+            y = rk4_step(F, y, h)
+        except NonFiniteStateError as exc:
+            if exc.step is not None:
+                raise
+            row = exc.row if y.ndim == 2 else None
+            raise flows._located(exc, y if row is None else y[row], step, h, row) from exc
+        _check_state(y, step, h)
+        if step == 1:
+            F = getattr(F, "fn", F)
+        yield y
+
+
 @pytest.fixture
 def rk4_steps(monkeypatch):
-    """The RK4 steps taken from here on: ``lane``, the sum of the lane steppers' n, and ``array``, the ``rk4_step`` calls.
-
-    A stack of a field with a lane steps row by row, one stepper call per
-    row, so ``lane`` counts step-rows: n steps of N rows are n N.  An
-    ``rk4_step`` call steps a whole array state, so ``array`` counts steps.
-    """
+    """The step-rows the lane steppers take from here on, as ``{"lane": n}``: n steps of N rows are n N."""
     taken = Counter()
-    lane_stepper, rk4_step = flows._lane_stepper, flows.rk4_step
+    lane_stepper = flows._lane_stepper
 
     def counted_stepper(m, lane, complex_state):
         run = lane_stepper(m, lane, complex_state)
@@ -75,10 +129,5 @@ def rk4_steps(monkeypatch):
 
         return stepper
 
-    def counted_step(V, y, h):
-        taken["array"] += 1
-        return rk4_step(V, y, h)
-
     monkeypatch.setattr(flows, "_lane_stepper", counted_stepper)
-    monkeypatch.setattr(flows, "rk4_step", counted_step)
     return taken

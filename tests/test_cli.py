@@ -12,6 +12,8 @@ from phhs.cli import VERBS, main
 from phhs.expressions import Expression
 from phhs.hamiltonian import assemble_phhs
 
+from conftest import clear_compile_caches
+
 
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
@@ -529,19 +531,7 @@ def test_bigrid_focus_scenario_rk4_steps(tmp_path, monkeypatch, rk4_steps, verb,
     # take 1,000 steps each
     cfg = _focus_config(tmp_path, monkeypatch, verb)
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert rk4_steps["lane"] + rk4_steps["array"] == steps
-
-
-def test_focus_scenarios_take_no_array_rk4_step(tmp_path, monkeypatch, rk4_steps):
-    # every flow of the benchmark's focus scenarios is of a field with a lane, a stack row by row
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import scenarios
-
-    for workload, verbs in scenarios.FOCUS.items():
-        for verb in verbs:
-            cfg = write_config(tmp_path, f"{workload}-{verb}.json", dict(scenarios.workload(workload, 0))[verb])
-            assert main([verb, "--config", cfg, "--out", str(tmp_path / workload / verb)]) == 0
-    assert rk4_steps["array"] == 0 and rk4_steps["lane"] > 0
+    assert rk4_steps == {"lane": steps}
 
 
 @pytest.mark.parametrize("verb, steps", [("monodromy", 6336), ("foliate", 10000), ("morse-period", 9426)])
@@ -578,8 +568,7 @@ def test_orbits_focus_scenario_compile_calls(tmp_path, monkeypatch, verb, shorte
             scenario["words"] = scenario["words"][:1]
         cfg = write_config(tmp_path, f"cfg{len(counts)}.json", scenario)
         calls.clear()
-        expressions.generated.cache_clear()
-        flows._lane_stepper.cache_clear()
+        clear_compile_caches()
         assert main([verb, "--config", cfg, "--out", str(tmp_path / f"o{len(counts)}")]) == 0
         counts.append(len(calls))
     assert counts == [compiled, compiled]
@@ -604,8 +593,7 @@ def test_bigrid_integrate_focus_scenario_compile_calls(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name == "phhs" or name.startswith("phhs."):
             monkeypatch.setattr(module, "compile", counted, raising=False)
-    expressions.generated.cache_clear()
-    flows._lane_stepper.cache_clear()
+    clear_compile_caches()
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     assert len(calls) == 5 and calls[3:] == ["<RK4 lane of 4 components>"] * 2
@@ -636,8 +624,7 @@ def test_bigrid_focus_scenario_evaluates_the_twisted_j_x_before_its_loop(tmp_pat
 
     generated = flows.generated
     monkeypatch.setattr(flows, "generated", recorded)
-    expressions.generated.cache_clear()
-    flows._lane_stepper.cache_clear()
+    clear_compile_caches()
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     frozen = [s for s in sources if "_exp(" in s]
     others = [hashlib.sha256(s.encode()).hexdigest() for s in sources if "_exp(" not in s]

@@ -10,7 +10,7 @@ from phhs.errors import NonFiniteStateError, ParseError
 from phhs.expressions import compile_points, compile_vector, lane_function, parse_expression, power, quotient
 from phhs.util import coordinate_names, seeded_points, to_complex
 
-from conftest import scalar_lane
+from conftest import array_states, scalar_lane
 
 
 def test_basic_arithmetic_and_functions():
@@ -334,7 +334,7 @@ def test_the_real_layout_quotient_is_the_array_quotient_at_special_divisors():
         for p in points:
             assert all(type(v) is float for v in point(p)) and same(point(p), fn(np.array(p))), p
             state, error = first_step(flows.rk4_states(V, np.array(p), 0.05))
-            array_state, array_error = first_step(flows._array_states(fn, np.array(p), 0.05))
+            array_state, array_error = first_step(array_states(fn, np.array(p), 0.05))
             assert error == array_error and same(state, array_state), p
             outcomes.add(error is None)
     assert outcomes == {True, False}

@@ -28,7 +28,7 @@ from phhs.flows import (
 from phhs.hamiltonian import assemble_phhs
 from phhs.util import from_complex, standard_j_matrix, to_complex
 
-from conftest import complex_x
+from conftest import array_states, complex_x, rk4_step
 
 CFG = FlowConfig(dt=1e-3)
 X0 = np.array([1.0, 0.5, 0.0, 0.0])
@@ -333,7 +333,7 @@ def test_complex_state_grid_equals_the_real_path_bit_for_bit(holomorphic):
         assert ma[key] == mb[key], key
 
 
-def test_complex_state_overflow_names_step_time_row_and_real_state():
+def test_complex_state_overflow_names_step_time_row_and_real_state(on_arrays):
     # dQ/dt = Q^2: the row with Q0 = 2 blows up near t = 1/2, the one with Q0 = 0.1 does not
     fields = assemble_phhs(models.build_standard_hhs(1, "P1*Q1^2"))
     x0 = np.array([[0.1, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.1]])
@@ -352,10 +352,11 @@ def test_complex_state_overflow_names_step_time_row_and_real_state():
 
 
 def test_complex_state_box_bounds_each_real_component():
-    # |z| = 1.13e8 lies past the bound, but both real components lie inside it
+    # |z| = 1.13e8 lies past the bound, but both real components lie inside it; a stack row
+    # with a part past it is named with its real state
     flows._check_state(np.array([0.8e8 + 0.8e8j, 1.0]), 1, 0.1)
     with pytest.raises(NonFiniteStateError) as info:
-        flows._check_state(np.array([[1.0, 2.0j], [3.0, 1.5e8j]]), 7, 0.1)
+        flows._check_state((3.0 + 0j, 1.5e8j), 7, 0.1, 1)
     err = info.value
     assert (err.step, err.row) == (7, 1) and np.array_equal(err.state, [3.0, 0.0, 0.0, 1.5e8])
 
@@ -436,7 +437,7 @@ def _far_field():
     ],
     ids=["earlier-step", "field-before-box", "lower-row"],
 )
-def test_a_stack_on_the_lane_raises_the_error_the_array_path_meets_first(stack, step, row):
+def test_a_stack_on_the_lane_raises_the_error_the_array_path_meets_first(on_arrays, stack, step, row):
     lane, array = _far_field()
     errors = []
     for V in (lane, array):
@@ -449,8 +450,8 @@ def test_a_stack_on_the_lane_raises_the_error_the_array_path_meets_first(stack, 
     assert str(a) == str(b) and str(a).count("row") == 1
 
 
-def test_rk4_states_takes_one_point_on_the_lane_and_on_the_array_path():
-    # a stack is util.as_point's ValueError on both paths, before any step
+def test_rk4_states_takes_one_point_with_and_without_a_lane():
+    # a stack is util.as_point's ValueError with the compiled lane and with a call of fn, before any step
     X = assemble_phhs(models.build_central_problem()).X
     stack = np.array([X0, X0 + 0.05])
     for V in (X, VectorField(X.fn, name="X")):
@@ -507,7 +508,7 @@ def _array_path(fields, w=None):
     """The same fields with every lane stripped (X's and J X's): the reference of the lane.
 
     Given X's complex form w (``complex_x``), X carries it as ``w`` and J X
-    carries i w, computed here: under ``complex_arrays`` their flows step
+    carries i w, computed here: under ``on_arrays`` their flows step
     numpy's complex array z = x + i y, the state the lane's complex z_j
     stands for.  Otherwise they step the real array state.
     """
@@ -533,24 +534,31 @@ def _combination_form(w, a, b):
     return form
 
 
-@pytest.fixture
-def complex_arrays(monkeypatch):
-    """Flows of a field that carries a complex form ``w`` and no lane step numpy's complex array z = x + i y with w.
+def _array_endpoint(F, y, h, n):
+    """The state after n steps of size h of F's flow from the array y on numpy's arrays (``array_states``)."""
+    for y in itertools.islice(array_states(F, y, h), n):
+        pass
+    return y
 
-    This is the array path that the lane's complex state matches, kept as
-    its reference: the state is converted once per flow, the stages are
-    ``rk4_step``'s on complex arrays, and a combination of such fields is
-    a w + (i b) w.
+
+@pytest.fixture
+def on_arrays(monkeypatch):
+    """Flows of a field without a lane step numpy's arrays (``array_states``), the reference of the lanes.
+
+    A field that carries a complex form ``w`` steps the complex array
+    z = x + i y with w, the state the lane's complex z_j stands for,
+    converted once per flow, and a combination of such fields is
+    a w + (i b) w; any other steps the real array state, a stack at once.
     """
     rk4, combo = flows._rk4, flows._combo_field
 
-    def on_complex_arrays(V, x0, t, n_steps):
-        w = getattr(V, "w", None)
-        if w is None or V.lane is not None:
+    def on_numpy_arrays(V, x0, t, n_steps):
+        if V.lane is not None:
             return rk4(V, x0, t, n_steps)
-        for z in itertools.islice(flows._array_states(w, to_complex(x0), t / n_steps), n_steps):
-            pass
-        return from_complex(z)
+        w = getattr(V, "w", None)
+        if w is None:
+            return _array_endpoint(V, np.array(x0), t / n_steps, n_steps)
+        return from_complex(_array_endpoint(w, to_complex(x0), t / n_steps, n_steps))
 
     def combination(fields, a, b):
         V = combo(fields, a, b)
@@ -559,7 +567,7 @@ def complex_arrays(monkeypatch):
             V.w = _combination_form(w, a, b)
         return V
 
-    monkeypatch.setattr(flows, "_rk4", on_complex_arrays)
+    monkeypatch.setattr(flows, "_rk4", on_numpy_arrays)
     monkeypatch.setattr(flows, "_combo_field", combination)
 
 
@@ -617,7 +625,7 @@ def test_scalar_forms_equal_the_complex_forms_bit_for_bit(central_lane):
 
 
 @pytest.mark.parametrize("k", range(len(LANE_STARTS)))
-def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, complex_arrays, k):
+def test_scalar_lane_flows_equal_the_array_path_bit_for_bit(central_lane, on_arrays, k):
     lane, array = central_lane
     x0 = LANE_STARTS[k]
     for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
@@ -670,7 +678,7 @@ def test_scalar_lane_takes_no_numpy_step(central_lane, rk4_steps, tmp_path):
     ],
     ids=["floor", "box", "box-JX", "box-parts", "nan", "range-Q", "range-P"],
 )
-def test_scalar_lane_errors_equal_the_array_path(central_lane, complex_arrays, which, x0, t):
+def test_scalar_lane_errors_equal_the_array_path(central_lane, on_arrays, which, x0, t):
     errors = []
     for fields in central_lane:
         # numpy warns of the NaN and the overflows it meets on the array path
@@ -781,7 +789,7 @@ def test_a_tilted_combination_steps_python_numbers_on_the_lane(model_lane):
 
 
 def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array_path_bit_for_bit(
-    model_lane, complex_arrays
+    model_lane, on_arrays
 ):
     lane, array, x0 = model_lane
     for a, b in ((lane.X, array.X), (lane.JX, array.JX)):
@@ -803,17 +811,16 @@ def test_lane_flows_of_the_twisted_model_and_the_standard_system_equal_the_array
     assert all(_stack_is_its_rows(V, stack, 0.3) for V in (lane.X, lane.JX, flows._combo_field(lane, 0.6, -0.8)))
 
 
-def test_lane_without_a_symbolic_gradient_takes_the_array_path():
-    # a callable H_R has no symbolic partials, so X and J X of the twisted model step arrays
+def test_lane_without_a_symbolic_gradient_steps_on_a_call_of_its_function():
+    # a callable H_R has no symbolic partials, so X and J X of the twisted model have no lane
     fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)", H_R=lambda p: -p[2]))
     assert fields.X.lane is None and fields.JX.lane is None
-    # a callable f leaves J X as J_g's matrix times X, on arrays: only X takes the lane
+    # a callable f leaves J X as J_g's matrix times X, on arrays: only X has a lane, and J X's
+    # flow calls its function at each stage point, with the bits of RK4 on numpy's arrays
     model = models.build_proper_phhs(f=lambda p: 1.0 + 0.1 * p[1] ** 2, h="exp(x1)")
     twisted = assemble_phhs(model, check_closedness=False)
     assert twisted.X.lane is not None and twisted.JX.lane is None
-    assert _same_bits(
-        flow(twisted.JX, X0, 0.3, COARSE), flow(_array_path(twisted).JX, X0, 0.3, COARSE)
-    )
+    assert _same_bits(flow(twisted.JX, X0, 0.3, COARSE), _array_endpoint(twisted.JX, X0, 0.3 / 30, 30))
 
 
 @pytest.mark.parametrize(
@@ -828,7 +835,7 @@ def test_lane_without_a_symbolic_gradient_takes_the_array_path():
     ],
     ids=["twisted-X", "standard-X", "twisted-JX"],
 )
-def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(complex_arrays, build, which, x0, t):
+def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_array_path(on_arrays, build, which, x0, t):
     model, w = _built(build, x0)
     fields = assemble_phhs(model, check_closedness=False)
     errors = []
@@ -841,7 +848,7 @@ def test_lane_errors_of_the_twisted_model_and_the_standard_system_equal_the_arra
     assert _same_bits(a.state, b.state) and str(a) == str(b)
 
 
-def test_lane_of_a_nan_start_raises_at_the_array_paths_step():
+def test_lane_of_a_nan_start_raises_at_the_array_paths_step(on_arrays):
     # both paths reject the first state; a NaN's payload may differ between numpy's matrix
     # product and the lane's sum, its place does not
     fields = assemble_phhs(models.build_proper_phhs(f="1", h="exp(x1)"))
@@ -855,7 +862,7 @@ def test_lane_of_a_nan_start_raises_at_the_array_paths_step():
     assert np.array_equal(a.state, b.state, equal_nan=True)
 
 
-def test_lane_keeps_the_not_real_valued_error():
+def test_lane_keeps_the_not_real_valued_error(on_arrays):
     # h is real to 1e-14 on the model's samples (|x1| < 1) and complex far out, where J_g's scalar
     # form raises the ValueError the array path raises
     model = models.build_proper_phhs(f="1", h="2 + 1e-16 * x1^4 * z1")
@@ -869,7 +876,7 @@ def test_lane_keeps_the_not_real_valued_error():
 
 
 # ---------------------------------------------------------------------------
-# the lane's generated stepper against rk4_step on one-point arrays
+# the lane's generated stepper against RK4 on numpy's one-point arrays (conftest.rk4_step)
 # ---------------------------------------------------------------------------
 
 
@@ -978,7 +985,7 @@ def test_lane_stepper_step_is_rk4_step_on_a_one_point_array(k):
     for y in states:
         state, error = _first_step(_lane_states(V, tuple(y.tolist()), h))
         for form in array_forms:
-            array_state, array_error = _first_step(flows._array_states(form, y, h))
+            array_state, array_error = _first_step(array_states(form, y, h))
             assert error == array_error, (name, y)
             assert state is None is array_state or _same_up_to_nans(state, array_state), (name, y)
         outcomes["state" if error is None else error[0].__name__] += 1
@@ -1034,12 +1041,12 @@ def test_lane_stepper_hoists_constant_results_with_rk4_steps_bits(layout):
         assert fixed == [r.startswith("_c") for r in body.results] and any(fixed)
         for y in states:
             state, error = _first_step(_lane_states(V, tuple(y.tolist()), 0.05))
-            array_state, array_error = _first_step(flows._array_states(form, y, 0.05))
+            array_state, array_error = _first_step(array_states(form, y, 0.05))
             assert error == array_error and (state is None is array_state or _same_up_to_nans(state, array_state)), y
             outcomes["state" if error is None else "error"] += 1
         coefficients = flows._coefficients(layout == "complex", 0.05)
         three, error = _first_step(_called(lambda: stepper(tuple(ordinary.tolist()), 3, 1, 0.05, *coefficients)))
-        array, array_error = _first_step(itertools.islice(flows._array_states(form, ordinary, 0.05), 2, None))
+        array, array_error = _first_step(itertools.islice(array_states(form, ordinary, 0.05), 2, None))
         assert error == array_error and _same_up_to_nans(three, array)
     assert outcomes["state"] > 100 and outcomes["error"] > 100
 
@@ -1100,7 +1107,7 @@ def test_lane_stepper_evaluates_a_frozen_field_twice_per_call_with_rk4_steps_bit
 
     def steps(y, h, count=n):
         """The state after ``count`` steps of the array path from y, or its error (``_first_step``)."""
-        return _first_step(itertools.islice(flows._array_states(V, np.array(y), h), count - 1, None))
+        return _first_step(itertools.islice(array_states(V, np.array(y), h), count - 1, None))
 
     for h in (0.05, -0.05):
         values = (*flows._coefficients(False, h), *args)
@@ -1126,7 +1133,7 @@ def test_lane_stepper_evaluates_a_frozen_field_twice_per_call_with_rk4_steps_bit
     assert outcomes["state"] and outcomes["error"] and (outcomes["later error"] > 0) is (name == "twisted JX")
 
 
-def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bits():
+def test_tilted_flow_of_the_twisted_model_hoists_three_results_with_the_array_bits(on_arrays):
     # the twisted X is constant and J_g X has one varying row, so three results of their
     # combination read only its constants and its coefficients a and b
     build, x0 = LANE_MODELS["twisted"]
@@ -1154,7 +1161,7 @@ def test_lane_stepper_runs_n_steps_as_n_single_steps():
         single = stepper(single, 1, step, h, *coefficients)
     array = z0
     for _ in range(250):
-        array = flows.rk4_step(w, array, h)
+        array = rk4_step(w, array, h)
     assert _same_bits(np.array(whole), np.array(single)) and _same_bits(np.array(whole), array)
     assert flows._lane_stepper(2, lane, True) is stepper
 
@@ -1175,7 +1182,7 @@ def test_lane_stepper_box_test_defers_to_check_state():
         assert _same_bits(err.state, np.array(layout))
 
 
-def test_real_lane_box_test_is_check_states_box():
+def test_real_lane_box_test_is_check_states_box(on_arrays):
     # the real layout's box test is -1e8 <= y_j <= 1e8: the edges pass, and one ulp past them, an
     # infinity or a NaN raise _check_state's error (step, time, row and state), alone and on a
     # flow, where the array path raises it in the same step

@@ -17,7 +17,7 @@ from phhs.hamiltonian import assemble_phhs, integrability_report
 from phhs.tensors import acs_residual, anticompat_residual
 from phhs.util import from_complex, grid_points, seeded_points, standard_j_matrix, to_complex
 
-from conftest import complex_x
+from conftest import clear_compile_caches, complex_x
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +191,7 @@ def test_twisted_build_compiles_only_the_varying_expressions(monkeypatch):
         return compile_(source, filename, *args, **kw)
 
     monkeypatch.setattr(builtins, "compile", counted)
-    expressions.generated.cache_clear()
-    flows._lane_stepper.cache_clear()
+    clear_compile_caches()
     model = models.build_proper_phhs(f="1", h="exp(x1)", H_R="-y1")
     assert compiled[:2] == ["<expression 'exp(x1)'>", "<expression '-y1'>"]
     assert len(compiled) == 3 and "exp(x1)" in compiled[-1] and "d(-y1)/dy1" in compiled[-1]
@@ -233,6 +232,33 @@ def test_a_second_central_problem_compiles_nothing(monkeypatch):
     fields = assemble_phhs(models.build_central_problem())
     again = [flows.flow(V, x0, 0.01) for V in (fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8))]
     assert all(np.array_equal(a, b) for a, b in zip(ends, again))
+
+
+def test_a_second_twisted_build_walks_no_tree(monkeypatch):
+    # the compile cache is keyed on the trees, before _compile walks them: a second build of
+    # the same text, J_g X included, runs no _compile and gives the same fields
+    walked, compile_ = [], expressions._compile
+
+    def counted(roots, binding, label, dtype=None):
+        walked.append(label)
+        return compile_(roots, binding, label, dtype)
+
+    monkeypatch.setattr(expressions, "_compile", counted)
+    build = lambda: models.build_proper_phhs(f="1 + x2^2/5", h="exp(x1)", H_R="-y1")  # noqa: E731
+    first = build()
+    walked.clear()
+    again = build()
+    assert walked == []
+    assert again.X_hook.lane == first.X_hook.lane and again.JX_hook.lane == first.JX_hook.lane is not None
+
+
+def test_the_compile_cache_tells_signed_zero_leaves_apart():
+    # 0.0 == -0.0, so tuple trees that differ only in a zero's sign are equal: the key holds
+    # each number leaf's bits, and each tree compiles its own literal
+    names = {"x1": 0}
+    for zero in (0.0, -0.0, 0.0):
+        fn = expressions.compile_vector([expressions.Expression(("num", zero)), "x1"], names, float)
+        assert np.copysign(1.0, fn(np.array([0.5]))[0]) == np.copysign(1.0, zero)
 
 
 def test_proper_phhs_trivial_twist_is_standard():

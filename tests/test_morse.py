@@ -18,6 +18,8 @@ from phhs.morse import (
     verify_T_periodic,
 )
 
+from conftest import array_states, clear_compile_caches
+
 CFG = FlowConfig(dt=1e-3)
 
 
@@ -256,8 +258,9 @@ def test_orbit_periods_on_the_scalar_lane_equal_the_array_path_bit_for_bit(v, mo
     orbit_field = morse.hamiltonian_flow_field
     assert orbit_field(system).lane is not None
     lane = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
-    # the orbit field with its lane stripped: verify_T_periodic then steps a point array
+    # the orbit field with its lane stripped, stepped as a point array on numpy's arrays
     monkeypatch.setattr(morse, "hamiltonian_flow_field", lambda *args, **kw: VectorField(orbit_field(*args, **kw).fn))
+    monkeypatch.setattr(morse, "rk4_states", lambda V, x0, h: array_states(V, np.array(x0, dtype=float), h))
     array = [verify_T_periodic(system, r0, CFG) for r0 in (0.2, 0.5, 0.8)]
     assert np.array(lane).tobytes() == np.array(array).tobytes()
     assert max(abs(T - np.pi) for T in lane) < 1e-5
@@ -389,8 +392,7 @@ def test_t_hat_code_is_compiled_once_per_system(monkeypatch):
         return compile_(source, filename, *args, **kw)
 
     monkeypatch.setattr(builtins, "compile", counted)
-    expressions.generated.cache_clear()
-    flows._lane_stepper.cache_clear()
+    clear_compile_caches()
     system = PlanarSystem(v=lambda p: 1.0 + p[0] ** 2, T=np.pi)
     cfg = FlowConfig(dt=2e-3)
     periods = [verify_T_periodic(system, r0, cfg) for r0 in (0.3, 0.5, 0.3)]

@@ -184,18 +184,31 @@ def test_pointwise_field_lifted_by_rowwise_gives_the_true_drift():
     assert _drift_with_h_r(fields, ScalarField(rowwise(pointwise), name="H_R")) < 1e-12
 
 
-def test_pointwise_field_in_a_stack_flow_is_an_error_on_its_first_step():
+def test_pointwise_field_in_a_stack_flow_steps_each_row_as_a_point():
+    # a flow of a field without a lane calls it on one point at a time, so a function of one
+    # point (on a stack p[0] and p[1] would be rows) gives each row its own flow
     calls = []
 
     def pointwise(p):
         calls.append(p.shape)
-        return np.array([p[1], -p[0]])  # on a stack p[0] and p[1] are rows
+        return np.array([p[1], -p[0]])
 
     V = VectorField(pointwise, name="V")
-    message = r"VectorField 'V' returned shape \(2, 2\) for a stack of shape \(3, 2\).*fields\.rowwise"
-    with pytest.raises(ValueError, match=message):
-        flow(V, np.ones((3, 2)), 1.0, CFG)
-    assert calls == [(3, 2)]
+    stack = np.array([[1.0, 0.0], [0.3, -0.2], [-0.5, 0.4]])
+    rows = flow(V, stack, 1.0, CFG)
+    assert set(calls) == {(2,)} and len(calls) == 3 * 4 * 100
+    assert np.array_equal(rows, np.array([flow(V, p, 1.0, CFG) for p in stack]))
+
+
+@pytest.mark.parametrize(
+    "value", [lambda p: np.zeros(3), lambda p: 1.0, lambda p: np.zeros((2, 2))], ids=["length", "scalar", "matrix"]
+)
+def test_a_field_value_that_is_not_one_number_per_coordinate_is_a_value_error_in_a_flow(value):
+    # the call line reads the value as one float row and unpacks its numbers, one per coordinate
+    V = VectorField(value, name="V")
+    for x0 in (np.ones(2), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="values to unpack"):
+            flow(V, x0, 1.0, CFG)
 
 
 def _pointwise_j(p):
