@@ -212,8 +212,8 @@ class Lane(tuple):
 
 
 @lru_cache(maxsize=256)
-def lane_function(lane, values=()):
-    """The function of one point, a tuple of Python numbers, that ``lane`` writes out with its args ``values``."""
+def _point_function(lane):
+    """``_point(p, *args)``: ``lane`` written out as a function of one point and its args."""
     reads = sorted({int(j) for j in re.findall(r"\b_p(\d+)\b", "\n".join([*lane.lines, *lane.results]))})
     source = [
         *lane.constants,
@@ -222,7 +222,13 @@ def lane_function(lane, values=()):
         indent("\n".join(lane.lines), "    "),
         f"    return ({''.join(f'{r}, ' for r in lane.results)})",
     ]
-    point = generated("\n".join(source), "<lane>")["_point"]
+    return generated("\n".join(source), "<lane>")["_point"]
+
+
+def lane_function(lane, values=()):
+    """The function of one point, a tuple of Python numbers, that ``lane`` writes out with its args ``values``."""
+    # values are bound outside the cache, whose key would take -0.0 for the equal 0.0
+    point = _point_function(lane)
     return (lambda q: point(q, *values)) if values else point
 
 

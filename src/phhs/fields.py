@@ -30,10 +30,10 @@ one point as text on Python numbers, with the array form's bits, which
 every flow writes into its stepper (:mod:`phhs.flows`) and
 :func:`~phhs.expressions.lane_function` writes out as a function.  For
 text, the array and lane forms come from one compiled source: X on the
-models with J = i, whose lane steps complex z_j (:func:`on_complex_state`)
-and under whose J X and a X + b J X :func:`~phhs.expressions.lane_map`
-puts one formula each, and X and J_g X on the twisted model.  The Morse
-orbit field is a lane written in :mod:`phhs.morse`.
+models with J = i, whose lane steps complex z_j (:func:`on_complex_state`),
+is J X's too at the ``rate`` 1j and under a X + b J X takes the formula of
+:func:`~phhs.expressions.lane_map`, and X and J_g X on the twisted model.
+The Morse orbit field is a lane written in :mod:`phhs.morse`.
 
 This is the only module that knows a difference stencil.  Axis partials of
 fields (:func:`jet`, :func:`partial_jet`) and derivatives of holomorphic
@@ -169,7 +169,13 @@ class VectorField(Field):
     there: complex z_j or real coordinates (:func:`on_complex_state`).
     Every flow of the field writes the lane into its stepper, and without
     one a line that calls ``fn`` (:mod:`phhs.flows`).
+
+    The field at one point is ``rate`` times its lane's value: 1, or 1j for
+    J X = i w on the models with J = i, whose lane is X's own, so that its
+    flow for time s steps X's lane for the imaginary time i s.
     """
+
+    rate = 1
 
     def __init__(self, fn, fd=None, name=None, lane=None):
         super().__init__(fn, fd, name)

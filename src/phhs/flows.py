@@ -20,8 +20,9 @@ so a field that reads only frozen components (the twisted
 J_g X = (0, e^-x1, 0, 0)) is evaluated twice per stepper call, not four
 times a step, with the same bits.  The lane of the real form of a
 holomorphic w on C^m (J = i) steps complex z_j = x_j + i y_j, as the lane
-shows (:func:`~phhs.fields.on_complex_state`): J X is i w there and
-a X + b J X is a w + (i b) w, two terms as on the real layout
+shows (:func:`~phhs.fields.on_complex_state`): J X is i w there, X's own
+lane and stepper at the step i h (its ``rate`` 1j), and a X + b J X is
+a w + (i b) w, two terms as on the real layout
 (:func:`~phhs.expressions.lane_map`).  The bits are numpy's on arrays:
 Python does the same IEEE operations on Python complex coefficients
 (:func:`_coefficients`), compiled text keeps numpy's quotient and power and
@@ -146,8 +147,9 @@ def _lane_stepper(m, lane, complex_state):
     ``stepper(y, n, first_step, h, half, full, sixth, two, *args, row=None)``
     takes steps first_step, ..., first_step + n - 1 (n >= 1) of size h of
     the field from the tuple ``y`` and returns the tuple state after them,
-    with the coefficients of :func:`_coefficients` and the values of the
-    lane's ``args``; its errors name ``row``, the row of a stack ``y`` is.
+    with the coefficients of :func:`_coefficients` (times a field's rate,
+    :func:`_lane_start`) and the values of the lane's ``args``; its errors
+    name ``row``, the row of a stack ``y`` is.
     Each step is straight-line code on y0..y{m-1}: the stages and the
     update of each component written from ``_STAGE`` and ``_UPDATE``, the
     operations of an RK4 step of numpy's one-point array, and at each stage
@@ -299,13 +301,19 @@ def _lane_start(V, x0, h):
     """V's lane stepper, the values it takes after step h and the rows of ``x0`` as tuples.
 
     A field without a lane steps on :func:`_call_lane`, with its raw
-    function ``fn`` (a bare callable as it is) for ``_F``.
+    function ``fn`` (a bare callable as it is) for ``_F``.  A field's
+    ``rate`` multiplies half, full and sixth, not two or h, so the times
+    its errors name stay real.
     """
     lane = getattr(V, "lane", None)
     body, args = lane if lane is not None else (_call_lane(x0.shape[-1]), (getattr(V, "fn", V),))
     complex_state = on_complex_state(body, x0.shape[-1])
     rows = np.atleast_2d(to_complex(x0) if complex_state else x0)
-    values = (*_coefficients(complex_state, h), *args)
+    half, full, sixth, two = _coefficients(complex_state, h)
+    rate = getattr(V, "rate", 1)
+    if rate != 1:
+        half, full, sixth = half * rate, full * rate, sixth * rate
+    values = (half, full, sixth, two, *args)
     return _lane_stepper(len(body.results), body, complex_state), values, [tuple(y) for y in rows.tolist()]
 
 
@@ -350,6 +358,8 @@ def _lane_states(stepper, values, rows, h):
 
 def _rk4(V, x0, t, n_steps):
     """Endpoint of n_steps RK4 steps over time t, as a real array: one lane stepper call per row."""
+    if not x0.size:  # an empty stack (0, dim) is its own endpoint
+        return np.array(x0)
     h = t / n_steps
     y = np.array(_lane_rows(*_lane_start(V, x0, h), n_steps, 1, h, x0.ndim == 2)).reshape(*x0.shape[:-1], -1)
     return from_complex(y) if y.dtype.kind == "c" else y
@@ -408,7 +418,7 @@ def flow_error_estimate(V, x0, t, cfg=FlowConfig()):
     if t == 0.0:
         return np.array(x0), 0.0
     coarse, fine = _coarse_fine(V, x0, t, cfg)
-    return fine, float(np.max(np.abs(fine - coarse))) / 15.0
+    return fine, float(np.max(np.abs(fine - coarse), initial=0.0)) / 15.0
 
 
 def _flow_through_nodes(V, x0, offsets, cfg):
@@ -531,7 +541,8 @@ def _combo_field(fields, a, b):
     """a X + b J X from X's and J X's own forms; its lane a w + (i b) w where X's lane steps complex z_j (J X is i w).
 
     a and b are read as Python floats (``tilted_flow`` passes numpy's), so
-    a float lane steps Python floats.
+    a float lane steps Python floats.  On the real layout the lane sums X's
+    and J X's, which needs both at the rate 1: another is a ``ValueError``.
     """
     a, b = float(a), float(b)
     X, JX = fields.X, fields.JX
@@ -544,8 +555,10 @@ def _combo_field(fields, a, b):
         return VectorField(fn, fd=X.fd, name="combo")
     if on_complex_state(X.lane[0], fields.model.dim):
         lane = lane_map("a * {v} + ib * {v}", {"a": complex(a), "ib": 1j * b}, v=X.lane)
-    else:
+    elif X.rate == JX.rate == 1:
         lane = lane_map(_COMBINATION, {"a": a, "b": b}, c=X.lane, d=JX.lane)
+    else:
+        raise ValueError(f"a X + b J X sums the lanes of X and J X at the rate 1, not {X.rate} and {JX.rate}")
     return VectorField(fn, fd=X.fd, name="combo", lane=lane)
 
 

@@ -21,8 +21,8 @@ quadrature primitive H_I of a model with no H_I hook
 J X is the model's hook if it has one (the twisted model's), else J's
 function times X's; when J is the constant structure i (the matrix of a
 :func:`~phhs.fields.constant_matrix_field`) and X's lane steps complex z_j,
-J X's lane is i w on it, the formula ``1j * {v}`` over X's lane
-(:func:`~phhs.expressions.lane_map`).
+J X = i w is X's own lane at the ``rate`` 1j, so that its flow for time s
+is X's stepper run at the imaginary step i h (:mod:`phhs.flows`).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -31,7 +31,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonClosedFormError, SingularFormError
-from .expressions import lane_map
 from .fields import CovectorField, ScalarField, TwoFormField, VectorField, jet, matvec, on_complex_state
 from .tensors import (
     acs_residual,
@@ -356,7 +355,8 @@ def assemble_phhs(model, check_closedness=True):
     elif getattr(X, "lane", None) is not None and on_complex_state(X.lane[0], model.dim) and np.array_equal(
         getattr(model.J, "matrix", None), standard_j_matrix(model.m)
     ):
-        JX = VectorField(jx_fn, fd=X.fd, name="JX", lane=lane_map("1j * {v}", {}, v=X.lane))
+        JX = VectorField(jx_fn, fd=X.fd, name="JX", lane=X.lane)
+        JX.rate = 1j
     else:
         JX = VectorField(jx_fn, fd=X.fd, name="JX")
     omega_I = omega_I_from(model.omega_R, model.J)

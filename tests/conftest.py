@@ -17,6 +17,14 @@ def scalar_lane(fn):
     return lambda q: point(q)[0]
 
 
+def field_point(V):
+    """The vector field V at one point of Python numbers: its lane written out (``lane_function``), times ``V.rate``."""
+    point = lane_function(*V.lane)
+    if V.rate == 1:
+        return point
+    return lambda q: tuple(V.rate * c for c in point(q))
+
+
 def complex_x(H=None, n=1):
     """X's complex form w on C^(2n) from the model builder's own pieces, a function of complex arrays.
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phhs import models
 from phhs.errors import NonFiniteStateError, ParseError
-from phhs.expressions import compile_points, compile_vector, lane_function, parse_expression, power, quotient
+from phhs.expressions import Lane, compile_points, compile_vector, lane_function, parse_expression, power, quotient
 from phhs.util import coordinate_names, seeded_points, to_complex
 
 from conftest import array_states, scalar_lane
@@ -512,3 +512,11 @@ def test_a_folded_constant_partial_is_read_without_compiling(monkeypatch):
     assert d.ast == ("num", -1.0)
     monkeypatch.setattr(builtins, "compile", None)
     assert d.constant() == -1.0 and compile_points(d, {})(np.empty(0)) == -1.0
+
+
+def test_lane_function_binds_the_sign_of_a_zero_arg():
+    # the function is cached on the lane alone: the arg -0.0, equal to 0.0 and of its hash, is
+    # bound as -0.0 after a call with 0.0
+    lane = Lane((), (), ("a",), ("a",))
+    assert math.copysign(1.0, lane_function(lane, (0.0,))((1.0,))[0]) == 1.0
+    assert math.copysign(1.0, lane_function(lane, (-0.0,))((1.0,))[0]) == -1.0

@@ -17,7 +17,7 @@ from phhs.hamiltonian import assemble_phhs, integrability_report
 from phhs.tensors import acs_residual, anticompat_residual
 from phhs.util import from_complex, grid_points, seeded_points, standard_j_matrix, to_complex
 
-from conftest import clear_compile_caches, complex_x
+from conftest import clear_compile_caches, complex_x, field_point
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +489,16 @@ LANE_POINTS = [
 @settings(max_examples=25, deadline=None)
 @given(H=polynomial_text())
 def test_generated_lane_forms_equal_the_complex_forms_at_the_point(H):
-    # X, J X and a X + b J X of a text H come from one compiled source: the lane value is w,
-    # i w and a w + (i b) w of X's complex form w at the point, bit for bit, and every lane
-    # component a Python complex
+    # X, J X and a X + b J X of a text H come from one compiled source (J X is X's lane at the
+    # rate 1j): the lane value times the field's rate is w, i w and a w + (i b) w of X's complex
+    # form w at the point, bit for bit, and every lane component a Python complex
     fields = assemble_phhs(models.build_standard_hhs(1, H))
     w = complex_x(H)
     a, ib = 0.6 + 0j, -0.8j
     forms = (w, lambda z: 1j * w(z), lambda z: a * w(z) + ib * w(z))
     for V, form in zip((fields.X, fields.JX, flows._combo_field(fields, 0.6, -0.8)), forms):
         for z in LANE_POINTS:
-            lane = expressions.lane_function(*V.lane)(tuple(z.tolist()))
+            lane = field_point(V)(tuple(z.tolist()))
             assert [type(c) for c in lane] == [complex, complex], (V.name, z)
             assert np.array(lane).tobytes() == np.asarray(form(z)).tobytes(), (V.name, z)
 
