@@ -484,7 +484,8 @@ def test_j_x_of_a_j_i_model_steps_x_s_lane_at_the_rate_i(name):
     flows._lane_stepper.cache_clear()
     for V, t in ((fields.X, 0.3), (fields.JX, -0.2), (fields.JX, 0.25)):
         flow(V, x0, t, COARSE)
-    assert flows._lane_stepper.cache_info()[1:] == (1, 256, 1)  # misses, maxsize, currsize
+    info = flows._lane_stepper.cache_info()
+    assert info.misses == info.currsize == 1
     x_stepper, x_values, _ = flows._lane_start(fields.X, x0, 0.05)
     stepper, values, _ = flows._lane_start(fields.JX, x0, 0.05)
     assert stepper is x_stepper and values[3:] == x_values[3:]
@@ -797,9 +798,9 @@ def _signed_points(dim):
 
 def test_lane_scalar_forms_equal_the_array_forms_bit_for_bit(model_lane):
     # X, J X (compiled from J_g's entries and X's components on the real state, X's lane times
-    # its rate 1j on the complex one) and the combinations, at seeded points and at points with signed zeros,
-    # against the array form at each point: fn on the real state, and on the complex one w,
-    # i w and a w + (i b) w of X's complex form w
+    # its rate 1j on the complex one) and the combinations, at seeded points and at points with
+    # signed zeros, against the array form at each point: fn on the real state, and on the
+    # complex one w, i w and a w + (i b) w of X's complex form w
     lane, array, x0 = model_lane
     dim = x0.size
     P = np.concatenate([util.seeded_points(9, 400, dim, scale=1.5, center=x0), _signed_points(dim)])
